@@ -124,7 +124,7 @@ class BoundReport:
     eta: float
     radius_R: float | None
     threshold_method: str
-    threshold_resolution: float
+    threshold_resolution: float | None
 
     def to_dict(self) -> dict:
         def _num(v):
@@ -163,7 +163,9 @@ def build_report(
 ) -> BoundReport:
     """Assemble the bound comparison table for one (ensemble, mixing) pair.
 
-    The certified threshold is computed by bisection when not supplied. The
+    The certified threshold is computed from the lifted Hessian pencil when
+    not supplied; its provenance resolution is the width of the bracket that
+    confirms it, null when the threshold is capped at infinity. The
     radius uses x0 = 0 and alpha0 = half the spectral-gap bound unless given;
     it is omitted (None) when the gap bound itself is unavailable.
     """

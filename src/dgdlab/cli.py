@@ -73,16 +73,6 @@ def _write_text(path: str, text: str) -> None:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _threshold(cfg: ExperimentConfig, objective: LiftedObjective):
-    spec = cfg.threshold_spec
-    return objective.strong_convexity_threshold(
-        method=spec["method"],
-        resolution=float(spec["resolution"]),
-        grid_n=int(spec["grid_n"]),
-        scan_cap=float(spec["scan_cap"]),
-    )
-
-
 def _require(cfg: ExperimentConfig, *parts: str) -> None:
     missing = [p for p in parts if getattr(cfg, p) is None]
     if missing:
@@ -92,7 +82,7 @@ def _require(cfg: ExperimentConfig, *parts: str) -> None:
 def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing")
     objective = LiftedObjective(cfg.ensemble, cfg.mixing)
-    threshold = _threshold(cfg, objective)
+    threshold = objective.strong_convexity_threshold(cfg.scan_cap)
     report = bounds_mod.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
     payload = report.to_dict()
     summary = cfg.mixing.spectral
@@ -149,7 +139,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing")
     objective = LiftedObjective(cfg.ensemble, cfg.mixing)
-    threshold = _threshold(cfg, objective)
+    threshold = objective.strong_convexity_threshold(cfg.scan_cap)
     alpha_l = bounds_mod.lambda_min_bound(
         cfg.mixing.spectral.lambda_min, cfg.ensemble.smoothness_constant()
     )
@@ -231,7 +221,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         ensemble = epsilon_example(cfg.family_L, cfg.family_mu, eps)
         objective = LiftedObjective(ensemble, cfg.mixing)
         try:
-            threshold = _threshold(cfg, objective)
+            threshold = objective.strong_convexity_threshold(cfg.scan_cap)
         except (NotInClassError, NotStronglyConvexError):
             return eps, None
         return eps, threshold.alpha

@@ -8,12 +8,12 @@ and `canonical()` re-serializes to a normal form with defaults filled in.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .costs import QuadraticEnsemble, ensemble_from_spec
 from .errors import ConfigError, DgdLabError, MixingMatrixError
+from .lifted import DEFAULT_SCAN_CAP
 from .simulator import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     DEFAULT_HORIZON,
@@ -24,12 +24,6 @@ from .topology import MixingMatrix, mixing_from_spec
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-DEFAULT_THRESHOLD_SPEC = {
-    "method": "bisection",
-    "resolution": 1e-6,
-    "grid_n": 10_000,
-    "scan_cap": 1e3,
-}
 
 
 @dataclass
@@ -48,7 +42,7 @@ class ExperimentConfig:
     epsilons: list[float] = field(default_factory=lambda: list(DEFAULT_EPSILONS))
     family_L: float = 10.0
     family_mu: float = 1.0
-    threshold_spec: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLD_SPEC))
+    scan_cap: float = DEFAULT_SCAN_CAP
 
     # built eagerly at parse time
     ensemble: QuadraticEnsemble | None = None
@@ -75,7 +69,7 @@ class ExperimentConfig:
                 "epsilons": self.epsilons,
                 "L": self.family_L,
                 "mu": self.family_mu,
-                "threshold": self.threshold_spec,
+                "threshold": {"scan_cap": self.scan_cap},
             }
         )
         if self.x0 is not None:
@@ -84,6 +78,47 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.canonical(), indent=2)
+
+
+def _number(key: str, value, kind=float):
+    """`value` as an int or a finite float, or a ConfigError naming `key`."""
+    noun = "an integer" if kind is int else "a number"
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(key: str, value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _scan_cap(threshold) -> float:
+    if not isinstance(threshold, dict):
+        raise ConfigError(f"threshold must be a JSON object, got {threshold!r}")
+    unknown = set(threshold) - {"scan_cap"}
+    if unknown:
+        raise ConfigError(
+            f"unknown threshold keys {sorted(unknown)}: only 'scan_cap' is accepted "
+            "(alpha_A is computed exactly, with no search to tune)"
+        )
+    scan_cap = _number("threshold.scan_cap", threshold.get("scan_cap", DEFAULT_SCAN_CAP))
+    if scan_cap <= 0:
+        raise ConfigError("threshold.scan_cap must be positive")
+    return scan_cap
 
 
 def parse_config(
@@ -104,35 +139,36 @@ def parse_config(
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    for key in ("ensemble", "mixing", "schedule"):
+        if data.get(key) is not None and not isinstance(data[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, got {data[key]!r}")
 
     ensemble_spec = data.get("ensemble")
     if ensemble_spec is not None and seed_override is not None:
         if ensemble_spec.get("type") == "random":
             ensemble_spec = dict(ensemble_spec, seed=int(seed_override))
 
-    threshold_spec = dict(DEFAULT_THRESHOLD_SPEC)
-    threshold_spec.update(data.get("threshold", {}))
-    if threshold_spec["method"] not in ("bisection", "grid"):
-        raise ConfigError(f"unknown threshold method {threshold_spec['method']!r}")
-    if float(threshold_spec["resolution"]) <= 0:
-        raise ConfigError("threshold resolution must be positive")
-
+    horizon = data.get("horizon", DEFAULT_HORIZON) if horizon_override is None else horizon_override
     cfg = ExperimentConfig(
         ensemble_spec=ensemble_spec,
         mixing_spec=data.get("mixing"),
         schedule_spec=data.get("schedule"),
-        horizon=int(horizon_override if horizon_override is not None else data.get("horizon", DEFAULT_HORIZON)),
-        divergence_threshold=float(data.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)),
-        record_every=int(data.get("record_every", DEFAULT_RECORD_EVERY)),
-        agent_scale=bool(data.get("agent_scale", False)),
-        track_lifted=bool(data.get("track_lifted", False)),
-        x0=list(map(float, data["x0"])) if data.get("x0") is not None else None,
-        alpha_multiples=[float(v) for v in data.get("alpha_multiples", DEFAULT_ALPHA_MULTIPLES)],
+        horizon=_number("horizon", horizon, int),
+        divergence_threshold=_number(
+            "divergence_threshold", data.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
+        ),
+        record_every=_number("record_every", data.get("record_every", DEFAULT_RECORD_EVERY), int),
+        agent_scale=_flag("agent_scale", data.get("agent_scale", False)),
+        track_lifted=_flag("track_lifted", data.get("track_lifted", False)),
+        x0=_numbers("x0", data["x0"]) if data.get("x0") is not None else None,
+        alpha_multiples=_numbers(
+            "alpha_multiples", data.get("alpha_multiples", DEFAULT_ALPHA_MULTIPLES)
+        ),
         sweep_base=str(data.get("sweep_base", "alpha_A")),
-        epsilons=[float(v) for v in data.get("epsilons", DEFAULT_EPSILONS)],
-        family_L=float(data.get("L", 10.0)),
-        family_mu=float(data.get("mu", 1.0)),
-        threshold_spec=threshold_spec,
+        epsilons=_numbers("epsilons", data.get("epsilons", DEFAULT_EPSILONS)),
+        family_L=_number("L", data.get("L", 10.0)),
+        family_mu=_number("mu", data.get("mu", 1.0)),
+        scan_cap=_scan_cap(data.get("threshold", {})),
     )
 
     if cfg.horizon < 1:
@@ -159,7 +195,7 @@ def parse_config(
             cfg.schedule = StepsizeSchedule.from_spec(cfg.schedule_spec)
     except MixingMatrixError as exc:
         raise ConfigError(f"mixing spec invalid [{exc.code}]: {exc}") from exc
-    except (ValueError, KeyError, TypeError, DgdLabError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, DgdLabError) as exc:
         raise ConfigError(f"configuration invalid: {exc}") from exc
 
     if cfg.ensemble is not None and cfg.mixing is not None:
@@ -171,8 +207,6 @@ def parse_config(
         expected = cfg.ensemble.m * cfg.ensemble.n
         if len(cfg.x0) != expected:
             raise ConfigError(f"x0 has length {len(cfg.x0)}, expected {expected}")
-        if not np.all(np.isfinite(cfg.x0)):
-            raise ConfigError("x0 contains non-finite entries")
     return cfg
 
 

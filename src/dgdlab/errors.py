@@ -21,7 +21,8 @@ class MixingMatrixError(DgdLabError, ValueError):
     """Mixing-matrix validation failure with a stable error code.
 
     Codes: "not_square", "asymmetric", "row_sum", "col_sum",
-    "zero_diagonal", "disconnected", "negative_weight".
+    "zero_diagonal", "disconnected", "negative_weight", and
+    "malformed_spec" for a mixing spec that does not describe a matrix.
     """
 
     def __init__(self, code: str, message: str):

@@ -11,9 +11,9 @@ smallest Hessian eigenvalue, and the set of certified stepsizes is an
 interval (0, alpha_A]: scaling alpha down mixes in more of the convex
 consensus term, never less.
 
-The threshold alpha_A is located either by the ascending-grid scan
-(alpha = k/N for growing k, return the last certified point) or by
-bisection on the certified interval's right edge.
+The Hessian is affine in t = alpha/m, H(t) = C + t B, so the right edge
+alpha_A of that interval follows in closed form from one symmetric
+eigenproblem of the pencil (B, C + t0 B) at a certified anchor t0.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import numpy as np
 
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
-from .numerics import min_eigenvalue, solve_spd
+from .numerics import min_eigenvalue, solve_spd, sym_eigen
 from .topology import MixingMatrix
 
 SC_TOLERANCE = 1e-10
 DEFAULT_SCAN_CAP = 1e3
-DEFAULT_GRID_N = 10_000
-DEFAULT_RESOLUTION = 1e-6
 _SEED_LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+_EDGE_GAP = 1e-11
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,14 @@ class ThresholdResult:
     """Right edge of the certified stepsize interval (0, alpha_A].
 
     alpha is math.inf when every stepsize up to the scan cap certifies
-    (capped=True); bracket gives the final certified/uncertified pair for
-    the bisection method.
+    (capped=True). Otherwise bracket is the certified/uncertified pair that
+    confirms the edge, alpha is its lower end, and resolution its width;
+    both are None when capped.
     """
 
     alpha: float
     method: str
-    resolution: float
+    resolution: float | None = None
     bracket: tuple[float, float] | None = None
     capped: bool = False
 
@@ -150,81 +150,66 @@ class LiftedObjective:
     def _certified(self, alpha: float) -> bool:
         return self.certify(alpha).is_strongly_convex
 
-    def strong_convexity_threshold(
-        self,
-        method: str = "bisection",
-        resolution: float = DEFAULT_RESOLUTION,
-        grid_n: int = DEFAULT_GRID_N,
-        scan_cap: float = DEFAULT_SCAN_CAP,
-    ) -> ThresholdResult:
-        """Find alpha_A, the largest certified stepsize.
+    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
+        """Find alpha_A, the largest certified stepsize, from the Hessian pencil.
 
-        method "grid" scans alpha = k/N ascending and returns the last
-        certified point before the first failure; method "bisection" brackets
-        the certified interval's right edge to within `resolution`. Either
-        way, if certification still holds at `scan_cap` the result is the
+        With t = alpha/m and tau = SC_TOLERANCE, certify(alpha) holds exactly
+        when K(t) = C - tau I + t B is positive definite. At the first anchor
+        t0 of the seed ladder where K(t0) = Q diag(lam) Q^T is, S = Q
+        diag(lam)^(-1/2) turns K(t) into I + (t - t0) S^T B S, which stays
+        positive definite exactly while t < t0 - 1/nu_min, nu_min being the
+        smallest eigenvalue of S^T B S. Certify calls on both sides of that
+        edge confirm it. If the edge is at or past `scan_cap` the result is the
         +inf sentinel with capped=True. Raises NotInClassError when no
         stepsize certifies at all.
         """
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if method == "grid":
-            return self._threshold_grid(grid_n, scan_cap)
-        if method == "bisection":
-            return self._threshold_bisection(resolution, scan_cap)
-        raise ValueError(f"unknown threshold method {method!r}")
-
-    def _threshold_grid(self, grid_n: int, scan_cap: float) -> ThresholdResult:
-        if grid_n < 1:
-            raise ValueError("grid_n must be at least 1")
-        step = 1.0 / grid_n
-        if not self._certified(step):
-            raise NotInClassError(
-                f"lifted objective is not strongly convex at the first grid point {step:g}"
-            )
-        k = 1
-        while True:
-            alpha_next = (k + 1) * step
-            if alpha_next > scan_cap:
-                return ThresholdResult(
-                    alpha=math.inf, method="grid", resolution=step, capped=True
-                )
-            if not self._certified(alpha_next):
-                return ThresholdResult(alpha=k * step, method="grid", resolution=step)
-            k += 1
-
-    def _threshold_bisection(self, resolution: float, scan_cap: float) -> ThresholdResult:
-        lo = None
+        m = self.ensemble.m
         for probe in _SEED_LADDER:
-            if probe <= scan_cap and self._certified(probe):
-                lo = probe
+            if probe > scan_cap:
+                continue
+            t0 = probe / m
+            # K(t0) is built in place, and K, Q and S are freed as soon as they
+            # are used: these (nm, nm) arrays set the peak memory of a threshold
+            anchor = self.block_curvature * t0
+            anchor += self.consensus_matrix
+            anchor[np.diag_indices_from(anchor)] -= SC_TOLERANCE
+            spectrum = sym_eigen(anchor, vectors=True)
+            del anchor
+            if spectrum.eigenvalues[0] > 0:
                 break
-        if lo is None:
+        else:
             raise NotInClassError(
                 f"no strongly convex stepsize found down to {_SEED_LADDER[-1]:g}"
             )
-        hi = None
-        width = lo
-        while hi is None:
-            candidate = min(lo + 2.0 * width, scan_cap)
-            if self._certified(candidate):
-                if candidate >= scan_cap:
-                    return ThresholdResult(
-                        alpha=math.inf, method="bisection", resolution=resolution, capped=True
-                    )
-                lo = candidate
-                width = 2.0 * width
-            else:
-                hi = candidate
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if self._certified(mid):
-                lo = mid
-            else:
-                hi = mid
-        return ThresholdResult(
-            alpha=lo, method="bisection", resolution=resolution, bracket=(lo, hi)
-        )
+        scaled = spectrum.eigenvectors
+        scaled /= np.sqrt(spectrum.eigenvalues)
+        del spectrum
+        pencil = scaled.T @ (self.block_curvature @ scaled)
+        del scaled
+        pencil += pencil.T
+        pencil *= 0.5
+        nu_min = min_eigenvalue(pencil)
+        del pencil
+        edge = math.inf if nu_min >= 0 else m * (t0 - 1.0 / nu_min)
+        if edge >= scan_cap:
+            return ThresholdResult(alpha=math.inf, method="pencil", capped=True)
+        return self._confirm_edge(edge)
+
+    def _confirm_edge(self, edge: float) -> ThresholdResult:
+        """Bracket `edge` between a certified and an uncertified stepsize.
+
+        The bracket starts a relative 1e-11 on each side of the edge, above
+        the eigensolvers' rounding, and widens tenfold until certify agrees.
+        """
+        gap = _EDGE_GAP * edge
+        while gap < edge:
+            lo, hi = edge - gap, edge + gap
+            if self._certified(lo) and not self._certified(hi):
+                return ThresholdResult(
+                    alpha=lo, method="pencil", resolution=hi - lo, bracket=(lo, hi)
+                )
+            gap *= 10.0
+        raise RuntimeError(f"certify does not confirm the pencil edge {edge!r}")
 
     def minimizer(self, alpha: float) -> np.ndarray:
         """Unique minimizer of G_alpha; requires a strong-convexity certificate."""

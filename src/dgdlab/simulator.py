@@ -50,12 +50,14 @@ class StepsizeSchedule:
 
     @classmethod
     def constant(cls, alpha: float) -> "StepsizeSchedule":
-        if alpha <= 0:
-            raise ValueError("constant stepsize must be positive")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"constant stepsize must be finite and positive, got {alpha!r}")
         return cls(kind="constant", alpha=float(alpha))
 
     @classmethod
     def polynomial(cls, a: float, w: float = 1.0, p: float = 1.0) -> "StepsizeSchedule":
+        if not all(math.isfinite(v) for v in (a, w, p)):
+            raise ValueError(f"polynomial schedule needs finite a, w, p, got {(a, w, p)!r}")
         if a <= 0:
             raise ValueError("polynomial schedule needs a > 0")
         if w < 1:

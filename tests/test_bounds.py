@@ -177,7 +177,7 @@ class TestBoundReport:
         for key in ("alpha_gd", "alpha_L", "alpha_S", "alpha_A", "alpha_main",
                     "eta", "radius_R", "alpha_A_provenance"):
             assert key in data
-        assert data["alpha_A_provenance"]["method"] == "bisection"
+        assert data["alpha_A_provenance"]["method"] == "pencil"
         assert data["alpha_main"] == pytest.approx(
             min(data["alpha_L"], data["alpha_A"])
         )

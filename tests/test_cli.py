@@ -81,6 +81,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"horizon": "abc"},
+            {"horizon": 2.5},
+            {"agent_scale": "false"},
+            {"record_every": None},
+            {"divergence_threshold": float("nan")},
+            {"alpha_multiples": 0.5},
+            {"epsilons": ["x"]},
+            {"x0": [0.0, 0.0, 0.0, 0.0, 0.0, float("inf")]},
+            {"ensemble": [1, 2]},
+            {"ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": float("inf")}},
+            {"schedule": "constant"},
+            {"mixing": 3},
+            {"threshold": 5},
+            {"threshold": {"method": "grid"}},
+            {"threshold": {"resolution": 1e-6, "grid_n": 100}},
+            {"threshold": {"scan_cap": 0.0}},
+            {"threshold": {"scan_cap": float("inf")}},
+            {"threshold": {"scan_cap": "big"}},
+        ],
+    )
+    def test_malformed_values_exit_2_without_traceback(self, patch, tmp_path, capsys):
+        data = {
+            "ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.05},
+        }
+        data.update(patch)
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_threshold_scan_cap_round_trips(self):
+        data = {"threshold": {"scan_cap": 50}}
+        cfg = parse_config(data)
+        assert cfg.scan_cap == 50.0
+        assert cfg.canonical()["threshold"] == {"scan_cap": 50.0}
+
     def test_seed_override(self):
         data = {"ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}}
         cfg = parse_config(data, seed_override=9)
@@ -184,6 +225,28 @@ class TestSimulateCommand:
         assert len(rows) == summary["divergence_step"]
         assert all(float(r["R"]) <= summary["divergence_threshold"] for r in rows)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"type": "constant", "alpha": float("nan")},
+            {"type": "constant", "alpha": float("inf")},
+            {"type": "polynomial", "a": float("nan")},
+            {"type": "polynomial", "a": 0.1, "w": float("inf")},
+        ],
+    )
+    def test_non_finite_stepsize_exits_2(self, schedule, tmp_path, capsys):
+        path = _write_config(
+            tmp_path,
+            {
+                "ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5},
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "schedule": schedule,
+                "horizon": 10,
+            },
+        )
+        assert cli.main(["simulate", "--config", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_horizon_override(self, random_config, capsys):
         assert cli.main(["simulate", "--config", random_config, "--horizon", "37"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -284,6 +347,35 @@ class TestValidateTopologyCommand:
         path = _write_config(tmp_path, {"type": "explicit", "W": np.eye(3).tolist()}, name="w.json")
         assert cli.main(["validate-topology", "--config", path]) == 2
         assert "disconnected" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "metropolis"},
+            {"type": "explicit"},
+            {"type": "ring"},
+            {"type": "explicit", "W": "abc"},
+            {"type": "explicit", "W": [[1.0, 0.0], [0.0]]},
+            {"type": "metropolis", "adjacency": [[0, "x"], ["x", 0]]},
+            [[0.5, 0.5], [0.5, 0.5]],
+            "W",
+            None,
+        ],
+    )
+    def test_malformed_spec_exits_2(self, spec, tmp_path, capsys):
+        path = _write_config(tmp_path, spec, name="w.json")
+        assert cli.main(["validate-topology", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [malformed_spec]: ") and err.count("\n") == 1
+
+    def test_metropolis_ring(self, tmp_path, capsys):
+        ring = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+        path = _write_config(tmp_path, {"type": "metropolis", "adjacency": ring}, name="w.json")
+        assert cli.main(["validate-topology", "--config", path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["m"] == 4
+        assert data["lambda_min"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
 
 
 def test_env_var_thread_cap(monkeypatch):

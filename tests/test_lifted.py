@@ -18,6 +18,22 @@ def _certified_random_objective(seed, mix, epsilon=1.0):
     return _objective(ens, mix)
 
 
+def _bisection_threshold(obj, resolution, scan_cap):
+    """Right edge of the certified interval by bisection over certify alone."""
+    lo = 1e-2
+    assert obj.certify(lo).is_strongly_convex
+    if obj.certify(scan_cap).is_strongly_convex:
+        return math.inf
+    hi = scan_cap
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if obj.certify(mid).is_strongly_convex:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestHessian:
     def test_single_agent_consensus_vanishes(self, mix_single):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -118,24 +134,49 @@ class TestThreshold:
         assert math.isinf(th.alpha)
         assert th.capped
 
-    def test_grid_and_bisection_agree(self, mix_quarter):
+    def test_pencil_matches_bisection(self, mix_quarter):
         hits = 0
         for seed in range(12):
             obj = _certified_random_objective(seed, mix_quarter)
             if obj is None:
                 continue
             hits += 1
-            grid = obj.strong_convexity_threshold(method="grid", grid_n=200, scan_cap=100.0)
-            bis = obj.strong_convexity_threshold(method="bisection", resolution=1e-4, scan_cap=100.0)
-            if math.isinf(grid.alpha):
-                assert math.isinf(bis.alpha) or bis.alpha > 99.0
-            else:
-                assert abs(grid.alpha - bis.alpha) <= 1.0 / 200 + 1e-4
+            th = obj.strong_convexity_threshold(scan_cap=100.0)
+            ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
+            if math.isinf(ref):
+                assert math.isinf(th.alpha) and th.capped
+                continue
+            assert abs(th.alpha - ref) <= 1e-8
+            lo, hi = th.bracket
+            assert th.alpha == lo and th.resolution == hi - lo <= 1e-6
+            assert obj.certify(lo).is_strongly_convex
+            assert not obj.certify(hi).is_strongly_convex
         assert hits >= 5
+
+    def test_finite_threshold_costs_few_certify_calls(self, mix_quarter, monkeypatch):
+        calls = []
+        certify = lifted.LiftedObjective.certify
+
+        def counted(self, alpha):
+            calls.append(alpha)
+            return certify(self, alpha)
+
+        monkeypatch.setattr(lifted.LiftedObjective, "certify", counted)
+        finite = 0
+        for seed in range(12):
+            obj = _certified_random_objective(seed, mix_quarter)
+            if obj is None:
+                continue
+            calls.clear()
+            th = obj.strong_convexity_threshold()
+            if math.isfinite(th.alpha):
+                finite += 1
+                assert len(calls) <= 4
+        assert finite >= 3
 
     def test_bisection_bracket_is_tight(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        th = obj.strong_convexity_threshold(resolution=1e-6)
+        th = obj.strong_convexity_threshold()
         lo, hi = th.bracket
         assert hi - lo <= 1e-6
         assert obj.certify(lo).is_strongly_convex
@@ -143,7 +184,7 @@ class TestThreshold:
 
     def test_uncapped_threshold_edge_is_sharp(self, mix_skewed):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 2.0), mix_skewed)
-        th = obj.strong_convexity_threshold(resolution=1e-8)
+        th = obj.strong_convexity_threshold()
         assert obj.certify(th.alpha).is_strongly_convex
         assert not obj.certify(th.alpha + 1e-6).is_strongly_convex
 
@@ -152,8 +193,6 @@ class TestThreshold:
         obj = _objective(costs.epsilon_example(10.0, 1.0, 25.0), mix_quarter)
         with pytest.raises(NotInClassError):
             obj.strong_convexity_threshold()
-        with pytest.raises(NotInClassError):
-            obj.strong_convexity_threshold(method="grid", grid_n=100)
 
     def test_certified_set_is_downward_closed(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
