@@ -38,6 +38,7 @@ from .simulator import (
     boundedness_oracle,
     nonexpansiveness_check,
     run,
+    run_batch,
     step,
 )
 from .topology import (
@@ -77,6 +78,7 @@ __all__ = [
     "nonexpansiveness_check",
     "random_ensemble",
     "run",
+    "run_batch",
     "solve_spd",
     "spectral_gap_bound",
     "step",

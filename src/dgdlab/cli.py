@@ -8,19 +8,18 @@ Subcommands:
   validate-topology  validate a mixing spec and print its spectral summary
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure,
-4 I/O failure. Sweep parallelism is capped by the DGD_LAB_THREADS
-environment variable (default 1).
+4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import simulator
@@ -33,22 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_IO = 4
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DGD_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep_map(fn, items):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _ensure_outdir(out: str | None) -> str | None:
@@ -148,33 +131,23 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     else:
         base = threshold.alpha if math.isfinite(threshold.alpha) else alpha_l
 
-    def one(mult: float):
-        schedule = simulator.StepsizeSchedule.constant(mult * base)
-        record = simulator.run(
-            cfg.ensemble,
-            cfg.mixing,
-            schedule,
-            x0=cfg.x0,
-            horizon=cfg.horizon,
-            divergence_threshold=cfg.divergence_threshold,
-            agent_scale=cfg.agent_scale,
-            record_every=cfg.record_every,
-        )
+    multiples = cfg.alpha_multiples
+    records = simulator.run_batch(
+        cfg.ensemble,
+        cfg.mixing,
+        [simulator.StepsizeSchedule.constant(mult * base) for mult in multiples],
+        x0=cfg.x0,
+        horizon=cfg.horizon,
+        divergence_threshold=cfg.divergence_threshold,
+        agent_scale=cfg.agent_scale,
+        record_every=cfg.record_every,
+    )
+
+    summaries = {}
+    for mult, record in zip(multiples, records):
         oracle = simulator.boundedness_oracle(
             cfg.ensemble, cfg.mixing, mult * base, agent_scale=cfg.agent_scale
         )
-        return mult, record, oracle
-
-    results = _sweep_map(one, cfg.alpha_multiples)
-
-    rows = []
-    summaries = {}
-    for mult, record, oracle in results:
-        cutoff = record.divergence_step if record.divergence_step is not None else record.t.size
-        for i in range(record.t.size):
-            if record.t[i] >= cutoff:
-                break
-            rows.append((mult, int(record.t[i]), float(record.r[i])))
         entry = record.summary_dict()
         entry["oracle"] = {
             "spectral_radius": oracle.spectral_radius,
@@ -198,8 +171,14 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
             with open(path, "w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["alpha_multiple", "t", "R"])
-                for mult, t, r in rows:
-                    writer.writerow([repr(mult), t, repr(r)])
+                for mult, record in zip(multiples, records):
+                    # a diverged run stops before its crossing step, as in to_csv
+                    cutoff = record.divergence_step
+                    label = repr(mult)
+                    writer.writerows(
+                        [label, t, repr(r)]
+                        for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
+                    )
         except OSError as exc:
             raise _IOFailure(f"cannot write {path}: {exc}") from exc
         _write_text(os.path.join(out, "sweep_alpha_summary.json"), text + "\n")
@@ -226,7 +205,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
             return eps, None
         return eps, threshold.alpha
 
-    results = _sweep_map(one, cfg.epsilons)
+    results = [one(eps) for eps in cfg.epsilons]
 
     lines = [["epsilon", "alpha_A", "alpha_L", "alpha_S"]]
     for eps, alpha_a in results:
@@ -275,7 +254,9 @@ def cmd_validate_topology(mixing_path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; cached, because building it costs far more than parsing."""
     parser = argparse.ArgumentParser(
         prog="dgdlab",
         description=(

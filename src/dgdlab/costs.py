@@ -58,6 +58,8 @@ class QuadraticEnsemble:
 
     costs: list[QuadraticCost]
     _curvatures: np.ndarray = field(init=False, repr=False)
+    _smoothness: float | None = field(init=False, repr=False, default=None)
+    _mu: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not self.costs:
@@ -100,14 +102,18 @@ class QuadraticEnsemble:
         return self.aggregate_a @ np.asarray(x, dtype=float) + self.aggregate_b
 
     def smoothness_constant(self) -> float:
-        """L = max over agents of the exact spectral norm of A_k."""
-        return max(
-            float(np.max(np.abs(sym_eigen(c.a).eigenvalues))) for c in self.costs
-        )
+        """L = max over agents of the exact spectral norm of A_k (computed once)."""
+        if self._smoothness is None:
+            self._smoothness = max(
+                float(np.max(np.abs(sym_eigen(a).eigenvalues))) for a in self._curvatures
+            )
+        return self._smoothness
 
     def aggregate_mu(self) -> float:
-        """Smallest eigenvalue of the aggregate curvature (1/m) sum A_k."""
-        return float(sym_eigen(self.aggregate_a).eigenvalues[0])
+        """Smallest eigenvalue of the aggregate curvature (1/m) sum A_k (computed once)."""
+        if self._mu is None:
+            self._mu = float(sym_eigen(self.aggregate_a).eigenvalues[0])
+        return self._mu
 
     def aggregate_minimizer(self) -> np.ndarray:
         """Minimizer of the aggregate cost; requires aggregate_mu > 0."""

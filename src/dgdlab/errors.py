@@ -20,7 +20,7 @@ class EigenConvergenceError(DgdLabError, RuntimeError):
 class MixingMatrixError(DgdLabError, ValueError):
     """Mixing-matrix validation failure with a stable error code.
 
-    Codes: "not_square", "asymmetric", "row_sum", "col_sum",
+    Codes: "non_finite", "not_square", "asymmetric", "row_sum", "col_sum",
     "zero_diagonal", "disconnected", "negative_weight", and
     "malformed_spec" for a mixing spec that does not describe a matrix.
     """

@@ -12,14 +12,16 @@ For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
 M_alpha = W kron I_n - (alpha/m) blockdiag(A_k). Its spectral radius
 decides boundedness exactly, which is what `boundedness_oracle` returns
-as ground truth for the finite-horizon verdicts of `run`.
+as ground truth for the finite-horizon verdicts of `run` and `run_batch`.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,10 +97,11 @@ def _kernel_arrays(ensemble: QuadraticEnsemble, mixing: MixingMatrix):
 
 
 def _step_blocks(
-    blocks: np.ndarray, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: float
+    blocks: np.ndarray, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
-    grads = np.einsum("kij,kj->ki", a_stack, blocks) + b_stack
-    return w @ blocks - scale * grads
+    """One DGD step on every row of a (B, m, n) state tensor; `scale` has shape (B,)."""
+    grads = np.einsum("kij,bkj->bki", a_stack, blocks) + b_stack
+    return w @ blocks - scale[:, None, None] * grads
 
 
 def step(
@@ -125,7 +128,7 @@ def step(
         raise ValueError("state contains non-finite entries")
     scale = alpha if agent_scale else alpha / m
     w, a_stack, b_stack = _kernel_arrays(ensemble, mixing)
-    return _step_blocks(state.reshape(m, n), w, a_stack, b_stack, scale).reshape(-1)
+    return _step_blocks(state.reshape(1, m, n), w, a_stack, b_stack, np.array([scale])).reshape(-1)
 
 
 @dataclass(eq=False)
@@ -234,11 +237,51 @@ def run(
 ) -> TrajectoryRecord:
     """Run DGD for `horizon` steps and record the error metrics.
 
-    R(t) = sum_k ||x_k(t) - x*|| is measured against the aggregate
-    minimizer (or an explicit `x_star`). The run stops early with verdict
-    "diverged" once R(t) exceeds `divergence_threshold` or the state stops
-    being finite. Passing `lifted_distance` also records
-    ||x(t) - argmin G_alpha(t)|| wherever that alpha is certified.
+    A batch of one: see `run_batch` for the metrics and the early stop.
+    """
+    return run_batch(
+        ensemble,
+        mixing,
+        [schedule],
+        x0=x0,
+        horizon=horizon,
+        divergence_threshold=divergence_threshold,
+        agent_scale=agent_scale,
+        record_every=record_every,
+        x_star=x_star,
+        lifted_distance=lifted_distance,
+    )[0]
+
+
+def _consensus(blocks: np.ndarray) -> np.ndarray:
+    """Per-row Frobenius distance of the agent blocks to their mean."""
+    dev = blocks - blocks.sum(axis=1, keepdims=True) / blocks.shape[1]  # the mean, bit for bit
+    return np.sqrt(np.add.reduce(dev * dev, axis=(1, 2)))
+
+
+def run_batch(
+    ensemble: QuadraticEnsemble,
+    mixing: MixingMatrix,
+    schedules: list[StepsizeSchedule],
+    *,
+    x0: np.ndarray | None = None,
+    horizon: int = DEFAULT_HORIZON,
+    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    agent_scale: bool = False,
+    record_every: int = DEFAULT_RECORD_EVERY,
+    x_star: np.ndarray | None = None,
+    lifted_distance: LiftedObjective | None = None,
+) -> list[TrajectoryRecord]:
+    """Run DGD once per schedule from a shared x0; one record per schedule.
+
+    All runs are stepped together as one (B, m, n) state tensor, and each
+    row is a true iteration of its own schedule. R(t) = sum_k ||x_k(t) - x*||
+    is measured against the aggregate minimizer (or an explicit `x_star`).
+    A row stops early with verdict "diverged" once its R(t) exceeds
+    `divergence_threshold` or its state stops being finite; it is recorded
+    at that step and then dropped from the batch. Passing
+    `lifted_distance` also records ||x(t) - argmin G_alpha(t)|| wherever
+    that alpha is certified.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -263,8 +306,6 @@ def run(
     minimizer_cache: dict[float, np.ndarray | None] = {}
 
     def _lifted_point(alpha: float):
-        if lifted_distance is None:
-            return None
         if alpha not in minimizer_cache:
             try:
                 minimizer_cache[alpha] = lifted_distance.minimizer(alpha)
@@ -272,62 +313,95 @@ def run(
                 minimizer_cache[alpha] = None
         return minimizer_cache[alpha]
 
-    ts, alphas, rs, cons, dists = [], [], [], [], []
-    state_ts, states = [], []
-    verdict = "bounded"
-    divergence_step = None
+    size = len(schedules)
+    # Metric columns are indexed (t, schedule); each record copies its own.
+    alpha_hist = np.empty((horizon + 1, size))
+    r_hist = np.empty((horizon + 1, size))
+    cons_hist = np.empty((horizon + 1, size))
+    dist_hist = np.full((horizon + 1, size), math.nan) if lifted_distance is not None else None
+    state_hist = np.empty((horizon // record_every + 2, size, m * n))
+    state_times: list[int] = []
+    divergence: list[int | None] = [None] * size
+    crossing_state: list[np.ndarray | None] = [None] * size
 
-    blocks = x0.reshape(m, n).copy()
+    varying = any(s.kind != "constant" for s in schedules)
+    # When every R(t) is finite and at most the threshold, every state is
+    # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
+    # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
+    limit = min(divergence_threshold, sys.float_info.max)
+    rows = np.arange(size)  # schedule index of each live row
+    blocks = np.repeat(x0.reshape(1, m, n), size, axis=0)
+    alpha = np.array([s.value(0) for s in schedules], dtype=float)
+    scale = alpha if agent_scale else alpha / m
     for t in range(horizon + 1):
-        alpha_t = schedule.value(t)
-        finite = bool(np.all(np.isfinite(blocks)))
-        if finite:
-            r_t = float(np.linalg.norm(blocks - x_star, axis=1).sum())
-            consensus = float(np.linalg.norm(blocks - blocks.mean(axis=0)))
+        if varying and t > 0:
+            alpha = np.array([schedules[i].value(t) for i in rows], dtype=float)
+            scale = alpha if agent_scale else alpha / m
+        dev = blocks - x_star
+        # np.linalg.norm(dev, axis=2) bit for bit, without its per-call overhead
+        r = np.sqrt(np.add.reduce(dev * dev, axis=2)).sum(axis=1)
+        fine = r.max(initial=0.0) <= limit
+        if fine:
+            cons = _consensus(blocks)
         else:
-            r_t = math.inf
-            consensus = math.inf
-        point = _lifted_point(alpha_t) if finite else None
-        dist = (
-            float(np.linalg.norm(blocks.reshape(-1) - point)) if point is not None else math.nan
-        )
+            finite = np.isfinite(blocks).all(axis=(1, 2))
+            r[~finite] = math.inf
+            cons = np.full(rows.size, math.inf)
+            cons[finite] = _consensus(blocks[finite])
+        alpha_hist[t, rows] = alpha
+        r_hist[t, rows] = r
+        cons_hist[t, rows] = cons
+        if dist_hist is not None:
+            for j, i in enumerate(rows):
+                point = _lifted_point(float(alpha[j])) if fine or finite[j] else None
+                if point is not None:
+                    dist_hist[t, i] = np.linalg.norm(blocks[j].reshape(-1) - point)
+        recorded = t % record_every == 0 or t == horizon
+        if recorded:
+            state_hist[len(state_times), rows] = blocks.reshape(rows.size, m * n)
+            state_times.append(t)
 
-        ts.append(t)
-        alphas.append(alpha_t)
-        rs.append(r_t)
-        cons.append(consensus)
-        dists.append(dist)
-        if t % record_every == 0 or t == horizon:
-            state_ts.append(t)
-            states.append(blocks.reshape(-1).copy())
-
-        if r_t > divergence_threshold or not finite:
-            verdict = "diverged"
-            divergence_step = t
-            if state_ts[-1] != t:
-                state_ts.append(t)
-                states.append(blocks.reshape(-1).copy())
+        if not fine:
+            dead = ~finite | (r > divergence_threshold)
+            for j in np.flatnonzero(dead):
+                i = rows[j]
+                divergence[i] = t
+                if not recorded:
+                    crossing_state[i] = blocks[j].reshape(-1).copy()
+            live = ~dead
+            rows, blocks, alpha, scale = rows[live], blocks[live], alpha[live], scale[live]
+        if t == horizon or rows.size == 0:
             break
-        if t == horizon:
-            break
-        scale = alpha_t if agent_scale else alpha_t / m
         blocks = _step_blocks(blocks, w, a_stack, b_stack, scale)
 
-    return TrajectoryRecord(
-        t=np.asarray(ts, dtype=int),
-        alpha=np.asarray(alphas, dtype=float),
-        r=np.asarray(rs, dtype=float),
-        consensus_err=np.asarray(cons, dtype=float),
-        dist_lifted_min=np.asarray(dists, dtype=float),
-        state_ts=np.asarray(state_ts, dtype=int),
-        states=np.asarray(states, dtype=float),
-        record_every=record_every,
-        horizon=horizon,
-        divergence_threshold=divergence_threshold,
-        verdict=verdict,
-        divergence_step=divergence_step,
-        x_star=x_star,
-    )
+    records = []
+    for i, stop in enumerate(divergence):
+        end = horizon + 1 if stop is None else stop + 1
+        state_ts = state_times[: bisect.bisect_right(state_times, end - 1)]
+        states = state_hist[: len(state_ts), i].copy()
+        if crossing_state[i] is not None:
+            state_ts = state_ts + [stop]
+            states = np.vstack([states, crossing_state[i]])
+        records.append(
+            TrajectoryRecord(
+                t=np.arange(end),
+                alpha=alpha_hist[:end, i].copy(),
+                r=r_hist[:end, i].copy(),
+                consensus_err=cons_hist[:end, i].copy(),
+                dist_lifted_min=(
+                    dist_hist[:end, i].copy() if dist_hist is not None else np.full(end, math.nan)
+                ),
+                state_ts=np.asarray(state_ts, dtype=int),
+                states=states,
+                record_every=record_every,
+                horizon=horizon,
+                divergence_threshold=divergence_threshold,
+                verdict="bounded" if stop is None else "diverged",
+                divergence_step=stop,
+                x_star=x_star,
+            )
+        )
+    return records
 
 
 @dataclass(frozen=True, eq=False)

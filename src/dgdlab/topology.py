@@ -54,10 +54,12 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
     """Validate a candidate mixing matrix and cache its spectral summary.
 
     Raises MixingMatrixError with a stable ``code`` on the first failed
-    check: "not_square", "asymmetric", "negative_weight", "row_sum",
-    "col_sum", "zero_diagonal", or "disconnected".
+    check: "non_finite", "not_square", "asymmetric", "negative_weight",
+    "row_sum", "col_sum", "zero_diagonal", or "disconnected".
     """
     w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise MixingMatrixError("non_finite", "mixing matrix has non-finite entries")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise MixingMatrixError("not_square", f"expected square matrix, got {w.shape}")
     m = w.shape[0]

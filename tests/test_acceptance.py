@@ -82,17 +82,22 @@ def test_02_threshold_sweep_verdicts():
                 mix.spectral.lambda_min, ens.smoothness_constant()
             )
             safe = min(th.alpha, floor)
-            for mult in (0.5, 0.95, 0.99):
-                rec = simulator.run(
-                    ens, mix, StepsizeSchedule.constant(mult * safe), horizon=10_000
-                )
-                assert rec.verdict == "bounded", (seed, mult)
+            # (mult, alpha, exact verdict or None where "bounded" is required)
+            cases = [(mult, mult * safe, None) for mult in (0.5, 0.95, 0.99)]
             for mult in (1.01, 1.02):
                 alpha = mult * th.alpha
                 verdict = simulator.boundedness_oracle(ens, mix, alpha)
                 if verdict.is_critical:
                     continue
-                rec = simulator.run(ens, mix, StepsizeSchedule.constant(alpha), horizon=10_000)
+                cases.append((mult, alpha, verdict))
+            records = simulator.run_batch(
+                ens, mix, [StepsizeSchedule.constant(alpha) for _, alpha, _ in cases],
+                horizon=10_000,
+            )
+            for (mult, _, verdict), rec in zip(cases, records):
+                if verdict is None:
+                    assert rec.verdict == "bounded", (seed, mult)
+                    continue
                 assert (rec.verdict == "bounded") == verdict.bounded, (
                     seed, mult, verdict.spectral_radius,
                 )
@@ -129,12 +134,18 @@ def test_03_oracle_equivalence_grid():
                     multiples.append(cand)
                 if len(multiples) == 10:
                     break
+            cases = []
             for mult in multiples:
                 alpha = mult * a_star
                 verdict = simulator.boundedness_oracle(ens, mix, alpha)
                 if abs(verdict.spectral_radius - 1.0) <= 1e-5:
                     continue
-                rec = simulator.run(ens, mix, StepsizeSchedule.constant(alpha), horizon=10_000)
+                cases.append((mult, alpha, verdict))
+            records = simulator.run_batch(
+                ens, mix, [StepsizeSchedule.constant(alpha) for _, alpha, _ in cases],
+                horizon=10_000,
+            )
+            for (mult, _, verdict), rec in zip(cases, records):
                 pairs += 1
                 assert (rec.verdict == "bounded") == verdict.bounded, (
                     seed, mult, verdict.spectral_radius,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dgdlab import cli
+from dgdlab import cli, simulator
 from dgdlab.config import parse_config
 from dgdlab.errors import ConfigError
 
@@ -286,6 +286,42 @@ class TestSweepAlphaCommand:
         assert summary["runs"]["1.01"]["oracle"]["bounded"] is False
         assert summary["runs"]["1.02"]["oracle"]["bounded"] is False
 
+    def test_matches_one_run_per_multiple(self, tmp_path, capsys):
+        # the batched sweep reports exactly what one run per multiple would
+        data = {
+            "ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "sweep_base": "main",
+            "alpha_multiples": [0.5, 0.9, 1.1, 4.0, 6.0],
+            "horizon": 600,
+            "record_every": 7,
+            "x0": [0.5, -1.0, 0.25, 2.0, -0.75, 1.0],
+        }
+        path = _write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["sweep-alpha", "--config", path, "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cfg = parse_config(data)
+        with open(out / "sweep_alpha.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        expected_rows = []
+        verdicts = set()
+        for mult in data["alpha_multiples"]:
+            record = simulator.run(
+                cfg.ensemble, cfg.mixing,
+                simulator.StepsizeSchedule.constant(mult * payload["base_alpha"]),
+                x0=cfg.x0, horizon=cfg.horizon, record_every=cfg.record_every,
+            )
+            entry = dict(payload["runs"][repr(mult)])
+            del entry["oracle"]
+            assert entry == json.loads(json.dumps(record.summary_dict())), mult
+            verdicts.add(record.verdict)
+            cutoff = record.divergence_step if record.divergence_step is not None else record.t.size
+            expected_rows += [[repr(mult), str(t), repr(float(r))]
+                              for t, r in zip(record.t[:cutoff], record.r[:cutoff])]
+        assert rows == expected_rows
+        assert verdicts == {"bounded", "diverged"}
+
     def test_nonpositive_multiple_rejected(self, tmp_path):
         path = _write_config(
             tmp_path,
@@ -376,28 +412,6 @@ class TestValidateTopologyCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["m"] == 4
         assert data["lambda_min"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
-
-
-def test_env_var_thread_cap(monkeypatch):
-    monkeypatch.setenv("DGD_LAB_THREADS", "4")
-    assert cli._thread_count() == 4
-    monkeypatch.setenv("DGD_LAB_THREADS", "junk")
-    assert cli._thread_count() == 1
-
-
-def test_threaded_sweep_matches_serial(tmp_path, capsys, monkeypatch):
-    path = _write_config(
-        tmp_path,
-        {
-            "mixing": {"type": "explicit", "W": W_SKEWED},
-            "epsilons": [0.5, 1.0, 2.0],
-        },
-    )
-    assert cli.main(["sweep-epsilon", "--config", path]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("DGD_LAB_THREADS", "3")
-    assert cli.main(["sweep-epsilon", "--config", path]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def test_unwritable_output_dir_exits_4(planted_config, tmp_path):

@@ -159,6 +159,26 @@ class TestSpectralConstants:
             norms.append(np.linalg.norm(c.a @ v))
         assert e.smoothness_constant() == pytest.approx(max(norms), rel=1e-8)
 
+    def test_constants_computed_once(self, monkeypatch):
+        e = costs.random_ensemble(4, 3, 6.0, seed=77)
+        smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in e.costs)
+        mu = float(costs.sym_eigen(e.aggregate_a).eigenvalues[0])
+        calls = []
+        real = costs.sym_eigen
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(costs, "sym_eigen", counting)
+        for _ in range(3):
+            assert e.smoothness_constant() == smooth
+        assert len(calls) == e.m  # one eigensolve per A_k, on the first call only
+        for _ in range(3):
+            assert e.aggregate_mu() == mu
+        e.aggregate_minimizer()
+        assert len(calls) == e.m + 1
+
     def test_grad_bound_zero_for_identical_optima(self):
         e = costs.epsilon_example(10.0, 1.0, 0.0)
         assert e.grad_bound_D() == pytest.approx(0.0, abs=1e-12)

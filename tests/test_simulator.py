@@ -232,6 +232,140 @@ class TestRun:
             simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.1), x0=np.ones(4))
 
 
+def _assert_same_record(batched, single):
+    for name in ("t", "alpha", "r", "state_ts", "states"):
+        assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+    assert np.array_equal(batched.dist_lifted_min, single.dist_lifted_min, equal_nan=True)
+    assert batched.verdict == single.verdict
+    assert batched.divergence_step == single.divergence_step
+    assert batched.to_csv_string() == single.to_csv_string()
+
+
+def _per_run_loop(ens, mix, schedule, x0, horizon, threshold):
+    """R(t) and divergence step from one state stepped alone, as run did before batching."""
+    m, n = ens.m, ens.n
+    x_star = ens.aggregate_minimizer()
+    blocks = x0.reshape(m, n).copy()
+    rs = []
+    for t in range(horizon + 1):
+        finite = bool(np.all(np.isfinite(blocks)))
+        rs.append(float(np.linalg.norm(blocks - x_star, axis=1).sum()) if finite else math.inf)
+        if rs[-1] > threshold or not finite:
+            return np.array(rs), t
+        if t < horizon:
+            grads = np.einsum("kij,kj->ki", ens.curvatures, blocks) + ens.linear_terms
+            blocks = mix.w @ blocks - (schedule.value(t) / m) * grads
+    return np.array(rs), None
+
+
+class TestRunBatch:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matches_the_per_run_loop_bit_for_bit(self, mix_quarter):
+        ens = _skewed_random(5)
+        safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
+        schedules = [StepsizeSchedule.constant(k * safe) for k in (0.5, 0.99, 2.0, 4.0, 6.0)]
+        schedules += [
+            StepsizeSchedule.polynomial(a=3.0 * safe, p=0.6),
+            StepsizeSchedule.constant(1e308),  # the first step overflows the state
+        ]
+        x0 = np.linspace(-10.0, 10.0, 6)
+        batch = simulator.run_batch(ens, mix_quarter, schedules, x0=x0, horizon=1500)
+        assert {rec.verdict for rec in batch} == {"bounded", "diverged"}
+        for schedule, batched in zip(schedules, batch):
+            r, step = _per_run_loop(ens, mix_quarter, schedule, x0, 1500, 1e12)
+            assert np.array_equal(batched.r, r)
+            assert batched.divergence_step == step
+
+    def test_rows_equal_single_runs(self, mix_quarter):
+        ens = _skewed_random(5)
+        safe, obj = _safe_alpha(ens, mix_quarter)
+        th = obj.strong_convexity_threshold().alpha
+        schedules = [
+            StepsizeSchedule.constant(safe),  # bounded
+            StepsizeSchedule.constant(1.5 * th),  # R(t) crosses the threshold
+            StepsizeSchedule.constant(1e150),  # crosses at once, never certified
+            StepsizeSchedule.polynomial(a=2.0 * safe, w=1.0, p=0.5),
+        ]
+        kwargs = dict(
+            x0=np.linspace(-1.0, 1.0, 6), horizon=200, record_every=7,
+            divergence_threshold=1e100, lifted_distance=obj,
+        )
+        batch = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
+        assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged", "bounded"]
+        assert batch[2].divergence_step == 1 < batch[1].divergence_step < 200
+        assert np.all(np.isfinite(batch[0].dist_lifted_min))
+        assert np.all(np.isnan(batch[2].dist_lifted_min))
+        for schedule, batched in zip(schedules, batch):
+            _assert_same_record(batched, simulator.run(ens, mix_quarter, schedule, **kwargs))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_rows_leave_the_batch(self, mix_quarter):
+        ens = _skewed_random(5)
+        safe, obj = _safe_alpha(ens, mix_quarter)
+        th = obj.strong_convexity_threshold().alpha
+        schedules = [
+            StepsizeSchedule.constant(safe),
+            StepsizeSchedule.constant(1e306),  # R(t) overflows, the state stays finite
+            StepsizeSchedule.constant(1e308),  # the state itself overflows
+            StepsizeSchedule.constant(1.5 * th),
+        ]
+        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=200, record_every=7)
+        batch = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
+        assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged", "diverged"]
+        for blown, finite_state in ((batch[1], True), (batch[2], False)):
+            assert blown.divergence_step == 1 and list(blown.state_ts) == [0, 1]
+            assert bool(np.all(np.isfinite(blown.states[-1]))) is finite_state
+            assert blown.r[-1] == math.inf
+        # an infinite threshold still stops a row whose state is infinite
+        (endless,) = simulator.run_batch(
+            ens, mix_quarter, schedules[2:3], **dict(kwargs, divergence_threshold=math.inf)
+        )
+        assert endless.divergence_step == 1
+        for schedule, batched in zip(schedules, batch):
+            single = simulator.run(ens, mix_quarter, schedule, **kwargs)
+            _assert_same_record(batched, single)
+            assert np.array_equal(batched.consensus_err, single.consensus_err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_state_is_recorded_as_infinite(self, mix_single):
+        # an infinite threshold lets a finite state with overflowing R(t) keep
+        # stepping, and A x sums +inf and -inf into nan
+        ens = costs.QuadraticEnsemble(
+            [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
+        )
+        schedule = StepsizeSchedule.constant(0.1)
+        x0 = np.full(2, 1e308)
+        (rec,) = simulator.run_batch(
+            ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf
+        )
+        assert rec.divergence_step == 1 and np.all(np.isnan(rec.states[-1]))
+        assert list(rec.r) == [math.inf, math.inf] and rec.consensus_err[-1] == math.inf
+        r, step = _per_run_loop(ens, mix_single, schedule, x0, 5, math.inf)
+        assert np.array_equal(rec.r, r) and rec.divergence_step == step
+
+    def test_batch_of_one_is_run(self, mix_quarter):
+        ens = _skewed_random(5)
+        schedule = StepsizeSchedule.polynomial(a=0.4, w=2.0, p=0.8)
+        kwargs = dict(x0=np.ones(6), horizon=120, record_every=5)
+        (batched,) = simulator.run_batch(ens, mix_quarter, [schedule], **kwargs)
+        single = simulator.run(ens, mix_quarter, schedule, **kwargs)
+        _assert_same_record(batched, single)
+        assert np.array_equal(batched.consensus_err, single.consensus_err)
+
+    def test_batch_empties_when_every_row_diverges(self, mix_quarter):
+        ens = _skewed_random(5)
+        th = lifted.LiftedObjective(ens, mix_quarter).strong_convexity_threshold().alpha
+        schedules = [StepsizeSchedule.constant(k * th) for k in (3.0, 1.5)]
+        batch = simulator.run_batch(ens, mix_quarter, schedules, horizon=10_000)
+        for schedule, batched in zip(schedules, batch):
+            assert batched.verdict == "diverged"
+            assert batched.t.size == batched.divergence_step + 1 < 10_001
+            _assert_same_record(
+                batched, simulator.run(ens, mix_quarter, schedule, horizon=10_000)
+            )
+        assert simulator.run_batch(ens, mix_quarter, []) == []
+
+
 class TestBoundednessOracle:
     def test_vanishing_stepsize_keeps_consensus_eigenvalue(self, mix_quarter):
         ens = _skewed_random(5)

@@ -49,6 +49,9 @@ def test_lambda_min_never_exceeds_beta(mix_quarter, mix_skewed):
         (np.array([[0.0, 1.0], [1.0, 0.0]]), "zero_diagonal"),
         (np.array([[1.5, -0.5], [-0.5, 1.5]]), "negative_weight"),
         (np.ones((2, 3)), "not_square"),
+        (np.array([[np.nan, 1.0], [1.0, 0.0]]), "non_finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non_finite"),
+        (np.array([[0.5, np.nan, 0.5]]), "non_finite"),  # checked before the shape
     ],
 )
 def test_validation_error_codes(w, code):
