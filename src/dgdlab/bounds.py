@@ -85,7 +85,9 @@ def trajectory_radius(
 
     `mu` defaults to the aggregate strong-convexity constant; pass another
     value to move the eta source. Raises RadiusUndefinedError when alpha0
-    is at or above the spectral-gap bound (third denominator nonpositive).
+    is at or above the spectral-gap bound: the third denominator is
+    nonpositive, or alpha0 reaches `spectral_gap_bound`'s own expression
+    (at that bound the denominator rounds to either sign of one ulp).
     """
     x0 = np.asarray(x0, dtype=float)
     m, n = ensemble.m, ensemble.n
@@ -99,7 +101,7 @@ def trajectory_radius(
     eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
     denom = eta * (1.0 - beta) / smooth - (eta + smooth) * alpha0
-    if denom <= 0:
+    if denom <= 0 or alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
         raise RadiusUndefinedError(
             f"radius undefined at alpha0={alpha0:g}: stepsize is not below the spectral-gap bound"
         )

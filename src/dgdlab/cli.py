@@ -196,28 +196,21 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     else:
         alpha_s = None
 
-    def one(eps: float):
+    def alpha_a_cell(eps: float) -> str:
         ensemble = epsilon_example(cfg.family_L, cfg.family_mu, eps)
         objective = LiftedObjective(ensemble, cfg.mixing)
         try:
-            threshold = objective.strong_convexity_threshold(cfg.scan_cap)
+            alpha_a = objective.strong_convexity_threshold(cfg.scan_cap).alpha
         except (NotInClassError, NotStronglyConvexError):
-            return eps, None
-        return eps, threshold.alpha
+            return ""
+        return "inf" if math.isinf(alpha_a) else repr(alpha_a)
 
-    results = [one(eps) for eps in cfg.epsilons]
-
-    lines = [["epsilon", "alpha_A", "alpha_L", "alpha_S"]]
-    for eps, alpha_a in results:
-        lines.append(
-            [
-                repr(eps),
-                "" if alpha_a is None else ("inf" if math.isinf(alpha_a) else repr(alpha_a)),
-                repr(alpha_l),
-                "" if alpha_s is None else repr(alpha_s),
-            ]
-        )
-    text = "\n".join(",".join(map(str, line)) for line in lines) + "\n"
+    # one string per row, with the eps-independent tail formatted once: the
+    # rows are this command's whole output and set its peak memory
+    tail = f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
+    rows = ["epsilon,alpha_A,alpha_L,alpha_S\n"]
+    rows.extend(f"{eps!r},{alpha_a_cell(eps)}{tail}" for eps in cfg.epsilons)
+    text = "".join(rows)
     if out is not None:
         _write_text(os.path.join(out, "sweep_epsilon.csv"), text)
     else:

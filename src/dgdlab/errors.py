@@ -14,7 +14,7 @@ class NotPositiveDefiniteError(DgdLabError, ValueError):
 
 
 class EigenConvergenceError(DgdLabError, RuntimeError):
-    """Jacobi sweeps did not reach the off-diagonal tolerance within the sweep cap."""
+    """The symmetric eigensolver (LAPACK, through numpy.linalg) did not converge."""
 
 
 class MixingMatrixError(DgdLabError, ValueError):

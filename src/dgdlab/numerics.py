@@ -3,10 +3,11 @@
 Everything downstream (mixing-matrix spectra, curvature constants,
 strong-convexity certificates, spectral-radius verdicts) reduces to two
 operations on real symmetric matrices: a full eigendecomposition and an
-SPD linear solve. Both are implemented directly — a cyclic Jacobi
-eigensolver and an unpivoted Cholesky factorization — which is simple and
-robust at the desk scales this package targets (dimension up to a few
-hundred). All arithmetic is 64-bit floating point.
+SPD linear solve. Both are thin wrappers over LAPACK through numpy.linalg
+(`eigh`/`eigvalsh`, `cholesky` and `solve`); the wrappers add the
+package's contract on top: a symmetry check first, ascending eigenvalues,
+a Cholesky pivot floor, and the package's own exception types. All
+arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .errors import EigenConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 
 SYMMETRY_ATOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_RTOL = 1e-12
 CHOLESKY_PIVOT_TOL = 1e-12
 
 
@@ -49,14 +48,14 @@ def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a real symmetric matrix (LAPACK `eigh`/`eigvalsh`).
 
     Parameters
     ----------
     a : ndarray
         Square symmetric matrix (checked to 1e-12 absolute tolerance).
     vectors : bool, optional
-        Also accumulate the orthonormal eigenvector columns.
+        Also return the orthonormal eigenvector columns.
 
     Returns
     -------
@@ -68,70 +67,16 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
     NotSymmetricError
         If the input is not square/symmetric.
     EigenConvergenceError
-        If the off-diagonal norm does not fall below 1e-12 * ||a||_F
-        within 100 sweeps.
+        If LAPACK reports that the eigensolve did not converge.
     """
     a = check_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        vecs = np.eye(1) if vectors else None
-        return Spectrum(eigenvalues=a[0].copy(), eigenvectors=vecs)
-
-    work = 0.5 * (a + a.T)  # exact symmetry for the rotation updates
-    v = np.eye(n) if vectors else None
-    norm_a = np.linalg.norm(a)
-    tol = JACOBI_OFFDIAG_RTOL * max(norm_a, np.finfo(float).tiny)
-
-    def _offdiag_norm() -> float:
-        off = work.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm() <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-300:  # negligible; avoids overflow in theta
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                # smaller-angle root; stable against large |theta|
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    if not converged and _offdiag_norm() > tol:
-        raise EigenConvergenceError(
-            f"Jacobi sweeps did not converge: off-diagonal norm {_offdiag_norm():g} > {tol:g}"
-        )
-
-    w = np.diag(work).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        v = v[:, order]
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    try:
+        if vectors:
+            w, v = np.linalg.eigh(a)
+            return Spectrum(eigenvalues=w, eigenvectors=v)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(a))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
@@ -142,41 +87,33 @@ def min_eigenvalue(a: np.ndarray) -> float:
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefiniteError when a pivot falls at or below 1e-12.
+    Raises NotPositiveDefiniteError when a pivot L[j, j]**2 falls at or
+    below 1e-12, a floor LAPACK itself does not apply.
     """
     a = check_symmetric(a)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
-        if d <= CHOLESKY_PIVOT_TOL:
-            raise NotPositiveDefiniteError(
-                f"pivot {d:g} at column {j} is below tolerance; matrix is not positive definite"
-            )
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-            ) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    pivots = np.diagonal(lower) ** 2
+    low = np.flatnonzero(pivots <= CHOLESKY_PIVOT_TOL)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:g} at column {j} is below tolerance; matrix is not positive definite"
+        )
     return lower
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for symmetric positive-definite `a` via Cholesky.
+    """Solve a @ x = rhs for symmetric positive-definite `a`.
 
+    `cholesky` decides positive definiteness; LAPACK's `solve` gives x.
     Raises NotPositiveDefiniteError if `a` is not positive definite and
     ValueError on dimension mismatch.
     """
     rhs = np.asarray(rhs, dtype=float)
-    lower = cholesky(a)
-    n = lower.shape[0]
+    n = cholesky(a).shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - np.dot(lower[i, :i], y[:i])) / lower[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - np.dot(lower[i + 1 :, i], x[i + 1 :])) / lower[i, i]
-    return x
+    return np.linalg.solve(a, rhs)

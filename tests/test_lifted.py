@@ -125,6 +125,18 @@ class TestCertify:
             ref = np.linalg.eigvalsh(obj.hessian(alpha)).min()
             assert cert.min_hessian_eig == pytest.approx(ref, abs=1e-10)
 
+    def test_huge_stepsize_not_certified(self, mix_quarter):
+        # README's seed-5 instance has its edge at 2.53; at 1e155 the
+        # Hessian's Frobenius norm overflows, which once left the eigensolver
+        # unrotated and certified the stepsize
+        obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=5), mix_quarter)
+        for alpha in (1e150, 1e155, 1e200, 1e300):
+            cert = obj.certify(alpha)
+            assert not cert.is_strongly_convex
+            assert cert.min_hessian_eig == pytest.approx(
+                np.linalg.eigvalsh(obj.hessian(alpha))[0], rel=1e-9
+            )
+
 
 class TestThreshold:
     def test_single_agent_convex_hits_cap(self, mix_single):
@@ -152,6 +164,23 @@ class TestThreshold:
             assert obj.certify(lo).is_strongly_convex
             assert not obj.certify(hi).is_strongly_convex
         assert hits >= 5
+
+    def test_pencil_matches_bisection_on_ring_nm300(self):
+        # 50-agent Metropolis ring, n = 6: a 300 x 300 lifted Hessian
+        m = 50
+        adjacency = np.zeros((m, m))
+        for i in range(m):
+            adjacency[i, (i + 1) % m] = adjacency[(i + 1) % m, i] = 1.0
+        ring = topology.metropolis_weights(adjacency)
+        obj = _objective(costs.random_ensemble(m, 6, 1.0, seed=0), ring)
+        assert obj.dim == 300
+        th = obj.strong_convexity_threshold(scan_cap=100.0)
+        ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
+        assert math.isfinite(ref)
+        assert abs(th.alpha - ref) <= 1e-8
+        lo, hi = th.bracket
+        assert obj.certify(lo).is_strongly_convex
+        assert not obj.certify(hi).is_strongly_convex
 
     def test_finite_threshold_costs_few_certify_calls(self, mix_quarter, monkeypatch):
         calls = []
@@ -338,3 +367,18 @@ class TestMinimizerCurve:
             for a in np.linspace(alpha0 / 10, alpha0, 6)
         )
         print(f"minimizer norm^2 max {worst:.4g} vs anchor allowance {allowance:.4g}")
+
+    def test_segment_gradient_bound_matches_pointwise(self, mix_quarter):
+        rng = np.random.default_rng(41)
+        obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=5), mix_quarter)
+        for samples in (1, 2, 9, 17):
+            x_a, x_b = rng.normal(size=6), rng.normal(size=6)
+            pointwise = max(
+                float(np.linalg.norm(obj.separable_gradient(x_a + s * (x_b - x_a))))
+                for s in np.linspace(0.0, 1.0, samples)
+            )
+            assert obj.segment_gradient_bound(x_a, x_b, samples) == pytest.approx(
+                pointwise, rel=1e-14
+            )
+        with pytest.raises(ValueError):
+            obj.segment_gradient_bound(np.zeros(5), np.zeros(6))

@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
+import jacobi_oracle as oracle
 from dgdlab import numerics
-from dgdlab.errors import NotPositiveDefiniteError, NotSymmetricError
+from dgdlab.errors import EigenConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 
 W_QUARTER = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 W_SKEWED = np.array([[0.4, 0.3, 0.3], [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]])
 
 
+ORACLE_DIMS = (2, 3, 5, 9, 17, 33, 60)
+
+
 def _random_symmetric(rng, dim):
     a = rng.normal(size=(dim, dim))
     return a + a.T
+
+
+def _random_spd(rng, dim):
+    q = rng.normal(size=(dim, dim))
+    return q @ q.T + 0.5 * np.eye(dim)
 
 
 class TestSymEigen:
@@ -146,3 +155,78 @@ class TestSolveSpd:
     def test_rejects_bad_rhs(self):
         with pytest.raises(ValueError):
             numerics.solve_spd(np.eye(3), np.ones(4))
+
+    def test_pivot_tolerance_is_kept(self):
+        # LAPACK alone factors this matrix; the 1e-12 pivot floor must not
+        a = np.diag([1.0, 1e-13])
+        np.linalg.cholesky(a)
+        with pytest.raises(NotPositiveDefiniteError, match="column 1"):
+            numerics.solve_spd(a, np.ones(2))
+        with pytest.raises(NotPositiveDefiniteError):
+            numerics.cholesky(a)
+        np.testing.assert_allclose(numerics.solve_spd(np.diag([1.0, 1e-11]), np.ones(2)), [1.0, 1e11])
+
+
+class TestLapackErrors:
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_linalg_error_becomes_convergence_error(self, monkeypatch, vectors):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            numerics.sym_eigen(np.eye(3), vectors=vectors)
+        with pytest.raises(EigenConvergenceError):
+            numerics.min_eigenvalue(np.eye(3))
+
+    def test_symmetry_checked_before_lapack(self):
+        # eigh reads one triangle only and would accept this matrix silently
+        with pytest.raises(NotSymmetricError):
+            numerics.sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]), vectors=True)
+        with pytest.raises(NotSymmetricError):
+            numerics.cholesky(np.array([[4.0, 1.0], [0.0, 4.0]]))
+
+
+class TestJacobiOracle:
+    """Production (LAPACK) against the pure-Python Jacobi/Cholesky oracle."""
+
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    def test_eigenvalues_agree(self, dim):
+        a = _random_symmetric(np.random.default_rng(100 + dim), dim)
+        mine = numerics.sym_eigen(a).eigenvalues
+        ref, _ = oracle.jacobi_eigen(a)
+        scale = max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(mine, ref, atol=1e-10 * scale)
+        # and the oracle is itself right: it agrees with eigvalsh
+        np.testing.assert_allclose(ref, np.linalg.eigvalsh(a), atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("dim", (2, 5, 12))
+    def test_eigenvectors_span_the_same_spaces(self, dim):
+        # distinct eigenvalues almost surely, so each vector is unique up to sign
+        a = _random_symmetric(np.random.default_rng(200 + dim), dim)
+        q = numerics.sym_eigen(a, vectors=True).eigenvectors
+        _, ref = oracle.jacobi_eigen(a, vectors=True)
+        np.testing.assert_allclose(np.abs(np.sum(q * ref, axis=0)), np.ones(dim), atol=1e-8)
+
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    def test_cholesky_and_solve_agree(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        a = _random_spd(rng, dim)
+        rhs = rng.normal(size=dim)
+        np.testing.assert_allclose(
+            numerics.cholesky(a), oracle.jacobi_cholesky(a), atol=1e-10 * np.abs(a).max()
+        )
+        x = numerics.solve_spd(a, rhs)
+        np.testing.assert_allclose(x, oracle.cholesky_solve(a, rhs), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(x, np.linalg.solve(a, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_pivot_rule_agrees(self):
+        for tiny, rejected in ((1e-13, True), (1e-12, True), (1e-11, False)):
+            a = np.diag([2.0, 1.0, tiny])
+            for factor in (numerics.cholesky, oracle.jacobi_cholesky):
+                if rejected:
+                    with pytest.raises(NotPositiveDefiniteError):
+                        factor(a)
+                else:
+                    factor(a)

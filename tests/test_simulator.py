@@ -224,6 +224,21 @@ class TestRun:
         for line in rec.to_csv_string().splitlines()[1:]:
             assert line.endswith(",")
 
+    def test_lifted_distance_blank_at_huge_stepsize(self, mix_quarter):
+        # README's seed-5 instance at 1e155: certify must refuse the stepsize,
+        # so the minimizer's SPD solve is never attempted
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = simulator.run(
+                ens, mix_quarter, StepsizeSchedule.constant(1e155),
+                x0=np.ones(6), horizon=50, lifted_distance=obj,
+            )
+        assert rec.verdict == "diverged"
+        assert np.all(np.isnan(rec.dist_lifted_min))
+        for line in rec.to_csv_string().splitlines()[1:]:
+            assert line.endswith(",")
+
     def test_rejects_bad_inputs(self, mix_quarter):
         ens = _skewed_random(5)
         with pytest.raises(ValueError):
