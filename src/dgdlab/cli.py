@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 certification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -169,14 +168,13 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         path = os.path.join(out, "sweep_alpha.csv")
         try:
             with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["alpha_multiple", "t", "R"])
+                handle.write("alpha_multiple,t,R\r\n")
                 for mult, record in zip(multiples, records):
                     # a diverged run stops before its crossing step, as in to_csv
                     cutoff = record.divergence_step
                     label = repr(mult)
-                    writer.writerows(
-                        [label, t, repr(r)]
+                    handle.writelines(
+                        f"{label},{t},{r!r}\r\n"
                         for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
                     )
         except OSError as exc:
@@ -187,8 +185,13 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "mixing")
-    from .costs import epsilon_example
+    from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_example
 
+    if cfg.mixing.m != EPSILON_EXAMPLE_AGENTS:
+        raise ConfigError(
+            f"sweep-epsilon runs the {EPSILON_EXAMPLE_AGENTS}-agent planted family, "
+            f"but the mixing matrix has {cfg.mixing.m} agents"
+        )
     summary = cfg.mixing.spectral
     alpha_l = bounds_mod.lambda_min_bound(summary.lambda_min, cfg.family_L)
     if 0 < summary.beta < 1:

@@ -149,6 +149,9 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
     return QuadraticEnsemble(costs)
 
 
+EPSILON_EXAMPLE_AGENTS = 3  # the agent count of every epsilon_example ensemble
+
+
 def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:
     """Three-agent, two-dimensional family with one tunably concave agent.
 

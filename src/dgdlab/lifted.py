@@ -78,6 +78,8 @@ class LiftedObjective:
             )
         self.ensemble = ensemble
         self.mixing = mixing
+        # alpha -> the minimizer of G_alpha, or the certificate that refused it
+        self._minimizers: dict[float, np.ndarray | ConvexityCertificate] = {}
 
     @property
     def dim(self) -> int:
@@ -212,15 +214,36 @@ class LiftedObjective:
         raise RuntimeError(f"certify does not confirm the pencil edge {edge!r}")
 
     def minimizer(self, alpha: float) -> np.ndarray:
-        """Unique minimizer of G_alpha; requires a strong-convexity certificate."""
-        cert = self.certify(alpha)
-        if not cert.is_strongly_convex:
+        """Unique minimizer of G_alpha; requires a strong-convexity certificate.
+
+        Each stepsize is certified and solved once per objective: the
+        minimizer (returned read-only) or the refusal is kept, and a refused
+        stepsize raises NotStronglyConvexError on every call.
+        """
+        found = self._minimizers.get(alpha)
+        if found is None:
+            found = self.certify(alpha)
+            if found.is_strongly_convex:
+                rhs = -(alpha / self.ensemble.m) * self.stacked_linear
+                found = solve_spd(self.hessian(alpha), rhs)
+                found.flags.writeable = False
+            self._minimizers[alpha] = found
+        if isinstance(found, ConvexityCertificate):
             raise NotStronglyConvexError(
                 f"G is not strongly convex at alpha={alpha:g} "
-                f"(min Hessian eigenvalue {cert.min_hessian_eig:g})"
+                f"(min Hessian eigenvalue {found.min_hessian_eig:g})"
             )
-        rhs = -(alpha / self.ensemble.m) * self.stacked_linear
-        return solve_spd(self.hessian(alpha), rhs)
+        return found
+
+    def certified_minimizer(self, alpha: float) -> np.ndarray | None:
+        """minimizer(alpha), or None where alpha is not certified strongly convex."""
+        found = self._minimizers.get(alpha)
+        if found is None:
+            try:
+                return self.minimizer(alpha)
+            except NotStronglyConvexError:
+                return None
+        return None if isinstance(found, ConvexityCertificate) else found
 
     def segment_gradient_bound(
         self, x_a: np.ndarray, x_b: np.ndarray, samples: int = 17

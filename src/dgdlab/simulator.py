@@ -18,7 +18,6 @@ as ground truth for the finite-horizon verdicts of `run` and `run_batch`.
 from __future__ import annotations
 
 import bisect
-import csv
 import io
 import math
 import sys
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import QuadraticEnsemble
-from .errors import NotStronglyConvexError
 from .lifted import LiftedObjective
 from .numerics import sym_eigen
 from .topology import MixingMatrix
@@ -197,22 +195,20 @@ class TrajectoryRecord:
         own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
         handle = open(target, "w", newline="") if own else target
         try:
-            writer = csv.writer(handle)
-            writer.writerow(TRAJECTORY_CSV_HEADER)
-            cutoff = self.divergence_step if self.divergence_step is not None else self.t.size
-            for i in range(self.t.size):
-                if self.t[i] >= cutoff:
-                    break
-                dist = self.dist_lifted_min[i]
-                writer.writerow(
-                    [
-                        int(self.t[i]),
-                        repr(float(self.alpha[i])),
-                        repr(float(self.r[i])),
-                        repr(float(self.consensus_err[i])),
-                        "" if math.isnan(dist) else repr(float(dist)),
-                    ]
-                )
+            handle.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
+            cutoff = self.divergence_step  # None keeps every row
+            columns = (
+                self.t[:cutoff].tolist(),
+                self.alpha[:cutoff].tolist(),
+                self.r[:cutoff].tolist(),
+                self.consensus_err[:cutoff].tolist(),
+                self.dist_lifted_min[:cutoff].tolist(),
+            )
+            # a generator, not one joined string: the rows are the output's bulk
+            handle.writelines(
+                f"{t},{alpha!r},{r!r},{cons!r},{'' if math.isnan(dist) else repr(dist)}\r\n"
+                for t, alpha, r, cons, dist in zip(*columns)
+            )
         finally:
             if own:
                 handle.close()
@@ -253,10 +249,33 @@ def run(
     )[0]
 
 
-def _consensus(blocks: np.ndarray) -> np.ndarray:
-    """Per-row Frobenius distance of the agent blocks to their mean."""
-    dev = blocks - blocks.sum(axis=1, keepdims=True) / blocks.shape[1]  # the mean, bit for bit
-    return np.sqrt(np.add.reduce(dev * dev, axis=(1, 2)))
+# Steps a chunk runs ahead of the bookkeeping: R(t), consensus, the history
+# writes, state recording and the early-stop test take a few numpy calls per
+# chunk instead of per step. Rows never mix, so every row's arithmetic is that
+# of a lone run.
+_CHUNK = 64
+
+
+def _distance_sums(states: np.ndarray, x_star: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """R = sum_k ||x_k - x*|| over the trailing (m, n) axes; `scratch` is overwritten.
+
+    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit,
+    without its per-call overhead.
+    """
+    dev = np.subtract(states, x_star, out=scratch)
+    np.multiply(dev, dev, out=dev)
+    norms = np.add.reduce(dev, axis=-1)
+    np.sqrt(norms, out=norms)
+    return norms.sum(axis=-1)
+
+
+def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the agent blocks (axis -2) to their mean; `scratch` is overwritten."""
+    mean = np.add.reduce(states, axis=-2, keepdims=True)
+    mean /= states.shape[-2]  # the mean, bit for bit
+    dev = np.subtract(states, mean, out=scratch)
+    np.multiply(dev, dev, out=dev)
+    return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
 
 
 def run_batch(
@@ -282,6 +301,10 @@ def run_batch(
     at that step and then dropped from the batch. Passing
     `lifted_distance` also records ||x(t) - argmin G_alpha(t)|| wherever
     that alpha is certified.
+
+    The rows are stepped up to _CHUNK steps ahead, and the metrics and the
+    early stop are taken once per chunk; the records equal those of a
+    step-by-step loop bit for bit.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -303,17 +326,9 @@ def run_batch(
 
     w, a_stack, b_stack = _kernel_arrays(ensemble, mixing)
 
-    minimizer_cache: dict[float, np.ndarray | None] = {}
-
-    def _lifted_point(alpha: float):
-        if alpha not in minimizer_cache:
-            try:
-                minimizer_cache[alpha] = lifted_distance.minimizer(alpha)
-            except NotStronglyConvexError:
-                minimizer_cache[alpha] = None
-        return minimizer_cache[alpha]
-
     size = len(schedules)
+    if size == 0:
+        return []
     # Metric columns are indexed (t, schedule); each record copies its own.
     alpha_hist = np.empty((horizon + 1, size))
     r_hist = np.empty((horizon + 1, size))
@@ -325,54 +340,85 @@ def run_batch(
     crossing_state: list[np.ndarray | None] = [None] * size
 
     varying = any(s.kind != "constant" for s in schedules)
-    # When every R(t) is finite and at most the threshold, every state is
+    alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
+    # While every R(t) is finite and at most the threshold, every state is
     # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
     # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
     limit = min(divergence_threshold, sys.float_info.max)
+    # One chunk of states and one of temporaries, reused by every chunk as
+    # (steps, live rows, m, n) views of their first elements.
+    chunk_buf = np.empty(_CHUNK * size * m * n)
+    scratch_buf = np.empty_like(chunk_buf)
     rows = np.arange(size)  # schedule index of each live row
-    blocks = np.repeat(x0.reshape(1, m, n), size, axis=0)
-    alpha = np.array([s.value(0) for s in schedules], dtype=float)
-    scale = alpha if agent_scale else alpha / m
-    for t in range(horizon + 1):
-        if varying and t > 0:
-            alpha = np.array([schedules[i].value(t) for i in rows], dtype=float)
+    t = 0  # the time of the chunk's first state
+    # A row that diverges inside a chunk is stepped to the chunk's end; those
+    # states may overflow, and they are never recorded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size and t <= horizon:  # runs at least once
+            steps = min(_CHUNK, horizon + 1 - t)
+            live = rows.size
+            chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
+            scratch = scratch_buf[: chunk.size].reshape(chunk.shape)
+            if varying:
+                alpha = np.array(
+                    [[schedules[i].value(s) for i in rows] for s in range(t, t + steps)],
+                    dtype=float,
+                )
+            else:
+                alpha = np.broadcast_to(alpha0[rows], (steps, live))
             scale = alpha if agent_scale else alpha / m
-        dev = blocks - x_star
-        # np.linalg.norm(dev, axis=2) bit for bit, without its per-call overhead
-        r = np.sqrt(np.add.reduce(dev * dev, axis=2)).sum(axis=1)
-        fine = r.max(initial=0.0) <= limit
-        if fine:
-            cons = _consensus(blocks)
-        else:
-            finite = np.isfinite(blocks).all(axis=(1, 2))
-            r[~finite] = math.inf
-            cons = np.full(rows.size, math.inf)
-            cons[finite] = _consensus(blocks[finite])
-        alpha_hist[t, rows] = alpha
-        r_hist[t, rows] = r
-        cons_hist[t, rows] = cons
-        if dist_hist is not None:
-            for j, i in enumerate(rows):
-                point = _lifted_point(float(alpha[j])) if fine or finite[j] else None
-                if point is not None:
-                    dist_hist[t, i] = np.linalg.norm(blocks[j].reshape(-1) - point)
-        recorded = t % record_every == 0 or t == horizon
-        if recorded:
-            state_hist[len(state_times), rows] = blocks.reshape(rows.size, m * n)
-            state_times.append(t)
+            if t == 0:
+                chunk[0] = x0.reshape(m, n)
+            else:
+                chunk[0] = _step_blocks(last, w, a_stack, b_stack, last_scale)
+            for j in range(1, steps):
+                chunk[j] = _step_blocks(chunk[j - 1], w, a_stack, b_stack, scale[j - 1])
 
-        if not fine:
-            dead = ~finite | (r > divergence_threshold)
-            for j in np.flatnonzero(dead):
-                i = rows[j]
-                divergence[i] = t
-                if not recorded:
-                    crossing_state[i] = blocks[j].reshape(-1).copy()
-            live = ~dead
-            rows, blocks, alpha, scale = rows[live], blocks[live], alpha[live], scale[live]
-        if t == horizon or rows.size == 0:
-            break
-        blocks = _step_blocks(blocks, w, a_stack, b_stack, scale)
+            r = _distance_sums(chunk, x_star, scratch)
+            cons = _consensus(chunk, scratch)
+            kept = [j for j in range(steps) if (t + j) % record_every == 0 or t + j == horizon]
+            died = None
+            if not (r <= limit).all():  # some R(t) over the limit or nan
+                # the early stop of each row at its own first crossing, where
+                # a non-finite state reads as infinite R(t) and consensus
+                finite = np.isfinite(chunk).all(axis=(2, 3))
+                r[~finite] = math.inf
+                cons[~finite] = math.inf
+                dies = ~finite | (r > divergence_threshold)
+                died = dies.any(axis=0)
+                death = np.where(died, dies.argmax(axis=0), steps)
+                for q in np.flatnonzero(died):
+                    i, step_at = rows[q], int(death[q])
+                    divergence[i] = t + step_at
+                    if step_at not in kept:
+                        crossing_state[i] = chunk[step_at, q].reshape(-1).copy()
+
+            # every cell is written; a row's cells past its divergence step are
+            # never read
+            alpha_hist[t : t + steps, rows] = alpha
+            r_hist[t : t + steps, rows] = r
+            cons_hist[t : t + steps, rows] = cons
+            if kept:
+                first = len(state_times)
+                state_hist[first : first + len(kept), rows] = chunk[kept].reshape(
+                    len(kept), live, m * n
+                )
+                state_times.extend(t + j for j in kept)
+            if dist_hist is not None:
+                for j in range(steps):
+                    for q, i in enumerate(rows):
+                        if died is not None and (j > death[q] or not finite[j, q]):
+                            continue
+                        point = lifted_distance.certified_minimizer(float(alpha[j, q]))
+                        if point is not None:
+                            dist_hist[t + j, i] = np.linalg.norm(chunk[j, q].reshape(-1) - point)
+
+            last, last_scale = chunk[-1], scale[-1]
+            if died is not None:
+                survive = ~died
+                rows, last, last_scale = rows[survive], last[survive], last_scale[survive]
+            t += steps
+    del chunk_buf, scratch_buf, chunk, scratch, last  # out of the records' peak memory
 
     records = []
     for i, stop in enumerate(divergence):
@@ -491,11 +537,10 @@ def nonexpansiveness_check(
             f"alpha(0)={alpha0:g} exceeds the spectrum-floor bound {floor:g}"
         )
 
-    minimizers: dict[float, np.ndarray] = {}
-    for alpha in record.alpha:
-        a = float(alpha)
-        if a not in minimizers:
-            minimizers[a] = objective.minimizer(a)  # raises if not certified
+    minimizer = objective.certified_minimizer  # solved once per alpha, shared with the run
+    for a in dict.fromkeys(record.alpha.tolist()):
+        if minimizer(a) is None:
+            objective.minimizer(a)  # raises NotStronglyConvexError with the certificate
 
     anchor = objective.certify(alpha0)
     steps = record.t.size - 1
@@ -506,21 +551,19 @@ def nonexpansiveness_check(
 
     for i in range(record.t.size):
         distances[i] = np.linalg.norm(
-            record.state_at(int(record.t[i])) - minimizers[float(record.alpha[i])]
+            record.state_at(int(record.t[i])) - minimizer(float(record.alpha[i]))
         )
     for i in range(steps):
         a_now = float(record.alpha[i])
         a_next = float(record.alpha[i + 1])
         x_next = record.state_at(int(record.t[i + 1]))
-        post = float(np.linalg.norm(x_next - minimizers[a_now]))
+        post = float(np.linalg.norm(x_next - minimizer(a_now)))
         pre = distances[i]
         core_margin[i] = post - pre
         if a_next != a_now:
-            drift_measured[i] = float(
-                np.linalg.norm(minimizers[a_now] - minimizers[a_next])
-            )
+            drift_measured[i] = float(np.linalg.norm(minimizer(a_now) - minimizer(a_next)))
             c1 = objective.segment_gradient_bound(
-                minimizers[a_now], minimizers[a_next], samples=segment_samples
+                minimizer(a_now), minimizer(a_next), samples=segment_samples
             )
             drift_bound[i] = (
                 2.0 * alpha0 * c1 * abs(a_next - a_now) / (anchor.modulus * a_next)

@@ -356,6 +356,13 @@ class TestSweepEpsilonCommand:
         assert len({row[2] for row in body}) == 1
         assert float(body[0][2]) == pytest.approx(0.09)
 
+    def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
+        mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
+        path = _write_config(tmp_path, {"mixing": mixing})
+        assert cli.main(["sweep-epsilon", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "3-agent" in err and "has 2 agents" in err
+
     def test_uncertifiable_epsilon_leaves_blank(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,

@@ -305,8 +305,18 @@ class TestMinimizer:
     def test_uncertified_alpha_rejected(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
         th = obj.strong_convexity_threshold()
-        with pytest.raises(NotStronglyConvexError):
-            obj.minimizer(2.0 * th.alpha)
+        for _ in range(2):  # the second call hits the cached refusal
+            with pytest.raises(NotStronglyConvexError):
+                obj.minimizer(2.0 * th.alpha)
+        assert obj.certified_minimizer(2.0 * th.alpha) is None
+
+    def test_minimizer_is_cached_read_only(self, mix_quarter):
+        obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
+        alpha = 0.5 * obj.strong_convexity_threshold().alpha
+        x = obj.minimizer(alpha)
+        assert obj.minimizer(alpha) is x and obj.certified_minimizer(alpha) is x
+        with pytest.raises(ValueError):
+            x[0] = 1.0  # the cached minimizer is read-only
 
 
 class TestMinimizerCurve:

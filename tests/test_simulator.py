@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,25 +257,31 @@ def _assert_same_record(batched, single):
     assert batched.to_csv_string() == single.to_csv_string()
 
 
-def _per_run_loop(ens, mix, schedule, x0, horizon, threshold):
-    """R(t) and divergence step from one state stepped alone, as run did before batching."""
+def _per_run_loop(ens, mix, schedule, x0, horizon, threshold, states=None):
+    """R(t) and divergence step from one state stepped alone, as run did before batching.
+
+    Every visited state is appended to `states` when a list is given.
+    """
     m, n = ens.m, ens.n
     x_star = ens.aggregate_minimizer()
     blocks = x0.reshape(m, n).copy()
     rs = []
     for t in range(horizon + 1):
+        if states is not None:
+            states.append(blocks.reshape(-1))
         finite = bool(np.all(np.isfinite(blocks)))
-        rs.append(float(np.linalg.norm(blocks - x_star, axis=1).sum()) if finite else math.inf)
+        with np.errstate(over="ignore"):  # the reference's own overflow, not the engine's
+            rs.append(float(np.linalg.norm(blocks - x_star, axis=1).sum()) if finite else math.inf)
         if rs[-1] > threshold or not finite:
             return np.array(rs), t
         if t < horizon:
             grads = np.einsum("kij,kj->ki", ens.curvatures, blocks) + ens.linear_terms
-            blocks = mix.w @ blocks - (schedule.value(t) / m) * grads
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = mix.w @ blocks - (schedule.value(t) / m) * grads
     return np.array(rs), None
 
 
 class TestRunBatch:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_matches_the_per_run_loop_bit_for_bit(self, mix_quarter):
         ens = _skewed_random(5)
         safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
@@ -313,7 +320,6 @@ class TestRunBatch:
         for schedule, batched in zip(schedules, batch):
             _assert_same_record(batched, simulator.run(ens, mix_quarter, schedule, **kwargs))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_rows_leave_the_batch(self, mix_quarter):
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
@@ -341,7 +347,6 @@ class TestRunBatch:
             _assert_same_record(batched, single)
             assert np.array_equal(batched.consensus_err, single.consensus_err)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_state_is_recorded_as_infinite(self, mix_single):
         # an infinite threshold lets a finite state with overflowing R(t) keep
         # stepping, and A x sums +inf and -inf into nan
@@ -357,6 +362,67 @@ class TestRunBatch:
         assert list(rec.r) == [math.inf, math.inf] and rec.consensus_err[-1] == math.inf
         r, step = _per_run_loop(ens, mix_single, schedule, x0, 5, math.inf)
         assert np.array_equal(rec.r, r) and rec.divergence_step == step
+
+    def test_engine_raises_no_runtime_warning(self, mix_quarter, mix_single):
+        ens = _skewed_random(5)
+        safe, _ = _safe_alpha(ens, mix_quarter)
+        schedules = [StepsizeSchedule.constant(a) for a in (safe, 1e306, 1e308)]
+        nan_ens = costs.QuadraticEnsemble(
+            [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulator.run_batch(
+                ens, mix_quarter, schedules, x0=np.linspace(-10.0, 10.0, 6), horizon=200
+            )
+            (nan_rec,) = simulator.run_batch(
+                nan_ens, mix_single, [StepsizeSchedule.constant(0.1)],
+                x0=np.full(2, 1e308), horizon=5, divergence_threshold=math.inf,
+            )
+            # README's seed-5 instance: 2.4 is certified (alpha_A is 2.53) but
+            # diverges, so the state grows until it is no longer finite
+            readme = costs.random_ensemble(3, 2, 1.0, seed=5)
+            (blown,) = simulator.run_batch(
+                readme, mix_quarter, [StepsizeSchedule.constant(2.4)], x0=np.ones(6),
+                horizon=2000, divergence_threshold=math.inf,
+                lifted_distance=lifted.LiftedObjective(readme, mix_quarter),
+            )
+        assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged"]
+        assert nan_rec.divergence_step == 1 and np.all(np.isnan(nan_rec.states[-1]))
+        assert blown.verdict == "diverged" and not np.all(np.isfinite(blown.states[-1]))
+        # the distance is taken at every finite state and left blank at the last
+        assert not np.any(np.isnan(blown.dist_lifted_min[:-1]))
+        assert np.isnan(blown.dist_lifted_min[-1])
+
+    @pytest.mark.parametrize("record_every", [1, 5, 7])
+    def test_chunk_boundaries_match_the_per_run_loop(self, mix_quarter, record_every):
+        chunk = simulator._CHUNK
+        ens = _skewed_random(5)
+        safe, obj = _safe_alpha(ens, mix_quarter)
+        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold().alpha)
+        calm = [StepsizeSchedule.constant(safe), StepsizeSchedule.polynomial(a=2.0 * safe, p=0.5)]
+        x0 = np.linspace(-1.0, 1.0, 6)
+        growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, 3 * chunk, math.inf)
+        cases = [(calm, chunk - 1, 1e12, None), (calm, chunk, 1e12, None)]
+        for crossing in (chunk - 1, chunk, chunk + 1):
+            threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
+            cases.append(([steep] + calm, 3 * chunk, threshold, crossing))
+        for schedules, horizon, threshold, crossing in cases:
+            batch = simulator.run_batch(
+                ens, mix_quarter, schedules, x0=x0, horizon=horizon,
+                divergence_threshold=threshold, record_every=record_every,
+            )
+            assert batch[0].divergence_step == crossing
+            for schedule, rec in zip(schedules, batch):
+                states = []
+                r, stop = _per_run_loop(ens, mix_quarter, schedule, x0, horizon, threshold, states)
+                assert np.array_equal(rec.r, r) and rec.divergence_step == stop
+                last = len(r) - 1
+                ts = [t for t in range(last + 1) if t % record_every == 0 or t == horizon]
+                if stop is not None and ts[-1] != stop:
+                    ts.append(stop)
+                assert list(rec.state_ts) == ts
+                assert np.array_equal(rec.states, np.array([states[t] for t in ts]))
 
     def test_batch_of_one_is_run(self, mix_quarter):
         ens = _skewed_random(5)
@@ -464,6 +530,21 @@ class TestNonexpansiveness:
         # the distance sequence obeys the shifted-target inequality
         deltas = report.distances[1:] - report.distances[:-1]
         assert np.all(deltas <= report.drift_bound + 1e-9)
+
+    def test_run_and_check_solve_each_alpha_once(self, mix_quarter, monkeypatch):
+        ens = _skewed_random(5)
+        alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
+        solves = []
+        solve_spd = lifted.solve_spd
+        monkeypatch.setattr(
+            lifted, "solve_spd", lambda a, b: solves.append(1) or solve_spd(a, b)
+        )
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7),
+            x0=np.ones(6), horizon=80, record_every=1, lifted_distance=obj,
+        )
+        assert simulator.nonexpansiveness_check(rec, obj).ok
+        assert len(solves) == len(set(rec.alpha.tolist())) == 81
 
     def test_requires_full_state_history(self, mix_quarter):
         ens = _skewed_random(5)
