@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotStronglyConvexError
-from .numerics import check_symmetric, solve_spd, sym_eigen
+from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen
 
 
 @dataclass(eq=False)
@@ -30,7 +30,11 @@ class QuadraticCost:
     b: np.ndarray
 
     def __post_init__(self):
-        self.a = check_symmetric(self.a)
+        # symmetric within a tolerance relative to the largest entry, then stored
+        # exactly so: no stepsize scaling can blow an asymmetry past a later check
+        a = np.asarray(self.a, dtype=float)
+        a = check_symmetric(a, atol=SYMMETRY_ATOL * abs(a).max(initial=0.0))
+        self.a = (a + a.T) * 0.5
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.a.shape[0],):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.a.shape[0]},)")

@@ -7,13 +7,14 @@ step with stepsize alpha into one plain gradient-descent step on
 
 where F(x) = (1/m) sum_k f_k(x_k). For quadratic costs G_alpha is a
 quadratic form, so strong convexity is exactly the positivity of the
-smallest Hessian eigenvalue, and the set of certified stepsizes is an
-interval (0, alpha_A]: scaling alpha down mixes in more of the convex
-consensus term, never less.
+smallest Hessian eigenvalue beyond a 1e-10 tolerance. The Hessian is
+affine in t = alpha/m, H(t) = C + t B, and the certified stepsizes form
+an open interval (alpha_lo, alpha_hi); alpha_lo is tiny but positive, as
+H(t) tends to the singular consensus matrix C when t goes to 0.
 
-The Hessian is affine in t = alpha/m, H(t) = C + t B, so the right edge
-alpha_A of that interval follows in closed form from one symmetric
-eigenproblem of the pencil (B, C + t0 B) at a certified anchor t0.
+The pencil (B, C + t0 B) at one certified anchor t0 gives both ends in
+closed form, alpha_A being the right one, and diagonalises every H(t), so
+each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
-from .numerics import min_eigenvalue, solve_spd, sym_eigen
+# solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
+from .numerics import Spectrum, min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
 SC_TOLERANCE = 1e-10
@@ -53,7 +55,7 @@ class ConvexityCertificate:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Right edge of the certified stepsize interval (0, alpha_A].
+    """Right edge of the certified stepsizes (alpha_lo, alpha_A].
 
     alpha is math.inf when every stepsize up to the scan cap certifies
     (capped=True). Otherwise bracket is the certified/uncertified pair that
@@ -78,8 +80,6 @@ class LiftedObjective:
             )
         self.ensemble = ensemble
         self.mixing = mixing
-        # alpha -> the minimizer of G_alpha, or the certificate that refused it
-        self._minimizers: dict[float, np.ndarray | ConvexityCertificate] = {}
 
     @property
     def dim(self) -> int:
@@ -132,67 +132,75 @@ class LiftedObjective:
 
     def hessian(self, alpha: float) -> np.ndarray:
         """(alpha/m) blockdiag(A_k) + (I - W) kron I_n."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         return (alpha / self.ensemble.m) * self.block_curvature + self.consensus_matrix
 
     def certify(self, alpha: float) -> ConvexityCertificate:
         """Strong-convexity certificate from the smallest Hessian eigenvalue."""
         lam = min_eigenvalue(self.hessian(alpha))
-        boundary = abs(lam) <= SC_TOLERANCE
-        certified = lam > SC_TOLERANCE
         return ConvexityCertificate(
             alpha=alpha,
             min_hessian_eig=lam,
-            is_strongly_convex=certified,
+            is_strongly_convex=lam > SC_TOLERANCE,
             modulus=lam if lam > 0 else 0.0,
-            is_boundary=boundary,
+            is_boundary=abs(lam) <= SC_TOLERANCE,
         )
 
-    def _certified(self, alpha: float) -> bool:
-        return self.certify(alpha).is_strongly_convex
-
-    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
-        """Find alpha_A, the largest certified stepsize, from the Hessian pencil.
-
-        With t = alpha/m and tau = SC_TOLERANCE, certify(alpha) holds exactly
-        when K(t) = C - tau I + t B is positive definite. At the first anchor
-        t0 of the seed ladder where K(t0) = Q diag(lam) Q^T is, S = Q
-        diag(lam)^(-1/2) turns K(t) into I + (t - t0) S^T B S, which stays
-        positive definite exactly while t < t0 - 1/nu_min, nu_min being the
-        smallest eigenvalue of S^T B S. Certify calls on both sides of that
-        edge confirm it. If the edge is at or past `scan_cap` the result is the
-        +inf sentinel with capped=True. Raises NotInClassError when no
-        stepsize certifies at all.
-        """
-        m = self.ensemble.m
+    @cached_property
+    def _anchor(self) -> tuple[float, Spectrum] | None:
+        """(t0, eigendecomposition of K(t0) = C - tau I + t0 B) at the first
+        seed-ladder t0 = probe/m where K(t0) is positive definite, else None."""
         for probe in _SEED_LADDER:
-            if probe > scan_cap:
-                continue
-            t0 = probe / m
-            # K(t0) is built in place, and K, Q and S are freed as soon as they
-            # are used: these (nm, nm) arrays set the peak memory of a threshold
+            t0 = probe / self.ensemble.m
+            # K(t0) is built in place and freed once factored: these (nm, nm)
+            # arrays set the peak memory of a threshold
             anchor = self.block_curvature * t0
             anchor += self.consensus_matrix
             anchor[np.diag_indices_from(anchor)] -= SC_TOLERANCE
             spectrum = sym_eigen(anchor, vectors=True)
             del anchor
             if spectrum.eigenvalues[0] > 0:
-                break
-        else:
+                return t0, spectrum
+        return None
+
+    def _pencil(self, basis: np.ndarray) -> np.ndarray:
+        """basis^T B basis, made exactly symmetric."""
+        pencil = basis.T @ (self.block_curvature @ basis)
+        pencil += pencil.T
+        pencil *= 0.5
+        return pencil
+
+    @cached_property
+    def certified_interval(self) -> tuple[float, float]:
+        """(alpha_lo, alpha_hi), open: certify(alpha) holds exactly inside, up to rounding.
+
+        certify(m t) holds iff K(t) is positive definite. S = Q diag(lam)^(-1/2)
+        from K(t0) = Q diag(lam) Q^T turns K(t) into I + (t - t0) S^T B S, so iff
+        1 + (t - t0) nu > 0 for every eigenvalue nu of S^T B S. (0.0, 0.0), empty,
+        when no seed-ladder stepsize certifies.
+        """
+        if self._anchor is None:
+            return (0.0, 0.0)
+        t0, spectrum = self._anchor
+        scaled = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues)  # S
+        nu = sym_eigen(self._pencil(scaled)).eigenvalues
+        nu_min, nu_max, m = float(nu[0]), float(nu[-1]), self.ensemble.m
+        return (
+            max(0.0, m * (t0 - 1.0 / nu_max)) if nu_max > 0 else 0.0,
+            math.inf if nu_min >= 0 else m * (t0 - 1.0 / nu_min),
+        )
+
+    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
+        """alpha_A, the right end of certified_interval, confirmed by certify on
+        both sides. An edge at or past `scan_cap` gives the +inf sentinel with
+        capped=True. Raises NotInClassError when no seed-ladder stepsize certifies.
+        """
+        if self._anchor is None:
             raise NotInClassError(
                 f"no strongly convex stepsize found down to {_SEED_LADDER[-1]:g}"
             )
-        scaled = spectrum.eigenvectors
-        scaled /= np.sqrt(spectrum.eigenvalues)
-        del spectrum
-        pencil = scaled.T @ (self.block_curvature @ scaled)
-        del scaled
-        pencil += pencil.T
-        pencil *= 0.5
-        nu_min = min_eigenvalue(pencil)
-        del pencil
-        edge = math.inf if nu_min >= 0 else m * (t0 - 1.0 / nu_min)
+        edge = self.certified_interval[1]
         if edge >= scan_cap:
             return ThresholdResult(alpha=math.inf, method="pencil", capped=True)
         return self._confirm_edge(edge)
@@ -206,44 +214,50 @@ class LiftedObjective:
         gap = _EDGE_GAP * edge
         while gap < edge:
             lo, hi = edge - gap, edge + gap
-            if self._certified(lo) and not self._certified(hi):
+            if self.certify(lo).is_strongly_convex and not self.certify(hi).is_strongly_convex:
                 return ThresholdResult(
                     alpha=lo, method="pencil", resolution=hi - lo, bracket=(lo, hi)
                 )
             gap *= 10.0
         raise RuntimeError(f"certify does not confirm the pencil edge {edge!r}")
 
-    def minimizer(self, alpha: float) -> np.ndarray:
-        """Unique minimizer of G_alpha; requires a strong-convexity certificate.
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Z, d, nu, Z^T b) with Z^T (C + t0 B) Z = I, Z^T B Z = diag(nu), from
+        the anchor. d = diag(Z^T C Z) directly, not 1 - t0 nu, which cancels on
+        the consensus null space of C, where nu = 1/t0."""
+        _, spectrum = self._anchor
+        z = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues + SC_TOLERANCE)
+        spectrum = sym_eigen(self._pencil(z), vectors=True)
+        z = z @ spectrum.eigenvectors
+        d = np.einsum("ij,ij->j", z, self.consensus_matrix @ z)
+        return z, d, spectrum.eigenvalues, z.T @ self.stacked_linear
 
-        Each stepsize is certified and solved once per objective: the
-        minimizer (returned read-only) or the refusal is kept, and a refused
-        stepsize raises NotStronglyConvexError on every call.
-        """
-        found = self._minimizers.get(alpha)
-        if found is None:
-            found = self.certify(alpha)
-            if found.is_strongly_convex:
-                rhs = -(alpha / self.ensemble.m) * self.stacked_linear
-                found = solve_spd(self.hessian(alpha), rhs)
-                found.flags.writeable = False
-            self._minimizers[alpha] = found
-        if isinstance(found, ConvexityCertificate):
+    def _minimizers(self, alphas) -> np.ndarray:
+        """Minimizers of G_alpha, one (nm,) row per stepsize: y = -t Z ((Z^T b) /
+        (d + t nu)) with t = alpha/m, as H(t)^(-1) = Z diag(1 / (d + t nu)) Z^T.
+        Raises NotStronglyConvexError naming the first alpha outside
+        certified_interval."""
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        if not np.all((alphas > 0) & (alphas < math.inf)):
+            raise ValueError("alpha must be finite and positive")
+        lo, hi = self.certified_interval
+        outside = (alphas <= lo) | (alphas >= hi)
+        if outside.any():
             raise NotStronglyConvexError(
-                f"G is not strongly convex at alpha={alpha:g} "
-                f"(min Hessian eigenvalue {found.min_hessian_eig:g})"
+                f"alpha={alphas[outside.argmax()]:g} is not certified strongly convex "
+                f"(certified interval ({lo:g}, {hi:g}))"
             )
-        return found
+        if not alphas.size:  # no basis exists where no stepsize certifies
+            return np.empty((0, self.dim))
+        z, d, nu, zb = self._basis
+        t = alphas[:, None] / self.ensemble.m
+        # a stack of (1, nm) products: each row rounds as in a lone run's batch of one
+        return ((-t * zb / (d + t * nu))[:, None, :] @ z.T)[:, 0]
 
-    def certified_minimizer(self, alpha: float) -> np.ndarray | None:
-        """minimizer(alpha), or None where alpha is not certified strongly convex."""
-        found = self._minimizers.get(alpha)
-        if found is None:
-            try:
-                return self.minimizer(alpha)
-            except NotStronglyConvexError:
-                return None
-        return None if isinstance(found, ConvexityCertificate) else found
+    def minimizer(self, alpha: float) -> np.ndarray:
+        """Unique minimizer of G_alpha at one stepsize; see `_minimizers`."""
+        return self._minimizers([alpha])[0]
 
     def segment_gradient_bound(
         self, x_a: np.ndarray, x_b: np.ndarray, samples: int = 17
@@ -291,13 +305,10 @@ def minimizer_curve(
     Every alpha must be certified; the offending value is named otherwise.
     """
     alphas = sorted(float(a) for a in alphas)
-    points = []
-    for alpha in alphas:
-        cert = objective.certify(alpha)
-        if not cert.is_strongly_convex:
-            raise NotStronglyConvexError(f"alpha={alpha:g} is not certified strongly convex")
-        x = objective.minimizer(alpha)
-        points.append(CurvePoint(alpha=alpha, minimizer=x, norm=float(np.linalg.norm(x))))
+    points = [
+        CurvePoint(alpha=alpha, minimizer=x, norm=float(np.linalg.norm(x)))
+        for alpha, x in zip(alphas, objective._minimizers(alphas))
+    ]
     segments = []
     for lo, hi in zip(points, points[1:]):
         gap = hi.alpha - lo.alpha

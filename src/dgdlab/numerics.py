@@ -40,9 +40,11 @@ def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # array methods rather than np.all / np.max: this check runs before every
+    # eigensolve, and their wrappers doubled its cost on small matrices
+    if not np.isfinite(a).all():
         raise NotSymmetricError("matrix contains non-finite entries")
-    if np.max(np.abs(a - a.T), initial=0.0) > atol:
+    if abs(a - a.T).max(initial=0.0) > atol:
         raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
     return a
 

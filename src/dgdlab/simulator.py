@@ -90,10 +90,6 @@ class StepsizeSchedule:
         return {"type": "polynomial", "a": self.a, "w": self.w, "p": self.p}
 
 
-def _kernel_arrays(ensemble: QuadraticEnsemble, mixing: MixingMatrix):
-    return mixing.w, ensemble.curvatures, ensemble.linear_terms
-
-
 def _step_blocks(
     blocks: np.ndarray, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
@@ -114,8 +110,8 @@ def step(
     Equals state - grad G_alpha(state) under the default scaling; with
     agent_scale=True the local gradients are applied with the full alpha.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and positive")
     if ensemble.m != mixing.m:
         raise ValueError(f"ensemble has {ensemble.m} agents, mixing has {mixing.m}")
     state = np.asarray(state, dtype=float)
@@ -125,7 +121,7 @@ def step(
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
     scale = alpha if agent_scale else alpha / m
-    w, a_stack, b_stack = _kernel_arrays(ensemble, mixing)
+    w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
     return _step_blocks(state.reshape(1, m, n), w, a_stack, b_stack, np.array([scale])).reshape(-1)
 
 
@@ -299,8 +295,10 @@ def run_batch(
     A row stops early with verdict "diverged" once its R(t) exceeds
     `divergence_threshold` or its state stops being finite; it is recorded
     at that step and then dropped from the batch. Passing
-    `lifted_distance` also records ||x(t) - argmin G_alpha(t)|| wherever
-    that alpha is certified.
+    `lifted_distance` also records ||x(t) - y(t)||, y(t) the minimizer of
+    the lifted objective whose gradient step the row takes (G_alpha(t), or
+    G_(m alpha(t)) under `agent_scale`), wherever that stepsize is
+    certified.
 
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a
@@ -324,7 +322,7 @@ def run_batch(
         x_star = ensemble.aggregate_minimizer()
     x_star = np.asarray(x_star, dtype=float)
 
-    w, a_stack, b_stack = _kernel_arrays(ensemble, mixing)
+    w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
 
     size = len(schedules)
     if size == 0:
@@ -405,13 +403,18 @@ def run_batch(
                 )
                 state_times.extend(t + j for j in kept)
             if dist_hist is not None:
-                for j in range(steps):
-                    for q, i in enumerate(rows):
-                        if died is not None and (j > death[q] or not finite[j, q]):
-                            continue
-                        point = lifted_distance.certified_minimizer(float(alpha[j, q]))
-                        if point is not None:
-                            dist_hist[t + j, i] = np.linalg.norm(chunk[j, q].reshape(-1) - point)
+                # an agent_scale step is a gradient step on G_(m alpha)
+                lifted_alpha = alpha * m if agent_scale else alpha
+                lo, hi = lifted_distance.certified_interval
+                measured = (lifted_alpha > lo) & (lifted_alpha < hi)
+                if died is not None:
+                    measured &= finite & (np.arange(steps)[:, None] <= death)
+                js, qs = np.nonzero(measured)
+                distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
+                points = lifted_distance._minimizers(distinct)[which]
+                dist_hist[t + js, rows[qs]] = np.linalg.norm(
+                    chunk[js, qs].reshape(js.size, m * n) - points, axis=1
+                )
 
             last, last_scale = chunk[-1], scale[-1]
             if died is not None:
@@ -461,7 +464,6 @@ class OracleVerdict:
 
     spectral_radius: float
     bounded: bool
-    matrix: np.ndarray
 
     @property
     def is_critical(self) -> bool:
@@ -484,12 +486,11 @@ def boundedness_oracle(
     ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float, agent_scale: bool = False
 ) -> OracleVerdict:
     """Ground-truth boundedness for constant stepsize via the spectral radius."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    matrix = iteration_matrix(ensemble, mixing, alpha, agent_scale=agent_scale)
-    eigs = sym_eigen(matrix).eigenvalues
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and positive")
+    eigs = sym_eigen(iteration_matrix(ensemble, mixing, alpha, agent_scale=agent_scale)).eigenvalues
     rho = float(max(abs(eigs[0]), abs(eigs[-1])))
-    return OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12, matrix=matrix)
+    return OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,43 +534,21 @@ def nonexpansiveness_check(
     )
     alpha0 = float(record.alpha[0])
     if alpha0 > floor + 1e-12:
-        raise ValueError(
-            f"alpha(0)={alpha0:g} exceeds the spectrum-floor bound {floor:g}"
-        )
+        raise ValueError(f"alpha(0)={alpha0:g} exceeds the spectrum-floor bound {floor:g}")
 
-    minimizer = objective.certified_minimizer  # solved once per alpha, shared with the run
-    for a in dict.fromkeys(record.alpha.tolist()):
-        if minimizer(a) is None:
-            objective.minimizer(a)  # raises NotStronglyConvexError with the certificate
+    alphas, states = record.alpha, record.states  # one state per step
+    targets = objective._minimizers(alphas)  # names the first uncertified stepsize
+    modulus = objective.certify(alpha0).modulus
+    distances = np.linalg.norm(states - targets, axis=1)
+    core_margin = np.linalg.norm(states[1:] - targets[:-1], axis=1) - distances[:-1]
+    drift_measured, drift_bound = np.zeros((2, core_margin.size))
+    for i in np.flatnonzero(alphas[1:] != alphas[:-1]):
+        drift_measured[i] = np.linalg.norm(targets[i] - targets[i + 1])
+        c1 = objective.segment_gradient_bound(targets[i], targets[i + 1], segment_samples)
+        drift_bound[i] = 2.0 * alpha0 * c1 * abs(alphas[i + 1] - alphas[i])
+        drift_bound[i] /= modulus * alphas[i + 1]
 
-    anchor = objective.certify(alpha0)
-    steps = record.t.size - 1
-    distances = np.empty(record.t.size)
-    core_margin = np.empty(steps)
-    drift_measured = np.zeros(steps)
-    drift_bound = np.zeros(steps)
-
-    for i in range(record.t.size):
-        distances[i] = np.linalg.norm(
-            record.state_at(int(record.t[i])) - minimizer(float(record.alpha[i]))
-        )
-    for i in range(steps):
-        a_now = float(record.alpha[i])
-        a_next = float(record.alpha[i + 1])
-        x_next = record.state_at(int(record.t[i + 1]))
-        post = float(np.linalg.norm(x_next - minimizer(a_now)))
-        pre = distances[i]
-        core_margin[i] = post - pre
-        if a_next != a_now:
-            drift_measured[i] = float(np.linalg.norm(minimizer(a_now) - minimizer(a_next)))
-            c1 = objective.segment_gradient_bound(
-                minimizer(a_now), minimizer(a_next), samples=segment_samples
-            )
-            drift_bound[i] = (
-                2.0 * alpha0 * c1 * abs(a_next - a_now) / (anchor.modulus * a_next)
-            )
-
-    max_core = float(np.max(core_margin)) if steps else 0.0
+    max_core = float(np.max(core_margin)) if core_margin.size else 0.0
     return NonexpansivenessReport(
         distances=distances,
         core_margin=core_margin,

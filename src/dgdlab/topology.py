@@ -75,6 +75,7 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
         raise MixingMatrixError("col_sum", f"column sums deviate from 1 by {np.max(np.abs(col - 1.0)):g}")
     if np.min(np.diag(w)) <= 0.0:
         raise MixingMatrixError("zero_diagonal", "every self-weight w_ii must be positive")
+    w = (w + w.T) * 0.5  # exactly symmetric from here on
 
     eigs = sym_eigen(w).eigenvalues
     lam_min = float(eigs[0])
@@ -82,7 +83,7 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
         summary = SpectralSummary(
             lambda_min=lam_min, beta=0.0, spectral_gap=1.0, beta_abs=0.0, single_agent=True
         )
-        return MixingMatrix(m=1, w=w.copy(), spectral=summary)
+        return MixingMatrix(m=1, w=w, spectral=summary)
 
     beta = float(eigs[-2])  # one copy of the leading eigenvalue 1 removed
     if beta >= 1.0 - CONNECTIVITY_GAP:
@@ -93,7 +94,7 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
     summary = SpectralSummary(
         lambda_min=lam_min, beta=beta, spectral_gap=1.0 - beta, beta_abs=beta_abs
     )
-    return MixingMatrix(m=m, w=w.copy(), spectral=summary)
+    return MixingMatrix(m=m, w=w, spectral=summary)
 
 
 def _connected(adjacency: np.ndarray) -> bool:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dgdlab import costs, lifted, topology
+from dgdlab import costs, lifted, simulator, topology
 from dgdlab.errors import NotInClassError, NotStronglyConvexError
+from dgdlab.numerics import solve_spd
 
 
 def _objective(ensemble, mix):
@@ -305,18 +306,98 @@ class TestMinimizer:
     def test_uncertified_alpha_rejected(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
         th = obj.strong_convexity_threshold()
-        for _ in range(2):  # the second call hits the cached refusal
-            with pytest.raises(NotStronglyConvexError):
-                obj.minimizer(2.0 * th.alpha)
-        assert obj.certified_minimizer(2.0 * th.alpha) is None
+        with pytest.raises(NotStronglyConvexError):
+            obj.minimizer(2.0 * th.alpha)
 
-    def test_minimizer_is_cached_read_only(self, mix_quarter):
-        obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        alpha = 0.5 * obj.strong_convexity_threshold().alpha
-        x = obj.minimizer(alpha)
-        assert obj.minimizer(alpha) is x and obj.certified_minimizer(alpha) is x
-        with pytest.raises(ValueError):
-            x[0] = 1.0  # the cached minimizer is read-only
+    def test_closed_form_matches_spd_solve(self, mix_quarter):
+        # README-class instances, up to 0.98 of the edge where H(t) is
+        # nearly singular: the pencil basis against one SPD solve per alpha
+        checked = 0
+        for seed in range(120):
+            obj = _certified_random_objective(seed, mix_quarter, epsilon=1.0)
+            if obj is None:
+                continue
+            th = obj.strong_convexity_threshold()
+            top = 0.98 * (th.alpha if math.isfinite(th.alpha) else 10.0)
+            alphas = np.geomspace(1e-4, top, 12)
+            for alpha, y in zip(alphas, obj._minimizers(alphas)):
+                ref = solve_spd(obj.hessian(alpha), -(alpha / obj.ensemble.m) * obj.stacked_linear)
+                assert np.linalg.norm(y - ref) <= 1e-9 * np.linalg.norm(ref), (seed, alpha)
+            checked += 1
+        assert checked >= 80
+
+    def test_minimizers_name_first_uncertified_alpha(self, mix_quarter):
+        obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=5), mix_quarter)
+        lo, hi = obj.certified_interval
+        np.testing.assert_array_equal(obj._minimizers([0.1, 0.2])[1], obj.minimizer(0.2))
+        assert obj._minimizers([]).shape == (0, 6)
+        with pytest.raises(NotStronglyConvexError, match=f"alpha={2 * hi:g} "):
+            obj._minimizers([0.1, 2 * hi, 0.5 * lo])
+        with pytest.raises(NotStronglyConvexError, match=f"alpha={0.5 * lo:g} "):
+            obj._minimizers([0.5 * lo, 2 * hi])
+
+
+class TestCertifiedInterval:
+    def test_membership_equals_certify(self, mix_quarter):
+        # README-class seeds: on a wide geometric grid and a relative 1e-8 on
+        # each side of alpha_hi, the interval and certify agree
+        grid = list(np.geomspace(1e-12, 1e4, 57))
+        finite = 0
+        for seed in range(120):
+            obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=seed), mix_quarter)
+            lo, hi = obj.certified_interval
+            alphas = grid
+            if math.isfinite(hi) and hi > 0:
+                finite += 1
+                alphas = grid + [hi * (1 - 1e-8), hi * (1 + 1e-8)]
+            for alpha in alphas:
+                assert (lo < alpha < hi) == obj.certify(alpha).is_strongly_convex, (seed, alpha)
+        assert finite >= 75
+
+    def test_left_end_is_positive(self, mix_quarter):
+        # H(t) tends to the singular consensus matrix as t goes to 0, so the
+        # smallest stepsizes miss the 1e-10 certificate tolerance
+        obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=5), mix_quarter)
+        lo, hi = obj.certified_interval
+        assert 1e-10 < lo < 1e-9
+        assert not obj.certify(1e-10).is_strongly_convex
+        assert obj.certify(1e-9).is_strongly_convex
+        assert hi > obj.strong_convexity_threshold().alpha
+
+    def test_empty_without_certified_stepsize(self, mix_quarter):
+        obj = _objective(costs.epsilon_example(10.0, 1.0, 25.0), mix_quarter)
+        assert obj.certified_interval == (0.0, 0.0)
+        with pytest.raises(NotStronglyConvexError):
+            obj.minimizer(0.01)
+        assert lifted.minimizer_curve(obj, []).points == []
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_stepsize_raises_value_error(mix_quarter, alpha):
+    ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+    obj = _objective(ens, mix_quarter)
+    for call in (obj.hessian, obj.certify, obj.minimizer):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call(alpha)
+    with pytest.raises(ValueError, match="finite and positive"):
+        simulator.boundedness_oracle(ens, mix_quarter, alpha)
+
+
+def test_near_symmetric_costs_at_large_scale(mix_quarter):
+    # README's seed 5 with every A x 100 and one entry off by 5e-13: the
+    # asymmetry is stored away at entry, so it is not scaled up by alpha/m
+    ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+    blocks = [c.a * 100 for c in ens.costs]
+    blocks[0][0, 1] += 5e-13
+    scaled = costs.QuadraticEnsemble(
+        [costs.QuadraticCost(a=a, b=c.b) for a, c in zip(blocks, ens.costs)]
+    )
+    obj = _objective(scaled, mix_quarter)
+    assert obj.strong_convexity_threshold().alpha == pytest.approx(0.0253, rel=1e-3)
+    assert not obj.certify(900.0).is_strongly_convex
+    assert not simulator.boundedness_oracle(scaled, mix_quarter, 50.0).bounded
+    for cost in scaled.costs:
+        assert np.array_equal(cost.a, cost.a.T)
 
 
 class TestMinimizerCurve:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dgdlab import bounds, costs, lifted, simulator
+from dgdlab import bounds, costs, lifted, numerics, simulator
 from dgdlab.simulator import StepsizeSchedule
 
 
@@ -239,6 +239,19 @@ class TestRun:
         assert np.all(np.isnan(rec.dist_lifted_min))
         for line in rec.to_csv_string().splitlines()[1:]:
             assert line.endswith(",")
+
+    def test_agent_scale_distance_to_its_own_minimizer(self, mix_quarter):
+        # an agent_scale step with alpha is a gradient step on G_(3 alpha),
+        # so the run converges to that minimizer, not to y(alpha)
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.constant(0.1),
+            horizon=3000, agent_scale=True, lifted_distance=obj,
+        )
+        assert rec.verdict == "bounded"
+        assert rec.dist_lifted_min[-1] < 1e-12
+        assert np.linalg.norm(rec.states[-1] - obj.minimizer(0.1)) > 0.05
 
     def test_rejects_bad_inputs(self, mix_quarter):
         ens = _skewed_random(5)
@@ -531,20 +544,37 @@ class TestNonexpansiveness:
         deltas = report.distances[1:] - report.distances[:-1]
         assert np.all(deltas <= report.drift_bound + 1e-9)
 
-    def test_run_and_check_solve_each_alpha_once(self, mix_quarter, monkeypatch):
-        ens = _skewed_random(5)
-        alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
-        solves = []
-        solve_spd = lifted.solve_spd
-        monkeypatch.setattr(
-            lifted, "solve_spd", lambda a, b: solves.append(1) or solve_spd(a, b)
-        )
-        rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7),
-            x0=np.ones(6), horizon=80, record_every=1, lifted_distance=obj,
-        )
-        assert simulator.nonexpansiveness_check(rec, obj).ok
-        assert len(solves) == len(set(rec.alpha.tolist())) == 81
+    def test_minimizer_cost_does_not_grow_with_horizon(self, mix_quarter, monkeypatch):
+        # the minimizers come from one pencil basis: no eigensolve or SPD
+        # solve per stepsize, in the run or in the check
+        eigensolves, solves = [], []
+        sym_eigen, solve_spd = numerics.sym_eigen, numerics.solve_spd
+        for module in (numerics, lifted, costs, simulator):
+            monkeypatch.setattr(
+                module, "sym_eigen", lambda *a, **k: eigensolves.append(1) or sym_eigen(*a, **k)
+            )
+        for module in (numerics, lifted, costs):
+            monkeypatch.setattr(
+                module, "solve_spd", lambda a, b: solves.append(1) or solve_spd(a, b)
+            )
+        counts = []
+        for horizon in (80, 160):
+            ens = _skewed_random(5)
+            x_star = ens.aggregate_minimizer()
+            alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
+            eigensolves.clear()
+            solves.clear()
+            rec = simulator.run(
+                ens, mix_quarter, StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7),
+                x0=np.ones(6), horizon=horizon, record_every=1, x_star=x_star,
+                lifted_distance=obj,
+            )
+            assert simulator.nonexpansiveness_check(rec, obj).ok
+            assert np.all(np.isfinite(rec.dist_lifted_min))
+            assert len(set(rec.alpha.tolist())) == horizon + 1
+            counts.append(len(eigensolves))
+            assert solves == []
+        assert counts[0] == counts[1] > 0
 
     def test_requires_full_state_history(self, mix_quarter):
         ens = _skewed_random(5)

@@ -60,6 +60,15 @@ def test_validation_error_codes(w, code):
     assert err.value.code == code
 
 
+def test_near_symmetric_matrix_stored_exactly_symmetric():
+    w = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+    w[0, 1] += 5e-13
+    w[0, 0] -= 5e-13  # keep the row sum
+    stored = topology.validate_mixing(w).w
+    assert np.array_equal(stored, stored.T)
+    assert np.max(np.abs(stored - w)) <= 5e-13
+
+
 def test_matrix_is_readonly(mix_quarter):
     with pytest.raises(ValueError):
         mix_quarter.w[0, 0] = 0.9
