@@ -187,7 +187,7 @@ def build_report(
         alpha_s = None
 
     radius = None
-    if alpha_s is not None:
+    if alpha_s:  # no radius without a gap bound, or where the bound underflows to 0
         if alpha0 is None:
             alpha0 = 0.5 * alpha_s
         if x0 is None:

@@ -23,8 +23,9 @@ import sys
 from . import bounds as bounds_mod
 from . import simulator
 from .config import ExperimentConfig, load_config
+from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family
 from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
-from .lifted import LiftedObjective
+from .lifted import LiftedObjective, ThresholdResult, ThresholdStack
 from .topology import mixing_from_spec
 
 EXIT_OK = 0
@@ -61,6 +62,16 @@ def _require(cfg: ExperimentConfig, *parts: str) -> None:
         raise ConfigError(f"config is missing required sections: {missing}")
 
 
+def _require_oracle_stepsize(cfg: ExperimentConfig, alpha: float) -> None:
+    """ConfigError unless the oracle's iteration matrix is finite at `alpha`:
+    its entries reach alpha * L, which can overflow for legal alpha and L."""
+    if not math.isfinite(alpha * cfg.ensemble.smoothness_constant()):
+        raise ConfigError(
+            f"stepsize {alpha!r} times the smoothness constant "
+            f"L = {cfg.ensemble.smoothness_constant()!r} overflows"
+        )
+
+
 def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing")
     objective = LiftedObjective(cfg.ensemble, cfg.mixing)
@@ -88,6 +99,8 @@ def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing", "schedule")
+    if cfg.schedule.kind == "constant":
+        _require_oracle_stepsize(cfg, cfg.schedule.alpha)
     objective = LiftedObjective(cfg.ensemble, cfg.mixing) if cfg.track_lifted else None
     record = simulator.run(
         cfg.ensemble,
@@ -131,6 +144,13 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         base = threshold.alpha if math.isfinite(threshold.alpha) else alpha_l
 
     multiples = cfg.alpha_multiples
+    for mult in multiples:
+        if not 0 < mult * base < math.inf:  # the product can overflow or underflow
+            raise ConfigError(
+                f"alpha multiple {mult!r} times base alpha {base!r} is not a finite "
+                "positive stepsize"
+            )
+        _require_oracle_stepsize(cfg, mult * base)
     records = simulator.run_batch(
         cfg.ensemble,
         cfg.mixing,
@@ -183,10 +203,14 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+# Epsilons certified per ThresholdStack: a few batched eigensolves serve a
+# whole block, and a bounded block keeps the stack's arrays, not the epsilon
+# count, setting the command's peak memory.
+_EPSILON_BLOCK = 8
+
+
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "mixing")
-    from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_example
-
     if cfg.mixing.m != EPSILON_EXAMPLE_AGENTS:
         raise ConfigError(
             f"sweep-epsilon runs the {EPSILON_EXAMPLE_AGENTS}-agent planted family, "
@@ -198,27 +222,36 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         alpha_s = bounds_mod.spectral_gap_bound(cfg.family_mu, cfg.family_L, summary.beta)
     else:
         alpha_s = None
-
-    def alpha_a_cell(eps: float) -> str:
-        ensemble = epsilon_example(cfg.family_L, cfg.family_mu, eps)
-        objective = LiftedObjective(ensemble, cfg.mixing)
-        try:
-            alpha_a = objective.strong_convexity_threshold(cfg.scan_cap).alpha
-        except (NotInClassError, NotStronglyConvexError):
-            return ""
-        return "inf" if math.isinf(alpha_a) else repr(alpha_a)
-
-    # one string per row, with the eps-independent tail formatted once: the
-    # rows are this command's whole output and set its peak memory
+    # the eps-independent tail of every row, formatted once
     tail = f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
-    rows = ["epsilon,alpha_A,alpha_L,alpha_S\n"]
-    rows.extend(f"{eps!r},{alpha_a_cell(eps)}{tail}" for eps in cfg.epsilons)
-    text = "".join(rows)
-    if out is not None:
-        _write_text(os.path.join(out, "sweep_epsilon.csv"), text)
-    else:
-        sys.stdout.write(text)
+
+    def write_rows(handle) -> None:
+        handle.write("epsilon,alpha_A,alpha_L,alpha_S\n")
+        for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
+            block = cfg.epsilons[start : start + _EPSILON_BLOCK]
+            family = epsilon_family(cfg.family_L, cfg.family_mu, block)
+            results = ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
+            handle.write(
+                "".join(f"{eps!r},{_alpha_a_cell(r)}{tail}" for eps, r in zip(block, results))
+            )
+
+    if out is None:
+        write_rows(sys.stdout)
+        return EXIT_OK
+    path = os.path.join(out, "sweep_epsilon.csv")
+    try:
+        with open(path, "w") as handle:
+            write_rows(handle)
+    except OSError as exc:
+        raise _IOFailure(f"cannot write {path}: {exc}") from exc
     return EXIT_OK
+
+
+def _alpha_a_cell(result: ThresholdResult | None) -> str:
+    """alpha_A as a sweep-epsilon cell: blank where nothing certifies."""
+    if result is None:
+        return ""
+    return "inf" if math.isinf(result.alpha) else repr(result.alpha)
 
 
 def cmd_validate_topology(mixing_path: str) -> int:

@@ -24,6 +24,9 @@ from .topology import MixingMatrix, mixing_from_spec
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
+# every metric is preallocated for the whole horizon, so a horizon beyond this
+# asks for more memory than a run can have
+MAX_HORIZON = 10**9
 
 
 @dataclass
@@ -171,8 +174,8 @@ def parse_config(
         scan_cap=_scan_cap(data.get("threshold", {})),
     )
 
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be at least 1")
+    if not 1 <= cfg.horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon must be between 1 and {MAX_HORIZON}, got {horizon!r}")
     if cfg.record_every < 1:
         raise ConfigError("record_every must be at least 1")
     if cfg.divergence_threshold <= 0:

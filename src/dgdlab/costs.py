@@ -14,12 +14,16 @@ bit-reproducible from (m, n, epsilon, seed) alone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotStronglyConvexError
+from .errors import NotPositiveDefiniteError, NotStronglyConvexError, NotSymmetricError
 from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen
+
+
+_HALF_MAX = sys.float_info.max / 2
 
 
 @dataclass(eq=False)
@@ -33,8 +37,13 @@ class QuadraticCost:
         # symmetric within a tolerance relative to the largest entry, then stored
         # exactly so: no stepsize scaling can blow an asymmetry past a later check
         a = np.asarray(self.a, dtype=float)
-        a = check_symmetric(a, atol=SYMMETRY_ATOL * abs(a).max(initial=0.0))
-        self.a = (a + a.T) * 0.5
+        if a.ndim != 2:  # check_symmetric also takes stacks of matrices
+            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+        scale = abs(a).max(initial=0.0)
+        a = check_symmetric(a, atol=SYMMETRY_ATOL * scale)
+        # the mean of each mirrored pair, halved before the sum where the sum
+        # could overflow
+        self.a = (a + a.T) * 0.5 if scale <= _HALF_MAX else a * 0.5 + a.T * 0.5
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.a.shape[0],):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.a.shape[0]},)")
@@ -72,6 +81,12 @@ class QuadraticEnsemble:
         if any(c.dim != n for c in self.costs):
             raise ValueError("all costs must share one ambient dimension")
         self._curvatures = np.stack([c.a for c in self.costs])
+        with np.errstate(over="ignore"):
+            aggregate = self._curvatures.mean(axis=0)
+        if not np.isfinite(aggregate).all():
+            raise ValueError("the curvatures are too large: their sum overflows")
+        if not np.isfinite(self.linear_terms).all():
+            raise ValueError("the linear terms b_k have non-finite entries")
 
     @property
     def m(self) -> int:
@@ -120,17 +135,28 @@ class QuadraticEnsemble:
         return self._mu
 
     def aggregate_minimizer(self) -> np.ndarray:
-        """Minimizer of the aggregate cost; requires aggregate_mu > 0."""
+        """Minimizer of the aggregate cost; requires aggregate_mu > 0 and an
+        aggregate curvature that passes the Cholesky pivot floor."""
         if self.aggregate_mu() <= 0.0:
             raise NotStronglyConvexError(
                 "aggregate cost is not strongly convex; no unique minimizer"
             )
-        return solve_spd(self.aggregate_a, -self.aggregate_b)
+        try:
+            return solve_spd(self.aggregate_a, -self.aggregate_b)
+        except NotPositiveDefiniteError as exc:
+            raise NotStronglyConvexError(
+                f"aggregate cost is too weakly convex for a unique minimizer: {exc}"
+            ) from exc
 
     def grad_bound_D(self) -> float:
         """Gradient-heterogeneity constant: max_k ||grad f_k(x*)||."""
         x_star = self.aggregate_minimizer()
         return max(float(np.linalg.norm(c.gradient(x_star))) for c in self.costs)
+
+
+# A random ensemble draws every curvature entry up front: 10^7 entries are
+# 80 MB, and its lifted Hessians are larger still.
+MAX_RANDOM_ENTRIES = 10**7
 
 
 def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsemble:
@@ -142,6 +168,10 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    if m * n * n > MAX_RANDOM_ENTRIES:
+        raise ValueError(
+            f"m * n * n = {m * n * n} curvature entries exceed the limit of {MAX_RANDOM_ENTRIES}"
+        )
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -156,27 +186,30 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
 EPSILON_EXAMPLE_AGENTS = 3  # the agent count of every epsilon_example ensemble
 
 
-def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:
-    """Three-agent, two-dimensional family with one tunably concave agent.
+def epsilon_family(big_l: float, mu: float, epsilons) -> np.ndarray:
+    """Curvatures of the planted family, one (3, 2, 2) row per epsilon.
 
-    Agents 1 and 2 share diag(L, mu); agent 3 has diag(-epsilon, mu). All
-    linear terms are zero. The aggregate stays strongly convex as long as
-    epsilon < 2L, while agent 3 is non-convex for any epsilon > 0.
+    Agents 1 and 2 share diag(L, mu); agent 3 has diag(-epsilon, mu). The
+    aggregate stays strongly convex as long as epsilon < 2L, while agent 3
+    is non-convex for any epsilon > 0.
     """
     if not (big_l > mu > 0):
         raise ValueError("requires L > mu > 0")
-    if epsilon < 0:
+    epsilons = np.asarray(epsilons, dtype=float)
+    if (epsilons < 0).any():
         raise ValueError("epsilon must be nonnegative")
-    convex_block = np.diag([big_l, mu]).astype(float)
-    concave_block = np.diag([-epsilon, mu]).astype(float)
-    zero = np.zeros(2)
-    return QuadraticEnsemble(
-        [
-            QuadraticCost(a=convex_block.copy(), b=zero.copy()),
-            QuadraticCost(a=convex_block.copy(), b=zero.copy()),
-            QuadraticCost(a=concave_block, b=zero.copy()),
-        ]
-    )
+    out = np.zeros((epsilons.size, EPSILON_EXAMPLE_AGENTS, 2, 2))
+    out[:, :2, 0, 0] = big_l
+    out[:, 2, 0, 0] = -epsilons
+    out[:, :, 1, 1] = mu
+    return out
+
+
+def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:
+    """Three-agent, two-dimensional family with one tunably concave agent:
+    the row of `epsilon_family` for `epsilon`, with zero linear terms."""
+    (curvatures,) = epsilon_family(big_l, mu, [epsilon])
+    return QuadraticEnsemble([QuadraticCost(a=a, b=np.zeros(2)) for a in curvatures])
 
 
 def ensemble_from_spec(spec: dict) -> QuadraticEnsemble:

@@ -15,6 +15,10 @@ H(t) tends to the singular consensus matrix C when t goes to 0.
 The pencil (B, C + t0 B) at one certified anchor t0 gives both ends in
 closed form, alpha_A being the right one, and diagonalises every H(t), so
 each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve.
+
+ThresholdStack runs that machinery on a stack of instances sharing one
+mixing matrix, each step one batched eigensolve for all of them; a
+LiftedObjective is its one-row case.
 """
 
 from __future__ import annotations
@@ -70,6 +74,161 @@ class ThresholdResult:
     capped: bool = False
 
 
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array from (m, n, n) blocks,
+    or one such array per set for a (..., m, n, n) stack of block sets."""
+    *lead, m, n, _ = blocks.shape
+    out = np.zeros((*lead, m * n, m * n))
+    # a writable view of the m diagonal (n, n) blocks
+    np.einsum("...kakb->...kab", out.reshape(*lead, m, n, m, n))[...] = blocks
+    return out
+
+
+def _pencil(curvature: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis^T B basis, made exactly symmetric; stacks broadcast."""
+    pencil = basis.swapaxes(-1, -2) @ (curvature @ basis)
+    # (P^T + P) / 2 from a contiguous copy of P^T: adding P^T into P in place
+    # makes numpy buffer copies of the overlapping operand
+    out = pencil.swapaxes(-1, -2).copy()
+    out += pencil
+    out *= 0.5
+    return out
+
+
+class ThresholdStack:
+    """The threshold machinery for E instances that share one mixing matrix.
+
+    Row e is the lifted objective of the e-th curvature set: its Hessian is
+    H_e(t) = C + t B_e with t = alpha/m, B_e = blockdiag of the set and
+    C = (I - W) kron I_n shared by every row. Each stage (the seed-ladder
+    anchor, the pencil interval, the bracket that confirms alpha_A) runs on
+    all rows at once through batched eigensolves: one per ladder probe, one
+    for the pencil, one per bracket end and round. Every row's numbers are
+    bit for bit those of the same instance alone: a LiftedObjective is the
+    one-row case.
+    """
+
+    def __init__(self, curvatures: np.ndarray, mixing: MixingMatrix):
+        """`curvatures` is an (E, m, n, n) stack: row e holds A_1, ..., A_m of instance e."""
+        _, m, n, _ = curvatures.shape
+        if m != mixing.m:
+            raise ValueError(f"curvature sets have {m} agents but mixing matrix has {mixing.m}")
+        self.m = m
+        self.curvature = _block_diagonal(curvatures)  # (E, nm, nm)
+        # (I - W) kron I_n, bit for bit, without np.kron's overhead
+        self.consensus = np.empty((m * n, m * n))
+        np.multiply(
+            (np.eye(m) - mixing.w)[:, None, :, None], np.eye(n)[:, None],
+            out=self.consensus.reshape(m, n, m, n),
+        )
+
+    @cached_property
+    def anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, t0, eigenvalues, eigenvectors) of K(t0) = C - tau I + t0 B for
+        each row, ascending, that has a seed-ladder t0 = probe/m where K(t0) is
+        positive definite; t0 is the first such probe. All rows try a probe
+        together; a row that fails it retries at the next probe, alone.
+        """
+        pending = np.arange(len(self.curvature))
+        pieces = []
+        for probe in _SEED_LADDER:
+            t0 = probe / self.m
+            # K(t0) is built in place and freed once factored: these (nm, nm)
+            # arrays set the peak memory of a threshold
+            anchor = self.curvature[pending]
+            anchor *= t0
+            anchor += self.consensus
+            size = anchor.shape[-1]
+            anchor.reshape(pending.size, size * size)[:, :: size + 1] -= SC_TOLERANCE  # diagonals
+            spectrum = sym_eigen(anchor, vectors=True)
+            del anchor
+            values, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+            ok = values[:, 0] > 0
+            if ok.all():
+                pieces.append((pending, np.full(pending.size, t0), values, vectors))
+                break
+            pieces.append((pending[ok], np.full(ok.sum(), t0), values[ok], vectors[ok]))
+            pending = pending[~ok]
+        if len(pieces) == 1:
+            return pieces[0]
+        rows, t0, values, vectors = (np.concatenate(part) for part in zip(*pieces))
+        order = np.argsort(rows)
+        return rows[order], t0[order], values[order], vectors[order]
+
+    @cached_property
+    def intervals(self) -> np.ndarray:
+        """(2, R): alpha_lo and alpha_hi, the ends of each anchored row's open
+        interval, in the order of `anchors`; certify(alpha) holds exactly
+        inside, up to rounding.
+
+        certify(m t) holds iff K(t) is positive definite. S = Q diag(lam)^(-1/2)
+        from K(t0) = Q diag(lam) Q^T turns K(t) into I + (t - t0) S^T B S, so iff
+        1 + (t - t0) nu > 0 for every eigenvalue nu of S^T B S.
+        """
+        rows, t0, values, vectors = self.anchors
+        out = np.empty((2, rows.size))
+        if not rows.size:
+            return out
+        nu = sym_eigen(_pencil(self._rows(rows), vectors / np.sqrt(values)[:, None, :])).eigenvalues
+        nu_min, nu_max = nu[:, 0], nu[:, -1]
+        lo, hi = out
+        with np.errstate(divide="ignore"):  # 1/nu where nu = 0 is never kept
+            np.maximum(0.0, self.m * (t0 - 1.0 / nu_max), out=lo)
+            np.multiply(self.m, t0 - 1.0 / nu_min, out=hi)
+        lo[nu_max <= 0] = 0.0
+        hi[nu_min >= 0] = math.inf
+        return out
+
+    def thresholds(self, scan_cap: float = DEFAULT_SCAN_CAP) -> list[ThresholdResult | None]:
+        """Per row, alpha_A: the right end of its interval confirmed by certify on
+        both sides, or None where no seed-ladder stepsize certifies. An edge at
+        or past `scan_cap` gives the +inf sentinel with capped=True. Raises
+        NotInClassError when certify confirms no bracket of a row's edge.
+
+        A row's bracket starts a relative 1e-11 on each side of its edge, above
+        the eigensolvers' rounding, and widens tenfold, for that row alone,
+        until certify agrees on both ends. Each round certifies the lower ends
+        of every open bracket in one batched eigensolve, and the upper ends in
+        another.
+        """
+        results: list[ThresholdResult | None] = [None] * len(self.curvature)
+        rows, edges = self.anchors[0], self.intervals[1]
+        capped = edges >= scan_cap
+        if capped.any():
+            for row in rows[capped].tolist():
+                results[row] = ThresholdResult(alpha=math.inf, method="pencil", capped=True)
+            rows, edges = rows[~capped], edges[~capped]
+        gaps = _EDGE_GAP * edges  # below the edges, which are positive
+        while rows.size:
+            lo, hi = edges - gaps, edges + gaps
+            done = self._certified(rows, lo) & ~self._certified(rows, hi)
+            for row, a, b in zip(rows[done].tolist(), lo[done].tolist(), hi[done].tolist()):
+                results[row] = ThresholdResult(
+                    alpha=a, method="pencil", resolution=b - a, bracket=(a, b)
+                )
+            if done.all():
+                break
+            rows, edges, gaps = rows[~done], edges[~done], gaps[~done] * 10.0
+            spent = gaps >= edges
+            if spent.any():
+                # certify's verdicts near the edge are rounding: at this scale the
+                # eigensolver cannot resolve the 1e-10 certificate tolerance
+                raise NotInClassError(
+                    f"certify does not confirm the pencil edge {float(edges[spent.argmax()])!r}"
+                )
+        return results
+
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """The curvatures of ascending `rows`: B itself, not a copy, when that is every row."""
+        return self.curvature if rows.size == len(self.curvature) else self.curvature[rows]
+
+    def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """certify(alphas[j]).is_strongly_convex for row rows[j], in one eigensolve."""
+        hessians = (alphas / self.m)[:, None, None] * self._rows(rows)
+        hessians += self.consensus
+        return sym_eigen(hessians).eigenvalues[:, 0] > SC_TOLERANCE
+
+
 class LiftedObjective:
     """G_alpha assembled from an ensemble and a mixing matrix."""
 
@@ -86,19 +245,19 @@ class LiftedObjective:
         return self.ensemble.m * self.ensemble.n
 
     @cached_property
+    def _stack(self) -> ThresholdStack:
+        """This objective as the one row of a threshold stack."""
+        return ThresholdStack(self.ensemble.curvatures[None], self.mixing)
+
+    @property
     def consensus_matrix(self) -> np.ndarray:
         """(I - W) kron I_n, the stepsize-independent Hessian part."""
-        m, n = self.ensemble.m, self.ensemble.n
-        return np.kron(np.eye(m) - self.mixing.w, np.eye(n))
+        return self._stack.consensus
 
-    @cached_property
+    @property
     def block_curvature(self) -> np.ndarray:
         """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array."""
-        m, n = self.ensemble.m, self.ensemble.n
-        out = np.zeros((m * n, m * n))
-        for k, cost in enumerate(self.ensemble.costs):
-            out[k * n : (k + 1) * n, k * n : (k + 1) * n] = cost.a
-        return out
+        return self._stack.curvature[0]
 
     @cached_property
     def stacked_linear(self) -> np.ndarray:
@@ -147,79 +306,37 @@ class LiftedObjective:
             is_boundary=abs(lam) <= SC_TOLERANCE,
         )
 
-    @cached_property
+    @property
     def _anchor(self) -> tuple[float, Spectrum] | None:
-        """(t0, eigendecomposition of K(t0) = C - tau I + t0 B) at the first
-        seed-ladder t0 = probe/m where K(t0) is positive definite, else None."""
-        for probe in _SEED_LADDER:
-            t0 = probe / self.ensemble.m
-            # K(t0) is built in place and freed once factored: these (nm, nm)
-            # arrays set the peak memory of a threshold
-            anchor = self.block_curvature * t0
-            anchor += self.consensus_matrix
-            anchor[np.diag_indices_from(anchor)] -= SC_TOLERANCE
-            spectrum = sym_eigen(anchor, vectors=True)
-            del anchor
-            if spectrum.eigenvalues[0] > 0:
-                return t0, spectrum
-        return None
+        """(t0, eigendecomposition of K(t0)), row 0 of the stack's anchors, or
+        None when no seed-ladder stepsize certifies."""
+        rows, t0, values, vectors = self._stack.anchors
+        if not rows.size:
+            return None
+        return float(t0[0]), Spectrum(eigenvalues=values[0], eigenvectors=vectors[0])
 
-    def _pencil(self, basis: np.ndarray) -> np.ndarray:
-        """basis^T B basis, made exactly symmetric."""
-        pencil = basis.T @ (self.block_curvature @ basis)
-        pencil += pencil.T
-        pencil *= 0.5
-        return pencil
-
-    @cached_property
+    @property
     def certified_interval(self) -> tuple[float, float]:
-        """(alpha_lo, alpha_hi), open: certify(alpha) holds exactly inside, up to rounding.
-
-        certify(m t) holds iff K(t) is positive definite. S = Q diag(lam)^(-1/2)
-        from K(t0) = Q diag(lam) Q^T turns K(t) into I + (t - t0) S^T B S, so iff
-        1 + (t - t0) nu > 0 for every eigenvalue nu of S^T B S. (0.0, 0.0), empty,
-        when no seed-ladder stepsize certifies.
-        """
-        if self._anchor is None:
+        """(alpha_lo, alpha_hi), open: certify(alpha) holds exactly inside, up to
+        rounding; (0.0, 0.0), empty, when no seed-ladder stepsize certifies. See
+        ThresholdStack.intervals."""
+        lo, hi = self._stack.intervals
+        if not lo.size:
             return (0.0, 0.0)
-        t0, spectrum = self._anchor
-        scaled = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues)  # S
-        nu = sym_eigen(self._pencil(scaled)).eigenvalues
-        nu_min, nu_max, m = float(nu[0]), float(nu[-1]), self.ensemble.m
-        return (
-            max(0.0, m * (t0 - 1.0 / nu_max)) if nu_max > 0 else 0.0,
-            math.inf if nu_min >= 0 else m * (t0 - 1.0 / nu_min),
-        )
+        return float(lo[0]), float(hi[0])
 
     def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
         """alpha_A, the right end of certified_interval, confirmed by certify on
         both sides. An edge at or past `scan_cap` gives the +inf sentinel with
-        capped=True. Raises NotInClassError when no seed-ladder stepsize certifies.
+        capped=True. Raises NotInClassError when no seed-ladder stepsize certifies,
+        or when certify confirms no bracket of the edge.
         """
-        if self._anchor is None:
+        result = self._stack.thresholds(scan_cap)[0]
+        if result is None:
             raise NotInClassError(
                 f"no strongly convex stepsize found down to {_SEED_LADDER[-1]:g}"
             )
-        edge = self.certified_interval[1]
-        if edge >= scan_cap:
-            return ThresholdResult(alpha=math.inf, method="pencil", capped=True)
-        return self._confirm_edge(edge)
-
-    def _confirm_edge(self, edge: float) -> ThresholdResult:
-        """Bracket `edge` between a certified and an uncertified stepsize.
-
-        The bracket starts a relative 1e-11 on each side of the edge, above
-        the eigensolvers' rounding, and widens tenfold until certify agrees.
-        """
-        gap = _EDGE_GAP * edge
-        while gap < edge:
-            lo, hi = edge - gap, edge + gap
-            if self.certify(lo).is_strongly_convex and not self.certify(hi).is_strongly_convex:
-                return ThresholdResult(
-                    alpha=lo, method="pencil", resolution=hi - lo, bracket=(lo, hi)
-                )
-            gap *= 10.0
-        raise RuntimeError(f"certify does not confirm the pencil edge {edge!r}")
+        return result
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -228,7 +345,7 @@ class LiftedObjective:
         the consensus null space of C, where nu = 1/t0."""
         _, spectrum = self._anchor
         z = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues + SC_TOLERANCE)
-        spectrum = sym_eigen(self._pencil(z), vectors=True)
+        spectrum = sym_eigen(_pencil(self.block_curvature, z), vectors=True)
         z = z @ spectrum.eigenvectors
         d = np.einsum("ij,ij->j", z, self.consensus_matrix @ z)
         return z, d, spectrum.eigenvalues, z.T @ self.stacked_linear
@@ -264,13 +381,33 @@ class LiftedObjective:
     ) -> float:
         """Max of ||grad F|| over evenly sampled points of the segment [x_a, x_b]."""
         a, b = self._split(x_a), self._split(x_b)
-        steps = np.linspace(0.0, 1.0, samples)
-        points = a + steps[:, None, None] * (b - a)
-        grads = np.einsum("kij,skj->ski", self.ensemble.curvatures, points)
-        grads += self.ensemble.linear_terms
-        grads /= self.ensemble.m
-        norms = np.linalg.norm(grads.reshape(samples, -1), axis=1)
-        return float(np.max(norms, initial=0.0))
+        return float(self._segment_gradient_bounds(a[None], (b - a)[None], samples)[0])
+
+    def _segment_gradient_bounds(
+        self, starts: np.ndarray, shifts: np.ndarray, samples: int
+    ) -> np.ndarray:
+        """segment_gradient_bound of each segment [a, a + d], a = starts[i] and
+        d = shifts[i] (K, m, n) stacks of agent blocks: one (K, m, n) einsum per
+        sample point.
+
+        Not one (K, samples, m, n) einsum: numpy buffers a copy of each
+        operand it broadcasts, which on 80 segments tripled the peak memory.
+        """
+        out = np.zeros(len(starts))
+        for step in np.linspace(0.0, 1.0, samples):
+            points = step * shifts
+            points += starts  # a + s (b - a)
+            grads = np.einsum("kij,ckj->cki", self.ensemble.curvatures, points)
+            # each (K, m, n) temporary is freed before the next one is made:
+            # together they would set the peak memory
+            del points
+            grads += self.ensemble.linear_terms
+            grads /= self.ensemble.m
+            grads *= grads  # in place: the squares of np.linalg.norm, bit for bit
+            norms = np.sqrt(np.add.reduce(grads.reshape(len(out), self.dim), axis=-1))
+            np.maximum(out, norms, out=out)
+            del grads
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +442,17 @@ def minimizer_curve(
     Every alpha must be certified; the offending value is named otherwise.
     """
     alphas = sorted(float(a) for a in alphas)
+    minimizers = objective._minimizers(alphas)
     points = [
         CurvePoint(alpha=alpha, minimizer=x, norm=float(np.linalg.norm(x)))
-        for alpha, x in zip(alphas, objective._minimizers(alphas))
+        for alpha, x in zip(alphas, minimizers)
     ]
+    blocks = minimizers.reshape(len(alphas), objective.ensemble.m, objective.ensemble.n)
+    gradient_bounds = objective._segment_gradient_bounds(
+        blocks[:-1], blocks[1:] - blocks[:-1], samples
+    )
     segments = []
-    for lo, hi in zip(points, points[1:]):
+    for lo, hi, gradient_bound in zip(points, points[1:], gradient_bounds.tolist()):
         gap = hi.alpha - lo.alpha
         dist = float(np.linalg.norm(hi.minimizer - lo.minimizer))
         segments.append(
@@ -319,9 +461,7 @@ def minimizer_curve(
                 alpha_hi=hi.alpha,
                 distance=dist,
                 lipschitz_ratio=dist / gap if gap > 0 else 0.0,
-                gradient_bound=objective.segment_gradient_bound(
-                    lo.minimizer, hi.minimizer, samples=samples
-                ),
+                gradient_bound=gradient_bound,
             )
         )
     return MinimizerCurve(points=points, segments=segments)

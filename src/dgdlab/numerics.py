@@ -8,6 +8,11 @@ SPD linear solve. Both are thin wrappers over LAPACK through numpy.linalg
 package's contract on top: a symmetry check first, ascending eigenvalues,
 a Cholesky pivot floor, and the package's own exception types. All
 arithmetic is 64-bit floating point.
+
+The eigensolver also takes a (..., k, k) stack of matrices, as numpy.linalg
+does: every member is checked, and each one's spectrum is bit for bit the
+one a call on that matrix alone returns. A family of problems that differ
+only in their data is solved in one call instead of one call per member.
 """
 
 from __future__ import annotations
@@ -36,15 +41,24 @@ class Spectrum:
 
 
 def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    """Return `a` as a float64 array after verifying it is square and symmetric."""
+    """Return `a` as a float64 array after verifying it is square and symmetric.
+
+    `a` is one (k, k) matrix or a (..., k, k) stack of them; every member
+    must pass.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     # array methods rather than np.all / np.max: this check runs before every
     # eigensolve, and their wrappers doubled its cost on small matrices
     if not np.isfinite(a).all():
         raise NotSymmetricError("matrix contains non-finite entries")
-    if abs(a - a.T).max(initial=0.0) > atol:
+    # one contiguous copy, worked in place: subtracting the transposed view
+    # directly buffers a second copy, and on a stack these set the peak memory
+    asymmetry = a.swapaxes(-1, -2).copy()
+    asymmetry -= a
+    np.abs(asymmetry, out=asymmetry)
+    if asymmetry.max(initial=0.0) > atol:
         raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
     return a
 
@@ -55,7 +69,8 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
     Parameters
     ----------
     a : ndarray
-        Square symmetric matrix (checked to 1e-12 absolute tolerance).
+        Square symmetric matrix (checked to 1e-12 absolute tolerance), or a
+        (..., k, k) stack of them, each checked.
     vectors : bool, optional
         Also return the orthonormal eigenvector columns.
 
@@ -63,11 +78,14 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
     -------
     Spectrum
         Eigenvalues ascending, eigenvectors aligned with them when requested.
+        For a stack, eigenvalues have shape (..., k) and eigenvectors
+        (..., k, k), and each member equals a call on that matrix alone.
 
     Raises
     ------
     NotSymmetricError
-        If the input is not square/symmetric.
+        If the input (any member of a stack) is not square/symmetric or
+        has a non-finite entry.
     EigenConvergenceError
         If LAPACK reports that the eigensolve did not converge.
     """

@@ -265,6 +265,21 @@ def _distance_sums(states: np.ndarray, x_star: np.ndarray, scratch: np.ndarray) 
     return norms.sum(axis=-1)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a finite (K, d) array.
+
+    np.linalg.norm(rows, axis=1), except that a row whose sum of squares
+    overflows, though its norm is finite, is re-scaled by its largest entry
+    first; the other rows keep the plain computation's bits.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    big = np.flatnonzero(~np.isfinite(norms))
+    if big.size:
+        peak = abs(rows[big]).max(axis=1, keepdims=True)
+        norms[big] = peak[:, 0] * np.linalg.norm(rows[big] / peak, axis=1)
+    return norms
+
+
 def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Frobenius distance of the agent blocks (axis -2) to their mean; `scratch` is overwritten."""
     mean = np.add.reduce(states, axis=-2, keepdims=True)
@@ -412,8 +427,8 @@ def run_batch(
                 js, qs = np.nonzero(measured)
                 distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
-                dist_hist[t + js, rows[qs]] = np.linalg.norm(
-                    chunk[js, qs].reshape(js.size, m * n) - points, axis=1
+                dist_hist[t + js, rows[qs]] = _row_norms(
+                    chunk[js, qs].reshape(js.size, m * n) - points
                 )
 
             last, last_scale = chunk[-1], scale[-1]
@@ -542,11 +557,14 @@ def nonexpansiveness_check(
     distances = np.linalg.norm(states - targets, axis=1)
     core_margin = np.linalg.norm(states[1:] - targets[:-1], axis=1) - distances[:-1]
     drift_measured, drift_bound = np.zeros((2, core_margin.size))
-    for i in np.flatnonzero(alphas[1:] != alphas[:-1]):
-        drift_measured[i] = np.linalg.norm(targets[i] - targets[i + 1])
-        c1 = objective.segment_gradient_bound(targets[i], targets[i + 1], segment_samples)
-        drift_bound[i] = 2.0 * alpha0 * c1 * abs(alphas[i + 1] - alphas[i])
-        drift_bound[i] /= modulus * alphas[i + 1]
+    moved = np.flatnonzero(alphas[1:] != alphas[:-1])  # the steps whose stepsize changes
+    if moved.size:
+        blocks = targets.reshape(-1, objective.ensemble.m, objective.ensemble.n)
+        shifts = blocks[moved + 1] - blocks[moved]
+        drift_measured[moved] = np.linalg.norm(shifts.reshape(moved.size, -1), axis=1)
+        c1 = objective._segment_gradient_bounds(blocks[moved], shifts, segment_samples)
+        drift_bound[moved] = 2.0 * alpha0 * c1 * abs(alphas[moved + 1] - alphas[moved])
+        drift_bound[moved] /= modulus * alphas[moved + 1]
 
     max_core = float(np.max(core_margin)) if core_margin.size else 0.0
     return NonexpansivenessReport(

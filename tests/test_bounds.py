@@ -6,6 +6,7 @@ import pytest
 
 from dgdlab import bounds, costs
 from dgdlab.errors import RadiusUndefinedError
+from dgdlab.lifted import ThresholdResult
 
 
 class TestClassicalBound:
@@ -190,3 +191,12 @@ class TestBoundReport:
         data = json.loads(report.to_json())
         assert data["alpha_A"] == "inf"
         assert data["alpha_main"] == pytest.approx(data["alpha_L"])
+
+    def test_underflowing_gap_bound_leaves_no_radius(self, mix_quarter):
+        # mu = 5e-324 against L = 1e12: the gap bound underflows to 0, so there
+        # is no positive alpha0 to take the radius at
+        ens = costs.epsilon_example(1e12, 5e-324, 10.0)
+        threshold = ThresholdResult(alpha=1.0, method="pencil")
+        report = bounds.build_report(ens, mix_quarter, threshold=threshold)
+        assert report.alpha_S == 0.0
+        assert report.radius_R is None

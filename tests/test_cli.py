@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from dgdlab.errors import ConfigError
 
 W_QUARTER = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 W_SKEWED = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]]
+W_UNIFORM = [[1 / 3] * 3] * 3
+README_ENSEMBLE = {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}
+BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write_config(tmp_path, data, name="config.json"):
@@ -102,6 +107,11 @@ class TestConfigParsing:
             {"threshold": {"scan_cap": 0.0}},
             {"threshold": {"scan_cap": float("inf")}},
             {"threshold": {"scan_cap": "big"}},
+            {"horizon": 1e300},
+            {"ensemble": dict(README_ENSEMBLE, n=10**6)},
+            {"ensemble": dict(README_ENSEMBLE, epsilon=1.7e308)},
+            {"ensemble": {"type": "explicit", "costs": [{"A": [[1.0]], "b": [float("nan")]}] * 3}},
+            {"ensemble": {"type": "explicit", "costs": [{"A": [[[1.0]]], "b": [0.0]}] * 3}},
         ],
     )
     def test_malformed_values_exit_2_without_traceback(self, patch, tmp_path, capsys):
@@ -247,6 +257,50 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_lifted_distance_stays_finite_near_overflow(self, tmp_path):
+        # README's instance at alpha 2.0 diverges; under a 1e300 threshold its
+        # states reach 1e154, where the nm squares of the distance overflow
+        config = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 2.0},
+            "horizon": 10000,
+            "divergence_threshold": 1e300,
+            "track_lifted": True,
+        }
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, config)
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.values() if cell)
+        cfg = parse_config(config)
+        objective = simulator.LiftedObjective(cfg.ensemble, cfg.mixing)
+        record = simulator.run(
+            cfg.ensemble, cfg.mixing, cfg.schedule, horizon=cfg.horizon,
+            divergence_threshold=cfg.divergence_threshold, record_every=1,
+        )
+        target = objective.minimizer(2.0)
+        for t in (445, 446):
+            expected = math.dist(record.state_at(t), target)
+            assert float(rows[t]["dist_lifted_min"]) == pytest.approx(expected, rel=1e-15)
+
+    def test_stepsize_overflowing_the_oracle_exits_2(self, tmp_path, capsys):
+        # alpha and the curvature are each legal; their product is not a float
+        costs = [{"A": [[2e300, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}] * 3
+        path = _write_config(
+            tmp_path,
+            {
+                "ensemble": {"type": "explicit", "costs": costs},
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "schedule": {"type": "constant", "alpha": 1e300},
+                "horizon": 5,
+            },
+        )
+        assert cli.main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows" in err
+
     def test_horizon_override(self, random_config, capsys):
         assert cli.main(["simulate", "--config", random_config, "--horizon", "37"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -322,6 +376,22 @@ class TestSweepAlphaCommand:
         assert rows == expected_rows
         assert verdicts == {"bounded", "diverged"}
 
+    @pytest.mark.parametrize("multiple", [1.7e308, 5e-324])
+    def test_multiple_overflowing_the_stepsize_exits_2(self, multiple, tmp_path, capsys):
+        path = _write_config(
+            tmp_path,
+            {
+                "ensemble": README_ENSEMBLE,
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "alpha_multiples": [0.5, multiple],
+                "sweep_base": "main",  # 0.31: 5e-324 times it underflows to 0
+                "horizon": 5,
+            },
+        )
+        assert cli.main(["sweep-alpha", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stepsize" in err
+
     def test_nonpositive_multiple_rejected(self, tmp_path):
         path = _write_config(
             tmp_path,
@@ -376,6 +446,48 @@ class TestSweepEpsilonCommand:
         last = lines[-1].split(",")
         assert last[0] == repr(25.0)
         assert last[1] == ""
+
+
+    @pytest.mark.parametrize(
+        "golden, config",
+        [
+            ("default", {"mixing": {"type": "explicit", "W": W_QUARTER}}),
+            ("bench", {"mixing": {"type": "explicit", "W": W_QUARTER}, "epsilons": BENCH_EPSILONS}),
+            (
+                "cap",
+                {
+                    "mixing": {"type": "explicit", "W": W_QUARTER},
+                    "epsilons": BENCH_EPSILONS,
+                    "threshold": {"scan_cap": 0.5},
+                },
+            ),
+            (
+                "uniform",
+                {"mixing": {"type": "explicit", "W": W_UNIFORM}, "epsilons": BENCH_EPSILONS},
+            ),
+        ],
+    )
+    def test_output_is_byte_identical_to_golden(self, golden, config, tmp_path, capsys):
+        # The golden files were written by one LiftedObjective per epsilon, before
+        # thresholds were certified as a stack; the stack must reproduce them.
+        # They cover deeper ladder probes, the blank row at 2L, capped rows and
+        # a W without alpha_S.
+        expected = (GOLDEN / f"sweep_epsilon_{golden}.csv").read_bytes()
+        path = _write_config(tmp_path, config)
+        assert cli.main(["sweep-epsilon", "--config", path]) == 0
+        assert capsys.readouterr().out.encode() == expected
+        out = tmp_path / "out"
+        assert cli.main(["sweep-epsilon", "--config", path, "--out", str(out)]) == 0
+        assert (out / "sweep_epsilon.csv").read_bytes() == expected
+
+    def test_unconfirmed_edge_exits_3(self, tmp_path, capsys):
+        # at curvatures near 1e12 the certificate cannot resolve its tolerance
+        path = _write_config(
+            tmp_path, {"mixing": {"type": "explicit", "W": W_QUARTER}, "L": 1e12, "mu": 1e-12}
+        )
+        assert cli.main(["sweep-epsilon", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "does not confirm the pencil edge" in err
 
 
 class TestValidateTopologyCommand:

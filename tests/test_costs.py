@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgdlab import costs
-from dgdlab.errors import NotStronglyConvexError
+from dgdlab.errors import NotStronglyConvexError, NotSymmetricError
 
 
 def _finite_difference_gradient(cost, x, h=1e-5):
@@ -54,6 +54,35 @@ class TestQuadraticCost:
             c.value(np.zeros(3))
         with pytest.raises(ValueError):
             c.gradient(np.zeros(3))
+
+
+class TestCostEntry:
+    """Malformed curvatures and linear terms are refused where they enter."""
+
+    def test_huge_symmetric_entries_are_stored_without_overflow(self):
+        a = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
+        with np.errstate(over="raise"):
+            cost = costs.QuadraticCost(a=a, b=np.zeros(2))
+        np.testing.assert_array_equal(cost.a, a)
+
+    def test_non_finite_linear_term_rejected(self):
+        bad = costs.QuadraticCost(a=np.eye(2), b=np.array([np.inf, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            costs.QuadraticEnsemble([bad])
+
+    def test_stack_of_matrices_rejected(self):
+        with pytest.raises(NotSymmetricError):
+            costs.QuadraticCost(a=np.ones((1, 2, 2)), b=np.zeros(2))
+
+    def test_overflowing_curvature_sum_rejected(self):
+        big = costs.QuadraticCost(a=np.diag([1.7e308, 1.0]), b=np.zeros(2))
+        with pytest.raises(ValueError, match="overflows"):
+            costs.QuadraticEnsemble([big, big])
+
+    def test_random_ensemble_size_limit(self):
+        # refused before a single entry is drawn
+        with pytest.raises(ValueError, match="curvature entries"):
+            costs.random_ensemble(1, 10**5, 1.0, seed=0)
 
 
 class TestRandomEnsemble:
@@ -121,6 +150,18 @@ class TestEpsilonExample:
             costs.epsilon_example(10.0, 1.0, -0.5)
 
 
+    def test_is_one_row_of_the_family(self):
+        epsilons = [0.0, 2.5, 20.0]
+        family = costs.epsilon_family(10.0, 1.0, epsilons)
+        assert family.shape == (3, costs.EPSILON_EXAMPLE_AGENTS, 2, 2)
+        for eps, row in zip(epsilons, family):
+            ensemble = costs.epsilon_example(10.0, 1.0, eps)
+            np.testing.assert_array_equal(ensemble.curvatures, row)
+            np.testing.assert_array_equal(ensemble.linear_terms, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            costs.epsilon_family(10.0, 1.0, [1.0, -0.5])
+
+
 class TestAggregateMinimizer:
     def test_zero_linear_terms(self):
         e = costs.epsilon_example(10.0, 1.0, 1.0)
@@ -143,6 +184,13 @@ class TestAggregateMinimizer:
             e.aggregate_minimizer()
         with pytest.raises(NotStronglyConvexError):
             e.grad_bound_D()
+
+    def test_rejects_aggregate_below_the_pivot_floor(self):
+        # aggregate mu = 1e-13 > 0, but below the Cholesky pivot floor 1e-12
+        e = costs.epsilon_example(10.0, 1e-13, 0.0)
+        assert 0 < e.aggregate_mu() < 1e-12
+        with pytest.raises(NotStronglyConvexError, match="too weakly convex"):
+            e.aggregate_minimizer()
 
 
 class TestSpectralConstants:

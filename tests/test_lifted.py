@@ -184,14 +184,15 @@ class TestThreshold:
         assert not obj.certify(hi).is_strongly_convex
 
     def test_finite_threshold_costs_few_certify_calls(self, mix_quarter, monkeypatch):
+        # certify runs batched over the stack's rows: one call per bracket end
         calls = []
-        certify = lifted.LiftedObjective.certify
+        certified = lifted.ThresholdStack._certified
 
-        def counted(self, alpha):
-            calls.append(alpha)
-            return certify(self, alpha)
+        def counted(self, rows, alphas):
+            calls.append(alphas)
+            return certified(self, rows, alphas)
 
-        monkeypatch.setattr(lifted.LiftedObjective, "certify", counted)
+        monkeypatch.setattr(lifted.ThresholdStack, "_certified", counted)
         finite = 0
         for seed in range(12):
             obj = _certified_random_objective(seed, mix_quarter)
@@ -229,6 +230,69 @@ class TestThreshold:
         th = obj.strong_convexity_threshold()
         for frac in (0.9, 0.5, 0.1, 0.01):
             assert obj.certify(frac * th.alpha).is_strongly_convex
+
+
+BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
+
+
+def _one_row(objective, scan_cap):
+    """The one-row threshold of `objective`, None where it is not in class."""
+    try:
+        return objective.strong_convexity_threshold(scan_cap)
+    except NotInClassError:
+        return None
+
+
+class TestThresholdStack:
+    @pytest.mark.parametrize("scan_cap", [1e3, 0.5])
+    def test_family_rows_equal_one_row_thresholds(self, mix_quarter, scan_cap):
+        stack = lifted.ThresholdStack(
+            costs.epsilon_family(10.0, 1.0, BENCH_EPSILONS), mix_quarter
+        )
+        rows = stack.thresholds(scan_cap)
+        for eps, row in zip(BENCH_EPSILONS, rows):
+            objective = _objective(costs.epsilon_example(10.0, 1.0, eps), mix_quarter)
+            assert row == _one_row(objective, scan_cap), eps
+        # the family covers deeper ladder probes, a blank row and capped rows
+        anchored, t0 = stack.anchors[:2]
+        assert (t0 < 1e-2 / 3).sum() >= 5
+        assert rows[-1] is None and anchored.size == len(rows) - 1
+        assert any(row.capped for row in rows[:-1]) == (scan_cap == 0.5)
+
+    @pytest.mark.parametrize("block", [3, 8])
+    def test_rows_do_not_depend_on_their_block(self, mix_quarter, block):
+        # rows on both sides of every block boundary, as sweep-epsilon cuts them
+        family = costs.epsilon_family(10.0, 1.0, BENCH_EPSILONS)
+        whole = lifted.ThresholdStack(family, mix_quarter).thresholds()
+        blocks = []
+        for start in range(0, len(family), block):
+            stack = lifted.ThresholdStack(family[start : start + block], mix_quarter)
+            blocks.extend(stack.thresholds())
+        assert blocks == whole
+
+    def test_random_rows_equal_one_row_objectives(self, mix_quarter):
+        # README-class instances: dense blocks, some aggregates not strongly convex
+        ensembles = [costs.random_ensemble(3, 2, 1.0, seed=seed) for seed in range(40)]
+        stack = lifted.ThresholdStack(np.stack([e.curvatures for e in ensembles]), mix_quarter)
+        rows = stack.thresholds(scan_cap=5.0)
+        anchored = stack.anchors[0].tolist()
+        intervals = dict(zip(anchored, stack.intervals.T.tolist()))
+        assert 0 < len(anchored) < len(ensembles)
+        for e, (ensemble, row) in enumerate(zip(ensembles, rows)):
+            objective = _objective(ensemble, mix_quarter)
+            assert row == _one_row(objective, 5.0), e
+            assert tuple(intervals.get(e, (0.0, 0.0))) == objective.certified_interval
+
+    def test_empty_stack(self, mix_quarter):
+        stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, []), mix_quarter)
+        assert stack.thresholds() == []
+
+    def test_unconfirmed_edge_is_not_in_class(self, mix_quarter):
+        # curvatures near 1e12 with mu = 1e-12: the eigensolver's rounding swamps
+        # the 1e-10 certificate tolerance, and no bracket of the edge confirms
+        objective = _objective(costs.epsilon_example(1e12, 1e-12, 3.5), mix_quarter)
+        with pytest.raises(NotInClassError, match="does not confirm the pencil edge"):
+            objective.strong_convexity_threshold()
 
 
 class TestScalingMonotonicity:

@@ -100,6 +100,40 @@ class TestSymEigen:
         np.testing.assert_allclose(spec.eigenvectors, [[1.0]])
 
 
+class TestSymEigenStacks:
+    """A (..., k, k) stack is solved member by member, with the same contract."""
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 16)])
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, shape, vectors):
+        *lead, dim = shape
+        rng = np.random.default_rng(31)
+        stack = np.array([_random_symmetric(rng, dim) for _ in range(np.prod(lead))])
+        stack = stack.reshape(*lead, dim, dim)
+        spec = numerics.sym_eigen(stack, vectors=vectors)
+        assert spec.eigenvalues.shape == (*lead, dim)
+        for index in np.ndindex(*lead):
+            alone = numerics.sym_eigen(stack[index], vectors=vectors)
+            np.testing.assert_array_equal(spec.eigenvalues[index], alone.eigenvalues)
+            if vectors:
+                np.testing.assert_array_equal(spec.eigenvectors[index], alone.eigenvectors)
+
+    @pytest.mark.parametrize("entry", [(0, 1, 1e-6), (1, 1, np.nan), (0, 0, np.inf)])
+    def test_stack_rejects_one_bad_member(self, entry):
+        # one asymmetric or one non-finite member among symmetric ones
+        rng = np.random.default_rng(37)
+        stack = np.array([_random_symmetric(rng, 4) for _ in range(6)])
+        i, j, value = entry
+        stack[3, i, j] += value
+        for vectors in (False, True):
+            with pytest.raises(NotSymmetricError):
+                numerics.sym_eigen(stack, vectors=vectors)
+
+    def test_stack_of_non_square_matrices_rejected(self):
+        with pytest.raises(NotSymmetricError):
+            numerics.sym_eigen(np.ones((3, 2, 4)))
+
+
 class TestMinEigenvalue:
     def test_zero_matrix(self):
         assert numerics.min_eigenvalue(np.zeros((3, 3))) == 0.0

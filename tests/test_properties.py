@@ -1,0 +1,134 @@
+"""Property test: for generated JSON configs the CLI exits 0, 2, 3 or 4.
+
+A malformed value anywhere in a config must end in exit 2 with one line of
+diagnosis, never in a Python traceback. Each example is a well-formed config
+(with extreme but legal numbers among its values) in which at most one
+entry, at any depth, is replaced by an out-of-range, non-finite or mistyped
+value. Horizons stay short so that a run costs milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dgdlab import cli
+
+README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
+UNIFORM_W = [[1 / 3] * 3] * 3
+SKEWED_W = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]]
+TRIANGLE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+COMMANDS = ["bounds", "simulate", "sweep-alpha", "sweep-epsilon", "validate-topology"]
+
+HUGE = [1e12, 1e154, 1e300, 1.7e308]
+TINY = [5e-324, 1e-300, 1e-12]
+
+# a replacement value: any number json can carry (it writes NaN and
+# Infinity, and json.load reads them back) or a value of the wrong type
+bad = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1, 2, -1e308, *TINY, *HUGE]),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "W", "alpha"]), st.integers(0, 2), max_size=2),
+)
+
+
+def legal(low: float, high: float, extremes=()):
+    return st.one_of(st.floats(low, high), st.sampled_from([low, high, *extremes]))
+
+
+stepsize = legal(1e-3, 5.0, TINY + HUGE)
+mixing = st.one_of(
+    st.builds(lambda w: {"type": "explicit", "W": w},
+              st.sampled_from([README_W, UNIFORM_W, SKEWED_W])),
+    st.just({"type": "metropolis", "adjacency": TRIANGLE}),
+)
+ensemble = st.one_of(
+    st.fixed_dictionaries({
+        "type": st.just("random"), "m": st.just(3), "n": st.integers(1, 3),
+        "epsilon": legal(0.0, 5.0, HUGE), "seed": st.integers(0, 50),
+    }),
+    st.fixed_dictionaries({
+        "type": st.just("epsilon_example"), "L": legal(1.0, 20.0, HUGE),
+        "mu": legal(0.01, 1.0, TINY), "epsilon": legal(0.0, 30.0, HUGE),
+    }),
+    st.builds(
+        lambda scale: {"type": "explicit",
+                       "costs": [{"A": [[2.0 * scale, 0.5], [0.5, 1.0]], "b": [1.0, -1.0]}] * 3},
+        legal(-2.0, 2.0, TINY + HUGE),
+    ),
+)
+schedule = st.one_of(
+    st.fixed_dictionaries({"type": st.just("constant"), "alpha": stepsize}),
+    st.fixed_dictionaries(
+        {"type": st.just("polynomial"), "a": stepsize},
+        optional={"w": legal(1.0, 5.0, HUGE), "p": legal(0.1, 1.0)},
+    ),
+)
+config = st.fixed_dictionaries(
+    {"ensemble": ensemble, "mixing": mixing, "schedule": schedule, "horizon": st.integers(1, 40)},
+    optional={
+        "divergence_threshold": legal(1e-3, 1e12, HUGE),
+        "record_every": st.integers(1, 5),
+        "agent_scale": st.booleans(),
+        "track_lifted": st.booleans(),
+        "x0": st.lists(legal(-2.0, 2.0, HUGE), min_size=6, max_size=6),
+        "alpha_multiples": st.lists(legal(0.1, 3.0, HUGE), max_size=3),
+        "sweep_base": st.sampled_from(["alpha_A", "main"]),
+        "epsilons": st.lists(legal(0.0, 30.0, HUGE), max_size=4),
+        "L": legal(1.0, 20.0, HUGE),
+        "mu": legal(0.01, 1.0, TINY),
+        "threshold": st.fixed_dictionaries({}, optional={"scan_cap": legal(1e-3, 1e3, HUGE)}),
+    },
+)
+
+
+def perturb(node, draw):
+    """`node` with one entry, at a depth chosen by `draw`, replaced by a bad value."""
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    if not keys:
+        return draw(bad)
+    key = draw(st.sampled_from(keys))
+    child = node[key]
+    if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+        replacement = perturb(child, draw)
+    else:
+        replacement = draw(bad)
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[key] = replacement
+    return out
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(command=st.sampled_from(COMMANDS), data=config, out=st.booleans(), draws=st.data())
+def test_cli_exits_with_a_code_never_a_traceback(command, data, out, draws):
+    if draws.draw(st.booleans()):
+        data = perturb(data, draws.draw)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as handle:
+            # a validate-topology config is a mixing spec on its own
+            json.dump(data.get("mixing") if command == "validate-topology" else data, handle)
+        argv = [command, "--config", path]
+        if out and command != "validate-topology":
+            argv += ["--out", os.path.join(work, "out")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()

@@ -544,6 +544,32 @@ class TestNonexpansiveness:
         deltas = report.distances[1:] - report.distances[:-1]
         assert np.all(deltas <= report.drift_bound + 1e-9)
 
+    def test_drift_matches_the_per_step_loop(self, mix_quarter):
+        # the reference is one pointwise segment bound per step whose stepsize
+        # changes; the check evaluates all of those steps at once. The bounds
+        # agree bit for bit; the measured shifts within a rounding, as a norm
+        # along an axis sums the squares in another order than a 1-D norm
+        # (2.2e-16 relative here)
+        ens = _skewed_random(5)
+        alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
+        schedule = StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7)
+        rec = simulator.run(ens, mix_quarter, schedule, x0=np.ones(6), horizon=120, record_every=1)
+        report = simulator.nonexpansiveness_check(rec, obj, segment_samples=9)
+        alphas, targets = rec.alpha, obj._minimizers(rec.alpha)
+        modulus = obj.certify(alphas[0]).modulus
+        measured, bound = np.zeros((2, len(alphas) - 1))
+        for i in np.flatnonzero(alphas[1:] != alphas[:-1]):
+            measured[i] = np.linalg.norm(targets[i] - targets[i + 1])
+            a, b = targets[i].reshape(3, 2), targets[i + 1].reshape(3, 2)
+            points = a + np.linspace(0.0, 1.0, 9)[:, None, None] * (b - a)
+            grads = np.einsum("kij,skj->ski", ens.curvatures, points) + ens.linear_terms
+            c1 = np.max(np.linalg.norm((grads / 3).reshape(9, -1), axis=1))
+            bound[i] = 2.0 * alphas[0] * c1 * abs(alphas[i + 1] - alphas[i])
+            bound[i] /= modulus * alphas[i + 1]
+        assert np.count_nonzero(bound) == len(bound)
+        np.testing.assert_array_equal(report.drift_bound, bound)
+        np.testing.assert_allclose(report.drift_measured, measured, rtol=1e-15, atol=0)
+
     def test_minimizer_cost_does_not_grow_with_horizon(self, mix_quarter, monkeypatch):
         # the minimizers come from one pencil basis: no eigensolve or SPD
         # solve per stepsize, in the run or in the check
