@@ -16,6 +16,7 @@ import numpy as np
 from .costs import QuadraticEnsemble
 from .errors import RadiusUndefinedError
 from .lifted import LiftedObjective, ThresholdResult
+from .numerics import render_float
 from .topology import MixingMatrix
 
 
@@ -129,23 +130,14 @@ class BoundReport:
     threshold_resolution: float | None
 
     def to_dict(self) -> dict:
-        def _num(v):
-            if v is None:
-                return None
-            if math.isinf(v):
-                return "inf"
-            if math.isnan(v):
-                return "nan"
-            return v
-
         return {
-            "alpha_gd": _num(self.alpha_gd),
-            "alpha_L": _num(self.alpha_L),
-            "alpha_S": _num(self.alpha_S),
-            "alpha_A": _num(self.alpha_A),
-            "alpha_main": _num(self.alpha_main),
-            "eta": _num(self.eta),
-            "radius_R": _num(self.radius_R),
+            "alpha_gd": render_float(self.alpha_gd),
+            "alpha_L": render_float(self.alpha_L),
+            "alpha_S": render_float(self.alpha_S),
+            "alpha_A": render_float(self.alpha_A),
+            "alpha_main": render_float(self.alpha_main),
+            "eta": render_float(self.eta),
+            "radius_R": render_float(self.radius_R),
             "alpha_A_provenance": {
                 "method": self.threshold_method,
                 "resolution": self.threshold_resolution,

@@ -8,24 +8,30 @@ Subcommands:
   validate-topology  validate a mixing spec and print its spectral summary
 
 Exit codes: 0 success, 2 configuration error, 3 certification failure,
-4 I/O failure.
+4 I/O failure. A command computes its whole result before it writes
+anything, so one that exits 2 or 3 writes nothing: no stdout, no file.
+Any failure to create --out or to write output exits 4 with one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import simulator
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, read_json
 from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family
 from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
-from .lifted import LiftedObjective, ThresholdResult, ThresholdStack
+from .lifted import LiftedObjective, ThresholdStack
+from .numerics import render_float
 from .topology import mixing_from_spec
 
 EXIT_OK = 0
@@ -34,26 +40,20 @@ EXIT_CERTIFICATION = 3
 EXIT_IO = 4
 
 
-def _ensure_outdir(out: str | None) -> str | None:
+def _emit_json(payload: dict, out: str | None = None, name: str = "") -> None:
+    """Print `payload` as JSON and, with --out, write it to out/name as well."""
+    text = json.dumps(payload, indent=2)
+    print(text)
+    if out is not None:
+        with open(os.path.join(out, name), "w") as handle:
+            handle.write(text + "\n")
+
+
+def _open_csv(out: str | None, name: str):
+    """out/name opened for CSV rows, or stdout (looked up now) without --out."""
     if out is None:
-        return None
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise _IOFailure(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-class _IOFailure(Exception):
-    pass
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
+        return contextlib.nullcontext(sys.stdout)
+    return open(os.path.join(out, name), "w", newline="")
 
 
 def _require(cfg: ExperimentConfig, *parts: str) -> None:
@@ -70,6 +70,18 @@ def _require_oracle_stepsize(cfg: ExperimentConfig, alpha: float) -> None:
             f"stepsize {alpha!r} times the smoothness constant "
             f"L = {cfg.ensemble.smoothness_constant()!r} overflows"
         )
+
+
+def _oracle_entry(cfg: ExperimentConfig, alpha: float) -> dict:
+    """The exact oracle's verdict at constant stepsize `alpha`, as summaries print it."""
+    verdict = simulator.boundedness_oracle(
+        cfg.ensemble, cfg.mixing, alpha, agent_scale=cfg.agent_scale
+    )
+    return {
+        "spectral_radius": verdict.spectral_radius,
+        "bounded": verdict.bounded,
+        "critical": verdict.is_critical,
+    }
 
 
 def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
@@ -90,10 +102,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
             "n": cfg.ensemble.n,
         }
     )
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if out is not None:
-        _write_text(os.path.join(out, "bounds.json"), text + "\n")
+    _emit_json(payload, out, "bounds.json")
     return EXIT_OK
 
 
@@ -115,19 +124,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     )
     summary = record.summary_dict()
     if cfg.schedule.kind == "constant":
-        verdict = simulator.boundedness_oracle(
-            cfg.ensemble, cfg.mixing, cfg.schedule.alpha, agent_scale=cfg.agent_scale
-        )
-        summary["oracle"] = {
-            "spectral_radius": verdict.spectral_radius,
-            "bounded": verdict.bounded,
-            "critical": verdict.is_critical,
-        }
-    text = json.dumps(summary, indent=2)
-    print(text)
+        summary["oracle"] = _oracle_entry(cfg, cfg.schedule.alpha)
+    _emit_json(summary, out, "summary.json")
     if out is not None:
         record.to_csv(os.path.join(out, "trajectory.csv"))
-        _write_text(os.path.join(out, "summary.json"), text + "\n")
     return EXIT_OK
 
 
@@ -162,44 +162,29 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         record_every=cfg.record_every,
     )
 
-    summaries = {}
-    for mult, record in zip(multiples, records):
-        oracle = simulator.boundedness_oracle(
-            cfg.ensemble, cfg.mixing, mult * base, agent_scale=cfg.agent_scale
-        )
-        entry = record.summary_dict()
-        entry["oracle"] = {
-            "spectral_radius": oracle.spectral_radius,
-            "bounded": oracle.bounded,
-            "critical": oracle.is_critical,
-        }
-        summaries[repr(mult)] = entry
-
+    summaries = {
+        repr(mult): dict(record.summary_dict(), oracle=_oracle_entry(cfg, mult * base))
+        for mult, record in zip(multiples, records)
+    }
     payload = {
-        "base_alpha": base if math.isfinite(base) else "inf",
+        "base_alpha": render_float(base),
         "sweep_base": cfg.sweep_base,
-        "alpha_A": threshold.alpha if math.isfinite(threshold.alpha) else "inf",
+        "alpha_A": render_float(threshold.alpha),
         "alpha_L": alpha_l,
         "runs": summaries,
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
+    _emit_json(payload, out, "sweep_alpha_summary.json")
     if out is not None:
-        path = os.path.join(out, "sweep_alpha.csv")
-        try:
-            with open(path, "w", newline="") as handle:
-                handle.write("alpha_multiple,t,R\r\n")
-                for mult, record in zip(multiples, records):
-                    # a diverged run stops before its crossing step, as in to_csv
-                    cutoff = record.divergence_step
-                    label = repr(mult)
-                    handle.writelines(
-                        f"{label},{t},{r!r}\r\n"
-                        for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
-                    )
-        except OSError as exc:
-            raise _IOFailure(f"cannot write {path}: {exc}") from exc
-        _write_text(os.path.join(out, "sweep_alpha_summary.json"), text + "\n")
+        with _open_csv(out, "sweep_alpha.csv") as handle:
+            handle.write("alpha_multiple,t,R\r\n")
+            for mult, record in zip(multiples, records):
+                # a diverged run stops before its crossing step, as in to_csv
+                cutoff = record.divergence_step
+                label = repr(mult)
+                handle.writelines(
+                    f"{label},{t},{r!r}\r\n"
+                    for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
+                )
     return EXIT_OK
 
 
@@ -222,63 +207,38 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         alpha_s = bounds_mod.spectral_gap_bound(cfg.family_mu, cfg.family_L, summary.beta)
     else:
         alpha_s = None
+    # alpha_A per epsilon, NaN where nothing certifies. No row is written until
+    # every block has certified, so a failing block leaves no output; floats,
+    # not ThresholdResults, are kept between blocks to hold peak memory down.
+    alpha_a = np.full(len(cfg.epsilons), math.nan)
+    for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
+        block = cfg.epsilons[start : start + _EPSILON_BLOCK]
+        family = epsilon_family(cfg.family_L, cfg.family_mu, block)
+        results = ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
+        alpha_a[start : start + len(block)] = [math.nan if r is None else r.alpha for r in results]
     # the eps-independent tail of every row, formatted once
     tail = f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
-
-    def write_rows(handle) -> None:
+    with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write("epsilon,alpha_A,alpha_L,alpha_S\n")
-        for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
-            block = cfg.epsilons[start : start + _EPSILON_BLOCK]
-            family = epsilon_family(cfg.family_L, cfg.family_mu, block)
-            results = ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
-            handle.write(
-                "".join(f"{eps!r},{_alpha_a_cell(r)}{tail}" for eps, r in zip(block, results))
-            )
-
-    if out is None:
-        write_rows(sys.stdout)
-        return EXIT_OK
-    path = os.path.join(out, "sweep_epsilon.csv")
-    try:
-        with open(path, "w") as handle:
-            write_rows(handle)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
+        handle.writelines(
+            f"{eps!r},{'' if math.isnan(a) else render_float(a)}{tail}"
+            for eps, a in zip(cfg.epsilons, alpha_a.tolist())
+        )
     return EXIT_OK
 
 
-def _alpha_a_cell(result: ThresholdResult | None) -> str:
-    """alpha_A as a sweep-epsilon cell: blank where nothing certifies."""
-    if result is None:
-        return ""
-    return "inf" if math.isinf(result.alpha) else repr(result.alpha)
-
-
 def cmd_validate_topology(mixing_path: str) -> int:
-    try:
-        with open(mixing_path) as handle:
-            spec = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read mixing spec: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        mixing = mixing_from_spec(spec)
-    except MixingMatrixError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    mixing = mixing_from_spec(read_json(mixing_path))
     summary = mixing.spectral
-    print(
-        json.dumps(
-            {
-                "m": mixing.m,
-                "lambda_min": summary.lambda_min,
-                "beta": summary.beta,
-                "beta_abs": summary.beta_abs,
-                "spectral_gap": summary.spectral_gap,
-                "single_agent": summary.single_agent,
-            },
-            indent=2,
-        )
+    _emit_json(
+        {
+            "m": mixing.m,
+            "lambda_min": summary.lambda_min,
+            "beta": summary.beta,
+            "beta_abs": summary.beta_abs,
+            "spectral_gap": summary.spectral_gap,
+            "single_agent": summary.single_agent,
+        }
     )
     return EXIT_OK
 
@@ -320,30 +280,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate-topology":
-        return cmd_validate_topology(args.config)
     try:
+        if args.command == "validate-topology":
+            return cmd_validate_topology(args.config)
         cfg = load_config(args.config, seed_override=args.seed, horizon_override=args.horizon)
         if args.agent_scale:
             cfg.agent_scale = True
-        out = _ensure_outdir(args.out)
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+        # looked up by name at call time, so a wrapped cmd_* is the one called
         if args.command == "bounds":
-            return cmd_bounds(cfg, out)
+            return cmd_bounds(cfg, args.out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out)
+            return cmd_simulate(cfg, args.out)
         if args.command == "sweep-alpha":
-            return cmd_sweep_alpha(cfg, out)
-        if args.command == "sweep-epsilon":
-            return cmd_sweep_epsilon(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_sweep_alpha(cfg, args.out)
+        return cmd_sweep_epsilon(cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MixingMatrixError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotInClassError, NotStronglyConvexError) as exc:
         print(f"error: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

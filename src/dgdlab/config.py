@@ -79,9 +79,6 @@ class ExperimentConfig:
             out["x0"] = self.x0
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.canonical(), indent=2)
-
 
 def _number(key: str, value, kind=float):
     """`value` as an int or a finite float, or a ConfigError naming `key`."""
@@ -213,14 +210,20 @@ def parse_config(
     return cfg
 
 
-def load_config(
-    path: str, seed_override: int | None = None, horizon_override: int | None = None
-) -> ExperimentConfig:
+def read_json(path: str):
+    """The JSON document in the file at `path`; a ConfigError if it cannot be read."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(data, seed_override=seed_override, horizon_override=horizon_override)
+
+
+def load_config(
+    path: str, seed_override: int | None = None, horizon_override: int | None = None
+) -> ExperimentConfig:
+    return parse_config(
+        read_json(path), seed_override=seed_override, horizon_override=horizon_override
+    )

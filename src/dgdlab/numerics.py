@@ -17,6 +17,7 @@ only in their data is solved in one call instead of one call per member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,3 +138,11 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     return np.linalg.solve(a, rhs)
+
+
+def render_float(v: float | None) -> float | str | None:
+    """`v` as the JSON and CSV outputs print it: "inf" or "nan" for a
+    non-finite float (JSON has no literal for either), otherwise unchanged."""
+    if v is None or math.isfinite(v):
+        return v
+    return "nan" if math.isnan(v) else "inf"

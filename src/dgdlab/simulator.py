@@ -21,13 +21,14 @@ import bisect
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import lambda_min_bound
 from .costs import QuadraticEnsemble
 from .lifted import LiftedObjective
-from .numerics import sym_eigen
+from .numerics import render_float, sym_eigen
 from .topology import MixingMatrix
 
 DEFAULT_HORIZON = 10_000
@@ -148,7 +149,6 @@ class TrajectoryRecord:
     verdict: str
     divergence_step: int | None
     x_star: np.ndarray
-    summary_extra: dict = field(default_factory=dict)
 
     @property
     def max_r(self) -> float:
@@ -161,25 +161,16 @@ class TrajectoryRecord:
         return self.states[hits[0]]
 
     def summary_dict(self) -> dict:
-        def _render(v: float):
-            if math.isinf(v):
-                return "inf"
-            if math.isnan(v):
-                return "nan"
-            return v
-
-        out = {
+        return {
             "verdict": self.verdict,
             "divergence_step": self.divergence_step,
-            "max_R": _render(self.max_r),
-            "final_R": _render(float(self.r[-1])),
+            "max_R": render_float(self.max_r),
+            "final_R": render_float(float(self.r[-1])),
             "steps_recorded": int(self.t.size),
             "horizon": self.horizon,
             "divergence_threshold": self.divergence_threshold,
             "alpha0": float(self.alpha[0]),
         }
-        out.update(self.summary_extra)
-        return out
 
     def to_csv(self, target) -> None:
         """Write the metric columns as CSV; diverged runs truncate at divergence_step.
@@ -542,7 +533,6 @@ def nonexpansiveness_check(
     """
     if record.record_every != 1:
         raise ValueError("nonexpansiveness_check needs a record with record_every=1")
-    from .bounds import lambda_min_bound  # local import avoids a module cycle
 
     floor = lambda_min_bound(
         objective.mixing.spectral.lambda_min, objective.ensemble.smoothness_constant()

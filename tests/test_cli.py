@@ -489,6 +489,24 @@ class TestSweepEpsilonCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "does not confirm the pencil edge" in err
 
+    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
+        # eight epsilons certify, the ninth (in the second block) does not confirm
+        path = _write_config(
+            tmp_path,
+            {
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "L": 1e12,
+                "mu": 1e-12,
+                "epsilons": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.5, 3.5],
+            },
+        )
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            assert cli.main(["sweep-epsilon", "--config", path, *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+        assert not (out / "sweep_epsilon.csv").exists()
+
 
 class TestValidateTopologyCommand:
     def test_valid_matrix(self, tmp_path, capsys):
@@ -524,6 +542,12 @@ class TestValidateTopologyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error [malformed_spec]: ") and err.count("\n") == 1
 
+    def test_missing_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert cli.main(["validate-topology", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
+
     def test_metropolis_ring(self, tmp_path, capsys):
         ring = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
         path = _write_config(tmp_path, {"type": "metropolis", "adjacency": ring}, name="w.json")
@@ -533,10 +557,21 @@ class TestValidateTopologyCommand:
         assert data["lambda_min"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
 
 
-def test_unwritable_output_dir_exits_4(planted_config, tmp_path):
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha", "sweep-epsilon"])
+def test_unwritable_output_dir_exits_4(command, planted_config, tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
-    assert cli.main(["bounds", "--config", planted_config, "--out", str(blocker)]) == 4
+    assert cli.main([command, "--config", planted_config, "--out", str(blocker)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_unwritable_output_file_exits_4(planted_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    assert cli.main(["simulate", "--config", planted_config, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trajectory.csv" in err
 
 
 def test_module_entry_point(tmp_path):
