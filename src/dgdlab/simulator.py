@@ -8,6 +8,13 @@ which is exactly one gradient-descent step on the lifted objective
 G_alpha. The `agent_scale` flag drops the 1/m factor to run the per-agent
 update rule verbatim with the nominal stepsize.
 
+The engine folds each row's scale s (alpha/m, or alpha) into its curvature
+blocks before it steps: s A_k and s b_k, once per call for a constant
+schedule and once per step for a varying one. A step is then four numpy
+calls on the whole (B, m, n) batch, x <- W x - (s A) x - s b, with no
+temporary array. It rounds differently from the literal s (A x + b), so
+states and R(t) move at rounding level against that form.
+
 For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
 M_alpha = W kron I_n - (alpha/m) blockdiag(A_k). Its spectral radius
@@ -91,12 +98,35 @@ class StepsizeSchedule:
         return {"type": "polynomial", "a": self.a, "w": self.w, "p": self.p}
 
 
-def _step_blocks(
-    blocks: np.ndarray, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    """One DGD step on every row of a (B, m, n) state tensor; `scale` has shape (B,)."""
-    grads = np.einsum("kij,bkj->bki", a_stack, blocks) + b_stack
-    return w @ blocks - scale[:, None, None] * grads
+def _fold(
+    scale: np.ndarray,
+    a_stack: np.ndarray,
+    b_stack: np.ndarray,
+    sa: np.ndarray | None = None,
+    sb: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stepsize scale folded into its curvature blocks: (s A_k, s b_k).
+
+    `scale` has shape (B,); the blocks have shapes (B, m, n, n) and (B, m, n)
+    and are written into `sa` and `sb` when those are given.
+    """
+    return (
+        np.multiply(scale[:, None, None, None], a_stack, out=sa),
+        np.multiply(scale[:, None, None], b_stack, out=sb),
+    )
+
+
+def _dgd_step(
+    x: np.ndarray, w: np.ndarray, sa: np.ndarray, sb: np.ndarray, out: np.ndarray, buf: np.ndarray
+) -> None:
+    """One DGD step on every row of a (B, m, n) state: out = W x - (s A) x - s b.
+
+    `sa` and `sb` are the blocks `_fold` returns; `buf` (B, m, n, 1) is scratch.
+    """
+    np.matmul(w, x, out=out)
+    np.matmul(sa, x[..., None], out=buf)
+    out -= buf[..., 0]
+    out -= sb
 
 
 def step(
@@ -121,9 +151,11 @@ def step(
         raise ValueError(f"state has shape {state.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
-    scale = alpha if agent_scale else alpha / m
-    w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
-    return _step_blocks(state.reshape(1, m, n), w, a_stack, b_stack, np.array([scale])).reshape(-1)
+    scale = np.array([alpha if agent_scale else alpha / m])
+    sa, sb = _fold(scale, ensemble.curvatures, ensemble.linear_terms)
+    out = np.empty((1, m, n))
+    _dgd_step(state.reshape(1, m, n), mixing.w, sa, sb, out, np.empty((1, m, n, 1)))
+    return out.reshape(-1)
 
 
 @dataclass(eq=False)
@@ -353,16 +385,23 @@ def run_batch(
     # (steps, live rows, m, n) views of their first elements.
     chunk_buf = np.empty(_CHUNK * size * m * n)
     scratch_buf = np.empty_like(chunk_buf)
+    step_buf = np.empty((size, m, n, 1))  # the local products (s A_k) x_k of one step
     rows = np.arange(size)  # schedule index of each live row
     t = 0  # the time of the chunk's first state
     # A row that diverges inside a chunk is stepped to the chunk's end; those
     # states may overflow, and they are never recorded.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Each row's scale is folded into its curvature blocks once per call;
+        # a varying schedule re-folds them into the same arrays at every step.
+        # The folded blocks of a row that stops leave with it.
+        last_scale = alpha0 if agent_scale else alpha0 / m
+        sa, sb = _fold(last_scale, a_stack, b_stack)
         while rows.size and t <= horizon:  # runs at least once
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
             scratch = scratch_buf[: chunk.size].reshape(chunk.shape)
+            buf = step_buf[:live]
             if varying:
                 alpha = np.array(
                     [[schedules[i].value(s) for i in rows] for s in range(t, t + steps)],
@@ -374,9 +413,13 @@ def run_batch(
             if t == 0:
                 chunk[0] = x0.reshape(m, n)
             else:
-                chunk[0] = _step_blocks(last, w, a_stack, b_stack, last_scale)
+                if varying:
+                    _fold(last_scale, a_stack, b_stack, sa, sb)
+                _dgd_step(last, w, sa, sb, chunk[0], buf)
             for j in range(1, steps):
-                chunk[j] = _step_blocks(chunk[j - 1], w, a_stack, b_stack, scale[j - 1])
+                if varying:
+                    _fold(scale[j - 1], a_stack, b_stack, sa, sb)
+                _dgd_step(chunk[j - 1], w, sa, sb, chunk[j], buf)
 
             r = _distance_sums(chunk, x_star, scratch)
             cons = _consensus(chunk, scratch)
@@ -426,8 +469,10 @@ def run_batch(
             if died is not None:
                 survive = ~died
                 rows, last, last_scale = rows[survive], last[survive], last_scale[survive]
+                sa, sb = sa[survive], sb[survive]
             t += steps
-    del chunk_buf, scratch_buf, chunk, scratch, last  # out of the records' peak memory
+    # out of the records' peak memory
+    del chunk_buf, scratch_buf, step_buf, chunk, scratch, buf, last, sa, sb
 
     records = []
     for i, stop in enumerate(divergence):
@@ -529,17 +574,20 @@ def nonexpansiveness_check(
 
     Requires a record with record_every=1 (full state history). Every
     stepsize in the run must be certified strongly convex and alpha(0) must
-    not exceed the spectrum-floor bound (1 + lambda_min(W)) / L.
+    not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on the
+    alpha/m axis, where (I + W) kron I - (alpha/m) blockdiag(A_k) is at least
+    (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on G_alpha
+    does not expand distances.
     """
     if record.record_every != 1:
         raise ValueError("nonexpansiveness_check needs a record with record_every=1")
 
-    floor = lambda_min_bound(
+    floor = objective.ensemble.m * lambda_min_bound(
         objective.mixing.spectral.lambda_min, objective.ensemble.smoothness_constant()
     )
     alpha0 = float(record.alpha[0])
     if alpha0 > floor + 1e-12:
-        raise ValueError(f"alpha(0)={alpha0:g} exceeds the spectrum-floor bound {floor:g}")
+        raise ValueError(f"alpha(0)={alpha0:g} exceeds m (1 + lambda_min(W)) / L = {floor:g}")
 
     alphas, states = record.alpha, record.states  # one state per step
     targets = objective._minimizers(alphas)  # names the first uncertified stepsize

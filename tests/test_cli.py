@@ -557,6 +557,17 @@ class TestValidateTopologyCommand:
         assert data["lambda_min"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("command", ["bounds", "validate-topology"])
+def test_non_utf8_config_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config file {path} is not UTF-8 text: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha", "sweep-epsilon"])
 def test_unwritable_output_dir_exits_4(command, planted_config, tmp_path, capsys):
     blocker = tmp_path / "blocked"

@@ -270,8 +270,23 @@ def _assert_same_record(batched, single):
     assert batched.to_csv_string() == single.to_csv_string()
 
 
-def _per_run_loop(ens, mix, schedule, x0, horizon, threshold, states=None):
-    """R(t) and divergence step from one state stepped alone, as run did before batching.
+def _folded_update(ens, mix, scale, blocks):
+    """One DGD step with the stepsize folded into the curvature blocks first."""
+    sa, sb = scale * ens.curvatures, scale * ens.linear_terms
+    return mix.w @ blocks - (sa @ blocks[:, :, None])[:, :, 0] - sb
+
+
+def _literal_update(ens, mix, scale, blocks):
+    """One DGD step as the update rule reads: W x - scale * (A x + b)."""
+    grads = np.einsum("kij,kj->ki", ens.curvatures, blocks) + ens.linear_terms
+    return mix.w @ blocks - scale * grads
+
+
+def _per_run_loop(
+    ens, mix, schedule, x0, horizon, threshold, states=None,
+    update=_folded_update, agent_scale=False,
+):
+    """R(t) and divergence step from one state stepped alone by `update`.
 
     Every visited state is appended to `states` when a list is given.
     """
@@ -288,21 +303,33 @@ def _per_run_loop(ens, mix, schedule, x0, horizon, threshold, states=None):
         if rs[-1] > threshold or not finite:
             return np.array(rs), t
         if t < horizon:
-            grads = np.einsum("kij,kj->ki", ens.curvatures, blocks) + ens.linear_terms
+            alpha = schedule.value(t)
             with np.errstate(over="ignore", invalid="ignore"):
-                blocks = mix.w @ blocks - (schedule.value(t) / m) * grads
+                blocks = update(ens, mix, alpha if agent_scale else alpha / m, blocks)
     return np.array(rs), None
+
+
+def _mixed_schedules(safe):
+    """Bounded and diverging constant rows, a polynomial row, and one that overflows."""
+    schedules = [StepsizeSchedule.constant(k * safe) for k in (0.5, 0.99, 2.0, 4.0, 6.0)]
+    return schedules + [
+        StepsizeSchedule.polynomial(a=3.0 * safe, p=0.6),
+        StepsizeSchedule.constant(1e308),  # the first step overflows the state
+    ]
+
+
+def _nan_ensemble():
+    """One agent whose step at alpha = 10 from (1e308, 1e308) is nan in every entry."""
+    return costs.QuadraticEnsemble(
+        [costs.QuadraticCost(a=np.diag([3.0, 3.0]), b=np.full(2, -1e308))]
+    )
 
 
 class TestRunBatch:
     def test_matches_the_per_run_loop_bit_for_bit(self, mix_quarter):
         ens = _skewed_random(5)
         safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
-        schedules = [StepsizeSchedule.constant(k * safe) for k in (0.5, 0.99, 2.0, 4.0, 6.0)]
-        schedules += [
-            StepsizeSchedule.polynomial(a=3.0 * safe, p=0.6),
-            StepsizeSchedule.constant(1e308),  # the first step overflows the state
-        ]
+        schedules = _mixed_schedules(safe)
         x0 = np.linspace(-10.0, 10.0, 6)
         batch = simulator.run_batch(ens, mix_quarter, schedules, x0=x0, horizon=1500)
         assert {rec.verdict for rec in batch} == {"bounded", "diverged"}
@@ -310,6 +337,27 @@ class TestRunBatch:
             r, step = _per_run_loop(ens, mix_quarter, schedule, x0, 1500, 1e12)
             assert np.array_equal(batched.r, r)
             assert batched.divergence_step == step
+
+    def test_agrees_with_the_literal_update_rule(self, mix_quarter):
+        # folding the stepsize into A_k and b_k rounds differently from
+        # scaling the gradient, so R(t) agrees to rounding, and the verdicts
+        # and divergence steps exactly
+        ens = _skewed_random(5)
+        safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
+        x0 = np.linspace(-10.0, 10.0, 6)
+        cases = [(_mixed_schedules(safe), False), ([StepsizeSchedule.constant(0.5 * safe)], True)]
+        for batch_schedules, agent_scale in cases:
+            batch = simulator.run_batch(
+                ens, mix_quarter, batch_schedules, x0=x0, horizon=1500, agent_scale=agent_scale
+            )
+            for schedule, batched in zip(batch_schedules, batch):
+                r, step = _per_run_loop(
+                    ens, mix_quarter, schedule, x0, 1500, 1e12,
+                    update=_literal_update, agent_scale=agent_scale,
+                )
+                assert batched.verdict == ("bounded" if step is None else "diverged")
+                assert batched.divergence_step == step
+                np.testing.assert_allclose(batched.r, r, rtol=1e-12, atol=0)
 
     def test_rows_equal_single_runs(self, mix_quarter):
         ens = _skewed_random(5)
@@ -360,13 +408,31 @@ class TestRunBatch:
             _assert_same_record(batched, single)
             assert np.array_equal(batched.consensus_err, single.consensus_err)
 
-    def test_nan_state_is_recorded_as_infinite(self, mix_single):
-        # an infinite threshold lets a finite state with overflowing R(t) keep
-        # stepping, and A x sums +inf and -inf into nan
+    def test_overflowing_distance_with_a_contracting_step_stays_bounded(self, mix_single):
+        # the squares in R(t) overflow for thousands of steps, but the folded
+        # step's 0.1 A x stays finite; the oracle's radius is 0.9, and the run
+        # agrees with it
         ens = costs.QuadraticEnsemble(
             [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
         )
-        schedule = StepsizeSchedule.constant(0.1)
+        oracle = simulator.boundedness_oracle(ens, mix_single, 0.1)
+        assert oracle.bounded and oracle.spectral_radius == pytest.approx(0.9)
+        x0 = np.full(2, 1e308)  # an eigenvector of 0.9
+        (rec,) = simulator.run_batch(
+            ens, mix_single, [StepsizeSchedule.constant(0.1)], x0=x0,
+            horizon=4000, divergence_threshold=math.inf,
+        )
+        assert rec.verdict == "bounded" and np.all(np.isfinite(rec.states))
+        np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
+        assert rec.r[0] == math.inf > rec.r[-1]
+
+    def test_nan_state_is_recorded_as_infinite(self, mix_single):
+        # an infinite threshold lets a finite state with overflowing R(t) keep
+        # stepping; its step is x - (30 I) x = -inf, and subtracting
+        # 10 b = -inf makes it nan. The oracle's radius is 29.
+        ens = _nan_ensemble()
+        assert not simulator.boundedness_oracle(ens, mix_single, 10.0).bounded
+        schedule = StepsizeSchedule.constant(10.0)
         x0 = np.full(2, 1e308)
         (rec,) = simulator.run_batch(
             ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf
@@ -380,16 +446,14 @@ class TestRunBatch:
         ens = _skewed_random(5)
         safe, _ = _safe_alpha(ens, mix_quarter)
         schedules = [StepsizeSchedule.constant(a) for a in (safe, 1e306, 1e308)]
-        nan_ens = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
-        )
+        nan_ens = _nan_ensemble()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = simulator.run_batch(
                 ens, mix_quarter, schedules, x0=np.linspace(-10.0, 10.0, 6), horizon=200
             )
             (nan_rec,) = simulator.run_batch(
-                nan_ens, mix_single, [StepsizeSchedule.constant(0.1)],
+                nan_ens, mix_single, [StepsizeSchedule.constant(10.0)],
                 x0=np.full(2, 1e308), horizon=5, divergence_threshold=math.inf,
             )
             # README's seed-5 instance: 2.4 is certified (alpha_A is 2.53) but
@@ -609,11 +673,33 @@ class TestNonexpansiveness:
         with pytest.raises(ValueError):
             simulator.nonexpansiveness_check(rec, obj)
 
+    @pytest.mark.parametrize("alpha0, ok", [(0.9, True), (0.95, False)])
+    def test_precondition_lives_on_the_alpha_over_m_axis(self, mix_quarter, alpha0, ok):
+        # README's seed-5 instance: alpha_L = (1 + lambda_min) / L is 0.314 and
+        # alpha_A is 2.53, so both stepsizes are certified; only 0.9 is below
+        # m alpha_L = 0.942
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        alpha_l = bounds.lambda_min_bound(
+            mix_quarter.spectral.lambda_min, ens.smoothness_constant()
+        )
+        assert alpha_l < alpha0 < obj.strong_convexity_threshold().alpha
+        assert (alpha0 <= 3 * alpha_l) is ok
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.constant(alpha0),
+            x0=np.ones(6), horizon=300, record_every=1,
+        )
+        if ok:
+            assert simulator.nonexpansiveness_check(rec, obj).ok
+        else:
+            with pytest.raises(ValueError, match="exceeds m"):
+                simulator.nonexpansiveness_check(rec, obj)
+
     def test_rejects_uncertified_stepsize(self, mix_quarter):
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
         th = obj.strong_convexity_threshold()
-        floor = bounds.lambda_min_bound(
+        floor = 3 * bounds.lambda_min_bound(
             mix_quarter.spectral.lambda_min, ens.smoothness_constant()
         )
         bad = 1.05 * th.alpha
