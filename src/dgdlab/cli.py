@@ -72,11 +72,8 @@ def _require_oracle_stepsize(cfg: ExperimentConfig, alpha: float) -> None:
         )
 
 
-def _oracle_entry(cfg: ExperimentConfig, alpha: float) -> dict:
-    """The exact oracle's verdict at constant stepsize `alpha`, as summaries print it."""
-    verdict = simulator.boundedness_oracle(
-        cfg.ensemble, cfg.mixing, alpha, agent_scale=cfg.agent_scale
-    )
+def _oracle_entry(verdict: simulator.OracleVerdict) -> dict:
+    """The exact oracle's verdict as summaries print it."""
     return {
         "spectral_radius": verdict.spectral_radius,
         "bounded": verdict.bounded,
@@ -124,7 +121,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     )
     summary = record.summary_dict()
     if cfg.schedule.kind == "constant":
-        summary["oracle"] = _oracle_entry(cfg, cfg.schedule.alpha)
+        summary["oracle"] = _oracle_entry(
+            simulator.boundedness_oracle(
+                cfg.ensemble, cfg.mixing, cfg.schedule.alpha, agent_scale=cfg.agent_scale
+            )
+        )
     _emit_json(summary, out, "summary.json")
     if out is not None:
         record.to_csv(os.path.join(out, "trajectory.csv"))
@@ -162,9 +163,12 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         record_every=cfg.record_every,
     )
 
+    verdicts = simulator.boundedness_verdicts(
+        cfg.ensemble, cfg.mixing, [mult * base for mult in multiples], agent_scale=cfg.agent_scale
+    )
     summaries = {
-        repr(mult): dict(record.summary_dict(), oracle=_oracle_entry(cfg, mult * base))
-        for mult, record in zip(multiples, records)
+        repr(mult): dict(record.summary_dict(), oracle=_oracle_entry(verdict))
+        for mult, record, verdict in zip(multiples, records, verdicts)
     }
     payload = {
         "base_alpha": render_float(base),
@@ -178,13 +182,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         with _open_csv(out, "sweep_alpha.csv") as handle:
             handle.write("alpha_multiple,t,R\r\n")
             for mult, record in zip(multiples, records):
-                # a diverged run stops before its crossing step, as in to_csv
-                cutoff = record.divergence_step
-                label = repr(mult)
-                handle.writelines(
-                    f"{label},{t},{r!r}\r\n"
-                    for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
-                )
+                record.write_rows(handle, ("r",), lead=f"{mult!r},")
     return EXIT_OK
 
 

@@ -19,7 +19,9 @@ For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
 M_alpha = W kron I_n - (alpha/m) blockdiag(A_k). Its spectral radius
 decides boundedness exactly, which is what `boundedness_oracle` returns
-as ground truth for the finite-horizon verdicts of `run` and `run_batch`.
+as ground truth for the finite-horizon verdicts of `run` and `run_batch`;
+`boundedness_verdicts` returns it for many stepsizes from one stacked
+eigensolve.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +47,12 @@ DEFAULT_RECORD_EVERY = 10
 CRITICAL_BAND = 1e-6
 
 TRAJECTORY_CSV_HEADER = ["t", "alpha", "R", "consensus_err", "dist_lifted_min"]
+# the record's arrays behind the header's columns after t
+_CSV_COLUMNS = ("alpha", "r", "consensus_err", "dist_lifted_min")
+# Rows per write of `TrajectoryRecord.write_rows`: one %-format per block
+# leaves little but float repr per row, and a bounded block keeps the
+# block's strings out of the peak memory.
+_CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -117,15 +126,24 @@ def _fold(
 
 
 def _dgd_step(
-    x: np.ndarray, w: np.ndarray, sa: np.ndarray, sb: np.ndarray, out: np.ndarray, buf: np.ndarray
+    w: np.ndarray,
+    sa: np.ndarray,
+    sb: np.ndarray,
+    x: np.ndarray,
+    x_col: np.ndarray,
+    out: np.ndarray,
+    prod_col: np.ndarray,
+    prod: np.ndarray,
 ) -> None:
     """One DGD step on every row of a (B, m, n) state: out = W x - (s A) x - s b.
 
-    `sa` and `sb` are the blocks `_fold` returns; `buf` (B, m, n, 1) is scratch.
+    `sa` and `sb` are the blocks `_fold` returns. `x_col` is `x` viewed as
+    (B, m, n, 1) columns; `prod_col` (B, m, n, 1) is scratch and `prod` its
+    (B, m, n) view. A caller that steps many times builds the views once.
     """
     np.matmul(w, x, out=out)
-    np.matmul(sa, x[..., None], out=buf)
-    out -= buf[..., 0]
+    np.matmul(sa, x_col, out=prod_col)
+    out -= prod
     out -= sb
 
 
@@ -153,8 +171,8 @@ def step(
         raise ValueError("state contains non-finite entries")
     scale = np.array([alpha if agent_scale else alpha / m])
     sa, sb = _fold(scale, ensemble.curvatures, ensemble.linear_terms)
-    out = np.empty((1, m, n))
-    _dgd_step(state.reshape(1, m, n), mixing.w, sa, sb, out, np.empty((1, m, n, 1)))
+    x, out, prod_col = state.reshape(1, m, n), np.empty((1, m, n)), np.empty((1, m, n, 1))
+    _dgd_step(mixing.w, sa, sb, x, x[..., None], out, prod_col, prod_col[..., 0])
     return out.reshape(-1)
 
 
@@ -181,6 +199,9 @@ class TrajectoryRecord:
     verdict: str
     divergence_step: int | None
     x_star: np.ndarray
+    # the lifted stepsize per unit of `alpha`: a step with alpha is a gradient
+    # step on G_(lifted_scale * alpha), with lifted_scale m under agent_scale
+    lifted_scale: float = 1.0
 
     @property
     def max_r(self) -> float:
@@ -204,6 +225,35 @@ class TrajectoryRecord:
             "alpha0": float(self.alpha[0]),
         }
 
+    def write_rows(self, handle, columns: tuple[str, ...] = _CSV_COLUMNS, lead: str = "") -> None:
+        """Write one CSV row, `lead` then t then the named columns, per step
+        before the cutoff: a diverged run stops before its divergence step.
+
+        `columns` names float arrays of the record; a value prints as its
+        repr, and NaN as an empty cell. Rows end in CRLF and go out
+        _CSV_BLOCK at a time, each block one %-format and one write.
+        """
+        stop = self.t.size if self.divergence_step is None else self.divergence_step
+        arrays = [getattr(self, name) for name in columns]
+        lead = lead.replace("%", "%%")
+        for start in range(0, stop, _CSV_BLOCK):
+            end = min(start + _CSV_BLOCK, stop)
+            cells, specs = [range(start, end)], ["%d"]  # t is the row index
+            for values in arrays:
+                block = values[start:end]
+                blank = np.isnan(block)
+                if not blank.any():
+                    cells.append(block.tolist())
+                    specs.append("%r")
+                elif blank.all():
+                    specs.append("")
+                else:
+                    pairs = zip(blank.tolist(), block.tolist())
+                    cells.append(["" if b else repr(v) for b, v in pairs])
+                    specs.append("%s")
+            row = lead + ",".join(specs) + "\r\n"
+            handle.write(row * (end - start) % tuple(chain.from_iterable(zip(*cells))))
+
     def to_csv(self, target) -> None:
         """Write the metric columns as CSV; diverged runs truncate at divergence_step.
 
@@ -215,19 +265,7 @@ class TrajectoryRecord:
         handle = open(target, "w", newline="") if own else target
         try:
             handle.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
-            cutoff = self.divergence_step  # None keeps every row
-            columns = (
-                self.t[:cutoff].tolist(),
-                self.alpha[:cutoff].tolist(),
-                self.r[:cutoff].tolist(),
-                self.consensus_err[:cutoff].tolist(),
-                self.dist_lifted_min[:cutoff].tolist(),
-            )
-            # a generator, not one joined string: the rows are the output's bulk
-            handle.writelines(
-                f"{t},{alpha!r},{r!r},{cons!r},{'' if math.isnan(dist) else repr(dist)}\r\n"
-                for t, alpha, r, cons, dist in zip(*columns)
-            )
+            self.write_rows(handle)
         finally:
             if own:
                 handle.close()
@@ -303,10 +341,34 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _overflowed_distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """R of each finite (K, m, n) state whose squares in `_distance_sums` overflow.
+
+    Each agent's norm is `_row_norms`'s, so it is re-scaled where its sum of
+    squares overflows and keeps `_distance_sums`'s bits elsewhere. A state
+    whose deviation from x* overflows keeps R = inf.
+    """
+    k, m, n = states.shape
+    dev = states - x_star
+    sums = _row_norms(dev.reshape(k * m, n)).reshape(k, m).sum(axis=-1)
+    sums[~np.isfinite(dev).all(axis=(1, 2))] = math.inf
+    return sums
+
+
 def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Frobenius distance of the agent blocks (axis -2) to their mean; `scratch` is overwritten."""
-    mean = np.add.reduce(states, axis=-2, keepdims=True)
-    mean /= states.shape[-2]  # the mean, bit for bit
+    m, n = states.shape[-2:]
+    if n == 1:
+        # the agent axis is contiguous, and numpy's reduce sums it pairwise
+        # from 8 agents on
+        mean = np.add.reduce(states, axis=-2, keepdims=True)
+    else:
+        # numpy's reduce sums a strided axis left to right, in n-element
+        # inner loops; m - 1 slice adds give the same bits in fewer, longer ones
+        mean = states[..., :1, :].copy()
+        for k in range(1, m):
+            mean += states[..., k : k + 1, :]
+    mean /= m  # the mean, bit for bit
     dev = np.subtract(states, mean, out=scratch)
     np.multiply(dev, dev, out=dev)
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
@@ -377,6 +439,8 @@ def run_batch(
 
     varying = any(s.kind != "constant" for s in schedules)
     alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
+    # an agent_scale step is a gradient step on G_(m alpha)
+    lifted_scale = float(m) if agent_scale else 1.0
     # While every R(t) is finite and at most the threshold, every state is
     # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
     # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
@@ -385,8 +449,9 @@ def run_batch(
     # (steps, live rows, m, n) views of their first elements.
     chunk_buf = np.empty(_CHUNK * size * m * n)
     scratch_buf = np.empty_like(chunk_buf)
-    step_buf = np.empty((size, m, n, 1))  # the local products (s A_k) x_k of one step
+    prod_buf = np.empty((size, m, n, 1))  # the local products (s A_k) x_k of one step
     rows = np.arange(size)  # schedule index of each live row
+    live_alpha = alpha0  # each live row's stepsize, read when no schedule varies
     t = 0  # the time of the chunk's first state
     # A row that diverges inside a chunk is stepped to the chunk's end; those
     # states may overflow, and they are never recorded.
@@ -401,29 +466,38 @@ def run_batch(
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
             scratch = scratch_buf[: chunk.size].reshape(chunk.shape)
-            buf = step_buf[:live]
+            # the step views, built once per chunk: each state as (live, m, n)
+            # rows and as (live, m, n, 1) columns, and the product's two shapes
+            states, columns = list(chunk), list(chunk[..., None])
+            prod_col = prod_buf[:live]
+            prod = prod_col[..., 0]
             if varying:
                 alpha = np.array(
                     [[schedules[i].value(s) for i in rows] for s in range(t, t + steps)],
                     dtype=float,
                 )
+                scale = alpha if agent_scale else alpha / m
             else:
-                alpha = np.broadcast_to(alpha0[rows], (steps, live))
-            scale = alpha if agent_scale else alpha / m
+                alpha = live_alpha  # broadcast over the chunk's steps
             if t == 0:
                 chunk[0] = x0.reshape(m, n)
             else:
                 if varying:
                     _fold(last_scale, a_stack, b_stack, sa, sb)
-                _dgd_step(last, w, sa, sb, chunk[0], buf)
+                _dgd_step(w, sa, sb, last, last[..., None], states[0], prod_col, prod)
             for j in range(1, steps):
                 if varying:
                     _fold(scale[j - 1], a_stack, b_stack, sa, sb)
-                _dgd_step(chunk[j - 1], w, sa, sb, chunk[j], buf)
+                _dgd_step(w, sa, sb, states[j - 1], columns[j - 1], states[j], prod_col, prod)
+            del states, columns  # 2 * steps views, out of the metrics' memory
 
             r = _distance_sums(chunk, x_star, scratch)
             cons = _consensus(chunk, scratch)
-            kept = [j for j in range(steps) if (t + j) % record_every == 0 or t + j == horizon]
+            # the steps whose states are recorded: multiples of record_every,
+            # and the horizon
+            kept = list(range(-t % record_every, steps, record_every))
+            if t + steps - 1 == horizon and horizon % record_every:
+                kept.append(steps - 1)
             died = None
             if not (r <= limit).all():  # some R(t) over the limit or nan
                 # the early stop of each row at its own first crossing, where
@@ -432,13 +506,18 @@ def run_batch(
                 r[~finite] = math.inf
                 cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
+                # an infinite R(t) of a finite state that stays in the batch
+                # (only an infinite threshold keeps one) is re-scaled
+                js, qs = np.nonzero(np.isinf(r) & ~dies)
+                if js.size:
+                    r[js, qs] = _overflowed_distance_sums(chunk[js, qs], x_star)
                 died = dies.any(axis=0)
                 death = np.where(died, dies.argmax(axis=0), steps)
                 for q in np.flatnonzero(died):
-                    i, step_at = rows[q], int(death[q])
-                    divergence[i] = t + step_at
-                    if step_at not in kept:
-                        crossing_state[i] = chunk[step_at, q].reshape(-1).copy()
+                    i, stop = rows[q], t + int(death[q])
+                    divergence[i] = stop
+                    if stop % record_every and stop != horizon:  # not a kept step
+                        crossing_state[i] = chunk[stop - t, q].reshape(-1).copy()
 
             # every cell is written; a row's cells past its divergence step are
             # never read
@@ -452,8 +531,7 @@ def run_batch(
                 )
                 state_times.extend(t + j for j in kept)
             if dist_hist is not None:
-                # an agent_scale step is a gradient step on G_(m alpha)
-                lifted_alpha = alpha * m if agent_scale else alpha
+                lifted_alpha = np.broadcast_to(alpha * lifted_scale, (steps, live))
                 lo, hi = lifted_distance.certified_interval
                 measured = (lifted_alpha > lo) & (lifted_alpha < hi)
                 if died is not None:
@@ -465,18 +543,37 @@ def run_batch(
                     chunk[js, qs].reshape(js.size, m * n) - points
                 )
 
-            last, last_scale = chunk[-1], scale[-1]
+            last = chunk[-1]
+            if varying:
+                last_scale = scale[-1]
             if died is not None:
                 survive = ~died
-                rows, last, last_scale = rows[survive], last[survive], last_scale[survive]
+                rows, last, live_alpha = rows[survive], last[survive], live_alpha[survive]
                 sa, sb = sa[survive], sb[survive]
+                if varying:
+                    last_scale = last_scale[survive]
             t += steps
-    # out of the records' peak memory
-    del chunk_buf, scratch_buf, step_buf, chunk, scratch, buf, last, sa, sb
+    # out of the records' peak memory, with every view that keeps them alive
+    del chunk_buf, scratch_buf, prod_buf, chunk, scratch, prod_col, prod
+    del last, sa, sb
+
+    ends = [horizon + 1 if stop is None else stop + 1 for stop in divergence]
+    # Each metric history is copied out for every record and dropped before
+    # the next one is, so the histories and the records' copies of them are
+    # never all alive at once.
+    histories = {
+        "alpha": alpha_hist, "r": r_hist, "consensus_err": cons_hist, "dist_lifted_min": dist_hist
+    }
+    del alpha_hist, r_hist, cons_hist, dist_hist
+    fields = [{} for _ in ends]
+    while histories:
+        name, hist = histories.popitem()
+        for i, end in enumerate(ends):
+            fields[i][name] = hist[:end, i].copy() if hist is not None else np.full(end, math.nan)
+    del hist
 
     records = []
-    for i, stop in enumerate(divergence):
-        end = horizon + 1 if stop is None else stop + 1
+    for i, (stop, end) in enumerate(zip(divergence, ends)):
         state_ts = state_times[: bisect.bisect_right(state_times, end - 1)]
         states = state_hist[: len(state_ts), i].copy()
         if crossing_state[i] is not None:
@@ -485,12 +582,7 @@ def run_batch(
         records.append(
             TrajectoryRecord(
                 t=np.arange(end),
-                alpha=alpha_hist[:end, i].copy(),
-                r=r_hist[:end, i].copy(),
-                consensus_err=cons_hist[:end, i].copy(),
-                dist_lifted_min=(
-                    dist_hist[:end, i].copy() if dist_hist is not None else np.full(end, math.nan)
-                ),
+                **fields[i],
                 state_ts=np.asarray(state_ts, dtype=int),
                 states=states,
                 record_every=record_every,
@@ -499,6 +591,7 @@ def run_batch(
                 verdict="bounded" if stop is None else "diverged",
                 divergence_step=stop,
                 x_star=x_star,
+                lifted_scale=lifted_scale,
             )
         )
     return records
@@ -521,27 +614,48 @@ class OracleVerdict:
         return abs(self.spectral_radius - 1.0) <= CRITICAL_BAND
 
 
+def _iteration_matrices(
+    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas, agent_scale: bool = False
+) -> np.ndarray:
+    """M_alpha = W kron I_n - scale * blockdiag(A_k) for each constant stepsize.
+
+    Returns a (B, nm, nm) stack, one matrix per entry of `alphas`.
+    """
+    m, n = ensemble.m, ensemble.n
+    alphas = np.asarray(alphas, dtype=float)
+    scale = alphas if agent_scale else alphas / m
+    # W kron I_n as (m, n, m, n) blocks, with kron's products w_kl * I_ab
+    kron = mixing.w[:, None, :, None] * np.eye(n)[None, :, None, :]
+    out = np.repeat(kron[None], alphas.size, axis=0)
+    # a writable view of the m diagonal (n, n) blocks of every matrix
+    np.einsum("bkakc->bkac", out)[...] -= scale[:, None, None, None] * ensemble.curvatures
+    return out.reshape(alphas.size, m * n, m * n)
+
+
 def iteration_matrix(
     ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float, agent_scale: bool = False
 ) -> np.ndarray:
     """M_alpha = W kron I_n - scale * blockdiag(A_k) for constant-alpha DGD."""
-    m, n = ensemble.m, ensemble.n
-    scale = alpha if agent_scale else alpha / m
-    out = np.kron(mixing.w, np.eye(n))
-    for k, cost in enumerate(ensemble.costs):
-        out[k * n : (k + 1) * n, k * n : (k + 1) * n] -= scale * cost.a
-    return out
+    return _iteration_matrices(ensemble, mixing, [alpha], agent_scale=agent_scale)[0]
+
+
+def boundedness_verdicts(
+    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas, agent_scale: bool = False
+) -> list[OracleVerdict]:
+    """`boundedness_oracle` at each constant stepsize in `alphas`, from one
+    stacked eigensolve; each verdict is bit for bit that of a lone call."""
+    if not all(0 < alpha < math.inf for alpha in alphas):
+        raise ValueError("alpha must be finite and positive")
+    eigs = sym_eigen(_iteration_matrices(ensemble, mixing, alphas, agent_scale)).eigenvalues
+    rhos = np.maximum(abs(eigs[:, 0]), abs(eigs[:, -1])).tolist()
+    return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 
 def boundedness_oracle(
     ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float, agent_scale: bool = False
 ) -> OracleVerdict:
     """Ground-truth boundedness for constant stepsize via the spectral radius."""
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be finite and positive")
-    eigs = sym_eigen(iteration_matrix(ensemble, mixing, alpha, agent_scale=agent_scale)).eigenvalues
-    rho = float(max(abs(eigs[0]), abs(eigs[-1])))
-    return OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12)
+    return boundedness_verdicts(ensemble, mixing, [alpha], agent_scale=agent_scale)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,12 +686,14 @@ def nonexpansiveness_check(
 ) -> NonexpansivenessReport:
     """Verify per-step non-expansion of the distance to the lifted minimizer.
 
-    Requires a record with record_every=1 (full state history). Every
-    stepsize in the run must be certified strongly convex and alpha(0) must
-    not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on the
-    alpha/m axis, where (I + W) kron I - (alpha/m) blockdiag(A_k) is at least
-    (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on G_alpha
-    does not expand distances.
+    Requires a record with record_every=1 (full state history). The check
+    lives on the lifted stepsizes alpha(t) = lifted_scale * record.alpha(t),
+    the G_alpha(t) each step descends on (m times the nominal stepsize under
+    agent_scale). Every one must be certified strongly convex, and alpha(0)
+    must not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on
+    the alpha/m axis, where (I + W) kron I - (alpha/m) blockdiag(A_k) is at
+    least (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on
+    G_alpha does not expand distances.
     """
     if record.record_every != 1:
         raise ValueError("nonexpansiveness_check needs a record with record_every=1")
@@ -585,11 +701,11 @@ def nonexpansiveness_check(
     floor = objective.ensemble.m * lambda_min_bound(
         objective.mixing.spectral.lambda_min, objective.ensemble.smoothness_constant()
     )
-    alpha0 = float(record.alpha[0])
+    alphas, states = record.alpha * record.lifted_scale, record.states  # one state per step
+    alpha0 = float(alphas[0])
     if alpha0 > floor + 1e-12:
         raise ValueError(f"alpha(0)={alpha0:g} exceeds m (1 + lambda_min(W)) / L = {floor:g}")
 
-    alphas, states = record.alpha, record.states  # one state per step
     targets = objective._minimizers(alphas)  # names the first uncertified stepsize
     modulus = objective.certify(alpha0).modulus
     distances = np.linalg.norm(states - targets, axis=1)

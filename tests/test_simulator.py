@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dgdlab import bounds, costs, lifted, numerics, simulator
+from dgdlab import bounds, costs, lifted, numerics, simulator, topology
 from dgdlab.simulator import StepsizeSchedule
 
 
@@ -325,6 +325,26 @@ def _nan_ensemble():
     )
 
 
+def _ring(m):
+    """Metropolis weights on an m-agent ring."""
+    adjacency = np.zeros((m, m), dtype=int)
+    for i in range(m):
+        adjacency[i, (i + 1) % m] = adjacency[(i + 1) % m, i] = 1
+    return topology.metropolis_weights(adjacency)
+
+
+def _csv_reference(record):
+    """to_csv's bytes, one row per f-string: the format the block writer must keep."""
+    cutoff = record.divergence_step
+    text = "t,alpha,R,consensus_err,dist_lifted_min\r\n"
+    for t, alpha, r, cons, dist in zip(
+        record.t[:cutoff].tolist(), record.alpha[:cutoff].tolist(), record.r[:cutoff].tolist(),
+        record.consensus_err[:cutoff].tolist(), record.dist_lifted_min[:cutoff].tolist(),
+    ):
+        text += f"{t},{alpha!r},{r!r},{cons!r},{'' if math.isnan(dist) else repr(dist)}\r\n"
+    return text
+
+
 class TestRunBatch:
     def test_matches_the_per_run_loop_bit_for_bit(self, mix_quarter):
         ens = _skewed_random(5)
@@ -411,7 +431,7 @@ class TestRunBatch:
     def test_overflowing_distance_with_a_contracting_step_stays_bounded(self, mix_single):
         # the squares in R(t) overflow for thousands of steps, but the folded
         # step's 0.1 A x stays finite; the oracle's radius is 0.9, and the run
-        # agrees with it
+        # agrees with it. R(t) is re-scaled there, so it and the CSV stay finite.
         ens = costs.QuadraticEnsemble(
             [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
         )
@@ -424,12 +444,14 @@ class TestRunBatch:
         )
         assert rec.verdict == "bounded" and np.all(np.isfinite(rec.states))
         np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
-        assert rec.r[0] == math.inf > rec.r[-1]
+        assert rec.r[0] == 1.4142135623730951e308 > rec.r[-1]
+        assert np.all(np.isfinite(rec.r)) and "inf" not in rec.to_csv_string()
 
     def test_nan_state_is_recorded_as_infinite(self, mix_single):
-        # an infinite threshold lets a finite state with overflowing R(t) keep
-        # stepping; its step is x - (30 I) x = -inf, and subtracting
-        # 10 b = -inf makes it nan. The oracle's radius is 29.
+        # an infinite threshold lets a finite state with overflowing squares in
+        # R(t) keep stepping, its R(t) re-scaled; its step is x - (30 I) x =
+        # -inf, and subtracting 10 b = -inf makes it nan. The oracle's radius
+        # is 29. The per-run loop squares without re-scaling, so its R(0) is inf.
         ens = _nan_ensemble()
         assert not simulator.boundedness_oracle(ens, mix_single, 10.0).bounded
         schedule = StepsizeSchedule.constant(10.0)
@@ -438,9 +460,12 @@ class TestRunBatch:
             ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf
         )
         assert rec.divergence_step == 1 and np.all(np.isnan(rec.states[-1]))
-        assert list(rec.r) == [math.inf, math.inf] and rec.consensus_err[-1] == math.inf
+        distance = math.dist(x0, ens.aggregate_minimizer())  # 9.4e307
+        assert rec.r[0] == pytest.approx(distance, rel=1e-15) and rec.r[1] == math.inf
+        assert rec.consensus_err[-1] == math.inf
         r, step = _per_run_loop(ens, mix_single, schedule, x0, 5, math.inf)
-        assert np.array_equal(rec.r, r) and rec.divergence_step == step
+        assert r[0] == math.inf and np.array_equal(rec.r[1:], r[1:])
+        assert rec.divergence_step == step
 
     def test_engine_raises_no_runtime_warning(self, mix_quarter, mix_single):
         ens = _skewed_random(5)
@@ -500,6 +525,59 @@ class TestRunBatch:
                     ts.append(stop)
                 assert list(rec.state_ts) == ts
                 assert np.array_equal(rec.states, np.array([states[t] for t in ts]))
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (12, 1), (9, 9)])
+    def test_metrics_equal_the_per_step_formulas(self, m, n):
+        # R(t) and consensus are taken once per chunk of states; on every state
+        # they are bit for bit the per-step formulas: the agent mean by numpy's
+        # reduce over the agent axis, then the flattened sum of squares. With
+        # n = 1 that axis is contiguous and numpy sums it pairwise.
+        ens = costs.random_ensemble(m, n, 1.0, seed=2)
+        mix = _ring(m)
+        x_star = np.linspace(-1.0, 2.0, n)
+        base = m * bounds.lambda_min_bound(mix.spectral.lambda_min, ens.smoothness_constant())
+        schedules = [
+            StepsizeSchedule.constant(0.5 * base),
+            StepsizeSchedule.constant(40.0 * base),  # crosses the threshold inside the horizon
+            StepsizeSchedule.polynomial(a=base, p=0.5),
+        ]
+        batch = simulator.run_batch(
+            ens, mix, schedules, x0=np.linspace(3.0, -3.0, m * n), horizon=150,
+            record_every=1, x_star=x_star,
+        )
+        assert batch[1].verdict == "diverged" and batch[0].t.size == 151
+        for rec in batch:
+            r, cons = [], []
+            for t in rec.t:
+                blocks = rec.state_at(int(t)).reshape(m, n)
+                r.append(np.linalg.norm(blocks - x_star, axis=1).sum())
+                dev = blocks - np.add.reduce(blocks, axis=0) / m
+                cons.append(np.sqrt(np.add.reduce((dev * dev).reshape(-1))))
+            assert np.array_equal(rec.r, r)
+            assert np.array_equal(rec.consensus_err, cons)
+
+    def test_csv_rows_keep_the_per_row_format(self, mix_quarter):
+        # the block writer's bytes against one f-string per row: CRLF endings,
+        # 601 and 451 rows (not whole blocks), blank distance cells next to
+        # filled ones in one block, all-blank cells, and a diverged run cut
+        # off at its divergence step
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        uncertified_first = StepsizeSchedule.polynomial(a=4.0, p=0.5)  # alpha_A is 2.53
+        assert math.isnan(simulator.run(
+            ens, mix_quarter, uncertified_first, horizon=1, lifted_distance=obj,
+        ).dist_lifted_min[0])
+        records = simulator.run_batch(
+            ens, mix_quarter,
+            [uncertified_first, StepsizeSchedule.constant(0.3), StepsizeSchedule.constant(2.0)],
+            x0=np.linspace(-1.0, 1.0, 6), horizon=600, lifted_distance=obj,
+        )
+        records.append(simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=450))
+        assert [rec.verdict for rec in records] == ["bounded", "bounded", "diverged", "bounded"]
+        dist = records[0].dist_lifted_min
+        assert np.isnan(dist[0]) and np.isfinite(dist[-1])
+        for rec in records:
+            assert rec.to_csv_string() == _csv_reference(rec)
 
     def test_batch_of_one_is_run(self, mix_quarter):
         ens = _skewed_random(5)
@@ -694,6 +772,29 @@ class TestNonexpansiveness:
         else:
             with pytest.raises(ValueError, match="exceeds m"):
                 simulator.nonexpansiveness_check(rec, obj)
+
+    @pytest.mark.parametrize("alpha, ok", [(0.25, True), (0.32, False)])
+    def test_agent_scale_record_is_checked_on_its_lifted_stepsize(self, mix_quarter, alpha, ok):
+        # an agent_scale step with alpha descends G_(3 alpha): the distances are
+        # to y(3 alpha), and the precondition compares 3 alpha with m alpha_L =
+        # 0.942, which 0.75 meets and 0.96 does not
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.constant(alpha),
+            x0=np.ones(6), horizon=300, record_every=1, agent_scale=True,
+        )
+        assert rec.lifted_scale == 3.0
+        if not ok:
+            with pytest.raises(ValueError, match="exceeds m"):
+                simulator.nonexpansiveness_check(rec, obj)
+            return
+        report = simulator.nonexpansiveness_check(rec, obj)
+        assert report.ok and report.distances[-1] < 1e-12
+        assert report.distances[-1] == pytest.approx(
+            np.linalg.norm(rec.states[-1] - obj.minimizer(3 * alpha)), abs=1e-15
+        )
+        assert np.linalg.norm(rec.states[-1] - obj.minimizer(alpha)) > 0.1
 
     def test_rejects_uncertified_stepsize(self, mix_quarter):
         ens = _skewed_random(5)
