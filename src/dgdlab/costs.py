@@ -1,21 +1,27 @@
 """Local quadratic costs and their aggregate spectral constants.
 
 Each agent k owns f_k(x) = 0.5 x^T A_k x + b_k^T x with symmetric (possibly
-indefinite) A_k. The aggregate cost is f = (1/m) sum_k f_k. The constants
+indefinite) A_k. An ensemble's state is two stacked arrays, the (m, n, n)
+curvatures A_k and the (m, n) linear terms b_k: the symmetry check, the
+spectral constants and the gradients at the minimizer each run once on the
+stacks, not once per agent, and `QuadraticEnsemble.costs` is a per-agent
+view of them. The aggregate cost is f = (1/m) sum_k f_k. The constants
 every bound consumes are:
 
   smoothness_L  — max_k of the spectral norm of A_k (exact, from eigenvalues)
   aggregate_mu  — smallest eigenvalue of (1/m) sum_k A_k
   grad_bound_D  — max_k ||grad f_k(x*)|| at the aggregate minimizer x*
 
-Random ensembles use numpy's seeded PCG64 generator so that an ensemble is
-bit-reproducible from (m, n, epsilon, seed) alone.
+Random ensembles use numpy's seeded PCG64 generator, one draw for every
+entry, so that an ensemble is bit-reproducible from (m, n, epsilon, seed)
+alone.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +30,53 @@ from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen
 
 
 _HALF_MAX = sys.float_info.max / 2
+_NO_COSTS = "an ensemble needs at least one cost"
+
+
+def _symmetric_curvatures(a: np.ndarray) -> np.ndarray:
+    """An (m, n, n) stack of curvatures, checked and returned exactly symmetric.
+
+    Each A_k must be symmetric within 1e-12 times its own largest entry. It
+    is then stored as the mean of each mirrored pair, so no stepsize scaling
+    can blow an asymmetry past a later check; the pair is halved before the
+    sum in a block whose entries could overflow it.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3:
+        raise NotSymmetricError(f"expected a stack of square matrices, got shape {a.shape}")
+    scale = abs(a).max(axis=(1, 2), initial=0.0)
+    a = check_symmetric(a, atol=SYMMETRY_ATOL * scale)
+    with np.errstate(over="ignore"):  # a block whose sum overflows is redone below
+        out = a + a.swapaxes(1, 2)
+    out *= 0.5
+    big = scale > _HALF_MAX
+    if big.any():
+        out[big] = a[big] * 0.5 + a[big].swapaxes(1, 2) * 0.5
+    return out
 
 
 @dataclass(eq=False)
 class QuadraticCost:
-    """One agent's cost 0.5 x^T a x + b^T x."""
+    """One agent's cost 0.5 x^T a x + b^T x: the one-row case of an ensemble's stacks."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        # symmetric within a tolerance relative to the largest entry, then stored
-        # exactly so: no stepsize scaling can blow an asymmetry past a later check
         a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2:  # check_symmetric also takes stacks of matrices
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-        scale = abs(a).max(initial=0.0)
-        a = check_symmetric(a, atol=SYMMETRY_ATOL * scale)
-        # the mean of each mirrored pair, halved before the sum where the sum
-        # could overflow
-        self.a = (a + a.T) * 0.5 if scale <= _HALF_MAX else a * 0.5 + a.T * 0.5
+        (self.a,) = _symmetric_curvatures(a[None])
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.a.shape[0],):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.a.shape[0]},)")
+
+    @classmethod
+    def _row(cls, a: np.ndarray, b: np.ndarray) -> QuadraticCost:
+        """The cost over one already checked row of an ensemble's stacks."""
+        cost = object.__new__(cls)
+        cost.a, cost.b = a, b
+        return cost
 
     @property
     def dim(self) -> int:
@@ -65,36 +95,65 @@ class QuadraticCost:
         return self.a @ x + self.b
 
 
-@dataclass(eq=False)
 class QuadraticEnsemble:
-    """The m local costs plus cached aggregate constants."""
+    """The m local costs as two read-only stacks, plus cached aggregate constants.
 
-    costs: list[QuadraticCost]
-    _curvatures: np.ndarray = field(init=False, repr=False)
-    _smoothness: float | None = field(init=False, repr=False, default=None)
-    _mu: float | None = field(init=False, repr=False, default=None)
+    `QuadraticEnsemble(costs)` stacks checked `QuadraticCost`s;
+    `QuadraticEnsemble.from_stacks` checks whole stacks in one pass.
+    """
 
-    def __post_init__(self):
-        if not self.costs:
-            raise ValueError("an ensemble needs at least one cost")
-        n = self.costs[0].dim
-        if any(c.dim != n for c in self.costs):
+    def __init__(self, costs: list[QuadraticCost]):
+        costs = list(costs)
+        if not costs:
+            raise ValueError(_NO_COSTS)
+        if any(c.dim != costs[0].dim for c in costs):
             raise ValueError("all costs must share one ambient dimension")
-        self._curvatures = np.stack([c.a for c in self.costs])
+        self._set_stacks(np.stack([c.a for c in costs]), np.stack([c.b for c in costs]))
+
+    @classmethod
+    def from_stacks(cls, curvatures: np.ndarray, linear_terms: np.ndarray) -> QuadraticEnsemble:
+        """The ensemble of (m, n, n) `curvatures` and (m, n) `linear_terms`,
+        each A_k checked and symmetrised as a `QuadraticCost` would be."""
+        curvatures = _symmetric_curvatures(curvatures)
+        linear = np.array(linear_terms, dtype=float)
+        if linear.shape != curvatures.shape[:2]:
+            raise ValueError(
+                f"linear terms have shape {linear.shape}, expected {curvatures.shape[:2]}"
+            )
+        ensemble = cls.__new__(cls)
+        ensemble._set_stacks(curvatures, linear)
+        return ensemble
+
+    def _set_stacks(self, curvatures: np.ndarray, linear: np.ndarray) -> None:
+        if not len(curvatures):
+            raise ValueError(_NO_COSTS)
         with np.errstate(over="ignore"):
-            aggregate = self._curvatures.mean(axis=0)
+            aggregate = curvatures.mean(axis=0)
         if not np.isfinite(aggregate).all():
             raise ValueError("the curvatures are too large: their sum overflows")
-        if not np.isfinite(self.linear_terms).all():
+        if not np.isfinite(linear).all():
             raise ValueError("the linear terms b_k have non-finite entries")
+        # read-only, so the constants cached below cannot go stale
+        for stack in (curvatures, linear, aggregate):
+            stack.setflags(write=False)
+        self._curvatures, self._linear, self._aggregate_a = curvatures, linear, aggregate
+        self._smoothness: float | None = None
+        self._mu: float | None = None
+        self._minimizer: np.ndarray | None = None
+        self._grad_bound: float | None = None
 
     @property
     def m(self) -> int:
-        return len(self.costs)
+        return self._curvatures.shape[0]
 
     @property
     def n(self) -> int:
-        return self.costs[0].dim
+        return self._curvatures.shape[1]
+
+    @property
+    def costs(self) -> list[QuadraticCost]:
+        """Per-agent views of the stacks, made on each access."""
+        return [QuadraticCost._row(a, b) for a, b in zip(self._curvatures, self._linear)]
 
     @property
     def curvatures(self) -> np.ndarray:
@@ -104,15 +163,15 @@ class QuadraticEnsemble:
     @property
     def linear_terms(self) -> np.ndarray:
         """Stacked (m, n) array of the b_k vectors."""
-        return np.stack([c.b for c in self.costs])
+        return self._linear
 
     @property
     def aggregate_a(self) -> np.ndarray:
-        return self._curvatures.mean(axis=0)
+        return self._aggregate_a
 
     @property
     def aggregate_b(self) -> np.ndarray:
-        return self.linear_terms.mean(axis=0)
+        return self._linear.mean(axis=0)
 
     def aggregate_value(self, x: np.ndarray) -> float:
         return sum(c.value(x) for c in self.costs) / self.m
@@ -121,11 +180,10 @@ class QuadraticEnsemble:
         return self.aggregate_a @ np.asarray(x, dtype=float) + self.aggregate_b
 
     def smoothness_constant(self) -> float:
-        """L = max over agents of the exact spectral norm of A_k (computed once)."""
+        """L = max over agents of the exact spectral norm of A_k (one stacked
+        eigensolve, on the first call only)."""
         if self._smoothness is None:
-            self._smoothness = max(
-                float(np.max(np.abs(sym_eigen(a).eigenvalues))) for a in self._curvatures
-            )
+            self._smoothness = float(np.abs(sym_eigen(self._curvatures).eigenvalues).max())
         return self._smoothness
 
     def aggregate_mu(self) -> float:
@@ -135,23 +193,32 @@ class QuadraticEnsemble:
         return self._mu
 
     def aggregate_minimizer(self) -> np.ndarray:
-        """Minimizer of the aggregate cost; requires aggregate_mu > 0 and an
-        aggregate curvature that passes the Cholesky pivot floor."""
-        if self.aggregate_mu() <= 0.0:
-            raise NotStronglyConvexError(
-                "aggregate cost is not strongly convex; no unique minimizer"
-            )
-        try:
-            return solve_spd(self.aggregate_a, -self.aggregate_b)
-        except NotPositiveDefiniteError as exc:
-            raise NotStronglyConvexError(
-                f"aggregate cost is too weakly convex for a unique minimizer: {exc}"
-            ) from exc
+        """Minimizer of the aggregate cost (solved once, returned read-only);
+        requires aggregate_mu > 0 and an aggregate curvature that passes the
+        Cholesky pivot floor."""
+        if self._minimizer is None:
+            if self.aggregate_mu() <= 0.0:
+                raise NotStronglyConvexError(
+                    "aggregate cost is not strongly convex; no unique minimizer"
+                )
+            try:
+                x_star = solve_spd(self.aggregate_a, -self.aggregate_b)
+            except NotPositiveDefiniteError as exc:
+                raise NotStronglyConvexError(
+                    f"aggregate cost is too weakly convex for a unique minimizer: {exc}"
+                ) from exc
+            x_star.setflags(write=False)
+            self._minimizer = x_star
+        return self._minimizer
 
     def grad_bound_D(self) -> float:
-        """Gradient-heterogeneity constant: max_k ||grad f_k(x*)||."""
-        x_star = self.aggregate_minimizer()
-        return max(float(np.linalg.norm(c.gradient(x_star))) for c in self.costs)
+        """Gradient-heterogeneity constant: max_k ||grad f_k(x*)|| (computed once)."""
+        if self._grad_bound is None:
+            gradients = self._curvatures @ self.aggregate_minimizer() + self._linear
+            # one dot per row: np.linalg.norm(axis=1) rounds differently from
+            # the norm of each agent's gradient on its own
+            self._grad_bound = max(math.sqrt(g @ g) for g in gradients)
+        return self._grad_bound
 
 
 # A random ensemble draws every curvature entry up front: 10^7 entries are
@@ -163,8 +230,9 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
     """Seeded random ensemble: A_k = epsilon*I + (R_k + R_k^T), b_k uniform.
 
     R_k and b_k entries are drawn uniformly from [-1, 1] with numpy's PCG64
-    generator, agent by agent (R_k first, then b_k), so a fixed seed gives a
-    bit-identical ensemble on any platform.
+    generator in one draw, read agent by agent (R_k first, then b_k): the
+    stream of one draw per agent, so a fixed seed gives a bit-identical
+    ensemble on any platform.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -174,13 +242,11 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
         )
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    rng = np.random.default_rng(seed)
-    costs = []
-    for _ in range(m):
-        r = rng.uniform(-1.0, 1.0, size=(n, n))
-        b = rng.uniform(-1.0, 1.0, size=n)
-        costs.append(QuadraticCost(a=epsilon * np.eye(n) + r + r.T, b=b))
-    return QuadraticEnsemble(costs)
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n * n + n))
+    r = draws[:, : n * n].reshape(m, n, n)
+    return QuadraticEnsemble.from_stacks(
+        epsilon * np.eye(n) + r + r.swapaxes(1, 2), draws[:, n * n :]
+    )
 
 
 EPSILON_EXAMPLE_AGENTS = 3  # the agent count of every epsilon_example ensemble
@@ -209,7 +275,7 @@ def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsembl
     """Three-agent, two-dimensional family with one tunably concave agent:
     the row of `epsilon_family` for `epsilon`, with zero linear terms."""
     (curvatures,) = epsilon_family(big_l, mu, [epsilon])
-    return QuadraticEnsemble([QuadraticCost(a=a, b=np.zeros(2)) for a in curvatures])
+    return QuadraticEnsemble.from_stacks(curvatures, np.zeros((EPSILON_EXAMPLE_AGENTS, 2)))
 
 
 def ensemble_from_spec(spec: dict) -> QuadraticEnsemble:

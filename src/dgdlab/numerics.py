@@ -41,11 +41,12 @@ class Spectrum:
     eigenvectors: np.ndarray | None = None
 
 
-def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> np.ndarray:
     """Return `a` as a float64 array after verifying it is square and symmetric.
 
     `a` is one (k, k) matrix or a (..., k, k) stack of them; every member
-    must pass.
+    must pass. `atol` is one tolerance for every member or an array of one
+    tolerance per member; a failure reports the first failing member's.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -59,8 +60,14 @@ def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     asymmetry = a.swapaxes(-1, -2).copy()
     asymmetry -= a
     np.abs(asymmetry, out=asymmetry)
-    if asymmetry.max(initial=0.0) > atol:
-        raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
+    if not isinstance(atol, np.ndarray):
+        if asymmetry.max(initial=0.0) > atol:
+            raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
+        return a
+    atol = np.broadcast_to(atol, a.shape[:-2])
+    over = np.flatnonzero(asymmetry.max(axis=(-2, -1), initial=0.0) > atol)
+    if over.size:
+        raise NotSymmetricError(f"matrix is not symmetric within {atol.flat[over[0]]:g}")
     return a
 
 

@@ -355,6 +355,19 @@ def _overflowed_distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndar
     return sums
 
 
+def _overflowed_consensus(states: np.ndarray) -> np.ndarray:
+    """Consensus of each finite (K, m, n) state whose squares in `_consensus` overflow.
+
+    As `_row_norms` does, the state is re-scaled by its largest entry first
+    (the state's, not the deviation's, since the agent mean itself can
+    overflow). A consensus distance beyond the float range stays inf.
+    """
+    peak = abs(states).max(axis=(1, 2), keepdims=True)
+    scaled = states / peak
+    dev = scaled - scaled.mean(axis=1, keepdims=True)
+    return peak[:, 0, 0] * np.sqrt((dev * dev).sum(axis=(1, 2)))
+
+
 def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Frobenius distance of the agent blocks (axis -2) to their mean; `scratch` is overwritten."""
     m, n = states.shape[-2:]
@@ -499,18 +512,22 @@ def run_batch(
             if t + steps - 1 == horizon and horizon % record_every:
                 kept.append(steps - 1)
             died = None
-            if not (r <= limit).all():  # some R(t) over the limit or nan
+            # some R(t) over the limit or nan, or some consensus squares overflowed
+            if not ((r <= limit).all() and np.isfinite(cons).all()):
+                # an infinite R(t) or consensus of a finite state is re-scaled
+                # before the crossing test
+                finite = np.isfinite(chunk).all(axis=(2, 3))
+                js, qs = np.nonzero(np.isinf(r) & finite)
+                if js.size:
+                    r[js, qs] = _overflowed_distance_sums(chunk[js, qs], x_star)
+                js, qs = np.nonzero(np.isinf(cons) & finite)
+                if js.size:
+                    cons[js, qs] = _overflowed_consensus(chunk[js, qs])
                 # the early stop of each row at its own first crossing, where
                 # a non-finite state reads as infinite R(t) and consensus
-                finite = np.isfinite(chunk).all(axis=(2, 3))
                 r[~finite] = math.inf
                 cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
-                # an infinite R(t) of a finite state that stays in the batch
-                # (only an infinite threshold keeps one) is re-scaled
-                js, qs = np.nonzero(np.isinf(r) & ~dies)
-                if js.size:
-                    r[js, qs] = _overflowed_distance_sums(chunk[js, qs], x_star)
                 died = dies.any(axis=0)
                 death = np.where(died, dies.argmax(axis=0), steps)
                 for q in np.flatnonzero(died):

@@ -58,22 +58,24 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
     "row_sum", "col_sum", "zero_diagonal", or "disconnected".
     """
     w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
+    # array methods rather than np.all / np.max: on a small W their wrappers
+    # cost more than the checks
+    if not np.isfinite(w).all():
         raise MixingMatrixError("non_finite", "mixing matrix has non-finite entries")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise MixingMatrixError("not_square", f"expected square matrix, got {w.shape}")
     m = w.shape[0]
-    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
+    if abs(w - w.T).max(initial=0.0) > 1e-12:
         raise MixingMatrixError("asymmetric", "mixing matrix must be symmetric")
-    if np.min(w) < -STOCHASTIC_ATOL:
+    if w.min() < -STOCHASTIC_ATOL:
         raise MixingMatrixError("negative_weight", "mixing weights must be nonnegative")
-    row = w.sum(axis=1)
-    if np.max(np.abs(row - 1.0)) > STOCHASTIC_ATOL:
-        raise MixingMatrixError("row_sum", f"row sums deviate from 1 by {np.max(np.abs(row - 1.0)):g}")
-    col = w.sum(axis=0)
-    if np.max(np.abs(col - 1.0)) > STOCHASTIC_ATOL:
-        raise MixingMatrixError("col_sum", f"column sums deviate from 1 by {np.max(np.abs(col - 1.0)):g}")
-    if np.min(np.diag(w)) <= 0.0:
+    row = abs(w.sum(axis=1) - 1.0).max()
+    if row > STOCHASTIC_ATOL:
+        raise MixingMatrixError("row_sum", f"row sums deviate from 1 by {row:g}")
+    col = abs(w.sum(axis=0) - 1.0).max()
+    if col > STOCHASTIC_ATOL:
+        raise MixingMatrixError("col_sum", f"column sums deviate from 1 by {col:g}")
+    if w.diagonal().min() <= 0.0:
         raise MixingMatrixError("zero_diagonal", "every self-weight w_ii must be positive")
     w = (w + w.T) * 0.5  # exactly symmetric from here on
 
@@ -97,26 +99,14 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
     return MixingMatrix(m=m, w=w, spectral=summary)
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    m = adjacency.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adjacency[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
-
-
 def metropolis_weights(adjacency: np.ndarray) -> MixingMatrix:
     """Mixing matrix with Metropolis weights from a 0/1 adjacency matrix.
 
     Edge weights are 1 / (1 + max(deg_i, deg_j)); the diagonal absorbs the
     remainder of each row. The adjacency must be symmetric, zero on the
-    diagonal, and describe a connected graph.
+    diagonal, and describe a connected graph: the weights of a disconnected
+    one keep a second eigenvalue 1, which `validate_mixing` refuses as
+    "disconnected".
     """
     adjacency = np.asarray(adjacency)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
@@ -125,18 +115,11 @@ def metropolis_weights(adjacency: np.ndarray) -> MixingMatrix:
         raise MixingMatrixError("asymmetric", "adjacency must be symmetric")
     if not np.array_equal(adjacency, adjacency.astype(bool).astype(adjacency.dtype)):
         raise MixingMatrixError("negative_weight", "adjacency entries must be 0 or 1")
-    if np.any(np.diag(adjacency) != 0):
+    if adjacency.diagonal().any():
         raise MixingMatrixError("zero_diagonal", "adjacency must have a zero diagonal")
-    m = adjacency.shape[0]
-    if m > 1 and not _connected(adjacency):
-        raise MixingMatrixError("disconnected", "adjacency graph is not connected")
 
     deg = adjacency.sum(axis=1)
-    w = np.zeros((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adjacency[i, j]:
-                w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w = np.where(adjacency != 0, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return validate_mixing(w)
 

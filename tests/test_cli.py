@@ -511,6 +511,72 @@ class TestSweepEpsilonCommand:
         assert not (out / "sweep_epsilon.csv").exists()
 
 
+RING8_ADJACENCY = [[1 if abs(i - j) in (1, 7) else 0 for j in range(8)] for i in range(8)]
+
+
+class TestGoldenOutputs:
+    """bounds, simulate and sweep-alpha against bytes written before the
+    ensemble and the Metropolis W were built as stacks: stdout and every file
+    under --out must not move."""
+
+    CASES = {
+        "bounds_ring8": (
+            "bounds",
+            {
+                "ensemble": {"type": "random", "m": 8, "n": 2, "epsilon": 1.0, "seed": 3},
+                "mixing": {"type": "metropolis", "adjacency": RING8_ADJACENCY},
+            },
+            {"bounds.json": "bounds_ring8.json"},
+        ),
+        "bounds_readme5": (
+            "bounds",
+            {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_QUARTER}},
+            {"bounds.json": "bounds_readme5.json"},
+        ),
+        "simulate_readme5": (
+            "simulate",
+            {
+                "ensemble": README_ENSEMBLE,
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "schedule": {"type": "constant", "alpha": 0.5},
+                "horizon": 400,
+                "track_lifted": True,
+            },
+            {
+                "summary.json": "simulate_readme5_summary.json",
+                "trajectory.csv": "simulate_readme5_trajectory.csv",
+            },
+        ),
+        "sweep_alpha_readme5": (
+            "sweep-alpha",
+            {
+                "ensemble": README_ENSEMBLE,
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "sweep_base": "main",
+                "alpha_multiples": [0.5, 2.0, 4.0, 6.0],
+                "horizon": 300,
+            },
+            {
+                "sweep_alpha_summary.json": "sweep_alpha_readme5_summary.json",
+                "sweep_alpha.csv": "sweep_alpha_readme5.csv",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_is_byte_identical_to_golden(self, case, tmp_path, capsys):
+        command, config, files = self.CASES[case]
+        path = _write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        # the JSON file is the one stdout prints
+        json_name = next(name for name in files if name.endswith(".json"))
+        assert capsys.readouterr().out.encode() == (GOLDEN / files[json_name]).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        for name, golden in files.items():
+            assert (out / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+
+
 class TestValidateTopologyCommand:
     def test_valid_matrix(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"type": "explicit", "W": W_QUARTER}, name="w.json")

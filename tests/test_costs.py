@@ -85,6 +85,44 @@ class TestCostEntry:
             costs.random_ensemble(1, 10**5, 1.0, seed=0)
 
 
+class TestStackedValidator:
+    """One check of a whole (m, n, n) stack, each agent at its own tolerance."""
+
+    LARGE = np.array([[1e6, 1.0], [1.0 + 1e-7, 1.0]])  # tolerance 1e-12 * 1e6 = 1e-6
+    UNIT = np.array([[1.0, 0.5], [0.5 + 1e-7, 1.0]])  # tolerance 1e-12
+    DOUBLE = 2.0 * UNIT  # tolerance 2e-12
+
+    def test_asymmetry_judged_at_each_agents_own_scale(self):
+        ok = costs.QuadraticEnsemble.from_stacks(np.stack([self.LARGE] * 2), np.zeros((2, 2)))
+        assert np.array_equal(ok.curvatures, ok.curvatures.swapaxes(1, 2))
+        with pytest.raises(NotSymmetricError) as stacked:
+            costs.QuadraticEnsemble.from_stacks(
+                np.stack([self.LARGE, self.DOUBLE, self.UNIT]), np.zeros((3, 2))
+            )
+        # the first failing agent is reported, in the words of its own check
+        with pytest.raises(NotSymmetricError) as alone:
+            costs.QuadraticCost(a=self.DOUBLE, b=np.zeros(2))
+        assert str(stacked.value) == str(alone.value) == "matrix is not symmetric within 2e-12"
+
+    def test_stack_stores_what_each_cost_stores(self):
+        huge = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
+        near = np.array([[1.0, 0.3], [0.3 + 1e-13, 2.0]])
+        stack = np.stack([huge, near, self.LARGE])
+        with np.errstate(over="raise"):
+            e = costs.QuadraticEnsemble.from_stacks(stack, np.zeros((3, 2)))
+        expected = [costs.QuadraticCost(a=a, b=np.zeros(2)).a for a in stack]
+        assert np.array_equal(e.curvatures, np.stack(expected))
+
+    def test_stacks_are_read_only(self):
+        e = costs.random_ensemble(3, 2, 1.0, seed=4)
+        for stack in (e.curvatures, e.linear_terms, e.aggregate_a):
+            assert not stack.flags.writeable
+
+    def test_linear_terms_must_match(self):
+        with pytest.raises(ValueError, match="linear terms have shape"):
+            costs.QuadraticEnsemble.from_stacks(np.stack([np.eye(2)] * 3), np.zeros((3, 3)))
+
+
 class TestRandomEnsemble:
     def test_seed_reproducibility(self):
         e1 = costs.random_ensemble(3, 2, 0.5, seed=42)
@@ -108,6 +146,29 @@ class TestRandomEnsemble:
         e = costs.random_ensemble(3, 3, 0.0, seed=9)
         for c in e.costs:
             np.testing.assert_allclose(c.a, c.a.T)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (8, 1), (3, 2), (50, 6)])
+    def test_one_draw_equals_a_draw_per_agent(self, m, n):
+        rng = np.random.default_rng(17)
+        curvatures, linear = [], []
+        for _ in range(m):
+            r = rng.uniform(-1.0, 1.0, size=(n, n))
+            linear.append(rng.uniform(-1.0, 1.0, size=n))
+            curvatures.append(0.5 * np.eye(n) + r + r.T)
+        e = costs.random_ensemble(m, n, 0.5, seed=17)
+        assert np.array_equal(e.curvatures, np.stack(curvatures))
+        assert np.array_equal(e.linear_terms, np.stack(linear))
+
+    def test_stacked_constants_equal_the_per_agent_ones(self):
+        for m, n, seed in ((1, 1, 0), (8, 2, 3), (5, 7, 11), (4, 33, 2)):
+            e = costs.random_ensemble(m, n, float(n), seed=seed)
+            per_agent = [costs.QuadraticCost(a=c.a.copy(), b=c.b.copy()) for c in e.costs]
+            smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in per_agent)
+            assert e.smoothness_constant() == smooth
+            x_star = e.aggregate_minimizer()
+            assert e.grad_bound_D() == max(
+                float(np.linalg.norm(c.gradient(x_star))) for c in per_agent
+            )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -211,21 +272,30 @@ class TestSpectralConstants:
         e = costs.random_ensemble(4, 3, 6.0, seed=77)
         smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in e.costs)
         mu = float(costs.sym_eigen(e.aggregate_a).eigenvalues[0])
-        calls = []
-        real = costs.sym_eigen
+        calls, solves = [], []
+        real, real_solve = costs.sym_eigen, costs.solve_spd
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
             return real(a, *args, **kwargs)
 
+        def counting_solve(a, *args, **kwargs):
+            solves.append(a.shape)
+            return real_solve(a, *args, **kwargs)
+
         monkeypatch.setattr(costs, "sym_eigen", counting)
+        monkeypatch.setattr(costs, "solve_spd", counting_solve)
         for _ in range(3):
             assert e.smoothness_constant() == smooth
-        assert len(calls) == e.m  # one eigensolve per A_k, on the first call only
+        assert calls == [(4, 3, 3)]  # one stacked eigensolve, on the first call only
         for _ in range(3):
             assert e.aggregate_mu() == mu
-        e.aggregate_minimizer()
-        assert len(calls) == e.m + 1
+        x_star = e.aggregate_minimizer()
+        assert len(calls) == 2 and solves == [(3, 3)]
+        assert e.aggregate_minimizer() is x_star and not x_star.flags.writeable
+        e.grad_bound_D()
+        e.grad_bound_D()
+        assert len(calls) == 2 and len(solves) == 1
 
     def test_grad_bound_zero_for_identical_optima(self):
         e = costs.epsilon_example(10.0, 1.0, 0.0)

@@ -282,13 +282,26 @@ def _literal_update(ens, mix, scale, blocks):
     return mix.w @ blocks - scale * grads
 
 
+def _rescaled_norms(dev):
+    """np.linalg.norm(dev, axis=1), with each row whose squares overflow
+    re-scaled by its largest entry first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(dev, axis=1)
+    for k in np.flatnonzero(np.isinf(norms)):
+        peak = abs(dev[k]).max()
+        norms[k] = peak * np.linalg.norm(dev[k : k + 1] / peak, axis=1)[0]
+    return norms
+
+
 def _per_run_loop(
     ens, mix, schedule, x0, horizon, threshold, states=None,
-    update=_folded_update, agent_scale=False,
+    update=_folded_update, agent_scale=False, rescale=False,
 ):
     """R(t) and divergence step from one state stepped alone by `update`.
 
-    Every visited state is appended to `states` when a list is given.
+    Every visited state is appended to `states` when a list is given. With
+    `rescale`, each agent's distance is `_rescaled_norms`'s, otherwise its
+    squares may overflow.
     """
     m, n = ens.m, ens.n
     x_star = ens.aggregate_minimizer()
@@ -299,7 +312,12 @@ def _per_run_loop(
             states.append(blocks.reshape(-1))
         finite = bool(np.all(np.isfinite(blocks)))
         with np.errstate(over="ignore"):  # the reference's own overflow, not the engine's
-            rs.append(float(np.linalg.norm(blocks - x_star, axis=1).sum()) if finite else math.inf)
+            if not finite:
+                rs.append(math.inf)
+            elif rescale:
+                rs.append(float(_rescaled_norms(blocks - x_star).sum()))
+            else:
+                rs.append(float(np.linalg.norm(blocks - x_star, axis=1).sum()))
         if rs[-1] > threshold or not finite:
             return np.array(rs), t
         if t < horizon:
@@ -417,7 +435,10 @@ class TestRunBatch:
         for blown, finite_state in ((batch[1], True), (batch[2], False)):
             assert blown.divergence_step == 1 and list(blown.state_ts) == [0, 1]
             assert bool(np.all(np.isfinite(blown.states[-1]))) is finite_state
-            assert blown.r[-1] == math.inf
+        # a finite state's R(t) is re-scaled, not read as the inf of its squares
+        dev = batch[1].states[-1].reshape(3, 2) - ens.aggregate_minimizer()
+        assert batch[1].r[-1] == _rescaled_norms(dev).sum() > 1e300
+        assert batch[2].r[-1] == math.inf
         # an infinite threshold still stops a row whose state is infinite
         (endless,) = simulator.run_batch(
             ens, mix_quarter, schedules[2:3], **dict(kwargs, divergence_threshold=math.inf)
@@ -446,6 +467,39 @@ class TestRunBatch:
         np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
         assert rec.r[0] == 1.4142135623730951e308 > rec.r[-1]
         assert np.all(np.isfinite(rec.r)) and "inf" not in rec.to_csv_string()
+
+    def test_overflowing_consensus_squares_are_rescaled(self):
+        # two agents at +-1e200 mix to their mean 0 and contract by 0.05 per
+        # step: R(t) = 2e200 * 0.05^t and consensus sqrt(2) * 1e200 * 0.05^t,
+        # whose squares overflow for the first steps
+        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=[[1.0]], b=[0.0])] * 2)
+        mix = topology.validate_mixing(np.full((2, 2), 0.5))
+        (rec,) = simulator.run_batch(
+            ens, mix, [StepsizeSchedule.constant(0.1)], x0=np.array([1e200, -1e200]),
+            horizon=200, divergence_threshold=math.inf,
+        )
+        decay = 0.05 ** np.arange(201)
+        assert rec.verdict == "bounded"
+        np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
+        np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
+        assert "inf" not in rec.to_csv_string()
+
+    def test_finite_threshold_beyond_the_squares_overflow(self, mix_quarter):
+        # README seed 5 at alpha = 2.0 (rho 2.08) passes R = 1.3e154, where
+        # the squares overflow, hundreds of steps before R reaches 1e300; the
+        # crossing is taken on the re-scaled R(t), as a per-step loop takes it
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        schedule = StepsizeSchedule.constant(2.0)
+        x0 = np.zeros(6)
+        (rec,) = simulator.run_batch(
+            ens, mix_quarter, [schedule], x0=x0, horizon=2000, divergence_threshold=1e300
+        )
+        r, step = _per_run_loop(ens, mix_quarter, schedule, x0, 2000, 1e300, rescale=True)
+        assert rec.divergence_step == step and step > 447  # an agent's squares overflow at 447
+        assert np.array_equal(rec.r, r)
+        assert 1e300 < rec.r[-1] < math.inf and rec.r[step - 1] <= 1e300
+        assert np.all(np.isfinite(rec.consensus_err[:step]))
+        assert "inf" not in rec.to_csv_string()
 
     def test_nan_state_is_recorded_as_infinite(self, mix_single):
         # an infinite threshold lets a finite state with overflowing squares in

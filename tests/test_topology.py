@@ -95,6 +95,25 @@ class TestMetropolis:
             expected[i, i] = 1.0 / 3.0
         np.testing.assert_allclose(mix.w, expected)
 
+    def test_weights_equal_the_pairwise_formula(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            m = int(rng.integers(1, 12))
+            adjacency = np.triu((rng.uniform(size=(m, m)) < 0.6).astype(int), 1)
+            adjacency = adjacency + adjacency.T
+            try:
+                mix = topology.metropolis_weights(adjacency)
+            except MixingMatrixError:
+                continue
+            deg = adjacency.sum(axis=1)
+            expected = np.zeros((m, m))
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if adjacency[i, j]:
+                        expected[i, j] = expected[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+            np.fill_diagonal(expected, 1.0 - expected.sum(axis=1))
+            assert np.array_equal(mix.w, expected)
+
     def test_disconnected_rejected(self):
         adjacency = np.zeros((4, 4), dtype=int)
         adjacency[0, 1] = adjacency[1, 0] = 1
