@@ -10,7 +10,6 @@ from .bounds import (
     BoundReport,
     build_report,
     classical_gd_bound,
-    combined_bound,
     harmonic_rate,
     lambda_min_bound,
     spectral_gap_bound,
@@ -26,9 +25,7 @@ from .costs import (
 from .lifted import (
     ConvexityCertificate,
     LiftedObjective,
-    MinimizerCurve,
     ThresholdResult,
-    minimizer_curve,
 )
 from .numerics import Spectrum, min_eigenvalue, solve_spd, sym_eigen
 from .simulator import (
@@ -53,7 +50,6 @@ __all__ = [
     "BoundReport",
     "ConvexityCertificate",
     "LiftedObjective",
-    "MinimizerCurve",
     "MixingMatrix",
     "OracleVerdict",
     "QuadraticCost",
@@ -66,14 +62,12 @@ __all__ = [
     "boundedness_oracle",
     "build_report",
     "classical_gd_bound",
-    "combined_bound",
     "ensemble_from_spec",
     "epsilon_example",
     "harmonic_rate",
     "lambda_min_bound",
     "metropolis_weights",
     "min_eigenvalue",
-    "minimizer_curve",
     "mixing_from_spec",
     "nonexpansiveness_check",
     "random_ensemble",

@@ -53,30 +53,11 @@ def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
     return eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 
-def combined_bound(lambda_min_b: float, certified_threshold: float) -> float:
-    """min of the spectrum-floor bound and the certified threshold alpha_A."""
-    return min(lambda_min_b, certified_threshold)
-
-
-def ordering_check(mu: float, smooth: float, beta: float, lambda_min: float):
-    """Compare the spectral-gap and spectrum-floor bounds on one parameter point.
-
-    Returns (gap_bound, floor_bound, holds). The strict ordering
-    gap_bound < floor_bound is provable for lambda_min >= -(1 + beta)/2 but
-    can fail for very negative lambda_min; callers record counterexamples
-    instead of asserting blindly.
-    """
-    gap = spectral_gap_bound(mu, smooth, beta)
-    floor = lambda_min_bound(lambda_min, smooth)
-    return gap, floor, gap < floor
-
-
 def trajectory_radius(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
     x0: np.ndarray,
     alpha0: float,
-    mu: float | None = None,
 ) -> float:
     """Uniform trajectory radius R for an initial stepsize below the gap bound.
 
@@ -84,11 +65,11 @@ def trajectory_radius(
              (L/eta) * ||x(0) - 1 kron xbar(0)||,
              sqrt(m) * D * alpha0 / (eta*(1-beta)/L - (eta+L)*alpha0) ).
 
-    `mu` defaults to the aggregate strong-convexity constant; pass another
-    value to move the eta source. Raises RadiusUndefinedError when alpha0
-    is at or above the spectral-gap bound: the third denominator is
-    nonpositive, or alpha0 reaches `spectral_gap_bound`'s own expression
-    (at that bound the denominator rounds to either sign of one ulp).
+    eta comes from the aggregate strong-convexity constant. Raises
+    RadiusUndefinedError when alpha0 is at or above the spectral-gap bound:
+    the third denominator is nonpositive, or alpha0 reaches
+    `spectral_gap_bound`'s own expression (at that bound the denominator
+    rounds to either sign of one ulp).
     """
     x0 = np.asarray(x0, dtype=float)
     m, n = ensemble.m, ensemble.n
@@ -97,9 +78,7 @@ def trajectory_radius(
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     smooth = ensemble.smoothness_constant()
-    if mu is None:
-        mu = ensemble.aggregate_mu()
-    eta = harmonic_rate(mu, smooth)
+    eta = harmonic_rate(ensemble.aggregate_mu(), smooth)
     beta = mixing.spectral.beta
     denom = eta * (1.0 - beta) / smooth - (eta + smooth) * alpha0
     if denom <= 0 or alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
@@ -152,16 +131,14 @@ def build_report(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
     threshold: ThresholdResult | None = None,
-    x0: np.ndarray | None = None,
-    alpha0: float | None = None,
 ) -> BoundReport:
     """Assemble the bound comparison table for one (ensemble, mixing) pair.
 
     The certified threshold is computed from the lifted Hessian pencil when
     not supplied; its provenance resolution is the width of the bracket that
     confirms it, null when the threshold is capped at infinity. The
-    radius uses x0 = 0 and alpha0 = half the spectral-gap bound unless given;
-    it is omitted (None) when the gap bound itself is unavailable.
+    radius uses x0 = 0 and alpha0 = half the spectral-gap bound; it is
+    omitted (None) when the gap bound itself is unavailable.
     """
     smooth = ensemble.smoothness_constant()
     mu = ensemble.aggregate_mu()
@@ -180,12 +157,10 @@ def build_report(
 
     radius = None
     if alpha_s:  # no radius without a gap bound, or where the bound underflows to 0
-        if alpha0 is None:
-            alpha0 = 0.5 * alpha_s
-        if x0 is None:
-            x0 = np.zeros(ensemble.m * ensemble.n)
         try:
-            radius = trajectory_radius(ensemble, mixing, x0, alpha0)
+            radius = trajectory_radius(
+                ensemble, mixing, np.zeros(ensemble.m * ensemble.n), 0.5 * alpha_s
+            )
         except RadiusUndefinedError:
             radius = None
 
@@ -194,7 +169,7 @@ def build_report(
         alpha_L=alpha_l,
         alpha_S=alpha_s,
         alpha_A=threshold.alpha,
-        alpha_main=combined_bound(alpha_l, threshold.alpha),
+        alpha_main=min(alpha_l, threshold.alpha),
         eta=eta,
         radius_R=radius,
         threshold_method=threshold.method,

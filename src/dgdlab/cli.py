@@ -140,7 +140,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         cfg.mixing.spectral.lambda_min, cfg.ensemble.smoothness_constant()
     )
     if cfg.sweep_base == "main":
-        base = bounds_mod.combined_bound(alpha_l, threshold.alpha)
+        base = min(alpha_l, threshold.alpha)
     else:
         base = threshold.alpha if math.isfinite(threshold.alpha) else alpha_l
 

@@ -173,9 +173,6 @@ class QuadraticEnsemble:
     def aggregate_b(self) -> np.ndarray:
         return self._linear.mean(axis=0)
 
-    def aggregate_value(self, x: np.ndarray) -> float:
-        return sum(c.value(x) for c in self.costs) / self.m
-
     def aggregate_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.aggregate_a @ np.asarray(x, dtype=float) + self.aggregate_b
 

@@ -14,7 +14,11 @@ H(t) tends to the singular consensus matrix C when t goes to 0.
 
 The pencil (B, C + t0 B) at one certified anchor t0 gives both ends in
 closed form, alpha_A being the right one, and diagonalises every H(t), so
-each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve.
+each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve. In
+that basis y(alpha) = sum_i z_i g_i(t) with each coordinate g_i monotone in
+t, which also bounds how far y moves between two stepsizes in closed form:
+sum_i ||z_i|| |g_i(t') - g_i(t)|, a bound that telescopes along a monotone
+schedule.
 
 ThresholdStack runs that machinery on a stack of instances sharing one
 mixing matrix, each step one batched eigensolve for all of them; a
@@ -32,13 +36,16 @@ import numpy as np
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
 # solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
-from .numerics import Spectrum, min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
+from .numerics import min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
 SC_TOLERANCE = 1e-10
 DEFAULT_SCAN_CAP = 1e3
 _SEED_LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 _EDGE_GAP = 1e-11
+# The widest bracket, relative to the edge, that may confirm alpha_A: wider
+# ones report an edge certify cannot place.
+_BRACKET_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,8 @@ class ThresholdStack:
 
         A row's bracket starts a relative 1e-11 on each side of its edge, above
         the eigensolvers' rounding, and widens tenfold, for that row alone,
-        until certify agrees on both ends. Each round certifies the lower ends
+        until certify agrees on both ends; a bracket that would grow wider than
+        a relative 1e-6 raises NotInClassError. Each round certifies the lower ends
         of every open bracket in one batched eigensolve, and the upper ends in
         another.
         """
@@ -209,12 +217,13 @@ class ThresholdStack:
             if done.all():
                 break
             rows, edges, gaps = rows[~done], edges[~done], gaps[~done] * 10.0
-            spent = gaps >= edges
-            if spent.any():
+            wide = 2.0 * gaps > _BRACKET_CAP * edges
+            if wide.any():
                 # certify's verdicts near the edge are rounding: at this scale the
                 # eigensolver cannot resolve the 1e-10 certificate tolerance
                 raise NotInClassError(
-                    f"certify does not confirm the pencil edge {float(edges[spent.argmax()])!r}"
+                    f"certify does not confirm the pencil edge {float(edges[wide.argmax()])!r} "
+                    f"to a relative {_BRACKET_CAP:g}"
                 )
         return results
 
@@ -307,15 +316,6 @@ class LiftedObjective:
         )
 
     @property
-    def _anchor(self) -> tuple[float, Spectrum] | None:
-        """(t0, eigendecomposition of K(t0)), row 0 of the stack's anchors, or
-        None when no seed-ladder stepsize certifies."""
-        rows, t0, values, vectors = self._stack.anchors
-        if not rows.size:
-            return None
-        return float(t0[0]), Spectrum(eigenvalues=values[0], eigenvectors=vectors[0])
-
-    @property
     def certified_interval(self) -> tuple[float, float]:
         """(alpha_lo, alpha_hi), open: certify(alpha) holds exactly inside, up to
         rounding; (0.0, 0.0), empty, when no seed-ladder stepsize certifies. See
@@ -329,7 +329,7 @@ class LiftedObjective:
         """alpha_A, the right end of certified_interval, confirmed by certify on
         both sides. An edge at or past `scan_cap` gives the +inf sentinel with
         capped=True. Raises NotInClassError when no seed-ladder stepsize certifies,
-        or when certify confirms no bracket of the edge.
+        or when certify confirms no bracket of the edge up to a relative 1e-6.
         """
         result = self._stack.thresholds(scan_cap)[0]
         if result is None:
@@ -341,18 +341,19 @@ class LiftedObjective:
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(Z, d, nu, Z^T b) with Z^T (C + t0 B) Z = I, Z^T B Z = diag(nu), from
-        the anchor. d = diag(Z^T C Z) directly, not 1 - t0 nu, which cancels on
-        the consensus null space of C, where nu = 1/t0."""
-        _, spectrum = self._anchor
-        z = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues + SC_TOLERANCE)
+        the stack's anchor. d = diag(Z^T C Z) directly, not 1 - t0 nu, which
+        cancels on the consensus null space of C, where nu = 1/t0."""
+        _, _, values, vectors = self._stack.anchors
+        z = vectors[0] / np.sqrt(values[0] + SC_TOLERANCE)
         spectrum = sym_eigen(_pencil(self.block_curvature, z), vectors=True)
         z = z @ spectrum.eigenvectors
         d = np.einsum("ij,ij->j", z, self.consensus_matrix @ z)
         return z, d, spectrum.eigenvalues, z.T @ self.stacked_linear
 
-    def _minimizers(self, alphas) -> np.ndarray:
-        """Minimizers of G_alpha, one (nm,) row per stepsize: y = -t Z ((Z^T b) /
-        (d + t nu)) with t = alpha/m, as H(t)^(-1) = Z diag(1 / (d + t nu)) Z^T.
+    def _coordinates(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, G): the basis and, one row per stepsize, the coordinates
+        g_i(t) = -t (Z^T b)_i / (d_i + t nu_i) with t = alpha/m, so that
+        y(alpha) = Z g(alpha/m), as H(t)^(-1) = Z diag(1 / (d + t nu)) Z^T.
         Raises NotStronglyConvexError naming the first alpha outside
         certified_interval."""
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
@@ -366,102 +367,30 @@ class LiftedObjective:
                 f"(certified interval ({lo:g}, {hi:g}))"
             )
         if not alphas.size:  # no basis exists where no stepsize certifies
-            return np.empty((0, self.dim))
+            return np.empty((self.dim, 0)), np.empty((0, 0))
         z, d, nu, zb = self._basis
         t = alphas[:, None] / self.ensemble.m
+        return z, -t * zb / (d + t * nu)
+
+    def _minimizers(self, alphas) -> np.ndarray:
+        """Minimizers y(alpha) of G_alpha, one (nm,) row per stepsize; see
+        `_coordinates`."""
+        z, g = self._coordinates(alphas)
         # a stack of (1, nm) products: each row rounds as in a lone run's batch of one
-        return ((-t * zb / (d + t * nu))[:, None, :] @ z.T)[:, 0]
+        return (g[:, None, :] @ z.T)[:, 0]
 
     def minimizer(self, alpha: float) -> np.ndarray:
         """Unique minimizer of G_alpha at one stepsize; see `_minimizers`."""
         return self._minimizers([alpha])[0]
 
-    def segment_gradient_bound(
-        self, x_a: np.ndarray, x_b: np.ndarray, samples: int = 17
-    ) -> float:
-        """Max of ||grad F|| over evenly sampled points of the segment [x_a, x_b]."""
-        a, b = self._split(x_a), self._split(x_b)
-        return float(self._segment_gradient_bounds(a[None], (b - a)[None], samples)[0])
+    def _shift_bounds(self, alphas) -> np.ndarray:
+        """sum_i ||z_i|| |g_i(t_(k+1)) - g_i(t_k)|, a bound on ||y(alpha_(k+1)) -
+        y(alpha_k)||, for each pair of consecutive stepsizes; see `_coordinates`.
 
-    def _segment_gradient_bounds(
-        self, starts: np.ndarray, shifts: np.ndarray, samples: int
-    ) -> np.ndarray:
-        """segment_gradient_bound of each segment [a, a + d], a = starts[i] and
-        d = shifts[i] (K, m, n) stacks of agent blocks: one (K, m, n) einsum per
-        sample point.
-
-        Not one (K, samples, m, n) einsum: numpy buffers a copy of each
-        operand it broadcasts, which on 80 segments tripled the peak memory.
+        Each g_i is monotone on the certified interval (its derivative
+        -(Z^T b)_i d_i / (d_i + t nu_i)^2 keeps one sign), so along a monotone
+        run of stepsizes the bounds telescope: they sum to the same bound
+        between the first stepsize and the last.
         """
-        out = np.zeros(len(starts))
-        for step in np.linspace(0.0, 1.0, samples):
-            points = step * shifts
-            points += starts  # a + s (b - a)
-            grads = np.einsum("kij,ckj->cki", self.ensemble.curvatures, points)
-            # each (K, m, n) temporary is freed before the next one is made:
-            # together they would set the peak memory
-            del points
-            grads += self.ensemble.linear_terms
-            grads /= self.ensemble.m
-            grads *= grads  # in place: the squares of np.linalg.norm, bit for bit
-            norms = np.sqrt(np.add.reduce(grads.reshape(len(out), self.dim), axis=-1))
-            np.maximum(out, norms, out=out)
-            del grads
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class CurvePoint:
-    alpha: float
-    minimizer: np.ndarray
-    norm: float
-
-
-@dataclass(frozen=True)
-class CurveSegment:
-    """Adjacent pair on the minimizer curve with its empirical Lipschitz data."""
-
-    alpha_lo: float
-    alpha_hi: float
-    distance: float
-    lipschitz_ratio: float
-    gradient_bound: float  # max ||grad F|| sampled on the connecting segment
-
-
-@dataclass(frozen=True, eq=False)
-class MinimizerCurve:
-    points: list[CurvePoint]
-    segments: list[CurveSegment]
-
-
-def minimizer_curve(
-    objective: LiftedObjective, alphas: list[float], samples: int = 17
-) -> MinimizerCurve:
-    """Minimizers of G_alpha along an alpha grid plus adjacent-pair Lipschitz ratios.
-
-    Every alpha must be certified; the offending value is named otherwise.
-    """
-    alphas = sorted(float(a) for a in alphas)
-    minimizers = objective._minimizers(alphas)
-    points = [
-        CurvePoint(alpha=alpha, minimizer=x, norm=float(np.linalg.norm(x)))
-        for alpha, x in zip(alphas, minimizers)
-    ]
-    blocks = minimizers.reshape(len(alphas), objective.ensemble.m, objective.ensemble.n)
-    gradient_bounds = objective._segment_gradient_bounds(
-        blocks[:-1], blocks[1:] - blocks[:-1], samples
-    )
-    segments = []
-    for lo, hi, gradient_bound in zip(points, points[1:], gradient_bounds.tolist()):
-        gap = hi.alpha - lo.alpha
-        dist = float(np.linalg.norm(hi.minimizer - lo.minimizer))
-        segments.append(
-            CurveSegment(
-                alpha_lo=lo.alpha,
-                alpha_hi=hi.alpha,
-                distance=dist,
-                lipschitz_ratio=dist / gap if gap > 0 else 0.0,
-                gradient_bound=gradient_bound,
-            )
-        )
-    return MinimizerCurve(points=points, segments=segments)
+        z, g = self._coordinates(alphas)
+        return abs(np.diff(g, axis=0)) @ np.linalg.norm(z, axis=0)

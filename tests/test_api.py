@@ -1,0 +1,52 @@
+"""The package's public names: every exported name resolves, and none of the
+names or options removed in favour of another way to get their result is
+exported again."""
+
+import inspect
+
+import dgdlab
+from dgdlab import bounds, costs, lifted, simulator
+
+# name -> where it lived, and what replaces it
+REMOVED = {
+    "minimizer_curve": lifted,  # LiftedObjective._minimizers on the grid
+    "MinimizerCurve": lifted,
+    "CurvePoint": lifted,
+    "CurveSegment": lifted,
+    "ordering_check": bounds,  # spectral_gap_bound(...) < lambda_min_bound(...)
+    "combined_bound": bounds,  # min(alpha_L, alpha_A)
+    "iteration_matrix": simulator,  # simulator._iteration_matrices
+}
+REMOVED_METHODS = {
+    "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
+    "aggregate_value": costs.QuadraticEnsemble,
+}
+REMOVED_OPTIONS = {
+    simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
+    bounds.trajectory_radius: ("mu",),
+    bounds.build_report: ("x0", "alpha0"),
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(dgdlab.__all__)) == len(dgdlab.__all__)
+    for name in dgdlab.__all__:
+        assert getattr(dgdlab, name) is not None, name
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from dgdlab import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(dgdlab.__all__)
+
+
+def test_removed_names_and_options_stay_removed():
+    for name, module in REMOVED.items():
+        assert name not in dgdlab.__all__ and not hasattr(dgdlab, name), name
+        assert not hasattr(module, name), name
+    for name, cls in REMOVED_METHODS.items():
+        assert not hasattr(cls, name), name
+    for function, options in REMOVED_OPTIONS.items():
+        parameters = inspect.signature(function).parameters
+        assert not set(options) & set(parameters), function.__name__

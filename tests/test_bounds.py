@@ -58,17 +58,6 @@ class TestSpectralGapBound:
             bounds.spectral_gap_bound(1.0, 10.0, 1.0)
 
 
-class TestCombinedBound:
-    def test_takes_minimum(self):
-        assert bounds.combined_bound(0.1721, 0.0799) == pytest.approx(0.0799)
-
-    def test_infinite_threshold_falls_back(self):
-        assert bounds.combined_bound(0.1721, math.inf) == pytest.approx(0.1721)
-
-    def test_equal_values(self):
-        assert bounds.combined_bound(0.5, 0.5) == 0.5
-
-
 class TestOrdering:
     def test_gap_bound_below_floor_bound_in_proven_region(self):
         """gap bound < floor bound whenever lambda_min >= -(1 + beta)/2."""
@@ -79,10 +68,11 @@ class TestOrdering:
             smooth = mu * float(rng.uniform(1.0, 50.0))
             beta = float(rng.uniform(0.001, 0.999))
             lam = float(rng.uniform(-0.999, min(beta, 0.999)))
-            gap, floor, holds = bounds.ordering_check(mu, smooth, beta, lam)
+            gap = bounds.spectral_gap_bound(mu, smooth, beta)
+            floor = bounds.lambda_min_bound(lam, smooth)
             if lam >= -(1.0 + beta) / 2.0:
-                assert holds, (mu, smooth, beta, lam, gap, floor)
-            elif not holds:
+                assert gap < floor, (mu, smooth, beta, lam, gap, floor)
+            elif not gap < floor:
                 counterexamples.append((mu, smooth, beta, lam))
         # deep-negative lambda_min can flip the ordering; record, don't assert
         if counterexamples:
@@ -158,16 +148,6 @@ class TestTrajectoryRadius:
             for frac in (0.5, 0.8, 0.95, 0.99, 0.999)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_mu_source_parameter(self, mix_quarter):
-        # spread-heavy start so the eta-dependent disagreement term dominates
-        ens = self._instance(seed=13)
-        gb = bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
-        x0 = np.array([5.0, 5.0, 0.0, 0.0, -5.0, -5.0])
-        default = bounds.trajectory_radius(ens, mix_quarter, x0, 0.25 * gb)
-        moved = bounds.trajectory_radius(ens, mix_quarter, x0, 0.25 * gb,
-                                         mu=0.5 * ens.aggregate_mu())
-        assert default != moved
 
 
 class TestBoundReport:

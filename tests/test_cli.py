@@ -492,17 +492,36 @@ class TestSweepEpsilonCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "does not confirm the pencil edge" in err
 
-    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
-        # eight epsilons certify, the ninth (in the second block) does not confirm
+    def test_over_wide_bracket_exits_3(self, tmp_path, capsys):
+        # at epsilon 5.5 certify first agrees on a bracket 22% wide, whose lower
+        # end 0.245 lies far below the pencil edge 0.2727
         path = _write_config(
             tmp_path,
             {
                 "mixing": {"type": "explicit", "W": W_QUARTER},
                 "L": 1e12,
                 "mu": 1e-12,
-                "epsilons": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.5, 3.5],
+                "epsilons": [5.5],
             },
         )
+        assert cli.main(["sweep-epsilon", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "does not confirm the pencil edge 0.2727" in captured.err
+
+    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
+        # eight epsilons confirm within the bracket cap, the ninth (in the
+        # second block) does not
+        config = {
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "L": 1e12,
+            "mu": 1e-12,
+            "epsilons": [1.0, 2.5, 4.5, 1.0, 2.5, 4.5, 1.0, 2.5],
+        }
+        first_block = _write_config(tmp_path, config, name="first_block.json")
+        assert cli.main(["sweep-epsilon", "--config", first_block]) == 0
+        capsys.readouterr()
+        path = _write_config(tmp_path, dict(config, epsilons=config["epsilons"] + [3.5]))
         out = tmp_path / "out"
         for extra in ([], ["--out", str(out)]):
             assert cli.main(["sweep-epsilon", "--config", path, *extra]) == 3

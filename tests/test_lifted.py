@@ -433,7 +433,8 @@ class TestCertifiedInterval:
         assert obj.certified_interval == (0.0, 0.0)
         with pytest.raises(NotStronglyConvexError):
             obj.minimizer(0.01)
-        assert lifted.minimizer_curve(obj, []).points == []
+        assert obj._minimizers([]).shape == (0, 6)
+        assert obj._shift_bounds([]).shape == (0,)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
@@ -465,75 +466,43 @@ def test_near_symmetric_costs_at_large_scale(mix_quarter):
 
 
 class TestMinimizerCurve:
+    """The minimizers y(alpha) along a stepsize grid, from `_minimizers`."""
+
     def test_zero_linear_terms_flatten_curve(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 1.0), mix_quarter)
-        curve = lifted.minimizer_curve(obj, [0.05, 0.1, 0.2, 0.4])
-        for point in curve.points:
-            assert point.norm <= 1e-12
-        for segment in curve.segments:
-            assert segment.lipschitz_ratio <= 1e-10
+        grid = np.array([0.05, 0.1, 0.2, 0.4])
+        points = obj._minimizers(grid)
+        assert np.all(np.linalg.norm(points, axis=1) <= 1e-12)
+        ratios = np.linalg.norm(np.diff(points, axis=0), axis=1) / np.diff(grid)
+        assert np.all(ratios <= 1e-10)
 
     def test_lipschitz_bound_on_convex_instances(self, mix_quarter):
         for seed in (0, 1, 2):
             ens = costs.random_ensemble(3, 2, 4.5, seed=seed)
             obj = _objective(ens, mix_quarter)
             top = 2.0
-            curve = lifted.minimizer_curve(obj, list(np.linspace(top / 10, top, 8)))
+            grid = np.linspace(top / 10, top, 8)
+            points = obj._minimizers(grid)
             mu_top = obj.certify(top).modulus
-            for segment in curve.segments:
-                bound = (
-                    2.0 * top * segment.gradient_bound
-                    * (segment.alpha_hi - segment.alpha_lo)
-                    / (mu_top * segment.alpha_lo)
+            for alpha_lo, alpha_hi, x_a, x_b in zip(grid, grid[1:], points, points[1:]):
+                # max ||grad F|| over 17 evenly spaced points of the segment
+                gradient_bound = max(
+                    np.linalg.norm(obj.separable_gradient(x_a + s * (x_b - x_a)))
+                    for s in np.linspace(0.0, 1.0, 17)
                 )
-                assert segment.distance <= bound + 1e-8
+                bound = (
+                    2.0 * top * gradient_bound
+                    * (alpha_hi - alpha_lo)
+                    / (mu_top * alpha_lo)
+                )
+                assert np.linalg.norm(x_b - x_a) <= bound + 1e-8
 
     def test_refinement_shrinks_jumps(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 4.5, seed=7)
         obj = _objective(ens, mix_quarter)
         jumps = []
         for npts in (5, 9, 17, 33):
-            curve = lifted.minimizer_curve(obj, list(np.linspace(0.1, 1.0, npts)))
-            jumps.append(max(s.distance for s in curve.segments))
+            points = obj._minimizers(np.linspace(0.1, 1.0, npts))
+            jumps.append(np.linalg.norm(np.diff(points, axis=0), axis=1).max())
         assert jumps[-1] < jumps[0]
         assert jumps[-1] <= 0.5 * jumps[0] + 1e-12
-
-    def test_names_offending_alpha(self, mix_quarter):
-        obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        th = obj.strong_convexity_threshold()
-        bad = 3.0 * th.alpha
-        with pytest.raises(NotStronglyConvexError, match=f"{bad:g}"):
-            lifted.minimizer_curve(obj, [0.5 * th.alpha, bad])
-
-    def test_minimizer_norm_bound_recorded(self, mix_quarter):
-        # diagnostic only: with a certified anchor alpha0, the norm of each
-        # minimizer below it compares against 2*alpha0*f(0)/modulus; for
-        # indefinite blocks the value of f at 0 need not dominate, so the
-        # comparison is printed rather than asserted
-        ens = costs.random_ensemble(3, 2, 4.5, seed=3)
-        obj = _objective(ens, mix_quarter)
-        alpha0 = 1.5
-        cert = obj.certify(alpha0)
-        assert cert.is_strongly_convex
-        f0 = ens.aggregate_value(np.zeros(2))
-        allowance = 2.0 * alpha0 * max(f0, 0.0) / cert.modulus
-        worst = max(
-            np.linalg.norm(obj.minimizer(a)) ** 2
-            for a in np.linspace(alpha0 / 10, alpha0, 6)
-        )
-        print(f"minimizer norm^2 max {worst:.4g} vs anchor allowance {allowance:.4g}")
-
-    def test_segment_gradient_bound_matches_pointwise(self, mix_quarter):
-        rng = np.random.default_rng(41)
-        obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=5), mix_quarter)
-        for samples in (1, 2, 9, 17):
-            x_a, x_b = rng.normal(size=6), rng.normal(size=6)
-            pointwise = max(
-                float(np.linalg.norm(obj.separable_gradient(x_a + s * (x_b - x_a))))
-                for s in np.linspace(0.0, 1.0, samples)
-            )
-            assert obj.segment_gradient_bound(x_a, x_b, samples) == pytest.approx(
-                pointwise, rel=1e-14
-            )
-        with pytest.raises(ValueError):
-            obj.segment_gradient_bound(np.zeros(5), np.zeros(6))

@@ -680,7 +680,7 @@ class TestBoundednessOracle:
             [costs.QuadraticCost(a=c.a, b=np.zeros(2)) for c in ens.costs]
         )
         rng = np.random.default_rng(3)
-        m = simulator.iteration_matrix(hom, mix_quarter, 0.4)
+        m = simulator._iteration_matrices(hom, mix_quarter, [0.4])[0]
         for _ in range(10):
             x = rng.normal(size=6)
             np.testing.assert_allclose(
@@ -734,37 +734,70 @@ class TestNonexpansiveness:
         )
         report = simulator.nonexpansiveness_check(rec, obj)
         assert report.ok
-        # measured minimizer shift never exceeds its allowance
+        # measured minimizer shift never exceeds its bound
         assert np.all(report.drift_measured <= report.drift_bound + 1e-12)
         # the distance sequence obeys the shifted-target inequality
         deltas = report.distances[1:] - report.distances[:-1]
         assert np.all(deltas <= report.drift_bound + 1e-9)
 
     def test_drift_matches_the_per_step_loop(self, mix_quarter):
-        # the reference is one pointwise segment bound per step whose stepsize
-        # changes; the check evaluates all of those steps at once. The bounds
-        # agree bit for bit; the measured shifts within a rounding, as a norm
-        # along an axis sums the squares in another order than a 1-D norm
-        # (2.2e-16 relative here)
+        # the reference evaluates the closed-form shift bound one step at a
+        # time, one basis direction at a time; the check does all steps in one
+        # product, so the sums round in another order
         ens = _skewed_random(5)
         alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
         schedule = StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7)
         rec = simulator.run(ens, mix_quarter, schedule, x0=np.ones(6), horizon=120, record_every=1)
-        report = simulator.nonexpansiveness_check(rec, obj, segment_samples=9)
+        report = simulator.nonexpansiveness_check(rec, obj)
         alphas, targets = rec.alpha, obj._minimizers(rec.alpha)
-        modulus = obj.certify(alphas[0]).modulus
+        z, d, nu, zb = obj._basis
         measured, bound = np.zeros((2, len(alphas) - 1))
-        for i in np.flatnonzero(alphas[1:] != alphas[:-1]):
+        for i in range(len(alphas) - 1):
             measured[i] = np.linalg.norm(targets[i] - targets[i + 1])
-            a, b = targets[i].reshape(3, 2), targets[i + 1].reshape(3, 2)
-            points = a + np.linspace(0.0, 1.0, 9)[:, None, None] * (b - a)
-            grads = np.einsum("kij,skj->ski", ens.curvatures, points) + ens.linear_terms
-            c1 = np.max(np.linalg.norm((grads / 3).reshape(9, -1), axis=1))
-            bound[i] = 2.0 * alphas[0] * c1 * abs(alphas[i + 1] - alphas[i])
-            bound[i] /= modulus * alphas[i + 1]
+            t_a, t_b = alphas[i] / 3, alphas[i + 1] / 3
+            for j in range(6):
+                g_a = -t_a * zb[j] / (d[j] + t_a * nu[j])
+                g_b = -t_b * zb[j] / (d[j] + t_b * nu[j])
+                bound[i] += np.linalg.norm(z[:, j]) * abs(g_b - g_a)
         assert np.count_nonzero(bound) == len(bound)
-        np.testing.assert_array_equal(report.drift_bound, bound)
+        np.testing.assert_allclose(report.drift_bound, bound, rtol=1e-13, atol=0)
         np.testing.assert_allclose(report.drift_measured, measured, rtol=1e-15, atol=0)
+
+    def test_closed_form_shift_bound_on_readme_class_seeds(self, mix_quarter):
+        # polynomial schedules on README-class instances, one run under
+        # agent_scale: the bound covers every measured shift and every step's
+        # growth of the distance, and its per-step values telescope to the
+        # whole-run bound between the first stepsize and the last
+        rng = np.random.default_rng(12)
+        checked = 0
+        for seed in range(30):
+            ens = costs.random_ensemble(3, 2, 1.0, seed=seed)
+            if ens.aggregate_mu() <= 0.02:
+                continue
+            obj = lifted.LiftedObjective(ens, mix_quarter)
+            floor = 3 * bounds.lambda_min_bound(
+                mix_quarter.spectral.lambda_min, ens.smoothness_constant()
+            )
+            top = 0.9 * min(obj.strong_convexity_threshold().alpha, floor)
+            agent_scale = checked == 0
+            schedule = StepsizeSchedule.polynomial(
+                a=top / 3 if agent_scale else top, w=1.0, p=float(rng.uniform(0.3, 1.0))
+            )
+            rec = simulator.run(
+                ens, mix_quarter, schedule, x0=rng.normal(size=6), horizon=150,
+                record_every=1, agent_scale=agent_scale,
+            )
+            report = simulator.nonexpansiveness_check(rec, obj)
+            assert report.ok, seed
+            assert np.all(report.drift_measured <= report.drift_bound), seed
+            assert np.all(np.diff(report.distances) <= report.drift_bound + 1e-9), seed
+            z, d, nu, zb = obj._basis
+            t = rec.alpha[[0, -1], None] * rec.lifted_scale / 3
+            g = -t * zb / (d + t * nu)
+            whole = np.linalg.norm(z, axis=0) @ abs(g[1] - g[0])
+            assert report.drift_bound.sum() == pytest.approx(whole, rel=1e-12, abs=0), seed
+            checked += 1
+        assert checked >= 15
 
     def test_minimizer_cost_does_not_grow_with_horizon(self, mix_quarter, monkeypatch):
         # the minimizers come from one pencil basis: no eigensolve or SPD
