@@ -7,9 +7,10 @@ Subcommands:
   sweep-epsilon      certified threshold vs epsilon for the planted family
   validate-topology  validate a mixing spec and print its spectral summary
 
-Exit codes: 0 success, 2 configuration error, 3 certification failure,
-4 I/O failure. A command computes its whole result before it writes
-anything, so one that exits 2 or 3 writes nothing: no stdout, no file.
+Exit codes: 0 success, 2 configuration error (a horizon too long for
+memory among them), 3 certification failure, 4 I/O failure. A command
+computes its whole result before it writes anything, so one that exits 2
+or 3 writes nothing: no stdout, no file.
 Any failure to create --out or to write output exits 4 with one line.
 """
 
@@ -278,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
     try:
         if args.command == "validate-topology":
             return cmd_validate_topology(args.config)
@@ -306,6 +308,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        # a run's histories span its horizon, which can be legal and too long
+        runs = cfg is not None and args.command in ("simulate", "sweep-alpha")
+        need = f"horizon {cfg.horizon}" if runs else args.command
+        print(f"error: {need} needs more memory than is available", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

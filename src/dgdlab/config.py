@@ -24,8 +24,8 @@ from .topology import MixingMatrix, mixing_from_spec
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-# every metric is preallocated for the whole horizon, so a horizon beyond this
-# asks for more memory than a run can have
+# a run preallocates 16 bytes per step and stepsize, plus thinned states, so
+# no horizon beyond this fits; the CLI refuses one within it that memory cannot hold
 MAX_HORIZON = 10**9
 
 

@@ -173,9 +173,6 @@ class QuadraticEnsemble:
     def aggregate_b(self) -> np.ndarray:
         return self._linear.mean(axis=0)
 
-    def aggregate_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.aggregate_a @ np.asarray(x, dtype=float) + self.aggregate_b
-
     def smoothness_constant(self) -> float:
         """L = max over agents of the exact spectral norm of A_k (one stacked
         eigensolve, on the first call only)."""

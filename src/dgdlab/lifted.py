@@ -279,11 +279,6 @@ class LiftedObjective:
             raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
         return x.reshape(self.ensemble.m, self.ensemble.n)
 
-    def separable_value(self, x: np.ndarray) -> float:
-        """F(x) = (1/m) sum_k f_k(x_k)."""
-        blocks = self._split(x)
-        return sum(c.value(blocks[k]) for k, c in enumerate(self.ensemble.costs)) / self.ensemble.m
-
     def separable_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F(x) = (1/m) (grad f_1(x_1), ..., grad f_m(x_m)) stacked."""
         blocks = self._split(x)
@@ -291,8 +286,12 @@ class LiftedObjective:
         return grads.reshape(-1) / self.ensemble.m
 
     def value(self, x: np.ndarray, alpha: float) -> float:
-        x = np.asarray(x, dtype=float)
-        return alpha * self.separable_value(x) + 0.5 * float(x @ self.consensus_matrix @ x)
+        """G_alpha(x) = alpha F(x) + x^T ((I - W) kron I_n) x / 2, F(x) = (1/m) sum_k f_k(x_k)."""
+        blocks = self._split(x)
+        costs = self.ensemble.costs
+        separable = sum(c.value(blocks[k]) for k, c in enumerate(costs)) / self.ensemble.m
+        x = blocks.reshape(-1)
+        return alpha * separable + 0.5 * float(x @ self.consensus_matrix @ x)
 
     def gradient(self, x: np.ndarray, alpha: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)

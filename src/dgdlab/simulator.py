@@ -26,8 +26,6 @@ eigensolve.
 
 from __future__ import annotations
 
-import bisect
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -186,6 +184,10 @@ class TrajectoryRecord:
     full states only every `record_every` steps (plus the final state).
     verdict is "diverged" when the error metric R(t) crossed the
     divergence threshold at `divergence_step`, else "bounded".
+
+    The arrays are read-only views into one buffer per metric, shared by the
+    whole batch of `run_batch`: a record that is kept holds its batch's
+    histories. A constant `alpha` and an untracked distance are broadcasts.
     """
 
     t: np.ndarray
@@ -205,10 +207,6 @@ class TrajectoryRecord:
     # step on G_(lifted_scale * alpha), with lifted_scale m under agent_scale
     lifted_scale: float = 1.0
 
-    @property
-    def max_r(self) -> float:
-        return float(np.max(self.r))
-
     def state_at(self, t: int) -> np.ndarray:
         hits = np.nonzero(self.state_ts == t)[0]
         if hits.size == 0:
@@ -219,7 +217,7 @@ class TrajectoryRecord:
         return {
             "verdict": self.verdict,
             "divergence_step": self.divergence_step,
-            "max_R": render_float(self.max_r),
+            "max_R": render_float(float(np.max(self.r))),
             "final_R": render_float(float(self.r[-1])),
             "steps_recorded": int(self.t.size),
             "horizon": self.horizon,
@@ -272,11 +270,6 @@ class TrajectoryRecord:
             if own:
                 handle.close()
 
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 def run(
     ensemble: QuadraticEnsemble,
@@ -315,13 +308,13 @@ def run(
 _CHUNK = 64
 
 
-def _distance_sums(states: np.ndarray, x_star: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """R = sum_k ||x_k - x*|| over the trailing (m, n) axes; `scratch` is overwritten.
+def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """R = sum_k ||x_k - x*|| over the trailing (m, n) axes.
 
     np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit,
     without its per-call overhead.
     """
-    dev = np.subtract(states, x_star, out=scratch)
+    dev = states - x_star
     np.multiply(dev, dev, out=dev)
     norms = np.add.reduce(dev, axis=-1)
     np.sqrt(norms, out=norms)
@@ -370,8 +363,8 @@ def _overflowed_consensus(states: np.ndarray) -> np.ndarray:
     return peak[:, 0, 0] * np.sqrt((dev * dev).sum(axis=(1, 2)))
 
 
-def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Frobenius distance of the agent blocks (axis -2) to their mean; `scratch` is overwritten."""
+def _consensus(states: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the agent blocks (axis -2) to their mean."""
     m, n = states.shape[-2:]
     if n == 1:
         # the agent axis is contiguous, and numpy's reduce sums it pairwise
@@ -384,7 +377,7 @@ def _consensus(states: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         for k in range(1, m):
             mean += states[..., k : k + 1, :]
     mean /= m  # the mean, bit for bit
-    dev = np.subtract(states, mean, out=scratch)
+    dev = states - mean
     np.multiply(dev, dev, out=dev)
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
 
@@ -417,7 +410,9 @@ def run_batch(
 
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a
-    step-by-step loop bit for bit.
+    step-by-step loop bit for bit. Each metric has one (B, horizon + 1)
+    history, and the records' arrays are read-only views of it (see
+    `TrajectoryRecord`): the histories are held once, never copied.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -433,26 +428,27 @@ def run_batch(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 contains non-finite entries")
-    if x_star is None:
-        x_star = ensemble.aggregate_minimizer()
-    x_star = np.asarray(x_star, dtype=float)
+    # shared by the records and frozen with the histories: a copy of an explicit x*
+    x_star = ensemble.aggregate_minimizer() if x_star is None else np.array(x_star, dtype=float)
 
     w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
 
     size = len(schedules)
     if size == 0:
         return []
-    # Metric columns are indexed (t, schedule); each record copies its own.
-    alpha_hist = np.empty((horizon + 1, size))
-    r_hist = np.empty((horizon + 1, size))
-    cons_hist = np.empty((horizon + 1, size))
-    dist_hist = np.full((horizon + 1, size), math.nan) if lifted_distance is not None else None
-    state_hist = np.empty((horizon // record_every + 2, size, m * n))
+    varying = any(s.kind != "constant" for s in schedules)
+    # One history per metric, indexed (schedule, t), whose rows the records
+    # view. A constant schedule's alpha and an untracked distance carry no
+    # information, and get no history.
+    r_hist = np.empty((size, horizon + 1))
+    cons_hist = np.empty((size, horizon + 1))
+    alpha_hist = np.empty((size, horizon + 1)) if varying else None
+    dist_hist = np.full((size, horizon + 1), math.nan) if lifted_distance is not None else None
+    state_hist = np.empty((size, horizon // record_every + 2, m * n))
     state_times: list[int] = []
     divergence: list[int | None] = [None] * size
     crossing_state: list[np.ndarray | None] = [None] * size
 
-    varying = any(s.kind != "constant" for s in schedules)
     alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
     # an agent_scale step is a gradient step on G_(m alpha)
     lifted_scale = float(m) if agent_scale else 1.0
@@ -460,10 +456,9 @@ def run_batch(
     # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
     # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
     limit = min(divergence_threshold, sys.float_info.max)
-    # One chunk of states and one of temporaries, reused by every chunk as
-    # (steps, live rows, m, n) views of their first elements.
+    # One chunk of states, reused by every chunk as a (steps, live rows, m, n)
+    # view of its first elements.
     chunk_buf = np.empty(_CHUNK * size * m * n)
-    scratch_buf = np.empty_like(chunk_buf)
     prod_buf = np.empty((size, m, n, 1))  # the local products (s A_k) x_k of one step
     rows = np.arange(size)  # schedule index of each live row
     live_alpha = alpha0  # each live row's stepsize, read when no schedule varies
@@ -480,7 +475,6 @@ def run_batch(
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
-            scratch = scratch_buf[: chunk.size].reshape(chunk.shape)
             # the step views, built once per chunk: each state as (live, m, n)
             # rows and as (live, m, n, 1) columns, and the product's two shapes
             states, columns = list(chunk), list(chunk[..., None])
@@ -506,8 +500,8 @@ def run_batch(
                 _dgd_step(w, sa, sb, states[j - 1], columns[j - 1], states[j], prod_col, prod)
             del states, columns  # 2 * steps views, out of the metrics' memory
 
-            r = _distance_sums(chunk, x_star, scratch)
-            cons = _consensus(chunk, scratch)
+            r = _distance_sums(chunk, x_star)
+            cons = _consensus(chunk)
             # the steps whose states are recorded: multiples of record_every,
             # and the horizon
             kept = list(range(-t % record_every, steps, record_every))
@@ -540,13 +534,14 @@ def run_batch(
 
             # every cell is written; a row's cells past its divergence step are
             # never read
-            alpha_hist[t : t + steps, rows] = alpha
-            r_hist[t : t + steps, rows] = r
-            cons_hist[t : t + steps, rows] = cons
+            r_hist[rows, t : t + steps] = r.T
+            cons_hist[rows, t : t + steps] = cons.T
+            if varying:
+                alpha_hist[rows, t : t + steps] = alpha.T
             if kept:
                 first = len(state_times)
-                state_hist[first : first + len(kept), rows] = chunk[kept].reshape(
-                    len(kept), live, m * n
+                state_hist[rows, first : first + len(kept)] = (
+                    chunk[kept].reshape(len(kept), live, m * n).swapaxes(0, 1)
                 )
                 state_times.extend(t + j for j in kept)
             if dist_hist is not None:
@@ -558,7 +553,7 @@ def run_batch(
                 js, qs = np.nonzero(measured)
                 distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
-                dist_hist[t + js, rows[qs]] = _row_norms(
+                dist_hist[rows[qs], t + js] = _row_norms(
                     chunk[js, qs].reshape(js.size, m * n) - points
                 )
 
@@ -572,37 +567,31 @@ def run_batch(
                 if varying:
                     last_scale = last_scale[survive]
             t += steps
-    # out of the records' peak memory, with every view that keeps them alive
-    del chunk_buf, scratch_buf, prod_buf, chunk, scratch, prod_col, prod
-    del last, sa, sb
 
-    ends = [horizon + 1 if stop is None else stop + 1 for stop in divergence]
-    # Each metric history is copied out for every record and dropped before
-    # the next one is, so the histories and the records' copies of them are
-    # never all alive at once.
-    histories = {
-        "alpha": alpha_hist, "r": r_hist, "consensus_err": cons_hist, "dist_lifted_min": dist_hist
-    }
-    del alpha_hist, r_hist, cons_hist, dist_hist
-    fields = [{} for _ in ends]
-    while histories:
-        name, hist = histories.popitem()
-        for i, end in enumerate(ends):
-            fields[i][name] = hist[:end, i].copy() if hist is not None else np.full(end, math.nan)
-    del hist
-
+    # allocated after the loop, out of its peak
+    t_axis, times = np.arange(horizon + 1), np.array(state_times, dtype=int)
+    for shared in (t_axis, times, x_star, r_hist, cons_hist, alpha_hist, dist_hist, state_hist):
+        if shared is not None:
+            shared.setflags(write=False)
     records = []
-    for i, (stop, end) in enumerate(zip(divergence, ends)):
-        state_ts = state_times[: bisect.bisect_right(state_times, end - 1)]
-        states = state_hist[: len(state_ts), i].copy()
-        if crossing_state[i] is not None:
-            state_ts = state_ts + [stop]
+    for i, stop in enumerate(divergence):
+        end = horizon + 1 if stop is None else stop + 1
+        recorded = int(times.searchsorted(end - 1, side="right"))
+        state_ts, states = times[:recorded], state_hist[i, :recorded]
+        if crossing_state[i] is not None:  # the only arrays a record owns
+            state_ts = np.append(state_ts, stop)
             states = np.vstack([states, crossing_state[i]])
+            state_ts.flags.writeable = states.flags.writeable = False
         records.append(
             TrajectoryRecord(
-                t=np.arange(end),
-                **fields[i],
-                state_ts=np.asarray(state_ts, dtype=int),
+                t=t_axis[:end],
+                alpha=alpha_hist[i, :end] if varying else np.broadcast_to(alpha0[i], (end,)),
+                r=r_hist[i, :end],
+                consensus_err=cons_hist[i, :end],
+                dist_lifted_min=(
+                    np.broadcast_to(math.nan, (end,)) if dist_hist is None else dist_hist[i, :end]
+                ),
+                state_ts=state_ts,
                 states=states,
                 record_every=record_every,
                 horizon=horizon,

@@ -20,6 +20,10 @@ REMOVED = {
 REMOVED_METHODS = {
     "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
     "aggregate_value": costs.QuadraticEnsemble,
+    "aggregate_gradient": costs.QuadraticEnsemble,  # aggregate_a @ x + aggregate_b
+    "separable_value": lifted.LiftedObjective,  # folded into LiftedObjective.value
+    "max_r": simulator.TrajectoryRecord,  # summary_dict()["max_R"]
+    "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),

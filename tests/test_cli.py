@@ -665,6 +665,34 @@ def test_unwritable_output_dir_exits_4(command, planted_config, tmp_path, capsys
     assert captured.out == "" and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
+def test_horizon_too_long_for_memory_exits_2(command, random_config, tmp_path, monkeypatch, capsys):
+    # a legal horizon whose histories numpy cannot allocate; the engine is
+    # stood in for, so the test itself allocates nothing large
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 59.6 GiB")
+
+    monkeypatch.setattr(simulator, "run_batch", out_of_memory)
+    out = tmp_path / "out"
+    argv = [command, "--config", random_config, "--horizon", str(10**9), "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert captured.err == "error: horizon 1000000000 needs more memory than is available\n"
+
+
+def test_problem_too_large_for_memory_exits_2(planted_config, monkeypatch, capsys):
+    # a command that runs no simulation names itself, not the horizon
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "LiftedObjective", out_of_memory)
+    assert cli.main(["bounds", "--config", planted_config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bounds needs more memory than is available\n"
+
+
 def test_unwritable_output_file_exits_4(planted_config, tmp_path, capsys):
     out = tmp_path / "out"
     (out / "trajectory.csv").mkdir(parents=True)

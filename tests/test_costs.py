@@ -237,7 +237,7 @@ class TestAggregateMinimizer:
         for seed in range(20):
             e = costs.random_ensemble(3, 2, 5.0, seed=seed)
             x_star = e.aggregate_minimizer()
-            assert np.linalg.norm(e.aggregate_gradient(x_star)) <= 1e-9
+            assert np.linalg.norm(e.aggregate_a @ x_star + e.aggregate_b) <= 1e-9
 
     def test_rejects_indefinite_aggregate(self):
         e = costs.epsilon_example(10.0, 1.0, 25.0)  # x-curvature (20-25)/3 < 0

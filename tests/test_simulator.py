@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +8,12 @@ import pytest
 
 from dgdlab import bounds, costs, lifted, numerics, simulator, topology
 from dgdlab.simulator import StepsizeSchedule
+
+
+def _csv_text(record):
+    buf = io.StringIO()
+    record.to_csv(buf)
+    return buf.getvalue()
 
 
 def _skewed_random(seed, epsilon=1.0):
@@ -186,7 +194,7 @@ class TestRun:
         assert rec.r[-1] > rec.divergence_threshold
         assert rec.t.size < 10_001
         # CSV drops the crossing row and keeps numeric columns finite
-        lines = rec.to_csv_string().splitlines()
+        lines = _csv_text(rec).splitlines()
         assert lines[0] == "t,alpha,R,consensus_err,dist_lifted_min"
         assert len(lines) - 1 == rec.divergence_step
         for line in lines[1:]:
@@ -222,7 +230,7 @@ class TestRun:
             horizon=10, lifted_distance=obj, divergence_threshold=1e30,
         )
         assert np.all(np.isnan(rec.dist_lifted_min))
-        for line in rec.to_csv_string().splitlines()[1:]:
+        for line in _csv_text(rec).splitlines()[1:]:
             assert line.endswith(",")
 
     def test_lifted_distance_blank_at_huge_stepsize(self, mix_quarter):
@@ -237,7 +245,7 @@ class TestRun:
             )
         assert rec.verdict == "diverged"
         assert np.all(np.isnan(rec.dist_lifted_min))
-        for line in rec.to_csv_string().splitlines()[1:]:
+        for line in _csv_text(rec).splitlines()[1:]:
             assert line.endswith(",")
 
     def test_agent_scale_distance_to_its_own_minimizer(self, mix_quarter):
@@ -267,7 +275,7 @@ def _assert_same_record(batched, single):
     assert np.array_equal(batched.dist_lifted_min, single.dist_lifted_min, equal_nan=True)
     assert batched.verdict == single.verdict
     assert batched.divergence_step == single.divergence_step
-    assert batched.to_csv_string() == single.to_csv_string()
+    assert _csv_text(batched) == _csv_text(single)
 
 
 def _folded_update(ens, mix, scale, blocks):
@@ -466,7 +474,7 @@ class TestRunBatch:
         assert rec.verdict == "bounded" and np.all(np.isfinite(rec.states))
         np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
         assert rec.r[0] == 1.4142135623730951e308 > rec.r[-1]
-        assert np.all(np.isfinite(rec.r)) and "inf" not in rec.to_csv_string()
+        assert np.all(np.isfinite(rec.r)) and "inf" not in _csv_text(rec)
 
     def test_overflowing_consensus_squares_are_rescaled(self):
         # two agents at +-1e200 mix to their mean 0 and contract by 0.05 per
@@ -482,7 +490,7 @@ class TestRunBatch:
         assert rec.verdict == "bounded"
         np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
         np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
-        assert "inf" not in rec.to_csv_string()
+        assert "inf" not in _csv_text(rec)
 
     def test_finite_threshold_beyond_the_squares_overflow(self, mix_quarter):
         # README seed 5 at alpha = 2.0 (rho 2.08) passes R = 1.3e154, where
@@ -499,7 +507,7 @@ class TestRunBatch:
         assert np.array_equal(rec.r, r)
         assert 1e300 < rec.r[-1] < math.inf and rec.r[step - 1] <= 1e300
         assert np.all(np.isfinite(rec.consensus_err[:step]))
-        assert "inf" not in rec.to_csv_string()
+        assert "inf" not in _csv_text(rec)
 
     def test_nan_state_is_recorded_as_infinite(self, mix_single):
         # an infinite threshold lets a finite state with overflowing squares in
@@ -631,7 +639,7 @@ class TestRunBatch:
         dist = records[0].dist_lifted_min
         assert np.isnan(dist[0]) and np.isfinite(dist[-1])
         for rec in records:
-            assert rec.to_csv_string() == _csv_reference(rec)
+            assert _csv_text(rec) == _csv_reference(rec)
 
     def test_batch_of_one_is_run(self, mix_quarter):
         ens = _skewed_random(5)
@@ -654,6 +662,56 @@ class TestRunBatch:
                 batched, simulator.run(ens, mix_quarter, schedule, horizon=10_000)
             )
         assert simulator.run_batch(ens, mix_quarter, []) == []
+
+
+class TestRecordMemory:
+    def test_peak_is_the_histories_once(self, mix_quarter):
+        # README's seed-5 instance at six bounded multiples of alpha_main: the
+        # peak is the R and consensus histories, the thinned states and the
+        # shared t axis (with 25% slack), plus two chunk-sized buffers (the
+        # chunk and a metric's temporary); the records add no copies
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        base = bounds.build_report(ens, mix_quarter).alpha_main
+        schedules = [
+            StepsizeSchedule.constant(k * base) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)
+        ]
+        simulator.run_batch(ens, mix_quarter, schedules, horizon=10)  # x* solved and cached
+        horizon, every = 20_000, simulator.DEFAULT_RECORD_EVERY
+        tracemalloc.start()
+        try:
+            records = simulator.run_batch(ens, mix_quarter, schedules, horizon=horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rec.verdict for rec in records] == ["bounded"] * len(schedules)
+        b, mn = len(schedules), ens.m * ens.n
+        floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn + (horizon + 1)
+        chunk_buffers = 2 * simulator._CHUNK * b * mn
+        assert peak < 8 * (1.25 * floats + chunk_buffers)
+
+    def test_record_arrays_are_read_only_views(self, mix_quarter):
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        constant = StepsizeSchedule.constant(0.3)
+        untracked = simulator.run_batch(
+            ens, mix_quarter, [constant, StepsizeSchedule.constant(2.0)],  # the second diverges
+            horizon=300, record_every=7, x_star=np.ones(2),
+        )
+        tracked = simulator.run_batch(
+            ens, mix_quarter, [constant, StepsizeSchedule.polynomial(a=0.3, p=0.5)],
+            horizon=300, lifted_distance=obj,
+        )
+        assert untracked[1].verdict == "diverged"
+        fields = ("t", "alpha", "r", "consensus_err", "dist_lifted_min", "state_ts", "states")
+        for rec in untracked + tracked:
+            for name in fields + ("x_star",):
+                with pytest.raises(ValueError):
+                    getattr(rec, name)[0] = 0
+        # no history behind a constant schedule's alpha or an untracked distance
+        for rec in untracked:
+            assert rec.alpha.strides == (0,) and rec.dist_lifted_min.strides == (0,)
+        assert np.array_equal(untracked[0].alpha, np.full(301, 0.3))
+        assert tracked[0].alpha.strides == tracked[0].dist_lifted_min.strides == (8,)
 
 
 class TestBoundednessOracle:
