@@ -15,13 +15,8 @@ from .bounds import (
     spectral_gap_bound,
     trajectory_radius,
 )
-from .costs import (
-    QuadraticCost,
-    QuadraticEnsemble,
-    ensemble_from_spec,
-    epsilon_example,
-    random_ensemble,
-)
+from .config import ensemble_from_spec, mixing_from_spec
+from .costs import QuadraticCost, QuadraticEnsemble, epsilon_example, random_ensemble
 from .lifted import (
     ConvexityCertificate,
     LiftedObjective,
@@ -38,13 +33,7 @@ from .simulator import (
     run_batch,
     step,
 )
-from .topology import (
-    MixingMatrix,
-    SpectralSummary,
-    metropolis_weights,
-    mixing_from_spec,
-    validate_mixing,
-)
+from .topology import MixingMatrix, SpectralSummary, metropolis_weights, validate_mixing
 
 __all__ = [
     "BoundReport",

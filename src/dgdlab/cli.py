@@ -28,17 +28,18 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import simulator
-from .config import ExperimentConfig, load_config, read_json
+from .config import ExperimentConfig, load_config, mixing_from_spec, read_json
 from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family
 from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
 from .lifted import LiftedObjective, ThresholdStack
 from .numerics import render_float
-from .topology import mixing_from_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_IO = 4
+SWEEP_ALPHA_CSV_HEADER = "alpha_multiple,t,R"
+SWEEP_EPSILON_CSV_HEADER = "epsilon,alpha_A,alpha_L,alpha_S"
 
 
 def _emit_json(payload: dict, out: str | None = None, name: str = "") -> None:
@@ -181,10 +182,18 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     _emit_json(payload, out, "sweep_alpha_summary.json")
     if out is not None:
         with _open_csv(out, "sweep_alpha.csv") as handle:
-            handle.write("alpha_multiple,t,R\r\n")
+            handle.write(SWEEP_ALPHA_CSV_HEADER + "\r\n")
             for mult, record in zip(multiples, records):
                 record.write_rows(handle, ("r",), lead=f"{mult!r},")
     return EXIT_OK
+
+
+@functools.lru_cache(maxsize=1)  # rows that share an instance's (L, mu) run together
+def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str:
+    """A sweep-epsilon row's alpha_L and alpha_S cells, as `build_report` gives them."""
+    gap = 0 < mu <= big_l and 0 < beta < 1
+    alpha_s = repr(bounds_mod.spectral_gap_bound(mu, big_l, beta)) if gap else ""
+    return f",{bounds_mod.lambda_min_bound(lambda_min, big_l)!r},{alpha_s}\n"
 
 
 # Epsilons certified per ThresholdStack: a few batched eigensolves serve a
@@ -201,27 +210,30 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
             f"but the mixing matrix has {cfg.mixing.m} agents"
         )
     summary = cfg.mixing.spectral
-    alpha_l = bounds_mod.lambda_min_bound(summary.lambda_min, cfg.family_L)
-    if 0 < summary.beta < 1:
-        alpha_s = bounds_mod.spectral_gap_bound(cfg.family_mu, cfg.family_L, summary.beta)
-    else:
-        alpha_s = None
-    # alpha_A per epsilon, NaN where nothing certifies. No row is written until
-    # every block has certified, so a failing block leaves no output; floats,
-    # not ThresholdResults, are kept between blocks to hold peak memory down.
-    alpha_a = np.full(len(cfg.epsilons), math.nan)
+    # alpha_A per epsilon, NaN where nothing certifies, and each instance's L
+    # and mu. No row is written until every block has certified, so a failing
+    # block leaves no output; floats, not ThresholdResults, are kept between
+    # blocks to hold peak memory down.
+    alpha_a, big_l, mu = np.full((3, len(cfg.epsilons)), math.nan)
     for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
-        block = cfg.epsilons[start : start + _EPSILON_BLOCK]
-        family = epsilon_family(cfg.family_L, cfg.family_mu, block)
-        results = ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
-        alpha_a[start : start + len(block)] = [math.nan if r is None else r.alpha for r in results]
-    # the eps-independent tail of every row, formatted once
-    tail = f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
+        rows = slice(start, start + _EPSILON_BLOCK)
+        family = epsilon_family(cfg.family_L, cfg.family_mu, cfg.epsilons[rows])
+        # as each instance's ensemble computes them, bit for bit: L the largest
+        # |entry|, mu the least diagonal entry of the agent mean
+        big_l[rows] = abs(family).max(axis=(1, 2, 3))
+        with np.errstate(over="ignore"):  # where the sum overflows, the ensemble refuses
+            sums = family.diagonal(axis1=2, axis2=3).sum(axis=1)
+        mu[rows] = sums.min(axis=1) / EPSILON_EXAMPLE_AGENTS
+        alpha_a[rows] = [
+            math.nan if r is None else r.alpha
+            for r in ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
+        ]
     with _open_csv(out, "sweep_epsilon.csv") as handle:
-        handle.write("epsilon,alpha_A,alpha_L,alpha_S\n")
+        handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(
-            f"{eps!r},{'' if math.isnan(a) else render_float(a)}{tail}"
-            for eps, a in zip(cfg.epsilons, alpha_a.tolist())
+            f"{eps!r},{'' if math.isnan(a) else render_float(a)}"
+            f"{_bound_cells(summary.lambda_min, summary.beta, float(l), float(m))}"
+            for eps, a, l, m in zip(cfg.epsilons, alpha_a.tolist(), big_l, mu)
         )
     return EXIT_OK
 
@@ -252,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
             "strong-convexity thresholds, and boundedness experiments."
         ),
         epilog=(
-            "CSV headers: trajectory 't,alpha,R,consensus_err,dist_lifted_min'; "
-            "sweep-alpha 'alpha_multiple,t,R'; "
-            "sweep-epsilon 'epsilon,alpha_A,alpha_L,alpha_S'."
+            f"CSV headers: trajectory '{','.join(simulator.TRAJECTORY_CSV_HEADER)}'; "
+            f"sweep-alpha '{SWEEP_ALPHA_CSV_HEADER}'; "
+            f"sweep-epsilon '{SWEEP_EPSILON_CSV_HEADER}'."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

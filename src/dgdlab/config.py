@@ -1,17 +1,21 @@
-"""Experiment configuration: one JSON document, validated up front.
+"""Experiment configuration: the one reader of the JSON format.
 
-Every referenced spec (ensemble, mixing, schedule) is parsed and built
-eagerly so that a bad configuration fails before any computation starts,
-and `canonical()` re-serializes to a normal form with defaults filled in.
+Every spec in a config, and the mixing spec `validate-topology` reads, is
+read here as strictly at every depth as at the top: each spec type takes
+exactly its own keys, and a non-number where a number belongs is a
+ConfigError naming its key path. `canonical()` gives the normal form.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
-from .costs import QuadraticEnsemble, ensemble_from_spec
+import numpy as np
+
+from .costs import QuadraticCost, QuadraticEnsemble, epsilon_example, random_ensemble
 from .errors import ConfigError, DgdLabError, MixingMatrixError
 from .lifted import DEFAULT_SCAN_CAP
 from .simulator import (
@@ -20,20 +24,22 @@ from .simulator import (
     DEFAULT_RECORD_EVERY,
     StepsizeSchedule,
 )
-from .topology import MixingMatrix, mixing_from_spec
+from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
 # a run preallocates 16 bytes per step and stepsize, plus thinned states, so
 # no horizon beyond this fits; the CLI refuses one within it that memory cannot hold
 MAX_HORIZON = 10**9
+_CONFIG_KEYS = (
+    "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",
+    "agent_scale", "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu",
+    "threshold",
+)
 
 
 @dataclass
 class ExperimentConfig:
-    ensemble_spec: dict | None
-    mixing_spec: dict | None
-    schedule_spec: dict | None
     horizon: int = DEFAULT_HORIZON
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
     record_every: int = DEFAULT_RECORD_EVERY
@@ -46,49 +52,48 @@ class ExperimentConfig:
     family_L: float = 10.0
     family_mu: float = 1.0
     scan_cap: float = DEFAULT_SCAN_CAP
-
-    # built eagerly at parse time
+    # each spec in its normal form, and the object it describes, built at parse time
+    ensemble_spec: dict | None = None
+    mixing_spec: dict | None = None
+    schedule_spec: dict | None = None
     ensemble: QuadraticEnsemble | None = None
     mixing: MixingMatrix | None = None
     schedule: StepsizeSchedule | None = None
 
     def canonical(self) -> dict:
-        out: dict = {}
-        if self.ensemble_spec is not None:
-            out["ensemble"] = self.ensemble_spec
-        if self.mixing_spec is not None:
-            out["mixing"] = self.mixing_spec
-        if self.schedule_spec is not None:
-            out["schedule"] = self.schedule.to_spec()
-        out.update(
-            {
-                "horizon": self.horizon,
-                "divergence_threshold": self.divergence_threshold,
-                "record_every": self.record_every,
-                "agent_scale": self.agent_scale,
-                "track_lifted": self.track_lifted,
-                "alpha_multiples": self.alpha_multiples,
-                "sweep_base": self.sweep_base,
-                "epsilons": self.epsilons,
-                "L": self.family_L,
-                "mu": self.family_mu,
-                "threshold": {"scan_cap": self.scan_cap},
-            }
-        )
-        if self.x0 is not None:
-            out["x0"] = self.x0
-        return out
+        """The config in its normal form; a spec or x0 that is absent is left out."""
+        out = {
+            "ensemble": self.ensemble_spec,
+            "mixing": self.mixing_spec,
+            "schedule": self.schedule_spec,
+            "horizon": self.horizon,
+            "divergence_threshold": self.divergence_threshold,
+            "record_every": self.record_every,
+            "agent_scale": self.agent_scale,
+            "track_lifted": self.track_lifted,
+            "alpha_multiples": self.alpha_multiples,
+            "sweep_base": self.sweep_base,
+            "epsilons": self.epsilons,
+            "L": self.family_L,
+            "mu": self.family_mu,
+            "threshold": {"scan_cap": self.scan_cap},
+            "x0": self.x0,
+        }
+        return {key: value for key, value in out.items() if value is not None}
 
 
 def _number(key: str, value, kind=float):
-    """`value` as an int or a finite float, or a ConfigError naming `key`."""
+    """`value` as an int or a finite float, or a ConfigError naming `key`: a
+    JSON boolean, string, null, list or object is not a number, and an
+    integer may be written 3 or 3.0 but not 3.5."""
     noun = "an integer" if kind is int else "a number"
+    integral = kind is float or not isinstance(value, float) or value.is_integer()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not integral:
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
     try:
         out = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer past the float range
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
     if kind is float and not math.isfinite(out):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return out
@@ -101,58 +106,117 @@ def _flag(key: str, value) -> bool:
 
 
 def _numbers(key: str, value) -> list[float]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return [_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    _matrix(key, value, 1)
+    return [float(v) for v in value]  # float(v) is v itself for a float
 
 
-def _scan_cap(threshold) -> float:
-    if not isinstance(threshold, dict):
-        raise ConfigError(f"threshold must be a JSON object, got {threshold!r}")
-    unknown = set(threshold) - {"scan_cap"}
+def _keys(path: str, spec, kinds: dict, default: str | None = None) -> str | None:
+    """The `type` of the JSON object `spec` at `path`, which must hold exactly
+    that type's keys: `kinds` maps each type to its required and its optional
+    keys, and has the one type None for an object that takes no `type` key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {reprlib.repr(spec)}")
+    kind = None if None in kinds else spec.get("type", default)
+    try:
+        required, optional = kinds[kind]
+    except (KeyError, TypeError):  # TypeError: a list or an object as the type
+        raise ConfigError(f"{path}.type must be one of {list(kinds)}, got {kind!r}") from None
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ConfigError(f"{path} is missing keys {missing}")
+    unknown = sorted(set(spec) - {*required, *optional, *([] if kind is None else ["type"])})
     if unknown:
-        raise ConfigError(
-            f"unknown threshold keys {sorted(unknown)}: only 'scan_cap' is accepted "
-            "(alpha_A is computed exactly, with no search to tune)"
-        )
-    scan_cap = _number("threshold.scan_cap", threshold.get("scan_cap", DEFAULT_SCAN_CAP))
-    if scan_cap <= 0:
-        raise ConfigError("threshold.scan_cap must be positive")
-    return scan_cap
+        raise ConfigError(f"unknown {path} keys {unknown}: it takes {[*required, *optional]}")
+    return kind
+
+
+def _matrix(key: str, value, ndim: int) -> np.ndarray:
+    """`value`, nested JSON lists of finite numbers, as an `ndim`-dimensional array, or a
+    ConfigError naming `key`; one scan finds booleans, which numpy reads as 0 and 1."""
+    try:
+        array = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # rows of different lengths
+        array = None
+    numeric = array is not None and array.ndim == ndim and array.dtype.kind in "iuf"
+    entries = (value if ndim == 1 else (v for row in value for v in row)) if numeric else ()
+    if not numeric or any(type(v) is bool for v in entries):
+        noun = "a list of numbers" if ndim == 1 else "a matrix (a list of rows of numbers)"
+        raise ConfigError(f"{key} must be {noun}, got {reprlib.repr(value)}")
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{key} has non-finite entries")
+    return array
+
+
+def _ensemble(spec, seed: int | None = None) -> tuple[dict, QuadraticEnsemble]:
+    """An ensemble spec's normal form and ensemble; `seed`, if given, replaces a random one's."""
+    kinds = {
+        "random": (("m", "n", "epsilon", "seed"), ()),
+        "epsilon_example": (("L", "mu", "epsilon"), ()),
+        "explicit": (("costs",), ()),
+    }
+    kind = _keys("ensemble", spec, kinds)
+    if kind == "random" and seed is not None:
+        spec = dict(spec, seed=seed)
+    if kind != "explicit":  # every key a number, in the constructor's order
+        numbers = {
+            key: _number(f"ensemble.{key}", spec[key], int if key in ("m", "n", "seed") else float)
+            for key in kinds[kind][0]
+        }
+        build = random_ensemble if kind == "random" else epsilon_example
+        return {"type": kind, **numbers}, build(*numbers.values())
+    if not isinstance(spec["costs"], list):
+        raise ConfigError(f"ensemble.costs must be a list, got {reprlib.repr(spec['costs'])}")
+    costs = []
+    for i, cost in enumerate(spec["costs"]):
+        path = f"ensemble.costs[{i}]"
+        _keys(path, cost, {None: (("A", "b"), ())})
+        a, b = _matrix(f"{path}.A", cost["A"], 2), _matrix(f"{path}.b", cost["b"], 1)
+        costs.append(QuadraticCost(a, b))
+    return {"type": kind, "costs": spec["costs"]}, QuadraticEnsemble(costs)
+
+
+def _mixing(spec) -> tuple[dict, MixingMatrix]:
+    """A mixing spec's normal form and validated W; MixingMatrixError "malformed_spec" if no W."""
+    kinds = {"explicit": (("W",), ()), "metropolis": (("adjacency",), ())}
+    try:
+        kind = _keys("mixing", spec, kinds, default="explicit")
+        key = "W" if kind == "explicit" else "adjacency"
+        matrix = _matrix(f"mixing.{key}", spec[key], 2)
+    except ConfigError as exc:
+        raise MixingMatrixError("malformed_spec", str(exc)) from None
+    build = validate_mixing if kind == "explicit" else metropolis_weights
+    return {"type": kind, key: spec[key]}, build(matrix)
+
+
+def _schedule(spec) -> tuple[dict, StepsizeSchedule]:
+    """A schedule spec's normal form and schedule; the type names its constructor."""
+    kinds = {"constant": (("alpha",), ()), "polynomial": (("a",), ("w", "p"))}
+    kind = _keys("schedule", spec, kinds)
+    required, optional = kinds[kind]  # the optional w and p default to 1.0
+    numbers = {key: _number(f"schedule.{key}", spec.get(key, 1.0)) for key in required + optional}
+    return {"type": kind, **numbers}, getattr(StepsizeSchedule, kind)(**numbers)
+
+
+def ensemble_from_spec(spec: dict) -> QuadraticEnsemble:
+    """The ensemble of a JSON spec (`type` random, epsilon_example or explicit)."""
+    return _ensemble(spec)[1]
+
+
+def mixing_from_spec(spec: dict) -> MixingMatrix:
+    """The validated W of a JSON mixing spec (`type` explicit, the default, or metropolis)."""
+    return _mixing(spec)[1]
 
 
 def parse_config(
     data: dict, seed_override: int | None = None, horizon_override: int | None = None
 ) -> ExperimentConfig:
-    """Validate a config dictionary and build all referenced objects.
-
-    Raises ConfigError with a human-readable diagnostic on any problem.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
-
-    known = {
-        "ensemble", "mixing", "schedule", "horizon", "divergence_threshold",
-        "record_every", "agent_scale", "track_lifted", "x0", "alpha_multiples",
-        "sweep_base", "epsilons", "L", "mu", "threshold",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for key in ("ensemble", "mixing", "schedule"):
-        if data.get(key) is not None and not isinstance(data[key], dict):
-            raise ConfigError(f"{key} must be a JSON object, got {data[key]!r}")
-
-    ensemble_spec = data.get("ensemble")
-    if ensemble_spec is not None and seed_override is not None:
-        if ensemble_spec.get("type") == "random":
-            ensemble_spec = dict(ensemble_spec, seed=int(seed_override))
-
+    """Validate a config dictionary and build all referenced objects; a
+    ConfigError with a one-line diagnosis on any problem."""
+    _keys("configuration", data, {None: ((), _CONFIG_KEYS)})
+    threshold = data.get("threshold", {})
+    _keys("threshold", threshold, {None: ((), ("scan_cap",))})
     horizon = data.get("horizon", DEFAULT_HORIZON) if horizon_override is None else horizon_override
     cfg = ExperimentConfig(
-        ensemble_spec=ensemble_spec,
-        mixing_spec=data.get("mixing"),
-        schedule_spec=data.get("schedule"),
         horizon=_number("horizon", horizon, int),
         divergence_threshold=_number(
             "divergence_threshold", data.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
@@ -168,7 +232,7 @@ def parse_config(
         epsilons=_numbers("epsilons", data.get("epsilons", DEFAULT_EPSILONS)),
         family_L=_number("L", data.get("L", 10.0)),
         family_mu=_number("mu", data.get("mu", 1.0)),
-        scan_cap=_scan_cap(data.get("threshold", {})),
+        scan_cap=_number("threshold.scan_cap", threshold.get("scan_cap", DEFAULT_SCAN_CAP)),
     )
 
     if not 1 <= cfg.horizon <= MAX_HORIZON:
@@ -185,17 +249,21 @@ def parse_config(
         raise ConfigError(f"unknown sweep_base {cfg.sweep_base!r}")
     if not (cfg.family_L > cfg.family_mu > 0):
         raise ConfigError("sweep-epsilon family needs L > mu > 0")
+    if cfg.scan_cap <= 0:
+        raise ConfigError("threshold.scan_cap must be positive")
 
     try:
-        if cfg.ensemble_spec is not None:
-            cfg.ensemble = ensemble_from_spec(cfg.ensemble_spec)
-        if cfg.mixing_spec is not None:
-            cfg.mixing = mixing_from_spec(cfg.mixing_spec)
-        if cfg.schedule_spec is not None:
-            cfg.schedule = StepsizeSchedule.from_spec(cfg.schedule_spec)
+        if data.get("ensemble") is not None:
+            cfg.ensemble_spec, cfg.ensemble = _ensemble(data["ensemble"], seed_override)
+        if data.get("mixing") is not None:
+            cfg.mixing_spec, cfg.mixing = _mixing(data["mixing"])
+        if data.get("schedule") is not None:
+            cfg.schedule_spec, cfg.schedule = _schedule(data["schedule"])
     except MixingMatrixError as exc:
         raise ConfigError(f"mixing spec invalid [{exc.code}]: {exc}") from exc
-    except (ValueError, KeyError, TypeError, OverflowError, DgdLabError) as exc:
+    except ConfigError:
+        raise
+    except (ValueError, DgdLabError) as exc:  # a constructor refusing what was read
         raise ConfigError(f"configuration invalid: {exc}") from exc
 
     if cfg.ensemble is not None and cfg.mixing is not None:

@@ -270,26 +270,3 @@ def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsembl
     the row of `epsilon_family` for `epsilon`, with zero linear terms."""
     (curvatures,) = epsilon_family(big_l, mu, [epsilon])
     return QuadraticEnsemble.from_stacks(curvatures, np.zeros((EPSILON_EXAMPLE_AGENTS, 2)))
-
-
-def ensemble_from_spec(spec: dict) -> QuadraticEnsemble:
-    """Build an ensemble from its structured-text (JSON) form.
-
-    Accepts {"type": "random", "m", "n", "epsilon", "seed"},
-    {"type": "epsilon_example", "L", "mu", "epsilon"}, or
-    {"type": "explicit", "costs": [{"A": [[...]], "b": [...]}, ...]}.
-    """
-    kind = spec.get("type")
-    if kind == "random":
-        return random_ensemble(
-            int(spec["m"]), int(spec["n"]), float(spec["epsilon"]), int(spec["seed"])
-        )
-    if kind == "epsilon_example":
-        return epsilon_example(float(spec["L"]), float(spec["mu"]), float(spec["epsilon"]))
-    if kind == "explicit":
-        costs = [
-            QuadraticCost(a=np.asarray(c["A"], dtype=float), b=np.asarray(c["b"], dtype=float))
-            for c in spec["costs"]
-        ]
-        return QuadraticEnsemble(costs)
-    raise ValueError(f"unknown ensemble spec type {kind!r}")

@@ -21,8 +21,8 @@ class MixingMatrixError(DgdLabError, ValueError):
     """Mixing-matrix validation failure with a stable error code.
 
     Codes: "non_finite", "not_square", "asymmetric", "row_sum", "col_sum",
-    "zero_diagonal", "disconnected", "negative_weight", and
-    "malformed_spec" for a mixing spec that does not describe a matrix.
+    "zero_diagonal", "disconnected", "negative_weight", and "malformed_spec",
+    which config's mixing reader raises for a spec that describes no matrix.
     """
 
     def __init__(self, code: str, message: str):

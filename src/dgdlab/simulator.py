@@ -90,22 +90,6 @@ class StepsizeSchedule:
             return self.alpha
         return self.a / (t + self.w) ** self.p
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "StepsizeSchedule":
-        kind = spec.get("type")
-        if kind == "constant":
-            return cls.constant(float(spec["alpha"]))
-        if kind == "polynomial":
-            return cls.polynomial(
-                float(spec["a"]), float(spec.get("w", 1.0)), float(spec.get("p", 1.0))
-            )
-        raise ValueError(f"unknown schedule spec type {kind!r}")
-
-    def to_spec(self) -> dict:
-        if self.kind == "constant":
-            return {"type": "constant", "alpha": self.alpha}
-        return {"type": "polynomial", "a": self.a, "w": self.w, "p": self.p}
-
 
 def _fold(
     scale: np.ndarray,

@@ -122,33 +122,3 @@ def metropolis_weights(adjacency: np.ndarray) -> MixingMatrix:
     w = np.where(adjacency != 0, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return validate_mixing(w)
-
-
-def _spec_matrix(spec: dict, key: str) -> np.ndarray:
-    if key not in spec:
-        raise MixingMatrixError("malformed_spec", f"mixing spec has no {key!r} key")
-    try:
-        out = np.asarray(spec[key], dtype=float)
-    except (TypeError, ValueError):
-        raise MixingMatrixError("malformed_spec", f"{key} is not a numeric matrix") from None
-    if not np.all(np.isfinite(out)):
-        raise MixingMatrixError("malformed_spec", f"{key} has non-finite entries")
-    return out
-
-
-def mixing_from_spec(spec: dict) -> MixingMatrix:
-    """Build a MixingMatrix from its structured-text (JSON) form.
-
-    Accepts {"type": "explicit", "W": [[...]]}, a bare {"W": [[...]]},
-    or {"type": "metropolis", "adjacency": [[...]]}. A spec that is not
-    an object, lacks its matrix, or holds non-numeric or non-finite
-    entries raises MixingMatrixError with code "malformed_spec".
-    """
-    if not isinstance(spec, dict):
-        raise MixingMatrixError("malformed_spec", "mixing spec must be a JSON object")
-    kind = spec.get("type", "explicit")
-    if kind == "explicit":
-        return validate_mixing(_spec_matrix(spec, "W"))
-    if kind == "metropolis":
-        return metropolis_weights(_spec_matrix(spec, "adjacency"))
-    raise MixingMatrixError("malformed_spec", f"unknown mixing spec type {kind!r}")

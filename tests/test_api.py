@@ -5,7 +5,7 @@ exported again."""
 import inspect
 
 import dgdlab
-from dgdlab import bounds, costs, lifted, simulator
+from dgdlab import bounds, config, costs, lifted, simulator, topology
 
 # name -> where it lived, and what replaces it
 REMOVED = {
@@ -16,7 +16,10 @@ REMOVED = {
     "ordering_check": bounds,  # spectral_gap_bound(...) < lambda_min_bound(...)
     "combined_bound": bounds,  # min(alpha_L, alpha_A)
     "iteration_matrix": simulator,  # simulator._iteration_matrices
+    "_spec_matrix": topology,  # config._matrix
 }
+# name -> the module it left: the JSON spec readers now live in `config`
+MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
 REMOVED_METHODS = {
     "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
     "aggregate_value": costs.QuadraticEnsemble,
@@ -24,6 +27,8 @@ REMOVED_METHODS = {
     "separable_value": lifted.LiftedObjective,  # folded into LiftedObjective.value
     "max_r": simulator.TrajectoryRecord,  # summary_dict()["max_R"]
     "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
+    "from_spec": simulator.StepsizeSchedule,  # config reads schedule specs
+    "to_spec": simulator.StepsizeSchedule,  # ExperimentConfig.canonical()["schedule"]
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
@@ -49,6 +54,9 @@ def test_removed_names_and_options_stay_removed():
     for name, module in REMOVED.items():
         assert name not in dgdlab.__all__ and not hasattr(dgdlab, name), name
         assert not hasattr(module, name), name
+    for name, module in MOVED_TO_CONFIG.items():
+        assert not hasattr(module, name), name
+        assert getattr(dgdlab, name) is getattr(config, name), name
     for name, cls in REMOVED_METHODS.items():
         assert not hasattr(cls, name), name
     for function, options in REMOVED_OPTIONS.items():

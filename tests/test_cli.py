@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgdlab import cli, simulator
+from dgdlab import bounds, cli, config, costs, lifted, simulator
 from dgdlab.config import parse_config
 from dgdlab.errors import ConfigError
 
@@ -16,6 +17,11 @@ W_UNIFORM = [[1 / 3] * 3] * 3
 README_ENSEMBLE = {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}
 BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _explicit(cost):
+    """An explicit three-agent ensemble spec: `cost` for every agent."""
+    return {"type": "explicit", "costs": [cost] * 3}
 
 
 def _write_config(tmp_path, data, name="config.json"):
@@ -125,6 +131,64 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("ensemble", "m"), 3.7),
+            (("ensemble", "seed"), 5.9),
+            (("ensemble", "n"), True),
+            (("ensemble", "epsilon"), "1.0"),
+            (("ensemble", "seed"), None),
+            (("ensemble", "sead"), 5),
+            (("mixing", "W"), [[0.5, "0.25", 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
+            (("mixing", "W"), [[0.5, 0.5, False], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]]),
+            (("mixing", "adjacency"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+            (("schedule", "alpha"), True),
+            (("schedule", "alpha"), [0.05]),
+            (("schedule",), {"type": "polynomial", "a": 0.3, "q": 0.5}),
+            (("schedule",), {"type": "constant", "alpha": 0.05, "w": 2.0}),
+            (("horizon",), "50"),
+            (("ensemble",), _explicit({"A": [[True, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]})),
+            (("ensemble",), _explicit({"A": [[2.0, 0.0], [0.0, 1.0]], "b": ["1", 0.0]})),
+            (("ensemble",), _explicit({"A": [[2.0]], "b": [1.0], "c": 0})),
+        ],
+    )
+    def test_mistyped_or_unknown_nested_values_exit_2_naming_their_path(
+        self, path, value, tmp_path, capsys
+    ):
+        # README's seed-5 config with one value changed, at any depth
+        data = {
+            "ensemble": dict(README_ENSEMBLE),
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.05},
+            "horizon": 50,
+        }
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and path[0] in captured.err
+
+    def test_specs_are_read_into_one_normal_form(self):
+        bare = parse_config(
+            {"mixing": {"W": W_QUARTER}, "schedule": {"type": "polynomial", "a": 1}}
+        ).canonical()
+        full = parse_config(
+            {
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "schedule": {"type": "polynomial", "a": 1.0, "w": 1.0, "p": 1.0},
+            }
+        ).canonical()
+        assert bare == full
+        assert full["mixing"] == {"type": "explicit", "W": W_QUARTER}
+        assert full["schedule"] == {"type": "polynomial", "a": 1.0, "w": 1.0, "p": 1.0}
+        ensemble = parse_config({"ensemble": dict(README_ENSEMBLE, m=3.0, epsilon=1)})
+        assert ensemble.canonical()["ensemble"] == README_ENSEMBLE
+        assert type(ensemble.ensemble_spec["m"]) is int
 
     def test_threshold_scan_cap_round_trips(self):
         data = {"threshold": {"scan_cap": 50}}
@@ -429,6 +493,26 @@ class TestSweepEpsilonCommand:
         assert len({row[2] for row in body}) == 1
         assert float(body[0][2]) == pytest.approx(0.09)
 
+    @pytest.mark.parametrize("w", [W_QUARTER, W_UNIFORM], ids=["quarter", "uniform"])
+    @pytest.mark.parametrize("big_l, mu", [(10.0, 1.0), (4.0, 0.5)])
+    def test_bound_columns_are_each_instances_own(self, w, big_l, mu, tmp_path, capsys):
+        # above epsilon = L the planted instance's L is epsilon, and above
+        # 2L - 3 mu its mu is (2L - epsilon) / 3: every row's alpha_L and
+        # alpha_S are what `bounds` reports for that instance
+        epsilons = [big_l * k / 20 for k in range(41)]
+        config_data = {"mixing": {"W": w}, "epsilons": epsilons, "L": big_l, "mu": mu}
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, config_data)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        mixing = config.mixing_from_spec({"W": w})
+        # build_report reads alpha_A from the threshold it is given; the
+        # bound columns do not depend on it
+        threshold = lifted.ThresholdResult(alpha=math.inf, method="unused")
+        for eps, row in zip(epsilons, rows, strict=True):
+            instance = costs.epsilon_example(big_l, mu, eps)
+            report = bounds.build_report(instance, mixing, threshold=threshold).to_dict()
+            assert float(row[2]) == report["alpha_L"], eps
+            assert row[3] == ("" if report["alpha_S"] is None else repr(report["alpha_S"])), eps
+
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
         path = _write_config(tmp_path, {"mixing": mixing})
@@ -474,7 +558,8 @@ class TestSweepEpsilonCommand:
         # The golden files were written by one LiftedObjective per epsilon, before
         # thresholds were certified as a stack; the stack must reproduce them.
         # They cover deeper ladder probes, the blank row at 2L, capped rows and
-        # a W without alpha_S.
+        # a W without alpha_S. Rows above epsilon = L = 10 carry each instance's
+        # own alpha_L and alpha_S.
         expected = (GOLDEN / f"sweep_epsilon_{golden}.csv").read_bytes()
         path = _write_config(tmp_path, config)
         assert cli.main(["sweep-epsilon", "--config", path]) == 0
@@ -630,6 +715,22 @@ class TestValidateTopologyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error [malformed_spec]: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "explicit", "W": [[0.5, "0.5"], [0.5, 0.5]]},
+            {"W": [[True, 0.0], [0.0, 1.0]]},
+            {"W": W_QUARTER, "adjacency": [[0, 1], [1, 0]]},
+            {"type": "metropolis", "adjacency": [[0, True], [True, 0]]},
+        ],
+    )
+    def test_mistyped_entries_and_unknown_keys_are_malformed(self, spec, tmp_path, capsys):
+        path = _write_config(tmp_path, spec, name="w.json")
+        assert cli.main(["validate-topology", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error [malformed_spec]: ") and "mixing" in captured.err
+
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert cli.main(["validate-topology", "--config", str(path)]) == 2
@@ -712,3 +813,10 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lambda_min"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_help_epilog_quotes_each_csv_header():
+    epilog = cli.build_parser().epilog
+    assert f"'{','.join(simulator.TRAJECTORY_CSV_HEADER)}'" in epilog
+    assert f"'{cli.SWEEP_ALPHA_CSV_HEADER}'" in epilog
+    assert f"'{cli.SWEEP_EPSILON_CSV_HEADER}'" in epilog

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgdlab import costs
+from dgdlab import config, costs
 from dgdlab.errors import NotStronglyConvexError, NotSymmetricError
 
 
@@ -307,18 +307,20 @@ class TestSpectralConstants:
 
 
 class TestEnsembleFromSpec:
+    """The ensemble spec reader, which lives in `config`."""
+
     def test_random_spec(self):
         spec = {"type": "random", "m": 3, "n": 2, "epsilon": 0.5, "seed": 42}
-        e = costs.ensemble_from_spec(spec)
+        e = config.ensemble_from_spec(spec)
         direct = costs.random_ensemble(3, 2, 0.5, seed=42)
         assert np.array_equal(e.costs[0].a, direct.costs[0].a)
 
     def test_epsilon_example_spec(self):
-        e = costs.ensemble_from_spec({"type": "epsilon_example", "L": 10, "mu": 1, "epsilon": 2})
+        e = config.ensemble_from_spec({"type": "epsilon_example", "L": 10, "mu": 1, "epsilon": 2})
         np.testing.assert_allclose(e.aggregate_a, np.diag([6.0, 1.0]))
 
     def test_explicit_spec(self):
-        e = costs.ensemble_from_spec(
+        e = config.ensemble_from_spec(
             {"type": "explicit", "costs": [{"A": [[2.0]], "b": [1.0]}]}
         )
         assert e.m == 1 and e.n == 1
@@ -326,4 +328,4 @@ class TestEnsembleFromSpec:
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
-            costs.ensemble_from_spec({"type": "logistic"})
+            config.ensemble_from_spec({"type": "logistic"})

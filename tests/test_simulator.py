@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dgdlab import bounds, costs, lifted, numerics, simulator, topology
+from dgdlab import bounds, config, costs, lifted, numerics, simulator, topology
 from dgdlab.simulator import StepsizeSchedule
 
 
@@ -60,8 +60,17 @@ class TestSchedule:
             StepsizeSchedule.constant(0.0)
 
     def test_spec_round_trip(self):
-        for s in (StepsizeSchedule.constant(0.1), StepsizeSchedule.polynomial(a=2.0, w=3.0, p=0.5)):
-            again = StepsizeSchedule.from_spec(s.to_spec())
+        # config reads a schedule spec, and reads its canonical form back unchanged
+        for s, spec in (
+            (StepsizeSchedule.constant(0.1), {"type": "constant", "alpha": 0.1}),
+            (
+                StepsizeSchedule.polynomial(a=2.0, w=3.0, p=0.5),
+                {"type": "polynomial", "a": 2.0, "w": 3.0, "p": 0.5},
+            ),
+        ):
+            cfg = config.parse_config({"schedule": spec})
+            assert cfg.schedule == s and cfg.canonical()["schedule"] == spec
+            again = config.parse_config(cfg.canonical()).schedule
             assert again == s
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgdlab import topology
+from dgdlab import config, topology
 from dgdlab.errors import MixingMatrixError
 
 
@@ -159,20 +159,22 @@ def test_disagreement_quadratic_form_bound():
 
 
 class TestMixingFromSpec:
+    """The mixing spec reader, which lives in `config`."""
+
     def test_explicit(self, mix_quarter):
-        mix = topology.mixing_from_spec({"type": "explicit", "W": mix_quarter.w.tolist()})
+        mix = config.mixing_from_spec({"type": "explicit", "W": mix_quarter.w.tolist()})
         np.testing.assert_allclose(mix.w, mix_quarter.w)
 
     def test_bare_w_key(self, mix_quarter):
-        mix = topology.mixing_from_spec({"W": mix_quarter.w.tolist()})
+        mix = config.mixing_from_spec({"W": mix_quarter.w.tolist()})
         np.testing.assert_allclose(mix.w, mix_quarter.w)
 
     def test_metropolis(self):
-        mix = topology.mixing_from_spec(
+        mix = config.mixing_from_spec(
             {"type": "metropolis", "adjacency": [[0, 1], [1, 0]]}
         )
         np.testing.assert_allclose(mix.w, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_unknown_type(self):
         with pytest.raises(MixingMatrixError):
-            topology.mixing_from_spec({"type": "gossip"})
+            config.mixing_from_spec({"type": "gossip"})
