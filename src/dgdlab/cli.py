@@ -110,6 +110,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.schedule.kind == "constant":
         _require_oracle_stepsize(cfg, cfg.schedule.alpha)
     objective = LiftedObjective(cfg.ensemble, cfg.mixing) if cfg.track_lifted else None
+    # trajectory.csv holds the metrics, not states: no state history
     record = simulator.run(
         cfg.ensemble,
         cfg.mixing,
@@ -118,7 +119,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
         agent_scale=cfg.agent_scale,
-        record_every=cfg.record_every,
+        record_every=None,
         lifted_distance=objective,
     )
     summary = record.summary_dict()
@@ -154,6 +155,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
                 "positive stepsize"
             )
         _require_oracle_stepsize(cfg, mult * base)
+    # the sweep writes R(t) alone: no consensus or state history
     records = simulator.run_batch(
         cfg.ensemble,
         cfg.mixing,
@@ -162,7 +164,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
         agent_scale=cfg.agent_scale,
-        record_every=cfg.record_every,
+        record_every=None,
+        consensus=False,
     )
 
     verdicts = simulator.boundedness_verdicts(

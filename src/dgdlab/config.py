@@ -2,8 +2,9 @@
 
 Every spec in a config, and the mixing spec `validate-topology` reads, is
 read here as strictly at every depth as at the top: each spec type takes
-exactly its own keys, and a non-number where a number belongs is a
-ConfigError naming its key path. `canonical()` gives the normal form.
+exactly its own keys, and a non-number where a number belongs, or a value
+its constructor refuses, is a ConfigError naming its key path.
+`canonical()` gives the normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import QuadraticCost, QuadraticEnsemble, epsilon_example, random_ensemble
-from .errors import ConfigError, DgdLabError, MixingMatrixError
+from .errors import ConfigError, DgdLabError, MixingMatrixError, ParameterError
 from .lifted import DEFAULT_SCAN_CAP
 from .simulator import (
     DEFAULT_DIVERGENCE_THRESHOLD,
@@ -28,8 +29,10 @@ from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-# a run preallocates 16 bytes per step and stepsize, plus thinned states, so
-# no horizon beyond this fits; the CLI refuses one within it that memory cannot hold
+# a run preallocates its histories for the whole horizon: 8 bytes per step and
+# stepsize for sweep-alpha (R alone), at least 16 for simulate (R and consensus),
+# plus the step index, so no horizon beyond this fits; the CLI refuses one within
+# it that memory cannot hold
 MAX_HORIZON = 10**9
 _CONFIG_KEYS = (
     "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",
@@ -147,6 +150,17 @@ def _matrix(key: str, value, ndim: int) -> np.ndarray:
     return array
 
 
+def _built(path: str, build, *args):
+    """build(*args), or a ConfigError naming the narrowest key path of a
+    refusal: `path`, or path.key for a refused parameter of that name."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}.{exc.parameter}: {exc}") from None
+    except (ValueError, DgdLabError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _ensemble(spec, seed: int | None = None) -> tuple[dict, QuadraticEnsemble]:
     """An ensemble spec's normal form and ensemble; `seed`, if given, replaces a random one's."""
     kinds = {
@@ -163,7 +177,7 @@ def _ensemble(spec, seed: int | None = None) -> tuple[dict, QuadraticEnsemble]:
             for key in kinds[kind][0]
         }
         build = random_ensemble if kind == "random" else epsilon_example
-        return {"type": kind, **numbers}, build(*numbers.values())
+        return {"type": kind, **numbers}, _built("ensemble", build, *numbers.values())
     if not isinstance(spec["costs"], list):
         raise ConfigError(f"ensemble.costs must be a list, got {reprlib.repr(spec['costs'])}")
     costs = []
@@ -171,8 +185,9 @@ def _ensemble(spec, seed: int | None = None) -> tuple[dict, QuadraticEnsemble]:
         path = f"ensemble.costs[{i}]"
         _keys(path, cost, {None: (("A", "b"), ())})
         a, b = _matrix(f"{path}.A", cost["A"], 2), _matrix(f"{path}.b", cost["b"], 1)
-        costs.append(QuadraticCost(a, b))
-    return {"type": kind, "costs": spec["costs"]}, QuadraticEnsemble(costs)
+        costs.append(_built(path, QuadraticCost, a, b))
+    ensemble = _built("ensemble.costs", QuadraticEnsemble, costs)  # one dimension, a finite sum
+    return {"type": kind, "costs": spec["costs"]}, ensemble
 
 
 def _mixing(spec) -> tuple[dict, MixingMatrix]:
@@ -194,7 +209,8 @@ def _schedule(spec) -> tuple[dict, StepsizeSchedule]:
     kind = _keys("schedule", spec, kinds)
     required, optional = kinds[kind]  # the optional w and p default to 1.0
     numbers = {key: _number(f"schedule.{key}", spec.get(key, 1.0)) for key in required + optional}
-    return {"type": kind, **numbers}, getattr(StepsizeSchedule, kind)(**numbers)
+    build = getattr(StepsizeSchedule, kind)  # its parameters in the keys' order
+    return {"type": kind, **numbers}, _built("schedule", build, *numbers.values())
 
 
 def ensemble_from_spec(spec: dict) -> QuadraticEnsemble:
@@ -261,10 +277,6 @@ def parse_config(
             cfg.schedule_spec, cfg.schedule = _schedule(data["schedule"])
     except MixingMatrixError as exc:
         raise ConfigError(f"mixing spec invalid [{exc.code}]: {exc}") from exc
-    except ConfigError:
-        raise
-    except (ValueError, DgdLabError) as exc:  # a constructor refusing what was read
-        raise ConfigError(f"configuration invalid: {exc}") from exc
 
     if cfg.ensemble is not None and cfg.mixing is not None:
         if cfg.ensemble.m != cfg.mixing.m:

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NotStronglyConvexError, NotSymmetricError
+from .errors import (
+    NotPositiveDefiniteError,
+    NotStronglyConvexError,
+    NotSymmetricError,
+    ParameterError,
+)
 from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen
 
 
@@ -228,15 +233,20 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
     stream of one draw per agent, so a fixed seed gives a bit-identical
     ensemble on any platform.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    for name, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ParameterError(name, "m and n must be at least 1")
     if m * n * n > MAX_RANDOM_ENTRIES:
         raise ValueError(
             f"m * n * n = {m * n * n} curvature entries exceed the limit of {MAX_RANDOM_ENTRIES}"
         )
     if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n * n + n))
+        raise ParameterError("epsilon", "epsilon must be nonnegative")
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # numpy refuses a negative seed
+        raise ParameterError("seed", str(exc)) from None
+    draws = rng.uniform(-1.0, 1.0, size=(m, n * n + n))
     r = draws[:, : n * n].reshape(m, n, n)
     return QuadraticEnsemble.from_stacks(
         epsilon * np.eye(n) + r + r.swapaxes(1, 2), draws[:, n * n :]
@@ -253,11 +263,13 @@ def epsilon_family(big_l: float, mu: float, epsilons) -> np.ndarray:
     aggregate stays strongly convex as long as epsilon < 2L, while agent 3
     is non-convex for any epsilon > 0.
     """
-    if not (big_l > mu > 0):
+    if not mu > 0:
+        raise ParameterError("mu", "requires L > mu > 0")
+    if not big_l > mu:
         raise ValueError("requires L > mu > 0")
     epsilons = np.asarray(epsilons, dtype=float)
     if (epsilons < 0).any():
-        raise ValueError("epsilon must be nonnegative")
+        raise ParameterError("epsilon", "epsilon must be nonnegative")
     out = np.zeros((epsilons.size, EPSILON_EXAMPLE_AGENTS, 2, 2))
     out[:, :2, 0, 0] = big_l
     out[:, 2, 0, 0] = -epsilons

@@ -30,6 +30,14 @@ class MixingMatrixError(DgdLabError, ValueError):
         self.code = code
 
 
+class ParameterError(DgdLabError, ValueError):
+    """A constructor refuses the value of one named parameter, `parameter`."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class NotStronglyConvexError(DgdLabError, ValueError):
     """An operation requires strong convexity that the input does not have."""
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .bounds import lambda_min_bound
 from .costs import QuadraticEnsemble
+from .errors import ParameterError
 from .lifted import LiftedObjective
 from .numerics import render_float, sym_eigen
 from .topology import MixingMatrix
@@ -68,19 +69,24 @@ class StepsizeSchedule:
     @classmethod
     def constant(cls, alpha: float) -> "StepsizeSchedule":
         if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"constant stepsize must be finite and positive, got {alpha!r}")
+            raise ParameterError(
+                "alpha", f"constant stepsize must be finite and positive, got {alpha!r}"
+            )
         return cls(kind="constant", alpha=float(alpha))
 
     @classmethod
     def polynomial(cls, a: float, w: float = 1.0, p: float = 1.0) -> "StepsizeSchedule":
-        if not all(math.isfinite(v) for v in (a, w, p)):
-            raise ValueError(f"polynomial schedule needs finite a, w, p, got {(a, w, p)!r}")
+        for name, value in (("a", a), ("w", w), ("p", p)):
+            if not math.isfinite(value):
+                raise ParameterError(
+                    name, f"polynomial schedule needs finite a, w, p, got {(a, w, p)!r}"
+                )
         if a <= 0:
-            raise ValueError("polynomial schedule needs a > 0")
+            raise ParameterError("a", "polynomial schedule needs a > 0")
         if w < 1:
-            raise ValueError("polynomial schedule needs w >= 1")
+            raise ParameterError("w", "polynomial schedule needs w >= 1")
         if not (0 < p <= 1):
-            raise ValueError("polynomial schedule needs p in (0, 1]")
+            raise ParameterError("p", "polynomial schedule needs p in (0, 1]")
         return cls(kind="polynomial", a=float(a), w=float(w), p=float(p))
 
     def value(self, t: int) -> float:
@@ -165,13 +171,16 @@ class TrajectoryRecord:
     """Per-step DGD metrics plus a thinned state history and a verdict.
 
     Metrics are recorded at every step t for the pre-step state x(t);
-    full states only every `record_every` steps (plus the final state).
-    verdict is "diverged" when the error metric R(t) crossed the
-    divergence threshold at `divergence_step`, else "bounded".
+    full states only every `record_every` steps (plus the final state),
+    and none when `record_every` is None. verdict is "diverged" when the
+    error metric R(t) crossed the divergence threshold at `divergence_step`,
+    else "bounded".
 
     The arrays are read-only views into one buffer per metric, shared by the
     whole batch of `run_batch`: a record that is kept holds its batch's
-    histories. A constant `alpha` and an untracked distance are broadcasts.
+    histories. A constant `alpha` is a broadcast of its one value, and an
+    untracked distance or an unkept consensus a NaN broadcast; without a
+    state history `state_ts` and `states` are empty.
     """
 
     t: np.ndarray
@@ -181,7 +190,7 @@ class TrajectoryRecord:
     dist_lifted_min: np.ndarray
     state_ts: np.ndarray
     states: np.ndarray
-    record_every: int
+    record_every: int | None
     horizon: int
     divergence_threshold: float
     verdict: str
@@ -263,13 +272,15 @@ def run(
     horizon: int = DEFAULT_HORIZON,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     agent_scale: bool = False,
-    record_every: int = DEFAULT_RECORD_EVERY,
+    record_every: int | None = DEFAULT_RECORD_EVERY,
     x_star: np.ndarray | None = None,
     lifted_distance: LiftedObjective | None = None,
+    consensus: bool = True,
 ) -> TrajectoryRecord:
     """Run DGD for `horizon` steps and record the error metrics.
 
-    A batch of one: see `run_batch` for the metrics and the early stop.
+    A batch of one: see `run_batch` for the metrics, the optional histories
+    and the early stop.
     """
     return run_batch(
         ensemble,
@@ -282,6 +293,7 @@ def run(
         record_every=record_every,
         x_star=x_star,
         lifted_distance=lifted_distance,
+        consensus=consensus,
     )[0]
 
 
@@ -366,6 +378,11 @@ def _consensus(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
 
 
+def _metric_view(history: np.ndarray | None, row: int, end: int) -> np.ndarray:
+    """A row's first `end` cells of a metric's history, or a NaN broadcast without one."""
+    return np.broadcast_to(math.nan, (end,)) if history is None else history[row, :end]
+
+
 def run_batch(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
@@ -375,9 +392,10 @@ def run_batch(
     horizon: int = DEFAULT_HORIZON,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     agent_scale: bool = False,
-    record_every: int = DEFAULT_RECORD_EVERY,
+    record_every: int | None = DEFAULT_RECORD_EVERY,
     x_star: np.ndarray | None = None,
     lifted_distance: LiftedObjective | None = None,
+    consensus: bool = True,
 ) -> list[TrajectoryRecord]:
     """Run DGD once per schedule from a shared x0; one record per schedule.
 
@@ -392,6 +410,12 @@ def run_batch(
     G_(m alpha(t)) under `agent_scale`), wherever that stepsize is
     certified.
 
+    R(t) is always kept. The consensus history (`consensus`) and the state
+    history (`record_every`, None for none) are optional; by default both
+    are kept. A caller that reads neither saves their memory and their
+    per-chunk work, and every kept metric, verdict and divergence step is
+    the same bit for bit.
+
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a
     step-by-step loop bit for bit. Each metric has one (B, horizon + 1)
@@ -400,7 +424,7 @@ def run_batch(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if record_every < 1:
+    if record_every is not None and record_every < 1:
         raise ValueError("record_every must be at least 1")
     if ensemble.m != mixing.m:
         raise ValueError(f"ensemble has {ensemble.m} agents, mixing has {mixing.m}")
@@ -422,13 +446,15 @@ def run_batch(
         return []
     varying = any(s.kind != "constant" for s in schedules)
     # One history per metric, indexed (schedule, t), whose rows the records
-    # view. A constant schedule's alpha and an untracked distance carry no
-    # information, and get no history.
+    # view. A constant schedule's alpha, an untracked distance and an unkept
+    # consensus carry no information, and get no history; without a state
+    # history each row has no state slots.
     r_hist = np.empty((size, horizon + 1))
-    cons_hist = np.empty((size, horizon + 1))
+    cons_hist = np.empty((size, horizon + 1)) if consensus else None
     alpha_hist = np.empty((size, horizon + 1)) if varying else None
     dist_hist = np.full((size, horizon + 1), math.nan) if lifted_distance is not None else None
-    state_hist = np.empty((size, horizon // record_every + 2, m * n))
+    slots = 0 if record_every is None else horizon // record_every + 2
+    state_hist = np.empty((size, slots, m * n))
     state_times: list[int] = []
     divergence: list[int | None] = [None] * size
     crossing_state: list[np.ndarray | None] = [None] * size
@@ -485,41 +511,47 @@ def run_batch(
             del states, columns  # 2 * steps views, out of the metrics' memory
 
             r = _distance_sums(chunk, x_star)
-            cons = _consensus(chunk)
+            cons = None if cons_hist is None else _consensus(chunk)
             # the steps whose states are recorded: multiples of record_every,
             # and the horizon
-            kept = list(range(-t % record_every, steps, record_every))
-            if t + steps - 1 == horizon and horizon % record_every:
-                kept.append(steps - 1)
+            kept = []
+            if slots:
+                kept = list(range(-t % record_every, steps, record_every))
+                if t + steps - 1 == horizon and horizon % record_every:
+                    kept.append(steps - 1)
             died = None
-            # some R(t) over the limit or nan, or some consensus squares overflowed
-            if not ((r <= limit).all() and np.isfinite(cons).all()):
+            # some R(t) over the limit or nan, or some consensus squares
+            # overflowed; a non-finite state makes R(t) inf or nan, so R(t)
+            # alone catches it
+            if not ((r <= limit).all() and (cons is None or np.isfinite(cons).all())):
                 # an infinite R(t) or consensus of a finite state is re-scaled
                 # before the crossing test
                 finite = np.isfinite(chunk).all(axis=(2, 3))
                 js, qs = np.nonzero(np.isinf(r) & finite)
                 if js.size:
                     r[js, qs] = _overflowed_distance_sums(chunk[js, qs], x_star)
-                js, qs = np.nonzero(np.isinf(cons) & finite)
-                if js.size:
-                    cons[js, qs] = _overflowed_consensus(chunk[js, qs])
                 # the early stop of each row at its own first crossing, where
                 # a non-finite state reads as infinite R(t) and consensus
                 r[~finite] = math.inf
-                cons[~finite] = math.inf
+                if cons is not None:
+                    js, qs = np.nonzero(np.isinf(cons) & finite)
+                    if js.size:
+                        cons[js, qs] = _overflowed_consensus(chunk[js, qs])
+                    cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
                 died = dies.any(axis=0)
                 death = np.where(died, dies.argmax(axis=0), steps)
                 for q in np.flatnonzero(died):
                     i, stop = rows[q], t + int(death[q])
                     divergence[i] = stop
-                    if stop % record_every and stop != horizon:  # not a kept step
+                    if slots and stop % record_every and stop != horizon:  # not a kept step
                         crossing_state[i] = chunk[stop - t, q].reshape(-1).copy()
 
             # every cell is written; a row's cells past its divergence step are
             # never read
             r_hist[rows, t : t + steps] = r.T
-            cons_hist[rows, t : t + steps] = cons.T
+            if cons is not None:
+                cons_hist[rows, t : t + steps] = cons.T
             if varying:
                 alpha_hist[rows, t : t + steps] = alpha.T
             if kept:
@@ -571,10 +603,8 @@ def run_batch(
                 t=t_axis[:end],
                 alpha=alpha_hist[i, :end] if varying else np.broadcast_to(alpha0[i], (end,)),
                 r=r_hist[i, :end],
-                consensus_err=cons_hist[i, :end],
-                dist_lifted_min=(
-                    np.broadcast_to(math.nan, (end,)) if dist_hist is None else dist_hist[i, :end]
-                ),
+                consensus_err=_metric_view(cons_hist, i, end),
+                dist_lifted_min=_metric_view(dist_hist, i, end),
                 state_ts=state_ts,
                 states=states,
                 record_every=record_every,

@@ -15,6 +15,7 @@ W_QUARTER = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 W_SKEWED = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]]
 W_UNIFORM = [[1 / 3] * 3] * 3
 README_ENSEMBLE = {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}
+PLANE_COST = {"A": [[2.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}  # a cost on R^2
 BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,31 +134,54 @@ class TestConfigParsing:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, named",
         [
-            (("ensemble", "m"), 3.7),
-            (("ensemble", "seed"), 5.9),
-            (("ensemble", "n"), True),
-            (("ensemble", "epsilon"), "1.0"),
-            (("ensemble", "seed"), None),
-            (("ensemble", "sead"), 5),
-            (("mixing", "W"), [[0.5, "0.25", 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
-            (("mixing", "W"), [[0.5, 0.5, False], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]]),
-            (("mixing", "adjacency"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-            (("schedule", "alpha"), True),
-            (("schedule", "alpha"), [0.05]),
-            (("schedule",), {"type": "polynomial", "a": 0.3, "q": 0.5}),
-            (("schedule",), {"type": "constant", "alpha": 0.05, "w": 2.0}),
-            (("horizon",), "50"),
-            (("ensemble",), _explicit({"A": [[True, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]})),
-            (("ensemble",), _explicit({"A": [[2.0, 0.0], [0.0, 1.0]], "b": ["1", 0.0]})),
-            (("ensemble",), _explicit({"A": [[2.0]], "b": [1.0], "c": 0})),
+            (("ensemble", "m"), 3.7, "ensemble.m"),
+            (("ensemble", "seed"), 5.9, "ensemble.seed"),
+            (("ensemble", "n"), True, "ensemble.n"),
+            (("ensemble", "epsilon"), "1.0", "ensemble.epsilon"),
+            (("ensemble", "seed"), None, "ensemble.seed"),
+            (("ensemble", "sead"), 5, "ensemble keys ['sead']"),
+            (("mixing", "W"), [[0.5, "0.25", 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+             "mixing.W"),
+            (("mixing", "W"), [[0.5, 0.5, False], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]],
+             "mixing.W"),
+            (("mixing", "adjacency"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+             "mixing keys ['adjacency']"),
+            (("schedule", "alpha"), True, "schedule.alpha"),
+            (("schedule", "alpha"), [0.05], "schedule.alpha"),
+            (("schedule",), {"type": "polynomial", "a": 0.3, "q": 0.5}, "schedule keys ['q']"),
+            (("schedule",), {"type": "constant", "alpha": 0.05, "w": 2.0}, "schedule keys ['w']"),
+            (("horizon",), "50", "horizon"),
+            (("ensemble",), _explicit({"A": [[True, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}),
+             "ensemble.costs[0].A"),
+            (("ensemble",), _explicit({"A": [[2.0, 0.0], [0.0, 1.0]], "b": ["1", 0.0]}),
+             "ensemble.costs[0].b"),
+            (("ensemble",), _explicit({"A": [[2.0]], "b": [1.0], "c": 0}),
+             "ensemble.costs[0] keys ['c']"),
+            # well-typed values that a constructor refuses
+            (("ensemble", "seed"), -1, "ensemble.seed:"),
+            (("ensemble", "n"), 0, "ensemble.n:"),
+            (("ensemble", "epsilon"), -1.0, "ensemble.epsilon:"),
+            (("ensemble",), {"type": "epsilon_example", "L": 10, "mu": 0, "epsilon": 1},
+             "ensemble.mu:"),
+            (("ensemble",), {"type": "explicit", "costs": [
+                dict(PLANE_COST, b=[1.0, 0.0, 0.0]), PLANE_COST, PLANE_COST,
+            ]}, "ensemble.costs[0]:"),
+            (("ensemble",), {"type": "explicit", "costs": [
+                {"A": [[1.0]], "b": [0.0]}, {"A": [[1.0]], "b": [0.0]}, PLANE_COST,
+            ]}, "ensemble.costs:"),
+            (("schedule",), {"type": "polynomial", "a": -0.3}, "schedule.a:"),
+            (("schedule",), {"type": "polynomial", "a": 0.3, "w": 0.5}, "schedule.w:"),
+            (("schedule",), {"type": "polynomial", "a": 0.3, "p": 2.0}, "schedule.p:"),
+            (("schedule", "alpha"), 0, "schedule.alpha:"),
         ],
     )
     def test_mistyped_or_unknown_nested_values_exit_2_naming_their_path(
-        self, path, value, tmp_path, capsys
+        self, path, value, named, tmp_path, capsys
     ):
-        # README's seed-5 config with one value changed, at any depth
+        # README's seed-5 config with one value changed, at any depth; the
+        # line names the narrowest key path it can
         data = {
             "ensemble": dict(README_ENSEMBLE),
             "mixing": {"type": "explicit", "W": W_QUARTER},
@@ -171,7 +195,7 @@ class TestConfigParsing:
         assert cli.main(["simulate", "--config", _write_config(tmp_path, data)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ") and path[0] in captured.err
+        assert captured.err.startswith("error: ") and named in captured.err
 
     def test_specs_are_read_into_one_normal_form(self):
         bare = parse_config(
@@ -441,6 +465,30 @@ class TestSweepAlphaCommand:
                 for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
             )
         assert text == expected
+        assert verdicts == {"bounded", "diverged"}
+
+    def test_outputs_do_not_depend_on_record_every(self, tmp_path, capsys):
+        # record_every thins only the library's state history, which no CLI
+        # output holds: the sweep writes the same bytes at every value
+        data = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "sweep_base": "main",
+            "alpha_multiples": [0.5, 0.99, 4.0, 6.0],  # the last two diverge
+            "horizon": 1500,
+        }
+        outputs = set()
+        for every in (1, 10, 1000):
+            path = _write_config(tmp_path, dict(data, record_every=every))
+            out = tmp_path / f"every{every}"
+            assert cli.main(["sweep-alpha", "--config", path, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out
+            files = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
+            outputs.add((stdout, files))
+        assert len(outputs) == 1
+        (stdout, files), = outputs
+        assert [name for name, _ in files] == ["sweep_alpha.csv", "sweep_alpha_summary.json"]
+        verdicts = {run["verdict"] for run in json.loads(stdout)["runs"].values()}
         assert verdicts == {"bounded", "diverged"}
 
     @pytest.mark.parametrize("multiple", [1.7e308, 5e-324])

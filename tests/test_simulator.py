@@ -672,29 +672,89 @@ class TestRunBatch:
             )
         assert simulator.run_batch(ens, mix_quarter, []) == []
 
+    def test_optional_histories_leave_the_kept_metrics_unchanged(self, mix_quarter):
+        # bounded, diverging, polynomial and overflowing rows, with every
+        # optional history and without each: R(t), the verdicts and the
+        # divergence steps are the same bits, and so is each kept history
+        ens = _skewed_random(5)
+        safe, obj = _safe_alpha(ens, mix_quarter, frac=1.0)
+        schedules = _mixed_schedules(safe)
+        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=1500, record_every=7)
+        full = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
+        assert {rec.verdict for rec in full} == {"bounded", "diverged"}
+        bare = simulator.run_batch(
+            ens, mix_quarter, schedules, **dict(kwargs, record_every=None), consensus=False
+        )
+        no_states = simulator.run_batch(
+            ens, mix_quarter, schedules, **dict(kwargs, record_every=None)
+        )
+        no_consensus = simulator.run_batch(ens, mix_quarter, schedules, **kwargs, consensus=False)
+        for whole, alone, with_cons, with_states in zip(full, bare, no_states, no_consensus):
+            for rec in (alone, with_cons, with_states):
+                assert np.array_equal(rec.r, whole.r)
+                assert rec.verdict == whole.verdict
+                assert rec.divergence_step == whole.divergence_step
+            assert np.array_equal(with_cons.consensus_err, whole.consensus_err)
+            assert np.array_equal(with_states.states, whole.states)
+            assert np.array_equal(with_states.state_ts, whole.state_ts)
+            # no consensus history: a read-only NaN broadcast, as an untracked distance
+            for rec in (alone, with_states):
+                cons = rec.consensus_err
+                assert cons.strides == (0,) and cons.size == whole.r.size
+                assert np.isnan(cons).all()
+                with pytest.raises(ValueError):
+                    cons[0] = 0
+            # no state history: no states, and none to look up
+            for rec in (alone, with_cons):
+                assert rec.record_every is None
+                assert rec.state_ts.size == 0 and rec.states.shape == (0, 6)
+                with pytest.raises(KeyError):
+                    rec.state_at(0)
+        # the check needs every state, and refuses a record with none
+        half = StepsizeSchedule.constant(0.5 * safe)
+        stepwise = simulator.run(ens, mix_quarter, half, horizon=50, record_every=1)
+        assert simulator.nonexpansiveness_check(stepwise, obj).ok
+        stateless = simulator.run(ens, mix_quarter, half, horizon=50, record_every=None)
+        with pytest.raises(ValueError, match="record_every=1"):
+            simulator.nonexpansiveness_check(stateless, obj)
+
+
+_PEAK_HORIZON = 20_000
+
+
+def _readme_batch_peak(mix, **kwargs):
+    """README's seed-5 instance at six bounded multiples of alpha_main over
+    _PEAK_HORIZON steps: the tracemalloc peak of the run, B and nm."""
+    ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+    base = bounds.build_report(ens, mix).alpha_main
+    schedules = [StepsizeSchedule.constant(k * base) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
+    simulator.run_batch(ens, mix, schedules, horizon=10)  # x* solved and cached
+    tracemalloc.start()
+    try:
+        records = simulator.run_batch(ens, mix, schedules, horizon=_PEAK_HORIZON, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rec.verdict for rec in records] == ["bounded"] * len(schedules)
+    return peak, len(schedules), ens.m * ens.n
+
 
 class TestRecordMemory:
     def test_peak_is_the_histories_once(self, mix_quarter):
-        # README's seed-5 instance at six bounded multiples of alpha_main: the
-        # peak is the R and consensus histories, the thinned states and the
-        # shared t axis (with 25% slack), plus two chunk-sized buffers (the
-        # chunk and a metric's temporary); the records add no copies
-        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        base = bounds.build_report(ens, mix_quarter).alpha_main
-        schedules = [
-            StepsizeSchedule.constant(k * base) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)
-        ]
-        simulator.run_batch(ens, mix_quarter, schedules, horizon=10)  # x* solved and cached
-        horizon, every = 20_000, simulator.DEFAULT_RECORD_EVERY
-        tracemalloc.start()
-        try:
-            records = simulator.run_batch(ens, mix_quarter, schedules, horizon=horizon)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [rec.verdict for rec in records] == ["bounded"] * len(schedules)
-        b, mn = len(schedules), ens.m * ens.n
+        # the peak is the R and consensus histories, the thinned states and
+        # the shared t axis (with 25% slack), plus two chunk-sized buffers
+        # (the chunk and a metric's temporary); the records add no copies
+        peak, b, mn = _readme_batch_peak(mix_quarter)
+        horizon, every = _PEAK_HORIZON, simulator.DEFAULT_RECORD_EVERY
         floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn + (horizon + 1)
+        chunk_buffers = 2 * simulator._CHUNK * b * mn
+        assert peak < 8 * (1.25 * floats + chunk_buffers)
+
+    def test_peak_is_r_alone_without_the_optional_histories(self, mix_quarter):
+        # kept as sweep-alpha keeps it, R(t) alone: the peak is the R history
+        # and the shared t axis (with 25% slack), plus the two chunk buffers
+        peak, b, mn = _readme_batch_peak(mix_quarter, record_every=None, consensus=False)
+        floats = (b + 1) * (_PEAK_HORIZON + 1)
         chunk_buffers = 2 * simulator._CHUNK * b * mn
         assert peak < 8 * (1.25 * floats + chunk_buffers)
 
