@@ -29,10 +29,10 @@ from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-# a run preallocates its histories for the whole horizon: 8 bytes per step and
-# stepsize for sweep-alpha (R alone), at least 16 for simulate (R and consensus),
-# plus the step index, so no horizon beyond this fits; the CLI refuses one within
-# it that memory cannot hold
+# a run preallocates its metric histories for the whole horizon and holds nothing
+# else per step: 8 bytes per step and stepsize for sweep-alpha (R alone), at least
+# 16 for simulate (R and consensus), so no horizon beyond this fits; the CLI
+# refuses one within it that memory cannot hold
 MAX_HORIZON = 10**9
 _CONFIG_KEYS = (
     "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",

@@ -171,24 +171,24 @@ class TrajectoryRecord:
     """Per-step DGD metrics plus a thinned state history and a verdict.
 
     Metrics are recorded at every step t for the pre-step state x(t);
-    full states only every `record_every` steps (plus the final state),
-    and none when `record_every` is None. verdict is "diverged" when the
-    error metric R(t) crossed the divergence threshold at `divergence_step`,
-    else "bounded".
+    full states only every `record_every` steps (plus the last step), and
+    none when `record_every` is None. verdict is "diverged" when the error
+    metric R(t) crossed the divergence threshold at `divergence_step`, else
+    "bounded".
 
-    The arrays are read-only views into one buffer per metric, shared by the
-    whole batch of `run_batch`: a record that is kept holds its batch's
+    A record holds its metric histories and nothing else per step: the
+    arrays are read-only views into one buffer per metric, shared by the
+    whole batch of `run_batch`, so a record that is kept holds its batch's
     histories. A constant `alpha` is a broadcast of its one value, and an
-    untracked distance or an unkept consensus a NaN broadcast; without a
+    untracked distance or an unkept consensus a NaN broadcast. The steps
+    `t` and `state_ts` are derived from the length of `r`, and without a
     state history `state_ts` and `states` are empty.
     """
 
-    t: np.ndarray
     alpha: np.ndarray
     r: np.ndarray
     consensus_err: np.ndarray
     dist_lifted_min: np.ndarray
-    state_ts: np.ndarray
     states: np.ndarray
     record_every: int | None
     horizon: int
@@ -200,11 +200,22 @@ class TrajectoryRecord:
     # step on G_(lifted_scale * alpha), with lifted_scale m under agent_scale
     lifted_scale: float = 1.0
 
+    @property
+    def t(self) -> np.ndarray:
+        """The step of each metric cell: 0 up to the last."""
+        return _frozen(np.arange(self.r.size))
+
+    @property
+    def state_ts(self) -> np.ndarray:
+        """The step of each row of `states` (see `_state_slots`)."""
+        every = self.record_every or 1  # no states, so no steps, without a history
+        return _frozen(np.minimum(np.arange(len(self.states)) * every, self.r.size - 1))
+
     def state_at(self, t: int) -> np.ndarray:
-        hits = np.nonzero(self.state_ts == t)[0]
-        if hits.size == 0:
-            raise KeyError(f"state at t={t} was not recorded (record_every={self.record_every})")
-        return self.states[hits[0]]
+        every, last = self.record_every, self.r.size - 1
+        if every is None or not 0 <= t <= last or (t % every and t != last):
+            raise KeyError(f"state at t={t} was not recorded (record_every={every})")
+        return self.states[-(-t // every)]
 
     def summary_dict(self) -> dict:
         return {
@@ -212,7 +223,7 @@ class TrajectoryRecord:
             "divergence_step": self.divergence_step,
             "max_R": render_float(float(np.max(self.r))),
             "final_R": render_float(float(self.r[-1])),
-            "steps_recorded": int(self.t.size),
+            "steps_recorded": int(self.r.size),
             "horizon": self.horizon,
             "divergence_threshold": self.divergence_threshold,
             "alpha0": float(self.alpha[0]),
@@ -226,7 +237,7 @@ class TrajectoryRecord:
         repr, and NaN as an empty cell. Rows end in CRLF and go out
         _CSV_BLOCK at a time, each block one %-format and one write.
         """
-        stop = self.t.size if self.divergence_step is None else self.divergence_step
+        stop = self.r.size if self.divergence_step is None else self.divergence_step
         arrays = [getattr(self, name) for name in columns]
         lead = lead.replace("%", "%%")
         for start in range(0, stop, _CSV_BLOCK):
@@ -265,36 +276,11 @@ class TrajectoryRecord:
 
 
 def run(
-    ensemble: QuadraticEnsemble,
-    mixing: MixingMatrix,
-    schedule: StepsizeSchedule,
-    x0: np.ndarray | None = None,
-    horizon: int = DEFAULT_HORIZON,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-    agent_scale: bool = False,
-    record_every: int | None = DEFAULT_RECORD_EVERY,
-    x_star: np.ndarray | None = None,
-    lifted_distance: LiftedObjective | None = None,
-    consensus: bool = True,
+    ensemble: QuadraticEnsemble, mixing: MixingMatrix, schedule: StepsizeSchedule, **options
 ) -> TrajectoryRecord:
-    """Run DGD for `horizon` steps and record the error metrics.
-
-    A batch of one: see `run_batch` for the metrics, the optional histories
-    and the early stop.
-    """
-    return run_batch(
-        ensemble,
-        mixing,
-        [schedule],
-        x0=x0,
-        horizon=horizon,
-        divergence_threshold=divergence_threshold,
-        agent_scale=agent_scale,
-        record_every=record_every,
-        x_star=x_star,
-        lifted_distance=lifted_distance,
-        consensus=consensus,
-    )[0]
+    """Run DGD on one schedule: `run_batch` on a batch of one, with the same
+    keyword options, metrics, optional histories and early stop."""
+    return run_batch(ensemble, mixing, [schedule], **options)[0]
 
 
 # Steps a chunk runs ahead of the bookkeeping: R(t), consensus, the history
@@ -383,6 +369,22 @@ def _metric_view(history: np.ndarray | None, row: int, end: int) -> np.ndarray:
     return np.broadcast_to(math.nan, (end,)) if history is None else history[row, :end]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _state_slots(end: int, record_every: int | None) -> int:
+    """How many states a record of `end` steps holds; none without a history.
+
+    Slot k holds step min(k * record_every, end - 1): the multiples of
+    `record_every` before `end`, then the record's last step (the horizon,
+    or a diverged row's crossing) when it falls between them. So step s,
+    where it is kept, is in slot ceil(s / record_every).
+    """
+    return 0 if record_every is None else -(-(end - 1) // record_every) + 1
+
+
 def run_batch(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
@@ -420,7 +422,8 @@ def run_batch(
     early stop are taken once per chunk; the records equal those of a
     step-by-step loop bit for bit. Each metric has one (B, horizon + 1)
     history, and the records' arrays are read-only views of it (see
-    `TrajectoryRecord`): the histories are held once, never copied.
+    `TrajectoryRecord`): the histories are held once, never copied, and
+    nothing else is held per step.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -447,17 +450,14 @@ def run_batch(
     varying = any(s.kind != "constant" for s in schedules)
     # One history per metric, indexed (schedule, t), whose rows the records
     # view. A constant schedule's alpha, an untracked distance and an unkept
-    # consensus carry no information, and get no history; without a state
-    # history each row has no state slots.
+    # consensus carry no information, and get no history. Each row's states
+    # go into the slots of `_state_slots`; without a state history it has none.
     r_hist = np.empty((size, horizon + 1))
     cons_hist = np.empty((size, horizon + 1)) if consensus else None
     alpha_hist = np.empty((size, horizon + 1)) if varying else None
     dist_hist = np.full((size, horizon + 1), math.nan) if lifted_distance is not None else None
-    slots = 0 if record_every is None else horizon // record_every + 2
-    state_hist = np.empty((size, slots, m * n))
-    state_times: list[int] = []
+    state_hist = np.empty((size, _state_slots(horizon + 1, record_every), m * n))
     divergence: list[int | None] = [None] * size
-    crossing_state: list[np.ndarray | None] = [None] * size
 
     alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
     # an agent_scale step is a gradient step on G_(m alpha)
@@ -512,13 +512,16 @@ def run_batch(
 
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
-            # the steps whose states are recorded: multiples of record_every,
-            # and the horizon
-            kept = []
-            if slots:
+            if record_every is not None:
+                # the chunk's kept steps of a bounded row, multiples of
+                # record_every and the horizon, in consecutive slots
                 kept = list(range(-t % record_every, steps, record_every))
                 if t + steps - 1 == horizon and horizon % record_every:
                     kept.append(steps - 1)
+                first = -(-t // record_every)
+                state_hist[rows, first : first + len(kept)] = (
+                    chunk[kept].reshape(len(kept), live, m * n).swapaxes(0, 1)
+                )
             died = None
             # some R(t) over the limit or nan, or some consensus squares
             # overflowed; a non-finite state makes R(t) inf or nan, so R(t)
@@ -544,8 +547,10 @@ def run_batch(
                 for q in np.flatnonzero(died):
                     i, stop = rows[q], t + int(death[q])
                     divergence[i] = stop
-                    if slots and stop % record_every and stop != horizon:  # not a kept step
-                        crossing_state[i] = chunk[stop - t, q].reshape(-1).copy()
+                    if record_every is not None:
+                        # the row's last state, in its own slot: that of a kept
+                        # step, or of the next one, which its record never reads
+                        state_hist[i, -(-stop // record_every)] = chunk[stop - t, q].ravel()
 
             # every cell is written; a row's cells past its divergence step are
             # never read
@@ -554,12 +559,6 @@ def run_batch(
                 cons_hist[rows, t : t + steps] = cons.T
             if varying:
                 alpha_hist[rows, t : t + steps] = alpha.T
-            if kept:
-                first = len(state_times)
-                state_hist[rows, first : first + len(kept)] = (
-                    chunk[kept].reshape(len(kept), live, m * n).swapaxes(0, 1)
-                )
-                state_times.extend(t + j for j in kept)
             if dist_hist is not None:
                 lifted_alpha = np.broadcast_to(alpha * lifted_scale, (steps, live))
                 lo, hi = lifted_distance.certified_interval
@@ -584,29 +583,19 @@ def run_batch(
                     last_scale = last_scale[survive]
             t += steps
 
-    # allocated after the loop, out of its peak
-    t_axis, times = np.arange(horizon + 1), np.array(state_times, dtype=int)
-    for shared in (t_axis, times, x_star, r_hist, cons_hist, alpha_hist, dist_hist, state_hist):
+    for shared in (x_star, r_hist, cons_hist, alpha_hist, dist_hist, state_hist):
         if shared is not None:
             shared.setflags(write=False)
     records = []
     for i, stop in enumerate(divergence):
         end = horizon + 1 if stop is None else stop + 1
-        recorded = int(times.searchsorted(end - 1, side="right"))
-        state_ts, states = times[:recorded], state_hist[i, :recorded]
-        if crossing_state[i] is not None:  # the only arrays a record owns
-            state_ts = np.append(state_ts, stop)
-            states = np.vstack([states, crossing_state[i]])
-            state_ts.flags.writeable = states.flags.writeable = False
         records.append(
             TrajectoryRecord(
-                t=t_axis[:end],
                 alpha=alpha_hist[i, :end] if varying else np.broadcast_to(alpha0[i], (end,)),
                 r=r_hist[i, :end],
                 consensus_err=_metric_view(cons_hist, i, end),
                 dist_lifted_min=_metric_view(dist_hist, i, end),
-                state_ts=state_ts,
-                states=states,
+                states=state_hist[i, : _state_slots(end, record_every)],
                 record_every=record_every,
                 horizon=horizon,
                 divergence_threshold=divergence_threshold,

@@ -741,22 +741,23 @@ def _readme_batch_peak(mix, **kwargs):
 
 class TestRecordMemory:
     def test_peak_is_the_histories_once(self, mix_quarter):
-        # the peak is the R and consensus histories, the thinned states and
-        # the shared t axis (with 25% slack), plus two chunk-sized buffers
-        # (the chunk and a metric's temporary); the records add no copies
+        # the peak is the R and consensus histories and the thinned states
+        # (with 6% slack), plus two chunk-sized buffers (the chunk and a
+        # metric's temporary); nothing else is held per step, and the records
+        # add no copies
         peak, b, mn = _readme_batch_peak(mix_quarter)
         horizon, every = _PEAK_HORIZON, simulator.DEFAULT_RECORD_EVERY
-        floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn + (horizon + 1)
+        floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn
         chunk_buffers = 2 * simulator._CHUNK * b * mn
-        assert peak < 8 * (1.25 * floats + chunk_buffers)
+        assert peak < 8 * (1.06 * floats + chunk_buffers)
 
     def test_peak_is_r_alone_without_the_optional_histories(self, mix_quarter):
         # kept as sweep-alpha keeps it, R(t) alone: the peak is the R history
-        # and the shared t axis (with 25% slack), plus the two chunk buffers
+        # (with 10% slack) plus the two chunk buffers
         peak, b, mn = _readme_batch_peak(mix_quarter, record_every=None, consensus=False)
-        floats = (b + 1) * (_PEAK_HORIZON + 1)
+        floats = b * (_PEAK_HORIZON + 1)
         chunk_buffers = 2 * simulator._CHUNK * b * mn
-        assert peak < 8 * (1.25 * floats + chunk_buffers)
+        assert peak < 8 * (1.1 * floats + chunk_buffers)
 
     def test_record_arrays_are_read_only_views(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
@@ -771,16 +772,46 @@ class TestRecordMemory:
             horizon=300, lifted_distance=obj,
         )
         assert untracked[1].verdict == "diverged"
-        fields = ("t", "alpha", "r", "consensus_err", "dist_lifted_min", "state_ts", "states")
+        held = ("alpha", "r", "consensus_err", "dist_lifted_min", "states")
         for rec in untracked + tracked:
-            for name in fields + ("x_star",):
+            for name in held + ("t", "state_ts", "x_star"):
                 with pytest.raises(ValueError):
                     getattr(rec, name)[0] = 0
+            # views and broadcasts only; `t` and `state_ts` are derived
+            assert not any(getattr(rec, name).flags.owndata for name in held)
         # no history behind a constant schedule's alpha or an untracked distance
         for rec in untracked:
             assert rec.alpha.strides == (0,) and rec.dist_lifted_min.strides == (0,)
         assert np.array_equal(untracked[0].alpha, np.full(301, 0.3))
         assert tracked[0].alpha.strides == tracked[0].dist_lifted_min.strides == (8,)
+
+    def test_crossing_state_is_in_the_batch_state_history(self, mix_quarter):
+        # record_every=7 and a crossing at 65, between the kept steps 63 and
+        # 70 of one chunk: the crossing state takes the diverged row's slot of
+        # step 70, and its record still views the batch's one state history
+        ens = _skewed_random(5)
+        safe, obj = _safe_alpha(ens, mix_quarter)
+        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold().alpha)
+        x0, horizon, crossing = np.linspace(-1.0, 1.0, 6), 200, 65
+        growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, horizon, math.inf)
+        threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
+        batch = simulator.run_batch(
+            ens, mix_quarter, [steep, StepsizeSchedule.constant(safe)], x0=x0,
+            horizon=horizon, divergence_threshold=threshold, record_every=7,
+        )
+        diverged, bounded = batch
+        assert diverged.divergence_step == crossing and bounded.verdict == "bounded"
+        assert np.shares_memory(diverged.states, bounded.states.base)
+        states = []
+        _per_run_loop(ens, mix_quarter, steep, x0, horizon, threshold, states)
+        assert list(diverged.state_ts) == list(range(0, crossing, 7)) + [crossing]
+        assert np.array_equal(diverged.states[-1], states[crossing])
+        assert np.array_equal(diverged.state_at(crossing), states[crossing])
+        for rec in batch:
+            # before the first step, between kept steps, and one past the last
+            for t in (-1, 5, rec.r.size):
+                with pytest.raises(KeyError):
+                    rec.state_at(t)
 
 
 class TestBoundednessOracle:
