@@ -324,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:
-        # a run's histories span its horizon, which can be legal and too long
+        # a run's histories grow with the steps its rows reach, up to a horizon
+        # that can be legal and too long; they fail when they outgrow memory
         runs = cfg is not None and args.command in ("simulate", "sweep-alpha")
         need = f"horizon {cfg.horizon}" if runs else args.command
         print(f"error: {need} needs more memory than is available", file=sys.stderr)

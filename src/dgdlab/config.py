@@ -29,10 +29,10 @@ from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-# a run preallocates its metric histories for the whole horizon and holds nothing
-# else per step: 8 bytes per step and stepsize for sweep-alpha (R alone), at least
-# 16 for simulate (R and consensus), so no horizon beyond this fits; the CLI
-# refuses one within it that memory cannot hold
+# a run holds the metric cells its rows reach and nothing else per step: 8 bytes
+# per step and stepsize for sweep-alpha (R alone), at least 16 for simulate (R and
+# consensus), so a row that stays bounded beyond this horizon cannot fit; a run
+# whose histories outgrow memory within it exits 2 when they do
 MAX_HORIZON = 10**9
 _CONFIG_KEYS = (
     "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",

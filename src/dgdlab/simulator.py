@@ -176,13 +176,14 @@ class TrajectoryRecord:
     metric R(t) crossed the divergence threshold at `divergence_step`, else
     "bounded".
 
-    A record holds its metric histories and nothing else per step: the
-    arrays are read-only views into one buffer per metric, shared by the
-    whole batch of `run_batch`, so a record that is kept holds its batch's
-    histories. A constant `alpha` is a broadcast of its one value, and an
-    untracked distance or an unkept consensus a NaN broadcast. The steps
-    `t` and `state_ts` are derived from the length of `r`, and without a
-    state history `state_ts` and `states` are empty.
+    A record holds its metric histories and nothing else per step: each
+    metric array is a read-only view of its row's own buffer, which holds
+    the cells the row reached and no more, and `states` a read-only view
+    of its row of the batch's state history. A constant `alpha` is a
+    broadcast of its one value, and an untracked distance or an unkept
+    consensus a NaN broadcast. The steps `t` and `state_ts` are derived
+    from the length of `r`, and without a state history `state_ts` and
+    `states` are empty.
     """
 
     alpha: np.ndarray
@@ -364,9 +365,52 @@ def _consensus(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
 
 
-def _metric_view(history: np.ndarray | None, row: int, end: int) -> np.ndarray:
+class _RowHistories:
+    """One metric's history for each row of a batch, each in a buffer of its own.
+
+    A row's buffer holds the cells its chunks have written and grows in
+    place as they need more, doubling up to the `cells` of a whole run, so
+    the copying stays linear in the horizon. `view` trims it to the row's
+    cells and returns them read-only. Growth resizes the buffer itself (a
+    realloc), which is safe because nothing views a buffer before `view`:
+    writes go through slices that live for one assignment.
+    """
+
+    def __init__(self, rows: int, cells: int):
+        self._cells = cells
+        self._buffers = [np.empty(min(_CHUNK, cells)) for _ in range(rows)]
+
+    def _grow(self, buffer: np.ndarray, stop: int) -> None:
+        buffer.resize(min(max(stop, 2 * buffer.size), self._cells), refcheck=False)
+
+    def span(self, row: int, start: int, stop: int) -> np.ndarray:
+        """Cells `start` to `stop - 1` of a row's history, writable."""
+        buffer = self._buffers[row]
+        if stop > buffer.size:
+            self._grow(buffer, stop)
+        return buffer[start:stop]
+
+    def write(self, rows: list[int], start: int, values: np.ndarray, reach: list[int]) -> None:
+        """Each row's column of a chunk's (steps, rows) `values`, its first
+        `reach` cells, into the row's history from step `start` on."""
+        for row, cells, column in zip(rows, reach, values.T):
+            stop = start + cells
+            buffer = self._buffers[row]
+            if stop > buffer.size:
+                self._grow(buffer, stop)
+            buffer[start:stop] = column[:cells]
+
+    def view(self, row: int, end: int) -> np.ndarray:
+        """A row's history, trimmed to its first `end` cells, read-only."""
+        buffer = self._buffers[row]
+        buffer.resize(end, refcheck=False)
+        buffer.setflags(write=False)
+        return buffer[:]
+
+
+def _metric_view(history: _RowHistories | None, row: int, end: int) -> np.ndarray:
     """A row's first `end` cells of a metric's history, or a NaN broadcast without one."""
-    return np.broadcast_to(math.nan, (end,)) if history is None else history[row, :end]
+    return np.broadcast_to(math.nan, (end,)) if history is None else history.view(row, end)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -420,15 +464,20 @@ def run_batch(
 
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a
-    step-by-step loop bit for bit. Each metric has one (B, horizon + 1)
-    history, and the records' arrays are read-only views of it (see
-    `TrajectoryRecord`): the histories are held once, never copied, and
-    nothing else is held per step.
+    step-by-step loop bit for bit. Each row holds the metric cells it
+    reaches and no more: its histories grow as its chunks need cells and
+    end at its divergence step or the horizon, and its record's arrays are
+    read-only views of them (see `TrajectoryRecord`), never copies. So a
+    row that diverges early holds few cells whatever the horizon, and a
+    run whose histories outgrow memory raises MemoryError when they do.
+    Nothing else is held per step.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be at least 1")
+    if not divergence_threshold > 0:  # nan too; an infinite threshold is legal
+        raise ValueError(f"divergence_threshold must be positive, got {divergence_threshold!r}")
     if ensemble.m != mixing.m:
         raise ValueError(f"ensemble has {ensemble.m} agents, mixing has {mixing.m}")
     m, n = ensemble.m, ensemble.n
@@ -439,8 +488,15 @@ def run_batch(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 contains non-finite entries")
-    # shared by the records and frozen with the histories: a copy of an explicit x*
-    x_star = ensemble.aggregate_minimizer() if x_star is None else np.array(x_star, dtype=float)
+    if x_star is None:
+        x_star = ensemble.aggregate_minimizer()
+    else:
+        # shared by the records and frozen with the histories: a copy
+        x_star = np.array(x_star, dtype=float)
+        if x_star.shape != (n,):
+            raise ValueError(f"x_star has shape {x_star.shape}, expected ({n},)")
+        if not np.all(np.isfinite(x_star)):
+            raise ValueError("x_star contains non-finite entries")
 
     w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
 
@@ -448,14 +504,14 @@ def run_batch(
     if size == 0:
         return []
     varying = any(s.kind != "constant" for s in schedules)
-    # One history per metric, indexed (schedule, t), whose rows the records
-    # view. A constant schedule's alpha, an untracked distance and an unkept
-    # consensus carry no information, and get no history. Each row's states
-    # go into the slots of `_state_slots`; without a state history it has none.
-    r_hist = np.empty((size, horizon + 1))
-    cons_hist = np.empty((size, horizon + 1)) if consensus else None
-    alpha_hist = np.empty((size, horizon + 1)) if varying else None
-    dist_hist = np.full((size, horizon + 1), math.nan) if lifted_distance is not None else None
+    # Each row's history of each metric, which its record views. A constant
+    # schedule's alpha, an untracked distance and an unkept consensus carry
+    # no information, and get no history. Each row's states go into the
+    # slots of `_state_slots`; without a state history it has none.
+    r_hist = _RowHistories(size, horizon + 1)
+    cons_hist = _RowHistories(size, horizon + 1) if consensus else None
+    alpha_hist = _RowHistories(size, horizon + 1) if varying else None
+    dist_hist = _RowHistories(size, horizon + 1) if lifted_distance is not None else None
     state_hist = np.empty((size, _state_slots(horizon + 1, record_every), m * n))
     divergence: list[int | None] = [None] * size
 
@@ -491,10 +547,9 @@ def run_batch(
             prod_col = prod_buf[:live]
             prod = prod_col[..., 0]
             if varying:
-                alpha = np.array(
-                    [[schedules[i].value(s) for i in rows] for s in range(t, t + steps)],
-                    dtype=float,
-                )
+                # the chunk's stepsizes in one flat list, with no list per step
+                values = [schedules[i].value(s) for s in range(t, t + steps) for i in rows]
+                alpha = np.array(values, dtype=float).reshape(steps, live)
                 scale = alpha if agent_scale else alpha / m
             else:
                 alpha = live_alpha  # broadcast over the chunk's steps
@@ -552,25 +607,32 @@ def run_batch(
                         # step, or of the next one, which its record never reads
                         state_hist[i, -(-stop // record_every)] = chunk[stop - t, q].ravel()
 
-            # every cell is written; a row's cells past its divergence step are
-            # never read
-            r_hist[rows, t : t + steps] = r.T
+            # each row's cells up to its divergence step, or to the chunk's end
+            ids = rows.tolist()
+            reach = [steps] * live if died is None else np.minimum(death + 1, steps).tolist()
+            r_hist.write(ids, t, r, reach)
             if cons is not None:
-                cons_hist[rows, t : t + steps] = cons.T
+                cons_hist.write(ids, t, cons, reach)
             if varying:
-                alpha_hist[rows, t : t + steps] = alpha.T
+                alpha_hist.write(ids, t, alpha, reach)
             if dist_hist is not None:
                 lifted_alpha = np.broadcast_to(alpha * lifted_scale, (steps, live))
                 lo, hi = lifted_distance.certified_interval
                 measured = (lifted_alpha > lo) & (lifted_alpha < hi)
                 if died is not None:
                     measured &= finite & (np.arange(steps)[:, None] <= death)
-                js, qs = np.nonzero(measured)
+                # row-major, so each row's measured steps are one run of them
+                qs, js = np.nonzero(measured.T)
                 distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
-                dist_hist[rows[qs], t + js] = _row_norms(
-                    chunk[js, qs].reshape(js.size, m * n) - points
-                )
+                dists = _row_norms(chunk[js, qs].reshape(js.size, m * n) - points)
+                begin = 0
+                for row, cells, mask in zip(ids, reach, measured.T):
+                    span, mask = dist_hist.span(row, t, t + cells), mask[:cells]
+                    end = begin + np.count_nonzero(mask)
+                    span[:] = math.nan  # blank where the stepsize is not certified
+                    span[mask] = dists[begin:end]
+                    begin = end
 
             last = chunk[-1]
             if varying:
@@ -583,16 +645,15 @@ def run_batch(
                     last_scale = last_scale[survive]
             t += steps
 
-    for shared in (x_star, r_hist, cons_hist, alpha_hist, dist_hist, state_hist):
-        if shared is not None:
-            shared.setflags(write=False)
+    for shared in (x_star, state_hist):
+        shared.setflags(write=False)
     records = []
     for i, stop in enumerate(divergence):
         end = horizon + 1 if stop is None else stop + 1
         records.append(
             TrajectoryRecord(
-                alpha=alpha_hist[i, :end] if varying else np.broadcast_to(alpha0[i], (end,)),
-                r=r_hist[i, :end],
+                alpha=alpha_hist.view(i, end) if varying else np.broadcast_to(alpha0[i], (end,)),
+                r=r_hist.view(i, end),
                 consensus_err=_metric_view(cons_hist, i, end),
                 dist_lifted_min=_metric_view(dist_hist, i, end),
                 states=state_hist[i, : _state_slots(end, record_every)],

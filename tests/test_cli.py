@@ -830,6 +830,40 @@ def test_horizon_too_long_for_memory_exits_2(command, random_config, tmp_path, m
     assert captured.err == "error: horizon 1000000000 needs more memory than is available\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
+def test_histories_outgrowing_memory_partway_exits_2(command, tmp_path, monkeypatch, capsys):
+    # the histories grow as the rows reach new cells: the growth step is
+    # stood in for, so that it fails partway through a bounded run, after
+    # the first chunks were written, and the run still exits 2 with one line
+    path = _write_config(
+        tmp_path,
+        {
+            "ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.05},
+            "sweep_base": "main",
+            "alpha_multiples": [0.5],
+        },
+    )
+    grow = simulator._RowHistories._grow
+    grown = []
+
+    def grow_until_memory_runs_out(self, buffer, stop):
+        if len(grown) == 3:
+            raise MemoryError
+        grown.append(stop)
+        grow(self, buffer, stop)
+
+    monkeypatch.setattr(simulator._RowHistories, "_grow", grow_until_memory_runs_out)
+    out = tmp_path / "out"
+    argv = [command, "--config", path, "--horizon", "10000", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert len(grown) == 3 and max(grown) > simulator._CHUNK
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert captured.err == "error: horizon 10000 needs more memory than is available\n"
+
+
 def test_problem_too_large_for_memory_exits_2(planted_config, monkeypatch, capsys):
     # a command that runs no simulation names itself, not the horizon
     def out_of_memory(*args, **kwargs):

@@ -277,6 +277,40 @@ class TestRun:
         with pytest.raises(ValueError):
             simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.1), x0=np.ones(4))
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    def test_rejects_a_threshold_that_is_not_positive(self, mix_quarter, threshold):
+        # README's seed 5 at alpha = 4.0: a nan threshold never compares, so
+        # the run would read "bounded" at R(300) = 6.7e204, and a threshold of
+        # 0 or -1 would stop it at step 0
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        with pytest.raises(ValueError, match="divergence_threshold"):
+            simulator.run_batch(
+                ens, mix_quarter, [StepsizeSchedule.constant(4.0)], horizon=300,
+                divergence_threshold=threshold,
+            )
+
+    def test_infinite_threshold_stays_legal(self, mix_quarter):
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=50,
+            divergence_threshold=math.inf,
+        )
+        assert rec.verdict == "bounded" and rec.r.size == 51
+
+    @pytest.mark.parametrize(
+        "x_star",
+        [[math.nan, 0.0], [0.0, math.inf], np.ones((3, 2)), np.ones(3), 1.0],
+        ids=["nan", "inf", "per-agent", "too-long", "scalar"],
+    )
+    def test_rejects_an_x_star_that_is_not_a_finite_n_vector(self, mix_quarter, x_star):
+        # a nan x* would read "bounded" with R all nan, a (3, 2) one would be
+        # taken as per-agent targets, and a (3,) one would fail in a broadcast
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        with pytest.raises(ValueError, match="x_star"):
+            simulator.run_batch(
+                ens, mix_quarter, [StepsizeSchedule.constant(4.0)], horizon=300, x_star=x_star
+            )
+
 
 def _assert_same_record(batched, single):
     for name in ("t", "alpha", "r", "state_ts", "states"):
@@ -758,6 +792,64 @@ class TestRecordMemory:
         floats = b * (_PEAK_HORIZON + 1)
         chunk_buffers = 2 * simulator._CHUNK * b * mn
         assert peak < 8 * (1.1 * floats + chunk_buffers)
+
+    @pytest.mark.parametrize("shape", ["sweep-alpha", "simulate"])
+    def test_early_divergence_holds_no_horizon(self, mix_quarter, shape):
+        # README's seed 5 under a 10^7-step horizon, where every row diverges
+        # within 120 steps: R alone at the five multiples of alpha_A that CI's
+        # edge sweep runs, or, as `simulate` keeps them, R, consensus, a
+        # polynomial schedule's alpha and the lifted distance (certified
+        # from step 15 on). The rows hold the cells they reach, where
+        # whole-horizon histories would take 80 MB per row and metric.
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        alpha_a = obj.strong_convexity_threshold().alpha
+        if shape == "sweep-alpha":
+            multiples = (0.5, 0.95, 0.99, 1.01, 1.02)
+            schedules = [StepsizeSchedule.constant(k * alpha_a) for k in multiples]
+            kwargs = dict(record_every=None, consensus=False)
+        else:
+            schedules = [StepsizeSchedule.polynomial(a=4.0 * alpha_a, p=0.5)]
+            kwargs = dict(record_every=None, lifted_distance=obj)
+        short = simulator.run_batch(ens, mix_quarter, schedules, horizon=300, **kwargs)
+        tracemalloc.start()
+        try:
+            records = simulator.run_batch(ens, mix_quarter, schedules, horizon=10**7, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        for rec, same in zip(records, short):
+            assert rec.verdict == "diverged" and rec.divergence_step < 120
+            for name in ("alpha", "r", "consensus_err", "dist_lifted_min"):
+                assert np.array_equal(getattr(rec, name), getattr(same, name), equal_nan=True)
+        if shape == "simulate":
+            assert np.isfinite(records[0].dist_lifted_min).any()
+
+    def test_histories_grow_by_doubling(self, mix_quarter, monkeypatch):
+        # a bounded row's histories double from one chunk up to horizon + 1
+        # cells, so growth copies fewer than twice that many cells, and a
+        # diverged row's are trimmed to its divergence step
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        grow = simulator._RowHistories._grow
+        sizes = []
+
+        def logged(self, buffer, stop):
+            before = buffer.size
+            grow(self, buffer, stop)
+            sizes.append((before, buffer.size))
+
+        monkeypatch.setattr(simulator._RowHistories, "_grow", logged)
+        horizon = 10_000
+        bounded, diverged = simulator.run_batch(
+            ens, mix_quarter, [StepsizeSchedule.constant(0.3), StepsizeSchedule.constant(4.0)],
+            horizon=horizon, record_every=None, consensus=False,
+        )
+        assert bounded.verdict == "bounded" and diverged.verdict == "diverged"
+        assert sizes[0][0] == simulator._CHUNK
+        assert all(after == min(2 * before, horizon + 1) for before, after in sizes)
+        assert sizes[-1][1] == horizon + 1 and sum(before for before, _ in sizes) < 2 * horizon
+        assert diverged.r.base.size == diverged.divergence_step + 1
 
     def test_record_arrays_are_read_only_views(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
