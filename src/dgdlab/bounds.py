@@ -134,9 +134,10 @@ def build_report(
 ) -> BoundReport:
     """Assemble the bound comparison table for one (ensemble, mixing) pair.
 
-    The certified threshold is computed from the lifted Hessian pencil when
-    not supplied; its provenance resolution is the width of the bracket that
-    confirms it, null when the threshold is capped at infinity. The
+    The threshold alpha_A, computed when not supplied, is the lifted
+    Hessian's Schur edge; its provenance is method "schur" and, as
+    resolution, the width of the bracket that confirms it (a relative 1e-9
+    on each side of the edge), null when it is capped at infinity. The
     radius uses x0 = 0 and alpha0 = half the spectral-gap bound; it is
     omitted (None) when the gap bound itself is unavailable.
     """

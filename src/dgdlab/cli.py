@@ -199,9 +199,10 @@ def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str
     return f",{bounds_mod.lambda_min_bound(lambda_min, big_l)!r},{alpha_s}\n"
 
 
-# Epsilons certified per ThresholdStack: a few batched eigensolves serve a
-# whole block, and a bounded block keeps the stack's arrays, not the epsilon
-# count, setting the command's peak memory.
+# Epsilons certified per ThresholdStack: one product into W's eigenbasis and
+# four batched eigensolves (the aggregate curvatures, the Schur complements and
+# the two bracket ends) serve a whole block, and a bounded block keeps the
+# stack's arrays, not the epsilon count, setting the command's peak memory.
 _EPSILON_BLOCK = 8
 
 
@@ -234,9 +235,9 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(
-            f"{eps!r},{'' if math.isnan(a) else render_float(a)}"
+            f"{eps!r},{'' if math.isnan(a) else render_float(float(a))}"
             f"{_bound_cells(summary.lambda_min, summary.beta, float(l), float(m))}"
-            for eps, a, l, m in zip(cfg.epsilons, alpha_a.tolist(), big_l, mu)
+            for eps, a, l, m in zip(cfg.epsilons, alpha_a, big_l, mu)
         )
     return EXIT_OK
 

@@ -22,13 +22,13 @@ from .lifted import DEFAULT_SCAN_CAP
 from .simulator import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     DEFAULT_HORIZON,
-    DEFAULT_RECORD_EVERY,
     StepsizeSchedule,
 )
 from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
+DEFAULT_RECORD_EVERY = 10  # a run's state-history stride; no command keeps states
 # a run holds the metric cells its rows reach and nothing else per step: 8 bytes
 # per step and stepsize for sweep-alpha (R alone), at least 16 for simulate (R and
 # consensus), so a row that stays bounded beyond this horizon cannot fit; a run

@@ -43,7 +43,7 @@ class NotStronglyConvexError(DgdLabError, ValueError):
 
 
 class NotInClassError(DgdLabError, ValueError):
-    """No stepsize below the scan cap makes the lifted objective strongly convex."""
+    """No stepsize certifies, or the edge cannot be placed or confirmed at this scale."""
 
 
 class RadiusUndefinedError(DgdLabError, ValueError):

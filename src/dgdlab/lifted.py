@@ -5,24 +5,31 @@ step with stepsize alpha into one plain gradient-descent step on
 
     G_alpha(x) = alpha * F(x) + 0.5 * x^T ((I - W) kron I_n) x,
 
-where F(x) = (1/m) sum_k f_k(x_k). For quadratic costs G_alpha is a
-quadratic form, so strong convexity is exactly the positivity of the
-smallest Hessian eigenvalue beyond a 1e-10 tolerance. The Hessian is
-affine in t = alpha/m, H(t) = C + t B, and the certified stepsizes form
-an open interval (alpha_lo, alpha_hi); alpha_lo is tiny but positive, as
-H(t) tends to the singular consensus matrix C when t goes to 0.
+where F(x) = (1/m) sum_k f_k(x_k). For quadratic costs G_alpha is strongly
+convex exactly when its Hessian H(t) = C + t B is positive definite, with
+t = alpha/m, C = (I - W) kron I_n and B = blockdiag(A_k). In W's eigenbasis
+(W = Q diag(w) Q^T, q_1 = 1/sqrt(m), w_1 = 1), C is diag(0, D) with
+D = diag(1 - w_j) kron I_n over j >= 2, and B has the blocks
+B~_ij = sum_k Q_ki Q_kj A_k, of which B~_11 = (1/m) sum_k A_k is the
+aggregate curvature. By the Schur complement of t B~_11, H(t) is positive
+definite iff B~_11 is (the instance is in class) and D + t S is, with
+S = B~_22 - B~_21 B~_11^(-1) B~_12. So the certified stepsizes are the open
+interval (0, alpha_A), alpha_A = m / lambda_max(-D^(-1/2) S D^(-1/2)), inf
+where that eigenvalue is not positive and empty out of class. `certify`,
+`certified_interval` and the thresholds all read this one edge; a threshold
+also confirms a finite edge by the sign of H's smallest eigenvalue just
+below and just above it.
 
-The pencil (B, C + t0 B) at one certified anchor t0 gives both ends in
-closed form, alpha_A being the right one, and diagonalises every H(t), so
+The pencil (B, C + t0 B) at t0 = half the edge diagonalises every H(t), so
 each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve. In
 that basis y(alpha) = sum_i z_i g_i(t) with each coordinate g_i monotone in
 t, which also bounds how far y moves between two stepsizes in closed form:
 sum_i ||z_i|| |g_i(t') - g_i(t)|, a bound that telescopes along a monotone
 schedule.
 
-ThresholdStack runs that machinery on a stack of instances sharing one
-mixing matrix, each step one batched eigensolve for all of them; a
-LiftedObjective is its one-row case.
+ThresholdStack computes the edges of a stack of instances sharing one
+mixing matrix, each step one batched product or eigensolve for all of them;
+a LiftedObjective is its one-row case.
 """
 
 from __future__ import annotations
@@ -39,39 +46,35 @@ from .errors import NotInClassError, NotStronglyConvexError
 from .numerics import min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
-SC_TOLERANCE = 1e-10
 DEFAULT_SCAN_CAP = 1e3
-_SEED_LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-_EDGE_GAP = 1e-11
-# The widest bracket, relative to the edge, that may confirm alpha_A: wider
-# ones report an edge certify cannot place.
-_BRACKET_CAP = 1e-6
+# A threshold confirms a finite edge by H's smallest eigenvalue: positive this
+# far below the edge (relative to it) and not positive this far above it.
+_CONFIRM_GAP = 1e-9
 
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
     """Exact (global, for quadratics) strong-convexity verdict at one alpha.
 
-    is_strongly_convex holds iff the smallest Hessian eigenvalue clears the
-    +1e-10 tolerance; values within the tolerance band around zero are
-    flagged as boundary and treated as not certified.
+    is_strongly_convex holds iff the instance is in class and alpha < alpha_A
+    (see the module docstring). min_hessian_eig is the smallest Hessian
+    eigenvalue as rounded, modulus its positive part; neither decides it.
     """
 
     alpha: float
     min_hessian_eig: float
     is_strongly_convex: bool
     modulus: float
-    is_boundary: bool = False
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Right edge of the certified stepsizes (alpha_lo, alpha_A].
+    """alpha_A, the right end of the certified stepsizes (0, alpha_A).
 
-    alpha is math.inf when every stepsize up to the scan cap certifies
-    (capped=True). Otherwise bracket is the certified/uncertified pair that
-    confirms the edge, alpha is its lower end, and resolution its width;
-    both are None when capped.
+    alpha is math.inf when the edge reaches the scan cap (capped=True).
+    Otherwise bracket is the pair of stepsizes a relative 1e-9 below and
+    above the edge at which H's smallest eigenvalue confirmed it, alpha is
+    its lower end, and resolution its width; both are None when capped.
     """
 
     alpha: float
@@ -91,28 +94,34 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pencil(curvature: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis^T B basis, made exactly symmetric; stacks broadcast."""
-    pencil = basis.swapaxes(-1, -2) @ (curvature @ basis)
-    # (P^T + P) / 2 from a contiguous copy of P^T: adding P^T into P in place
-    # makes numpy buffer copies of the overlapping operand
-    out = pencil.swapaxes(-1, -2).copy()
-    out += pencil
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(A^T + A) / 2, exactly symmetric; stacks broadcast."""
+    # from a contiguous copy of A^T: adding A^T into A in place makes numpy
+    # buffer copies of the overlapping operand
+    out = a.swapaxes(-1, -2).copy()
+    out += a
     out *= 0.5
     return out
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """`a`, or NotInClassError naming `what` where it overflowed: no edge to place."""
+    if not np.isfinite(a).all():
+        raise NotInClassError(f"{what} is not finite at the curvatures' scale")
+    return a
+
+
 class ThresholdStack:
-    """The threshold machinery for E instances that share one mixing matrix.
+    """The certification of E instances that share one mixing matrix.
 
     Row e is the lifted objective of the e-th curvature set: its Hessian is
     H_e(t) = C + t B_e with t = alpha/m, B_e = blockdiag of the set and
-    C = (I - W) kron I_n shared by every row. Each stage (the seed-ladder
-    anchor, the pencil interval, the bracket that confirms alpha_A) runs on
-    all rows at once through batched eigensolves: one per ladder probe, one
-    for the pencil, one per bracket end and round. Every row's numbers are
-    bit for bit those of the same instance alone: a LiftedObjective is the
-    one-row case.
+    C = (I - W) kron I_n shared by every row. `_edges` gives every row's
+    alpha_A from one eigendecomposition of W, one product into its
+    eigenbasis and two batched eigensolves; `thresholds` confirms the
+    finite edges with two more, one per bracket end. Every row's numbers
+    are bit for bit those of the same instance alone: a LiftedObjective is
+    the one-row case.
     """
 
     def __init__(self, curvatures: np.ndarray, mixing: MixingMatrix):
@@ -121,6 +130,7 @@ class ThresholdStack:
         if m != mixing.m:
             raise ValueError(f"curvature sets have {m} agents but mixing matrix has {mixing.m}")
         self.m = m
+        self._sets, self._mixing = curvatures, mixing
         self.curvature = _block_diagonal(curvatures)  # (E, nm, nm)
         # (I - W) kron I_n, bit for bit, without np.kron's overhead
         self.consensus = np.empty((m * n, m * n))
@@ -130,112 +140,79 @@ class ThresholdStack:
         )
 
     @cached_property
-    def anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, t0, eigenvalues, eigenvectors) of K(t0) = C - tau I + t0 B for
-        each row, ascending, that has a seed-ladder t0 = probe/m where K(t0) is
-        positive definite; t0 is the first such probe. All rows try a probe
-        together; a row that fails it retries at the next probe, alone.
+    def _edges(self) -> np.ndarray:
+        """(E,): each row's alpha_A (see the module docstring), inf where every
+        stepsize certifies and 0.0 out of class. K below is B~_11^(-1/2) B~_12
+        D^(-1/2) up to an orthogonal factor, so -D^(-1/2) S D^(-1/2) = K^T K -
+        D^(-1/2) B~_22 D^(-1/2). Raises NotInClassError where a step overflows.
         """
-        pending = np.arange(len(self.curvature))
-        pieces = []
-        for probe in _SEED_LADDER:
-            t0 = probe / self.m
-            # K(t0) is built in place and freed once factored: these (nm, nm)
-            # arrays set the peak memory of a threshold
-            anchor = self.curvature[pending]
-            anchor *= t0
-            anchor += self.consensus
-            size = anchor.shape[-1]
-            anchor.reshape(pending.size, size * size)[:, :: size + 1] -= SC_TOLERANCE  # diagonals
-            spectrum = sym_eigen(anchor, vectors=True)
-            del anchor
-            values, vectors = spectrum.eigenvalues, spectrum.eigenvectors
-            ok = values[:, 0] > 0
-            if ok.all():
-                pieces.append((pending, np.full(pending.size, t0), values, vectors))
-                break
-            pieces.append((pending[ok], np.full(ok.sum(), t0), values[ok], vectors[ok]))
-            pending = pending[~ok]
-        if len(pieces) == 1:
-            return pieces[0]
-        rows, t0, values, vectors = (np.concatenate(part) for part in zip(*pieces))
-        order = np.argsort(rows)
-        return rows[order], t0[order], values[order], vectors[order]
-
-    @cached_property
-    def intervals(self) -> np.ndarray:
-        """(2, R): alpha_lo and alpha_hi, the ends of each anchored row's open
-        interval, in the order of `anchors`; certify(alpha) holds exactly
-        inside, up to rounding.
-
-        certify(m t) holds iff K(t) is positive definite. S = Q diag(lam)^(-1/2)
-        from K(t0) = Q diag(lam) Q^T turns K(t) into I + (t - t0) S^T B S, so iff
-        1 + (t - t0) nu > 0 for every eigenvalue nu of S^T B S.
-        """
-        rows, t0, values, vectors = self.anchors
-        out = np.empty((2, rows.size))
-        if not rows.size:
-            return out
-        nu = sym_eigen(_pencil(self._rows(rows), vectors / np.sqrt(values)[:, None, :])).eigenvalues
-        nu_min, nu_max = nu[:, 0], nu[:, -1]
-        lo, hi = out
-        with np.errstate(divide="ignore"):  # 1/nu where nu = 0 is never kept
-            np.maximum(0.0, self.m * (t0 - 1.0 / nu_max), out=lo)
-            np.multiply(self.m, t0 - 1.0 / nu_min, out=hi)
-        lo[nu_max <= 0] = 0.0
-        hi[nu_min >= 0] = math.inf
-        return out
+        m, n = self.m, self._sets.shape[-1]
+        edges = np.zeros(len(self._sets))
+        # an overflow is caught where it would reach an eigensolve
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mean = self._sets.sum(axis=1) / m  # B~_11, bit for bit each ensemble's mean
+            mean = sym_eigen(_finite(mean, "the aggregate curvature"), vectors=True)
+            values, vectors = mean.eigenvalues, mean.eigenvectors
+            rows = np.flatnonzero(values[:, 0] > 0)
+            if not rows.size:
+                return edges
+            sets = self._sets
+            if rows.size < len(sets):
+                sets, values, vectors = sets[rows], values[rows], vectors[rows]
+            # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
+            # the scaled basis for j >= 2 (outer products by matmul, which buffers
+            # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
+            q = self._mixing._eigenbasis
+            size, rest = rows.size, (m - 1) * n
+            pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
+            blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
+            k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
+            b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
+            del pairs, blocks
+            k = (vectors / np.sqrt(values)[:, None, :]).swapaxes(-1, -2) @ k
+            top = k.swapaxes(-1, -2) @ k
+            top -= b22
+            top = sym_eigen(_finite(_symmetric_part(top), "the Schur complement")).eigenvalues
+            top = top.max(axis=-1, initial=0.0)
+            edges[rows] = np.where(top > 0, m / top, math.inf)
+        return edges
 
     def thresholds(self, scan_cap: float = DEFAULT_SCAN_CAP) -> list[ThresholdResult | None]:
-        """Per row, alpha_A: the right end of its interval confirmed by certify on
-        both sides, or None where no seed-ladder stepsize certifies. An edge at
-        or past `scan_cap` gives the +inf sentinel with capped=True. Raises
-        NotInClassError when certify confirms no bracket of a row's edge.
-
-        A row's bracket starts a relative 1e-11 on each side of its edge, above
-        the eigensolvers' rounding, and widens tenfold, for that row alone,
-        until certify agrees on both ends; a bracket that would grow wider than
-        a relative 1e-6 raises NotInClassError. Each round certifies the lower ends
-        of every open bracket in one batched eigensolve, and the upper ends in
-        another.
+        """Per row, alpha_A from `_edges`: None for a row out of class, the +inf
+        sentinel with capped=True for an edge at or past `scan_cap`, and
+        otherwise the bracket a relative 1e-9 on each side of the edge. H's
+        smallest eigenvalue confirms it, positive at the lower end and not at
+        the upper, in one batched eigensolve per end; NotInClassError names
+        the first edge it does not confirm.
         """
-        results: list[ThresholdResult | None] = [None] * len(self.curvature)
-        rows, edges = self.anchors[0], self.intervals[1]
+        edges = self._edges
+        results: list[ThresholdResult | None] = [None] * len(edges)
         capped = edges >= scan_cap
-        if capped.any():
-            for row in rows[capped].tolist():
-                results[row] = ThresholdResult(alpha=math.inf, method="pencil", capped=True)
-            rows, edges = rows[~capped], edges[~capped]
-        gaps = _EDGE_GAP * edges  # below the edges, which are positive
-        while rows.size:
-            lo, hi = edges - gaps, edges + gaps
-            done = self._certified(rows, lo) & ~self._certified(rows, hi)
-            for row, a, b in zip(rows[done].tolist(), lo[done].tolist(), hi[done].tolist()):
-                results[row] = ThresholdResult(
-                    alpha=a, method="pencil", resolution=b - a, bracket=(a, b)
-                )
-            if done.all():
-                break
-            rows, edges, gaps = rows[~done], edges[~done], gaps[~done] * 10.0
-            wide = 2.0 * gaps > _BRACKET_CAP * edges
-            if wide.any():
-                # certify's verdicts near the edge are rounding: at this scale the
-                # eigensolver cannot resolve the 1e-10 certificate tolerance
-                raise NotInClassError(
-                    f"certify does not confirm the pencil edge {float(edges[wide.argmax()])!r} "
-                    f"to a relative {_BRACKET_CAP:g}"
-                )
+        for row in np.flatnonzero(capped).tolist():
+            results[row] = ThresholdResult(alpha=math.inf, method="schur", capped=True)
+        rows = np.flatnonzero((edges > 0) & ~capped)
+        if not rows.size:
+            return results
+        lo, hi = edges[rows] * (1.0 - _CONFIRM_GAP), edges[rows] * (1.0 + _CONFIRM_GAP)
+        confirmed = self._certified(rows, lo) & ~self._certified(rows, hi)
+        if not confirmed.all():
+            raise NotInClassError(
+                f"lambda_min(H) does not confirm the Schur edge "
+                f"{float(edges[rows[confirmed.argmin()]])!r} to a relative {_CONFIRM_GAP:g}"
+            )
+        for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            results[row] = ThresholdResult(
+                alpha=a, method="schur", resolution=b - a, bracket=(a, b)
+            )
         return results
 
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        """The curvatures of ascending `rows`: B itself, not a copy, when that is every row."""
-        return self.curvature if rows.size == len(self.curvature) else self.curvature[rows]
-
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """certify(alphas[j]).is_strongly_convex for row rows[j], in one eigensolve."""
-        hessians = (alphas / self.m)[:, None, None] * self._rows(rows)
+        """Whether H(alphas[j]/m) of row rows[j] has a positive smallest
+        eigenvalue, in one eigensolve."""
+        curvature = self.curvature if rows.size == len(self.curvature) else self.curvature[rows]
+        hessians = (alphas / self.m)[:, None, None] * curvature
         hessians += self.consensus
-        return sym_eigen(hessians).eigenvalues[:, 0] > SC_TOLERANCE
+        return sym_eigen(hessians).eigenvalues[:, 0] > 0
 
 
 class LiftedObjective:
@@ -304,47 +281,53 @@ class LiftedObjective:
         return (alpha / self.ensemble.m) * self.block_curvature + self.consensus_matrix
 
     def certify(self, alpha: float) -> ConvexityCertificate:
-        """Strong-convexity certificate from the smallest Hessian eigenvalue."""
+        """Strong-convexity certificate: in class and below alpha_A, with the
+        smallest Hessian eigenvalue as measured."""
         lam = min_eigenvalue(self.hessian(alpha))
         return ConvexityCertificate(
             alpha=alpha,
             min_hessian_eig=lam,
-            is_strongly_convex=lam > SC_TOLERANCE,
+            is_strongly_convex=bool(alpha < self._stack._edges[0]),
             modulus=lam if lam > 0 else 0.0,
-            is_boundary=abs(lam) <= SC_TOLERANCE,
         )
 
     @property
     def certified_interval(self) -> tuple[float, float]:
-        """(alpha_lo, alpha_hi), open: certify(alpha) holds exactly inside, up to
-        rounding; (0.0, 0.0), empty, when no seed-ladder stepsize certifies. See
-        ThresholdStack.intervals."""
-        lo, hi = self._stack.intervals
-        if not lo.size:
-            return (0.0, 0.0)
-        return float(lo[0]), float(hi[0])
+        """(0, alpha_A), open: certify(alpha) holds exactly inside; (0.0, 0.0),
+        empty, for an instance out of class. See ThresholdStack._edges."""
+        return 0.0, float(self._stack._edges[0])
 
     def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
-        """alpha_A, the right end of certified_interval, confirmed by certify on
-        both sides. An edge at or past `scan_cap` gives the +inf sentinel with
-        capped=True. Raises NotInClassError when no seed-ladder stepsize certifies,
-        or when certify confirms no bracket of the edge up to a relative 1e-6.
+        """alpha_A, the right end of certified_interval, confirmed by the sign
+        of the smallest Hessian eigenvalue on both sides. An edge at or past
+        `scan_cap` gives the +inf sentinel with capped=True. Raises
+        NotInClassError for an instance out of class, or when the sign does
+        not confirm the edge (see ThresholdStack.thresholds).
         """
         result = self._stack.thresholds(scan_cap)[0]
         if result is None:
             raise NotInClassError(
-                f"no strongly convex stepsize found down to {_SEED_LADDER[-1]:g}"
+                "the aggregate curvature (1/m) sum A_k is not positive definite: "
+                "no stepsize certifies"
             )
         return result
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Z, d, nu, Z^T b) with Z^T (C + t0 B) Z = I, Z^T B Z = diag(nu), from
-        the stack's anchor. d = diag(Z^T C Z) directly, not 1 - t0 nu, which
-        cancels on the consensus null space of C, where nu = 1/t0."""
-        _, _, values, vectors = self._stack.anchors
-        z = vectors[0] / np.sqrt(values[0] + SC_TOLERANCE)
-        spectrum = sym_eigen(_pencil(self.block_curvature, z), vectors=True)
+        """(Z, d, nu, Z^T b) with Z^T (C + t0 B) Z = I, Z^T B Z = diag(nu), at
+        t0 = alpha_A / (2m), where C + t0 B is positive definite (t0 = 1/m
+        where alpha_A = inf). d = diag(Z^T C Z) directly, not 1 - t0 nu, which
+        cancels on the consensus null space of C, where nu = 1/t0. Raises
+        NotInClassError where rounding at the curvatures' scale leaves the
+        basis non-finite."""
+        edge = self.certified_interval[1]
+        anchor = 0.5 * edge if math.isfinite(edge) else 1.0
+        spectrum = sym_eigen(self.hessian(anchor), vectors=True)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues)
+            pencil = _symmetric_part(z.T @ (self.block_curvature @ z))
+        pencil = _finite(pencil, f"the minimizer basis at alpha = {anchor!r}")
+        spectrum = sym_eigen(pencil, vectors=True)
         z = z @ spectrum.eigenvectors
         d = np.einsum("ij,ij->j", z, self.consensus_matrix @ z)
         return z, d, spectrum.eigenvalues, z.T @ self.stacked_linear

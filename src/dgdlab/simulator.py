@@ -42,7 +42,6 @@ from .topology import MixingMatrix
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
-DEFAULT_RECORD_EVERY = 10
 CRITICAL_BAND = 1e-6
 # the slack of nonexpansiveness_check: core margins up to it are rounding
 _NONEXPANSION_TOLERANCE = 1e-9
@@ -438,7 +437,7 @@ def run_batch(
     horizon: int = DEFAULT_HORIZON,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     agent_scale: bool = False,
-    record_every: int | None = DEFAULT_RECORD_EVERY,
+    record_every: int | None = None,
     x_star: np.ndarray | None = None,
     lifted_distance: LiftedObjective | None = None,
     consensus: bool = True,
@@ -456,11 +455,11 @@ def run_batch(
     G_(m alpha(t)) under `agent_scale`), wherever that stepsize is
     certified.
 
-    R(t) is always kept. The consensus history (`consensus`) and the state
-    history (`record_every`, None for none) are optional; by default both
-    are kept. A caller that reads neither saves their memory and their
-    per-chunk work, and every kept metric, verdict and divergence step is
-    the same bit for bit.
+    R(t) is always kept. The consensus history (`consensus`) is kept by
+    default; the state history is kept only when asked for, one state every
+    `record_every` steps (`nonexpansiveness_check` needs 1). A caller that
+    reads neither saves their memory and their per-chunk work, and every
+    kept metric, verdict and divergence step is the same bit for bit.
 
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a

@@ -10,6 +10,7 @@ eigenvalue — are computed once at validation time and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,18 @@ class MixingMatrix:
 
     def __post_init__(self):
         self.w.setflags(write=False)
+
+    @cached_property
+    def _eigenbasis(self) -> np.ndarray:
+        """Q D^(-1/2): W = Q diag(w) Q^T with q_1 = 1/sqrt(m) exactly as the first
+        column, for w_1 = 1 (which eigh puts last, as the largest), and each other
+        column q_j scaled by (1 - w_j)^(-1/2), finite on a connected W."""
+        spectrum = sym_eigen(self.w, vectors=True)
+        q = np.empty((self.m, self.m))
+        q[:, 0] = self.m**-0.5
+        gaps = np.sqrt(1.0 - spectrum.eigenvalues[:-1])
+        np.divide(spectrum.eigenvectors[:, :-1], gaps, out=q[:, 1:])
+        return q
 
 
 def validate_mixing(w: np.ndarray) -> MixingMatrix:

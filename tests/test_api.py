@@ -29,6 +29,9 @@ REMOVED_METHODS = {
     "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
     "from_spec": simulator.StepsizeSchedule,  # config reads schedule specs
     "to_spec": simulator.StepsizeSchedule,  # ExperimentConfig.canonical()["schedule"]
+    "anchors": lifted.ThresholdStack,  # the Schur edge needs no anchor
+    "intervals": lifted.ThresholdStack,  # LiftedObjective.certified_interval, (0, alpha_A)
+    "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),

@@ -158,7 +158,7 @@ class TestBoundReport:
         for key in ("alpha_gd", "alpha_L", "alpha_S", "alpha_A", "alpha_main",
                     "eta", "radius_R", "alpha_A_provenance"):
             assert key in data
-        assert data["alpha_A_provenance"]["method"] == "pencil"
+        assert data["alpha_A_provenance"]["method"] == "schur"
         assert data["alpha_main"] == pytest.approx(
             min(data["alpha_L"], data["alpha_A"])
         )
@@ -176,7 +176,7 @@ class TestBoundReport:
         # mu = 5e-324 against L = 1e12: the gap bound underflows to 0, so there
         # is no positive alpha0 to take the radius at
         ens = costs.epsilon_example(1e12, 5e-324, 10.0)
-        threshold = ThresholdResult(alpha=1.0, method="pencil")
+        threshold = ThresholdResult(alpha=1.0, method="schur")
         report = bounds.build_report(ens, mix_quarter, threshold=threshold)
         assert report.alpha_S == 0.0
         assert report.radius_R is None

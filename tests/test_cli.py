@@ -603,11 +603,10 @@ class TestSweepEpsilonCommand:
         ],
     )
     def test_output_is_byte_identical_to_golden(self, golden, config, tmp_path, capsys):
-        # The golden files were written by one LiftedObjective per epsilon, before
-        # thresholds were certified as a stack; the stack must reproduce them.
-        # They cover deeper ladder probes, the blank row at 2L, capped rows and
-        # a W without alpha_S. Rows above epsilon = L = 10 carry each instance's
-        # own alpha_L and alpha_S.
+        # Each row of the golden files is its epsilon's one-row threshold
+        # (TestThresholdStack checks that the stack reproduces those). They
+        # cover the blank row at 2L, capped rows and a W without alpha_S. Rows
+        # above epsilon = L = 10 carry each instance's own alpha_L and alpha_S.
         expected = (GOLDEN / f"sweep_epsilon_{golden}.csv").read_bytes()
         path = _write_config(tmp_path, config)
         assert cli.main(["sweep-epsilon", "--config", path]) == 0
@@ -617,17 +616,18 @@ class TestSweepEpsilonCommand:
         assert (out / "sweep_epsilon.csv").read_bytes() == expected
 
     def test_unconfirmed_edge_exits_3(self, tmp_path, capsys):
-        # at curvatures near 1e12 the certificate cannot resolve its tolerance
+        # at curvatures near 1e12 rounding in W's eigenbasis moves the edge
+        # further than the Hessian's smallest eigenvalue can confirm
         path = _write_config(
             tmp_path, {"mixing": {"type": "explicit", "W": W_QUARTER}, "L": 1e12, "mu": 1e-12}
         )
         assert cli.main(["sweep-epsilon", "--config", path]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "does not confirm the pencil edge" in err
+        assert err.count("\n") == 1 and "does not confirm the Schur edge" in err
 
-    def test_over_wide_bracket_exits_3(self, tmp_path, capsys):
-        # at epsilon 5.5 certify first agrees on a bracket 22% wide, whose lower
-        # end 0.245 lies far below the pencil edge 0.2727
+    def test_unconfirmed_edge_is_named(self, tmp_path, capsys):
+        # at epsilon 5.5 the Schur edge lies within 6e-6 of the planted 1.5/5.5,
+        # but the smallest Hessian eigenvalue does not change sign across it
         path = _write_config(
             tmp_path,
             {
@@ -640,16 +640,16 @@ class TestSweepEpsilonCommand:
         assert cli.main(["sweep-epsilon", "--config", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert "does not confirm the pencil edge 0.2727" in captured.err
+        assert "does not confirm the Schur edge 0.2727" in captured.err
 
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
-        # eight epsilons confirm within the bracket cap, the ninth (in the
-        # second block) does not
+        # at curvatures near 1e12 eight epsilons confirm their edges, the ninth
+        # (in the second block) does not
         config = {
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "L": 1e12,
             "mu": 1e-12,
-            "epsilons": [1.0, 2.5, 4.5, 1.0, 2.5, 4.5, 1.0, 2.5],
+            "epsilons": [1.5, 2.0, 2.5, 3.0, 1.5, 2.0, 2.5, 3.0],
         }
         first_block = _write_config(tmp_path, config, name="first_block.json")
         assert cli.main(["sweep-epsilon", "--config", first_block]) == 0
@@ -667,9 +667,8 @@ RING8_ADJACENCY = [[1 if abs(i - j) in (1, 7) else 0 for j in range(8)] for i in
 
 
 class TestGoldenOutputs:
-    """bounds, simulate and sweep-alpha against bytes written before the
-    ensemble and the Metropolis W were built as stacks: stdout and every file
-    under --out must not move."""
+    """bounds, simulate and sweep-alpha against fixed bytes: stdout and every
+    file under --out must not move."""
 
     CASES = {
         "bounds_ring8": (

@@ -1,23 +1,31 @@
-"""Property test: for generated JSON configs the CLI exits 0, 2, 3 or 4.
+"""Property tests of the CLI's exit codes and of certification.
 
-A malformed value anywhere in a config must end in exit 2 with one line of
-diagnosis, never in a Python traceback; a number replaced by a value of
-another JSON type always does. Each example is a well-formed config
-(with extreme but legal numbers among its values) in which at most one
-entry, at any depth, is replaced by an out-of-range, non-finite or mistyped
-value. Horizons stay short so that a run costs milliseconds.
+For generated JSON configs the CLI exits 0, 2, 3 or 4. A malformed value
+anywhere in a config must end in exit 2 with one line of diagnosis, never
+in a Python traceback; a number replaced by a value of another JSON type
+always does. Each example is a well-formed config (with extreme but legal
+numbers among its values) in which at most one entry, at any depth, is
+replaced by an out-of-range, non-finite or mistyped value. Horizons stay
+short so that a run costs milliseconds.
+
+For generated in-class instances (random ensembles on Metropolis weights of
+random connected graphs), alpha_A agrees with a pencil edge computed here
+from a Cholesky anchor, the Hessian's smallest eigenvalue changes sign
+across it, and certify agrees with that sign wherever it is decisive.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dgdlab import cli
+from dgdlab import cli, costs, lifted, topology
 
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 UNIFORM_W = [[1 / 3] * 3] * 3
@@ -153,3 +161,62 @@ def test_cli_exits_with_a_code_never_a_traceback(command, data, out, draws):
         assert code == 2, stderr.getvalue()
     if code:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+
+
+@st.composite
+def in_class_draws(draw):
+    """(ensemble, mixing): random_ensemble(m, n, epsilon, seed) on the
+    Metropolis weights of a random spanning path plus random extra edges."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    order = draw(st.permutations(range(m)))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = list(zip(order, order[1:])) + draw(st.lists(st.sampled_from(pairs), max_size=m))
+    adjacency = np.zeros((m, m), dtype=int)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    epsilon = draw(st.floats(0.2, 2.0))
+    ensemble = costs.random_ensemble(m, n, epsilon, seed=draw(st.integers(0, 2**32 - 1)))
+    return ensemble, topology.metropolis_weights(adjacency)
+
+
+def pencil_edge(curvatures: np.ndarray, w: np.ndarray) -> float:
+    """alpha_A as perfbench/reference.py computes it, in numpy alone: with
+    H(t0) = L L^T positive definite, H(t) = L (I + (t - t0) P) L^T for
+    P = L^-1 B L^-T, so H(t) stays positive definite while t < t0 - 1/nu_min(P).
+    t0 is the point of a geometric ladder where H's smallest eigenvalue is
+    largest, which keeps L well conditioned."""
+    m, n, _ = curvatures.shape
+    c = np.kron(np.eye(m) - w, np.eye(n))
+    b = np.zeros((m * n, m * n))
+    for k, a in enumerate(curvatures):
+        b[k * n : (k + 1) * n, k * n : (k + 1) * n] = a
+    ladder = np.geomspace(1e3, 1e-9, 37) / m
+    t0 = ladder[np.argmax([np.linalg.eigvalsh(c + t * b)[0] for t in ladder])]
+    lower = np.linalg.cholesky(c + t0 * b)
+    left = np.linalg.solve(lower, b)
+    pencil = np.linalg.solve(lower, left.T)
+    nu_min = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[0]
+    return math.inf if nu_min >= 0 else m * (t0 - 1.0 / nu_min)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(draw=in_class_draws())
+def test_certification_agrees_with_the_pencil_and_the_spectrum(draw):
+    ensemble, mixing = draw
+    assume(np.linalg.eigvalsh(ensemble.aggregate_a)[0] > 0)
+    objective = lifted.LiftedObjective(ensemble, mixing)
+    alpha_a = objective.strong_convexity_threshold(scan_cap=math.inf).alpha
+    edge = pencil_edge(ensemble.curvatures, mixing.w)
+    if math.isinf(edge):
+        assert math.isinf(alpha_a)
+        alphas = [1e-3, 1.0, 1e3]
+    else:
+        assert abs(alpha_a - edge) <= 1e-8 * edge, (alpha_a, edge)
+        below, above = (np.linalg.eigvalsh(objective.hessian(f * alpha_a))[0]
+                        for f in (1 - 1e-6, 1 + 1e-6))
+        assert below > 0 > above, (below, above)
+        alphas = [f * alpha_a for f in (1e-3, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0)]
+    for alpha in alphas:
+        lam = np.linalg.eigvalsh(objective.hessian(alpha))[0]
+        if abs(lam) > 1e-9:
+            assert objective.certify(alpha).is_strongly_convex == (lam > 0), (alpha, lam)

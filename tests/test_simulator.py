@@ -264,7 +264,7 @@ class TestRun:
         obj = lifted.LiftedObjective(ens, mix_quarter)
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(0.1),
-            horizon=3000, agent_scale=True, lifted_distance=obj,
+            horizon=3000, agent_scale=True, lifted_distance=obj, record_every=10,
         )
         assert rec.verdict == "bounded"
         assert rec.dist_lifted_min[-1] < 1e-12
@@ -512,7 +512,7 @@ class TestRunBatch:
         x0 = np.full(2, 1e308)  # an eigenvector of 0.9
         (rec,) = simulator.run_batch(
             ens, mix_single, [StepsizeSchedule.constant(0.1)], x0=x0,
-            horizon=4000, divergence_threshold=math.inf,
+            horizon=4000, divergence_threshold=math.inf, record_every=10,
         )
         assert rec.verdict == "bounded" and np.all(np.isfinite(rec.states))
         np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
@@ -562,7 +562,8 @@ class TestRunBatch:
         schedule = StepsizeSchedule.constant(10.0)
         x0 = np.full(2, 1e308)
         (rec,) = simulator.run_batch(
-            ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf
+            ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf,
+            record_every=10,
         )
         assert rec.divergence_step == 1 and np.all(np.isnan(rec.states[-1]))
         distance = math.dist(x0, ens.aggregate_minimizer())  # 9.4e307
@@ -585,13 +586,14 @@ class TestRunBatch:
             (nan_rec,) = simulator.run_batch(
                 nan_ens, mix_single, [StepsizeSchedule.constant(10.0)],
                 x0=np.full(2, 1e308), horizon=5, divergence_threshold=math.inf,
+                record_every=10,
             )
             # README's seed-5 instance: 2.4 is certified (alpha_A is 2.53) but
             # diverges, so the state grows until it is no longer finite
             readme = costs.random_ensemble(3, 2, 1.0, seed=5)
             (blown,) = simulator.run_batch(
                 readme, mix_quarter, [StepsizeSchedule.constant(2.4)], x0=np.ones(6),
-                horizon=2000, divergence_threshold=math.inf,
+                horizon=2000, divergence_threshold=math.inf, record_every=10,
                 lifted_distance=lifted.LiftedObjective(readme, mix_quarter),
             )
         assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged"]
@@ -779,8 +781,8 @@ class TestRecordMemory:
         # (with 6% slack), plus two chunk-sized buffers (the chunk and a
         # metric's temporary); nothing else is held per step, and the records
         # add no copies
-        peak, b, mn = _readme_batch_peak(mix_quarter)
-        horizon, every = _PEAK_HORIZON, simulator.DEFAULT_RECORD_EVERY
+        horizon, every = _PEAK_HORIZON, 10
+        peak, b, mn = _readme_batch_peak(mix_quarter, record_every=every)
         floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn
         chunk_buffers = 2 * simulator._CHUNK * b * mn
         assert peak < 8 * (1.06 * floats + chunk_buffers)
@@ -825,6 +827,27 @@ class TestRecordMemory:
                 assert np.array_equal(getattr(rec, name), getattr(same, name), equal_nan=True)
         if shape == "simulate":
             assert np.isfinite(records[0].dist_lifted_min).any()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_defaults_keep_no_state_history(self, mix_quarter, batched):
+        # README's seed 5 at alpha = 4.0 diverges within 30 steps: with the
+        # defaults a run keeps no states, so a 10^7-step horizon holds a few
+        # cells, where a state every 10 steps over the horizon took 48 MB
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        schedule = StepsizeSchedule.constant(4.0)
+        simulator.run(ens, mix_quarter, schedule, horizon=10)  # x* solved and cached
+        tracemalloc.start()
+        try:
+            if batched:
+                (rec,) = simulator.run_batch(ens, mix_quarter, [schedule], horizon=10**7)
+            else:
+                rec = simulator.run(ens, mix_quarter, schedule, horizon=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.verdict == "diverged" and rec.divergence_step < 30
+        assert rec.record_every is None and rec.states.size == 0
+        assert peak < 1e6
 
     def test_histories_grow_by_doubling(self, mix_quarter, monkeypatch):
         # a bounded row's histories double from one chunk up to horizon + 1
