@@ -12,6 +12,10 @@ memory among them), 3 certification failure, 4 I/O failure. A command
 computes its whole result before it writes anything, so one that exits 2
 or 3 writes nothing: no stdout, no file.
 Any failure to create --out or to write output exits 4 with one line.
+
+A command imports the engine modules it runs (`lifted`, `bounds`,
+`simulator`) when it runs: building the parser loads none of them, and
+only `simulate` and `sweep-alpha` load the simulator.
 """
 
 from __future__ import annotations
@@ -26,12 +30,9 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import simulator
-from .config import ExperimentConfig, load_config, mixing_from_spec, read_json
+from .config import ExperimentConfig, StepsizeSchedule, load_config, mixing_from_spec, read_json
 from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family
 from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
-from .lifted import LiftedObjective, ThresholdStack
 from .numerics import render_float
 
 EXIT_OK = 0
@@ -74,8 +75,8 @@ def _require_oracle_stepsize(cfg: ExperimentConfig, alpha: float) -> None:
         )
 
 
-def _oracle_entry(verdict: simulator.OracleVerdict) -> dict:
-    """The exact oracle's verdict as summaries print it."""
+def _oracle_entry(verdict) -> dict:
+    """The exact oracle's verdict (a `simulator.OracleVerdict`) as summaries print it."""
     return {
         "spectral_radius": verdict.spectral_radius,
         "bounded": verdict.bounded,
@@ -84,10 +85,12 @@ def _oracle_entry(verdict: simulator.OracleVerdict) -> dict:
 
 
 def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
+    from . import bounds, lifted
+
     _require(cfg, "ensemble", "mixing")
-    objective = LiftedObjective(cfg.ensemble, cfg.mixing)
+    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
     threshold = objective.strong_convexity_threshold(cfg.scan_cap)
-    report = bounds_mod.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
+    report = bounds.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
     payload = report.to_dict()
     summary = cfg.mixing.spectral
     payload.update(
@@ -106,10 +109,12 @@ def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
+    from . import lifted, simulator
+
     _require(cfg, "ensemble", "mixing", "schedule")
     if cfg.schedule.kind == "constant":
         _require_oracle_stepsize(cfg, cfg.schedule.alpha)
-    objective = LiftedObjective(cfg.ensemble, cfg.mixing) if cfg.track_lifted else None
+    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing) if cfg.track_lifted else None
     # trajectory.csv holds the metrics, not states: no state history
     record = simulator.run(
         cfg.ensemble,
@@ -136,10 +141,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
+    from . import bounds, lifted, simulator
+
     _require(cfg, "ensemble", "mixing")
-    objective = LiftedObjective(cfg.ensemble, cfg.mixing)
+    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
     threshold = objective.strong_convexity_threshold(cfg.scan_cap)
-    alpha_l = bounds_mod.lambda_min_bound(
+    alpha_l = bounds.lambda_min_bound(
         cfg.mixing.spectral.lambda_min, cfg.ensemble.smoothness_constant()
     )
     if cfg.sweep_base == "main":
@@ -159,7 +166,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     records = simulator.run_batch(
         cfg.ensemble,
         cfg.mixing,
-        [simulator.StepsizeSchedule.constant(mult * base) for mult in multiples],
+        [StepsizeSchedule.constant(mult * base) for mult in multiples],
         x0=cfg.x0,
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
@@ -194,9 +201,11 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
 @functools.lru_cache(maxsize=1)  # rows that share an instance's (L, mu) run together
 def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str:
     """A sweep-epsilon row's alpha_L and alpha_S cells, as `build_report` gives them."""
+    from . import bounds
+
     gap = 0 < mu <= big_l and 0 < beta < 1
-    alpha_s = repr(bounds_mod.spectral_gap_bound(mu, big_l, beta)) if gap else ""
-    return f",{bounds_mod.lambda_min_bound(lambda_min, big_l)!r},{alpha_s}\n"
+    alpha_s = repr(bounds.spectral_gap_bound(mu, big_l, beta)) if gap else ""
+    return f",{bounds.lambda_min_bound(lambda_min, big_l)!r},{alpha_s}\n"
 
 
 # Epsilons certified per ThresholdStack: one product into W's eigenbasis and
@@ -207,6 +216,8 @@ _EPSILON_BLOCK = 8
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
+    from . import lifted
+
     _require(cfg, "mixing")
     if cfg.mixing.m != EPSILON_EXAMPLE_AGENTS:
         raise ConfigError(
@@ -214,6 +225,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
             f"but the mixing matrix has {cfg.mixing.m} agents"
         )
     summary = cfg.mixing.spectral
+
     # alpha_A per epsilon, NaN where nothing certifies, and each instance's L
     # and mu. No row is written until every block has certified, so a failing
     # block leaves no output; floats, not ThresholdResults, are kept between
@@ -230,7 +242,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         mu[rows] = sums.min(axis=1) / EPSILON_EXAMPLE_AGENTS
         alpha_a[rows] = [
             math.nan if r is None else r.alpha
-            for r in ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
+            for r in lifted.ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
         ]
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
@@ -267,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Decentralized gradient descent laboratory: stepsize bounds, "
             "strong-convexity thresholds, and boundedness experiments."
         ),
+        # simulator.TRAJECTORY_CSV_HEADER, written out: the parser imports no engine module
         epilog=(
-            f"CSV headers: trajectory '{','.join(simulator.TRAJECTORY_CSV_HEADER)}'; "
+            "CSV headers: trajectory 't,alpha,R,consensus_err,dist_lifted_min'; "
             f"sweep-alpha '{SWEEP_ALPHA_CSV_HEADER}'; "
             f"sweep-epsilon '{SWEEP_EPSILON_CSV_HEADER}'."
         ),

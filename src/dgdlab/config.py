@@ -4,7 +4,9 @@ Every spec in a config, and the mixing spec `validate-topology` reads, is
 read here as strictly at every depth as at the top: each spec type takes
 exactly its own keys, and a non-number where a number belongs, or a value
 its constructor refuses, is a ConfigError naming its key path.
-`canonical()` gives the normal form.
+`canonical()` gives the normal form. The run defaults and the stepsize
+schedule live here too, and `lifted` and `simulator` take them from here:
+reading a config imports neither engine module.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ import numpy as np
 
 from .costs import QuadraticCost, QuadraticEnsemble, epsilon_example, random_ensemble
 from .errors import ConfigError, DgdLabError, MixingMatrixError, ParameterError
-from .lifted import DEFAULT_SCAN_CAP
-from .simulator import (
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    DEFAULT_HORIZON,
-    StepsizeSchedule,
-)
 from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
+DEFAULT_HORIZON = 10_000
+DEFAULT_DIVERGENCE_THRESHOLD = 1e12
+DEFAULT_SCAN_CAP = 1e3
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
 DEFAULT_RECORD_EVERY = 10  # a run's state-history stride; no command keeps states
@@ -39,6 +38,47 @@ _CONFIG_KEYS = (
     "agent_scale", "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu",
     "threshold",
 )
+
+
+@dataclass(frozen=True)
+class StepsizeSchedule:
+    """Non-increasing stepsize sequence: constant or a / (t + w)^p."""
+
+    kind: str
+    alpha: float = 0.0
+    a: float = 0.0
+    w: float = 1.0
+    p: float = 1.0
+
+    @classmethod
+    def constant(cls, alpha: float) -> "StepsizeSchedule":
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ParameterError(
+                "alpha", f"constant stepsize must be finite and positive, got {alpha!r}"
+            )
+        return cls(kind="constant", alpha=float(alpha))
+
+    @classmethod
+    def polynomial(cls, a: float, w: float = 1.0, p: float = 1.0) -> "StepsizeSchedule":
+        for name, value in (("a", a), ("w", w), ("p", p)):
+            if not math.isfinite(value):
+                raise ParameterError(
+                    name, f"polynomial schedule needs finite a, w, p, got {(a, w, p)!r}"
+                )
+        if a <= 0:
+            raise ParameterError("a", "polynomial schedule needs a > 0")
+        if w < 1:
+            raise ParameterError("w", "polynomial schedule needs w >= 1")
+        if not (0 < p <= 1):
+            raise ParameterError("p", "polynomial schedule needs p in (0, 1]")
+        return cls(kind="polynomial", a=float(a), w=float(w), p=float(p))
+
+    def value(self, t: int) -> float:
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        if self.kind == "constant":
+            return self.alpha
+        return self.a / (t + self.w) ** self.p
 
 
 @dataclass

@@ -40,13 +40,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import DEFAULT_SCAN_CAP
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
 # solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
 from .numerics import min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
-DEFAULT_SCAN_CAP = 1e3
 # A threshold confirms a finite edge by H's smallest eigenvalue: positive this
 # far below the edge (relative to it) and not positive this far above it.
 _CONFIRM_GAP = 1e-9

@@ -34,14 +34,12 @@ from itertools import chain
 import numpy as np
 
 from .bounds import lambda_min_bound
+from .config import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_HORIZON, StepsizeSchedule
 from .costs import QuadraticEnsemble
-from .errors import ParameterError
 from .lifted import LiftedObjective
 from .numerics import render_float, sym_eigen
 from .topology import MixingMatrix
 
-DEFAULT_HORIZON = 10_000
-DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 CRITICAL_BAND = 1e-6
 # the slack of nonexpansiveness_check: core margins up to it are rounding
 _NONEXPANSION_TOLERANCE = 1e-9
@@ -53,47 +51,6 @@ _CSV_COLUMNS = ("alpha", "r", "consensus_err", "dist_lifted_min")
 # leaves little but float repr per row, and a bounded block keeps the
 # block's strings out of the peak memory.
 _CSV_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class StepsizeSchedule:
-    """Non-increasing stepsize sequence: constant or a / (t + w)^p."""
-
-    kind: str
-    alpha: float = 0.0
-    a: float = 0.0
-    w: float = 1.0
-    p: float = 1.0
-
-    @classmethod
-    def constant(cls, alpha: float) -> "StepsizeSchedule":
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ParameterError(
-                "alpha", f"constant stepsize must be finite and positive, got {alpha!r}"
-            )
-        return cls(kind="constant", alpha=float(alpha))
-
-    @classmethod
-    def polynomial(cls, a: float, w: float = 1.0, p: float = 1.0) -> "StepsizeSchedule":
-        for name, value in (("a", a), ("w", w), ("p", p)):
-            if not math.isfinite(value):
-                raise ParameterError(
-                    name, f"polynomial schedule needs finite a, w, p, got {(a, w, p)!r}"
-                )
-        if a <= 0:
-            raise ParameterError("a", "polynomial schedule needs a > 0")
-        if w < 1:
-            raise ParameterError("w", "polynomial schedule needs w >= 1")
-        if not (0 < p <= 1):
-            raise ParameterError("p", "polynomial schedule needs p in (0, 1]")
-        return cls(kind="polynomial", a=float(a), w=float(w), p=float(p))
-
-    def value(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if self.kind == "constant":
-            return self.alpha
-        return self.a / (t + self.w) ** self.p
 
 
 def _fold(

@@ -1,8 +1,14 @@
 """The package's public names: every exported name resolves, and none of the
 names or options removed in favour of another way to get their result is
-exported again."""
+exported again; and the package loads a module only when an entry point
+runs it."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import dgdlab
 from dgdlab import bounds, config, costs, lifted, simulator, topology
@@ -44,6 +50,60 @@ def test_every_exported_name_resolves():
     assert len(set(dgdlab.__all__)) == len(dgdlab.__all__)
     for name in dgdlab.__all__:
         assert getattr(dgdlab, name) is not None, name
+
+
+def test_every_exported_name_is_listed_and_is_its_modules_own():
+    listing = dir(dgdlab)
+    for name in dgdlab.__all__:
+        value = getattr(dgdlab, name)
+        assert name in listing, name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+# Run in a fresh interpreter: the dgdlab submodules loaded after each entry point.
+IMPORT_GRAPH = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("dgdlab."))
+
+stages = {}
+import dgdlab
+stages["import"] = loaded()
+from dgdlab.config import load_config
+load_config(sys.argv[1])
+stages["load_config"] = loaded()
+from dgdlab import cli
+cli.build_parser()
+stages["build_parser"] = loaded()
+for command, path in [("validate-topology", sys.argv[2]), ("sweep-epsilon", sys.argv[1]),
+                      ("bounds", sys.argv[1])]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        stages[command] = [cli.main([command, "--config", path]), loaded()]
+print(json.dumps(stages))
+"""
+
+
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):
+    mixing = {"type": "explicit", "W": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]}
+    ensemble = {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}
+    experiment, spec = tmp_path / "experiment.json", tmp_path / "mixing.json"
+    experiment.write_text(json.dumps({"ensemble": ensemble, "mixing": mixing}))
+    spec.write_text(json.dumps(mixing))
+    src = Path(dgdlab.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, str(experiment), str(spec)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    stages = json.loads(done.stdout)
+    engines = {"dgdlab.lifted", "dgdlab.bounds", "dgdlab.simulator"}
+    assert stages["import"] == []
+    assert not (engines | {"dgdlab.cli"}) & set(stages["load_config"])
+    assert not engines & set(stages["build_parser"])
+    assert not engines & set(stages["validate-topology"][1])
+    for command in ("validate-topology", "sweep-epsilon", "bounds"):
+        code, modules = stages[command]
+        assert code == 0 and "dgdlab.simulator" not in modules, command
 
 
 def test_star_import_binds_exactly_the_exported_names():

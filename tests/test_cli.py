@@ -868,7 +868,7 @@ def test_problem_too_large_for_memory_exits_2(planted_config, monkeypatch, capsy
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "LiftedObjective", out_of_memory)
+    monkeypatch.setattr(lifted, "LiftedObjective", out_of_memory)
     assert cli.main(["bounds", "--config", planted_config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
