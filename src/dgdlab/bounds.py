@@ -1,14 +1,15 @@
 """Stepsize bounds and the trajectory radius constant.
 
 All bound formulas take plain scalars so each can be checked against known
-values in isolation; `build_report` assembles the full comparison table
-from an ensemble, a mixing matrix, and a certified threshold.
+values in isolation; `stepsize_bounds` says which of them an instance has,
+and `build_report` adds alpha_A, the radius and a sweep's base stepsize.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,16 @@ def trajectory_radius(
     return max(term_center, term_spread, term_drive)
 
 
+def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) -> tuple:
+    """(alpha_gd, alpha_L, eta, alpha_S): alpha_gd and eta are NaN unless
+    0 < mu <= L, and alpha_S is None unless 0 < beta < 1 as well."""
+    alpha_l = lambda_min_bound(lambda_min, smooth)
+    if not 0 < mu <= smooth:
+        return math.nan, alpha_l, math.nan, None
+    alpha_s = spectral_gap_bound(mu, smooth, beta) if 0 < beta < 1 else None
+    return classical_gd_bound(mu, smooth), alpha_l, harmonic_rate(mu, smooth), alpha_s
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All stepsize bounds for one problem instance, ready to serialize."""
@@ -107,6 +118,13 @@ class BoundReport:
     radius_R: float | None
     threshold_method: str
     threshold_resolution: float | None
+
+    def base_alpha(self, sweep_base: str) -> float:
+        """The stepsize a sweep's multiples scale: alpha_main for "main";
+        for "alpha_A", alpha_A, or alpha_L where alpha_A is capped at inf."""
+        if sweep_base == "main":
+            return self.alpha_main
+        return self.alpha_A if math.isfinite(self.alpha_A) else self.alpha_L
 
     def to_dict(self) -> dict:
         return {
@@ -141,29 +159,20 @@ def build_report(
     radius uses x0 = 0 and alpha0 = half the spectral-gap bound; it is
     omitted (None) when the gap bound itself is unavailable.
     """
-    smooth = ensemble.smoothness_constant()
-    mu = ensemble.aggregate_mu()
-    summary = mixing.spectral
-
     if threshold is None:
         threshold = LiftedObjective(ensemble, mixing).strong_convexity_threshold()
-
-    alpha_gd = classical_gd_bound(mu, smooth) if 0 < mu <= smooth else math.nan
-    alpha_l = lambda_min_bound(summary.lambda_min, smooth)
-    eta = harmonic_rate(mu, smooth) if 0 < mu <= smooth else math.nan
-    if 0 < mu <= smooth and 0 < summary.beta < 1:
-        alpha_s = spectral_gap_bound(mu, smooth, summary.beta)
-    else:
-        alpha_s = None
+    summary = mixing.spectral
+    alpha_gd, alpha_l, eta, alpha_s = stepsize_bounds(
+        summary.lambda_min, summary.beta, ensemble.smoothness_constant(), ensemble.aggregate_mu()
+    )
 
     radius = None
     if alpha_s:  # no radius without a gap bound, or where the bound underflows to 0
-        try:
+        # a term past the float range makes the radius inf, with no numpy warning
+        with suppress(RadiusUndefinedError), np.errstate(over="ignore", invalid="ignore"):
             radius = trajectory_radius(
                 ensemble, mixing, np.zeros(ensemble.m * ensemble.n), 0.5 * alpha_s
             )
-        except RadiusUndefinedError:
-            radius = None
 
     return BoundReport(
         alpha_gd=alpha_gd,

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, StepsizeSchedule, load_config, mixing_from_spec, read_json
-from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family
+from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family, epsilon_family_constants
 from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
 from .numerics import render_float
 
@@ -146,13 +146,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing")
     objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
     threshold = objective.strong_convexity_threshold(cfg.scan_cap)
-    alpha_l = bounds.lambda_min_bound(
-        cfg.mixing.spectral.lambda_min, cfg.ensemble.smoothness_constant()
-    )
-    if cfg.sweep_base == "main":
-        base = min(alpha_l, threshold.alpha)
-    else:
-        base = threshold.alpha if math.isfinite(threshold.alpha) else alpha_l
+    report = bounds.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
+    base = report.base_alpha(cfg.sweep_base)
 
     multiples = cfg.alpha_multiples
     for mult in multiples:
@@ -185,8 +180,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     payload = {
         "base_alpha": render_float(base),
         "sweep_base": cfg.sweep_base,
-        "alpha_A": render_float(threshold.alpha),
-        "alpha_L": alpha_l,
+        "alpha_A": render_float(report.alpha_A),
+        "alpha_L": report.alpha_L,
         "runs": summaries,
     }
     _emit_json(payload, out, "sweep_alpha_summary.json")
@@ -203,9 +198,8 @@ def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str
     """A sweep-epsilon row's alpha_L and alpha_S cells, as `build_report` gives them."""
     from . import bounds
 
-    gap = 0 < mu <= big_l and 0 < beta < 1
-    alpha_s = repr(bounds.spectral_gap_bound(mu, big_l, beta)) if gap else ""
-    return f",{bounds.lambda_min_bound(lambda_min, big_l)!r},{alpha_s}\n"
+    _, alpha_l, _, alpha_s = bounds.stepsize_bounds(lambda_min, beta, big_l, mu)
+    return f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
 
 
 # Epsilons certified per ThresholdStack: one product into W's eigenbasis and
@@ -226,24 +220,18 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         )
     summary = cfg.mixing.spectral
 
-    # alpha_A per epsilon, NaN where nothing certifies, and each instance's L
-    # and mu. No row is written until every block has certified, so a failing
-    # block leaves no output; floats, not ThresholdResults, are kept between
-    # blocks to hold peak memory down.
-    alpha_a, big_l, mu = np.full((3, len(cfg.epsilons)), math.nan)
+    # alpha_A per epsilon, NaN where nothing certifies. No row is written
+    # until every block has certified, so a failing block leaves no output;
+    # floats, not ThresholdResults, are kept between blocks for peak memory.
+    alpha_a = np.full(len(cfg.epsilons), math.nan)
     for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
         rows = slice(start, start + _EPSILON_BLOCK)
         family = epsilon_family(cfg.family_L, cfg.family_mu, cfg.epsilons[rows])
-        # as each instance's ensemble computes them, bit for bit: L the largest
-        # |entry|, mu the least diagonal entry of the agent mean
-        big_l[rows] = abs(family).max(axis=(1, 2, 3))
-        with np.errstate(over="ignore"):  # where the sum overflows, the ensemble refuses
-            sums = family.diagonal(axis1=2, axis2=3).sum(axis=1)
-        mu[rows] = sums.min(axis=1) / EPSILON_EXAMPLE_AGENTS
         alpha_a[rows] = [
             math.nan if r is None else r.alpha
             for r in lifted.ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
         ]
+    big_l, mu = epsilon_family_constants(cfg.family_L, cfg.family_mu, cfg.epsilons)
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(

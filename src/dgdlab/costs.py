@@ -277,6 +277,17 @@ def epsilon_family(big_l: float, mu: float, epsilons) -> np.ndarray:
     return out
 
 
+def epsilon_family_constants(big_l: float, mu: float, epsilons) -> tuple[np.ndarray, np.ndarray]:
+    """Each `epsilon_family` row's L and aggregate mu, bit for bit as its
+    ensemble computes them at all but tiny scales: its largest |entry|,
+    max(L, epsilon), and the lesser agent sum, 2L - epsilon or 3 mu, over 3
+    (a row whose 2L overflows has curvatures its ensemble refuses)."""
+    epsilons = np.asarray(epsilons, dtype=float)
+    with np.errstate(over="ignore"):
+        sums = np.minimum(2.0 * big_l - epsilons, 3.0 * mu)
+    return np.maximum(big_l, epsilons), sums / EPSILON_EXAMPLE_AGENTS
+
+
 def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:
     """Three-agent, two-dimensional family with one tunably concave agent:
     the row of `epsilon_family` for `epsilon`, with zero linear terms."""

@@ -85,7 +85,7 @@ def _dgd_step(
 
     `sa` and `sb` are the blocks `_fold` returns. `x_col` is `x` viewed as
     (B, m, n, 1) columns; `prod_col` (B, m, n, 1) is scratch and `prod` its
-    (B, m, n) view. A caller that steps many times builds the views once.
+    (B, m, n) view. A caller that steps many times builds the scratch once.
     """
     np.matmul(w, x, out=out)
     np.matmul(sa, x_col, out=prod_col)
@@ -339,13 +339,6 @@ class _RowHistories:
     def _grow(self, buffer: np.ndarray, stop: int) -> None:
         buffer.resize(min(max(stop, 2 * buffer.size), self._cells), refcheck=False)
 
-    def span(self, row: int, start: int, stop: int) -> np.ndarray:
-        """Cells `start` to `stop - 1` of a row's history, writable."""
-        buffer = self._buffers[row]
-        if stop > buffer.size:
-            self._grow(buffer, stop)
-        return buffer[start:stop]
-
     def write(self, rows: list[int], start: int, values: np.ndarray, reach: list[int]) -> None:
         """Each row's column of a chunk's (steps, rows) `values`, its first
         `reach` cells, into the row's history from step `start` on."""
@@ -497,9 +490,6 @@ def run_batch(
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
-            # the step views, built once per chunk: each state as (live, m, n)
-            # rows and as (live, m, n, 1) columns, and the product's two shapes
-            states, columns = list(chunk), list(chunk[..., None])
             prod_col = prod_buf[:live]
             prod = prod_col[..., 0]
             if varying:
@@ -514,12 +504,12 @@ def run_batch(
             else:
                 if varying:
                     _fold(last_scale, a_stack, b_stack, sa, sb)
-                _dgd_step(w, sa, sb, last, last[..., None], states[0], prod_col, prod)
+                _dgd_step(w, sa, sb, last, last[..., None], chunk[0], prod_col, prod)
             for j in range(1, steps):
                 if varying:
                     _fold(scale[j - 1], a_stack, b_stack, sa, sb)
-                _dgd_step(w, sa, sb, states[j - 1], columns[j - 1], states[j], prod_col, prod)
-            del states, columns  # 2 * steps views, out of the metrics' memory
+                x = chunk[j - 1]
+                _dgd_step(w, sa, sb, x, x[..., None], chunk[j], prod_col, prod)
 
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
@@ -577,18 +567,12 @@ def run_batch(
                 measured = (lifted_alpha > lo) & (lifted_alpha < hi)
                 if died is not None:
                     measured &= finite & (np.arange(steps)[:, None] <= death)
-                # row-major, so each row's measured steps are one run of them
-                qs, js = np.nonzero(measured.T)
+                js, qs = np.nonzero(measured)
                 distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
-                dists = _row_norms(chunk[js, qs].reshape(js.size, m * n) - points)
-                begin = 0
-                for row, cells, mask in zip(ids, reach, measured.T):
-                    span, mask = dist_hist.span(row, t, t + cells), mask[:cells]
-                    end = begin + np.count_nonzero(mask)
-                    span[:] = math.nan  # blank where the stepsize is not certified
-                    span[mask] = dists[begin:end]
-                    begin = end
+                dist = np.full((steps, live), math.nan)  # blank where not certified
+                dist[js, qs] = _row_norms(chunk[js, qs].reshape(js.size, m * n) - points)
+                dist_hist.write(ids, t, dist, reach)
 
             last = chunk[-1]
             if varying:

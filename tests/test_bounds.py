@@ -150,6 +150,28 @@ class TestTrajectoryRadius:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+class TestStepsizeBounds:
+    def test_each_bound_is_its_formulas(self):
+        assert bounds.stepsize_bounds(0.25, 0.5, 10.0, 1.0) == (
+            bounds.classical_gd_bound(1.0, 10.0),
+            bounds.lambda_min_bound(0.25, 10.0),
+            bounds.harmonic_rate(1.0, 10.0),
+            bounds.spectral_gap_bound(1.0, 10.0, 0.5),
+        )
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, 11.0])
+    def test_mu_outside_0_to_l_leaves_only_alpha_l(self, mu):
+        alpha_gd, alpha_l, eta, alpha_s = bounds.stepsize_bounds(0.25, 0.5, 10.0, mu)
+        assert math.isnan(alpha_gd) and math.isnan(eta) and alpha_s is None
+        assert alpha_l == bounds.lambda_min_bound(0.25, 10.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_beta_outside_0_to_1_leaves_no_gap_bound(self, beta):
+        alpha_gd, _, eta, alpha_s = bounds.stepsize_bounds(0.25, beta, 10.0, 1.0)
+        assert alpha_s is None
+        assert (alpha_gd, eta) == (bounds.classical_gd_bound(1.0, 10.0), bounds.harmonic_rate(1.0, 10.0))
+
+
 class TestBoundReport:
     def test_report_fields_and_json(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,26 @@ class TestBoundsCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["bounds", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
+    def test_radius_past_the_float_range_warns_nothing(self, command, tmp_path, capsys):
+        # b = 1e300 puts x* and the gradients there past the float range: the
+        # radius reads inf, and no numpy overflow warning reaches stderr
+        agents = [{"A": [[2.0]], "b": [1e300]}, {"A": [[-1.0]], "b": [1e300]}]
+        data = {
+            "ensemble": {"type": "explicit", "costs": agents},
+            "mixing": {"type": "explicit", "W": [[0.75, 0.25], [0.25, 0.75]]},
+            "alpha_multiples": [0.5],
+            "horizon": 5,
+        }
+        path = _write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert json.loads(captured.out)["radius_R"] == "inf"
+
     def test_writes_output_file(self, planted_config, tmp_path, capsys):
         out = tmp_path / "results"
         assert cli.main(["bounds", "--config", planted_config, "--out", str(out)]) == 0
@@ -490,6 +511,38 @@ class TestSweepAlphaCommand:
         assert [name for name, _ in files] == ["sweep_alpha.csv", "sweep_alpha_summary.json"]
         verdicts = {run["verdict"] for run in json.loads(stdout)["runs"].values()}
         assert verdicts == {"bounded", "diverged"}
+
+    @pytest.mark.parametrize(
+        "sweep_base, scan_cap, base",
+        [("main", None, "alpha_main"), ("alpha_A", None, "alpha_A"), ("alpha_A", 1.0, "alpha_L")],
+        ids=["main", "alpha_A", "alpha_A-capped"],
+    )
+    def test_base_and_bounds_are_the_bounds_commands(
+        self, sweep_base, scan_cap, base, tmp_path, capsys
+    ):
+        # README's instance: alpha_L 0.31 < alpha_A 2.53, so the two bases
+        # differ; a scan_cap below alpha_A caps it to inf, and the alpha_A
+        # base falls back to alpha_L
+        data = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "sweep_base": sweep_base,
+            "alpha_multiples": [0.5],
+            "horizon": 5,
+        }
+        if scan_cap is not None:
+            data["threshold"] = {"scan_cap": scan_cap}
+        path = _write_config(tmp_path, data)
+        out = tmp_path / "out"
+        for command in ("bounds", "sweep-alpha"):
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "bounds.json").read_text())
+        summary = json.loads((out / "sweep_alpha_summary.json").read_text())
+        assert (report["alpha_A"] == "inf") == (scan_cap is not None)
+        assert summary["base_alpha"] == report[base]
+        assert summary["alpha_A"] == report["alpha_A"]
+        assert summary["alpha_L"] == report["alpha_L"]
 
     @pytest.mark.parametrize("multiple", [1.7e308, 5e-324])
     def test_multiple_overflowing_the_stepsize_exits_2(self, multiple, tmp_path, capsys):
