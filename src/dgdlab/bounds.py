@@ -3,6 +3,10 @@
 All bound formulas take plain scalars so each can be checked against known
 values in isolation; `stepsize_bounds` says which of them an instance has,
 and `build_report` adds alpha_A, the radius and a sweep's base stepsize.
+
+alpha_A is on the engine's alpha/m axis. alpha_gd, alpha_L, alpha_S and the
+radius's alpha0 are per-agent stepsizes a, as in the paper's update
+x_i <- sum_j w_ij x_j - a grad f_i(x_i), which is the engine stepsize m a.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from .topology import MixingMatrix
 
 
 def classical_gd_bound(mu: float, smooth: float) -> float:
-    """Single-agent gradient-descent stability bound 2 / (mu + L)."""
+    """Single-agent gradient-descent stability bound 2 / (mu + L), a per-agent stepsize."""
     if not (0 < mu <= smooth):
         raise ValueError("requires 0 < mu <= L")
     return 2.0 / (mu + smooth)
 
 
 def lambda_min_bound(lambda_min: float, smooth: float) -> float:
-    """Stepsize bound (1 + lambda_min(W)) / L tied to the mixing spectrum floor."""
+    """Stepsize bound (1 + lambda_min(W)) / L tied to the mixing spectrum floor,
+    a per-agent stepsize: m times it on the engine's alpha/m axis."""
     if smooth <= 0:
         raise ValueError("smoothness constant must be positive")
     if not (-1.0 < lambda_min <= 1.0):
@@ -45,7 +50,8 @@ def harmonic_rate(mu: float, smooth: float) -> float:
 
 
 def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
-    """Stepsize bound eta * (1 - beta) / (L * (eta + L)) from the spectral gap."""
+    """Stepsize bound eta * (1 - beta) / (L * (eta + L)) from the spectral gap,
+    a per-agent stepsize (Yuan, Ling & Yin): m times it on the alpha/m axis."""
     if not (0 < mu <= smooth):
         raise ValueError("requires 0 < mu <= L")
     if not (0 < beta < 1):
@@ -54,19 +60,27 @@ def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
     return eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 
+def _smoothness_and_mu(ensemble: QuadraticEnsemble) -> tuple[float, float]:
+    """(L, mu) of an ensemble, mu clamped to L. In exact arithmetic mu <= L;
+    the two eigensolves can round mu above it, as on identical agents."""
+    smooth = ensemble.smoothness_constant()
+    return smooth, min(ensemble.aggregate_mu(), smooth)
+
+
 def trajectory_radius(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
     x0: np.ndarray,
     alpha0: float,
 ) -> float:
-    """Uniform trajectory radius R for an initial stepsize below the gap bound.
+    """Uniform trajectory radius R for a per-agent initial stepsize alpha0
+    below the gap bound (the engine stepsize m alpha0).
 
     R = max( ||xbar(0) - x*||,
              (L/eta) * ||x(0) - 1 kron xbar(0)||,
              sqrt(m) * D * alpha0 / (eta*(1-beta)/L - (eta+L)*alpha0) ).
 
-    eta comes from the aggregate strong-convexity constant. Raises
+    eta comes from the aggregate strong-convexity constant mu, clamped to L. Raises
     RadiusUndefinedError when alpha0 is at or above the spectral-gap bound:
     the third denominator is nonpositive, or alpha0 reaches
     `spectral_gap_bound`'s own expression (at that bound the denominator
@@ -78,8 +92,8 @@ def trajectory_radius(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
-    smooth = ensemble.smoothness_constant()
-    eta = harmonic_rate(ensemble.aggregate_mu(), smooth)
+    smooth, mu = _smoothness_and_mu(ensemble)
+    eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
     denom = eta * (1.0 - beta) / smooth - (eta + smooth) * alpha0
     if denom <= 0 or alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
@@ -97,12 +111,15 @@ def trajectory_radius(
 
 def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) -> tuple:
     """(alpha_gd, alpha_L, eta, alpha_S): alpha_gd and eta are NaN unless
-    0 < mu <= L, and alpha_S is None unless 0 < beta < 1 as well."""
+    0 < mu <= L, and alpha_S is None unless 0 < beta < 1 as well and its
+    denominator L (eta + L) is positive (it underflows to 0 at tiny L)."""
     alpha_l = lambda_min_bound(lambda_min, smooth)
     if not 0 < mu <= smooth:
         return math.nan, alpha_l, math.nan, None
-    alpha_s = spectral_gap_bound(mu, smooth, beta) if 0 < beta < 1 else None
-    return classical_gd_bound(mu, smooth), alpha_l, harmonic_rate(mu, smooth), alpha_s
+    eta = harmonic_rate(mu, smooth)
+    gap = 0 < beta < 1 and smooth * (eta + smooth) > 0
+    alpha_s = spectral_gap_bound(mu, smooth, beta) if gap else None
+    return classical_gd_bound(mu, smooth), alpha_l, eta, alpha_s
 
 
 @dataclass(frozen=True)
@@ -163,7 +180,7 @@ def build_report(
         threshold = LiftedObjective(ensemble, mixing).strong_convexity_threshold()
     summary = mixing.spectral
     alpha_gd, alpha_l, eta, alpha_s = stepsize_bounds(
-        summary.lambda_min, summary.beta, ensemble.smoothness_constant(), ensemble.aggregate_mu()
+        summary.lambda_min, summary.beta, *_smoothness_and_mu(ensemble)
     )
 
     radius = None

@@ -123,16 +123,13 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
         x0=cfg.x0,
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
-        agent_scale=cfg.agent_scale,
         record_every=None,
         lifted_distance=objective,
     )
     summary = record.summary_dict()
     if cfg.schedule.kind == "constant":
         summary["oracle"] = _oracle_entry(
-            simulator.boundedness_oracle(
-                cfg.ensemble, cfg.mixing, cfg.schedule.alpha, agent_scale=cfg.agent_scale
-            )
+            simulator.boundedness_oracle(cfg.ensemble, cfg.mixing, cfg.schedule.alpha)
         )
     _emit_json(summary, out, "summary.json")
     if out is not None:
@@ -165,13 +162,12 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         x0=cfg.x0,
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
-        agent_scale=cfg.agent_scale,
         record_every=None,
         consensus=False,
     )
 
     verdicts = simulator.boundedness_verdicts(
-        cfg.ensemble, cfg.mixing, [mult * base for mult in multiples], agent_scale=cfg.agent_scale
+        cfg.ensemble, cfg.mixing, [mult * base for mult in multiples]
     )
     summaries = {
         repr(mult): dict(record.summary_dict(), oracle=_oracle_entry(verdict))
@@ -281,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory for CSV/JSON files")
         p.add_argument("--seed", type=int, default=None, help="override the random-ensemble seed")
         p.add_argument("--horizon", type=int, default=None, help="override the run horizon")
-        p.add_argument(
-            "--agent-scale",
-            action="store_true",
-            help="apply local gradients with the full stepsize (no 1/m factor)",
-        )
 
     for name in ("bounds", "simulate", "sweep-alpha", "sweep-epsilon"):
         common(sub.add_parser(name))
@@ -301,8 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate-topology":
             return cmd_validate_topology(args.config)
         cfg = load_config(args.config, seed_override=args.seed, horizon_override=args.horizon)
-        if args.agent_scale:
-            cfg.agent_scale = True
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)
         # looked up by name at call time, so a wrapped cmd_* is the one called

@@ -35,8 +35,7 @@ DEFAULT_RECORD_EVERY = 10  # a run's state-history stride; no command keeps stat
 MAX_HORIZON = 10**9
 _CONFIG_KEYS = (
     "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",
-    "agent_scale", "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu",
-    "threshold",
+    "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu", "threshold",
 )
 
 
@@ -86,7 +85,6 @@ class ExperimentConfig:
     horizon: int = DEFAULT_HORIZON
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
     record_every: int = DEFAULT_RECORD_EVERY
-    agent_scale: bool = False
     track_lifted: bool = False
     x0: list[float] | None = None
     alpha_multiples: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHA_MULTIPLES))
@@ -112,7 +110,6 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "divergence_threshold": self.divergence_threshold,
             "record_every": self.record_every,
-            "agent_scale": self.agent_scale,
             "track_lifted": self.track_lifted,
             "alpha_multiples": self.alpha_multiples,
             "sweep_base": self.sweep_base,
@@ -278,7 +275,6 @@ def parse_config(
             "divergence_threshold", data.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
         ),
         record_every=_number("record_every", data.get("record_every", DEFAULT_RECORD_EVERY), int),
-        agent_scale=_flag("agent_scale", data.get("agent_scale", False)),
         track_lifted=_flag("track_lifted", data.get("track_lifted", False)),
         x0=_numbers("x0", data["x0"]) if data.get("x0") is not None else None,
         alpha_multiples=_numbers(

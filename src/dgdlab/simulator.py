@@ -5,10 +5,10 @@ One step with stepsize alpha maps the stacked state x to
     (W kron I_n) x - (alpha/m) * (grad f_1(x_1), ..., grad f_m(x_m)),
 
 which is exactly one gradient-descent step on the lifted objective
-G_alpha. The `agent_scale` flag drops the 1/m factor to run the per-agent
-update rule verbatim with the nominal stepsize.
+G_alpha. The paper's per-agent update x_i <- sum_j w_ij x_j - a grad f_i(x_i)
+is this step with alpha = m a.
 
-The engine folds each row's scale s (alpha/m, or alpha) into its curvature
+The engine folds each row's scale s = alpha/m into its curvature
 blocks before it steps: s A_k and s b_k, once per call for a constant
 schedule and once per step for a varying one. A step is then four numpy
 calls on the whole (B, m, n) batch, x <- W x - (s A) x - s b, with no
@@ -98,13 +98,8 @@ def step(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
     alpha: float,
-    agent_scale: bool = False,
 ) -> np.ndarray:
-    """One synchronous DGD step on the stacked state.
-
-    Equals state - grad G_alpha(state) under the default scaling; with
-    agent_scale=True the local gradients are applied with the full alpha.
-    """
+    """One synchronous DGD step on the stacked state: state - grad G_alpha(state)."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be finite and positive")
     if ensemble.m != mixing.m:
@@ -115,7 +110,7 @@ def step(
         raise ValueError(f"state has shape {state.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
-    scale = np.array([alpha if agent_scale else alpha / m])
+    scale = np.array([alpha / m])
     sa, sb = _fold(scale, ensemble.curvatures, ensemble.linear_terms)
     x, out, prod_col = state.reshape(1, m, n), np.empty((1, m, n)), np.empty((1, m, n, 1))
     _dgd_step(mixing.w, sa, sb, x, x[..., None], out, prod_col, prod_col[..., 0])
@@ -153,9 +148,6 @@ class TrajectoryRecord:
     verdict: str
     divergence_step: int | None
     x_star: np.ndarray
-    # the lifted stepsize per unit of `alpha`: a step with alpha is a gradient
-    # step on G_(lifted_scale * alpha), with lifted_scale m under agent_scale
-    lifted_scale: float = 1.0
 
     @property
     def t(self) -> np.ndarray:
@@ -386,7 +378,6 @@ def run_batch(
     x0: np.ndarray | None = None,
     horizon: int = DEFAULT_HORIZON,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-    agent_scale: bool = False,
     record_every: int | None = None,
     x_star: np.ndarray | None = None,
     lifted_distance: LiftedObjective | None = None,
@@ -401,9 +392,8 @@ def run_batch(
     `divergence_threshold` or its state stops being finite; it is recorded
     at that step and then dropped from the batch. Passing
     `lifted_distance` also records ||x(t) - y(t)||, y(t) the minimizer of
-    the lifted objective whose gradient step the row takes (G_alpha(t), or
-    G_(m alpha(t)) under `agent_scale`), wherever that stepsize is
-    certified.
+    the lifted objective G_alpha(t) whose gradient step the row takes,
+    wherever that stepsize is certified.
 
     R(t) is always kept. The consensus history (`consensus`) is kept by
     default; the state history is kept only when asked for, one state every
@@ -465,8 +455,6 @@ def run_batch(
     divergence: list[int | None] = [None] * size
 
     alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
-    # an agent_scale step is a gradient step on G_(m alpha)
-    lifted_scale = float(m) if agent_scale else 1.0
     # While every R(t) is finite and at most the threshold, every state is
     # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
     # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
@@ -484,7 +472,7 @@ def run_batch(
         # Each row's scale is folded into its curvature blocks once per call;
         # a varying schedule re-folds them into the same arrays at every step.
         # The folded blocks of a row that stops leave with it.
-        last_scale = alpha0 if agent_scale else alpha0 / m
+        last_scale = alpha0 / m
         sa, sb = _fold(last_scale, a_stack, b_stack)
         while rows.size and t <= horizon:  # runs at least once
             steps = min(_CHUNK, horizon + 1 - t)
@@ -496,7 +484,7 @@ def run_batch(
                 # the chunk's stepsizes in one flat list, with no list per step
                 values = [schedules[i].value(s) for s in range(t, t + steps) for i in rows]
                 alpha = np.array(values, dtype=float).reshape(steps, live)
-                scale = alpha if agent_scale else alpha / m
+                scale = alpha / m
             else:
                 alpha = live_alpha  # broadcast over the chunk's steps
             if t == 0:
@@ -562,13 +550,13 @@ def run_batch(
             if varying:
                 alpha_hist.write(ids, t, alpha, reach)
             if dist_hist is not None:
-                lifted_alpha = np.broadcast_to(alpha * lifted_scale, (steps, live))
+                alphas = np.broadcast_to(alpha, (steps, live))
                 lo, hi = lifted_distance.certified_interval
-                measured = (lifted_alpha > lo) & (lifted_alpha < hi)
+                measured = (alphas > lo) & (alphas < hi)
                 if died is not None:
                     measured &= finite & (np.arange(steps)[:, None] <= death)
                 js, qs = np.nonzero(measured)
-                distinct, which = np.unique(lifted_alpha[js, qs], return_inverse=True)
+                distinct, which = np.unique(alphas[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
                 dist = np.full((steps, live), math.nan)  # blank where not certified
                 dist[js, qs] = _row_norms(chunk[js, qs].reshape(js.size, m * n) - points)
@@ -603,7 +591,6 @@ def run_batch(
                 verdict="bounded" if stop is None else "diverged",
                 divergence_step=stop,
                 x_star=x_star,
-                lifted_scale=lifted_scale,
             )
         )
     return records
@@ -626,16 +613,14 @@ class OracleVerdict:
         return abs(self.spectral_radius - 1.0) <= CRITICAL_BAND
 
 
-def _iteration_matrices(
-    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas, agent_scale: bool = False
-) -> np.ndarray:
-    """M_alpha = W kron I_n - scale * blockdiag(A_k) for each constant stepsize.
+def _iteration_matrices(ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas) -> np.ndarray:
+    """M_alpha = W kron I_n - (alpha/m) blockdiag(A_k) for each constant stepsize.
 
     Returns a (B, nm, nm) stack, one matrix per entry of `alphas`.
     """
     m, n = ensemble.m, ensemble.n
     alphas = np.asarray(alphas, dtype=float)
-    scale = alphas if agent_scale else alphas / m
+    scale = alphas / m
     # W kron I_n as (m, n, m, n) blocks, with kron's products w_kl * I_ab
     kron = mixing.w[:, None, :, None] * np.eye(n)[None, :, None, :]
     out = np.repeat(kron[None], alphas.size, axis=0)
@@ -645,22 +630,22 @@ def _iteration_matrices(
 
 
 def boundedness_verdicts(
-    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas, agent_scale: bool = False
+    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas
 ) -> list[OracleVerdict]:
     """`boundedness_oracle` at each constant stepsize in `alphas`, from one
     stacked eigensolve; each verdict is bit for bit that of a lone call."""
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be finite and positive")
-    eigs = sym_eigen(_iteration_matrices(ensemble, mixing, alphas, agent_scale)).eigenvalues
+    eigs = sym_eigen(_iteration_matrices(ensemble, mixing, alphas)).eigenvalues
     rhos = np.maximum(abs(eigs[:, 0]), abs(eigs[:, -1])).tolist()
     return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 
 def boundedness_oracle(
-    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float, agent_scale: bool = False
+    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float
 ) -> OracleVerdict:
     """Ground-truth boundedness for constant stepsize via the spectral radius."""
-    return boundedness_verdicts(ensemble, mixing, [alpha], agent_scale=agent_scale)[0]
+    return boundedness_verdicts(ensemble, mixing, [alpha])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,10 +678,9 @@ def nonexpansiveness_check(
 ) -> NonexpansivenessReport:
     """Verify per-step non-expansion of the distance to the lifted minimizer.
 
-    Requires a record with record_every=1 (full state history). The check
-    lives on the lifted stepsizes alpha(t) = lifted_scale * record.alpha(t),
-    the G_alpha(t) each step descends on (m times the nominal stepsize under
-    agent_scale). Every one must be certified strongly convex, and alpha(0)
+    Requires a record with record_every=1 (full state history). Each step
+    descends G_alpha(t), so every alpha(t) must be certified strongly
+    convex, and alpha(0)
     must not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on
     the alpha/m axis, where (I + W) kron I - (alpha/m) blockdiag(A_k) is at
     least (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on
@@ -708,7 +692,7 @@ def nonexpansiveness_check(
     floor = objective.ensemble.m * lambda_min_bound(
         objective.mixing.spectral.lambda_min, objective.ensemble.smoothness_constant()
     )
-    alphas, states = record.alpha * record.lifted_scale, record.states  # one state per step
+    alphas, states = record.alpha, record.states  # one state per step
     alpha0 = float(alphas[0])
     if alpha0 > floor + 1e-12:
         raise ValueError(f"alpha(0)={alpha0:g} exceeds m (1 + lambda_min(W)) / L = {floor:g}")

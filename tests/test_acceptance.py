@@ -339,9 +339,10 @@ def test_10_trajectory_envelope_radius():
             radius = bounds.trajectory_radius(ens, mix, x0, alpha0)
             eta = bounds.harmonic_rate(mu, smooth)
             x_star = ens.aggregate_minimizer()
+            # alpha0 is a per-agent stepsize: the engine's m alpha0
             rec = simulator.run(
-                ens, mix, StepsizeSchedule.constant(alpha0),
-                x0=x0, horizon=3000, record_every=1, agent_scale=True,
+                ens, mix, StepsizeSchedule.constant(3 * alpha0),
+                x0=x0, horizon=3000, record_every=1,
             )
             blocks = rec.states.reshape(-1, 3, 2)
             mean_dist = np.linalg.norm(blocks.mean(axis=1) - x_star, axis=1)

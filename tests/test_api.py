@@ -38,11 +38,17 @@ REMOVED_METHODS = {
     "anchors": lifted.ThresholdStack,  # the Schur edge needs no anchor
     "intervals": lifted.ThresholdStack,  # LiftedObjective.certified_interval, (0, alpha_A)
     "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
+    "lifted_scale": simulator.TrajectoryRecord,  # one stepsize axis: a step descends G_alpha
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
     bounds.trajectory_radius: ("mu",),
     bounds.build_report: ("x0", "alpha0"),
+    # one stepsize axis: the per-agent stepsize a is the engine stepsize m a
+    simulator.step: ("agent_scale",),
+    simulator.run_batch: ("agent_scale",),
+    simulator.boundedness_verdicts: ("agent_scale",),
+    simulator.boundedness_oracle: ("agent_scale",),
 }
 
 

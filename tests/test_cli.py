@@ -99,7 +99,7 @@ class TestConfigParsing:
         [
             {"horizon": "abc"},
             {"horizon": 2.5},
-            {"agent_scale": "false"},
+            {"track_lifted": "false"},
             {"record_every": None},
             {"divergence_threshold": float("nan")},
             {"alpha_multiples": 0.5},
@@ -198,6 +198,21 @@ class TestConfigParsing:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and named in captured.err
 
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha", "sweep-epsilon"])
+    def test_removed_agent_scale_key_exits_2(self, command, random_config, tmp_path, capsys):
+        # one stepsize axis: the per-agent stepsize a is the stepsize m a
+        data = dict(json.loads(Path(random_config).read_text()), agent_scale=True)
+        assert cli.main([command, "--config", _write_config(tmp_path, data, "old.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: unknown configuration keys ['agent_scale']")
+
+    def test_removed_agent_scale_flag_is_refused(self, random_config, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--config", random_config, "--agent-scale"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --agent-scale" in capsys.readouterr().err
+
     def test_specs_are_read_into_one_normal_form(self):
         bare = parse_config(
             {"mixing": {"W": W_QUARTER}, "schedule": {"type": "polynomial", "a": 1}}
@@ -274,6 +289,31 @@ class TestBoundsCommand:
             },
         )
         assert cli.main(["bounds", "--config", path]) == 3
+
+    def test_identical_agents_keep_their_bounds(self, tmp_path, capsys):
+        # the aggregate of three 0.1 I_2 agents rounds mu to 0.10000000000000002,
+        # above L = 0.1: mu is clamped to L, so no bound is lost to rounding
+        cost = {"A": [[0.1, 0.0], [0.0, 0.1]], "b": [0.0, 0.0]}
+        data = {"ensemble": _explicit(cost), "mixing": {"type": "explicit", "W": W_QUARTER}}
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mu"] > report["L"] == 0.1
+        assert report["alpha_gd"] == 10.0
+        assert report["eta"] == pytest.approx(0.05, rel=1e-15)
+        assert math.isfinite(report["alpha_S"]) and math.isfinite(report["radius_R"])
+
+    def test_underflowing_gap_bound_denominator_leaves_null(self, tmp_path, capsys):
+        # L (eta + L) underflows to 0 at L = 1e-300: no alpha_S, no radius
+        data = {
+            "ensemble": {"type": "epsilon_example", "L": 1e-300, "mu": 1e-320, "epsilon": 5e-301},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+        }
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["alpha_S"] is None and report["radius_R"] is None
+        assert report["alpha_L"] == pytest.approx(1.25e300)
 
     def test_bad_config_exits_2(self, tmp_path):
         path = _write_config(tmp_path, {"ensemble": {"type": "nope"}})
@@ -613,6 +653,20 @@ class TestSweepEpsilonCommand:
             report = bounds.build_report(instance, mixing, threshold=threshold).to_dict()
             assert float(row[2]) == report["alpha_L"], eps
             assert row[3] == ("" if report["alpha_S"] is None else repr(report["alpha_S"])), eps
+
+    def test_underflowing_gap_bound_denominator_leaves_blank(self, tmp_path, capsys):
+        # L (eta + L) underflows to 0 at L = 1e-300: each row's alpha_S is blank
+        data = {
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "epsilons": [0.0, 5e-301, 1e-300],
+            "L": 1e-300,
+            "mu": 1e-320,
+        }
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert captured.err == "" and len(rows) == 3
+        assert all(row[2] and row[3] == "" for row in rows)
 
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}

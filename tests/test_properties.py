@@ -87,7 +87,6 @@ config = st.fixed_dictionaries(
     optional={
         "divergence_threshold": legal(1e-3, 1e12, HUGE),
         "record_every": st.integers(1, 5),
-        "agent_scale": st.booleans(),
         "track_lifted": st.booleans(),
         "x0": st.lists(legal(-2.0, 2.0, HUGE), min_size=6, max_size=6),
         "alpha_multiples": st.lists(legal(0.1, 3.0, HUGE), max_size=3),

@@ -108,13 +108,6 @@ class TestStep:
             descended = x - obj.gradient(x, alpha)
             assert np.max(np.abs(stepped - descended)) <= 1e-12
 
-    def test_agent_scale_drops_mean_factor(self, mix_quarter):
-        ens = costs.random_ensemble(3, 2, 0.5, seed=4)
-        x = np.ones(6)
-        scaled = simulator.step(x, ens, mix_quarter, 0.3, agent_scale=True)
-        default = simulator.step(x, ens, mix_quarter, 0.9)
-        np.testing.assert_allclose(scaled, default, atol=1e-14)
-
     def test_input_validation(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 0.5, seed=4)
         with pytest.raises(ValueError):
@@ -257,19 +250,6 @@ class TestRun:
         for line in _csv_text(rec).splitlines()[1:]:
             assert line.endswith(",")
 
-    def test_agent_scale_distance_to_its_own_minimizer(self, mix_quarter):
-        # an agent_scale step with alpha is a gradient step on G_(3 alpha),
-        # so the run converges to that minimizer, not to y(alpha)
-        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        obj = lifted.LiftedObjective(ens, mix_quarter)
-        rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(0.1),
-            horizon=3000, agent_scale=True, lifted_distance=obj, record_every=10,
-        )
-        assert rec.verdict == "bounded"
-        assert rec.dist_lifted_min[-1] < 1e-12
-        assert np.linalg.norm(rec.states[-1] - obj.minimizer(0.1)) > 0.05
-
     def test_rejects_bad_inputs(self, mix_quarter):
         ens = _skewed_random(5)
         with pytest.raises(ValueError):
@@ -346,7 +326,7 @@ def _rescaled_norms(dev):
 
 def _per_run_loop(
     ens, mix, schedule, x0, horizon, threshold, states=None,
-    update=_folded_update, agent_scale=False, rescale=False,
+    update=_folded_update, rescale=False,
 ):
     """R(t) and divergence step from one state stepped alone by `update`.
 
@@ -374,7 +354,7 @@ def _per_run_loop(
         if t < horizon:
             alpha = schedule.value(t)
             with np.errstate(over="ignore", invalid="ignore"):
-                blocks = update(ens, mix, alpha if agent_scale else alpha / m, blocks)
+                blocks = update(ens, mix, alpha / m, blocks)
     return np.array(rs), None
 
 
@@ -434,15 +414,13 @@ class TestRunBatch:
         ens = _skewed_random(5)
         safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
         x0 = np.linspace(-10.0, 10.0, 6)
-        cases = [(_mixed_schedules(safe), False), ([StepsizeSchedule.constant(0.5 * safe)], True)]
-        for batch_schedules, agent_scale in cases:
-            batch = simulator.run_batch(
-                ens, mix_quarter, batch_schedules, x0=x0, horizon=1500, agent_scale=agent_scale
-            )
+        # the second batch is the per-agent stepsize 0.5 safe, m times it on this axis
+        per_agent = [StepsizeSchedule.constant(3 * 0.5 * safe)]
+        for batch_schedules in (_mixed_schedules(safe), per_agent):
+            batch = simulator.run_batch(ens, mix_quarter, batch_schedules, x0=x0, horizon=1500)
             for schedule, batched in zip(batch_schedules, batch):
                 r, step = _per_run_loop(
-                    ens, mix_quarter, schedule, x0, 1500, 1e12,
-                    update=_literal_update, agent_scale=agent_scale,
+                    ens, mix_quarter, schedule, x0, 1500, 1e12, update=_literal_update
                 )
                 assert batched.verdict == ("bounded" if step is None else "diverged")
                 assert batched.divergence_step == step
@@ -1037,10 +1015,10 @@ class TestNonexpansiveness:
         np.testing.assert_allclose(report.drift_measured, measured, rtol=1e-15, atol=0)
 
     def test_closed_form_shift_bound_on_readme_class_seeds(self, mix_quarter):
-        # polynomial schedules on README-class instances, one run under
-        # agent_scale: the bound covers every measured shift and every step's
-        # growth of the distance, and its per-step values telescope to the
-        # whole-run bound between the first stepsize and the last
+        # polynomial schedules on README-class instances: the bound covers
+        # every measured shift and every step's growth of the distance, and
+        # its per-step values telescope to the whole-run bound between the
+        # first stepsize and the last
         rng = np.random.default_rng(12)
         checked = 0
         for seed in range(30):
@@ -1052,20 +1030,16 @@ class TestNonexpansiveness:
                 mix_quarter.spectral.lambda_min, ens.smoothness_constant()
             )
             top = 0.9 * min(obj.strong_convexity_threshold().alpha, floor)
-            agent_scale = checked == 0
-            schedule = StepsizeSchedule.polynomial(
-                a=top / 3 if agent_scale else top, w=1.0, p=float(rng.uniform(0.3, 1.0))
-            )
+            schedule = StepsizeSchedule.polynomial(a=top, w=1.0, p=float(rng.uniform(0.3, 1.0)))
             rec = simulator.run(
-                ens, mix_quarter, schedule, x0=rng.normal(size=6), horizon=150,
-                record_every=1, agent_scale=agent_scale,
+                ens, mix_quarter, schedule, x0=rng.normal(size=6), horizon=150, record_every=1
             )
             report = simulator.nonexpansiveness_check(rec, obj)
             assert report.ok, seed
             assert np.all(report.drift_measured <= report.drift_bound), seed
             assert np.all(np.diff(report.distances) <= report.drift_bound + 1e-9), seed
             z, d, nu, zb = obj._basis
-            t = rec.alpha[[0, -1], None] * rec.lifted_scale / 3
+            t = rec.alpha[[0, -1], None] / 3
             g = -t * zb / (d + t * nu)
             whole = np.linalg.norm(z, axis=0) @ abs(g[1] - g[0])
             assert report.drift_bound.sum() == pytest.approx(whole, rel=1e-12, abs=0), seed
@@ -1133,29 +1107,6 @@ class TestNonexpansiveness:
             with pytest.raises(ValueError, match="exceeds m"):
                 simulator.nonexpansiveness_check(rec, obj)
 
-    @pytest.mark.parametrize("alpha, ok", [(0.25, True), (0.32, False)])
-    def test_agent_scale_record_is_checked_on_its_lifted_stepsize(self, mix_quarter, alpha, ok):
-        # an agent_scale step with alpha descends G_(3 alpha): the distances are
-        # to y(3 alpha), and the precondition compares 3 alpha with m alpha_L =
-        # 0.942, which 0.75 meets and 0.96 does not
-        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        obj = lifted.LiftedObjective(ens, mix_quarter)
-        rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(alpha),
-            x0=np.ones(6), horizon=300, record_every=1, agent_scale=True,
-        )
-        assert rec.lifted_scale == 3.0
-        if not ok:
-            with pytest.raises(ValueError, match="exceeds m"):
-                simulator.nonexpansiveness_check(rec, obj)
-            return
-        report = simulator.nonexpansiveness_check(rec, obj)
-        assert report.ok and report.distances[-1] < 1e-12
-        assert report.distances[-1] == pytest.approx(
-            np.linalg.norm(rec.states[-1] - obj.minimizer(3 * alpha)), abs=1e-15
-        )
-        assert np.linalg.norm(rec.states[-1] - obj.minimizer(alpha)) > 0.1
-
     def test_rejects_uncertified_stepsize(self, mix_quarter):
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
@@ -1177,8 +1128,10 @@ class TestNonexpansiveness:
 
 
 class TestTrajectoryEnvelope:
-    @pytest.mark.parametrize("agent_scale", [True, False])
-    def test_mean_and_spread_stay_inside_radius(self, mix_quarter, agent_scale):
+    # the radius's alpha0 is a per-agent stepsize, the engine's 3 alpha0;
+    # the run at alpha0 itself is a smaller stepsize on the same axis
+    @pytest.mark.parametrize("factor", [3, 1])
+    def test_mean_and_spread_stay_inside_radius(self, mix_quarter, factor):
         ens = _skewed_random(10)
         mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
         gap_bound = bounds.spectral_gap_bound(mu, smooth, mix_quarter.spectral.beta)
@@ -1189,8 +1142,8 @@ class TestTrajectoryEnvelope:
         eta = bounds.harmonic_rate(mu, smooth)
         x_star = ens.aggregate_minimizer()
         rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(alpha0),
-            x0=x0, horizon=2000, record_every=1, agent_scale=agent_scale,
+            ens, mix_quarter, StepsizeSchedule.constant(factor * alpha0),
+            x0=x0, horizon=2000, record_every=1,
         )
         blocks = rec.states.reshape(-1, 3, 2)
         mean_dist = np.linalg.norm(blocks.mean(axis=1) - x_star, axis=1)
