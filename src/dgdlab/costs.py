@@ -25,13 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotPositiveDefiniteError,
-    NotStronglyConvexError,
-    NotSymmetricError,
-    ParameterError,
-)
-from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen
+from .errors import NotStronglyConvexError, NotSymmetricError, ParameterError
+# solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
+from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen  # noqa: F401
 
 
 _HALF_MAX = sys.float_info.max / 2
@@ -192,20 +188,23 @@ class QuadraticEnsemble:
         return self._mu
 
     def aggregate_minimizer(self) -> np.ndarray:
-        """Minimizer of the aggregate cost (solved once, returned read-only);
-        requires aggregate_mu > 0 and an aggregate curvature that passes the
-        Cholesky pivot floor."""
+        """Minimizer of the aggregate cost (solved once, returned read-only).
+        aggregate_mu > 0 decides that it exists; one LAPACK solve gives it,
+        and a solve that finds the aggregate singular or a minimizer that
+        overflows raises NotStronglyConvexError too."""
         if self._minimizer is None:
             if self.aggregate_mu() <= 0.0:
                 raise NotStronglyConvexError(
                     "aggregate cost is not strongly convex; no unique minimizer"
                 )
             try:
-                x_star = solve_spd(self.aggregate_a, -self.aggregate_b)
-            except NotPositiveDefiniteError as exc:
+                x_star = np.linalg.solve(self.aggregate_a, -self.aggregate_b)
+            except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot
+                x_star = np.full(self.n, math.nan)
+            if not np.isfinite(x_star).all():
                 raise NotStronglyConvexError(
-                    f"aggregate cost is too weakly convex for a unique minimizer: {exc}"
-                ) from exc
+                    "the aggregate curvature is numerically singular: no finite minimizer"
+                )
             x_star.setflags(write=False)
             self._minimizer = x_star
         return self._minimizer

@@ -29,7 +29,9 @@ schedule.
 
 ThresholdStack computes the edges of a stack of instances sharing one
 mixing matrix, each step one batched product or eigensolve for all of them;
-a LiftedObjective is its one-row case.
+a LiftedObjective is its one-row case. Its `_hessians` is the one builder
+of H(t): certification, the minimizer basis and the simulator's
+spectral-radius oracle, whose iteration matrix is I - H(alpha/m), read it.
 """
 
 from __future__ import annotations
@@ -206,12 +208,19 @@ class ThresholdStack:
             )
         return results
 
+    def _hessians(self, alphas, rows: np.ndarray | None = None) -> np.ndarray:
+        """H(t) = C + t B_e at t = alphas[j]/m, one (nm, nm) matrix per
+        stepsize: of row e = rows[j], or without `rows` of the stack's rows
+        broadcast against the stepsizes (its only row for every stepsize)."""
+        curvature = self.curvature if rows is None else self.curvature[rows]
+        hessians = (np.asarray(alphas, dtype=float) / self.m)[:, None, None] * curvature
+        hessians += self.consensus
+        return hessians
+
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Whether H(alphas[j]/m) of row rows[j] has a positive smallest
         eigenvalue, in one eigensolve."""
-        curvature = self.curvature if rows.size == len(self.curvature) else self.curvature[rows]
-        hessians = (alphas / self.m)[:, None, None] * curvature
-        hessians += self.consensus
+        hessians = self._hessians(alphas, None if rows.size == len(self.curvature) else rows)
         return sym_eigen(hessians).eigenvalues[:, 0] > 0
 
 
@@ -278,7 +287,7 @@ class LiftedObjective:
         """(alpha/m) blockdiag(A_k) + (I - W) kron I_n."""
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be finite and positive")
-        return (alpha / self.ensemble.m) * self.block_curvature + self.consensus_matrix
+        return self._stack._hessians([alpha])[0]
 
     def certify(self, alpha: float) -> ConvexityCertificate:
         """Strong-convexity certificate: in class and below alpha_A, with the

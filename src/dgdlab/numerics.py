@@ -1,13 +1,15 @@
 """Dense symmetric linear algebra primitives.
 
 Everything downstream (mixing-matrix spectra, curvature constants,
-strong-convexity certificates, spectral-radius verdicts) reduces to two
-operations on real symmetric matrices: a full eigendecomposition and an
-SPD linear solve. Both are thin wrappers over LAPACK through numpy.linalg
-(`eigh`/`eigvalsh`, `cholesky` and `solve`); the wrappers add the
-package's contract on top: a symmetry check first, ascending eigenvalues,
-a Cholesky pivot floor, and the package's own exception types. All
-arithmetic is 64-bit floating point.
+strong-convexity certificates, spectral-radius verdicts) reduces to one
+operation on real symmetric matrices: a full eigendecomposition, a thin
+wrapper over LAPACK's `eigh`/`eigvalsh` through numpy.linalg. The engine
+needs no SPD solve: the aggregate minimizer is one `numpy.linalg.solve`
+once the aggregate's smallest eigenvalue is positive. `cholesky` and
+`solve_spd` remain public helpers. The wrappers add the package's contract
+on top: a symmetry check first, ascending eigenvalues, a Cholesky pivot
+floor, and the package's own exception types. All arithmetic is 64-bit
+floating point.
 
 The eigensolver also takes a (..., k, k) stack of matrices, as numpy.linalg
 does: every member is checked, and each one's spectrum is bit for bit the

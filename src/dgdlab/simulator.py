@@ -2,7 +2,7 @@
 
 One step with stepsize alpha maps the stacked state x to
 
-    (W kron I_n) x - (alpha/m) * (grad f_1(x_1), ..., grad f_m(x_m)),
+    (W (x) I_n) x - (alpha/m) * (grad f_1(x_1), ..., grad f_m(x_m)),
 
 which is exactly one gradient-descent step on the lifted objective
 G_alpha. The paper's per-agent update x_i <- sum_j w_ij x_j - a grad f_i(x_i)
@@ -17,11 +17,13 @@ states and R(t) move at rounding level against that form.
 
 For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
-M_alpha = W kron I_n - (alpha/m) blockdiag(A_k). Its spectral radius
-decides boundedness exactly, which is what `boundedness_oracle` returns
-as ground truth for the finite-horizon verdicts of `run` and `run_batch`;
+M_alpha = W (x) I_n - (alpha/m) blockdiag(A_k) = I - H(alpha/m), H(t) being
+the Hessian of G_alpha that `lifted` builds. Its spectral radius decides
+boundedness exactly, and it is at most 1 iff 0 <= H(alpha/m) <= 2I in the
+Loewner order. That is what `boundedness_oracle` returns as ground truth
+for the finite-horizon verdicts of `run` and `run_batch`;
 `boundedness_verdicts` returns it for many stepsizes from one stacked
-eigensolve.
+eigensolve of H.
 """
 
 from __future__ import annotations
@@ -613,31 +615,16 @@ class OracleVerdict:
         return abs(self.spectral_radius - 1.0) <= CRITICAL_BAND
 
 
-def _iteration_matrices(ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas) -> np.ndarray:
-    """M_alpha = W kron I_n - (alpha/m) blockdiag(A_k) for each constant stepsize.
-
-    Returns a (B, nm, nm) stack, one matrix per entry of `alphas`.
-    """
-    m, n = ensemble.m, ensemble.n
-    alphas = np.asarray(alphas, dtype=float)
-    scale = alphas / m
-    # W kron I_n as (m, n, m, n) blocks, with kron's products w_kl * I_ab
-    kron = mixing.w[:, None, :, None] * np.eye(n)[None, :, None, :]
-    out = np.repeat(kron[None], alphas.size, axis=0)
-    # a writable view of the m diagonal (n, n) blocks of every matrix
-    np.einsum("bkakc->bkac", out)[...] -= scale[:, None, None, None] * ensemble.curvatures
-    return out.reshape(alphas.size, m * n, m * n)
-
-
 def boundedness_verdicts(
     ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas
 ) -> list[OracleVerdict]:
     """`boundedness_oracle` at each constant stepsize in `alphas`, from one
-    stacked eigensolve; each verdict is bit for bit that of a lone call."""
+    stacked eigensolve of the lifted Hessians H(alpha/m), as
+    M_alpha = I - H(alpha/m); each verdict is bit for bit that of a lone call."""
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be finite and positive")
-    eigs = sym_eigen(_iteration_matrices(ensemble, mixing, alphas)).eigenvalues
-    rhos = np.maximum(abs(eigs[:, 0]), abs(eigs[:, -1])).tolist()
+    eigs = sym_eigen(LiftedObjective(ensemble, mixing)._stack._hessians(alphas)).eigenvalues
+    rhos = np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1])).tolist()
     return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 
@@ -682,7 +669,7 @@ def nonexpansiveness_check(
     descends G_alpha(t), so every alpha(t) must be certified strongly
     convex, and alpha(0)
     must not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on
-    the alpha/m axis, where (I + W) kron I - (alpha/m) blockdiag(A_k) is at
+    the alpha/m axis, where (I + W) (x) I - (alpha/m) blockdiag(A_k) is at
     least (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on
     G_alpha does not expand distances.
     """

@@ -21,7 +21,8 @@ REMOVED = {
     "CurveSegment": lifted,
     "ordering_check": bounds,  # spectral_gap_bound(...) < lambda_min_bound(...)
     "combined_bound": bounds,  # min(alpha_L, alpha_A)
-    "iteration_matrix": simulator,  # simulator._iteration_matrices
+    "iteration_matrix": simulator,  # I - H(alpha/m) from ThresholdStack._hessians
+    "_iteration_matrices": simulator,
     "_spec_matrix": topology,  # config._matrix
 }
 # name -> the module it left: the JSON spec readers now live in `config`

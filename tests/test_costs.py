@@ -246,11 +246,50 @@ class TestAggregateMinimizer:
         with pytest.raises(NotStronglyConvexError):
             e.grad_bound_D()
 
-    def test_rejects_aggregate_below_the_pivot_floor(self):
-        # aggregate mu = 1e-13 > 0, but below the Cholesky pivot floor 1e-12
+    def test_tiny_aggregate_has_a_finite_minimizer(self):
+        # aggregate mu = 1e-13 > 0 decides that x* exists, whatever the units
         e = costs.epsilon_example(10.0, 1e-13, 0.0)
         assert 0 < e.aggregate_mu() < 1e-12
-        with pytest.raises(NotStronglyConvexError, match="too weakly convex"):
+        assert np.isfinite(e.aggregate_minimizer()).all()
+        b = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+        e = costs.QuadraticEnsemble.from_stacks(np.repeat(1e-13 * np.eye(2)[None], 3, axis=0), b)
+        x_star = e.aggregate_minimizer()
+        assert np.isfinite(x_star).all()
+        np.testing.assert_allclose(x_star, -b.mean(axis=0) / 1e-13, rtol=1e-15)
+
+    def test_minimizer_is_unchanged_by_a_change_of_units(self):
+        # scaling every A_k and b_k by a power of 4 rounds nowhere in the solve
+        checked = 0
+        for seed in range(10):
+            e = costs.random_ensemble(3, 2, 1.0, seed=seed)
+            if e.aggregate_mu() <= 0:
+                continue
+            x_star = e.aggregate_minimizer()
+            for k in range(-60, 61):
+                scaled = costs.QuadraticEnsemble.from_stacks(
+                    4.0**k * e.curvatures, 4.0**k * e.linear_terms
+                )
+                assert np.array_equal(scaled.aggregate_minimizer(), x_star), (seed, k)
+            checked += 1
+        assert checked >= 5
+
+    def test_rejects_a_minimizer_that_overflows(self):
+        # mu > 0, but a subnormal curvature puts x* past the float range
+        e = costs.QuadraticEnsemble.from_stacks(
+            np.array([[[1.0, 0.0], [0.0, 1e-310]]]), np.array([[0.0, 1.0]])
+        )
+        assert e.aggregate_mu() > 0
+        with pytest.raises(NotStronglyConvexError, match="numerically singular"):
+            e.aggregate_minimizer()
+
+    def test_rejects_an_aggregate_that_lapack_finds_singular(self):
+        # 11 * fl(1/11) rounds to 1, so LU meets an exactly zero pivot, while
+        # the eigensolve may round the smallest eigenvalue either side of 0
+        # (1.4e-17 with OpenBLAS): x* raises either way
+        e = costs.QuadraticEnsemble.from_stacks(
+            np.array([[[11.0, 1.0], [1.0, 1 / 11]]]), np.array([[1.0, 0.0]])
+        )
+        with pytest.raises(NotStronglyConvexError):
             e.aggregate_minimizer()
 
 
@@ -273,7 +312,7 @@ class TestSpectralConstants:
         smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in e.costs)
         mu = float(costs.sym_eigen(e.aggregate_a).eigenvalues[0])
         calls, solves = [], []
-        real, real_solve = costs.sym_eigen, costs.solve_spd
+        real, real_solve = costs.sym_eigen, np.linalg.solve
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
@@ -284,7 +323,8 @@ class TestSpectralConstants:
             return real_solve(a, *args, **kwargs)
 
         monkeypatch.setattr(costs, "sym_eigen", counting)
-        monkeypatch.setattr(costs, "solve_spd", counting_solve)
+        # x* is one LAPACK solve, after the eigensolve behind aggregate_mu
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         for _ in range(3):
             assert e.smoothness_constant() == smooth
         assert calls == [(4, 3, 3)]  # one stacked eigensolve, on the first call only

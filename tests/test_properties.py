@@ -11,7 +11,10 @@ short so that a run costs milliseconds.
 For generated in-class instances (random ensembles on Metropolis weights of
 random connected graphs), alpha_A agrees with a pencil edge computed here
 from a Cholesky anchor, the Hessian's smallest eigenvalue changes sign
-across it, and certify agrees with that sign wherever it is decisive.
+across it, and certify agrees with that sign wherever it is decisive. On
+the same draws, one agent included, and on README's instances, the oracle's
+spectral radius, which it reads from the lifted Hessians, agrees with that
+of W kron I_n - (alpha/m) blockdiag(A_k) built here with np.kron.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dgdlab import cli, costs, lifted, topology
+from dgdlab import cli, costs, lifted, simulator, topology
 
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 UNIFORM_W = [[1 / 3] * 3] * 3
@@ -163,19 +166,31 @@ def test_cli_exits_with_a_code_never_a_traceback(command, data, out, draws):
 
 
 @st.composite
-def in_class_draws(draw):
+def in_class_draws(draw, min_agents=2):
     """(ensemble, mixing): random_ensemble(m, n, epsilon, seed) on the
-    Metropolis weights of a random spanning path plus random extra edges."""
-    m, n = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    Metropolis weights of a random spanning path plus random extra edges,
+    with m from `min_agents` to 8."""
+    m, n = draw(st.integers(min_agents, 8)), draw(st.integers(1, 3))
     order = draw(st.permutations(range(m)))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges = list(zip(order, order[1:])) + draw(st.lists(st.sampled_from(pairs), max_size=m))
+    edges = list(zip(order, order[1:]))
+    if pairs:  # one agent has no edge to draw
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=m))
     adjacency = np.zeros((m, m), dtype=int)
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = 1
     epsilon = draw(st.floats(0.2, 2.0))
     ensemble = costs.random_ensemble(m, n, epsilon, seed=draw(st.integers(0, 2**32 - 1)))
     return ensemble, topology.metropolis_weights(adjacency)
+
+
+def block_diagonal(curvatures: np.ndarray) -> np.ndarray:
+    """blockdiag(A_1, ..., A_m), one block at a time."""
+    m, n, _ = curvatures.shape
+    b = np.zeros((m * n, m * n))
+    for k, a in enumerate(curvatures):
+        b[k * n : (k + 1) * n, k * n : (k + 1) * n] = a
+    return b
 
 
 def pencil_edge(curvatures: np.ndarray, w: np.ndarray) -> float:
@@ -186,9 +201,7 @@ def pencil_edge(curvatures: np.ndarray, w: np.ndarray) -> float:
     largest, which keeps L well conditioned."""
     m, n, _ = curvatures.shape
     c = np.kron(np.eye(m) - w, np.eye(n))
-    b = np.zeros((m * n, m * n))
-    for k, a in enumerate(curvatures):
-        b[k * n : (k + 1) * n, k * n : (k + 1) * n] = a
+    b = block_diagonal(curvatures)
     ladder = np.geomspace(1e3, 1e-9, 37) / m
     t0 = ladder[np.argmax([np.linalg.eigvalsh(c + t * b)[0] for t in ladder])]
     lower = np.linalg.cholesky(c + t0 * b)
@@ -219,3 +232,38 @@ def test_certification_agrees_with_the_pencil_and_the_spectrum(draw):
         lam = np.linalg.eigvalsh(objective.hessian(alpha))[0]
         if abs(lam) > 1e-9:
             assert objective.certify(alpha).is_strongly_convex == (lam > 0), (alpha, lam)
+
+
+# oracle stepsizes: these multiples of m / L, and of alpha_A where it is finite
+SCALED_STEPSIZES = (0.05, 0.5, 1.5, 1.9, 2.1, 4.0)
+EDGE_MULTIPLES = (0.5, 0.99, 1.01, 2.0)
+
+
+def assert_oracle_matches_kron(ensemble, mixing):
+    """The oracle's spectral radius is that of M_alpha = W kron I_n - (alpha/m)
+    blockdiag(A_k), built here with np.kron rather than from the lifted
+    Hessians, to 1e-12 relative; where it is not within 1e-9 of 1, the
+    verdicts agree too."""
+    m, n = ensemble.m, ensemble.n
+    edge = lifted.LiftedObjective(ensemble, mixing).certified_interval[1]
+    alphas = [m * c / ensemble.smoothness_constant() for c in SCALED_STEPSIZES]
+    if 0 < edge < math.inf:
+        alphas += [f * edge for f in EDGE_MULTIPLES]
+    kron, blocks = np.kron(mixing.w, np.eye(n)), block_diagonal(ensemble.curvatures)
+    for alpha, verdict in zip(alphas, simulator.boundedness_verdicts(ensemble, mixing, alphas)):
+        rho = float(np.abs(np.linalg.eigvalsh(kron - (alpha / m) * blocks)).max())
+        assert abs(verdict.spectral_radius - rho) <= 1e-12 * rho, (alpha, verdict, rho)
+        if abs(rho - 1.0) > 1e-9:
+            assert verdict.bounded == (rho < 1.0), (alpha, rho)
+
+
+def test_oracle_matches_the_kron_iteration_matrix_on_readme_seeds():
+    mixing = topology.validate_mixing(np.array(README_W))
+    for seed in range(200):
+        assert_oracle_matches_kron(costs.random_ensemble(3, 2, 1.0, seed=seed), mixing)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(draw=in_class_draws(min_agents=1))
+def test_oracle_matches_the_kron_iteration_matrix(draw):
+    assert_oracle_matches_kron(*draw)

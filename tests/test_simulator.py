@@ -925,13 +925,14 @@ class TestBoundednessOracle:
         assert not simulator.boundedness_oracle(ens, mix_single, 2.01 / big_l).bounded
 
     def test_matrix_matches_step(self, mix_quarter):
-        # applying the iteration matrix must reproduce the homogeneous step
+        # the oracle's iteration matrix I - H(0.4/m), from the lifted Hessian
+        # builder, must reproduce the homogeneous step
         ens = costs.random_ensemble(3, 2, 1.0, seed=9)
         hom = costs.QuadraticEnsemble(
             [costs.QuadraticCost(a=c.a, b=np.zeros(2)) for c in ens.costs]
         )
         rng = np.random.default_rng(3)
-        m = simulator._iteration_matrices(hom, mix_quarter, [0.4])[0]
+        m = np.eye(6) - lifted.LiftedObjective(hom, mix_quarter)._stack._hessians([0.4])[0]
         for _ in range(10):
             x = rng.normal(size=6)
             np.testing.assert_allclose(
