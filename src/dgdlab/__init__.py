@@ -18,7 +18,7 @@ _EXPORTS = {
         "lambda_min_bound", "spectral_gap_bound", "trajectory_radius",
     ),
     "config": ("StepsizeSchedule", "ensemble_from_spec", "mixing_from_spec"),
-    "costs": ("QuadraticCost", "QuadraticEnsemble", "epsilon_example", "random_ensemble"),
+    "costs": ("QuadraticEnsemble", "epsilon_example", "random_ensemble"),
     "lifted": ("ConvexityCertificate", "LiftedObjective", "ThresholdResult"),
     "numerics": ("Spectrum", "min_eigenvalue", "solve_spd", "sym_eigen"),
     "simulator": (

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import QuadraticCost, QuadraticEnsemble, epsilon_example, random_ensemble
-from .errors import ConfigError, DgdLabError, MixingMatrixError, ParameterError
+from .costs import QuadraticEnsemble, epsilon_example, random_ensemble
+from .errors import ConfigError, DgdLabError, MixingMatrixError, NotSymmetricError, ParameterError
 from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_HORIZON = 10_000
@@ -194,6 +194,9 @@ def _built(path: str, build, *args):
         return build(*args)
     except ParameterError as exc:
         raise ConfigError(f"{path}.{exc.parameter}: {exc}") from None
+    except NotSymmetricError as exc:
+        member = "" if exc.member is None else f"[{exc.member}]"
+        raise ConfigError(f"{path}{member}: {exc}") from None
     except (ValueError, DgdLabError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -217,13 +220,22 @@ def _ensemble(spec, seed: int | None = None) -> tuple[dict, QuadraticEnsemble]:
         return {"type": kind, **numbers}, _built("ensemble", build, *numbers.values())
     if not isinstance(spec["costs"], list):
         raise ConfigError(f"ensemble.costs must be a list, got {reprlib.repr(spec['costs'])}")
-    costs = []
+    curvatures, linear = [], []
     for i, cost in enumerate(spec["costs"]):
         path = f"ensemble.costs[{i}]"
         _keys(path, cost, {None: (("A", "b"), ())})
         a, b = _matrix(f"{path}.A", cost["A"], 2), _matrix(f"{path}.b", cost["b"], 1)
-        costs.append(_built(path, QuadraticCost, a, b))
-    ensemble = _built("ensemble.costs", QuadraticEnsemble, costs)  # one dimension, a finite sum
+        if a.shape[0] != a.shape[1]:
+            raise ConfigError(f"{path}: expected a square matrix, got shape {a.shape}")
+        if b.shape != a.shape[:1]:
+            raise ConfigError(f"{path}: b has shape {b.shape}, expected {a.shape[:1]}")
+        curvatures.append(a)
+        linear.append(b)
+    if len({len(terms) for terms in linear}) > 1:
+        raise ConfigError("ensemble.costs: all costs must share one ambient dimension")
+    # the constructor names an asymmetric A_k by its index and refuses an empty
+    # list or an overflowing sum
+    ensemble = _built("ensemble.costs", QuadraticEnsemble, np.array(curvatures), np.array(linear))
     return {"type": kind, "costs": spec["costs"]}, ensemble
 
 

@@ -1,12 +1,11 @@
 """Local quadratic costs and their aggregate spectral constants.
 
 Each agent k owns f_k(x) = 0.5 x^T A_k x + b_k^T x with symmetric (possibly
-indefinite) A_k. An ensemble's state is two stacked arrays, the (m, n, n)
-curvatures A_k and the (m, n) linear terms b_k: the symmetry check, the
-spectral constants and the gradients at the minimizer each run once on the
-stacks, not once per agent, and `QuadraticEnsemble.costs` is a per-agent
-view of them. The aggregate cost is f = (1/m) sum_k f_k. The constants
-every bound consumes are:
+indefinite) A_k. An ensemble is two stacked arrays and nothing else, the
+(m, n, n) curvatures A_k and the (m, n) linear terms b_k: the symmetry
+check, the spectral constants and the gradients at the minimizer each run
+once on the stacks, not once per agent. The aggregate cost is
+f = (1/m) sum_k f_k. The constants every bound consumes are:
 
   smoothness_L  — max_k of the spectral norm of A_k (exact, from eigenvalues)
   aggregate_mu  — smallest eigenvalue of (1/m) sum_k A_k
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,78 +54,24 @@ def _symmetric_curvatures(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class QuadraticCost:
-    """One agent's cost 0.5 x^T a x + b^T x: the one-row case of an ensemble's stacks."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-        (self.a,) = _symmetric_curvatures(a[None])
-        self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != (self.a.shape[0],):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({self.a.shape[0]},)")
-
-    @classmethod
-    def _row(cls, a: np.ndarray, b: np.ndarray) -> QuadraticCost:
-        """The cost over one already checked row of an ensemble's stacks."""
-        cost = object.__new__(cls)
-        cost.a, cost.b = a, b
-        return cost
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return float(0.5 * x @ self.a @ x + self.b @ x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return self.a @ x + self.b
-
-
 class QuadraticEnsemble:
     """The m local costs as two read-only stacks, plus cached aggregate constants.
 
-    `QuadraticEnsemble(costs)` stacks checked `QuadraticCost`s;
-    `QuadraticEnsemble.from_stacks` checks whole stacks in one pass.
+    `QuadraticEnsemble(curvatures, linear_terms)` takes the (m, n, n) A_k and
+    the (m, n) b_k and checks them in one pass: each A_k symmetric at its own
+    scale (a NotSymmetricError's `member` names the first that is not), the
+    b_k finite and of matching shape, and the aggregate curvature finite.
     """
 
-    def __init__(self, costs: list[QuadraticCost]):
-        costs = list(costs)
-        if not costs:
+    def __init__(self, curvatures: np.ndarray, linear_terms: np.ndarray):
+        if not len(curvatures):
             raise ValueError(_NO_COSTS)
-        if any(c.dim != costs[0].dim for c in costs):
-            raise ValueError("all costs must share one ambient dimension")
-        self._set_stacks(np.stack([c.a for c in costs]), np.stack([c.b for c in costs]))
-
-    @classmethod
-    def from_stacks(cls, curvatures: np.ndarray, linear_terms: np.ndarray) -> QuadraticEnsemble:
-        """The ensemble of (m, n, n) `curvatures` and (m, n) `linear_terms`,
-        each A_k checked and symmetrised as a `QuadraticCost` would be."""
         curvatures = _symmetric_curvatures(curvatures)
         linear = np.array(linear_terms, dtype=float)
         if linear.shape != curvatures.shape[:2]:
             raise ValueError(
                 f"linear terms have shape {linear.shape}, expected {curvatures.shape[:2]}"
             )
-        ensemble = cls.__new__(cls)
-        ensemble._set_stacks(curvatures, linear)
-        return ensemble
-
-    def _set_stacks(self, curvatures: np.ndarray, linear: np.ndarray) -> None:
-        if not len(curvatures):
-            raise ValueError(_NO_COSTS)
         with np.errstate(over="ignore"):
             aggregate = curvatures.mean(axis=0)
         if not np.isfinite(aggregate).all():
@@ -152,11 +96,6 @@ class QuadraticEnsemble:
         return self._curvatures.shape[1]
 
     @property
-    def costs(self) -> list[QuadraticCost]:
-        """Per-agent views of the stacks, made on each access."""
-        return [QuadraticCost._row(a, b) for a, b in zip(self._curvatures, self._linear)]
-
-    @property
     def curvatures(self) -> np.ndarray:
         """Stacked (m, n, n) array of the A_k blocks."""
         return self._curvatures
@@ -169,10 +108,6 @@ class QuadraticEnsemble:
     @property
     def aggregate_a(self) -> np.ndarray:
         return self._aggregate_a
-
-    @property
-    def aggregate_b(self) -> np.ndarray:
-        return self._linear.mean(axis=0)
 
     def smoothness_constant(self) -> float:
         """L = max over agents of the exact spectral norm of A_k (one stacked
@@ -198,7 +133,7 @@ class QuadraticEnsemble:
                     "aggregate cost is not strongly convex; no unique minimizer"
                 )
             try:
-                x_star = np.linalg.solve(self.aggregate_a, -self.aggregate_b)
+                x_star = np.linalg.solve(self.aggregate_a, -self._linear.mean(axis=0))
             except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot
                 x_star = np.full(self.n, math.nan)
             if not np.isfinite(x_star).all():
@@ -247,9 +182,7 @@ def random_ensemble(m: int, n: int, epsilon: float, seed: int) -> QuadraticEnsem
         raise ParameterError("seed", str(exc)) from None
     draws = rng.uniform(-1.0, 1.0, size=(m, n * n + n))
     r = draws[:, : n * n].reshape(m, n, n)
-    return QuadraticEnsemble.from_stacks(
-        epsilon * np.eye(n) + r + r.swapaxes(1, 2), draws[:, n * n :]
-    )
+    return QuadraticEnsemble(epsilon * np.eye(n) + r + r.swapaxes(1, 2), draws[:, n * n :])
 
 
 EPSILON_EXAMPLE_AGENTS = 3  # the agent count of every epsilon_example ensemble
@@ -291,4 +224,4 @@ def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsembl
     """Three-agent, two-dimensional family with one tunably concave agent:
     the row of `epsilon_family` for `epsilon`, with zero linear terms."""
     (curvatures,) = epsilon_family(big_l, mu, [epsilon])
-    return QuadraticEnsemble.from_stacks(curvatures, np.zeros((EPSILON_EXAMPLE_AGENTS, 2)))
+    return QuadraticEnsemble(curvatures, np.zeros((EPSILON_EXAMPLE_AGENTS, 2)))

@@ -6,7 +6,12 @@ class DgdLabError(Exception):
 
 
 class NotSymmetricError(DgdLabError, ValueError):
-    """Input matrix is not symmetric within tolerance."""
+    """Input matrix is not symmetric within tolerance; in a stack checked at
+    one tolerance per member, `member` is the first failing one's flat index."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class NotPositiveDefiniteError(DgdLabError, ValueError):

@@ -225,7 +225,8 @@ class ThresholdStack:
 
 
 class LiftedObjective:
-    """G_alpha assembled from an ensemble and a mixing matrix."""
+    """G_alpha assembled from an ensemble and a mixing matrix. Its gradient
+    at x is hessian(alpha) @ x + (alpha/m) stacked_linear."""
 
     def __init__(self, ensemble: QuadraticEnsemble, mixing: MixingMatrix):
         if ensemble.m != mixing.m:
@@ -258,30 +259,6 @@ class LiftedObjective:
     def stacked_linear(self) -> np.ndarray:
         """(b_1, ..., b_m) stacked to length nm."""
         return self.ensemble.linear_terms.reshape(-1)
-
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        return x.reshape(self.ensemble.m, self.ensemble.n)
-
-    def separable_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(x) = (1/m) (grad f_1(x_1), ..., grad f_m(x_m)) stacked."""
-        blocks = self._split(x)
-        grads = np.stack([c.gradient(blocks[k]) for k, c in enumerate(self.ensemble.costs)])
-        return grads.reshape(-1) / self.ensemble.m
-
-    def value(self, x: np.ndarray, alpha: float) -> float:
-        """G_alpha(x) = alpha F(x) + x^T ((I - W) kron I_n) x / 2, F(x) = (1/m) sum_k f_k(x_k)."""
-        blocks = self._split(x)
-        costs = self.ensemble.costs
-        separable = sum(c.value(blocks[k]) for k, c in enumerate(costs)) / self.ensemble.m
-        x = blocks.reshape(-1)
-        return alpha * separable + 0.5 * float(x @ self.consensus_matrix @ x)
-
-    def gradient(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return alpha * self.separable_gradient(x) + self.consensus_matrix @ x
 
     def hessian(self, alpha: float) -> np.ndarray:
         """(alpha/m) blockdiag(A_k) + (I - W) kron I_n."""

@@ -48,7 +48,8 @@ def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> 
 
     `a` is one (k, k) matrix or a (..., k, k) stack of them; every member
     must pass. `atol` is one tolerance for every member or an array of one
-    tolerance per member; a failure reports the first failing member's.
+    tolerance per member; a failure then reports the first failing member's,
+    and that member's index as the error's `member`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -69,7 +70,9 @@ def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> 
     atol = np.broadcast_to(atol, a.shape[:-2])
     over = np.flatnonzero(asymmetry.max(axis=(-2, -1), initial=0.0) > atol)
     if over.size:
-        raise NotSymmetricError(f"matrix is not symmetric within {atol.flat[over[0]]:g}")
+        raise NotSymmetricError(
+            f"matrix is not symmetric within {atol.flat[over[0]]:g}", member=int(over[0])
+        )
     return a
 
 

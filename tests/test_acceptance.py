@@ -45,7 +45,7 @@ def _recipe_instance(seed):
     ens = costs.random_ensemble(3, 2, RECIPE_EPSILON, seed=seed)
     # recipe preconditions: strongly convex aggregate, indefinite local block
     assert ens.aggregate_mu() > 0.05
-    assert min(np.linalg.eigvalsh(c.a).min() for c in ens.costs) < -0.05
+    assert np.linalg.eigvalsh(ens.curvatures).min() < -0.05
     return ens
 
 
@@ -224,9 +224,9 @@ def test_06_minimizer_curve_lipschitz_bound():
         while built < 20:
             ens = costs.random_ensemble(3, 2, 4.5, seed=seed)
             seed += 1
-            if min(np.linalg.eigvalsh(c.a).min() for c in ens.costs) <= 0:
+            if np.linalg.eigvalsh(ens.curvatures).min() <= 0:
                 continue
-            assert any(np.linalg.norm(c.b) > 0 for c in ens.costs)
+            assert np.linalg.norm(ens.linear_terms, axis=1).max() > 0
             built += 1
             obj = lifted.LiftedObjective(ens, mix)
             assert math.isinf(obj.strong_convexity_threshold(scan_cap=top).alpha)
@@ -234,10 +234,14 @@ def test_06_minimizer_curve_lipschitz_bound():
             grid = np.linspace(top / 10, top, 10)
             points = obj._minimizers(grid)
             for alpha_lo, alpha_hi, x_a, x_b in zip(grid, grid[1:], points, points[1:]):
-                # max ||grad F|| over 17 evenly spaced points of the segment
+                # max ||grad F|| over 17 evenly spaced points of the segment,
+                # grad F(x) = (1/m) (A_k x_k + b_k)_k from the stacks alone
                 gradient_bound = max(
-                    np.linalg.norm(obj.separable_gradient(x_a + s * (x_b - x_a)))
-                    for s in np.linspace(0.0, 1.0, 17)
+                    np.linalg.norm(
+                        np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2))
+                        + ens.linear_terms
+                    ) / ens.m
+                    for x in (x_a + s * (x_b - x_a) for s in np.linspace(0.0, 1.0, 17))
                 )
                 allowance = (
                     2.0 * top * gradient_bound
@@ -284,7 +288,7 @@ def test_08_single_agent_contraction_factor():
         for _ in range(20):
             q = rng.normal(size=(2, 2))
             a = q @ q.T + 0.2 * np.eye(2)
-            ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=a, b=rng.normal(size=2))])
+            ens = costs.QuadraticEnsemble(a[None], rng.normal(size=(1, 2)))
             mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
             alpha = float(rng.uniform(0.05, 1.0)) * 2.0 / (mu + smooth)
             factor = 1.0 - 2.0 * smooth * mu * alpha / (smooth + mu)

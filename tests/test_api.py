@@ -24,14 +24,23 @@ REMOVED = {
     "iteration_matrix": simulator,  # I - H(alpha/m) from ThresholdStack._hessians
     "_iteration_matrices": simulator,
     "_spec_matrix": topology,  # config._matrix
+    "QuadraticCost": costs,  # a row of QuadraticEnsemble's curvatures and linear_terms
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
 REMOVED_METHODS = {
     "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
     "aggregate_value": costs.QuadraticEnsemble,
-    "aggregate_gradient": costs.QuadraticEnsemble,  # aggregate_a @ x + aggregate_b
-    "separable_value": lifted.LiftedObjective,  # folded into LiftedObjective.value
+    "aggregate_gradient": costs.QuadraticEnsemble,  # aggregate_a @ x + the mean b_k
+    "separable_value": lifted.LiftedObjective,  # F(x) from block_curvature and stacked_linear
+    # an ensemble is its two stacks: QuadraticEnsemble(curvatures, linear_terms)
+    "costs": costs.QuadraticEnsemble,  # rows of curvatures and linear_terms
+    "from_stacks": costs.QuadraticEnsemble,  # the constructor itself
+    "aggregate_b": costs.QuadraticEnsemble,  # linear_terms.mean(axis=0)
+    # grad G_alpha(x) = hessian(alpha) @ x + (alpha/m) stacked_linear
+    "value": lifted.LiftedObjective,
+    "gradient": lifted.LiftedObjective,
+    "separable_gradient": lifted.LiftedObjective,
     "max_r": simulator.TrajectoryRecord,  # summary_dict()["max_R"]
     "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
     "from_spec": simulator.StepsizeSchedule,  # config reads schedule specs
@@ -129,6 +138,8 @@ def test_removed_names_and_options_stay_removed():
         assert getattr(dgdlab, name) is getattr(config, name), name
     for name, cls in REMOVED_METHODS.items():
         assert not hasattr(cls, name), name
+    # an ensemble has one constructor, QuadraticEnsemble(curvatures, linear_terms)
+    assert not [k for k, v in vars(costs.QuadraticEnsemble).items() if isinstance(v, classmethod)]
     for function, options in REMOVED_OPTIONS.items():
         parameters = inspect.signature(function).parameters
         assert not set(options) & set(parameters), function.__name__

@@ -124,7 +124,7 @@ class TestTrajectoryRadius:
         xbar = blocks.mean(axis=0)
         t1 = np.linalg.norm(xbar - x_star)
         t2 = (smooth / eta) * np.linalg.norm(blocks - xbar)
-        d = max(np.linalg.norm(c.gradient(x_star)) for c in ens.costs)
+        d = max(np.linalg.norm(a @ x_star + b) for a, b in zip(ens.curvatures, ens.linear_terms))
         t3 = math.sqrt(3) * d * alpha0 / (eta * (1 - beta) / smooth - (eta + smooth) * alpha0)
         expected = max(t1, t2, t3)
 
@@ -188,7 +188,7 @@ class TestBoundReport:
         assert data["alpha_S"] < data["alpha_L"]
 
     def test_infinite_threshold_serializes(self, mix_single):
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.eye(2), b=np.zeros(2))])
+        ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
         report = bounds.build_report(ens, mix_single)
         data = json.loads(report.to_json())
         assert data["alpha_A"] == "inf"

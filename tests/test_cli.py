@@ -198,6 +198,34 @@ class TestConfigParsing:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and named in captured.err
 
+    @pytest.mark.parametrize(
+        "cost_list, line",
+        [
+            ([{"A": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "b": [0.0, 0.0]}, PLANE_COST, PLANE_COST],
+             "ensemble.costs[0]: expected a square matrix, got shape (3, 2)"),
+            ([PLANE_COST, dict(PLANE_COST, b=[1.0, 0.0, 0.0]), PLANE_COST],
+             "ensemble.costs[1]: b has shape (3,), expected (2,)"),
+            # tolerance 1e-12 times the largest entry, 2.0; the first two are symmetric
+            ([PLANE_COST, PLANE_COST, {"A": [[2.0, 0.5], [0.5 + 1e-7, 1.0]], "b": [0.0, 0.0]}],
+             "ensemble.costs[2]: matrix is not symmetric within 2e-12"),
+            ([{"A": [[1.0]], "b": [0.0]}, {"A": [[1.0]], "b": [0.0]}, PLANE_COST],
+             "ensemble.costs: all costs must share one ambient dimension"),
+            ([], "ensemble.costs: an ensemble needs at least one cost"),
+            ([{"A": [[1.7e308, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}] * 3,
+             "ensemble.costs: the curvatures are too large: their sum overflows"),
+        ],
+        ids=["non-square", "b-shape", "asymmetric", "dimensions", "empty", "overflow"],
+    )
+    def test_explicit_cost_diagnostics(self, cost_list, line, tmp_path, capsys):
+        # the exact line for each way an explicit cost list can be refused
+        data = {
+            "ensemble": {"type": "explicit", "costs": cost_list},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+        }
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
     @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha", "sweep-epsilon"])
     def test_removed_agent_scale_key_exits_2(self, command, random_config, tmp_path, capsys):
         # one stepsize axis: the per-agent stepsize a is the stepsize m a

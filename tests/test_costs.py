@@ -5,79 +5,28 @@ from dgdlab import config, costs
 from dgdlab.errors import NotStronglyConvexError, NotSymmetricError
 
 
-def _finite_difference_gradient(cost, x, h=1e-5):
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (cost.value(x + e) - cost.value(x - e)) / (2 * h)
-    return grad
-
-
-class TestQuadraticCost:
-    def test_value_identity(self):
-        c = costs.QuadraticCost(a=np.eye(2), b=np.zeros(2))
-        assert c.value(np.array([1.0, 1.0])) == pytest.approx(1.0)
-
-    def test_value_diagonal(self):
-        c = costs.QuadraticCost(a=np.diag([10.0, 1.0]), b=np.zeros(2))
-        assert c.value(np.array([1.0, 0.0])) == pytest.approx(5.0)
-
-    def test_value_concave_block(self):
-        # third agent of the planted family with epsilon=2, mu=1 at (1, 1)
-        c = costs.QuadraticCost(a=np.diag([-2.0, 1.0]), b=np.zeros(2))
-        assert c.value(np.array([1.0, 1.0])) == pytest.approx(-0.5)
-
-    def test_gradient_identity(self):
-        c = costs.QuadraticCost(a=np.eye(3), b=np.zeros(3))
-        x = np.array([0.3, -1.0, 2.0])
-        np.testing.assert_allclose(c.gradient(x), x)
-
-    def test_gradient_affine(self):
-        c = costs.QuadraticCost(a=np.diag([10.0, 1.0]), b=np.array([1.0, -1.0]))
-        np.testing.assert_allclose(c.gradient(np.zeros(2)), [1.0, -1.0])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            dim = int(rng.integers(1, 5))
-            a = rng.normal(size=(dim, dim))
-            c = costs.QuadraticCost(a=a + a.T, b=rng.normal(size=dim))
-            x = rng.normal(size=dim)
-            g = c.gradient(x)
-            fd = _finite_difference_gradient(c, x)
-            assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
-
-    def test_dimension_mismatch(self):
-        c = costs.QuadraticCost(a=np.eye(2), b=np.zeros(2))
-        with pytest.raises(ValueError):
-            c.value(np.zeros(3))
-        with pytest.raises(ValueError):
-            c.gradient(np.zeros(3))
-
-
 class TestCostEntry:
     """Malformed curvatures and linear terms are refused where they enter."""
 
     def test_huge_symmetric_entries_are_stored_without_overflow(self):
         a = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
         with np.errstate(over="raise"):
-            cost = costs.QuadraticCost(a=a, b=np.zeros(2))
-        np.testing.assert_array_equal(cost.a, a)
+            e = costs.QuadraticEnsemble(a[None], np.zeros((1, 2)))
+        np.testing.assert_array_equal(e.curvatures[0], a)
 
     def test_non_finite_linear_term_rejected(self):
-        bad = costs.QuadraticCost(a=np.eye(2), b=np.array([np.inf, 0.0]))
         with pytest.raises(ValueError, match="non-finite"):
-            costs.QuadraticEnsemble([bad])
+            costs.QuadraticEnsemble(np.eye(2)[None], np.array([[np.inf, 0.0]]))
 
     def test_stack_of_matrices_rejected(self):
-        with pytest.raises(NotSymmetricError):
-            costs.QuadraticCost(a=np.ones((1, 2, 2)), b=np.zeros(2))
+        # each agent's A_k must be one matrix, not a stack of them
+        with pytest.raises(NotSymmetricError, match="expected a stack of square matrices"):
+            costs.QuadraticEnsemble(np.ones((1, 1, 2, 2)), np.zeros((1, 2)))
 
     def test_overflowing_curvature_sum_rejected(self):
-        big = costs.QuadraticCost(a=np.diag([1.7e308, 1.0]), b=np.zeros(2))
+        big = np.diag([1.7e308, 1.0])
         with pytest.raises(ValueError, match="overflows"):
-            costs.QuadraticEnsemble([big, big])
+            costs.QuadraticEnsemble(np.stack([big, big]), np.zeros((2, 2)))
 
     def test_random_ensemble_size_limit(self):
         # refused before a single entry is drawn
@@ -93,24 +42,25 @@ class TestStackedValidator:
     DOUBLE = 2.0 * UNIT  # tolerance 2e-12
 
     def test_asymmetry_judged_at_each_agents_own_scale(self):
-        ok = costs.QuadraticEnsemble.from_stacks(np.stack([self.LARGE] * 2), np.zeros((2, 2)))
+        ok = costs.QuadraticEnsemble(np.stack([self.LARGE] * 2), np.zeros((2, 2)))
         assert np.array_equal(ok.curvatures, ok.curvatures.swapaxes(1, 2))
         with pytest.raises(NotSymmetricError) as stacked:
-            costs.QuadraticEnsemble.from_stacks(
+            costs.QuadraticEnsemble(
                 np.stack([self.LARGE, self.DOUBLE, self.UNIT]), np.zeros((3, 2))
             )
-        # the first failing agent is reported, in the words of its own check
+        # the first failing agent is reported by its index, in the words of its own check
         with pytest.raises(NotSymmetricError) as alone:
-            costs.QuadraticCost(a=self.DOUBLE, b=np.zeros(2))
+            costs.QuadraticEnsemble(self.DOUBLE[None], np.zeros((1, 2)))
         assert str(stacked.value) == str(alone.value) == "matrix is not symmetric within 2e-12"
+        assert (stacked.value.member, alone.value.member) == (1, 0)
 
     def test_stack_stores_what_each_cost_stores(self):
         huge = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
         near = np.array([[1.0, 0.3], [0.3 + 1e-13, 2.0]])
         stack = np.stack([huge, near, self.LARGE])
         with np.errstate(over="raise"):
-            e = costs.QuadraticEnsemble.from_stacks(stack, np.zeros((3, 2)))
-        expected = [costs.QuadraticCost(a=a, b=np.zeros(2)).a for a in stack]
+            e = costs.QuadraticEnsemble(stack, np.zeros((3, 2)))
+        expected = [costs.QuadraticEnsemble(a[None], np.zeros((1, 2))).curvatures[0] for a in stack]
         assert np.array_equal(e.curvatures, np.stack(expected))
 
     def test_stacks_are_read_only(self):
@@ -120,32 +70,31 @@ class TestStackedValidator:
 
     def test_linear_terms_must_match(self):
         with pytest.raises(ValueError, match="linear terms have shape"):
-            costs.QuadraticEnsemble.from_stacks(np.stack([np.eye(2)] * 3), np.zeros((3, 3)))
+            costs.QuadraticEnsemble(np.stack([np.eye(2)] * 3), np.zeros((3, 3)))
 
 
 class TestRandomEnsemble:
     def test_seed_reproducibility(self):
         e1 = costs.random_ensemble(3, 2, 0.5, seed=42)
         e2 = costs.random_ensemble(3, 2, 0.5, seed=42)
-        for c1, c2 in zip(e1.costs, e2.costs):
-            assert np.array_equal(c1.a, c2.a)
-            assert np.array_equal(c1.b, c2.b)
+        assert np.array_equal(e1.curvatures, e2.curvatures)
+        assert np.array_equal(e1.linear_terms, e2.linear_terms)
 
     def test_different_seeds_differ(self):
         e1 = costs.random_ensemble(3, 2, 0.5, seed=1)
         e2 = costs.random_ensemble(3, 2, 0.5, seed=2)
-        assert not np.array_equal(e1.costs[0].a, e2.costs[0].a)
+        assert not np.array_equal(e1.curvatures[0], e2.curvatures[0])
 
     def test_large_epsilon_forces_positive_definite(self):
         # Gershgorin: diagonal 100 + O(2) dominates off-diagonal <= 2
         e = costs.random_ensemble(4, 2, 100.0, seed=0)
-        for c in e.costs:
-            assert np.linalg.eigvalsh(c.a).min() > 0
+        for a in e.curvatures:
+            assert np.linalg.eigvalsh(a).min() > 0
 
     def test_blocks_symmetric_at_zero_epsilon(self):
         e = costs.random_ensemble(3, 3, 0.0, seed=9)
-        for c in e.costs:
-            np.testing.assert_allclose(c.a, c.a.T)
+        for a in e.curvatures:
+            np.testing.assert_allclose(a, a.T)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (8, 1), (3, 2), (50, 6)])
     def test_one_draw_equals_a_draw_per_agent(self, m, n):
@@ -162,12 +111,12 @@ class TestRandomEnsemble:
     def test_stacked_constants_equal_the_per_agent_ones(self):
         for m, n, seed in ((1, 1, 0), (8, 2, 3), (5, 7, 11), (4, 33, 2)):
             e = costs.random_ensemble(m, n, float(n), seed=seed)
-            per_agent = [costs.QuadraticCost(a=c.a.copy(), b=c.b.copy()) for c in e.costs]
-            smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in per_agent)
+            per_agent = list(zip(e.curvatures.copy(), e.linear_terms.copy()))
+            smooth = max(float(np.max(np.abs(costs.sym_eigen(a).eigenvalues))) for a, _ in per_agent)
             assert e.smoothness_constant() == smooth
             x_star = e.aggregate_minimizer()
             assert e.grad_bound_D() == max(
-                float(np.linalg.norm(c.gradient(x_star))) for c in per_agent
+                float(np.linalg.norm(a @ x_star + b)) for a, b in per_agent
             )
 
     def test_rejects_bad_arguments(self):
@@ -191,7 +140,7 @@ class TestEpsilonExample:
 
     def test_third_block_psd_at_zero(self):
         e = costs.epsilon_example(10.0, 1.0, 0.0)
-        assert np.linalg.eigvalsh(e.costs[2].a).min() >= 0
+        assert np.linalg.eigvalsh(e.curvatures[2]).min() >= 0
 
     def test_aggregate_mu_formula(self):
         # aggregate curvature is diag((2L - eps)/3, mu)
@@ -229,7 +178,7 @@ class TestAggregateMinimizer:
         np.testing.assert_allclose(e.aggregate_minimizer(), np.zeros(2), atol=1e-14)
 
     def test_single_agent(self):
-        e = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.eye(2), b=np.array([1.0, 2.0]))])
+        e = costs.QuadraticEnsemble(np.eye(2)[None], np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(e.aggregate_minimizer(), [-1.0, -2.0])
 
     def test_gradient_residual(self):
@@ -237,7 +186,7 @@ class TestAggregateMinimizer:
         for seed in range(20):
             e = costs.random_ensemble(3, 2, 5.0, seed=seed)
             x_star = e.aggregate_minimizer()
-            assert np.linalg.norm(e.aggregate_a @ x_star + e.aggregate_b) <= 1e-9
+            assert np.linalg.norm(e.aggregate_a @ x_star + e.linear_terms.mean(axis=0)) <= 1e-9
 
     def test_rejects_indefinite_aggregate(self):
         e = costs.epsilon_example(10.0, 1.0, 25.0)  # x-curvature (20-25)/3 < 0
@@ -252,7 +201,7 @@ class TestAggregateMinimizer:
         assert 0 < e.aggregate_mu() < 1e-12
         assert np.isfinite(e.aggregate_minimizer()).all()
         b = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-        e = costs.QuadraticEnsemble.from_stacks(np.repeat(1e-13 * np.eye(2)[None], 3, axis=0), b)
+        e = costs.QuadraticEnsemble(np.repeat(1e-13 * np.eye(2)[None], 3, axis=0), b)
         x_star = e.aggregate_minimizer()
         assert np.isfinite(x_star).all()
         np.testing.assert_allclose(x_star, -b.mean(axis=0) / 1e-13, rtol=1e-15)
@@ -266,7 +215,7 @@ class TestAggregateMinimizer:
                 continue
             x_star = e.aggregate_minimizer()
             for k in range(-60, 61):
-                scaled = costs.QuadraticEnsemble.from_stacks(
+                scaled = costs.QuadraticEnsemble(
                     4.0**k * e.curvatures, 4.0**k * e.linear_terms
                 )
                 assert np.array_equal(scaled.aggregate_minimizer(), x_star), (seed, k)
@@ -275,7 +224,7 @@ class TestAggregateMinimizer:
 
     def test_rejects_a_minimizer_that_overflows(self):
         # mu > 0, but a subnormal curvature puts x* past the float range
-        e = costs.QuadraticEnsemble.from_stacks(
+        e = costs.QuadraticEnsemble(
             np.array([[[1.0, 0.0], [0.0, 1e-310]]]), np.array([[0.0, 1.0]])
         )
         assert e.aggregate_mu() > 0
@@ -286,7 +235,7 @@ class TestAggregateMinimizer:
         # 11 * fl(1/11) rounds to 1, so LU meets an exactly zero pivot, while
         # the eigensolve may round the smallest eigenvalue either side of 0
         # (1.4e-17 with OpenBLAS): x* raises either way
-        e = costs.QuadraticEnsemble.from_stacks(
+        e = costs.QuadraticEnsemble(
             np.array([[[11.0, 1.0], [1.0, 1 / 11]]]), np.array([[1.0, 0.0]])
         )
         with pytest.raises(NotStronglyConvexError):
@@ -299,17 +248,17 @@ class TestSpectralConstants:
         rng = np.random.default_rng(21)
         e = costs.random_ensemble(4, 3, 0.7, seed=77)
         norms = []
-        for c in e.costs:
+        for a in e.curvatures:
             v = rng.normal(size=3)
             for _ in range(500):
-                v = c.a @ (c.a @ v)
+                v = a @ (a @ v)
                 v /= np.linalg.norm(v)
-            norms.append(np.linalg.norm(c.a @ v))
+            norms.append(np.linalg.norm(a @ v))
         assert e.smoothness_constant() == pytest.approx(max(norms), rel=1e-8)
 
     def test_constants_computed_once(self, monkeypatch):
         e = costs.random_ensemble(4, 3, 6.0, seed=77)
-        smooth = max(float(np.max(np.abs(costs.sym_eigen(c.a).eigenvalues))) for c in e.costs)
+        smooth = max(float(np.max(np.abs(costs.sym_eigen(a).eigenvalues))) for a in e.curvatures)
         mu = float(costs.sym_eigen(e.aggregate_a).eigenvalues[0])
         calls, solves = [], []
         real, real_solve = costs.sym_eigen, np.linalg.solve
@@ -353,7 +302,8 @@ class TestEnsembleFromSpec:
         spec = {"type": "random", "m": 3, "n": 2, "epsilon": 0.5, "seed": 42}
         e = config.ensemble_from_spec(spec)
         direct = costs.random_ensemble(3, 2, 0.5, seed=42)
-        assert np.array_equal(e.costs[0].a, direct.costs[0].a)
+        assert np.array_equal(e.curvatures, direct.curvatures)
+        assert np.array_equal(e.linear_terms, direct.linear_terms)
 
     def test_epsilon_example_spec(self):
         e = config.ensemble_from_spec({"type": "epsilon_example", "L": 10, "mu": 1, "epsilon": 2})
@@ -364,7 +314,8 @@ class TestEnsembleFromSpec:
             {"type": "explicit", "costs": [{"A": [[2.0]], "b": [1.0]}]}
         )
         assert e.m == 1 and e.n == 1
-        assert e.costs[0].value(np.array([1.0])) == pytest.approx(2.0)
+        x, a, b = np.array([1.0]), e.curvatures[0], e.linear_terms[0]
+        assert 0.5 * x @ a @ x + b @ x == pytest.approx(2.0)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):

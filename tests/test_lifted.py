@@ -38,14 +38,12 @@ def _bisection_threshold(obj, resolution, scan_cap):
 class TestHessian:
     def test_single_agent_consensus_vanishes(self, mix_single):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=a, b=np.zeros(2))])
+        ens = costs.QuadraticEnsemble(a[None], np.zeros((1, 2)))
         obj = _objective(ens, mix_single)
         np.testing.assert_allclose(obj.hessian(0.3), 0.3 * a, atol=1e-15)
 
     def test_zero_costs_leave_consensus_only(self, mix_quarter):
-        ens = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=np.zeros((2, 2)), b=np.zeros(2)) for _ in range(3)]
-        )
+        ens = costs.QuadraticEnsemble(np.zeros((3, 2, 2)), np.zeros((3, 2)))
         obj = _objective(ens, mix_quarter)
         h = obj.hessian(1.0)
         np.testing.assert_allclose(h, obj.consensus_matrix)
@@ -55,28 +53,19 @@ class TestHessian:
         obj = _objective(costs.epsilon_example(10.0, 1.0, 0.0), mix_skewed)
         assert np.linalg.eigvalsh(obj.hessian(0.1)).min() > 0
 
-    def test_quadratic_form_identity(self, mix_quarter):
-        # G(x) must equal the quadratic form of its own Hessian plus the
-        # linear part, for any state
-        rng = np.random.default_rng(2)
-        ens = costs.random_ensemble(3, 2, 0.5, seed=8)
-        obj = _objective(ens, mix_quarter)
-        for alpha in (0.05, 0.7):
-            h = obj.hessian(alpha)
-            lin = (alpha / ens.m) * obj.stacked_linear
-            for _ in range(10):
-                x = rng.normal(size=6)
-                expected = 0.5 * x @ h @ x + lin @ x
-                assert obj.value(x, alpha) == pytest.approx(expected, abs=1e-12)
-
     def test_gradient_matches_hessian_form(self, mix_quarter):
+        # grad G_alpha(x) = (alpha/m) (A_k x_k + b_k)_k + ((I - W) kron I_n) x,
+        # from the stacks alone, is H(alpha/m) x + (alpha/m) b
         rng = np.random.default_rng(4)
         ens = costs.random_ensemble(3, 2, 0.5, seed=8)
         obj = _objective(ens, mix_quarter)
         h = obj.hessian(0.3)
         lin = (0.3 / ens.m) * obj.stacked_linear
         x = rng.normal(size=6)
-        np.testing.assert_allclose(obj.gradient(x, 0.3), h @ x + lin, atol=1e-13)
+        per_agent = np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2)) + ens.linear_terms
+        consensus = np.kron(np.eye(3) - mix_quarter.w, np.eye(2))
+        expected = (0.3 / ens.m) * per_agent.reshape(-1) + consensus @ x
+        np.testing.assert_allclose(h @ x + lin, expected, atol=1e-13)
 
     def test_rejects_nonpositive_alpha(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 1.0), mix_quarter)
@@ -84,7 +73,7 @@ class TestHessian:
             obj.hessian(0.0)
 
     def test_rejects_agent_mismatch(self, mix_quarter):
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.eye(2), b=np.zeros(2))])
+        ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
         with pytest.raises(ValueError):
             _objective(ens, mix_quarter)
 
@@ -100,9 +89,7 @@ class TestCertify:
             assert cert.modulus > 0
 
     def test_flat_consensus_direction_never_certifies(self, mix_quarter):
-        ens = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=np.zeros((2, 2)), b=np.zeros(2)) for _ in range(3)]
-        )
+        ens = costs.QuadraticEnsemble(np.zeros((3, 2, 2)), np.zeros((3, 2)))
         obj = _objective(ens, mix_quarter)
         for alpha in (0.01, 0.1, 1.0, 10.0):
             cert = obj.certify(alpha)
@@ -141,7 +128,7 @@ class TestCertify:
 
 class TestThreshold:
     def test_single_agent_convex_hits_cap(self, mix_single):
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.eye(2), b=np.zeros(2))])
+        ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
         obj = _objective(ens, mix_single)
         th = obj.strong_convexity_threshold(scan_cap=50.0)
         assert math.isinf(th.alpha)
@@ -353,7 +340,7 @@ class TestMinimizer:
             np.testing.assert_allclose(obj.minimizer(alpha), np.zeros(6), atol=1e-14)
 
     def test_single_agent_matches_cost_minimizer(self, mix_single):
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.eye(1), b=np.array([2.0]))])
+        ens = costs.QuadraticEnsemble(np.eye(1)[None], np.array([[2.0]]))
         obj = _objective(ens, mix_single)
         for alpha in (0.1, 1.0, 7.0):
             np.testing.assert_allclose(obj.minimizer(alpha), [-2.0], atol=1e-12)
@@ -366,7 +353,12 @@ class TestMinimizer:
             th = obj.strong_convexity_threshold(scan_cap=5.0)
             alpha = 0.5 * (5.0 if math.isinf(th.alpha) else th.alpha)
             x = obj.minimizer(alpha)
-            assert np.linalg.norm(obj.gradient(x, alpha)) <= 1e-9
+            # grad G_alpha(x), from the stacks alone rather than from the Hessian
+            ens = obj.ensemble
+            per_agent = np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2)) + ens.linear_terms
+            consensus = np.kron(np.eye(3) - mix_quarter.w, np.eye(2))
+            gradient = (alpha / ens.m) * per_agent.reshape(-1) + consensus @ x
+            assert np.linalg.norm(gradient) <= 1e-9
 
     def test_uncertified_alpha_rejected(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
@@ -458,17 +450,14 @@ def test_near_symmetric_costs_at_large_scale(mix_quarter):
     # README's seed 5 with every A x 100 and one entry off by 5e-13: the
     # asymmetry is stored away at entry, so it is not scaled up by alpha/m
     ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-    blocks = [c.a * 100 for c in ens.costs]
-    blocks[0][0, 1] += 5e-13
-    scaled = costs.QuadraticEnsemble(
-        [costs.QuadraticCost(a=a, b=c.b) for a, c in zip(blocks, ens.costs)]
-    )
+    blocks = ens.curvatures * 100
+    blocks[0, 0, 1] += 5e-13
+    scaled = costs.QuadraticEnsemble(blocks, ens.linear_terms)
     obj = _objective(scaled, mix_quarter)
     assert obj.strong_convexity_threshold().alpha == pytest.approx(0.0253, rel=1e-3)
     assert not obj.certify(900.0).is_strongly_convex
     assert not simulator.boundedness_oracle(scaled, mix_quarter, 50.0).bounded
-    for cost in scaled.costs:
-        assert np.array_equal(cost.a, cost.a.T)
+    assert np.array_equal(scaled.curvatures, scaled.curvatures.swapaxes(1, 2))
 
 
 class TestMinimizerCurve:
@@ -491,10 +480,14 @@ class TestMinimizerCurve:
             points = obj._minimizers(grid)
             mu_top = obj.certify(top).modulus
             for alpha_lo, alpha_hi, x_a, x_b in zip(grid, grid[1:], points, points[1:]):
-                # max ||grad F|| over 17 evenly spaced points of the segment
+                # max ||grad F|| over 17 evenly spaced points of the segment,
+                # grad F(x) = (1/m) (A_k x_k + b_k)_k from the stacks alone
                 gradient_bound = max(
-                    np.linalg.norm(obj.separable_gradient(x_a + s * (x_b - x_a)))
-                    for s in np.linspace(0.0, 1.0, 17)
+                    np.linalg.norm(
+                        np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2))
+                        + ens.linear_terms
+                    ) / ens.m
+                    for x in (x_a + s * (x_b - x_a) for s in np.linspace(0.0, 1.0, 17))
                 )
                 bound = (
                     2.0 * top * gradient_bound

@@ -15,6 +15,10 @@ across it, and certify agrees with that sign wherever it is decisive. On
 the same draws, one agent included, and on README's instances, the oracle's
 spectral radius, which it reads from the lifted Hessians, agrees with that
 of W kron I_n - (alpha/m) blockdiag(A_k) built here with np.kron.
+
+Scaling every A_k and b_k by a power of 4 is a change of units that rounds
+nowhere: on README's instances every stepsize edge and bound scales by 1/s,
+eta by s, and the oracle's radius at alpha/s stays, bit for bit.
 """
 
 import contextlib
@@ -28,7 +32,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dgdlab import cli, costs, lifted, simulator, topology
+from dgdlab import bounds, cli, costs, lifted, simulator, topology
 
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 UNIFORM_W = [[1 / 3] * 3] * 3
@@ -267,3 +271,42 @@ def test_oracle_matches_the_kron_iteration_matrix_on_readme_seeds():
 @given(draw=in_class_draws(min_agents=1))
 def test_oracle_matches_the_kron_iteration_matrix(draw):
     assert_oracle_matches_kron(*draw)
+
+
+UNITS = 4.0 ** np.arange(-60, 61)  # s = 4^k, k in [-60, 60]
+
+
+def test_schur_edges_scale_with_the_units():
+    """_edges of s A is _edges of A over s on README seeds 0-199. The edge is
+    checked without `scan_cap`, which is absolute: the cap is the part of the
+    thresholds that does not yet scale with the units."""
+    mixing = topology.validate_mixing(np.array(README_W))
+    curvatures = np.stack([costs.random_ensemble(3, 2, 1.0, seed=s).curvatures for s in range(200)])
+    edges = lifted.ThresholdStack(curvatures, mixing)._edges
+    assert np.isinf(edges).any() and (edges == 0).any() and np.isfinite(edges[edges > 0]).any()
+    scaled = (UNITS[:, None, None, None, None] * curvatures).reshape(-1, 3, 2, 2)
+    scaled_edges = lifted.ThresholdStack(scaled, mixing)._edges.reshape(len(UNITS), -1)
+    assert np.array_equal(scaled_edges, edges / UNITS[:, None])
+
+
+def test_bounds_and_verdicts_scale_with_the_units():
+    """On README seeds 0-11 the closed-form bounds of s A scale by 1/s (eta
+    by s), and the oracle's radius at alpha/s is the radius at alpha."""
+    mixing = topology.validate_mixing(np.array(README_W))
+    lam, beta = mixing.spectral.lambda_min, mixing.spectral.beta
+    for seed in range(12):
+        ensemble = costs.random_ensemble(3, 2, 1.0, seed=seed)
+        alpha_gd, alpha_l, eta, alpha_s = bounds.stepsize_bounds(
+            lam, beta, *bounds._smoothness_and_mu(ensemble)
+        )
+        alphas = [3 * c / ensemble.smoothness_constant() for c in SCALED_STEPSIZES]
+        rhos = [v.spectral_radius for v in simulator.boundedness_verdicts(ensemble, mixing, alphas)]
+        for s in UNITS.tolist():
+            scaled = costs.QuadraticEnsemble(s * ensemble.curvatures, s * ensemble.linear_terms)
+            got = bounds.stepsize_bounds(lam, beta, *bounds._smoothness_and_mu(scaled))
+            want = (alpha_gd / s, alpha_l / s, eta * s, None if alpha_s is None else alpha_s / s)
+            assert np.array_equal(got[:3], want[:3], equal_nan=True) and got[3] == want[3], (
+                seed, s, got, want,
+            )
+            verdicts = simulator.boundedness_verdicts(scaled, mixing, [a / s for a in alphas])
+            assert [v.spectral_radius for v in verdicts] == rhos, (seed, s)

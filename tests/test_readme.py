@@ -18,5 +18,6 @@ def test_library_example_verdicts():
     with contextlib.redirect_stdout(out):
         exec(compile(_library_example(), str(README), "exec"), {})
     lines = out.getvalue().splitlines()
+    assert lines[0] == "1.0 10.0"  # the planted ensemble's aggregate mu and L
     assert lines[-2] == "bounded True"
     assert lines[-1] == "['bounded', 'bounded', 'diverged']"

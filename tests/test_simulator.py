@@ -79,33 +79,35 @@ class TestStep:
         # every local optimum at the same point: consensus there is a fixed point
         rng = np.random.default_rng(0)
         x_hat = rng.normal(size=2)
-        blocks = []
+        curvatures = []
         for _ in range(3):
             q = rng.normal(size=(2, 2))
-            a = q @ q.T + 0.1 * np.eye(2)
-            blocks.append(costs.QuadraticCost(a=a, b=-a @ x_hat))
-        ens = costs.QuadraticEnsemble(blocks)
+            curvatures.append(q @ q.T + 0.1 * np.eye(2))
+        curvatures = np.stack(curvatures)
+        ens = costs.QuadraticEnsemble(curvatures, -curvatures @ x_hat)
         state = np.tile(x_hat, 3)
         out = simulator.step(state, ens, mix_quarter, alpha=0.2)
         np.testing.assert_allclose(out, state, atol=1e-12)
 
     def test_single_agent_is_plain_gradient_descent(self, mix_single):
-        ens = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=np.diag([2.0, 1.0]), b=np.array([1.0, 0.0]))]
-        )
+        a, b = np.diag([2.0, 1.0]), np.array([1.0, 0.0])
+        ens = costs.QuadraticEnsemble(a[None], b[None])
         x = np.array([1.0, -1.0])
         out = simulator.step(x, ens, mix_single, alpha=0.1)
-        np.testing.assert_allclose(out, x - 0.1 * ens.costs[0].gradient(x), atol=1e-15)
+        np.testing.assert_allclose(out, x - 0.1 * (a @ x + b), atol=1e-15)
 
     def test_equals_lifted_gradient_step(self, mix_quarter):
+        # grad G_alpha(x) = (alpha/m) (A_k x_k + b_k)_k + ((I - W) kron I_n) x,
+        # from the stacks alone
         rng = np.random.default_rng(1)
         ens = costs.random_ensemble(3, 2, 0.5, seed=4)
-        obj = lifted.LiftedObjective(ens, mix_quarter)
+        consensus = np.kron(np.eye(3) - mix_quarter.w, np.eye(2))
         for _ in range(100):
             x = rng.normal(size=6)
             alpha = float(rng.uniform(0.01, 2.0))
             stepped = simulator.step(x, ens, mix_quarter, alpha)
-            descended = x - obj.gradient(x, alpha)
+            per_agent = np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2)) + ens.linear_terms
+            descended = x - ((alpha / ens.m) * per_agent.reshape(-1) + consensus @ x)
             assert np.max(np.abs(stepped - descended)) <= 1e-12
 
     def test_input_validation(self, mix_quarter):
@@ -124,12 +126,12 @@ class TestRun:
     def test_flat_error_at_consensus_fixed_point(self, mix_quarter):
         rng = np.random.default_rng(2)
         x_hat = rng.normal(size=2)
-        blocks = []
+        curvatures = []
         for _ in range(3):
             q = rng.normal(size=(2, 2))
-            a = q @ q.T + 0.1 * np.eye(2)
-            blocks.append(costs.QuadraticCost(a=a, b=-a @ x_hat))
-        ens = costs.QuadraticEnsemble(blocks)
+            curvatures.append(q @ q.T + 0.1 * np.eye(2))
+        curvatures = np.stack(curvatures)
+        ens = costs.QuadraticEnsemble(curvatures, -curvatures @ x_hat)
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(0.1),
             x0=np.tile(x_hat, 3) + 0.0, horizon=50,
@@ -369,9 +371,7 @@ def _mixed_schedules(safe):
 
 def _nan_ensemble():
     """One agent whose step at alpha = 10 from (1e308, 1e308) is nan in every entry."""
-    return costs.QuadraticEnsemble(
-        [costs.QuadraticCost(a=np.diag([3.0, 3.0]), b=np.full(2, -1e308))]
-    )
+    return costs.QuadraticEnsemble(np.diag([3.0, 3.0])[None], np.full((1, 2), -1e308))
 
 
 def _ring(m):
@@ -482,9 +482,7 @@ class TestRunBatch:
         # the squares in R(t) overflow for thousands of steps, but the folded
         # step's 0.1 A x stays finite; the oracle's radius is 0.9, and the run
         # agrees with it. R(t) is re-scaled there, so it and the CSV stay finite.
-        ens = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=np.array([[3.0, -2.0], [-2.0, 3.0]]), b=np.zeros(2))]
-        )
+        ens = costs.QuadraticEnsemble(np.array([[[3.0, -2.0], [-2.0, 3.0]]]), np.zeros((1, 2)))
         oracle = simulator.boundedness_oracle(ens, mix_single, 0.1)
         assert oracle.bounded and oracle.spectral_radius == pytest.approx(0.9)
         x0 = np.full(2, 1e308)  # an eigenvector of 0.9
@@ -501,7 +499,7 @@ class TestRunBatch:
         # two agents at +-1e200 mix to their mean 0 and contract by 0.05 per
         # step: R(t) = 2e200 * 0.05^t and consensus sqrt(2) * 1e200 * 0.05^t,
         # whose squares overflow for the first steps
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=[[1.0]], b=[0.0])] * 2)
+        ens = costs.QuadraticEnsemble(np.ones((2, 1, 1)), np.zeros((2, 1)))
         mix = topology.validate_mixing(np.full((2, 2), 0.5))
         (rec,) = simulator.run_batch(
             ens, mix, [StepsizeSchedule.constant(0.1)], x0=np.array([1e200, -1e200]),
@@ -917,7 +915,7 @@ class TestBoundednessOracle:
 
     def test_single_agent_scalar_rule(self, mix_single):
         big_l = 4.0
-        ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=np.array([[big_l]]), b=np.zeros(1))])
+        ens = costs.QuadraticEnsemble(np.array([[[big_l]]]), np.zeros((1, 1)))
         for alpha in (0.1, 0.3, 2.0 / big_l):
             v = simulator.boundedness_oracle(ens, mix_single, alpha)
             assert v.spectral_radius == pytest.approx(abs(1 - alpha * big_l), abs=1e-12)
@@ -928,9 +926,7 @@ class TestBoundednessOracle:
         # the oracle's iteration matrix I - H(0.4/m), from the lifted Hessian
         # builder, must reproduce the homogeneous step
         ens = costs.random_ensemble(3, 2, 1.0, seed=9)
-        hom = costs.QuadraticEnsemble(
-            [costs.QuadraticCost(a=c.a, b=np.zeros(2)) for c in ens.costs]
-        )
+        hom = costs.QuadraticEnsemble(ens.curvatures, np.zeros((3, 2)))
         rng = np.random.default_rng(3)
         m = np.eye(6) - lifted.LiftedObjective(hom, mix_quarter)._stack._hessians([0.4])[0]
         for _ in range(10):
@@ -1158,7 +1154,7 @@ class TestSingleAgentContraction:
         for _ in range(10):
             q = rng.normal(size=(2, 2))
             a = q @ q.T + 0.2 * np.eye(2)
-            ens = costs.QuadraticEnsemble([costs.QuadraticCost(a=a, b=rng.normal(size=2))])
+            ens = costs.QuadraticEnsemble(a[None], rng.normal(size=(1, 2)))
             mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
             alpha = float(rng.uniform(0.1, 1.0)) * 2.0 / (mu + smooth)
             factor = 1.0 - 2.0 * smooth * mu * alpha / (smooth + mu)
