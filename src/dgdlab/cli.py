@@ -200,9 +200,12 @@ def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str
 
 # Epsilons certified per ThresholdStack: one product into W's eigenbasis and
 # four batched eigensolves (the aggregate curvatures, the Schur complements and
-# the two bracket ends) serve a whole block, and a bounded block keeps the
-# stack's arrays, not the epsilon count, setting the command's peak memory.
-_EPSILON_BLOCK = 8
+# the two bracket ends) serve a whole block. A block's peak memory is its
+# bracket-end eigensolve, where each row holds its Hessian and the symmetry
+# check's copy of it, about 0.85 KB, so the block, not the epsilon count, sets
+# the command's peak. 17 rows is the largest block whose sweep of 100 epsilons
+# keeps its tracemalloc peak under 27.3 KB (numpy 2.4).
+_EPSILON_BLOCK = 17
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
@@ -214,26 +217,29 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
             f"sweep-epsilon runs the {EPSILON_EXAMPLE_AGENTS}-agent planted family, "
             f"but the mixing matrix has {cfg.mixing.m} agents"
         )
-    summary = cfg.mixing.spectral
+    lam, beta = cfg.mixing.spectral.lambda_min, cfg.mixing.spectral.beta
+    big_l, mu = cfg.family_L, cfg.family_mu
 
     # alpha_A per epsilon, NaN where nothing certifies. No row is written
-    # until every block has certified, so a failing block leaves no output;
-    # floats, not ThresholdResults, are kept between blocks for peak memory.
+    # until every block has certified, so a failing block leaves no output.
+    # For peak memory, floats, not ThresholdResults, are kept between blocks,
+    # a block's curvatures and stack die with its statement, and each row's
+    # L and mu are computed as it is written.
     alpha_a = np.full(len(cfg.epsilons), math.nan)
     for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
         rows = slice(start, start + _EPSILON_BLOCK)
-        family = epsilon_family(cfg.family_L, cfg.family_mu, cfg.epsilons[rows])
         alpha_a[rows] = [
             math.nan if r is None else r.alpha
-            for r in lifted.ThresholdStack(family, cfg.mixing).thresholds(cfg.scan_cap)
+            for r in lifted.ThresholdStack(
+                epsilon_family(big_l, mu, cfg.epsilons[rows]), cfg.mixing
+            ).thresholds(cfg.scan_cap)
         ]
-    big_l, mu = epsilon_family_constants(cfg.family_L, cfg.family_mu, cfg.epsilons)
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(
             f"{eps!r},{'' if math.isnan(a) else render_float(float(a))}"
-            f"{_bound_cells(summary.lambda_min, summary.beta, float(l), float(m))}"
-            for eps, a, l, m in zip(cfg.epsilons, alpha_a, big_l, mu)
+            f"{_bound_cells(lam, beta, *epsilon_family_constants(big_l, mu, eps))}"
+            for eps, a in zip(cfg.epsilons, alpha_a)
         )
     return EXIT_OK
 

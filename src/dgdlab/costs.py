@@ -58,15 +58,18 @@ class QuadraticEnsemble:
     """The m local costs as two read-only stacks, plus cached aggregate constants.
 
     `QuadraticEnsemble(curvatures, linear_terms)` takes the (m, n, n) A_k and
-    the (m, n) b_k and checks them in one pass: each A_k symmetric at its own
-    scale (a NotSymmetricError's `member` names the first that is not), the
-    b_k finite and of matching shape, and the aggregate curvature finite.
+    the (m, n) b_k, m and n at least 1, and checks them in one pass: each A_k
+    symmetric at its own scale (a NotSymmetricError's `member` names the
+    first that is not), the b_k finite and of matching shape, and the
+    aggregate curvature finite.
     """
 
     def __init__(self, curvatures: np.ndarray, linear_terms: np.ndarray):
         if not len(curvatures):
             raise ValueError(_NO_COSTS)
         curvatures = _symmetric_curvatures(curvatures)
+        if not curvatures.shape[1]:  # no entry to take L, mu or x* from
+            raise ValueError(f"curvatures have shape {curvatures.shape}: n must be at least 1")
         linear = np.array(linear_terms, dtype=float)
         if linear.shape != curvatures.shape[:2]:
             raise ValueError(
@@ -209,15 +212,12 @@ def epsilon_family(big_l: float, mu: float, epsilons) -> np.ndarray:
     return out
 
 
-def epsilon_family_constants(big_l: float, mu: float, epsilons) -> tuple[np.ndarray, np.ndarray]:
-    """Each `epsilon_family` row's L and aggregate mu, bit for bit as its
-    ensemble computes them at all but tiny scales: its largest |entry|,
-    max(L, epsilon), and the lesser agent sum, 2L - epsilon or 3 mu, over 3
-    (a row whose 2L overflows has curvatures its ensemble refuses)."""
-    epsilons = np.asarray(epsilons, dtype=float)
-    with np.errstate(over="ignore"):
-        sums = np.minimum(2.0 * big_l - epsilons, 3.0 * mu)
-    return np.maximum(big_l, epsilons), sums / EPSILON_EXAMPLE_AGENTS
+def epsilon_family_constants(big_l: float, mu: float, epsilon: float) -> tuple[float, float]:
+    """The L and aggregate mu of `epsilon_family`'s row for `epsilon`, bit for
+    bit as its ensemble computes them at all but tiny scales: its largest
+    |entry|, max(L, epsilon), and the lesser agent sum, 2L - epsilon or 3 mu,
+    over 3 (a row whose 2L overflows has curvatures its ensemble refuses)."""
+    return max(big_l, epsilon), min(2.0 * big_l - epsilon, 3.0 * mu) / EPSILON_EXAMPLE_AGENTS
 
 
 def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:

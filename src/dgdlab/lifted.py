@@ -86,14 +86,10 @@ class ThresholdResult:
     capped: bool = False
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array from (m, n, n) blocks,
-    or one such array per set for a (..., m, n, n) stack of block sets."""
-    *lead, m, n, _ = blocks.shape
-    out = np.zeros((*lead, m * n, m * n))
-    # a writable view of the m diagonal (n, n) blocks
-    np.einsum("...kakb->...kab", out.reshape(*lead, m, n, m, n))[...] = blocks
-    return out
+def _diagonal_blocks(matrices: np.ndarray, m: int, n: int) -> np.ndarray:
+    """A writable (..., m, n, n) view of the m diagonal (n, n) blocks of a
+    contiguous (..., nm, nm) stack."""
+    return np.einsum("...kakb->...kab", matrices.reshape(*matrices.shape[:-2], m, n, m, n))
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -124,6 +120,11 @@ class ThresholdStack:
     finite edges with two more, one per bracket end. Every row's numbers
     are bit for bit those of the same instance alone: a LiftedObjective is
     the one-row case.
+
+    The stack holds the (E, m, n, n) curvature sets and the one (nm, nm) C,
+    never a dense B_e: `_hessians` writes each H's diagonal blocks into a
+    copy of C when it is asked for, so a row costs its (nm, nm) Hessian
+    only while an eigensolve reads it.
     """
 
     def __init__(self, curvatures: np.ndarray, mixing: MixingMatrix):
@@ -133,13 +134,14 @@ class ThresholdStack:
             raise ValueError(f"curvature sets have {m} agents but mixing matrix has {mixing.m}")
         self.m = m
         self._sets, self._mixing = curvatures, mixing
-        self.curvature = _block_diagonal(curvatures)  # (E, nm, nm)
-        # (I - W) kron I_n, bit for bit, without np.kron's overhead
-        self.consensus = np.empty((m * n, m * n))
-        np.multiply(
-            (np.eye(m) - mixing.w)[:, None, :, None], np.eye(n)[:, None],
-            out=self.consensus.reshape(m, n, m, n),
-        )
+        # (I - W) kron I_n without np.kron's overhead: (I - W)_kl on the
+        # diagonal of block (k, l), and +0.0 everywhere else, never the -0.0
+        # of -w_kl * 0.0, so that H's off-diagonal blocks can be copies of C's
+        self.consensus = np.zeros((m * n, m * n))
+        np.einsum("kala->kla", self.consensus.reshape(m, n, m, n))[...] = (
+            np.eye(m) - mixing.w
+        )[:, :, None]
+        self._consensus_blocks = _diagonal_blocks(self.consensus, m, n).copy()  # the C_kk
 
     @cached_property
     def _edges(self) -> np.ndarray:
@@ -170,12 +172,16 @@ class ThresholdStack:
             blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
             k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
             b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
-            del pairs, blocks
+            # each array is released once read, so the Schur eigensolve holds little else
+            del pairs, blocks, sets
             k = (vectors / np.sqrt(values)[:, None, :]).swapaxes(-1, -2) @ k
+            del mean, values, vectors
             top = k.swapaxes(-1, -2) @ k
+            del k
             top -= b22
-            top = sym_eigen(_finite(_symmetric_part(top), "the Schur complement")).eigenvalues
-            top = top.max(axis=-1, initial=0.0)
+            del b22
+            top = _finite(_symmetric_part(top), "the Schur complement")
+            top = sym_eigen(top).eigenvalues.max(axis=-1, initial=0.0)
             edges[rows] = np.where(top > 0, m / top, math.inf)
         return edges
 
@@ -211,16 +217,32 @@ class ThresholdStack:
     def _hessians(self, alphas, rows: np.ndarray | None = None) -> np.ndarray:
         """H(t) = C + t B_e at t = alphas[j]/m, one (nm, nm) matrix per
         stepsize: of row e = rows[j], or without `rows` of the stack's rows
-        broadcast against the stepsizes (its only row for every stepsize)."""
-        curvature = self.curvature if rows is None else self.curvature[rows]
-        hessians = (np.asarray(alphas, dtype=float) / self.m)[:, None, None] * curvature
-        hessians += self.consensus
+        broadcast against the stepsizes (its only row for every stepsize).
+
+        H is a copy of C whose diagonal (n, n) blocks are t A_k + C_kk: each
+        entry is t B_e + C's bit for bit (a zero of C is +0.0, as t 0.0 + C's
+        is), and no dense B_e is built. Every step is an assignment or a sum
+        or product of equal shapes, as numpy buffers a broadcast or strided
+        operand of a sum or product whole.
+        """
+        sets = self._sets if rows is None else self._sets[rows]
+        t = np.asarray(alphas, dtype=float) / self.m
+        m, n = self.m, sets.shape[-1]
+        shape = (len(sets) if t.size == 1 else t.size, m, n, n)
+        blocks, diagonal = np.empty(shape), np.empty(shape)
+        blocks[...] = t[:, None, None, None]
+        blocks *= sets
+        diagonal[...] = self._consensus_blocks
+        blocks += diagonal
+        hessians = np.empty((shape[0], m * n, m * n))
+        hessians[...] = self.consensus
+        _diagonal_blocks(hessians, m, n)[...] = blocks
         return hessians
 
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Whether H(alphas[j]/m) of row rows[j] has a positive smallest
         eigenvalue, in one eigensolve."""
-        hessians = self._hessians(alphas, None if rows.size == len(self.curvature) else rows)
+        hessians = self._hessians(alphas, None if rows.size == len(self._sets) else rows)
         return sym_eigen(hessians).eigenvalues[:, 0] > 0
 
 
@@ -252,8 +274,11 @@ class LiftedObjective:
 
     @property
     def block_curvature(self) -> np.ndarray:
-        """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array."""
-        return self._stack.curvature[0]
+        """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array, built on each read."""
+        m, n = self.ensemble.m, self.ensemble.n
+        out = np.zeros((m * n, m * n))
+        _diagonal_blocks(out, m, n)[...] = self.ensemble.curvatures
+        return out
 
     @cached_property
     def stacked_linear(self) -> np.ndarray:

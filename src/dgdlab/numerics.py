@@ -64,7 +64,10 @@ def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> 
     asymmetry -= a
     np.abs(asymmetry, out=asymmetry)
     if not isinstance(atol, np.ndarray):
-        if asymmetry.max(initial=0.0) > atol:
+        # the largest entry by argmax: a max() reduction sets up about 1 KB of
+        # buffers, which on a stack adds to the copy at its eigensolve's peak
+        asymmetry = asymmetry.reshape(-1)
+        if asymmetry.size and asymmetry[asymmetry.argmax()] > atol:
             raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
         return a
     atol = np.broadcast_to(atol, a.shape[:-2])

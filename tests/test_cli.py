@@ -750,6 +750,15 @@ class TestSweepEpsilonCommand:
         assert cli.main(["sweep-epsilon", "--config", path, "--out", str(out)]) == 0
         assert (out / "sweep_epsilon.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("block", [1, 8, cli._EPSILON_BLOCK])
+    def test_output_does_not_depend_on_the_block(self, block, tmp_path, capsys, monkeypatch):
+        # 100 epsilons leave a partial last block at 8 and at 17
+        monkeypatch.setattr(cli, "_EPSILON_BLOCK", block)
+        config = {"mixing": {"type": "explicit", "W": W_QUARTER}, "epsilons": BENCH_EPSILONS}
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, config)]) == 0
+        expected = (GOLDEN / "sweep_epsilon_bench.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
     def test_unconfirmed_edge_exits_3(self, tmp_path, capsys):
         # at curvatures near 1e12 rounding in W's eigenbasis moves the edge
         # further than the Hessian's smallest eigenvalue can confirm
@@ -778,13 +787,14 @@ class TestSweepEpsilonCommand:
         assert "does not confirm the Schur edge 0.2727" in captured.err
 
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
-        # at curvatures near 1e12 eight epsilons confirm their edges, the ninth
-        # (in the second block) does not
+        # at curvatures near 1e12 a block of epsilons confirms its edges, and
+        # the next epsilon, the first row of the second block, does not
+        block = cli._EPSILON_BLOCK
         config = {
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "L": 1e12,
             "mu": 1e-12,
-            "epsilons": [1.5, 2.0, 2.5, 3.0, 1.5, 2.0, 2.5, 3.0],
+            "epsilons": ([1.5, 2.0, 2.5, 3.0] * block)[:block],
         }
         first_block = _write_config(tmp_path, config, name="first_block.json")
         assert cli.main(["sweep-epsilon", "--config", first_block]) == 0

@@ -23,6 +23,11 @@ class TestCostEntry:
         with pytest.raises(NotSymmetricError, match="expected a stack of square matrices"):
             costs.QuadraticEnsemble(np.ones((1, 1, 2, 2)), np.zeros((1, 2)))
 
+    def test_zero_dimension_rejected(self):
+        # refused where it enters, not later by L's or mu's empty reduction
+        with pytest.raises(ValueError, match=r"shape \(3, 0, 0\): n must be at least 1"):
+            costs.QuadraticEnsemble(np.zeros((3, 0, 0)), np.zeros((3, 0)))
+
     def test_overflowing_curvature_sum_rejected(self):
         big = np.diag([1.7e308, 1.0])
         with pytest.raises(ValueError, match="overflows"):

@@ -18,7 +18,9 @@ of W kron I_n - (alpha/m) blockdiag(A_k) built here with np.kron.
 
 Scaling every A_k and b_k by a power of 4 is a change of units that rounds
 nowhere: on README's instances every stepsize edge and bound scales by 1/s,
-eta by s, and the oracle's radius at alpha/s stays, bit for bit.
+eta by s, and the oracle's radius at alpha/s stays, bit for bit. So do the
+bounds and radii of identical agents, whose alpha_gd, eta and alpha_S stay
+finite at every scale.
 """
 
 import contextlib
@@ -289,13 +291,29 @@ def test_schur_edges_scale_with_the_units():
     assert np.array_equal(scaled_edges, edges / UNITS[:, None])
 
 
+# three identical agents: the aggregate's mean can round mu above L (0.1 I_2 does)
+IDENTICAL_CURVATURES = [
+    [[0.1, 0.0], [0.0, 0.1]],
+    [[0.7, 0.0], [0.0, 0.7]],
+    [[2.0, 0.5], [0.5, 1.0]],
+    [[3.0, -1.0], [-1.0, 0.5]],
+]
+
+
 def test_bounds_and_verdicts_scale_with_the_units():
-    """On README seeds 0-11 the closed-form bounds of s A scale by 1/s (eta
-    by s), and the oracle's radius at alpha/s is the radius at alpha."""
+    """On README seeds 0-11 and on identical agents the closed-form bounds of
+    s A scale by 1/s (eta by s), and the oracle's radius at alpha/s is the
+    radius at alpha. Identical agents keep alpha_gd, eta and alpha_S finite
+    at every scale."""
     mixing = topology.validate_mixing(np.array(README_W))
     lam, beta = mixing.spectral.lambda_min, mixing.spectral.beta
-    for seed in range(12):
-        ensemble = costs.random_ensemble(3, 2, 1.0, seed=seed)
+    linear = np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.0]])
+    cases = [(f"seed {seed}", costs.random_ensemble(3, 2, 1.0, seed=seed)) for seed in range(12)]
+    cases += [
+        (f"identical {a}", costs.QuadraticEnsemble(np.array([a] * 3), linear))
+        for a in IDENTICAL_CURVATURES
+    ]
+    for case, ensemble in cases:
         alpha_gd, alpha_l, eta, alpha_s = bounds.stepsize_bounds(
             lam, beta, *bounds._smoothness_and_mu(ensemble)
         )
@@ -306,7 +324,11 @@ def test_bounds_and_verdicts_scale_with_the_units():
             got = bounds.stepsize_bounds(lam, beta, *bounds._smoothness_and_mu(scaled))
             want = (alpha_gd / s, alpha_l / s, eta * s, None if alpha_s is None else alpha_s / s)
             assert np.array_equal(got[:3], want[:3], equal_nan=True) and got[3] == want[3], (
-                seed, s, got, want,
+                case, s, got, want,
             )
+            if case.startswith("identical"):
+                assert got[3] is not None and np.isfinite([got[0], got[2], got[3]]).all(), (
+                    case, s, got,
+                )
             verdicts = simulator.boundedness_verdicts(scaled, mixing, [a / s for a in alphas])
-            assert [v.spectral_radius for v in verdicts] == rhos, (seed, s)
+            assert [v.spectral_radius for v in verdicts] == rhos, (case, s)
