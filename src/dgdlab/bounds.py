@@ -90,8 +90,8 @@ def trajectory_radius(
     m, n = ensemble.m, ensemble.n
     if x0.shape != (m * n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
-    if alpha0 <= 0:
-        raise ValueError("alpha0 must be positive")
+    if not alpha0 > 0:  # nan too, which would drop out of the max below
+        raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
     smooth, mu = _smoothness_and_mu(ensemble)
     eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta

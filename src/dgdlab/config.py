@@ -27,7 +27,9 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_SCAN_CAP = 1e3
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-DEFAULT_RECORD_EVERY = 10  # a run's state-history stride; no command keeps states
+# checked, but read by no command: a run keeps every state (run_batch's
+# record_every=1) or none, and no command keeps states
+DEFAULT_RECORD_EVERY = 10
 # a run holds the metric cells its rows reach and nothing else per step: 8 bytes
 # per step and stepsize for sweep-alpha (R alone), at least 16 for simulate (R and
 # consensus), so a row that stays bounded beyond this horizon cannot fit; a run

@@ -30,8 +30,8 @@ schedule.
 ThresholdStack computes the edges of a stack of instances sharing one
 mixing matrix, each step one batched product or eigensolve for all of them;
 a LiftedObjective is its one-row case. Its `_hessians` is the one builder
-of H(t): certification, the minimizer basis and the simulator's
-spectral-radius oracle, whose iteration matrix is I - H(alpha/m), read it.
+of H(t): certification, the minimizer basis and `spectral_radii`, the
+simulator's oracle, whose iteration matrix is I - H(alpha/m), read it.
 """
 
 from __future__ import annotations
@@ -238,6 +238,14 @@ class ThresholdStack:
         hessians[...] = self.consensus
         _diagonal_blocks(hessians, m, n)[...] = blocks
         return hessians
+
+    def spectral_radii(self, alphas) -> np.ndarray:
+        """rho(I - H(alpha/m)) = max(|1 - lambda_min(H)|, |1 - lambda_max(H)|)
+        at each stepsize, of the stack's rows broadcast against the stepsizes
+        (see `_hessians`), from one stacked eigensolve: the exact oracle of
+        constant-stepsize DGD, whose iteration matrix is I - H(alpha/m)."""
+        eigs = sym_eigen(self._hessians(alphas)).eigenvalues
+        return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
 
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Whether H(alphas[j]/m) of row rows[j] has a positive smallest

@@ -23,7 +23,8 @@ boundedness exactly, and it is at most 1 iff 0 <= H(alpha/m) <= 2I in the
 Loewner order. That is what `boundedness_oracle` returns as ground truth
 for the finite-horizon verdicts of `run` and `run_batch`;
 `boundedness_verdicts` returns it for many stepsizes from one stacked
-eigensolve of H.
+eigensolve of H, which `lifted.ThresholdStack.spectral_radii` takes next
+to the strong-convexity edges.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import numpy as np
 from .bounds import lambda_min_bound
 from .config import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_HORIZON, StepsizeSchedule
 from .costs import QuadraticEnsemble
-from .lifted import LiftedObjective
-from .numerics import render_float, sym_eigen
+from .lifted import LiftedObjective, ThresholdStack
+# sym_eigen is unused here, but perfbench/test_spans.py looks it up in this module
+from .numerics import render_float, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
 CRITICAL_BAND = 1e-6
@@ -121,22 +123,20 @@ def step(
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """Per-step DGD metrics plus a thinned state history and a verdict.
+    """Per-step DGD metrics, optionally the per-step states, and a verdict.
 
-    Metrics are recorded at every step t for the pre-step state x(t);
-    full states only every `record_every` steps (plus the last step), and
-    none when `record_every` is None. verdict is "diverged" when the error
-    metric R(t) crossed the divergence threshold at `divergence_step`, else
-    "bounded".
+    Metrics are recorded at every step t for the pre-step state x(t), and
+    so are the states x(t) when the run keeps them. verdict is "diverged"
+    when the error metric R(t) crossed the divergence threshold at
+    `divergence_step`, else "bounded".
 
-    A record holds its metric histories and nothing else per step: each
-    metric array is a read-only view of its row's own buffer, which holds
-    the cells the row reached and no more, and `states` a read-only view
-    of its row of the batch's state history. A constant `alpha` is a
-    broadcast of its one value, and an untracked distance or an unkept
-    consensus a NaN broadcast. The steps `t` and `state_ts` are derived
-    from the length of `r`, and without a state history `state_ts` and
-    `states` are empty.
+    A record holds its histories and nothing else per step: each metric
+    array, and `states` with one (nm,) row per step, is a read-only view of
+    its row's own buffer, which holds the cells the row reached and no
+    more. A constant `alpha` is a broadcast of its one value, an untracked
+    distance or an unkept consensus a NaN broadcast, and unkept states an
+    empty (0, nm) broadcast. The steps `t` are derived from the length of
+    `r`.
     """
 
     alpha: np.ndarray
@@ -144,7 +144,6 @@ class TrajectoryRecord:
     consensus_err: np.ndarray
     dist_lifted_min: np.ndarray
     states: np.ndarray
-    record_every: int | None
     horizon: int
     divergence_threshold: float
     verdict: str
@@ -156,17 +155,11 @@ class TrajectoryRecord:
         """The step of each metric cell: 0 up to the last."""
         return _frozen(np.arange(self.r.size))
 
-    @property
-    def state_ts(self) -> np.ndarray:
-        """The step of each row of `states` (see `_state_slots`)."""
-        every = self.record_every or 1  # no states, so no steps, without a history
-        return _frozen(np.minimum(np.arange(len(self.states)) * every, self.r.size - 1))
-
     def state_at(self, t: int) -> np.ndarray:
-        every, last = self.record_every, self.r.size - 1
-        if every is None or not 0 <= t <= last or (t % every and t != last):
-            raise KeyError(f"state at t={t} was not recorded (record_every={every})")
-        return self.states[-(-t // every)]
+        """The state x(t); KeyError where it was not kept."""
+        if not 0 <= t < len(self.states):
+            raise KeyError(f"state at t={t} was not recorded ({len(self.states)} states kept)")
+        return self.states[t]
 
     def summary_dict(self) -> dict:
         return {
@@ -235,9 +228,8 @@ def run(
 
 
 # Steps a chunk runs ahead of the bookkeeping: R(t), consensus, the history
-# writes, state recording and the early-stop test take a few numpy calls per
-# chunk instead of per step. Rows never mix, so every row's arithmetic is that
-# of a lone run.
+# writes and the early-stop test take a few numpy calls per chunk instead of
+# per step. Rows never mix, so every row's arithmetic is that of a lone run.
 _CHUNK = 64
 
 
@@ -316,37 +308,40 @@ def _consensus(states: np.ndarray) -> np.ndarray:
 
 
 class _RowHistories:
-    """One metric's history for each row of a batch, each in a buffer of its own.
+    """One per-step history for each row of a batch, each in a buffer of its own.
 
-    A row's buffer holds the cells its chunks have written and grows in
-    place as they need more, doubling up to the `cells` of a whole run, so
-    the copying stays linear in the horizon. `view` trims it to the row's
+    A cell is one float for a metric and one `width`-shaped array for a
+    state. A row's buffer holds the cells its chunks have written and grows
+    in place as they need more, doubling up to the `cells` of a whole run,
+    so the copying stays linear in the horizon. `view` trims it to the row's
     cells and returns them read-only. Growth resizes the buffer itself (a
-    realloc), which is safe because nothing views a buffer before `view`:
-    writes go through slices that live for one assignment.
+    realloc along its first axis), which is safe because nothing views a
+    buffer before `view`: writes go through slices that live for one
+    assignment.
     """
 
-    def __init__(self, rows: int, cells: int):
+    def __init__(self, rows: int, cells: int, width: tuple[int, ...] = ()):
         self._cells = cells
-        self._buffers = [np.empty(min(_CHUNK, cells)) for _ in range(rows)]
+        self._buffers = [np.empty((min(_CHUNK, cells), *width)) for _ in range(rows)]
 
     def _grow(self, buffer: np.ndarray, stop: int) -> None:
-        buffer.resize(min(max(stop, 2 * buffer.size), self._cells), refcheck=False)
+        cells = min(max(stop, 2 * len(buffer)), self._cells)
+        buffer.resize((cells, *buffer.shape[1:]), refcheck=False)
 
     def write(self, rows: list[int], start: int, values: np.ndarray, reach: list[int]) -> None:
-        """Each row's column of a chunk's (steps, rows) `values`, its first
-        `reach` cells, into the row's history from step `start` on."""
-        for row, cells, column in zip(rows, reach, values.T):
+        """Each row's column of a chunk's (steps, rows, *width) `values`, its
+        first `reach` cells, into the row's history from step `start` on."""
+        for row, cells, column in zip(rows, reach, values.swapaxes(0, 1)):
             stop = start + cells
             buffer = self._buffers[row]
-            if stop > buffer.size:
+            if stop > len(buffer):
                 self._grow(buffer, stop)
             buffer[start:stop] = column[:cells]
 
     def view(self, row: int, end: int) -> np.ndarray:
         """A row's history, trimmed to its first `end` cells, read-only."""
         buffer = self._buffers[row]
-        buffer.resize(end, refcheck=False)
+        buffer.resize((end, *buffer.shape[1:]), refcheck=False)
         buffer.setflags(write=False)
         return buffer[:]
 
@@ -359,17 +354,6 @@ def _metric_view(history: _RowHistories | None, row: int, end: int) -> np.ndarra
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _state_slots(end: int, record_every: int | None) -> int:
-    """How many states a record of `end` steps holds; none without a history.
-
-    Slot k holds step min(k * record_every, end - 1): the multiples of
-    `record_every` before `end`, then the record's last step (the horizon,
-    or a diverged row's crossing) when it falls between them. So step s,
-    where it is kept, is in slot ceil(s / record_every).
-    """
-    return 0 if record_every is None else -(-(end - 1) // record_every) + 1
 
 
 def run_batch(
@@ -398,25 +382,26 @@ def run_batch(
     wherever that stepsize is certified.
 
     R(t) is always kept. The consensus history (`consensus`) is kept by
-    default; the state history is kept only when asked for, one state every
-    `record_every` steps (`nonexpansiveness_check` needs 1). A caller that
-    reads neither saves their memory and their per-chunk work, and every
-    kept metric, verdict and divergence step is the same bit for bit.
+    default; the states x(t) are kept only when asked for, with
+    `record_every=1` (`nonexpansiveness_check` needs them), and not with the
+    default None; no other value is accepted. A caller that reads neither
+    saves their memory and their per-chunk work, and every kept metric,
+    verdict and divergence step is the same bit for bit.
 
     The rows are stepped up to _CHUNK steps ahead, and the metrics and the
     early stop are taken once per chunk; the records equal those of a
-    step-by-step loop bit for bit. Each row holds the metric cells it
-    reaches and no more: its histories grow as its chunks need cells and
-    end at its divergence step or the horizon, and its record's arrays are
-    read-only views of them (see `TrajectoryRecord`), never copies. So a
-    row that diverges early holds few cells whatever the horizon, and a
-    run whose histories outgrow memory raises MemoryError when they do.
-    Nothing else is held per step.
+    step-by-step loop bit for bit. Each row holds the cells it reaches, of
+    every history it keeps, states included, and no more: its histories
+    grow as its chunks need cells and end at its divergence step or the
+    horizon, and its record's arrays are read-only views of them (see
+    `TrajectoryRecord`), never copies. So a row that diverges early holds
+    few cells whatever the horizon, and a run whose histories outgrow
+    memory raises MemoryError when they do. Nothing else is held per step.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if record_every is not None and record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    if record_every not in (None, 1):
+        raise ValueError(f"record_every must be None or 1, got {record_every!r}")
     if not divergence_threshold > 0:  # nan too; an infinite threshold is legal
         raise ValueError(f"divergence_threshold must be positive, got {divergence_threshold!r}")
     if ensemble.m != mixing.m:
@@ -445,15 +430,14 @@ def run_batch(
     if size == 0:
         return []
     varying = any(s.kind != "constant" for s in schedules)
-    # Each row's history of each metric, which its record views. A constant
-    # schedule's alpha, an untracked distance and an unkept consensus carry
-    # no information, and get no history. Each row's states go into the
-    # slots of `_state_slots`; without a state history it has none.
+    # Each row's history of each metric and of its states, which its record
+    # views. A constant schedule's alpha, an untracked distance, an unkept
+    # consensus and unkept states get no history.
     r_hist = _RowHistories(size, horizon + 1)
     cons_hist = _RowHistories(size, horizon + 1) if consensus else None
     alpha_hist = _RowHistories(size, horizon + 1) if varying else None
     dist_hist = _RowHistories(size, horizon + 1) if lifted_distance is not None else None
-    state_hist = np.empty((size, _state_slots(horizon + 1, record_every), m * n))
+    state_hist = None if record_every is None else _RowHistories(size, horizon + 1, (m * n,))
     divergence: list[int | None] = [None] * size
 
     alpha0 = np.array([s.value(0) for s in schedules], dtype=float)
@@ -503,16 +487,6 @@ def run_batch(
 
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
-            if record_every is not None:
-                # the chunk's kept steps of a bounded row, multiples of
-                # record_every and the horizon, in consecutive slots
-                kept = list(range(-t % record_every, steps, record_every))
-                if t + steps - 1 == horizon and horizon % record_every:
-                    kept.append(steps - 1)
-                first = -(-t // record_every)
-                state_hist[rows, first : first + len(kept)] = (
-                    chunk[kept].reshape(len(kept), live, m * n).swapaxes(0, 1)
-                )
             died = None
             # some R(t) over the limit or nan, or some consensus squares
             # overflowed; a non-finite state makes R(t) inf or nan, so R(t)
@@ -536,12 +510,7 @@ def run_batch(
                 died = dies.any(axis=0)
                 death = np.where(died, dies.argmax(axis=0), steps)
                 for q in np.flatnonzero(died):
-                    i, stop = rows[q], t + int(death[q])
-                    divergence[i] = stop
-                    if record_every is not None:
-                        # the row's last state, in its own slot: that of a kept
-                        # step, or of the next one, which its record never reads
-                        state_hist[i, -(-stop // record_every)] = chunk[stop - t, q].ravel()
+                    divergence[rows[q]] = t + int(death[q])
 
             # each row's cells up to its divergence step, or to the chunk's end
             ids = rows.tolist()
@@ -551,6 +520,8 @@ def run_batch(
                 cons_hist.write(ids, t, cons, reach)
             if varying:
                 alpha_hist.write(ids, t, alpha, reach)
+            if state_hist is not None:
+                state_hist.write(ids, t, chunk.reshape(steps, live, m * n), reach)
             if dist_hist is not None:
                 alphas = np.broadcast_to(alpha, (steps, live))
                 lo, hi = lifted_distance.certified_interval
@@ -575,8 +546,7 @@ def run_batch(
                     last_scale = last_scale[survive]
             t += steps
 
-    for shared in (x_star, state_hist):
-        shared.setflags(write=False)
+    x_star.setflags(write=False)
     records = []
     for i, stop in enumerate(divergence):
         end = horizon + 1 if stop is None else stop + 1
@@ -586,8 +556,11 @@ def run_batch(
                 r=r_hist.view(i, end),
                 consensus_err=_metric_view(cons_hist, i, end),
                 dist_lifted_min=_metric_view(dist_hist, i, end),
-                states=state_hist[i, : _state_slots(end, record_every)],
-                record_every=record_every,
+                states=(
+                    np.broadcast_to(math.nan, (0, m * n))
+                    if state_hist is None
+                    else state_hist.view(i, end)
+                ),
                 horizon=horizon,
                 divergence_threshold=divergence_threshold,
                 verdict="bounded" if stop is None else "diverged",
@@ -620,11 +593,11 @@ def boundedness_verdicts(
 ) -> list[OracleVerdict]:
     """`boundedness_oracle` at each constant stepsize in `alphas`, from one
     stacked eigensolve of the lifted Hessians H(alpha/m), as
-    M_alpha = I - H(alpha/m); each verdict is bit for bit that of a lone call."""
+    M_alpha = I - H(alpha/m) (`ThresholdStack.spectral_radii`); each verdict
+    is bit for bit that of a lone call."""
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be finite and positive")
-    eigs = sym_eigen(LiftedObjective(ensemble, mixing)._stack._hessians(alphas)).eigenvalues
-    rhos = np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1])).tolist()
+    rhos = ThresholdStack(ensemble.curvatures[None], mixing).spectral_radii(alphas).tolist()
     return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 
@@ -665,7 +638,7 @@ def nonexpansiveness_check(
 ) -> NonexpansivenessReport:
     """Verify per-step non-expansion of the distance to the lifted minimizer.
 
-    Requires a record with record_every=1 (full state history). Each step
+    Requires a record that kept every state (run with record_every=1). Each step
     descends G_alpha(t), so every alpha(t) must be certified strongly
     convex, and alpha(0)
     must not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on
@@ -673,7 +646,7 @@ def nonexpansiveness_check(
     least (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on
     G_alpha does not expand distances.
     """
-    if record.record_every != 1:
+    if len(record.states) != record.r.size:
         raise ValueError("nonexpansiveness_check needs a record with record_every=1")
 
     floor = objective.ensemble.m * lambda_min_bound(

@@ -3,6 +3,7 @@ names or options removed in favour of another way to get their result is
 exported again; and the package loads a module only when an entry point
 runs it."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -25,6 +26,7 @@ REMOVED = {
     "_iteration_matrices": simulator,
     "_spec_matrix": topology,  # config._matrix
     "QuadraticCost": costs,  # a row of QuadraticEnsemble's curvatures and linear_terms
+    "_state_slots": simulator,  # a run keeps every state or none, one per metric cell
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -49,6 +51,11 @@ REMOVED_METHODS = {
     "intervals": lifted.ThresholdStack,  # LiftedObjective.certified_interval, (0, alpha_A)
     "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
     "lifted_scale": simulator.TrajectoryRecord,  # one stepsize axis: a step descends G_alpha
+    "state_ts": simulator.TrajectoryRecord,  # states[t] is the state at step t
+}
+# dataclass field -> its class
+REMOVED_FIELDS = {
+    "record_every": simulator.TrajectoryRecord,  # a record keeps every state or none
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
@@ -138,6 +145,8 @@ def test_removed_names_and_options_stay_removed():
         assert getattr(dgdlab, name) is getattr(config, name), name
     for name, cls in REMOVED_METHODS.items():
         assert not hasattr(cls, name), name
+    for name, cls in REMOVED_FIELDS.items():
+        assert name not in {field.name for field in dataclasses.fields(cls)}, name
     # an ensemble has one constructor, QuadraticEnsemble(curvatures, linear_terms)
     assert not [k for k, v in vars(costs.QuadraticEnsemble).items() if isinstance(v, classmethod)]
     for function, options in REMOVED_OPTIONS.items():

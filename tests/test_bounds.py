@@ -138,6 +138,14 @@ class TestTrajectoryRadius:
         with pytest.raises(RadiusUndefinedError):
             bounds.trajectory_radius(ens, mix_quarter, np.zeros(6), 2.0 * gb)
 
+    @pytest.mark.parametrize("alpha0", [math.nan, 0.0, -1e-3])
+    def test_rejects_an_alpha0_that_is_not_positive(self, mix_quarter, alpha0):
+        # README's seed 5 with x0 = 1: a nan alpha0 makes the drive term nan,
+        # which Python's max drops, leaving the finite 1.1868 of the other terms
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        with pytest.raises(ValueError, match="alpha0 must be positive"):
+            bounds.trajectory_radius(ens, mix_quarter, np.ones(6), alpha0)
+
     def test_third_term_grows_toward_gap_bound(self, mix_quarter):
         ens = self._instance(seed=11)
         gb = bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)

@@ -541,7 +541,7 @@ class TestSweepAlphaCommand:
             record = simulator.run(
                 cfg.ensemble, cfg.mixing,
                 simulator.StepsizeSchedule.constant(mult * payload["base_alpha"]),
-                x0=cfg.x0, horizon=cfg.horizon, record_every=cfg.record_every,
+                x0=cfg.x0, horizon=cfg.horizon, record_every=None,
             )
             entry = dict(payload["runs"][repr(mult)])
             del entry["oracle"]
@@ -749,6 +749,33 @@ class TestSweepEpsilonCommand:
         out = tmp_path / "out"
         assert cli.main(["sweep-epsilon", "--config", path, "--out", str(out)]) == 0
         assert (out / "sweep_epsilon.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("k", [-10, 0, 10])
+    def test_alpha_a_brackets_hold_the_closed_form(self, k, tmp_path, capsys):
+        # On README's W the planted family's first coordinate reduces to a 2x2
+        # problem, whose edge is exactly 3 (2L - epsilon) / (4 L epsilon). In
+        # the units 4^k (L, mu), with the absolute scan cap scaled by 4^-k so
+        # no row is capped, each CSV alpha_A is the lower end of a confirmed
+        # bracket that holds the closed form.
+        scale = 4.0**k
+        big_l, mu, cap = 10.0 * scale, scale, 1e3 / scale
+        epsilons = [r * big_l for r in (0.05, 0.2, 0.5, 1.0, 1.5, 1.9)]
+        data = {
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "epsilons": epsilons,
+            "L": big_l,
+            "mu": mu,
+            "threshold": {"scan_cap": cap},
+        }
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        family = costs.epsilon_family(big_l, mu, epsilons)
+        results = lifted.ThresholdStack(family, config.mixing_from_spec(data["mixing"]))
+        for eps, row, result in zip(epsilons, rows, results.thresholds(cap), strict=True):
+            closed = 3.0 * (2.0 * big_l - eps) / (4.0 * big_l * eps)
+            lo, hi = result.bracket
+            assert float(row[0]) == eps and float(row[1]) == lo, eps
+            assert lo < closed < hi, (eps, lo, closed, hi)
 
     @pytest.mark.parametrize("block", [1, 8, cli._EPSILON_BLOCK])
     def test_output_does_not_depend_on_the_block(self, block, tmp_path, capsys, monkeypatch):

@@ -271,6 +271,21 @@ class TestThresholdStack:
             if row is not None and not row.capped:
                 assert row.bracket[0] < hi < row.bracket[1], e
 
+    def test_spectral_radii_are_the_iteration_matrix_radius(self, mix_quarter):
+        # rho of I - H(alpha/m) = W kron I - (alpha/m) blockdiag(A_k) against
+        # np.kron, and a stack's rows at their own stepsizes against lone rows
+        ensembles = [costs.random_ensemble(3, 2, 1.0, seed=seed) for seed in range(6)]
+        alphas = np.linspace(0.05, 6.0, len(ensembles))
+        curvatures = np.stack([e.curvatures for e in ensembles])
+        rhos = lifted.ThresholdStack(curvatures, mix_quarter).spectral_radii(alphas)
+        assert rhos.shape == (len(ensembles),)
+        for ensemble, alpha, rho in zip(ensembles, alphas, rhos.tolist()):
+            row = lifted.ThresholdStack(ensemble.curvatures[None], mix_quarter)
+            assert row.spectral_radii([alpha]).tolist() == [rho]
+            blocks = lifted.LiftedObjective(ensemble, mix_quarter).block_curvature
+            iteration = np.kron(mix_quarter.w, np.eye(2)) - (alpha / 3) * blocks
+            assert rho == pytest.approx(max(abs(np.linalg.eigvalsh(iteration))), rel=1e-12)
+
     def test_empty_stack(self, mix_quarter):
         stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, []), mix_quarter)
         assert stack.thresholds() == []

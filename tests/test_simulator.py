@@ -140,7 +140,7 @@ class TestRun:
 
     def test_deterministic_replay(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        kwargs = dict(x0=np.ones(6), horizon=200, record_every=7)
+        kwargs = dict(x0=np.ones(6), horizon=200, record_every=1)
         a = simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.05), **kwargs)
         b = simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.05), **kwargs)
         assert np.array_equal(a.r, b.r)
@@ -205,15 +205,15 @@ class TestRun:
             r_field = float(line.split(",")[2])
             assert math.isfinite(r_field)
 
-    def test_record_thinning(self, mix_quarter):
+    @pytest.mark.parametrize("record_every", [0, 7, 10])
+    def test_rejects_a_record_every_other_than_one(self, mix_quarter, record_every):
+        # a run keeps every state or none: there is no stride
         ens = _skewed_random(5)
-        rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(0.05), horizon=100, record_every=10
-        )
-        assert list(rec.state_ts) == list(range(0, 101, 10))
-        assert rec.r.size == 101
-        with pytest.raises(KeyError):
-            rec.state_at(5)
+        with pytest.raises(ValueError, match="record_every must be None or 1"):
+            simulator.run_batch(
+                ens, mix_quarter, [StepsizeSchedule.constant(0.05)], horizon=100,
+                record_every=record_every,
+            )
 
     def test_lifted_distance_column(self, mix_quarter):
         ens = _skewed_random(5)
@@ -295,7 +295,7 @@ class TestRun:
 
 
 def _assert_same_record(batched, single):
-    for name in ("t", "alpha", "r", "state_ts", "states"):
+    for name in ("t", "alpha", "r", "states"):
         assert np.array_equal(getattr(batched, name), getattr(single, name)), name
     assert np.array_equal(batched.dist_lifted_min, single.dist_lifted_min, equal_nan=True)
     assert batched.verdict == single.verdict
@@ -437,7 +437,7 @@ class TestRunBatch:
             StepsizeSchedule.polynomial(a=2.0 * safe, w=1.0, p=0.5),
         ]
         kwargs = dict(
-            x0=np.linspace(-1.0, 1.0, 6), horizon=200, record_every=7,
+            x0=np.linspace(-1.0, 1.0, 6), horizon=200, record_every=1,
             divergence_threshold=1e100, lifted_distance=obj,
         )
         batch = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
@@ -458,11 +458,12 @@ class TestRunBatch:
             StepsizeSchedule.constant(1e308),  # the state itself overflows
             StepsizeSchedule.constant(1.5 * th),
         ]
-        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=200, record_every=7)
+        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=200, record_every=1)
         batch = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
         assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged", "diverged"]
         for blown, finite_state in ((batch[1], True), (batch[2], False)):
-            assert blown.divergence_step == 1 and list(blown.state_ts) == [0, 1]
+            assert blown.divergence_step == 1 and blown.states.shape == (2, 6)
+            assert np.array_equal(blown.states[0], kwargs["x0"])
             assert bool(np.all(np.isfinite(blown.states[-1]))) is finite_state
         # a finite state's R(t) is re-scaled, not read as the inf of its squares
         dev = batch[1].states[-1].reshape(3, 2) - ens.aggregate_minimizer()
@@ -488,10 +489,11 @@ class TestRunBatch:
         x0 = np.full(2, 1e308)  # an eigenvector of 0.9
         (rec,) = simulator.run_batch(
             ens, mix_single, [StepsizeSchedule.constant(0.1)], x0=x0,
-            horizon=4000, divergence_threshold=math.inf, record_every=10,
+            horizon=4000, divergence_threshold=math.inf, record_every=1,
         )
         assert rec.verdict == "bounded" and np.all(np.isfinite(rec.states))
-        np.testing.assert_allclose(rec.states[-1], 0.9**4000 * x0, rtol=1e-9)
+        decay = 0.9 ** np.arange(4001)
+        np.testing.assert_allclose(rec.states, decay[:, None] * x0, rtol=1e-9)
         assert rec.r[0] == 1.4142135623730951e308 > rec.r[-1]
         assert np.all(np.isfinite(rec.r)) and "inf" not in _csv_text(rec)
 
@@ -539,9 +541,10 @@ class TestRunBatch:
         x0 = np.full(2, 1e308)
         (rec,) = simulator.run_batch(
             ens, mix_single, [schedule], x0=x0, horizon=5, divergence_threshold=math.inf,
-            record_every=10,
+            record_every=1,
         )
         assert rec.divergence_step == 1 and np.all(np.isnan(rec.states[-1]))
+        assert rec.states.shape == (2, 2) and np.array_equal(rec.states[0], x0)
         distance = math.dist(x0, ens.aggregate_minimizer())  # 9.4e307
         assert rec.r[0] == pytest.approx(distance, rel=1e-15) and rec.r[1] == math.inf
         assert rec.consensus_err[-1] == math.inf
@@ -562,25 +565,26 @@ class TestRunBatch:
             (nan_rec,) = simulator.run_batch(
                 nan_ens, mix_single, [StepsizeSchedule.constant(10.0)],
                 x0=np.full(2, 1e308), horizon=5, divergence_threshold=math.inf,
-                record_every=10,
+                record_every=1,
             )
             # README's seed-5 instance: 2.4 is certified (alpha_A is 2.53) but
             # diverges, so the state grows until it is no longer finite
             readme = costs.random_ensemble(3, 2, 1.0, seed=5)
             (blown,) = simulator.run_batch(
                 readme, mix_quarter, [StepsizeSchedule.constant(2.4)], x0=np.ones(6),
-                horizon=2000, divergence_threshold=math.inf, record_every=10,
+                horizon=2000, divergence_threshold=math.inf, record_every=1,
                 lifted_distance=lifted.LiftedObjective(readme, mix_quarter),
             )
         assert [rec.verdict for rec in batch] == ["bounded", "diverged", "diverged"]
         assert nan_rec.divergence_step == 1 and np.all(np.isnan(nan_rec.states[-1]))
         assert blown.verdict == "diverged" and not np.all(np.isfinite(blown.states[-1]))
+        # the state is finite up to the crossing, which is the first state that is not
+        assert len(blown.states) == blown.r.size and np.isfinite(blown.states[:-1]).all()
         # the distance is taken at every finite state and left blank at the last
         assert not np.any(np.isnan(blown.dist_lifted_min[:-1]))
         assert np.isnan(blown.dist_lifted_min[-1])
 
-    @pytest.mark.parametrize("record_every", [1, 5, 7])
-    def test_chunk_boundaries_match_the_per_run_loop(self, mix_quarter, record_every):
+    def test_chunk_boundaries_match_the_per_run_loop(self, mix_quarter):
         chunk = simulator._CHUNK
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
@@ -595,19 +599,15 @@ class TestRunBatch:
         for schedules, horizon, threshold, crossing in cases:
             batch = simulator.run_batch(
                 ens, mix_quarter, schedules, x0=x0, horizon=horizon,
-                divergence_threshold=threshold, record_every=record_every,
+                divergence_threshold=threshold, record_every=1,
             )
             assert batch[0].divergence_step == crossing
             for schedule, rec in zip(schedules, batch):
                 states = []
                 r, stop = _per_run_loop(ens, mix_quarter, schedule, x0, horizon, threshold, states)
                 assert np.array_equal(rec.r, r) and rec.divergence_step == stop
-                last = len(r) - 1
-                ts = [t for t in range(last + 1) if t % record_every == 0 or t == horizon]
-                if stop is not None and ts[-1] != stop:
-                    ts.append(stop)
-                assert list(rec.state_ts) == ts
-                assert np.array_equal(rec.states, np.array([states[t] for t in ts]))
+                # every state, up to the crossing or the horizon
+                assert np.array_equal(rec.states, np.array(states))
 
     @pytest.mark.parametrize("m, n", [(3, 2), (12, 1), (9, 9)])
     def test_metrics_equal_the_per_step_formulas(self, m, n):
@@ -665,7 +665,7 @@ class TestRunBatch:
     def test_batch_of_one_is_run(self, mix_quarter):
         ens = _skewed_random(5)
         schedule = StepsizeSchedule.polynomial(a=0.4, w=2.0, p=0.8)
-        kwargs = dict(x0=np.ones(6), horizon=120, record_every=5)
+        kwargs = dict(x0=np.ones(6), horizon=120, record_every=1)
         (batched,) = simulator.run_batch(ens, mix_quarter, [schedule], **kwargs)
         single = simulator.run(ens, mix_quarter, schedule, **kwargs)
         _assert_same_record(batched, single)
@@ -691,7 +691,7 @@ class TestRunBatch:
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter, frac=1.0)
         schedules = _mixed_schedules(safe)
-        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=1500, record_every=7)
+        kwargs = dict(x0=np.linspace(-10.0, 10.0, 6), horizon=1500, record_every=1)
         full = simulator.run_batch(ens, mix_quarter, schedules, **kwargs)
         assert {rec.verdict for rec in full} == {"bounded", "diverged"}
         bare = simulator.run_batch(
@@ -707,8 +707,8 @@ class TestRunBatch:
                 assert rec.verdict == whole.verdict
                 assert rec.divergence_step == whole.divergence_step
             assert np.array_equal(with_cons.consensus_err, whole.consensus_err)
+            assert len(whole.states) == whole.r.size
             assert np.array_equal(with_states.states, whole.states)
-            assert np.array_equal(with_states.state_ts, whole.state_ts)
             # no consensus history: a read-only NaN broadcast, as an untracked distance
             for rec in (alone, with_states):
                 cons = rec.consensus_err
@@ -718,8 +718,7 @@ class TestRunBatch:
                     cons[0] = 0
             # no state history: no states, and none to look up
             for rec in (alone, with_cons):
-                assert rec.record_every is None
-                assert rec.state_ts.size == 0 and rec.states.shape == (0, 6)
+                assert rec.states.shape == (0, 6) and not rec.states.flags.writeable
                 with pytest.raises(KeyError):
                     rec.state_at(0)
         # the check needs every state, and refuses a record with none
@@ -753,13 +752,13 @@ def _readme_batch_peak(mix, **kwargs):
 
 class TestRecordMemory:
     def test_peak_is_the_histories_once(self, mix_quarter):
-        # the peak is the R and consensus histories and the thinned states
+        # the peak is the R and consensus histories and a state per step
         # (with 6% slack), plus two chunk-sized buffers (the chunk and a
         # metric's temporary); nothing else is held per step, and the records
         # add no copies
-        horizon, every = _PEAK_HORIZON, 10
-        peak, b, mn = _readme_batch_peak(mix_quarter, record_every=every)
-        floats = 2 * b * (horizon + 1) + b * (horizon // every + 2) * mn
+        horizon = _PEAK_HORIZON
+        peak, b, mn = _readme_batch_peak(mix_quarter, record_every=1)
+        floats = 2 * b * (horizon + 1) + b * (horizon + 1) * mn
         chunk_buffers = 2 * simulator._CHUNK * b * mn
         assert peak < 8 * (1.06 * floats + chunk_buffers)
 
@@ -807,8 +806,8 @@ class TestRecordMemory:
     @pytest.mark.parametrize("batched", [False, True])
     def test_defaults_keep_no_state_history(self, mix_quarter, batched):
         # README's seed 5 at alpha = 4.0 diverges within 30 steps: with the
-        # defaults a run keeps no states, so a 10^7-step horizon holds a few
-        # cells, where a state every 10 steps over the horizon took 48 MB
+        # defaults a run keeps no states, and a 10^7-step horizon holds a few
+        # cells
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
         schedule = StepsizeSchedule.constant(4.0)
         simulator.run(ens, mix_quarter, schedule, horizon=10)  # x* solved and cached
@@ -822,7 +821,26 @@ class TestRecordMemory:
         finally:
             tracemalloc.stop()
         assert rec.verdict == "diverged" and rec.divergence_step < 30
-        assert rec.record_every is None and rec.states.size == 0
+        assert rec.states.shape == (0, 6)
+        assert peak < 1e6
+
+    def test_kept_states_hold_no_horizon(self, mix_quarter):
+        # the same run keeping every state: its state history holds the 6
+        # floats of each step it reaches, where one allocated for the whole
+        # 10^8-step horizon would take 4.8 GB
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        schedule = StepsizeSchedule.constant(4.0)
+        short = simulator.run(ens, mix_quarter, schedule, horizon=300, record_every=1)
+        tracemalloc.start()
+        try:
+            rec = simulator.run(ens, mix_quarter, schedule, horizon=10**8, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.verdict == "diverged" and rec.divergence_step < 30
+        assert rec.states.shape == (rec.divergence_step + 1, 6) == short.states.shape
+        assert np.array_equal(rec.states, short.states, equal_nan=True)
+        assert rec.states.base.shape == rec.states.shape  # trimmed to the cells reached
         assert peak < 1e6
 
     def test_histories_grow_by_doubling(self, mix_quarter, monkeypatch):
@@ -856,7 +874,7 @@ class TestRecordMemory:
         constant = StepsizeSchedule.constant(0.3)
         untracked = simulator.run_batch(
             ens, mix_quarter, [constant, StepsizeSchedule.constant(2.0)],  # the second diverges
-            horizon=300, record_every=7, x_star=np.ones(2),
+            horizon=300, record_every=1, x_star=np.ones(2),
         )
         tracked = simulator.run_batch(
             ens, mix_quarter, [constant, StepsizeSchedule.polynomial(a=0.3, p=0.5)],
@@ -865,10 +883,10 @@ class TestRecordMemory:
         assert untracked[1].verdict == "diverged"
         held = ("alpha", "r", "consensus_err", "dist_lifted_min", "states")
         for rec in untracked + tracked:
-            for name in held + ("t", "state_ts", "x_star"):
+            for name in held + ("t", "x_star"):
                 with pytest.raises(ValueError):
                     getattr(rec, name)[0] = 0
-            # views and broadcasts only; `t` and `state_ts` are derived
+            # views and broadcasts only; `t` is derived
             assert not any(getattr(rec, name).flags.owndata for name in held)
         # no history behind a constant schedule's alpha or an untracked distance
         for rec in untracked:
@@ -876,10 +894,10 @@ class TestRecordMemory:
         assert np.array_equal(untracked[0].alpha, np.full(301, 0.3))
         assert tracked[0].alpha.strides == tracked[0].dist_lifted_min.strides == (8,)
 
-    def test_crossing_state_is_in_the_batch_state_history(self, mix_quarter):
-        # record_every=7 and a crossing at 65, between the kept steps 63 and
-        # 70 of one chunk: the crossing state takes the diverged row's slot of
-        # step 70, and its record still views the batch's one state history
+    def test_crossing_state_ends_the_state_history(self, mix_quarter):
+        # a crossing at 65, one step into the second chunk: the diverged row
+        # keeps every state up to and including the crossing one, in a buffer
+        # trimmed to those cells, and none after it
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
         steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold().alpha)
@@ -888,19 +906,22 @@ class TestRecordMemory:
         threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
         batch = simulator.run_batch(
             ens, mix_quarter, [steep, StepsizeSchedule.constant(safe)], x0=x0,
-            horizon=horizon, divergence_threshold=threshold, record_every=7,
+            horizon=horizon, divergence_threshold=threshold, record_every=1,
         )
         diverged, bounded = batch
         assert diverged.divergence_step == crossing and bounded.verdict == "bounded"
-        assert np.shares_memory(diverged.states, bounded.states.base)
+        assert diverged.states.base.shape == (crossing + 1, 6)
+        assert bounded.states.shape == (horizon + 1, 6)
         states = []
         _per_run_loop(ens, mix_quarter, steep, x0, horizon, threshold, states)
-        assert list(diverged.state_ts) == list(range(0, crossing, 7)) + [crossing]
+        assert np.array_equal(diverged.states, np.array(states))
         assert np.array_equal(diverged.states[-1], states[crossing])
         assert np.array_equal(diverged.state_at(crossing), states[crossing])
         for rec in batch:
-            # before the first step, between kept steps, and one past the last
-            for t in (-1, 5, rec.r.size):
+            for t in range(rec.r.size):
+                assert np.array_equal(rec.state_at(t), rec.states[t])
+            # before the first step and one past the last
+            for t in (-1, rec.r.size):
                 with pytest.raises(KeyError):
                     rec.state_at(t)
 
