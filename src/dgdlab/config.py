@@ -27,9 +27,6 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_SCAN_CAP = 1e3
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
-# checked, but read by no command: a run keeps every state (run_batch's
-# record_every=1) or none, and no command keeps states
-DEFAULT_RECORD_EVERY = 10
 # a run holds the metric cells its rows reach and nothing else per step: 8 bytes
 # per step and stepsize for sweep-alpha (R alone), at least 16 for simulate (R and
 # consensus), so a row that stays bounded beyond this horizon cannot fit; a run
@@ -86,7 +83,7 @@ class StepsizeSchedule:
 class ExperimentConfig:
     horizon: int = DEFAULT_HORIZON
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
-    record_every: int = DEFAULT_RECORD_EVERY
+    record_every: int | None = None  # run_batch's: 1 keeps every state, None none
     track_lifted: bool = False
     x0: list[float] | None = None
     alpha_multiples: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHA_MULTIPLES))
@@ -288,7 +285,9 @@ def parse_config(
         divergence_threshold=_number(
             "divergence_threshold", data.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
         ),
-        record_every=_number("record_every", data.get("record_every", DEFAULT_RECORD_EVERY), int),
+        record_every=(
+            _number("record_every", data["record_every"], int) if "record_every" in data else None
+        ),
         track_lifted=_flag("track_lifted", data.get("track_lifted", False)),
         x0=_numbers("x0", data["x0"]) if data.get("x0") is not None else None,
         alpha_multiples=_numbers(
@@ -303,8 +302,8 @@ def parse_config(
 
     if not 1 <= cfg.horizon <= MAX_HORIZON:
         raise ConfigError(f"horizon must be between 1 and {MAX_HORIZON}, got {horizon!r}")
-    if cfg.record_every < 1:
-        raise ConfigError("record_every must be at least 1")
+    if cfg.record_every not in (None, 1):
+        raise ConfigError(f"record_every must be 1 or absent, got {cfg.record_every!r}")
     if cfg.divergence_threshold <= 0:
         raise ConfigError("divergence_threshold must be positive")
     if any(mult <= 0 for mult in cfg.alpha_multiples):

@@ -121,7 +121,7 @@ def step(
     return out.reshape(-1)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TrajectoryRecord:
     """Per-step DGD metrics, optionally the per-step states, and a verdict.
 
@@ -148,7 +148,6 @@ class TrajectoryRecord:
     divergence_threshold: float
     verdict: str
     divergence_step: int | None
-    x_star: np.ndarray
 
     @property
     def t(self) -> np.ndarray:
@@ -356,6 +355,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _same_instance(
+    objective: LiftedObjective, ensemble: QuadraticEnsemble, mixing: MixingMatrix
+) -> bool:
+    """Whether `objective` has the run's curvatures, linear terms and W."""
+    ours = (ensemble.curvatures, ensemble.linear_terms, mixing.w)
+    theirs = (objective.ensemble.curvatures, objective.ensemble.linear_terms, objective.mixing.w)
+    return all(a is b or np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
 def run_batch(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
@@ -365,7 +373,6 @@ def run_batch(
     horizon: int = DEFAULT_HORIZON,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     record_every: int | None = None,
-    x_star: np.ndarray | None = None,
     lifted_distance: LiftedObjective | None = None,
     consensus: bool = True,
 ) -> list[TrajectoryRecord]:
@@ -373,11 +380,12 @@ def run_batch(
 
     All runs are stepped together as one (B, m, n) state tensor, and each
     row is a true iteration of its own schedule. R(t) = sum_k ||x_k(t) - x*||
-    is measured against the aggregate minimizer (or an explicit `x_star`).
-    A row stops early with verdict "diverged" once its R(t) exceeds
+    is measured against the ensemble's aggregate minimizer x*. A row stops
+    early with verdict "diverged" once its R(t) exceeds
     `divergence_threshold` or its state stops being finite; it is recorded
     at that step and then dropped from the batch. Passing
-    `lifted_distance` also records ||x(t) - y(t)||, y(t) the minimizer of
+    `lifted_distance`, the run's own LiftedObjective (another instance's
+    raises ValueError), also records ||x(t) - y(t)||, y(t) the minimizer of
     the lifted objective G_alpha(t) whose gradient step the row takes,
     wherever that stepsize is certified.
 
@@ -414,18 +422,11 @@ def run_batch(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 contains non-finite entries")
-    if x_star is None:
-        x_star = ensemble.aggregate_minimizer()
-    else:
-        # shared by the records and frozen with the histories: a copy
-        x_star = np.array(x_star, dtype=float)
-        if x_star.shape != (n,):
-            raise ValueError(f"x_star has shape {x_star.shape}, expected ({n},)")
-        if not np.all(np.isfinite(x_star)):
-            raise ValueError("x_star contains non-finite entries")
+    if lifted_distance is not None and not _same_instance(lifted_distance, ensemble, mixing):
+        raise ValueError("lifted_distance is the objective of another instance")
+    x_star = ensemble.aggregate_minimizer()
 
     w, a_stack, b_stack = mixing.w, ensemble.curvatures, ensemble.linear_terms
-
     size = len(schedules)
     if size == 0:
         return []
@@ -546,7 +547,6 @@ def run_batch(
                     last_scale = last_scale[survive]
             t += steps
 
-    x_star.setflags(write=False)
     records = []
     for i, stop in enumerate(divergence):
         end = horizon + 1 if stop is None else stop + 1
@@ -565,7 +565,6 @@ def run_batch(
                 divergence_threshold=divergence_threshold,
                 verdict="bounded" if stop is None else "diverged",
                 divergence_step=stop,
-                x_star=x_star,
             )
         )
     return records
@@ -640,8 +639,8 @@ def nonexpansiveness_check(
 
     Requires a record that kept every state (run with record_every=1). Each step
     descends G_alpha(t), so every alpha(t) must be certified strongly
-    convex, and alpha(0)
-    must not exceed m (1 + lambda_min(W)) / L: the spectrum-floor bound on
+    convex, and alpha(0) must not exceed m (1 + lambda_min(W)) / L, up to a
+    relative 1e-12 (the floor scales as 1/L): the spectrum-floor bound on
     the alpha/m axis, where (I + W) (x) I - (alpha/m) blockdiag(A_k) is at
     least (1 + lambda_min(W) - (alpha/m) L) I, so the gradient step on
     G_alpha does not expand distances.
@@ -654,7 +653,7 @@ def nonexpansiveness_check(
     )
     alphas, states = record.alpha, record.states  # one state per step
     alpha0 = float(alphas[0])
-    if alpha0 > floor + 1e-12:
+    if alpha0 > floor * (1.0 + 1e-12):
         raise ValueError(f"alpha(0)={alpha0:g} exceeds m (1 + lambda_min(W)) / L = {floor:g}")
 
     targets = objective._minimizers(alphas)  # names the first uncertified stepsize

@@ -27,6 +27,8 @@ REMOVED = {
     "_spec_matrix": topology,  # config._matrix
     "QuadraticCost": costs,  # a row of QuadraticEnsemble's curvatures and linear_terms
     "_state_slots": simulator,  # a run keeps every state or none, one per metric cell
+    # a config's record_every is 1 or absent (None), the two values run_batch takes
+    "DEFAULT_RECORD_EVERY": config,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -56,6 +58,7 @@ REMOVED_METHODS = {
 # dataclass field -> its class
 REMOVED_FIELDS = {
     "record_every": simulator.TrajectoryRecord,  # a record keeps every state or none
+    "x_star": simulator.TrajectoryRecord,  # R(t) is against ensemble.aggregate_minimizer()
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
@@ -63,7 +66,8 @@ REMOVED_OPTIONS = {
     bounds.build_report: ("x0", "alpha0"),
     # one stepsize axis: the per-agent stepsize a is the engine stepsize m a
     simulator.step: ("agent_scale",),
-    simulator.run_batch: ("agent_scale",),
+    # R(t) is always measured against the ensemble's own aggregate minimizer
+    simulator.run_batch: ("agent_scale", "x_star"),
     simulator.boundedness_verdicts: ("agent_scale",),
     simulator.boundedness_oracle: ("agent_scale",),
 }

@@ -51,6 +51,13 @@ class TestSpectralGapBound:
         # eta = 0.5, so 0.5 * 0.5 / (1 * 1.5)
         assert bounds.spectral_gap_bound(1.0, 1.0, 0.5) == pytest.approx(1.0 / 6.0)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, 11.0])
+    def test_rejects_mu_outside_0_to_l(self, mu):
+        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
+            bounds.spectral_gap_bound(mu, 10.0, 0.1)
+        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
+            bounds.harmonic_rate(mu, 10.0)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             bounds.spectral_gap_bound(1.0, 10.0, 0.0)
@@ -137,6 +144,12 @@ class TestTrajectoryRadius:
             bounds.trajectory_radius(ens, mix_quarter, np.zeros(6), gb)
         with pytest.raises(RadiusUndefinedError):
             bounds.trajectory_radius(ens, mix_quarter, np.zeros(6), 2.0 * gb)
+
+    @pytest.mark.parametrize("x0", [np.ones(4), np.ones((3, 2))], ids=["short", "per-agent"])
+    def test_rejects_an_x0_that_is_not_an_nm_vector(self, mix_quarter, x0):
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        with pytest.raises(ValueError, match="x0 has shape"):
+            bounds.trajectory_radius(ens, mix_quarter, x0, 1e-3)
 
     @pytest.mark.parametrize("alpha0", [math.nan, 0.0, -1e-3])
     def test_rejects_an_alpha0_that_is_not_positive(self, mix_quarter, alpha0):

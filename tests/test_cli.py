@@ -75,13 +75,19 @@ class TestConfigParsing:
         [
             {"horizon": 0},
             {"record_every": 0},
+            {"record_every": 10},  # a run keeps every state or none: 1 or absent
             {"divergence_threshold": -1.0},
             {"alpha_multiples": [0.5, -1.0]},
             {"sweep_base": "other"},
             {"mystery_key": 1},
             {"schedule": {"type": "polynomial", "a": 0.1, "p": 2.0}},
             {"mixing": {"type": "explicit", "W": [[1.0, 0.0], [0.0, 1.0]]}},
+            # a connected two-agent W under the three-agent ensemble
+            {"mixing": {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}},
             {"x0": [0.0, 0.0]},
+            {"epsilons": [1.0, -0.5]},
+            {"L": 1.0, "mu": 1.0},
+            {"L": 1.0, "mu": 2.0},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -120,6 +126,7 @@ class TestConfigParsing:
             {"ensemble": dict(README_ENSEMBLE, epsilon=1.7e308)},
             {"ensemble": {"type": "explicit", "costs": [{"A": [[1.0]], "b": [float("nan")]}] * 3}},
             {"ensemble": {"type": "explicit", "costs": [{"A": [[[1.0]]], "b": [0.0]}] * 3}},
+            {"ensemble": {"type": "explicit", "costs": {"A": [[1.0]], "b": [0.0]}}},
         ],
     )
     def test_malformed_values_exit_2_without_traceback(self, patch, tmp_path, capsys):
@@ -525,7 +532,6 @@ class TestSweepAlphaCommand:
             "sweep_base": "main",
             "alpha_multiples": [0.5, 0.9, 1.1, 4.0, 6.0],
             "horizon": 600,
-            "record_every": 7,
             "x0": [0.5, -1.0, 0.25, 2.0, -0.75, 1.0],
         }
         path = _write_config(tmp_path, data)
@@ -557,8 +563,8 @@ class TestSweepAlphaCommand:
         assert verdicts == {"bounded", "diverged"}
 
     def test_outputs_do_not_depend_on_record_every(self, tmp_path, capsys):
-        # record_every thins only the library's state history, which no CLI
-        # output holds: the sweep writes the same bytes at every value
+        # record_every keeps only the library's state history, which no CLI
+        # output holds: the sweep writes the same bytes with the key as without
         data = {
             "ensemble": README_ENSEMBLE,
             "mixing": {"type": "explicit", "W": W_QUARTER},
@@ -567,9 +573,9 @@ class TestSweepAlphaCommand:
             "horizon": 1500,
         }
         outputs = set()
-        for every in (1, 10, 1000):
-            path = _write_config(tmp_path, dict(data, record_every=every))
-            out = tmp_path / f"every{every}"
+        for extra in ({}, {"record_every": 1}):
+            path = _write_config(tmp_path, dict(data, **extra))
+            out = tmp_path / f"out{len(extra)}"
             assert cli.main(["sweep-alpha", "--config", path, "--out", str(out)]) == 0
             stdout = capsys.readouterr().out
             files = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
@@ -755,11 +761,13 @@ class TestSweepEpsilonCommand:
         # On README's W the planted family's first coordinate reduces to a 2x2
         # problem, whose edge is exactly 3 (2L - epsilon) / (4 L epsilon). In
         # the units 4^k (L, mu), with the absolute scan cap scaled by 4^-k so
-        # no row is capped, each CSV alpha_A is the lower end of a confirmed
-        # bracket that holds the closed form.
+        # no row is capped (the edge at epsilon = 1e-7 L is 1.5e6 4^-k), each
+        # CSV alpha_A is the lower end of a confirmed bracket that holds the
+        # closed form, from epsilon << L up to near 2L.
         scale = 4.0**k
-        big_l, mu, cap = 10.0 * scale, scale, 1e3 / scale
-        epsilons = [r * big_l for r in (0.05, 0.2, 0.5, 1.0, 1.5, 1.9)]
+        big_l, mu, cap = 10.0 * scale, scale, 1e7 / scale
+        ratios = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 1.5, 1.9)
+        epsilons = [r * big_l for r in ratios]
         data = {
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "epsilons": epsilons,
@@ -776,6 +784,20 @@ class TestSweepEpsilonCommand:
             lo, hi = result.bracket
             assert float(row[0]) == eps and float(row[1]) == lo, eps
             assert lo < closed < hi, (eps, lo, closed, hi)
+
+    def test_alpha_a_at_epsilon_1e_8_l_is_not_confirmed(self, tmp_path, capsys):
+        # a known limit: at epsilon = 1e-8 L (L = 10, mu = 1) the edge, about
+        # 1.5e7, lies so far out that the sign of H's smallest eigenvalue a
+        # relative 1e-9 on each side does not confirm it, and the row exits 3
+        data = {
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "epsilons": [1e-7],
+            "threshold": {"scan_cap": 1e8},
+        }
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "does not confirm the Schur edge" in captured.err
 
     @pytest.mark.parametrize("block", [1, 8, cli._EPSILON_BLOCK])
     def test_output_does_not_depend_on_the_block(self, block, tmp_path, capsys, monkeypatch):

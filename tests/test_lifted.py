@@ -231,6 +231,11 @@ def _one_row(objective, scan_cap):
 
 
 class TestThresholdStack:
+    def test_rejects_agent_mismatch(self):
+        halves = topology.validate_mixing(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="3 agents but mixing matrix has 2"):
+            lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, [1.0]), halves)
+
     @pytest.mark.parametrize("scan_cap", [1e3, 0.5])
     def test_family_rows_equal_one_row_thresholds(self, mix_quarter, scan_cap):
         stack = lifted.ThresholdStack(

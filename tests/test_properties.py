@@ -95,7 +95,7 @@ config = st.fixed_dictionaries(
     {"ensemble": ensemble, "mixing": mixing, "schedule": schedule, "horizon": st.integers(1, 40)},
     optional={
         "divergence_threshold": legal(1e-3, 1e12, HUGE),
-        "record_every": st.integers(1, 5),
+        "record_every": st.just(1),  # the one value besides absent
         "track_lifted": st.booleans(),
         "x0": st.lists(legal(-2.0, 2.0, HUGE), min_size=6, max_size=6),
         "alpha_multiples": st.lists(legal(0.1, 3.0, HUGE), max_size=3),

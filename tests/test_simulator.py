@@ -59,6 +59,10 @@ class TestSchedule:
         with pytest.raises(ValueError):
             StepsizeSchedule.constant(0.0)
 
+    def test_value_before_step_zero_is_refused(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            StepsizeSchedule.constant(0.05).value(-1)
+
     def test_spec_round_trip(self):
         # config reads a schedule spec, and reads its canonical form back unchanged
         for s, spec in (
@@ -252,12 +256,57 @@ class TestRun:
         for line in _csv_text(rec).splitlines()[1:]:
             assert line.endswith(",")
 
+    @pytest.mark.parametrize("other", ["ensemble", "curvatures", "linear_terms", "W"])
+    def test_rejects_the_objective_of_another_instance(self, mix_quarter, mix_skewed, other):
+        # README's seed 5 at alpha 0.3 with seed 6's objective would report
+        # distances to seed 6's minimizers: dist_lifted_min[0] 103.06, not 0.49
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        seed6 = costs.random_ensemble(3, 2, 1.0, seed=6)
+        curvatures, linear_terms, mix = {
+            "ensemble": (seed6.curvatures, seed6.linear_terms, mix_quarter),
+            "curvatures": (seed6.curvatures, ens.linear_terms, mix_quarter),
+            "linear_terms": (ens.curvatures, seed6.linear_terms, mix_quarter),
+            "W": (ens.curvatures, ens.linear_terms, mix_skewed),
+        }[other]
+        objective = lifted.LiftedObjective(costs.QuadraticEnsemble(curvatures, linear_terms), mix)
+        with pytest.raises(ValueError, match="lifted_distance is the objective of another"):
+            simulator.run(
+                ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=50,
+                lifted_distance=objective,
+            )
+
+    def test_takes_an_equal_objective_built_anew(self, mix_quarter):
+        # equal curvatures, linear terms and W in new arrays: the same distances
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        rebuilt = lifted.LiftedObjective(
+            costs.random_ensemble(3, 2, 1.0, seed=5),
+            topology.validate_mixing(np.array(mix_quarter.w)),
+        )
+        own = lifted.LiftedObjective(ens, mix_quarter)
+        records = [
+            simulator.run(
+                ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=50, lifted_distance=obj
+            )
+            for obj in (own, rebuilt)
+        ]
+        assert np.array_equal(records[0].dist_lifted_min, records[1].dist_lifted_min)
+        assert records[0].dist_lifted_min[0] == pytest.approx(0.4927, abs=1e-4)
+
     def test_rejects_bad_inputs(self, mix_quarter):
         ens = _skewed_random(5)
         with pytest.raises(ValueError):
             simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.1), horizon=0)
         with pytest.raises(ValueError):
             simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.1), x0=np.ones(4))
+        x0 = np.array([0.0, 1.0, math.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.1), x0=x0)
+        # three agents on a two-agent W, in a run and in one step
+        halves = topology.validate_mixing(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="ensemble has 3 agents, mixing has 2"):
+            simulator.run(ens, halves, StepsizeSchedule.constant(0.1), horizon=10)
+        with pytest.raises(ValueError, match="ensemble has 3 agents, mixing has 2"):
+            simulator.step(np.zeros(6), ens, halves, 0.1)
 
     @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
     def test_rejects_a_threshold_that_is_not_positive(self, mix_quarter, threshold):
@@ -278,20 +327,6 @@ class TestRun:
             divergence_threshold=math.inf,
         )
         assert rec.verdict == "bounded" and rec.r.size == 51
-
-    @pytest.mark.parametrize(
-        "x_star",
-        [[math.nan, 0.0], [0.0, math.inf], np.ones((3, 2)), np.ones(3), 1.0],
-        ids=["nan", "inf", "per-agent", "too-long", "scalar"],
-    )
-    def test_rejects_an_x_star_that_is_not_a_finite_n_vector(self, mix_quarter, x_star):
-        # a nan x* would read "bounded" with R all nan, a (3, 2) one would be
-        # taken as per-agent targets, and a (3,) one would fail in a broadcast
-        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        with pytest.raises(ValueError, match="x_star"):
-            simulator.run_batch(
-                ens, mix_quarter, [StepsizeSchedule.constant(4.0)], horizon=300, x_star=x_star
-            )
 
 
 def _assert_same_record(batched, single):
@@ -615,9 +650,10 @@ class TestRunBatch:
         # they are bit for bit the per-step formulas: the agent mean by numpy's
         # reduce over the agent axis, then the flattened sum of squares. With
         # n = 1 that axis is contiguous and numpy sums it pairwise.
-        ens = costs.random_ensemble(m, n, 1.0, seed=2)
+        # epsilon 2 keeps each aggregate strongly convex, so that x* exists
+        ens = costs.random_ensemble(m, n, 2.0, seed=2)
         mix = _ring(m)
-        x_star = np.linspace(-1.0, 2.0, n)
+        x_star = ens.aggregate_minimizer()
         base = m * bounds.lambda_min_bound(mix.spectral.lambda_min, ens.smoothness_constant())
         schedules = [
             StepsizeSchedule.constant(0.5 * base),
@@ -626,7 +662,7 @@ class TestRunBatch:
         ]
         batch = simulator.run_batch(
             ens, mix, schedules, x0=np.linspace(3.0, -3.0, m * n), horizon=150,
-            record_every=1, x_star=x_star,
+            record_every=1,
         )
         assert batch[1].verdict == "diverged" and batch[0].t.size == 151
         for rec in batch:
@@ -874,7 +910,7 @@ class TestRecordMemory:
         constant = StepsizeSchedule.constant(0.3)
         untracked = simulator.run_batch(
             ens, mix_quarter, [constant, StepsizeSchedule.constant(2.0)],  # the second diverges
-            horizon=300, record_every=1, x_star=np.ones(2),
+            horizon=300, record_every=1,
         )
         tracked = simulator.run_batch(
             ens, mix_quarter, [constant, StepsizeSchedule.polynomial(a=0.3, p=0.5)],
@@ -883,7 +919,7 @@ class TestRecordMemory:
         assert untracked[1].verdict == "diverged"
         held = ("alpha", "r", "consensus_err", "dist_lifted_min", "states")
         for rec in untracked + tracked:
-            for name in held + ("t", "x_star"):
+            for name in held + ("t",):
                 with pytest.raises(ValueError):
                     getattr(rec, name)[0] = 0
             # views and broadcasts only; `t` is derived
@@ -1080,14 +1116,12 @@ class TestNonexpansiveness:
         counts = []
         for horizon in (80, 160):
             ens = _skewed_random(5)
-            x_star = ens.aggregate_minimizer()
             alpha, obj = _safe_alpha(ens, mix_quarter, frac=0.9)
             eigensolves.clear()
             solves.clear()
             rec = simulator.run(
                 ens, mix_quarter, StepsizeSchedule.polynomial(a=alpha, w=1.0, p=0.7),
-                x0=np.ones(6), horizon=horizon, record_every=1, x_star=x_star,
-                lifted_distance=obj,
+                x0=np.ones(6), horizon=horizon, record_every=1, lifted_distance=obj,
             )
             assert simulator.nonexpansiveness_check(rec, obj).ok
             assert np.all(np.isfinite(rec.dist_lifted_min))
@@ -1117,6 +1151,29 @@ class TestNonexpansiveness:
         assert (alpha0 <= 3 * alpha_l) is ok
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(alpha0),
+            x0=np.ones(6), horizon=300, record_every=1,
+        )
+        if ok:
+            assert simulator.nonexpansiveness_check(rec, obj).ok
+        else:
+            with pytest.raises(ValueError, match="exceeds m"):
+                simulator.nonexpansiveness_check(rec, obj)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("factor, ok", [(1.0, True), (1.2, False)])
+    def test_precondition_slack_is_relative(self, mix_quarter, scale, factor, ok):
+        # README's seed 5 with A_k and b_k scaled by s: the floor
+        # m (1 + lambda_min(W)) / L scales as 1/s (9.43e-13 at s = 1e12), and
+        # at every scale the check takes the floor itself and refuses 1.2 times
+        # it, which an absolute slack of 1e-12 let through at s = 1e12
+        seed5 = costs.random_ensemble(3, 2, 1.0, seed=5)
+        ens = costs.QuadraticEnsemble(scale * seed5.curvatures, scale * seed5.linear_terms)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        floor = 3 * bounds.lambda_min_bound(
+            mix_quarter.spectral.lambda_min, ens.smoothness_constant()
+        )
+        rec = simulator.run(
+            ens, mix_quarter, StepsizeSchedule.constant(factor * floor),
             x0=np.ones(6), horizon=300, record_every=1,
         )
         if ok:

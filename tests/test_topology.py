@@ -114,6 +114,22 @@ class TestMetropolis:
             np.fill_diagonal(expected, 1.0 - expected.sum(axis=1))
             assert np.array_equal(mix.w, expected)
 
+    @pytest.mark.parametrize(
+        "adjacency, code",
+        [
+            ([0, 1, 1], "not_square"),
+            ([[0, 1, 1], [1, 0, 1]], "not_square"),
+            ([[0, 1], [0, 0]], "asymmetric"),
+            ([[0, 2], [2, 0]], "negative_weight"),
+            ([[0, -1], [-1, 0]], "negative_weight"),
+            ([[1, 1], [1, 0]], "zero_diagonal"),
+        ],
+    )
+    def test_adjacency_refusal_codes(self, adjacency, code):
+        with pytest.raises(MixingMatrixError) as err:
+            topology.metropolis_weights(np.array(adjacency))
+        assert err.value.code == code
+
     def test_disconnected_rejected(self):
         adjacency = np.zeros((4, 4), dtype=int)
         adjacency[0, 1] = adjacency[1, 0] = 1
