@@ -11,7 +11,6 @@ x_i <- sum_j w_ij x_j - a grad f_i(x_i), which is the engine stepsize m a.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .costs import QuadraticEnsemble
 from .errors import RadiusUndefinedError
-from .lifted import LiftedObjective, ThresholdResult
+from .lifted import ThresholdResult
 from .numerics import render_float
 from .topology import MixingMatrix
 
@@ -60,6 +59,13 @@ def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
     return eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 
+def _unit(smooth: float) -> float:
+    """The largest power of 4 not above L. L, mu and stepsizes in this unit are
+    exact rescalings, on which no formula below over- or underflows: the
+    same bits as in the instance's units wherever those stay in range."""
+    return math.ldexp(1.0, 2 * ((math.frexp(smooth)[1] - 1) // 2))
+
+
 def _smoothness_and_mu(ensemble: QuadraticEnsemble) -> tuple[float, float]:
     """(L, mu) of an ensemble, mu clamped to L. In exact arithmetic mu <= L;
     the two eigensolves can round mu above it, as on identical agents."""
@@ -80,11 +86,11 @@ def trajectory_radius(
              (L/eta) * ||x(0) - 1 kron xbar(0)||,
              sqrt(m) * D * alpha0 / (eta*(1-beta)/L - (eta+L)*alpha0) ).
 
-    eta comes from the aggregate strong-convexity constant mu, clamped to L. Raises
-    RadiusUndefinedError when alpha0 is at or above the spectral-gap bound:
-    the third denominator is nonpositive, or alpha0 reaches
-    `spectral_gap_bound`'s own expression (at that bound the denominator
-    rounds to either sign of one ulp).
+    eta comes from the aggregate strong-convexity constant mu, clamped to L, and
+    every term is evaluated in `_unit`. Raises RadiusUndefinedError when alpha0
+    is at or above the spectral-gap bound: the third denominator is
+    nonpositive, or alpha0 reaches `spectral_gap_bound`'s own expression (at
+    that bound the denominator rounds to either sign of one ulp).
     """
     x0 = np.asarray(x0, dtype=float)
     m, n = ensemble.m, ensemble.n
@@ -93,10 +99,12 @@ def trajectory_radius(
     if not alpha0 > 0:  # nan too, which would drop out of the max below
         raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
     smooth, mu = _smoothness_and_mu(ensemble)
+    unit = _unit(smooth)
+    smooth, mu, scaled_alpha0 = smooth / unit, mu / unit, alpha0 * unit
     eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
-    denom = eta * (1.0 - beta) / smooth - (eta + smooth) * alpha0
-    if denom <= 0 or alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
+    denom = eta * (1.0 - beta) / smooth - (eta + smooth) * scaled_alpha0
+    if denom <= 0 or scaled_alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
         raise RadiusUndefinedError(
             f"radius undefined at alpha0={alpha0:g}: stepsize is not below the spectral-gap bound"
         )
@@ -105,21 +113,29 @@ def trajectory_radius(
     xbar = blocks.mean(axis=0)
     term_center = float(np.linalg.norm(xbar - x_star))
     term_spread = (smooth / eta) * float(np.linalg.norm(blocks - xbar))
-    term_drive = math.sqrt(m) * ensemble.grad_bound_D() * alpha0 / denom
+    term_drive = math.sqrt(m) * (ensemble.grad_bound_D() / unit) * scaled_alpha0 / denom
     return max(term_center, term_spread, term_drive)
 
 
 def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) -> tuple:
-    """(alpha_gd, alpha_L, eta, alpha_S): alpha_gd and eta are NaN unless
-    0 < mu <= L, and alpha_S is None unless 0 < beta < 1 as well and its
-    denominator L (eta + L) is positive (it underflows to 0 at tiny L)."""
+    """(alpha_gd, alpha_L, eta, alpha_S), the last three evaluated in `_unit`.
+
+    A bound that is not a finite positive float, its true value past the
+    float range, is absent: NaN for alpha_gd and eta, None for alpha_S. All
+    three are absent unless 0 < mu <= L, with mu still positive in the unit
+    (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well.
+    """
     alpha_l = lambda_min_bound(lambda_min, smooth)
+    unit = _unit(smooth)
+    smooth, mu = smooth / unit, mu / unit
     if not 0 < mu <= smooth:
         return math.nan, alpha_l, math.nan, None
-    eta = harmonic_rate(mu, smooth)
-    gap = 0 < beta < 1 and smooth * (eta + smooth) > 0
-    alpha_s = spectral_gap_bound(mu, smooth, beta) if gap else None
-    return classical_gd_bound(mu, smooth), alpha_l, eta, alpha_s
+    gap = spectral_gap_bound(mu, smooth, beta) / unit if 0 < beta < 1 else math.nan
+    alpha_gd, eta, alpha_s = (
+        v if 0 < v < math.inf else math.nan
+        for v in (classical_gd_bound(mu, smooth) / unit, harmonic_rate(mu, smooth) * unit, gap)
+    )
+    return alpha_gd, alpha_l, eta, None if math.isnan(alpha_s) else alpha_s
 
 
 @dataclass(frozen=True)
@@ -158,33 +174,28 @@ class BoundReport:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def build_report(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
-    threshold: ThresholdResult | None = None,
+    threshold: ThresholdResult,
 ) -> BoundReport:
     """Assemble the bound comparison table for one (ensemble, mixing) pair.
 
-    The threshold alpha_A, computed when not supplied, is the lifted
-    Hessian's Schur edge; its provenance is method "schur" and, as
-    resolution, the width of the bracket that confirms it (a relative 1e-9
-    on each side of the edge), null when it is capped at infinity. The
-    radius uses x0 = 0 and alpha0 = half the spectral-gap bound; it is
-    omitted (None) when the gap bound itself is unavailable.
+    `threshold` is alpha_A, the lifted Hessian's Schur edge from
+    `LiftedObjective.strong_convexity_threshold`; its provenance is method
+    "schur" and, as resolution, the width of the bracket that confirms it (a
+    relative 1e-9 on each side of the edge), null when it is capped at
+    infinity. The radius uses x0 = 0 and alpha0 = half the spectral-gap
+    bound; it is omitted (None) when the gap bound itself is absent.
     """
-    if threshold is None:
-        threshold = LiftedObjective(ensemble, mixing).strong_convexity_threshold()
     summary = mixing.spectral
     alpha_gd, alpha_l, eta, alpha_s = stepsize_bounds(
         summary.lambda_min, summary.beta, *_smoothness_and_mu(ensemble)
     )
 
     radius = None
-    if alpha_s:  # no radius without a gap bound, or where the bound underflows to 0
+    if alpha_s is not None:
         # a term past the float range makes the radius inf, with no numpy warning
         with suppress(RadiusUndefinedError), np.errstate(over="ignore", invalid="ignore"):
             radius = trajectory_radius(

@@ -8,9 +8,9 @@ Subcommands:
   validate-topology  validate a mixing spec and print its spectral summary
 
 Exit codes: 0 success, 2 configuration error (a horizon too long for
-memory among them), 3 certification failure, 4 I/O failure. A command
-computes its whole result before it writes anything, so one that exits 2
-or 3 writes nothing: no stdout, no file.
+memory among them), 3 certification failure or an eigensolve that did not
+converge, 4 I/O failure. A command computes its whole result before it
+writes anything, so one that exits 2 or 3 writes nothing: no stdout, no file.
 Any failure to create --out or to write output exits 4 with one line.
 
 A command imports the engine modules it runs (`lifted`, `bounds`,
@@ -32,7 +32,9 @@ import numpy as np
 
 from .config import ExperimentConfig, StepsizeSchedule, load_config, mixing_from_spec, read_json
 from .costs import EPSILON_EXAMPLE_AGENTS, epsilon_family, epsilon_family_constants
-from .errors import ConfigError, MixingMatrixError, NotInClassError, NotStronglyConvexError
+from .errors import (
+    ConfigError, EigenConvergenceError, MixingMatrixError, NotInClassError, NotStronglyConvexError,
+)
 from .numerics import render_float
 
 EXIT_OK = 0
@@ -316,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (NotInClassError, NotStronglyConvexError) as exc:
         print(f"error: certification failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
+    except EigenConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

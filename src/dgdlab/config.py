@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,17 +81,18 @@ class StepsizeSchedule:
 
 @dataclass
 class ExperimentConfig:
-    horizon: int = DEFAULT_HORIZON
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
-    record_every: int | None = None  # run_batch's: 1 keeps every state, None none
-    track_lifted: bool = False
-    x0: list[float] | None = None
-    alpha_multiples: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHA_MULTIPLES))
-    sweep_base: str = "alpha_A"
-    epsilons: list[float] = field(default_factory=lambda: list(DEFAULT_EPSILONS))
-    family_L: float = 10.0
-    family_mu: float = 1.0
-    scan_cap: float = DEFAULT_SCAN_CAP
+    # parse_config sets every field; the defaults are its own
+    horizon: int
+    divergence_threshold: float
+    record_every: int | None  # run_batch's: 1 keeps every state, None none
+    track_lifted: bool
+    x0: list[float] | None
+    alpha_multiples: list[float]
+    sweep_base: str
+    epsilons: list[float]
+    family_L: float
+    family_mu: float
+    scan_cap: float
     # each spec in its normal form, and the object it describes, built at parse time
     ensemble_spec: dict | None = None
     mixing_spec: dict | None = None

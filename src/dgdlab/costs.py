@@ -116,13 +116,13 @@ class QuadraticEnsemble:
         """L = max over agents of the exact spectral norm of A_k (one stacked
         eigensolve, on the first call only)."""
         if self._smoothness is None:
-            self._smoothness = float(np.abs(sym_eigen(self._curvatures).eigenvalues).max())
+            self._smoothness = float(np.abs(sym_eigen(self._curvatures)).max())
         return self._smoothness
 
     def aggregate_mu(self) -> float:
         """Smallest eigenvalue of the aggregate curvature (1/m) sum A_k (computed once)."""
         if self._mu is None:
-            self._mu = float(sym_eigen(self.aggregate_a).eigenvalues[0])
+            self._mu = float(sym_eigen(self.aggregate_a)[0])
         return self._mu
 
     def aggregate_minimizer(self) -> np.ndarray:
@@ -151,9 +151,11 @@ class QuadraticEnsemble:
         """Gradient-heterogeneity constant: max_k ||grad f_k(x*)|| (computed once)."""
         if self._grad_bound is None:
             gradients = self._curvatures @ self.aggregate_minimizer() + self._linear
-            # one dot per row: np.linalg.norm(axis=1) rounds differently from
-            # the norm of each agent's gradient on its own
-            self._grad_bound = max(math.sqrt(g @ g) for g in gradients)
+            # in a power of 2 above the largest entry, exact, so no square overflows;
+            # one dot per row, as np.linalg.norm(axis=1) rounds each differently
+            unit = math.ldexp(1.0, math.frexp(abs(gradients).max())[1])
+            gradients /= unit
+            self._grad_bound = max(math.sqrt(g @ g) for g in gradients) * unit
         return self._grad_bound
 
 

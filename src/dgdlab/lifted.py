@@ -155,8 +155,8 @@ class ThresholdStack:
         # an overflow is caught where it would reach an eigensolve
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mean = self._sets.sum(axis=1) / m  # B~_11, bit for bit each ensemble's mean
-            mean = sym_eigen(_finite(mean, "the aggregate curvature"), vectors=True)
-            values, vectors = mean.eigenvalues, mean.eigenvectors
+            values, vectors = sym_eigen(_finite(mean, "the aggregate curvature"), vectors=True)
+            del mean
             rows = np.flatnonzero(values[:, 0] > 0)
             if not rows.size:
                 return edges
@@ -175,13 +175,13 @@ class ThresholdStack:
             # each array is released once read, so the Schur eigensolve holds little else
             del pairs, blocks, sets
             k = (vectors / np.sqrt(values)[:, None, :]).swapaxes(-1, -2) @ k
-            del mean, values, vectors
+            del values, vectors
             top = k.swapaxes(-1, -2) @ k
             del k
             top -= b22
             del b22
             top = _finite(_symmetric_part(top), "the Schur complement")
-            top = sym_eigen(top).eigenvalues.max(axis=-1, initial=0.0)
+            top = sym_eigen(top).max(axis=-1, initial=0.0)
             edges[rows] = np.where(top > 0, m / top, math.inf)
         return edges
 
@@ -244,14 +244,14 @@ class ThresholdStack:
         at each stepsize, of the stack's rows broadcast against the stepsizes
         (see `_hessians`), from one stacked eigensolve: the exact oracle of
         constant-stepsize DGD, whose iteration matrix is I - H(alpha/m)."""
-        eigs = sym_eigen(self._hessians(alphas)).eigenvalues
+        eigs = sym_eigen(self._hessians(alphas))
         return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
 
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Whether H(alphas[j]/m) of row rows[j] has a positive smallest
         eigenvalue, in one eigensolve."""
         hessians = self._hessians(alphas, None if rows.size == len(self._sets) else rows)
-        return sym_eigen(hessians).eigenvalues[:, 0] > 0
+        return sym_eigen(hessians)[:, 0] > 0
 
 
 class LiftedObjective:
@@ -266,19 +266,10 @@ class LiftedObjective:
         self.ensemble = ensemble
         self.mixing = mixing
 
-    @property
-    def dim(self) -> int:
-        return self.ensemble.m * self.ensemble.n
-
     @cached_property
     def _stack(self) -> ThresholdStack:
         """This objective as the one row of a threshold stack."""
         return ThresholdStack(self.ensemble.curvatures[None], self.mixing)
-
-    @property
-    def consensus_matrix(self) -> np.ndarray:
-        """(I - W) kron I_n, the stepsize-independent Hessian part."""
-        return self._stack.consensus
 
     @property
     def block_curvature(self) -> np.ndarray:
@@ -341,15 +332,15 @@ class LiftedObjective:
         basis non-finite."""
         edge = self.certified_interval[1]
         anchor = 0.5 * edge if math.isfinite(edge) else 1.0
-        spectrum = sym_eigen(self.hessian(anchor), vectors=True)
+        values, vectors = sym_eigen(self.hessian(anchor), vectors=True)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            z = spectrum.eigenvectors / np.sqrt(spectrum.eigenvalues)
+            z = vectors / np.sqrt(values)
             pencil = _symmetric_part(z.T @ (self.block_curvature @ z))
         pencil = _finite(pencil, f"the minimizer basis at alpha = {anchor!r}")
-        spectrum = sym_eigen(pencil, vectors=True)
-        z = z @ spectrum.eigenvectors
-        d = np.einsum("ij,ij->j", z, self.consensus_matrix @ z)
-        return z, d, spectrum.eigenvalues, z.T @ self.stacked_linear
+        nu, vectors = sym_eigen(pencil, vectors=True)
+        z = z @ vectors
+        d = np.einsum("ij,ij->j", z, self._stack.consensus @ z)
+        return z, d, nu, z.T @ self.stacked_linear
 
     def _coordinates(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """(Z, G): the basis and, one row per stepsize, the coordinates
@@ -368,7 +359,7 @@ class LiftedObjective:
                 f"(certified interval ({lo:g}, {hi:g}))"
             )
         if not alphas.size:  # no basis exists where no stepsize certifies
-            return np.empty((self.dim, 0)), np.empty((0, 0))
+            return np.empty((self.ensemble.m * self.ensemble.n, 0)), np.empty((0, 0))
         z, d, nu, zb = self._basis
         t = alphas[:, None] / self.ensemble.m
         return z, -t * zb / (d + t * nu)

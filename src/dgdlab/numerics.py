@@ -20,7 +20,6 @@ only in their data is solved in one call instead of one call per member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +27,6 @@ from .errors import EigenConvergenceError, NotPositiveDefiniteError, NotSymmetri
 
 SYMMETRY_ATOL = 1e-12
 CHOLESKY_PIVOT_TOL = 1e-12
-
-
-@dataclass(eq=False)
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted ascending; eigenvectors, when present, are the
-    matching orthonormal columns such that Q @ diag(w) @ Q.T reconstructs
-    the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
 
 def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> np.ndarray:
@@ -79,7 +65,7 @@ def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> 
     return a
 
 
-def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
+def sym_eigen(a: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix (LAPACK `eigh`/`eigvalsh`).
 
     Parameters
@@ -92,10 +78,12 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
 
     Returns
     -------
-    Spectrum
-        Eigenvalues ascending, eigenvectors aligned with them when requested.
-        For a stack, eigenvalues have shape (..., k) and eigenvectors
-        (..., k, k), and each member equals a call on that matrix alone.
+    ndarray or (ndarray, ndarray)
+        The eigenvalues ascending, as `eigvalsh` returns them; with
+        `vectors`, the pair (eigenvalues, eigenvectors) `eigh` returns, whose
+        orthonormal columns Q give Q @ diag(w) @ Q.T = a. For a stack,
+        eigenvalues have shape (..., k) and eigenvectors (..., k, k), and
+        each member equals a call on that matrix alone.
 
     Raises
     ------
@@ -107,17 +95,14 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> Spectrum:
     """
     a = check_symmetric(a)
     try:
-        if vectors:
-            w, v = np.linalg.eigh(a)
-            return Spectrum(eigenvalues=w, eigenvectors=v)
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(a))
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(sym_eigen(a, vectors=False).eigenvalues[0])
+    return float(sym_eigen(a)[0])
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

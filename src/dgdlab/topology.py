@@ -55,11 +55,11 @@ class MixingMatrix:
         """Q D^(-1/2): W = Q diag(w) Q^T with q_1 = 1/sqrt(m) exactly as the first
         column, for w_1 = 1 (which eigh puts last, as the largest), and each other
         column q_j scaled by (1 - w_j)^(-1/2), finite on a connected W."""
-        spectrum = sym_eigen(self.w, vectors=True)
+        values, vectors = sym_eigen(self.w, vectors=True)
         q = np.empty((self.m, self.m))
         q[:, 0] = self.m**-0.5
-        gaps = np.sqrt(1.0 - spectrum.eigenvalues[:-1])
-        np.divide(spectrum.eigenvectors[:, :-1], gaps, out=q[:, 1:])
+        gaps = np.sqrt(1.0 - values[:-1])
+        np.divide(vectors[:, :-1], gaps, out=q[:, 1:])
         return q
 
 
@@ -92,7 +92,7 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
         raise MixingMatrixError("zero_diagonal", "every self-weight w_ii must be positive")
     w = (w + w.T) * 0.5  # exactly symmetric from here on
 
-    eigs = sym_eigen(w).eigenvalues
+    eigs = sym_eigen(w)
     lam_min = float(eigs[0])
     if m == 1:
         summary = SpectralSummary(

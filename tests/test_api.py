@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import dgdlab
-from dgdlab import bounds, config, costs, lifted, simulator, topology
+from dgdlab import bounds, config, costs, lifted, numerics, simulator, topology
 
 # name -> where it lived, and what replaces it
 REMOVED = {
@@ -29,6 +29,8 @@ REMOVED = {
     "_state_slots": simulator,  # a run keeps every state or none, one per metric cell
     # a config's record_every is 1 or absent (None), the two values run_batch takes
     "DEFAULT_RECORD_EVERY": config,
+    # sym_eigen returns numpy's own arrays: eigvalsh's, or eigh's pair
+    "Spectrum": numerics,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -54,6 +56,9 @@ REMOVED_METHODS = {
     "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
     "lifted_scale": simulator.TrajectoryRecord,  # one stepsize axis: a step descends G_alpha
     "state_ts": simulator.TrajectoryRecord,  # states[t] is the state at step t
+    "dim": lifted.LiftedObjective,  # ensemble.m * ensemble.n
+    "consensus_matrix": lifted.LiftedObjective,  # (I - W) kron I_n, hessian's constant part
+    "to_json": bounds.BoundReport,  # json.dumps(report.to_dict(), indent=2)
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {
@@ -156,3 +161,6 @@ def test_removed_names_and_options_stay_removed():
     for function, options in REMOVED_OPTIONS.items():
         parameters = inspect.signature(function).parameters
         assert not set(options) & set(parameters), function.__name__
+    # alpha_A comes from the caller's threshold, which carries the config's scan cap
+    threshold = inspect.signature(bounds.build_report).parameters["threshold"]
+    assert threshold.default is inspect.Parameter.empty

@@ -6,7 +6,7 @@ import pytest
 
 from dgdlab import bounds, costs
 from dgdlab.errors import RadiusUndefinedError
-from dgdlab.lifted import ThresholdResult
+from dgdlab.lifted import LiftedObjective, ThresholdResult
 
 
 class TestClassicalBound:
@@ -196,8 +196,9 @@ class TestStepsizeBounds:
 class TestBoundReport:
     def test_report_fields_and_json(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        report = bounds.build_report(ens, mix_quarter)
-        data = json.loads(report.to_json())
+        threshold = LiftedObjective(ens, mix_quarter).strong_convexity_threshold()
+        report = bounds.build_report(ens, mix_quarter, threshold=threshold)
+        data = json.loads(json.dumps(report.to_dict()))
         for key in ("alpha_gd", "alpha_L", "alpha_S", "alpha_A", "alpha_main",
                     "eta", "radius_R", "alpha_A_provenance"):
             assert key in data
@@ -210,16 +211,18 @@ class TestBoundReport:
 
     def test_infinite_threshold_serializes(self, mix_single):
         ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
-        report = bounds.build_report(ens, mix_single)
-        data = json.loads(report.to_json())
+        threshold = LiftedObjective(ens, mix_single).strong_convexity_threshold()
+        report = bounds.build_report(ens, mix_single, threshold=threshold)
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["alpha_A"] == "inf"
         assert data["alpha_main"] == pytest.approx(data["alpha_L"])
 
     def test_underflowing_gap_bound_leaves_no_radius(self, mix_quarter):
-        # mu = 5e-324 against L = 1e12: the gap bound underflows to 0, so there
-        # is no positive alpha0 to take the radius at
+        # mu = 5e-324 against L = 1e12: the gap bound's true value, about
+        # 0.75 mu / L^2 = 4e-348, is past the float range, so it is absent,
+        # and there is no positive alpha0 to take the radius at
         ens = costs.epsilon_example(1e12, 5e-324, 10.0)
         threshold = ThresholdResult(alpha=1.0, method="schur")
         report = bounds.build_report(ens, mix_quarter, threshold=threshold)
-        assert report.alpha_S == 0.0
+        assert report.alpha_S is None
         assert report.radius_R is None

@@ -337,8 +337,37 @@ class TestBoundsCommand:
         assert report["eta"] == pytest.approx(0.05, rel=1e-15)
         assert math.isfinite(report["alpha_S"]) and math.isfinite(report["radius_R"])
 
-    def test_underflowing_gap_bound_denominator_leaves_null(self, tmp_path, capsys):
-        # L (eta + L) underflows to 0 at L = 1e-300: no alpha_S, no radius
+    @pytest.mark.parametrize("k", [256, -256])
+    def test_readme_instance_at_any_scale(self, k, tmp_path, capsys):
+        # README's instance with every A_k and b_k times 4^k, exact in binary:
+        # x* is the same, so alpha_S scales by 4^-k and the radius not at all
+        # (at 4^256, mu L overflowed and alpha_S was NaN, which the radius refused)
+        readme = costs.random_ensemble(3, 2, 1.0, seed=5)
+
+        def report(scale):
+            instance = [
+                {"A": (scale * a).tolist(), "b": (scale * b).tolist()}
+                for a, b in zip(readme.curvatures, readme.linear_terms)
+            ]
+            data = {
+                "ensemble": {"type": "explicit", "costs": instance},
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+            }
+            path = _write_config(tmp_path, data, f"scale_{scale!r}.json")
+            assert cli.main(["bounds", "--config", path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            return json.loads(captured.out)
+
+        s = 4.0**k
+        plain, scaled = report(1.0), report(s)
+        assert scaled["alpha_S"] == pytest.approx(plain["alpha_S"] / s, rel=1e-12)
+        assert scaled["radius_R"] == pytest.approx(plain["radius_R"], rel=1e-12)
+
+    def test_gap_bound_whose_denominator_underflows_keeps_its_value(self, tmp_path, capsys):
+        # L (eta + L) underflows to 0 at L = 1e-300, but alpha_S, about
+        # 0.75 mu / L^2 = 7.5e279, is representable: it is the closed form at
+        # L and mu times 4^498, an exact rescaling, scaled back
         data = {
             "ensemble": {"type": "epsilon_example", "L": 1e-300, "mu": 1e-320, "epsilon": 5e-301},
             "mixing": {"type": "explicit", "W": W_QUARTER},
@@ -347,7 +376,11 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert captured.err == ""
-        assert report["alpha_S"] is None and report["radius_R"] is None
+        s = 4.0**498
+        closed = bounds.spectral_gap_bound(report["mu"] * s, report["L"] * s, report["beta"]) * s
+        assert report["alpha_S"] == closed == pytest.approx(7.5e279, rel=1e-3)
+        # b = 0 puts x* and x0 = 0 together, with D = 0: the radius is 0
+        assert report["radius_R"] == 0.0
         assert report["alpha_L"] == pytest.approx(1.25e300)
 
     def test_bad_config_exits_2(self, tmp_path):
@@ -688,8 +721,9 @@ class TestSweepEpsilonCommand:
             assert float(row[2]) == report["alpha_L"], eps
             assert row[3] == ("" if report["alpha_S"] is None else repr(report["alpha_S"])), eps
 
-    def test_underflowing_gap_bound_denominator_leaves_blank(self, tmp_path, capsys):
-        # L (eta + L) underflows to 0 at L = 1e-300: each row's alpha_S is blank
+    def test_gap_bound_whose_denominator_underflows_is_written(self, tmp_path, capsys):
+        # L (eta + L) underflows to 0 at L = 1e-300: each row's alpha_S is still
+        # the closed form, evaluated at L and mu times 4^498 and scaled back
         data = {
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "epsilons": [0.0, 5e-301, 1e-300],
@@ -700,7 +734,11 @@ class TestSweepEpsilonCommand:
         captured = capsys.readouterr()
         rows = list(csv.reader(io.StringIO(captured.out)))[1:]
         assert captured.err == "" and len(rows) == 3
-        assert all(row[2] and row[3] == "" for row in rows)
+        beta = config.mixing_from_spec(data["mixing"]).spectral.beta
+        s = 4.0**498
+        closed = bounds.spectral_gap_bound(1e-320 * s, 1e-300 * s, beta) * s
+        assert closed == pytest.approx(7.5e279, rel=1e-3)
+        assert all(row[2] and row[3] == repr(closed) for row in rows)
 
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
@@ -1067,6 +1105,43 @@ def test_problem_too_large_for_memory_exits_2(planted_config, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bounds needs more memory than is available\n"
+
+
+@pytest.mark.parametrize(
+    "command, solver",
+    # eigvalsh validates W as the config is read; eigh runs later, for W's eigenbasis
+    [
+        (command, "eigvalsh")
+        for command in ("bounds", "simulate", "sweep-alpha", "sweep-epsilon", "validate-topology")
+    ]
+    + [(command, "eigh") for command in ("bounds", "sweep-alpha", "sweep-epsilon")],
+)
+def test_eigensolve_that_does_not_converge_exits_3(command, solver, tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    config_path = _write_config(
+        tmp_path,
+        {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.05},
+            "horizon": 50,
+        },
+    )
+    spec_path = _write_config(tmp_path, {"type": "explicit", "W": W_QUARTER}, "mixing.json")
+    monkeypatch.setattr(np.linalg, solver, no_convergence)
+    out = tmp_path / "out"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    if command == "validate-topology":
+        argv = [command, "--config", spec_path]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == (
+        "error: symmetric eigensolve did not converge: Eigenvalues did not converge\n"
+    )
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_unwritable_output_file_exits_4(planted_config, tmp_path, capsys):

@@ -46,7 +46,7 @@ class TestHessian:
         ens = costs.QuadraticEnsemble(np.zeros((3, 2, 2)), np.zeros((3, 2)))
         obj = _objective(ens, mix_quarter)
         h = obj.hessian(1.0)
-        np.testing.assert_allclose(h, obj.consensus_matrix)
+        np.testing.assert_allclose(h, np.kron(np.eye(3) - mix_quarter.w, np.eye(2)))
         assert abs(np.linalg.eigvalsh(h).min()) <= 1e-12
 
     def test_planted_family_positive_at_small_alpha(self, mix_skewed):
@@ -161,7 +161,7 @@ class TestThreshold:
             adjacency[i, (i + 1) % m] = adjacency[(i + 1) % m, i] = 1.0
         ring = topology.metropolis_weights(adjacency)
         obj = _objective(costs.random_ensemble(m, 6, 1.0, seed=0), ring)
-        assert obj.dim == 300
+        assert obj.ensemble.m * obj.ensemble.n == 300
         th = obj.strong_convexity_threshold(scan_cap=100.0)
         ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
         assert math.isfinite(ref)

@@ -24,33 +24,31 @@ def _random_spd(rng, dim):
 
 class TestSymEigen:
     def test_identity(self):
-        spec = numerics.sym_eigen(np.eye(3))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(numerics.sym_eigen(np.eye(3)), [1.0, 1.0, 1.0])
 
     def test_quarter_mixing_matrix(self):
-        spec = numerics.sym_eigen(W_QUARTER)
-        np.testing.assert_allclose(spec.eigenvalues, [0.25, 0.25, 1.0], atol=1e-10)
+        w = numerics.sym_eigen(W_QUARTER)
+        np.testing.assert_allclose(w, [0.25, 0.25, 1.0], atol=1e-10)
 
     def test_skewed_mixing_matrix(self):
         # hand oracle: (0, 1, -1) is an eigenvector with value -0.1, the
         # all-ones vector has value 1, and the trace forces the third to 0.1
         v = np.array([0.0, 1.0, -1.0])
         np.testing.assert_allclose(W_SKEWED @ v, -0.1 * v, atol=1e-15)
-        spec = numerics.sym_eigen(W_SKEWED)
-        np.testing.assert_allclose(spec.eigenvalues, [-0.1, 0.1, 1.0], atol=1e-10)
+        w = numerics.sym_eigen(W_SKEWED)
+        np.testing.assert_allclose(w, [-0.1, 0.1, 1.0], atol=1e-10)
 
     def test_ascending_order(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            w = numerics.sym_eigen(_random_symmetric(rng, 8)).eigenvalues
+            w = numerics.sym_eigen(_random_symmetric(rng, 8))
             assert np.all(np.diff(w) >= 0)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         for dim in (2, 3, 6, 12, 30):
             a = _random_symmetric(rng, dim)
-            spec = numerics.sym_eigen(a, vectors=True)
-            q, w = spec.eigenvectors, spec.eigenvalues
+            w, q = numerics.sym_eigen(a, vectors=True)
             err = np.linalg.norm(q @ np.diag(w) @ q.T - a)
             assert err <= 1e-9 * max(1.0, np.linalg.norm(a))
             np.testing.assert_allclose(q.T @ q, np.eye(dim), atol=1e-12)
@@ -60,7 +58,7 @@ class TestSymEigen:
         rng = np.random.default_rng(13)
         for dim in (2, 5, 9, 20, 60):
             a = _random_symmetric(rng, dim)
-            mine = numerics.sym_eigen(a).eigenvalues
+            mine = numerics.sym_eigen(a)
             ref = np.linalg.eigvalsh(a)
             np.testing.assert_allclose(mine, ref, atol=1e-10 * max(1, np.abs(ref).max()))
 
@@ -68,7 +66,7 @@ class TestSymEigen:
         rng = np.random.default_rng(17)
         for _ in range(100):
             a = _random_symmetric(rng, int(rng.integers(1, 12)))
-            w = numerics.sym_eigen(a).eigenvalues
+            w = numerics.sym_eigen(a)
             tr = np.trace(a)
             assert abs(w.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
 
@@ -78,8 +76,8 @@ class TestSymEigen:
             dim = int(rng.integers(2, 10))
             a = _random_symmetric(rng, dim)
             q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            w1 = numerics.sym_eigen(a).eigenvalues
-            w2 = numerics.sym_eigen(q.T @ a @ q).eigenvalues
+            w1 = numerics.sym_eigen(a)
+            w2 = numerics.sym_eigen(q.T @ a @ q)
             np.testing.assert_allclose(w1, w2, atol=1e-8)
 
     def test_rejects_asymmetric(self):
@@ -95,9 +93,21 @@ class TestSymEigen:
             numerics.sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_dim_one(self):
-        spec = numerics.sym_eigen(np.array([[4.0]]), vectors=True)
-        np.testing.assert_allclose(spec.eigenvalues, [4.0])
-        np.testing.assert_allclose(spec.eigenvectors, [[1.0]])
+        w, q = numerics.sym_eigen(np.array([[4.0]]), vectors=True)
+        np.testing.assert_allclose(w, [4.0])
+        np.testing.assert_allclose(q, [[1.0]])
+
+    def test_returns_what_lapack_returns(self):
+        # the eigenvalue array of eigvalsh, or eigh's (eigenvalues, eigenvectors)
+        a = _random_symmetric(np.random.default_rng(29), 5)
+        w = numerics.sym_eigen(a)
+        assert type(w) is np.ndarray
+        np.testing.assert_array_equal(w, np.linalg.eigvalsh(a))
+        pair = numerics.sym_eigen(a, vectors=True)
+        assert len(pair) == 2
+        for mine, ref in zip(pair, np.linalg.eigh(a)):
+            assert type(mine) is np.ndarray
+            np.testing.assert_array_equal(mine, ref)
 
 
 class TestSymEigenStacks:
@@ -110,13 +120,16 @@ class TestSymEigenStacks:
         rng = np.random.default_rng(31)
         stack = np.array([_random_symmetric(rng, dim) for _ in range(np.prod(lead))])
         stack = stack.reshape(*lead, dim, dim)
-        spec = numerics.sym_eigen(stack, vectors=vectors)
-        assert spec.eigenvalues.shape == (*lead, dim)
+        # the eigenvalues, then with `vectors` the eigenvectors
+        parts = numerics.sym_eigen(stack, vectors=vectors)
+        parts = parts if vectors else (parts,)
+        assert parts[0].shape == (*lead, dim)
         for index in np.ndindex(*lead):
             alone = numerics.sym_eigen(stack[index], vectors=vectors)
-            np.testing.assert_array_equal(spec.eigenvalues[index], alone.eigenvalues)
-            if vectors:
-                np.testing.assert_array_equal(spec.eigenvectors[index], alone.eigenvectors)
+            alone = alone if vectors else (alone,)
+            assert len(alone) == len(parts)
+            for part, own in zip(parts, alone):
+                np.testing.assert_array_equal(part[index], own)
 
     @pytest.mark.parametrize("entry", [(0, 1, 1e-6), (1, 1, np.nan), (0, 0, np.inf)])
     def test_stack_rejects_one_bad_member(self, entry):
@@ -148,7 +161,7 @@ class TestMinEigenvalue:
     def test_agrees_with_full_spectrum(self):
         rng = np.random.default_rng(23)
         a = _random_symmetric(rng, 7)
-        assert numerics.min_eigenvalue(a) == numerics.sym_eigen(a).eigenvalues[0]
+        assert numerics.min_eigenvalue(a) == numerics.sym_eigen(a)[0]
 
 
 class TestSolveSpd:
@@ -228,7 +241,7 @@ class TestJacobiOracle:
     @pytest.mark.parametrize("dim", ORACLE_DIMS)
     def test_eigenvalues_agree(self, dim):
         a = _random_symmetric(np.random.default_rng(100 + dim), dim)
-        mine = numerics.sym_eigen(a).eigenvalues
+        mine = numerics.sym_eigen(a)
         ref, _ = oracle.jacobi_eigen(a)
         scale = max(1.0, np.abs(ref).max())
         np.testing.assert_allclose(mine, ref, atol=1e-10 * scale)
@@ -239,7 +252,7 @@ class TestJacobiOracle:
     def test_eigenvectors_span_the_same_spaces(self, dim):
         # distinct eigenvalues almost surely, so each vector is unique up to sign
         a = _random_symmetric(np.random.default_rng(200 + dim), dim)
-        q = numerics.sym_eigen(a, vectors=True).eigenvectors
+        _, q = numerics.sym_eigen(a, vectors=True)
         _, ref = oracle.jacobi_eigen(a, vectors=True)
         np.testing.assert_allclose(np.abs(np.sum(q * ref, axis=0)), np.ones(dim), atol=1e-8)
 

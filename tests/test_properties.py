@@ -300,6 +300,16 @@ IDENTICAL_CURVATURES = [
 ]
 
 
+def _unit_cases():
+    """(name, ensemble): README seeds 0-11, then the identical agents."""
+    linear = np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.0]])
+    cases = [(f"seed {seed}", costs.random_ensemble(3, 2, 1.0, seed=seed)) for seed in range(12)]
+    return cases + [
+        (f"identical {a}", costs.QuadraticEnsemble(np.array([a] * 3), linear))
+        for a in IDENTICAL_CURVATURES
+    ]
+
+
 def test_bounds_and_verdicts_scale_with_the_units():
     """On README seeds 0-11 and on identical agents the closed-form bounds of
     s A scale by 1/s (eta by s), and the oracle's radius at alpha/s is the
@@ -307,13 +317,7 @@ def test_bounds_and_verdicts_scale_with_the_units():
     at every scale."""
     mixing = topology.validate_mixing(np.array(README_W))
     lam, beta = mixing.spectral.lambda_min, mixing.spectral.beta
-    linear = np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.0]])
-    cases = [(f"seed {seed}", costs.random_ensemble(3, 2, 1.0, seed=seed)) for seed in range(12)]
-    cases += [
-        (f"identical {a}", costs.QuadraticEnsemble(np.array([a] * 3), linear))
-        for a in IDENTICAL_CURVATURES
-    ]
-    for case, ensemble in cases:
+    for case, ensemble in _unit_cases():
         alpha_gd, alpha_l, eta, alpha_s = bounds.stepsize_bounds(
             lam, beta, *bounds._smoothness_and_mu(ensemble)
         )
@@ -332,3 +336,23 @@ def test_bounds_and_verdicts_scale_with_the_units():
                 )
             verdicts = simulator.boundedness_verdicts(scaled, mixing, [a / s for a in alphas])
             assert [v.spectral_radius for v in verdicts] == rhos, (case, s)
+
+
+def test_stepsize_bounds_scale_exactly_across_the_float_range():
+    """stepsize_bounds at (s L, s mu), s = 4^k for k in [-500, 500] in steps
+    of 25, is its value at (L, mu) with alpha_gd, alpha_L and alpha_S over s
+    and eta times s, with no tolerance, on README seeds 0-11 and identical
+    agents. L and mu are scaled here, not taken from an eigensolve of s A,
+    which LAPACK rescales at extreme norms."""
+    mixing = topology.validate_mixing(np.array(README_W))
+    lam, beta = mixing.spectral.lambda_min, mixing.spectral.beta
+    for case, ensemble in _unit_cases():
+        smooth, mu = bounds._smoothness_and_mu(ensemble)
+        alpha_gd, alpha_l, eta, alpha_s = bounds.stepsize_bounds(lam, beta, smooth, mu)
+        for k in range(-500, 501, 25):
+            s = 4.0**k
+            got = bounds.stepsize_bounds(lam, beta, s * smooth, s * mu)
+            want = (alpha_gd / s, alpha_l / s, eta * s, None if alpha_s is None else alpha_s / s)
+            assert np.array_equal(got[:3], want[:3], equal_nan=True) and got[3] == want[3], (
+                case, k, got, want,
+            )

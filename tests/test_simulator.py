@@ -773,7 +773,8 @@ def _readme_batch_peak(mix, **kwargs):
     """README's seed-5 instance at six bounded multiples of alpha_main over
     _PEAK_HORIZON steps: the tracemalloc peak of the run, B and nm."""
     ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-    base = bounds.build_report(ens, mix).alpha_main
+    threshold = lifted.LiftedObjective(ens, mix).strong_convexity_threshold()
+    base = bounds.build_report(ens, mix, threshold=threshold).alpha_main
     schedules = [StepsizeSchedule.constant(k * base) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
     simulator.run_batch(ens, mix, schedules, horizon=10)  # x* solved and cached
     tracemalloc.start()
