@@ -20,7 +20,7 @@ import numpy as np
 from .costs import QuadraticEnsemble
 from .errors import RadiusUndefinedError
 from .lifted import ThresholdResult
-from .numerics import render_float
+from .numerics import binary_unit, norm, render_float
 from .topology import MixingMatrix
 
 
@@ -59,13 +59,6 @@ def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
     return eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 
-def _unit(smooth: float) -> float:
-    """The largest power of 4 not above L. L, mu and stepsizes in this unit are
-    exact rescalings, on which no formula below over- or underflows: the
-    same bits as in the instance's units wherever those stay in range."""
-    return math.ldexp(1.0, 2 * ((math.frexp(smooth)[1] - 1) // 2))
-
-
 def _smoothness_and_mu(ensemble: QuadraticEnsemble) -> tuple[float, float]:
     """(L, mu) of an ensemble, mu clamped to L. In exact arithmetic mu <= L;
     the two eigensolves can round mu above it, as on identical agents."""
@@ -87,10 +80,11 @@ def trajectory_radius(
              sqrt(m) * D * alpha0 / (eta*(1-beta)/L - (eta+L)*alpha0) ).
 
     eta comes from the aggregate strong-convexity constant mu, clamped to L, and
-    every term is evaluated in `_unit`. Raises RadiusUndefinedError when alpha0
-    is at or above the spectral-gap bound: the third denominator is
-    nonpositive, or alpha0 reaches `spectral_gap_bound`'s own expression (at
-    that bound the denominator rounds to either sign of one ulp).
+    every term is evaluated in L's `binary_unit`, its norms by `numerics.norm`.
+    Raises RadiusUndefinedError when alpha0 is at or above the spectral-gap
+    bound: the third denominator is nonpositive, or alpha0 reaches
+    `spectral_gap_bound`'s own expression (at that bound the denominator
+    rounds to either sign of one ulp).
     """
     x0 = np.asarray(x0, dtype=float)
     m, n = ensemble.m, ensemble.n
@@ -99,7 +93,7 @@ def trajectory_radius(
     if not alpha0 > 0:  # nan too, which would drop out of the max below
         raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
     smooth, mu = _smoothness_and_mu(ensemble)
-    unit = _unit(smooth)
+    unit = binary_unit(smooth)
     smooth, mu, scaled_alpha0 = smooth / unit, mu / unit, alpha0 * unit
     eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
@@ -111,14 +105,14 @@ def trajectory_radius(
     x_star = ensemble.aggregate_minimizer()
     blocks = x0.reshape(m, n)
     xbar = blocks.mean(axis=0)
-    term_center = float(np.linalg.norm(xbar - x_star))
-    term_spread = (smooth / eta) * float(np.linalg.norm(blocks - xbar))
+    term_center = float(norm(xbar - x_star))
+    term_spread = (smooth / eta) * float(norm(blocks - xbar))
     term_drive = math.sqrt(m) * (ensemble.grad_bound_D() / unit) * scaled_alpha0 / denom
     return max(term_center, term_spread, term_drive)
 
 
 def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) -> tuple:
-    """(alpha_gd, alpha_L, eta, alpha_S), the last three evaluated in `_unit`.
+    """(alpha_gd, alpha_L, eta, alpha_S), the last three evaluated in L's `binary_unit`.
 
     A bound that is not a finite positive float, its true value past the
     float range, is absent: NaN for alpha_gd and eta, None for alpha_S. All
@@ -126,7 +120,7 @@ def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) ->
     (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well.
     """
     alpha_l = lambda_min_bound(lambda_min, smooth)
-    unit = _unit(smooth)
+    unit = binary_unit(smooth)
     smooth, mu = smooth / unit, mu / unit
     if not 0 < mu <= smooth:
         return math.nan, alpha_l, math.nan, None

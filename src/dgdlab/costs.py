@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from .errors import NotStronglyConvexError, NotSymmetricError, ParameterError
-# solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
-from .numerics import SYMMETRY_ATOL, check_symmetric, solve_spd, sym_eigen  # noqa: F401
+from .numerics import SYMMETRY_ATOL, binary_unit, check_symmetric, sym_eigen
+from .numerics import solve_spd  # noqa: F401 (unused, but perfbench/test_spans.py looks it up here)
 
 
 _HALF_MAX = sys.float_info.max / 2
@@ -151,9 +151,9 @@ class QuadraticEnsemble:
         """Gradient-heterogeneity constant: max_k ||grad f_k(x*)|| (computed once)."""
         if self._grad_bound is None:
             gradients = self._curvatures @ self.aggregate_minimizer() + self._linear
-            # in a power of 2 above the largest entry, exact, so no square overflows;
+            # in the largest entry's binary unit, exact, so no square overflows;
             # one dot per row, as np.linalg.norm(axis=1) rounds each differently
-            unit = math.ldexp(1.0, math.frexp(abs(gradients).max())[1])
+            unit = binary_unit(float(abs(gradients).max()))
             gradients /= unit
             self._grad_bound = max(math.sqrt(g @ g) for g in gradients) * unit
         return self._grad_bound

@@ -140,6 +140,39 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
+def binary_unit(peak: float) -> float:
+    """The largest power of 2 not above |peak|, or 0.5 for 0 or a non-finite peak:
+    the package's one rescaling unit. Dividing by it is exact, so a value taken
+    in it and scaled back has the direct computation's bits wherever those are finite."""
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
+def norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """np.linalg.norm(x, axis=axis), bit for bit wherever that is finite; `axis`
+    is None or one axis of an `x` of two or more dimensions.
+
+    A norm whose squares overflow, though its entries are finite, is taken
+    again after dividing by the `binary_unit` of its largest |entry|, which
+    is exact, and scaled back: each square then lies below 4. A norm past the
+    float range stays inf, and none of this warns.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=axis)
+        if axis is None:
+            if math.isinf(norms) and np.isfinite(x).all():
+                unit = binary_unit(float(abs(x).max()))
+                norms = np.linalg.norm(x / unit) * unit
+            return norms
+        big = np.isinf(norms)
+        if big.any():
+            big &= np.isfinite(x).all(axis=axis)
+            rows = np.moveaxis(x, axis, -1)[big]
+            units = np.array([binary_unit(p) for p in abs(rows).max(axis=-1).tolist()])
+            norms[big] = np.linalg.norm(rows / units[:, None], axis=-1) * units
+    return norms
+
+
 def render_float(v: float | None) -> float | str | None:
     """`v` as the JSON and CSV outputs print it: "inf" or "nan" for a
     non-finite float (JSON has no literal for either), otherwise unchanged."""

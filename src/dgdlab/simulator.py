@@ -41,7 +41,7 @@ from .config import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_HORIZON, StepsizeSched
 from .costs import QuadraticEnsemble
 from .lifted import LiftedObjective, ThresholdStack
 # sym_eigen is unused here, but perfbench/test_spans.py looks it up in this module
-from .numerics import render_float, sym_eigen  # noqa: F401
+from .numerics import binary_unit, norm, render_float, sym_eigen  # noqa: F401
 from .topology import MixingMatrix
 
 CRITICAL_BAND = 1e-6
@@ -243,48 +243,6 @@ def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     norms = np.add.reduce(dev, axis=-1)
     np.sqrt(norms, out=norms)
     return norms.sum(axis=-1)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a finite (K, d) array.
-
-    np.linalg.norm(rows, axis=1), except that a row whose sum of squares
-    overflows, though its norm is finite, is re-scaled by its largest entry
-    first; the other rows keep the plain computation's bits.
-    """
-    norms = np.linalg.norm(rows, axis=1)
-    big = np.flatnonzero(~np.isfinite(norms))
-    if big.size:
-        peak = abs(rows[big]).max(axis=1, keepdims=True)
-        norms[big] = peak[:, 0] * np.linalg.norm(rows[big] / peak, axis=1)
-    return norms
-
-
-def _overflowed_distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    """R of each finite (K, m, n) state whose squares in `_distance_sums` overflow.
-
-    Each agent's norm is `_row_norms`'s, so it is re-scaled where its sum of
-    squares overflows and keeps `_distance_sums`'s bits elsewhere. A state
-    whose deviation from x* overflows keeps R = inf.
-    """
-    k, m, n = states.shape
-    dev = states - x_star
-    sums = _row_norms(dev.reshape(k * m, n)).reshape(k, m).sum(axis=-1)
-    sums[~np.isfinite(dev).all(axis=(1, 2))] = math.inf
-    return sums
-
-
-def _overflowed_consensus(states: np.ndarray) -> np.ndarray:
-    """Consensus of each finite (K, m, n) state whose squares in `_consensus` overflow.
-
-    As `_row_norms` does, the state is re-scaled by its largest entry first
-    (the state's, not the deviation's, since the agent mean itself can
-    overflow). A consensus distance beyond the float range stays inf.
-    """
-    peak = abs(states).max(axis=(1, 2), keepdims=True)
-    scaled = states / peak
-    dev = scaled - scaled.mean(axis=1, keepdims=True)
-    return peak[:, 0, 0] * np.sqrt((dev * dev).sum(axis=(1, 2)))
 
 
 def _consensus(states: np.ndarray) -> np.ndarray:
@@ -493,19 +451,24 @@ def run_batch(
             # overflowed; a non-finite state makes R(t) inf or nan, so R(t)
             # alone catches it
             if not ((r <= limit).all() and (cons is None or np.isfinite(cons).all())):
-                # an infinite R(t) or consensus of a finite state is re-scaled
-                # before the crossing test
+                # an infinite R(t) or consensus of a finite state is taken
+                # again in a binary unit, exactly, before the crossing test
                 finite = np.isfinite(chunk).all(axis=(2, 3))
                 js, qs = np.nonzero(np.isinf(r) & finite)
                 if js.size:
-                    r[js, qs] = _overflowed_distance_sums(chunk[js, qs], x_star)
+                    r[js, qs] = norm(chunk[js, qs] - x_star, axis=-1).sum(axis=-1)
                 # the early stop of each row at its own first crossing, where
                 # a non-finite state reads as infinite R(t) and consensus
                 r[~finite] = math.inf
                 if cons is not None:
                     js, qs = np.nonzero(np.isinf(cons) & finite)
                     if js.size:
-                        cons[js, qs] = _overflowed_consensus(chunk[js, qs])
+                        # the state's unit, not the deviation's: the agent
+                        # mean itself can overflow
+                        rescued = chunk[js, qs]
+                        peaks = abs(rescued).max(axis=(1, 2)).tolist()
+                        units = np.array([binary_unit(p) for p in peaks])
+                        cons[js, qs] = _consensus(rescued / units[:, None, None]) * units
                     cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
                 died = dies.any(axis=0)
@@ -533,7 +496,7 @@ def run_batch(
                 distinct, which = np.unique(alphas[js, qs], return_inverse=True)
                 points = lifted_distance._minimizers(distinct)[which]
                 dist = np.full((steps, live), math.nan)  # blank where not certified
-                dist[js, qs] = _row_norms(chunk[js, qs].reshape(js.size, m * n) - points)
+                dist[js, qs] = norm(chunk[js, qs].reshape(js.size, m * n) - points, axis=1)
                 dist_hist.write(ids, t, dist, reach)
 
             last = chunk[-1]
@@ -657,13 +620,13 @@ def nonexpansiveness_check(
         raise ValueError(f"alpha(0)={alpha0:g} exceeds m (1 + lambda_min(W)) / L = {floor:g}")
 
     targets = objective._minimizers(alphas)  # names the first uncertified stepsize
-    distances = np.linalg.norm(states - targets, axis=1)
-    core_margin = np.linalg.norm(states[1:] - targets[:-1], axis=1) - distances[:-1]
+    distances = norm(states - targets, axis=1)
+    core_margin = norm(states[1:] - targets[:-1], axis=1) - distances[:-1]
     max_core = float(np.max(core_margin)) if core_margin.size else 0.0
     return NonexpansivenessReport(
         distances=distances,
         core_margin=core_margin,
-        drift_measured=np.linalg.norm(np.diff(targets, axis=0), axis=1),
+        drift_measured=norm(np.diff(targets, axis=0), axis=1),
         drift_bound=objective._shift_bounds(alphas),
         ok=bool(max_core <= _NONEXPANSION_TOLERANCE),
         max_core_margin=max_core,

@@ -31,6 +31,11 @@ REMOVED = {
     "DEFAULT_RECORD_EVERY": config,
     # sym_eigen returns numpy's own arrays: eigvalsh's, or eigh's pair
     "Spectrum": numerics,
+    # one rescaling rule near the float range: numerics.binary_unit and numerics.norm
+    "_row_norms": simulator,  # norm(rows, axis=1)
+    "_overflowed_distance_sums": simulator,  # norm(states - x_star, axis=-1).sum(axis=-1)
+    "_overflowed_consensus": simulator,  # _consensus(states / unit) * unit
+    "_unit": bounds,  # binary_unit(L)
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}

@@ -392,8 +392,9 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
     def test_radius_past_the_float_range_warns_nothing(self, command, tmp_path, capsys):
-        # b = 1e300 puts x* and the gradients there past the float range: the
-        # radius reads inf, and no numpy overflow warning reaches stderr
+        # b = 1e300 puts x* at -2e300 and D at 3e300, whose squares are past
+        # the float range. The radius is max(2e300, 0, sqrt(2) 3e300 / 2.4),
+        # each norm taken in a binary unit, exactly, with no numpy warning
         agents = [{"A": [[2.0]], "b": [1e300]}, {"A": [[-1.0]], "b": [1e300]}]
         data = {
             "ensemble": {"type": "explicit", "costs": agents},
@@ -408,7 +409,35 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         if command == "bounds":
-            assert json.loads(captured.out)["radius_R"] == "inf"
+            assert json.loads(captured.out)["radius_R"] == 2e300
+
+    def test_radius_of_a_minimizer_whose_squares_overflow(self, tmp_path, capsys):
+        # identical agents: D = 0, and the radius is ||x*|| = ||(3e200, 5e199)||
+        cost = {"A": [[1.0, 0.0], [0.0, 2.0]], "b": [3e200, 1e200]}
+        data = {"ensemble": _explicit(cost), "mixing": {"type": "explicit", "W": W_QUARTER}}
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["radius_R"] == 3.04138126514911e200
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
+    def test_gradient_bound_at_the_float_range(self, command, tmp_path, capsys):
+        # x* = 0 and the gradients are the b_k: D = 1e308 is taken in their
+        # binary unit 2^1023, which is finite, and no square overflows
+        agents = [{"A": [[1.0]], "b": [b]} for b in (1e308, -1e308, 0.0)]
+        data = {
+            "ensemble": {"type": "explicit", "costs": agents},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "horizon": 50,
+        }
+        path = _write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert json.loads(captured.out)["radius_R"] == 1.1547005383792515e308
 
     def test_writes_output_file(self, planted_config, tmp_path, capsys):
         out = tmp_path / "results"

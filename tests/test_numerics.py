@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,3 +280,45 @@ class TestJacobiOracle:
                         factor(a)
                 else:
                     factor(a)
+
+
+class TestBinaryUnit:
+    @pytest.mark.parametrize(
+        "peak, unit",
+        [
+            (1.0, 1.0), (3.0, 2.0), (0.75, 0.5), (-3.0, 2.0), (2.0**-1074, 2.0**-1074),
+            (np.finfo(float).max, 2.0**1023), (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
+        ],
+    )
+    def test_largest_power_of_two_not_above_the_peak(self, peak, unit):
+        assert numerics.binary_unit(peak) == unit
+
+
+class TestNorm:
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_is_numpys_norm_where_that_is_finite(self, axis):
+        x = np.random.default_rng(4).normal(size=(5, 7))
+        assert np.array_equal(numerics.norm(x, axis=axis), np.linalg.norm(x, axis=axis))
+
+    @pytest.mark.parametrize("axis", [None, 1])
+    def test_overflowing_squares_scale_exactly(self, axis):
+        # rows of ordinary size times 2^900: each norm is the plain one times 2^900
+        x = np.random.default_rng(5).normal(size=(4, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = numerics.norm(2.0**900 * x, axis=axis)
+        assert np.array_equal(got, 2.0**900 * np.linalg.norm(x, axis=axis))
+
+    def test_rows_that_need_no_rescue_keep_their_bits(self):
+        x = np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 1e200], [1e-3, 0.5, 7.0]])
+        got = numerics.norm(x, axis=1)
+        assert np.array_equal(got[[0, 2]], np.linalg.norm(x[[0, 2]], axis=1))
+        assert got[1] == pytest.approx(math.sqrt(3) * 1e200, rel=1e-15)
+
+    def test_past_the_float_range_and_non_finite_entries(self):
+        x = np.array([[1.5e308, 1.5e308], [math.inf, 1.0], [math.nan, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = numerics.norm(x, axis=1)
+            assert numerics.norm(x[0]) == math.inf
+        assert got[0] == got[1] == math.inf and math.isnan(got[2])

@@ -20,7 +20,8 @@ Scaling every A_k and b_k by a power of 4 is a change of units that rounds
 nowhere: on README's instances every stepsize edge and bound scales by 1/s,
 eta by s, and the oracle's radius at alpha/s stays, bit for bit. So do the
 bounds and radii of identical agents, whose alpha_gd, eta and alpha_S stay
-finite at every scale.
+finite at every scale. Scaling b_k and x0 by a power of 2 scales a run's
+metrics by it, bit for bit, past the squares' overflow too.
 """
 
 import contextlib
@@ -356,3 +357,30 @@ def test_stepsize_bounds_scale_exactly_across_the_float_range():
             assert np.array_equal(got[:3], want[:3], equal_nan=True) and got[3] == want[3], (
                 case, k, got, want,
             )
+
+
+def test_run_metrics_scale_exactly_with_the_units():
+    """README's seed 5 with b and x0 times 2^k: each state and minimizer
+    scales by 2^k exactly, so R(t), consensus_err and dist_lifted_min are the
+    scale-1 values times 2^k, bit for bit, also where their squares overflow
+    (k = 900 and 1000) and are taken again in a binary unit."""
+    mixing = topology.validate_mixing(np.array(README_W))
+    seed5 = costs.random_ensemble(3, 2, 1.0, seed=5)
+    schedules = [simulator.StepsizeSchedule.polynomial(a=a, w=1.0, p=0.5) for a in (0.2, 0.3)]
+
+    def records(scale):
+        ensemble = costs.QuadraticEnsemble(seed5.curvatures, scale * seed5.linear_terms)
+        return simulator.run_batch(
+            ensemble, mixing, schedules, x0=scale * np.linspace(-1.0, 1.0, 6), horizon=300,
+            divergence_threshold=math.inf,
+            lifted_distance=lifted.LiftedObjective(ensemble, mixing),
+        )
+
+    plain = records(1.0)
+    for k in (0, 500, 900, 1000):
+        for schedule, want, got in zip(schedules, plain, records(2.0**k)):
+            assert got.verdict == want.verdict == "bounded", (k, schedule)
+            for name in ("r", "consensus_err", "dist_lifted_min"):
+                assert np.array_equal(getattr(got, name), 2.0**k * getattr(want, name)), (
+                    k, schedule, name,
+                )

@@ -352,12 +352,12 @@ def _literal_update(ens, mix, scale, blocks):
 
 def _rescaled_norms(dev):
     """np.linalg.norm(dev, axis=1), with each row whose squares overflow
-    re-scaled by its largest entry first."""
+    divided first by the largest power of 2 not above its largest entry."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(dev, axis=1)
     for k in np.flatnonzero(np.isinf(norms)):
-        peak = abs(dev[k]).max()
-        norms[k] = peak * np.linalg.norm(dev[k : k + 1] / peak, axis=1)[0]
+        unit = 2.0 ** math.floor(math.log2(abs(dev[k]).max()))
+        norms[k] = unit * np.linalg.norm(dev[k : k + 1] / unit, axis=1)[0]
     return norms
 
 
@@ -1182,6 +1182,29 @@ class TestNonexpansiveness:
         else:
             with pytest.raises(ValueError, match="exceeds m"):
                 simulator.nonexpansiveness_check(rec, obj)
+
+    @pytest.mark.parametrize("k", [600, 1000])
+    def test_report_scales_exactly_past_the_squares_overflow(self, mix_quarter, k):
+        # README's seed 5 with b and x0 times 2^k: every state and minimizer
+        # scales by 2^k, and each norm whose squares overflow is taken in a
+        # binary unit, so the report is the scale-1 report times 2^k, bit for bit
+        seed5 = costs.random_ensemble(3, 2, 1.0, seed=5)
+        schedule = StepsizeSchedule.polynomial(a=0.3, w=1.0, p=0.5)
+
+        def report(scale):
+            ens = costs.QuadraticEnsemble(seed5.curvatures, scale * seed5.linear_terms)
+            obj = lifted.LiftedObjective(ens, mix_quarter)
+            rec = simulator.run(
+                ens, mix_quarter, schedule, x0=scale * np.linspace(-1.0, 1.0, 6),
+                horizon=80, record_every=1, lifted_distance=obj, divergence_threshold=math.inf,
+            )
+            return simulator.nonexpansiveness_check(rec, obj)
+
+        plain, scaled = report(1.0), report(2.0**k)
+        assert scaled.ok and plain.ok
+        for name in ("distances", "core_margin", "drift_measured", "drift_bound"):
+            assert np.array_equal(getattr(scaled, name), 2.0**k * getattr(plain, name)), name
+        assert scaled.max_core_margin == 2.0**k * plain.max_core_margin
 
     def test_rejects_uncertified_stepsize(self, mix_quarter):
         ens = _skewed_random(5)
