@@ -203,11 +203,12 @@ def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str
 # Epsilons certified per ThresholdStack: one product into W's eigenbasis and
 # four batched eigensolves (the aggregate curvatures, the Schur complements and
 # the two bracket ends) serve a whole block. A block's peak memory is its
-# bracket-end eigensolve, where each row holds its Hessian and the symmetry
-# check's copy of it, about 0.85 KB, so the block, not the epsilon count, sets
-# the command's peak. 17 rows is the largest block whose sweep of 100 epsilons
-# keeps its tracemalloc peak under 27.3 KB (numpy 2.4).
-_EPSILON_BLOCK = 17
+# bracket-end eigensolve, where each row holds its curvatures, its Hessian and
+# the symmetry check's copy of it, about 0.7 KB, so the block, not the epsilon
+# count, sets the command's peak. 20 rows is the largest block whose sweep of
+# 100 epsilons stays under 27.2 KB of tracemalloc peak: 26.97 KB, and 27.67 KB
+# at 21 (numpy 2.4).
+_EPSILON_BLOCK = 20
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
@@ -222,20 +223,18 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     lam, beta = cfg.mixing.spectral.lambda_min, cfg.mixing.spectral.beta
     big_l, mu = cfg.family_L, cfg.family_mu
 
-    # alpha_A per epsilon, NaN where nothing certifies. No row is written
-    # until every block has certified, so a failing block leaves no output.
-    # For peak memory, floats, not ThresholdResults, are kept between blocks,
-    # a block's curvatures and stack die with its statement, and each row's
-    # L and mu are computed as it is written.
+    # alpha_A per epsilon, the lower bracket end: NaN where nothing certifies
+    # and inf where capped. No row is written until every block has
+    # certified, so a failing block leaves no output. For peak memory, a
+    # block's curvatures, stack and brackets die with its statement, and each
+    # row reads its alpha_A (not from a list of floats, which would lift the
+    # writing above the eigensolves' peak), L and mu as it is written.
     alpha_a = np.full(len(cfg.epsilons), math.nan)
     for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
         rows = slice(start, start + _EPSILON_BLOCK)
-        alpha_a[rows] = [
-            math.nan if r is None else r.alpha
-            for r in lifted.ThresholdStack(
-                epsilon_family(big_l, mu, cfg.epsilons[rows]), cfg.mixing
-            ).thresholds(cfg.scan_cap)
-        ]
+        alpha_a[rows] = lifted.ThresholdStack(
+            epsilon_family(big_l, mu, cfg.epsilons[rows]), cfg.mixing
+        ).brackets(cfg.scan_cap)[0]
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(

@@ -116,7 +116,7 @@ class ThresholdStack:
     H_e(t) = C + t B_e with t = alpha/m, B_e = blockdiag of the set and
     C = (I - W) kron I_n shared by every row. `_edges` gives every row's
     alpha_A from one eigendecomposition of W, one product into its
-    eigenbasis and two batched eigensolves; `thresholds` confirms the
+    eigenbasis and two batched eigensolves; `brackets` confirms the
     finite edges with two more, one per bracket end. Every row's numbers
     are bit for bit those of the same instance alone: a LiftedObjective is
     the one-row case.
@@ -185,34 +185,26 @@ class ThresholdStack:
             edges[rows] = np.where(top > 0, m / top, math.inf)
         return edges
 
-    def thresholds(self, scan_cap: float = DEFAULT_SCAN_CAP) -> list[ThresholdResult | None]:
-        """Per row, alpha_A from `_edges`: None for a row out of class, the +inf
-        sentinel with capped=True for an edge at or past `scan_cap`, and
-        otherwise the bracket a relative 1e-9 on each side of the edge. H's
-        smallest eigenvalue confirms it, positive at the lower end and not at
-        the upper, in one batched eigensolve per end; NotInClassError names
-        the first edge it does not confirm.
+    def brackets(self, scan_cap: float = DEFAULT_SCAN_CAP) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), per row the stepsizes a relative 1e-9 below and above
+        alpha_A from `_edges`: both NaN for a row out of class and inf for an
+        edge at or past `scan_cap`. H's smallest eigenvalue confirms every
+        other edge, positive at lo and not at hi, in one batched eigensolve
+        per end; NotInClassError names the first edge it does not confirm.
         """
-        edges = self._edges
-        results: list[ThresholdResult | None] = [None] * len(edges)
-        capped = edges >= scan_cap
-        for row in np.flatnonzero(capped).tolist():
-            results[row] = ThresholdResult(alpha=math.inf, method="schur", capped=True)
-        rows = np.flatnonzero((edges > 0) & ~capped)
-        if not rows.size:
-            return results
-        lo, hi = edges[rows] * (1.0 - _CONFIRM_GAP), edges[rows] * (1.0 + _CONFIRM_GAP)
-        confirmed = self._certified(rows, lo) & ~self._certified(rows, hi)
-        if not confirmed.all():
-            raise NotInClassError(
-                f"lambda_min(H) does not confirm the Schur edge "
-                f"{float(edges[rows[confirmed.argmin()]])!r} to a relative {_CONFIRM_GAP:g}"
-            )
-        for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-            results[row] = ThresholdResult(
-                alpha=a, method="schur", resolution=b - a, bracket=(a, b)
-            )
-        return results
+        edges = self._edges  # 0.0 out of class, else positive
+        lo, hi = edges * (1.0 - _CONFIRM_GAP), edges * (1.0 + _CONFIRM_GAP)
+        lo[edges == 0] = hi[edges == 0] = math.nan
+        lo[edges >= scan_cap] = hi[edges >= scan_cap] = math.inf
+        rows = np.flatnonzero(np.isfinite(lo))  # in class and under the cap
+        if rows.size:
+            confirmed = self._certified(rows, lo) & ~self._certified(rows, hi)
+            if not confirmed.all():
+                raise NotInClassError(
+                    f"lambda_min(H) does not confirm the Schur edge "
+                    f"{float(edges[rows[confirmed.argmin()]])!r} to a relative {_CONFIRM_GAP:g}"
+                )
+        return lo, hi
 
     def _hessians(self, alphas, rows: np.ndarray | None = None) -> np.ndarray:
         """H(t) = C + t B_e at t = alphas[j]/m, one (nm, nm) matrix per
@@ -223,17 +215,22 @@ class ThresholdStack:
         entry is t B_e + C's bit for bit (a zero of C is +0.0, as t 0.0 + C's
         is), and no dense B_e is built. Every step is an assignment or a sum
         or product of equal shapes, as numpy buffers a broadcast or strided
-        operand of a sum or product whole.
+        operand of a sum or product whole. One buffer holds the A_k, then
+        the C_kk, and is freed before H is allocated.
         """
-        sets = self._sets if rows is None else self._sets[rows]
         t = np.asarray(alphas, dtype=float) / self.m
-        m, n = self.m, sets.shape[-1]
-        shape = (len(sets) if t.size == 1 else t.size, m, n, n)
-        blocks, diagonal = np.empty(shape), np.empty(shape)
+        _, m, n, _ = self._sets.shape
+        shape = (len(self._sets) if rows is None and t.size == 1 else t.size, m, n, n)
+        blocks, operand = np.empty(shape), np.empty(shape)
         blocks[...] = t[:, None, None, None]
-        blocks *= sets
-        diagonal[...] = self._consensus_blocks
-        blocks += diagonal
+        if rows is None:
+            operand[...] = self._sets
+        else:  # mode "raise" would buffer `out` whole; every row index is valid
+            np.take(self._sets, rows, axis=0, out=operand, mode="clip")
+        blocks *= operand
+        operand[...] = self._consensus_blocks
+        blocks += operand
+        del operand
         hessians = np.empty((shape[0], m * n, m * n))
         hessians[...] = self.consensus
         _diagonal_blocks(hessians, m, n)[...] = blocks
@@ -248,10 +245,11 @@ class ThresholdStack:
         return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
 
     def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Whether H(alphas[j]/m) of row rows[j] has a positive smallest
-        eigenvalue, in one eigensolve."""
-        hessians = self._hessians(alphas, None if rows.size == len(self._sets) else rows)
-        return sym_eigen(hessians)[:, 0] > 0
+        """Whether H(alphas[e]/m) of each row e in `rows` has a positive
+        smallest eigenvalue, in one eigensolve; `alphas` has one stepsize per
+        row of the stack, and is copied only where `rows` leaves some out."""
+        part = rows if rows.size < len(self._sets) else None
+        return sym_eigen(self._hessians(alphas if part is None else alphas[part], part))[:, 0] > 0
 
 
 class LiftedObjective:
@@ -312,15 +310,18 @@ class LiftedObjective:
         of the smallest Hessian eigenvalue on both sides. An edge at or past
         `scan_cap` gives the +inf sentinel with capped=True. Raises
         NotInClassError for an instance out of class, or when the sign does
-        not confirm the edge (see ThresholdStack.thresholds).
+        not confirm the edge (see ThresholdStack.brackets).
         """
-        result = self._stack.thresholds(scan_cap)[0]
-        if result is None:
+        lo, hi = self._stack.brackets(scan_cap)
+        lo, hi = lo.item(), hi.item()
+        if math.isnan(lo):
             raise NotInClassError(
                 "the aggregate curvature (1/m) sum A_k is not positive definite: "
                 "no stepsize certifies"
             )
-        return result
+        if lo == math.inf:
+            return ThresholdResult(alpha=math.inf, method="schur", capped=True)
+        return ThresholdResult(alpha=lo, method="schur", resolution=hi - lo, bracket=(lo, hi))
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

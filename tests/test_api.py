@@ -58,6 +58,7 @@ REMOVED_METHODS = {
     "to_spec": simulator.StepsizeSchedule,  # ExperimentConfig.canonical()["schedule"]
     "anchors": lifted.ThresholdStack,  # the Schur edge needs no anchor
     "intervals": lifted.ThresholdStack,  # LiftedObjective.certified_interval, (0, alpha_A)
+    "thresholds": lifted.ThresholdStack,  # brackets(scan_cap): per-row (lo, hi) arrays
     "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
     "lifted_scale": simulator.TrajectoryRecord,  # one stepsize axis: a step descends G_alpha
     "state_ts": simulator.TrajectoryRecord,  # states[t] is the state at step t

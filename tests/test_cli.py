@@ -845,10 +845,10 @@ class TestSweepEpsilonCommand:
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         family = costs.epsilon_family(big_l, mu, epsilons)
-        results = lifted.ThresholdStack(family, config.mixing_from_spec(data["mixing"]))
-        for eps, row, result in zip(epsilons, rows, results.thresholds(cap), strict=True):
+        stack = lifted.ThresholdStack(family, config.mixing_from_spec(data["mixing"]))
+        ends = [end.tolist() for end in stack.brackets(cap)]
+        for eps, row, lo, hi in zip(epsilons, rows, *ends, strict=True):
             closed = 3.0 * (2.0 * big_l - eps) / (4.0 * big_l * eps)
-            lo, hi = result.bracket
             assert float(row[0]) == eps and float(row[1]) == lo, eps
             assert lo < closed < hi, (eps, lo, closed, hi)
 
@@ -866,9 +866,10 @@ class TestSweepEpsilonCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "does not confirm the Schur edge" in captured.err
 
-    @pytest.mark.parametrize("block", [1, 8, cli._EPSILON_BLOCK])
+    @pytest.mark.parametrize("block", [1, 8, 30, cli._EPSILON_BLOCK])
     def test_output_does_not_depend_on_the_block(self, block, tmp_path, capsys, monkeypatch):
-        # 100 epsilons leave a partial last block at 8 and at 17
+        # 100 epsilons leave a partial last block at 8 and at 30; the default
+        # block of 20 takes them in five full blocks
         monkeypatch.setattr(cli, "_EPSILON_BLOCK", block)
         config = {"mixing": {"type": "explicit", "W": W_QUARTER}, "epsilons": BENCH_EPSILONS}
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, config)]) == 0
@@ -904,7 +905,8 @@ class TestSweepEpsilonCommand:
 
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys):
         # at curvatures near 1e12 a block of epsilons confirms its edges, and
-        # the next epsilon, the first row of the second block, does not
+        # the next epsilon, 3.5, the first row of the second block, does not:
+        # the error names its edge, near 1.5 / 3.5
         block = cli._EPSILON_BLOCK
         config = {
             "mixing": {"type": "explicit", "W": W_QUARTER},
@@ -912,6 +914,7 @@ class TestSweepEpsilonCommand:
             "mu": 1e-12,
             "epsilons": ([1.5, 2.0, 2.5, 3.0] * block)[:block],
         }
+        assert len(config["epsilons"]) == block
         first_block = _write_config(tmp_path, config, name="first_block.json")
         assert cli.main(["sweep-epsilon", "--config", first_block]) == 0
         capsys.readouterr()
@@ -921,6 +924,7 @@ class TestSweepEpsilonCommand:
             assert cli.main(["sweep-epsilon", "--config", path, *extra]) == 3
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1
+            assert "does not confirm the Schur edge 0.42857" in captured.err
         assert not (out / "sweep_epsilon.csv").exists()
 
 

@@ -176,6 +176,22 @@ class TestEpsilonExample:
         with pytest.raises(ValueError):
             costs.epsilon_family(10.0, 1.0, [1.0, -0.5])
 
+    @pytest.mark.parametrize("k", [-240, -120, 0, 120, 240])
+    def test_family_constants_are_the_instances_own(self, k):
+        # the benchmark's 100 epsilons in the units 4^k: each closed-form L and
+        # mu is bit for bit the instance's own; from 4^-243 down and 4^241 up
+        # (L = 1.2e146) LAPACK rescales matrices before their eigensolves, and
+        # some rows differ
+        scale = 4.0**k
+        big_l, mu = 10.0 * scale, scale
+        mismatches = []
+        for eps in [j / 5 * scale for j in range(1, 101)]:
+            ensemble = costs.epsilon_example(big_l, mu, eps)
+            own = ensemble.smoothness_constant(), ensemble.aggregate_mu()
+            if costs.epsilon_family_constants(big_l, mu, eps) != own:
+                mismatches.append(eps)
+        assert mismatches == []
+
 
 class TestAggregateMinimizer:
     def test_zero_linear_terms(self):

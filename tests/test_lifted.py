@@ -223,11 +223,24 @@ BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benc
 
 
 def _one_row(objective, scan_cap):
-    """The one-row threshold of `objective`, None where it is not in class."""
+    """The one-row threshold of `objective` as the bracket ends a stack row
+    gives: (nan, nan) where it is not in class, (inf, inf) where capped."""
     try:
-        return objective.strong_convexity_threshold(scan_cap)
+        result = objective.strong_convexity_threshold(scan_cap)
     except NotInClassError:
-        return None
+        return math.nan, math.nan
+    if result.capped:
+        assert result.alpha == math.inf
+        assert result.bracket is None and result.resolution is None
+        return math.inf, math.inf
+    lo, hi = result.bracket
+    assert result.alpha == lo and result.resolution == hi - lo
+    return lo, hi
+
+
+def _bits(*ends) -> bytes:
+    """Float arrays or sequences as one byte string: equal iff bit for bit equal."""
+    return b"".join(np.asarray(e, dtype=float).tobytes() for e in ends)
 
 
 class TestThresholdStack:
@@ -241,40 +254,44 @@ class TestThresholdStack:
         stack = lifted.ThresholdStack(
             costs.epsilon_family(10.0, 1.0, BENCH_EPSILONS), mix_quarter
         )
-        rows = stack.thresholds(scan_cap)
-        for eps, row in zip(BENCH_EPSILONS, rows):
+        lo, hi = stack.brackets(scan_cap)
+        assert lo.shape == hi.shape == (len(BENCH_EPSILONS),)
+        for eps, a, b in zip(BENCH_EPSILONS, lo.tolist(), hi.tolist(), strict=True):
             objective = _objective(costs.epsilon_example(10.0, 1.0, eps), mix_quarter)
-            assert row == _one_row(objective, scan_cap), eps
-            if row is not None and not row.capped:
-                assert row.bracket[1] > objective.certified_interval[1] > row.alpha, eps
+            assert _bits(a, b) == _bits(_one_row(objective, scan_cap)), eps
+            if math.isfinite(a):
+                assert b > objective.certified_interval[1] > a, eps
         # the family covers a blank row at 2L and, under the low cap, capped rows
-        assert rows[-1] is None and None not in rows[:-1]
-        assert any(row.capped for row in rows[:-1]) == (scan_cap == 0.5)
+        assert math.isnan(lo[-1]) and math.isnan(hi[-1])
+        assert not np.isnan(lo[:-1]).any() and not np.isnan(hi[:-1]).any()
+        assert np.isinf(lo[:-1]).any() == (scan_cap == 0.5)
+        assert (np.isinf(lo) == np.isinf(hi)).all()
 
     @pytest.mark.parametrize("block", [3, 8])
     def test_rows_do_not_depend_on_their_block(self, mix_quarter, block):
         # rows on both sides of every block boundary, as sweep-epsilon cuts them
         family = costs.epsilon_family(10.0, 1.0, BENCH_EPSILONS)
-        whole = lifted.ThresholdStack(family, mix_quarter).thresholds()
-        blocks = []
+        whole = lifted.ThresholdStack(family, mix_quarter).brackets()
+        los, his = [], []
         for start in range(0, len(family), block):
-            stack = lifted.ThresholdStack(family[start : start + block], mix_quarter)
-            blocks.extend(stack.thresholds())
-        assert blocks == whole
+            lo, hi = lifted.ThresholdStack(family[start : start + block], mix_quarter).brackets()
+            los.append(lo)
+            his.append(hi)
+        assert _bits(np.concatenate(los), np.concatenate(his)) == _bits(*whole)
 
     def test_random_rows_equal_one_row_objectives(self, mix_quarter):
         # README-class instances: dense blocks, some aggregates not strongly convex
         ensembles = [costs.random_ensemble(3, 2, 1.0, seed=seed) for seed in range(40)]
         stack = lifted.ThresholdStack(np.stack([e.curvatures for e in ensembles]), mix_quarter)
-        rows = stack.thresholds(scan_cap=5.0)
-        assert 0 < rows.count(None) < len(ensembles)
-        for e, (ensemble, row) in enumerate(zip(ensembles, rows)):
+        lo, hi = stack.brackets(scan_cap=5.0)
+        assert 0 < np.isnan(lo).sum() < len(ensembles)
+        for e, (ensemble, a, b) in enumerate(zip(ensembles, lo.tolist(), hi.tolist(), strict=True)):
             objective = _objective(ensemble, mix_quarter)
-            assert row == _one_row(objective, 5.0), e
-            lo, hi = objective.certified_interval
-            assert lo == 0.0 and (hi == 0.0) == (row is None), e
-            if row is not None and not row.capped:
-                assert row.bracket[0] < hi < row.bracket[1], e
+            assert _bits(a, b) == _bits(_one_row(objective, 5.0)), e
+            edge_lo, edge = objective.certified_interval
+            assert edge_lo == 0.0 and (edge == 0.0) == math.isnan(a), e
+            if math.isfinite(a):
+                assert a < edge < b, e
 
     def test_spectral_radii_are_the_iteration_matrix_radius(self, mix_quarter):
         # rho of I - H(alpha/m) = W kron I - (alpha/m) blockdiag(A_k) against
@@ -293,7 +310,8 @@ class TestThresholdStack:
 
     def test_empty_stack(self, mix_quarter):
         stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, []), mix_quarter)
-        assert stack.thresholds() == []
+        lo, hi = stack.brackets()
+        assert lo.shape == hi.shape == (0,)
 
     def test_unconfirmed_edge_is_not_in_class(self, mix_quarter):
         # curvatures near 1e12 with mu = 1e-12: rounding in W's eigenbasis moves
