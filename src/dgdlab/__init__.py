@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "config": ("StepsizeSchedule", "ensemble_from_spec", "mixing_from_spec"),
     "costs": ("QuadraticEnsemble", "epsilon_example", "random_ensemble"),
-    "lifted": ("ConvexityCertificate", "LiftedObjective", "ThresholdResult"),
+    "lifted": ("ConvexityCertificate", "LiftedObjective"),
     "numerics": ("min_eigenvalue", "solve_spd", "sym_eigen"),
     "simulator": (
         "OracleVerdict", "TrajectoryRecord", "boundedness_oracle", "nonexpansiveness_check",

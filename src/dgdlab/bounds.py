@@ -19,7 +19,6 @@ import numpy as np
 
 from .costs import QuadraticEnsemble
 from .errors import RadiusUndefinedError
-from .lifted import ThresholdResult
 from .numerics import binary_unit, norm, render_float
 from .topology import MixingMatrix
 
@@ -143,7 +142,6 @@ class BoundReport:
     alpha_main: float
     eta: float
     radius_R: float | None
-    threshold_method: str
     threshold_resolution: float | None
 
     def base_alpha(self, sweep_base: str) -> float:
@@ -162,26 +160,24 @@ class BoundReport:
             "alpha_main": render_float(self.alpha_main),
             "eta": render_float(self.eta),
             "radius_R": render_float(self.radius_R),
-            "alpha_A_provenance": {
-                "method": self.threshold_method,
-                "resolution": self.threshold_resolution,
-            },
+            "alpha_A_provenance": {"method": "schur", "resolution": self.threshold_resolution},
         }
 
 
 def build_report(
     ensemble: QuadraticEnsemble,
     mixing: MixingMatrix,
-    threshold: ThresholdResult,
+    bracket: tuple[float, float],
 ) -> BoundReport:
     """Assemble the bound comparison table for one (ensemble, mixing) pair.
 
-    `threshold` is alpha_A, the lifted Hessian's Schur edge from
-    `LiftedObjective.strong_convexity_threshold`; its provenance is method
-    "schur" and, as resolution, the width of the bracket that confirms it (a
-    relative 1e-9 on each side of the edge), null when it is capped at
-    infinity. The radius uses x0 = 0 and alpha0 = half the spectral-gap
-    bound; it is omitted (None) when the gap bound itself is absent.
+    `bracket` is the confirmed bracket (lo, hi) of alpha_A, the lifted
+    Hessian's Schur edge, from `LiftedObjective.strong_convexity_threshold`:
+    alpha_A is lo, and its provenance is method "schur" and, as resolution,
+    the bracket's width hi - lo (a relative 1e-9 on each side of the edge),
+    null when it is capped at infinity. The radius uses x0 = 0 and alpha0 =
+    half the spectral-gap bound; it is omitted (None) when the gap bound
+    itself is absent.
     """
     summary = mixing.spectral
     alpha_gd, alpha_l, eta, alpha_s = stepsize_bounds(
@@ -196,14 +192,14 @@ def build_report(
                 ensemble, mixing, np.zeros(ensemble.m * ensemble.n), 0.5 * alpha_s
             )
 
+    lo, hi = bracket
     return BoundReport(
         alpha_gd=alpha_gd,
         alpha_L=alpha_l,
         alpha_S=alpha_s,
-        alpha_A=threshold.alpha,
-        alpha_main=min(alpha_l, threshold.alpha),
+        alpha_A=lo,
+        alpha_main=min(alpha_l, lo),
         eta=eta,
         radius_R=radius,
-        threshold_method=threshold.method,
-        threshold_resolution=threshold.resolution,
+        threshold_resolution=None if lo == math.inf else hi - lo,
     )

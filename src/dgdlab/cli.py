@@ -91,9 +91,8 @@ def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
 
     _require(cfg, "ensemble", "mixing")
     objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
-    threshold = objective.strong_convexity_threshold(cfg.scan_cap)
-    report = bounds.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
-    payload = report.to_dict()
+    bracket = objective.strong_convexity_threshold(cfg.scan_cap)
+    payload = bounds.build_report(cfg.ensemble, cfg.mixing, bracket=bracket).to_dict()
     summary = cfg.mixing.spectral
     payload.update(
         {
@@ -144,8 +143,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
 
     _require(cfg, "ensemble", "mixing")
     objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
-    threshold = objective.strong_convexity_threshold(cfg.scan_cap)
-    report = bounds.build_report(cfg.ensemble, cfg.mixing, threshold=threshold)
+    bracket = objective.strong_convexity_threshold(cfg.scan_cap)
+    report = bounds.build_report(cfg.ensemble, cfg.mixing, bracket=bracket)
     base = report.base_alpha(cfg.sweep_base)
 
     multiples = cfg.alpha_multiples
@@ -168,9 +167,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         consensus=False,
     )
 
-    verdicts = simulator.boundedness_verdicts(
-        cfg.ensemble, cfg.mixing, [mult * base for mult in multiples]
-    )
+    # the oracle reads the Hessians of the stack that certified alpha_A
+    verdicts = simulator.boundedness_verdicts(objective, [mult * base for mult in multiples])
     summaries = {
         repr(mult): dict(record.summary_dict(), oracle=_oracle_entry(verdict))
         for mult, record, verdict in zip(multiples, records, verdicts)

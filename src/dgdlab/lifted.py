@@ -69,23 +69,6 @@ class ConvexityCertificate:
     modulus: float
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """alpha_A, the right end of the certified stepsizes (0, alpha_A).
-
-    alpha is math.inf when the edge reaches the scan cap (capped=True).
-    Otherwise bracket is the pair of stepsizes a relative 1e-9 below and
-    above the edge at which H's smallest eigenvalue confirmed it, alpha is
-    its lower end, and resolution its width; both are None when capped.
-    """
-
-    alpha: float
-    method: str
-    resolution: float | None = None
-    bracket: tuple[float, float] | None = None
-    capped: bool = False
-
-
 def _diagonal_blocks(matrices: np.ndarray, m: int, n: int) -> np.ndarray:
     """A writable (..., m, n, n) view of the m diagonal (n, n) blocks of a
     contiguous (..., nm, nm) stack."""
@@ -115,11 +98,11 @@ class ThresholdStack:
     Row e is the lifted objective of the e-th curvature set: its Hessian is
     H_e(t) = C + t B_e with t = alpha/m, B_e = blockdiag of the set and
     C = (I - W) kron I_n shared by every row. `_edges` gives every row's
-    alpha_A from one eigendecomposition of W, one product into its
-    eigenbasis and two batched eigensolves; `brackets` confirms the
-    finite edges with two more, one per bracket end. Every row's numbers
-    are bit for bit those of the same instance alone: a LiftedObjective is
-    the one-row case.
+    alpha_A from one product into W's eigenbasis (`MixingMatrix.eigenbasis`,
+    which validation took) and two batched eigensolves; `brackets` confirms
+    the finite edges with two more, one per bracket end. Every row's
+    numbers are bit for bit those of the same instance alone: a
+    LiftedObjective is the one-row case.
 
     The stack holds the (E, m, n, n) curvature sets and the one (nm, nm) C,
     never a dense B_e: `_hessians` writes each H's diagonal blocks into a
@@ -166,7 +149,7 @@ class ThresholdStack:
             # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
             # the scaled basis for j >= 2 (outer products by matmul, which buffers
             # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
-            q = self._mixing._eigenbasis
+            q = self._mixing.eigenbasis
             size, rest = rows.size, (m - 1) * n
             pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
             blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
@@ -305,12 +288,13 @@ class LiftedObjective:
         empty, for an instance out of class. See ThresholdStack._edges."""
         return 0.0, float(self._stack._edges[0])
 
-    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> ThresholdResult:
-        """alpha_A, the right end of certified_interval, confirmed by the sign
-        of the smallest Hessian eigenvalue on both sides. An edge at or past
-        `scan_cap` gives the +inf sentinel with capped=True. Raises
-        NotInClassError for an instance out of class, or when the sign does
-        not confirm the edge (see ThresholdStack.brackets).
+    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> tuple[float, float]:
+        """(lo, hi), the confirmed bracket of alpha_A, the right end of
+        certified_interval: the sign of the smallest Hessian eigenvalue is
+        positive at lo, which is alpha_A as reported, and not at hi (see
+        ThresholdStack.brackets). An edge at or past `scan_cap` gives
+        (inf, inf). Raises NotInClassError for an instance out of class, or
+        when the sign does not confirm the edge.
         """
         lo, hi = self._stack.brackets(scan_cap)
         lo, hi = lo.item(), hi.item()
@@ -319,9 +303,7 @@ class LiftedObjective:
                 "the aggregate curvature (1/m) sum A_k is not positive definite: "
                 "no stepsize certifies"
             )
-        if lo == math.inf:
-            return ThresholdResult(alpha=math.inf, method="schur", capped=True)
-        return ThresholdResult(alpha=lo, method="schur", resolution=hi - lo, bracket=(lo, hi))
+        return lo, hi
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -147,29 +147,48 @@ def binary_unit(peak: float) -> float:
     return math.ldexp(1.0, math.frexp(peak)[1] - 1)
 
 
-def norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """np.linalg.norm(x, axis=axis), bit for bit wherever that is finite; `axis`
-    is None or one axis of an `x` of two or more dimensions.
+# Below 2^-511 a norm's squares sum below 2^-1022 and have lost bits. At or
+# above 2^-485 the last bit of N^2 is at least 2^-1022, so a square that
+# underflowed rounded by at most 2^-53 of it.
+SQUARES_FLOOR = 2.0**-485
 
-    A norm whose squares overflow, though its entries are finite, is taken
-    again after dividing by the `binary_unit` of its largest |entry|, which
-    is exact, and scaled back: each square then lies below 4. A norm past the
+
+def squares_out_of_range(norms: np.ndarray) -> np.ndarray:
+    """Where a norm's squares may have left the float range: it is inf, where
+    they overflowed, or below 2^-485 (`SQUARES_FLOOR`), zero included, where
+    they underflowed (or nan). `norm` takes such a norm again in a binary
+    unit."""
+    return ~((norms >= SQUARES_FLOOR) & (norms < math.inf))
+
+
+def norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """np.linalg.norm(x, axis=axis), bit for bit wherever its squares stay in
+    range; `axis` is None or one axis of an `x` of two or more dimensions.
+
+    A norm whose squares overflow or underflow (`squares_out_of_range`),
+    though its entries are finite and not all zero, is taken again after
+    dividing by the `binary_unit` of its largest |entry|, which is exact,
+    and scaled back: the largest square then lies in [1, 4). A norm past the
     float range stays inf, and none of this warns.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=axis)
         if axis is None:
-            if math.isinf(norms) and np.isfinite(x).all():
-                unit = binary_unit(float(abs(x).max()))
-                norms = np.linalg.norm(x / unit) * unit
+            if squares_out_of_range(norms):
+                peak = float(abs(x).max(initial=0.0))
+                if 0 < peak < math.inf:
+                    unit = binary_unit(peak)
+                    norms = np.linalg.norm(x / unit) * unit
             return norms
-        big = np.isinf(norms)
-        if big.any():
-            big &= np.isfinite(x).all(axis=axis)
-            rows = np.moveaxis(x, axis, -1)[big]
-            units = np.array([binary_unit(p) for p in abs(rows).max(axis=-1).tolist()])
-            norms[big] = np.linalg.norm(rows / units[:, None], axis=-1) * units
+        redo = squares_out_of_range(norms)
+        if redo.any():
+            rows = np.moveaxis(x, axis, -1)[redo]
+            peaks = abs(rows).max(axis=-1, initial=0.0)
+            scalable = (peaks > 0) & (peaks < math.inf)
+            redo[redo] = scalable
+            units = np.array([binary_unit(p) for p in peaks[scalable].tolist()])
+            norms[redo] = np.linalg.norm(rows[scalable] / units[:, None], axis=-1) * units
     return norms
 
 

@@ -39,9 +39,9 @@ import numpy as np
 from .bounds import lambda_min_bound
 from .config import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_HORIZON, StepsizeSchedule
 from .costs import QuadraticEnsemble
-from .lifted import LiftedObjective, ThresholdStack
-# sym_eigen is unused here, but perfbench/test_spans.py looks it up in this module
-from .numerics import binary_unit, norm, render_float, sym_eigen  # noqa: F401
+from .lifted import LiftedObjective
+from .numerics import SQUARES_FLOOR, binary_unit, norm, render_float, squares_out_of_range
+from .numerics import sym_eigen  # noqa: F401 (unused, but perfbench/test_spans.py looks it up here)
 from .topology import MixingMatrix
 
 CRITICAL_BAND = 1e-6
@@ -447,21 +447,26 @@ def run_batch(
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
             died = None
-            # some R(t) over the limit or nan, or some consensus squares
-            # overflowed; a non-finite state makes R(t) inf or nan, so R(t)
-            # alone catches it
-            if not ((r <= limit).all() and (cons is None or np.isfinite(cons).all())):
-                # an infinite R(t) or consensus of a finite state is taken
-                # again in a binary unit, exactly, before the crossing test
+            # some R(t) over the limit or nan, or some squares of R(t) or
+            # consensus out of the float range (see `squares_out_of_range`); a
+            # non-finite state makes R(t) inf or nan, so R(t) alone catches it
+            if not (
+                SQUARES_FLOOR <= r.min()
+                and r.max() <= limit
+                and (cons is None or SQUARES_FLOOR <= cons.min() and cons.max() < math.inf)
+            ):
+                # an R(t) or consensus of a finite state whose squares left the
+                # float range is taken again in a binary unit, exactly, before
+                # the crossing test
                 finite = np.isfinite(chunk).all(axis=(2, 3))
-                js, qs = np.nonzero(np.isinf(r) & finite)
+                js, qs = np.nonzero(squares_out_of_range(r) & finite)
                 if js.size:
                     r[js, qs] = norm(chunk[js, qs] - x_star, axis=-1).sum(axis=-1)
                 # the early stop of each row at its own first crossing, where
                 # a non-finite state reads as infinite R(t) and consensus
                 r[~finite] = math.inf
                 if cons is not None:
-                    js, qs = np.nonzero(np.isinf(cons) & finite)
+                    js, qs = np.nonzero(squares_out_of_range(cons) & finite)
                     if js.size:
                         # the state's unit, not the deviation's: the agent
                         # mean itself can overflow
@@ -471,10 +476,11 @@ def run_batch(
                         cons[js, qs] = _consensus(rescued / units[:, None, None]) * units
                     cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
-                died = dies.any(axis=0)
-                death = np.where(died, dies.argmax(axis=0), steps)
-                for q in np.flatnonzero(died):
-                    divergence[rows[q]] = t + int(death[q])
+                if dies.any():
+                    died = dies.any(axis=0)
+                    death = np.where(died, dies.argmax(axis=0), steps)
+                    for q in np.flatnonzero(died):
+                        divergence[rows[q]] = t + int(death[q])
 
             # each row's cells up to its divergence step, or to the chunk's end
             ids = rows.tolist()
@@ -550,16 +556,15 @@ class OracleVerdict:
         return abs(self.spectral_radius - 1.0) <= CRITICAL_BAND
 
 
-def boundedness_verdicts(
-    ensemble: QuadraticEnsemble, mixing: MixingMatrix, alphas
-) -> list[OracleVerdict]:
+def boundedness_verdicts(objective: LiftedObjective, alphas) -> list[OracleVerdict]:
     """`boundedness_oracle` at each constant stepsize in `alphas`, from one
-    stacked eigensolve of the lifted Hessians H(alpha/m), as
-    M_alpha = I - H(alpha/m) (`ThresholdStack.spectral_radii`); each verdict
-    is bit for bit that of a lone call."""
+    stacked eigensolve of the objective's lifted Hessians H(alpha/m), as
+    M_alpha = I - H(alpha/m) (`ThresholdStack.spectral_radii` of its stack,
+    the one its certification reads); each verdict is bit for bit that of a
+    lone call."""
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be finite and positive")
-    rhos = ThresholdStack(ensemble.curvatures[None], mixing).spectral_radii(alphas).tolist()
+    rhos = objective._stack.spectral_radii(alphas).tolist()
     return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 
@@ -567,7 +572,7 @@ def boundedness_oracle(
     ensemble: QuadraticEnsemble, mixing: MixingMatrix, alpha: float
 ) -> OracleVerdict:
     """Ground-truth boundedness for constant stepsize via the spectral radius."""
-    return boundedness_verdicts(ensemble, mixing, [alpha])[0]
+    return boundedness_verdicts(LiftedObjective(ensemble, mixing), [alpha])[0]
 
 
 @dataclass(frozen=True, eq=False)

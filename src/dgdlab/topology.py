@@ -2,15 +2,15 @@
 
 A valid mixing matrix is symmetric, doubly stochastic, has a strictly
 positive diagonal, and corresponds to a connected graph (second-largest
-eigenvalue strictly below 1). Spectral quantities that the stepsize
-bounds consume — the smallest eigenvalue and the signed second-largest
-eigenvalue — are computed once at validation time and cached.
+eigenvalue strictly below 1). Validation eigendecomposes W once, and
+both the spectral quantities that the stepsize bounds consume (the
+smallest eigenvalue and the signed second-largest eigenvalue) and the
+scaled eigenbasis that certification reads come from that one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,26 +41,22 @@ class SpectralSummary:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """A validated doubly stochastic symmetric weight matrix."""
+    """A validated doubly stochastic symmetric weight matrix.
+
+    `spectral` and `eigenbasis` come from the one eigendecomposition of W,
+    W = Q diag(w) Q^T. `eigenbasis` is Q D^(-1/2): q_1 = 1/sqrt(m) exactly as
+    the first column, for w_1 = 1 (which eigh puts last, as the largest), and
+    each other column q_j scaled by (1 - w_j)^(-1/2), finite on a connected W.
+    """
 
     m: int
     w: np.ndarray
     spectral: SpectralSummary
+    eigenbasis: np.ndarray
 
     def __post_init__(self):
         self.w.setflags(write=False)
-
-    @cached_property
-    def _eigenbasis(self) -> np.ndarray:
-        """Q D^(-1/2): W = Q diag(w) Q^T with q_1 = 1/sqrt(m) exactly as the first
-        column, for w_1 = 1 (which eigh puts last, as the largest), and each other
-        column q_j scaled by (1 - w_j)^(-1/2), finite on a connected W."""
-        values, vectors = sym_eigen(self.w, vectors=True)
-        q = np.empty((self.m, self.m))
-        q[:, 0] = self.m**-0.5
-        gaps = np.sqrt(1.0 - values[:-1])
-        np.divide(vectors[:, :-1], gaps, out=q[:, 1:])
-        return q
+        self.eigenbasis.setflags(write=False)
 
 
 def validate_mixing(w: np.ndarray) -> MixingMatrix:
@@ -92,15 +88,15 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
         raise MixingMatrixError("zero_diagonal", "every self-weight w_ii must be positive")
     w = (w + w.T) * 0.5  # exactly symmetric from here on
 
-    eigs = sym_eigen(w)
-    lam_min = float(eigs[0])
+    values, vectors = sym_eigen(w, vectors=True)
+    lam_min = float(values[0])
     if m == 1:
         summary = SpectralSummary(
             lambda_min=lam_min, beta=0.0, spectral_gap=1.0, beta_abs=0.0, single_agent=True
         )
-        return MixingMatrix(m=1, w=w, spectral=summary)
+        return MixingMatrix(m=1, w=w, spectral=summary, eigenbasis=np.ones((1, 1)))
 
-    beta = float(eigs[-2])  # one copy of the leading eigenvalue 1 removed
+    beta = float(values[-2])  # one copy of the leading eigenvalue 1 removed
     if beta >= 1.0 - CONNECTIVITY_GAP:
         raise MixingMatrixError(
             "disconnected", f"second-largest eigenvalue {beta:.15g} >= 1; graph is not connected"
@@ -109,7 +105,10 @@ def validate_mixing(w: np.ndarray) -> MixingMatrix:
     summary = SpectralSummary(
         lambda_min=lam_min, beta=beta, spectral_gap=1.0 - beta, beta_abs=beta_abs
     )
-    return MixingMatrix(m=m, w=w, spectral=summary)
+    basis = np.empty((m, m))  # see MixingMatrix
+    basis[:, 0] = m**-0.5
+    np.divide(vectors[:, :-1], np.sqrt(1.0 - values[:-1]), out=basis[:, 1:])
+    return MixingMatrix(m=m, w=w, spectral=summary, eigenbasis=basis)
 
 
 def metropolis_weights(adjacency: np.ndarray) -> MixingMatrix:

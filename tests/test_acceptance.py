@@ -76,16 +76,16 @@ def test_02_threshold_sweep_verdicts():
         for seed in RECIPE_SEEDS:
             ens = _recipe_instance(seed)
             obj = lifted.LiftedObjective(ens, mix)
-            th = obj.strong_convexity_threshold()
-            assert math.isfinite(th.alpha) and th.alpha > 0
+            alpha_a, _ = obj.strong_convexity_threshold()
+            assert math.isfinite(alpha_a) and alpha_a > 0
             floor = bounds.lambda_min_bound(
                 mix.spectral.lambda_min, ens.smoothness_constant()
             )
-            safe = min(th.alpha, floor)
+            safe = min(alpha_a, floor)
             # (mult, alpha, exact verdict or None where "bounded" is required)
             cases = [(mult, mult * safe, None) for mult in (0.5, 0.95, 0.99)]
             for mult in (1.01, 1.02):
-                alpha = mult * th.alpha
+                alpha = mult * alpha_a
                 verdict = simulator.boundedness_oracle(ens, mix, alpha)
                 if verdict.is_critical:
                     continue
@@ -168,8 +168,8 @@ def test_04_modulus_scaling_monotonicity():
             if ens.aggregate_mu() <= 0.02:
                 continue
             obj = lifted.LiftedObjective(ens, mix)
-            th = obj.strong_convexity_threshold(scan_cap=3.0)
-            top = 3.0 if math.isinf(th.alpha) else th.alpha
+            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=3.0)
+            top = 3.0 if math.isinf(alpha_a) else alpha_a
             alpha = float(rng.uniform(0.15, 0.95)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -198,8 +198,8 @@ def test_05_certification_bounds_aggregate_curvature():
             if ens.aggregate_mu() <= 0.02:
                 continue
             obj = lifted.LiftedObjective(ens, mix)
-            th = obj.strong_convexity_threshold(scan_cap=3.0)
-            top = 3.0 if math.isinf(th.alpha) else th.alpha
+            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=3.0)
+            top = 3.0 if math.isinf(alpha_a) else alpha_a
             alpha = float(rng.uniform(0.1, 1.0)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -229,7 +229,7 @@ def test_06_minimizer_curve_lipschitz_bound():
             assert np.linalg.norm(ens.linear_terms, axis=1).max() > 0
             built += 1
             obj = lifted.LiftedObjective(ens, mix)
-            assert math.isinf(obj.strong_convexity_threshold(scan_cap=top).alpha)
+            assert math.isinf(obj.strong_convexity_threshold(scan_cap=top)[0])
             mu_top = obj.certify(top).modulus
             grid = np.linspace(top / 10, top, 10)
             points = obj._minimizers(grid)
@@ -266,11 +266,11 @@ def test_07_distance_to_certified_minimizer_never_grows():
                 continue
             checked += 1
             obj = lifted.LiftedObjective(ens, mix)
-            th = obj.strong_convexity_threshold()
+            alpha_a, _ = obj.strong_convexity_threshold()
             floor = bounds.lambda_min_bound(
                 mix.spectral.lambda_min, ens.smoothness_constant()
             )
-            alpha = 0.9 * min(th.alpha, floor)
+            alpha = 0.9 * min(alpha_a, floor)
             rec = simulator.run(
                 ens, mix, StepsizeSchedule.constant(alpha),
                 x0=rng.normal(size=6), horizon=400, record_every=1,

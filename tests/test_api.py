@@ -36,6 +36,8 @@ REMOVED = {
     "_overflowed_distance_sums": simulator,  # norm(states - x_star, axis=-1).sum(axis=-1)
     "_overflowed_consensus": simulator,  # _consensus(states / unit) * unit
     "_unit": bounds,  # binary_unit(L)
+    # a threshold is its confirmed bracket: strong_convexity_threshold returns (lo, hi)
+    "ThresholdResult": lifted,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -65,21 +67,25 @@ REMOVED_METHODS = {
     "dim": lifted.LiftedObjective,  # ensemble.m * ensemble.n
     "consensus_matrix": lifted.LiftedObjective,  # (I - W) kron I_n, hessian's constant part
     "to_json": bounds.BoundReport,  # json.dumps(report.to_dict(), indent=2)
+    # validation eigendecomposes W once: MixingMatrix.eigenbasis
+    "_eigenbasis": topology.MixingMatrix,
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {
     "record_every": simulator.TrajectoryRecord,  # a record keeps every state or none
     "x_star": simulator.TrajectoryRecord,  # R(t) is against ensemble.aggregate_minimizer()
+    "threshold_method": bounds.BoundReport,  # alpha_A's method is always "schur"
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
     bounds.trajectory_radius: ("mu",),
-    bounds.build_report: ("x0", "alpha0"),
+    bounds.build_report: ("x0", "alpha0", "threshold"),
     # one stepsize axis: the per-agent stepsize a is the engine stepsize m a
     simulator.step: ("agent_scale",),
     # R(t) is always measured against the ensemble's own aggregate minimizer
     simulator.run_batch: ("agent_scale", "x_star"),
-    simulator.boundedness_verdicts: ("agent_scale",),
+    # the verdicts read the caller's LiftedObjective, which holds both
+    simulator.boundedness_verdicts: ("agent_scale", "ensemble", "mixing"),
     simulator.boundedness_oracle: ("agent_scale",),
 }
 
@@ -167,6 +173,6 @@ def test_removed_names_and_options_stay_removed():
     for function, options in REMOVED_OPTIONS.items():
         parameters = inspect.signature(function).parameters
         assert not set(options) & set(parameters), function.__name__
-    # alpha_A comes from the caller's threshold, which carries the config's scan cap
-    threshold = inspect.signature(bounds.build_report).parameters["threshold"]
-    assert threshold.default is inspect.Parameter.empty
+    # alpha_A comes from the caller's bracket, which carries the config's scan cap
+    bracket = inspect.signature(bounds.build_report).parameters["bracket"]
+    assert bracket.default is inspect.Parameter.empty

@@ -6,7 +6,7 @@ import pytest
 
 from dgdlab import bounds, costs
 from dgdlab.errors import RadiusUndefinedError
-from dgdlab.lifted import LiftedObjective, ThresholdResult
+from dgdlab.lifted import LiftedObjective
 
 
 class TestClassicalBound:
@@ -196,13 +196,15 @@ class TestStepsizeBounds:
 class TestBoundReport:
     def test_report_fields_and_json(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-        threshold = LiftedObjective(ens, mix_quarter).strong_convexity_threshold()
-        report = bounds.build_report(ens, mix_quarter, threshold=threshold)
+        lo, hi = LiftedObjective(ens, mix_quarter).strong_convexity_threshold()
+        report = bounds.build_report(ens, mix_quarter, bracket=(lo, hi))
+        # alpha_A is the bracket's lower end, and its resolution the width
+        assert report.alpha_A == lo and report.threshold_resolution == hi - lo
         data = json.loads(json.dumps(report.to_dict()))
         for key in ("alpha_gd", "alpha_L", "alpha_S", "alpha_A", "alpha_main",
                     "eta", "radius_R", "alpha_A_provenance"):
             assert key in data
-        assert data["alpha_A_provenance"]["method"] == "schur"
+        assert data["alpha_A_provenance"] == {"method": "schur", "resolution": hi - lo}
         assert data["alpha_main"] == pytest.approx(
             min(data["alpha_L"], data["alpha_A"])
         )
@@ -211,10 +213,12 @@ class TestBoundReport:
 
     def test_infinite_threshold_serializes(self, mix_single):
         ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
-        threshold = LiftedObjective(ens, mix_single).strong_convexity_threshold()
-        report = bounds.build_report(ens, mix_single, threshold=threshold)
+        bracket = LiftedObjective(ens, mix_single).strong_convexity_threshold()
+        assert bracket == (math.inf, math.inf)
+        report = bounds.build_report(ens, mix_single, bracket=bracket)
         data = json.loads(json.dumps(report.to_dict()))
         assert data["alpha_A"] == "inf"
+        assert data["alpha_A_provenance"] == {"method": "schur", "resolution": None}
         assert data["alpha_main"] == pytest.approx(data["alpha_L"])
 
     def test_underflowing_gap_bound_leaves_no_radius(self, mix_quarter):
@@ -222,7 +226,6 @@ class TestBoundReport:
         # 0.75 mu / L^2 = 4e-348, is past the float range, so it is absent,
         # and there is no positive alpha0 to take the radius at
         ens = costs.epsilon_example(1e12, 5e-324, 10.0)
-        threshold = ThresholdResult(alpha=1.0, method="schur")
-        report = bounds.build_report(ens, mix_quarter, threshold=threshold)
+        report = bounds.build_report(ens, mix_quarter, bracket=(1.0, 1.0 + 2e-9))
         assert report.alpha_S is None
         assert report.radius_R is None

@@ -741,12 +741,11 @@ class TestSweepEpsilonCommand:
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, config_data)]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         mixing = config.mixing_from_spec({"W": w})
-        # build_report reads alpha_A from the threshold it is given; the
+        # build_report reads alpha_A from the bracket it is given; the
         # bound columns do not depend on it
-        threshold = lifted.ThresholdResult(alpha=math.inf, method="unused")
         for eps, row in zip(epsilons, rows, strict=True):
             instance = costs.epsilon_example(big_l, mu, eps)
-            report = bounds.build_report(instance, mixing, threshold=threshold).to_dict()
+            report = bounds.build_report(instance, mixing, bracket=(math.inf, math.inf)).to_dict()
             assert float(row[2]) == report["alpha_L"], eps
             assert row[3] == ("" if report["alpha_S"] is None else repr(report["alpha_S"])), eps
 
@@ -993,6 +992,41 @@ class TestGoldenOutputs:
             assert (out / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
 
 
+def test_bounds_decomposes_each_matrix_once_but_the_aggregate(tmp_path, monkeypatch, capsys):
+    # one bounds pass makes 7 LAPACK eigensolves, named here by their argument:
+    # W once, with its eigenvectors, as it is validated; the aggregate
+    # curvature twice, for mu and, with its eigenvectors, for the Schur edge
+    command, spec, _ = TestGoldenOutputs.CASES["bounds_ring8"]
+    w = config.mixing_from_spec(spec["mixing"]).w
+    ensemble = config.ensemble_from_spec(spec["ensemble"])
+    names = [
+        (ensemble.curvatures, "A_k"), (ensemble.aggregate_a[None], "aggregate"),
+        (ensemble.aggregate_a, "aggregate"), (w, "W"),
+    ]
+    calls = []
+
+    def counted(solver):
+        lapack = getattr(np.linalg, solver)
+
+        def call(a, *args, **kwargs):
+            name = next((n for m, n in names if m.shape == a.shape and np.array_equal(m, a)), None)
+            calls.append((solver, name or f"{a.shape[-1]}x{a.shape[-1]}"))
+            return lapack(a, *args, **kwargs)
+
+        return call
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, counted(solver))
+    assert cli.main([command, "--config", _write_config(tmp_path, spec)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [
+        ("eigh", "W"), ("eigh", "aggregate"),
+        ("eigvalsh", "14x14"),  # the Schur complement, (m - 1) n
+        ("eigvalsh", "16x16"), ("eigvalsh", "16x16"),  # H at the two bracket ends
+        ("eigvalsh", "A_k"), ("eigvalsh", "aggregate"),
+    ]
+
+
 class TestValidateTopologyCommand:
     def test_valid_matrix(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"type": "explicit", "W": W_QUARTER}, name="w.json")
@@ -1142,12 +1176,13 @@ def test_problem_too_large_for_memory_exits_2(planted_config, monkeypatch, capsy
 
 @pytest.mark.parametrize(
     "command, solver",
-    # eigvalsh validates W as the config is read; eigh runs later, for W's eigenbasis
+    # eigh validates W, and takes its eigenbasis, as the config is read; eigvalsh
+    # runs later, for the curvatures, the Schur edges, the brackets and the oracle
     [
-        (command, "eigvalsh")
+        (command, "eigh")
         for command in ("bounds", "simulate", "sweep-alpha", "sweep-epsilon", "validate-topology")
     ]
-    + [(command, "eigh") for command in ("bounds", "sweep-alpha", "sweep-epsilon")],
+    + [(command, "eigvalsh") for command in ("bounds", "simulate", "sweep-alpha", "sweep-epsilon")],
 )
 def test_eigensolve_that_does_not_converge_exits_3(command, solver, tmp_path, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):

@@ -130,9 +130,7 @@ class TestThreshold:
     def test_single_agent_convex_hits_cap(self, mix_single):
         ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
         obj = _objective(ens, mix_single)
-        th = obj.strong_convexity_threshold(scan_cap=50.0)
-        assert math.isinf(th.alpha)
-        assert th.capped
+        assert obj.strong_convexity_threshold(scan_cap=50.0) == (math.inf, math.inf)
 
     def test_pencil_matches_bisection(self, mix_quarter):
         hits = 0
@@ -141,14 +139,13 @@ class TestThreshold:
             if obj is None:
                 continue
             hits += 1
-            th = obj.strong_convexity_threshold(scan_cap=100.0)
+            lo, hi = obj.strong_convexity_threshold(scan_cap=100.0)
             ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
             if math.isinf(ref):
-                assert math.isinf(th.alpha) and th.capped
+                assert (lo, hi) == (math.inf, math.inf)
                 continue
-            assert abs(th.alpha - ref) <= 1e-8
-            lo, hi = th.bracket
-            assert th.alpha == lo and th.resolution == hi - lo <= 1e-6
+            assert abs(lo - ref) <= 1e-8
+            assert 0 < hi - lo <= 1e-6
             assert obj.certify(lo).is_strongly_convex
             assert not obj.certify(hi).is_strongly_convex
         assert hits >= 5
@@ -162,11 +159,10 @@ class TestThreshold:
         ring = topology.metropolis_weights(adjacency)
         obj = _objective(costs.random_ensemble(m, 6, 1.0, seed=0), ring)
         assert obj.ensemble.m * obj.ensemble.n == 300
-        th = obj.strong_convexity_threshold(scan_cap=100.0)
+        lo, hi = obj.strong_convexity_threshold(scan_cap=100.0)
         ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
         assert math.isfinite(ref)
-        assert abs(th.alpha - ref) <= 1e-8
-        lo, hi = th.bracket
+        assert abs(lo - ref) <= 1e-8
         assert obj.certify(lo).is_strongly_convex
         assert not obj.certify(hi).is_strongly_convex
 
@@ -186,25 +182,24 @@ class TestThreshold:
             if obj is None:
                 continue
             calls.clear()
-            th = obj.strong_convexity_threshold()
-            if math.isfinite(th.alpha):
+            lo, _ = obj.strong_convexity_threshold()
+            if math.isfinite(lo):
                 finite += 1
                 assert len(calls) == 2
         assert finite >= 3
 
     def test_bisection_bracket_is_tight(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        th = obj.strong_convexity_threshold()
-        lo, hi = th.bracket
+        lo, hi = obj.strong_convexity_threshold()
         assert hi - lo <= 1e-6
         assert obj.certify(lo).is_strongly_convex
         assert not obj.certify(hi).is_strongly_convex
 
     def test_uncapped_threshold_edge_is_sharp(self, mix_skewed):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 2.0), mix_skewed)
-        th = obj.strong_convexity_threshold()
-        assert obj.certify(th.alpha).is_strongly_convex
-        assert not obj.certify(th.alpha + 1e-6).is_strongly_convex
+        lo, _ = obj.strong_convexity_threshold()
+        assert obj.certify(lo).is_strongly_convex
+        assert not obj.certify(lo + 1e-6).is_strongly_convex
 
     def test_not_in_class(self, mix_quarter):
         # aggregate x-curvature (20 - 25)/3 < 0: no stepsize certifies
@@ -214,9 +209,9 @@ class TestThreshold:
 
     def test_certified_set_is_downward_closed(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        th = obj.strong_convexity_threshold()
+        lo, _ = obj.strong_convexity_threshold()
         for frac in (0.9, 0.5, 0.1, 0.01):
-            assert obj.certify(frac * th.alpha).is_strongly_convex
+            assert obj.certify(frac * lo).is_strongly_convex
 
 
 BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
@@ -226,15 +221,11 @@ def _one_row(objective, scan_cap):
     """The one-row threshold of `objective` as the bracket ends a stack row
     gives: (nan, nan) where it is not in class, (inf, inf) where capped."""
     try:
-        result = objective.strong_convexity_threshold(scan_cap)
+        lo, hi = objective.strong_convexity_threshold(scan_cap)
     except NotInClassError:
         return math.nan, math.nan
-    if result.capped:
-        assert result.alpha == math.inf
-        assert result.bracket is None and result.resolution is None
-        return math.inf, math.inf
-    lo, hi = result.bracket
-    assert result.alpha == lo and result.resolution == hi - lo
+    assert type(lo) is type(hi) is float
+    assert ((lo, hi) == (math.inf, math.inf)) if lo == math.inf else (0 < lo < hi < math.inf)
     return lo, hi
 
 
@@ -332,8 +323,8 @@ class TestScalingMonotonicity:
             seed += 1
             if obj is None:
                 continue
-            th = obj.strong_convexity_threshold(scan_cap=10.0)
-            top = 10.0 if math.isinf(th.alpha) else th.alpha
+            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=10.0)
+            top = 10.0 if math.isinf(alpha_a) else alpha_a
             alpha = float(rng.uniform(0.2, 1.0)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -356,8 +347,8 @@ class TestCertificationImpliesAggregate:
             seed += 1
             if obj is None:
                 continue
-            th = obj.strong_convexity_threshold(scan_cap=10.0)
-            top = 10.0 if math.isinf(th.alpha) else th.alpha
+            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=10.0)
+            top = 10.0 if math.isinf(alpha_a) else alpha_a
             for frac in (0.3, 0.9):
                 alpha = frac * top
                 cert = obj.certify(alpha)
@@ -388,8 +379,8 @@ class TestMinimizer:
             obj = _certified_random_objective(seed, mix_quarter)
             if obj is None:
                 continue
-            th = obj.strong_convexity_threshold(scan_cap=5.0)
-            alpha = 0.5 * (5.0 if math.isinf(th.alpha) else th.alpha)
+            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=5.0)
+            alpha = 0.5 * (5.0 if math.isinf(alpha_a) else alpha_a)
             x = obj.minimizer(alpha)
             # grad G_alpha(x), from the stacks alone rather than from the Hessian
             ens = obj.ensemble
@@ -400,9 +391,9 @@ class TestMinimizer:
 
     def test_uncertified_alpha_rejected(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
-        th = obj.strong_convexity_threshold()
+        alpha_a, _ = obj.strong_convexity_threshold()
         with pytest.raises(NotStronglyConvexError):
-            obj.minimizer(2.0 * th.alpha)
+            obj.minimizer(2.0 * alpha_a)
 
     def test_closed_form_matches_spd_solve(self, mix_quarter):
         # README-class instances, up to 0.98 of the edge where H(t) is
@@ -412,8 +403,8 @@ class TestMinimizer:
             obj = _certified_random_objective(seed, mix_quarter, epsilon=1.0)
             if obj is None:
                 continue
-            th = obj.strong_convexity_threshold()
-            top = 0.98 * (th.alpha if math.isfinite(th.alpha) else 10.0)
+            alpha_a, _ = obj.strong_convexity_threshold()
+            top = 0.98 * (alpha_a if math.isfinite(alpha_a) else 10.0)
             alphas = np.geomspace(1e-4, top, 12)
             for alpha, y in zip(alphas, obj._minimizers(alphas)):
                 ref = solve_spd(obj.hessian(alpha), -(alpha / obj.ensemble.m) * obj.stacked_linear)
@@ -462,7 +453,7 @@ class TestCertifiedInterval:
         lo, hi = obj.certified_interval
         assert lo == 0.0
         assert obj.certify(1e-12).is_strongly_convex
-        assert hi > obj.strong_convexity_threshold().alpha
+        assert hi > obj.strong_convexity_threshold()[0]
 
     def test_empty_without_certified_stepsize(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 25.0), mix_quarter)
@@ -492,7 +483,7 @@ def test_near_symmetric_costs_at_large_scale(mix_quarter):
     blocks[0, 0, 1] += 5e-13
     scaled = costs.QuadraticEnsemble(blocks, ens.linear_terms)
     obj = _objective(scaled, mix_quarter)
-    assert obj.strong_convexity_threshold().alpha == pytest.approx(0.0253, rel=1e-3)
+    assert obj.strong_convexity_threshold()[0] == pytest.approx(0.0253, rel=1e-3)
     assert not obj.certify(900.0).is_strongly_convex
     assert not simulator.boundedness_oracle(scaled, mix_quarter, 50.0).bounded
     assert np.array_equal(scaled.curvatures, scaled.curvatures.swapaxes(1, 2))

@@ -309,6 +309,25 @@ class TestNorm:
             got = numerics.norm(2.0**900 * x, axis=axis)
         assert np.array_equal(got, 2.0**900 * np.linalg.norm(x, axis=axis))
 
+    @pytest.mark.parametrize("axis", [None, 1])
+    @pytest.mark.parametrize("k", [-520, -540, -1000])
+    def test_underflowing_squares_scale_exactly(self, axis, k):
+        # rows of ordinary size times 2^k: their squares are subnormal or
+        # zero, and each norm is still the plain one times 2^k
+        x = np.random.default_rng(5).normal(size=(4, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = numerics.norm(2.0**k * x, axis=axis)
+        assert np.array_equal(got, 2.0**k * np.linalg.norm(x, axis=axis))
+
+    def test_zero_rows_stay_zero_and_the_smallest_entry_is_its_own_norm(self):
+        x = np.zeros((3, 4))
+        x[1, 2] = -(2.0**-1074)
+        x[2] = 2.0**-1074
+        assert numerics.norm(np.zeros(5)) == 0.0
+        assert numerics.norm(x[1]) == 2.0**-1074
+        assert np.array_equal(numerics.norm(x, axis=1), [0.0, 2.0**-1074, 2.0**-1073])
+
     def test_rows_that_need_no_rescue_keep_their_bits(self):
         x = np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 1e200], [1e-3, 0.5, 7.0]])
         got = numerics.norm(x, axis=1)

@@ -224,7 +224,7 @@ def test_certification_agrees_with_the_pencil_and_the_spectrum(draw):
     ensemble, mixing = draw
     assume(np.linalg.eigvalsh(ensemble.aggregate_a)[0] > 0)
     objective = lifted.LiftedObjective(ensemble, mixing)
-    alpha_a = objective.strong_convexity_threshold(scan_cap=math.inf).alpha
+    alpha_a = objective.strong_convexity_threshold(scan_cap=math.inf)[0]
     edge = pencil_edge(ensemble.curvatures, mixing.w)
     if math.isinf(edge):
         assert math.isinf(alpha_a)
@@ -252,12 +252,13 @@ def assert_oracle_matches_kron(ensemble, mixing):
     Hessians, to 1e-12 relative; where it is not within 1e-9 of 1, the
     verdicts agree too."""
     m, n = ensemble.m, ensemble.n
-    edge = lifted.LiftedObjective(ensemble, mixing).certified_interval[1]
+    objective = lifted.LiftedObjective(ensemble, mixing)
+    edge = objective.certified_interval[1]
     alphas = [m * c / ensemble.smoothness_constant() for c in SCALED_STEPSIZES]
     if 0 < edge < math.inf:
         alphas += [f * edge for f in EDGE_MULTIPLES]
     kron, blocks = np.kron(mixing.w, np.eye(n)), block_diagonal(ensemble.curvatures)
-    for alpha, verdict in zip(alphas, simulator.boundedness_verdicts(ensemble, mixing, alphas)):
+    for alpha, verdict in zip(alphas, simulator.boundedness_verdicts(objective, alphas)):
         rho = float(np.abs(np.linalg.eigvalsh(kron - (alpha / m) * blocks)).max())
         assert abs(verdict.spectral_radius - rho) <= 1e-12 * rho, (alpha, verdict, rho)
         if abs(rho - 1.0) > 1e-9:
@@ -323,7 +324,8 @@ def test_bounds_and_verdicts_scale_with_the_units():
             lam, beta, *bounds._smoothness_and_mu(ensemble)
         )
         alphas = [3 * c / ensemble.smoothness_constant() for c in SCALED_STEPSIZES]
-        rhos = [v.spectral_radius for v in simulator.boundedness_verdicts(ensemble, mixing, alphas)]
+        verdicts = simulator.boundedness_verdicts(lifted.LiftedObjective(ensemble, mixing), alphas)
+        rhos = [v.spectral_radius for v in verdicts]
         for s in UNITS.tolist():
             scaled = costs.QuadraticEnsemble(s * ensemble.curvatures, s * ensemble.linear_terms)
             got = bounds.stepsize_bounds(lam, beta, *bounds._smoothness_and_mu(scaled))
@@ -335,7 +337,9 @@ def test_bounds_and_verdicts_scale_with_the_units():
                 assert got[3] is not None and np.isfinite([got[0], got[2], got[3]]).all(), (
                     case, s, got,
                 )
-            verdicts = simulator.boundedness_verdicts(scaled, mixing, [a / s for a in alphas])
+            verdicts = simulator.boundedness_verdicts(
+                lifted.LiftedObjective(scaled, mixing), [a / s for a in alphas]
+            )
             assert [v.spectral_radius for v in verdicts] == rhos, (case, s)
 
 
@@ -363,7 +367,9 @@ def test_run_metrics_scale_exactly_with_the_units():
     """README's seed 5 with b and x0 times 2^k: each state and minimizer
     scales by 2^k exactly, so R(t), consensus_err and dist_lifted_min are the
     scale-1 values times 2^k, bit for bit, also where their squares overflow
-    (k = 900 and 1000) and are taken again in a binary unit."""
+    (k = 900 and 1000) or underflow (k = -520 and -540) and are taken again
+    in a binary unit, and where only some of their squares underflow
+    (k = -508)."""
     mixing = topology.validate_mixing(np.array(README_W))
     seed5 = costs.random_ensemble(3, 2, 1.0, seed=5)
     schedules = [simulator.StepsizeSchedule.polynomial(a=a, w=1.0, p=0.5) for a in (0.2, 0.3)]
@@ -377,7 +383,7 @@ def test_run_metrics_scale_exactly_with_the_units():
         )
 
     plain = records(1.0)
-    for k in (0, 500, 900, 1000):
+    for k in (0, 500, 900, 1000, -508, -520, -540):
         for schedule, want, got in zip(schedules, plain, records(2.0**k)):
             assert got.verdict == want.verdict == "bounded", (k, schedule)
             for name in ("r", "consensus_err", "dist_lifted_min"):

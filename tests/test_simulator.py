@@ -24,9 +24,9 @@ def _skewed_random(seed, epsilon=1.0):
 
 def _safe_alpha(ens, mix, frac=0.5):
     obj = lifted.LiftedObjective(ens, mix)
-    th = obj.strong_convexity_threshold()
+    alpha_a, _ = obj.strong_convexity_threshold()
     floor = bounds.lambda_min_bound(mix.spectral.lambda_min, ens.smoothness_constant())
-    return frac * min(th.alpha, floor), obj
+    return frac * min(alpha_a, floor), obj
 
 
 class TestSchedule:
@@ -193,8 +193,8 @@ class TestRun:
     def test_divergence_early_stop_and_truncation(self, mix_quarter):
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
-        th = obj.strong_convexity_threshold()
-        alpha = 1.5 * th.alpha
+        alpha_a, _ = obj.strong_convexity_threshold()
+        alpha = 1.5 * alpha_a
         assert simulator.boundedness_oracle(ens, mix_quarter, alpha).spectral_radius > 1
         rec = simulator.run(ens, mix_quarter, StepsizeSchedule.constant(alpha), horizon=10_000)
         assert rec.verdict == "diverged"
@@ -232,9 +232,9 @@ class TestRun:
     def test_lifted_distance_blank_when_uncertified(self, mix_quarter):
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
-        th = obj.strong_convexity_threshold()
+        alpha_a, _ = obj.strong_convexity_threshold()
         rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(1.5 * th.alpha),
+            ens, mix_quarter, StepsizeSchedule.constant(1.5 * alpha_a),
             horizon=10, lifted_distance=obj, divergence_threshold=1e30,
         )
         assert np.all(np.isnan(rec.dist_lifted_min))
@@ -464,7 +464,7 @@ class TestRunBatch:
     def test_rows_equal_single_runs(self, mix_quarter):
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
-        th = obj.strong_convexity_threshold().alpha
+        th = obj.strong_convexity_threshold()[0]
         schedules = [
             StepsizeSchedule.constant(safe),  # bounded
             StepsizeSchedule.constant(1.5 * th),  # R(t) crosses the threshold
@@ -486,7 +486,7 @@ class TestRunBatch:
     def test_overflowing_rows_leave_the_batch(self, mix_quarter):
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
-        th = obj.strong_convexity_threshold().alpha
+        th = obj.strong_convexity_threshold()[0]
         schedules = [
             StepsizeSchedule.constant(safe),
             StepsizeSchedule.constant(1e306),  # R(t) overflows, the state stays finite
@@ -623,7 +623,7 @@ class TestRunBatch:
         chunk = simulator._CHUNK
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
-        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold().alpha)
+        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold()[0])
         calm = [StepsizeSchedule.constant(safe), StepsizeSchedule.polynomial(a=2.0 * safe, p=0.5)]
         x0 = np.linspace(-1.0, 1.0, 6)
         growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, 3 * chunk, math.inf)
@@ -709,7 +709,7 @@ class TestRunBatch:
 
     def test_batch_empties_when_every_row_diverges(self, mix_quarter):
         ens = _skewed_random(5)
-        th = lifted.LiftedObjective(ens, mix_quarter).strong_convexity_threshold().alpha
+        th = lifted.LiftedObjective(ens, mix_quarter).strong_convexity_threshold()[0]
         schedules = [StepsizeSchedule.constant(k * th) for k in (3.0, 1.5)]
         batch = simulator.run_batch(ens, mix_quarter, schedules, horizon=10_000)
         for schedule, batched in zip(schedules, batch):
@@ -773,8 +773,8 @@ def _readme_batch_peak(mix, **kwargs):
     """README's seed-5 instance at six bounded multiples of alpha_main over
     _PEAK_HORIZON steps: the tracemalloc peak of the run, B and nm."""
     ens = costs.random_ensemble(3, 2, 1.0, seed=5)
-    threshold = lifted.LiftedObjective(ens, mix).strong_convexity_threshold()
-    base = bounds.build_report(ens, mix, threshold=threshold).alpha_main
+    bracket = lifted.LiftedObjective(ens, mix).strong_convexity_threshold()
+    base = bounds.build_report(ens, mix, bracket=bracket).alpha_main
     schedules = [StepsizeSchedule.constant(k * base) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
     simulator.run_batch(ens, mix, schedules, horizon=10)  # x* solved and cached
     tracemalloc.start()
@@ -817,7 +817,7 @@ class TestRecordMemory:
         # whole-horizon histories would take 80 MB per row and metric.
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
-        alpha_a = obj.strong_convexity_threshold().alpha
+        alpha_a = obj.strong_convexity_threshold()[0]
         if shape == "sweep-alpha":
             multiples = (0.5, 0.95, 0.99, 1.01, 1.02)
             schedules = [StepsizeSchedule.constant(k * alpha_a) for k in multiples]
@@ -937,7 +937,7 @@ class TestRecordMemory:
         # trimmed to those cells, and none after it
         ens = _skewed_random(5)
         safe, obj = _safe_alpha(ens, mix_quarter)
-        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold().alpha)
+        steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold()[0])
         x0, horizon, crossing = np.linspace(-1.0, 1.0, 6), 200, 65
         growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, horizon, math.inf)
         threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
@@ -1084,7 +1084,7 @@ class TestNonexpansiveness:
             floor = 3 * bounds.lambda_min_bound(
                 mix_quarter.spectral.lambda_min, ens.smoothness_constant()
             )
-            top = 0.9 * min(obj.strong_convexity_threshold().alpha, floor)
+            top = 0.9 * min(obj.strong_convexity_threshold()[0], floor)
             schedule = StepsizeSchedule.polynomial(a=top, w=1.0, p=float(rng.uniform(0.3, 1.0)))
             rec = simulator.run(
                 ens, mix_quarter, schedule, x0=rng.normal(size=6), horizon=150, record_every=1
@@ -1148,7 +1148,7 @@ class TestNonexpansiveness:
         alpha_l = bounds.lambda_min_bound(
             mix_quarter.spectral.lambda_min, ens.smoothness_constant()
         )
-        assert alpha_l < alpha0 < obj.strong_convexity_threshold().alpha
+        assert alpha_l < alpha0 < obj.strong_convexity_threshold()[0]
         assert (alpha0 <= 3 * alpha_l) is ok
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(alpha0),
@@ -1209,11 +1209,11 @@ class TestNonexpansiveness:
     def test_rejects_uncertified_stepsize(self, mix_quarter):
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
-        th = obj.strong_convexity_threshold()
+        alpha_a, _ = obj.strong_convexity_threshold()
         floor = 3 * bounds.lambda_min_bound(
             mix_quarter.spectral.lambda_min, ens.smoothness_constant()
         )
-        bad = 1.05 * th.alpha
+        bad = 1.05 * alpha_a
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(bad),
             horizon=20, record_every=1, divergence_threshold=1e30,
