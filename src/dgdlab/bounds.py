@@ -146,7 +146,7 @@ class BoundReport:
 
     def base_alpha(self, sweep_base: str) -> float:
         """The stepsize a sweep's multiples scale: alpha_main for "main";
-        for "alpha_A", alpha_A, or alpha_L where alpha_A is capped at inf."""
+        for "alpha_A", alpha_A, or alpha_L where every stepsize certifies."""
         if sweep_base == "main":
             return self.alpha_main
         return self.alpha_A if math.isfinite(self.alpha_A) else self.alpha_L
@@ -175,7 +175,7 @@ def build_report(
     Hessian's Schur edge, from `LiftedObjective.strong_convexity_threshold`:
     alpha_A is lo, and its provenance is method "schur" and, as resolution,
     the bracket's width hi - lo (a relative 1e-9 on each side of the edge),
-    null when it is capped at infinity. The radius uses x0 = 0 and alpha0 =
+    null where alpha_A is inf. The radius uses x0 = 0 and alpha0 =
     half the spectral-gap bound; it is omitted (None) when the gap bound
     itself is absent.
     """

@@ -90,8 +90,7 @@ def cmd_bounds(cfg: ExperimentConfig, out: str | None) -> int:
     from . import bounds, lifted
 
     _require(cfg, "ensemble", "mixing")
-    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
-    bracket = objective.strong_convexity_threshold(cfg.scan_cap)
+    bracket = lifted.LiftedObjective(cfg.ensemble, cfg.mixing).strong_convexity_threshold()
     payload = bounds.build_report(cfg.ensemble, cfg.mixing, bracket=bracket).to_dict()
     summary = cfg.mixing.spectral
     payload.update(
@@ -115,7 +114,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     _require(cfg, "ensemble", "mixing", "schedule")
     if cfg.schedule.kind == "constant":
         _require_oracle_stepsize(cfg, cfg.schedule.alpha)
-    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing) if cfg.track_lifted else None
+    objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
     # trajectory.csv holds the metrics, not states: no state history
     record = simulator.run(
         cfg.ensemble,
@@ -125,13 +124,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
         horizon=cfg.horizon,
         divergence_threshold=cfg.divergence_threshold,
         record_every=None,
-        lifted_distance=objective,
+        lifted_distance=objective if cfg.track_lifted else None,
     )
     summary = record.summary_dict()
-    if cfg.schedule.kind == "constant":
-        summary["oracle"] = _oracle_entry(
-            simulator.boundedness_oracle(cfg.ensemble, cfg.mixing, cfg.schedule.alpha)
-        )
+    if cfg.schedule.kind == "constant":  # the oracle reads the run's objective
+        (verdict,) = simulator.boundedness_verdicts(objective, [cfg.schedule.alpha])
+        summary["oracle"] = _oracle_entry(verdict)
     _emit_json(summary, out, "summary.json")
     if out is not None:
         record.to_csv(os.path.join(out, "trajectory.csv"))
@@ -143,8 +141,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
 
     _require(cfg, "ensemble", "mixing")
     objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
-    bracket = objective.strong_convexity_threshold(cfg.scan_cap)
-    report = bounds.build_report(cfg.ensemble, cfg.mixing, bracket=bracket)
+    report = bounds.build_report(cfg.ensemble, cfg.mixing, objective.strong_convexity_threshold())
     base = report.base_alpha(cfg.sweep_base)
 
     multiples = cfg.alpha_multiples
@@ -222,7 +219,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     big_l, mu = cfg.family_L, cfg.family_mu
 
     # alpha_A per epsilon, the lower bracket end: NaN where nothing certifies
-    # and inf where capped. No row is written until every block has
+    # and inf where everything does. No row is written until every block has
     # certified, so a failing block leaves no output. For peak memory, a
     # block's curvatures, stack and brackets die with its statement, and each
     # row reads its alpha_A (not from a list of floats, which would lift the
@@ -232,7 +229,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
         rows = slice(start, start + _EPSILON_BLOCK)
         alpha_a[rows] = lifted.ThresholdStack(
             epsilon_family(big_l, mu, cfg.epsilons[rows]), cfg.mixing
-        ).brackets(cfg.scan_cap)[0]
+        ).brackets()[0]
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(

@@ -5,8 +5,8 @@ read here as strictly at every depth as at the top: each spec type takes
 exactly its own keys, and a non-number where a number belongs, or a value
 its constructor refuses, is a ConfigError naming its key path.
 `canonical()` gives the normal form. The run defaults and the stepsize
-schedule live here too, and `lifted` and `simulator` take them from here:
-reading a config imports neither engine module.
+schedule live here too, and `simulator` takes them from here: reading a
+config imports no engine module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .topology import MixingMatrix, metropolis_weights, validate_mixing
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
-DEFAULT_SCAN_CAP = 1e3
 DEFAULT_ALPHA_MULTIPLES = [0.5, 0.95, 0.99, 1.01, 1.02]
 DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
 # a run holds the metric cells its rows reach and nothing else per step: 8 bytes
@@ -34,7 +33,7 @@ DEFAULT_EPSILONS = [0.5 * k for k in range(1, 21)]
 MAX_HORIZON = 10**9
 _CONFIG_KEYS = (
     "ensemble", "mixing", "schedule", "horizon", "divergence_threshold", "record_every",
-    "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu", "threshold",
+    "track_lifted", "x0", "alpha_multiples", "sweep_base", "epsilons", "L", "mu",
 )
 
 
@@ -92,7 +91,6 @@ class ExperimentConfig:
     epsilons: list[float]
     family_L: float
     family_mu: float
-    scan_cap: float
     # each spec in its normal form, and the object it describes, built at parse time
     ensemble_spec: dict | None = None
     mixing_spec: dict | None = None
@@ -116,7 +114,6 @@ class ExperimentConfig:
             "epsilons": self.epsilons,
             "L": self.family_L,
             "mu": self.family_mu,
-            "threshold": {"scan_cap": self.scan_cap},
             "x0": self.x0,
         }
         return {key: value for key, value in out.items() if value is not None}
@@ -278,8 +275,6 @@ def parse_config(
     """Validate a config dictionary and build all referenced objects; a
     ConfigError with a one-line diagnosis on any problem."""
     _keys("configuration", data, {None: ((), _CONFIG_KEYS)})
-    threshold = data.get("threshold", {})
-    _keys("threshold", threshold, {None: ((), ("scan_cap",))})
     horizon = data.get("horizon", DEFAULT_HORIZON) if horizon_override is None else horizon_override
     cfg = ExperimentConfig(
         horizon=_number("horizon", horizon, int),
@@ -298,7 +293,6 @@ def parse_config(
         epsilons=_numbers("epsilons", data.get("epsilons", DEFAULT_EPSILONS)),
         family_L=_number("L", data.get("L", 10.0)),
         family_mu=_number("mu", data.get("mu", 1.0)),
-        scan_cap=_number("threshold.scan_cap", threshold.get("scan_cap", DEFAULT_SCAN_CAP)),
     )
 
     if not 1 <= cfg.horizon <= MAX_HORIZON:
@@ -315,8 +309,6 @@ def parse_config(
         raise ConfigError(f"unknown sweep_base {cfg.sweep_base!r}")
     if not (cfg.family_L > cfg.family_mu > 0):
         raise ConfigError("sweep-epsilon family needs L > mu > 0")
-    if cfg.scan_cap <= 0:
-        raise ConfigError("threshold.scan_cap must be positive")
 
     try:
         if data.get("ensemble") is not None:

@@ -42,7 +42,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_SCAN_CAP
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
 # solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
@@ -168,18 +167,17 @@ class ThresholdStack:
             edges[rows] = np.where(top > 0, m / top, math.inf)
         return edges
 
-    def brackets(self, scan_cap: float = DEFAULT_SCAN_CAP) -> tuple[np.ndarray, np.ndarray]:
+    def brackets(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), per row the stepsizes a relative 1e-9 below and above
-        alpha_A from `_edges`: both NaN for a row out of class and inf for an
-        edge at or past `scan_cap`. H's smallest eigenvalue confirms every
-        other edge, positive at lo and not at hi, in one batched eigensolve
+        alpha_A from `_edges`: both NaN for a row out of class and inf where
+        every stepsize certifies. H's smallest eigenvalue confirms every
+        finite edge, positive at lo and not at hi, in one batched eigensolve
         per end; NotInClassError names the first edge it does not confirm.
         """
         edges = self._edges  # 0.0 out of class, else positive
         lo, hi = edges * (1.0 - _CONFIRM_GAP), edges * (1.0 + _CONFIRM_GAP)
         lo[edges == 0] = hi[edges == 0] = math.nan
-        lo[edges >= scan_cap] = hi[edges >= scan_cap] = math.inf
-        rows = np.flatnonzero(np.isfinite(lo))  # in class and under the cap
+        rows = np.flatnonzero(np.isfinite(lo))  # in class with a finite edge
         if rows.size:
             confirmed = self._certified(rows, lo) & ~self._certified(rows, hi)
             if not confirmed.all():
@@ -199,7 +197,8 @@ class ThresholdStack:
         is), and no dense B_e is built. Every step is an assignment or a sum
         or product of equal shapes, as numpy buffers a broadcast or strided
         operand of a sum or product whole. One buffer holds the A_k, then
-        the C_kk, and is freed before H is allocated.
+        the C_kk, and is freed before H is allocated. Raises NotInClassError
+        where a diagonal block leaves the float range, before H is built.
         """
         t = np.asarray(alphas, dtype=float) / self.m
         _, m, n, _ = self._sets.shape
@@ -210,10 +209,12 @@ class ThresholdStack:
             operand[...] = self._sets
         else:  # mode "raise" would buffer `out` whole; every row index is valid
             np.take(self._sets, rows, axis=0, out=operand, mode="clip")
-        blocks *= operand
-        operand[...] = self._consensus_blocks
-        blocks += operand
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks *= operand
+            operand[...] = self._consensus_blocks
+            blocks += operand
         del operand
+        _finite(blocks, "a Hessian block t A_k + C_kk")
         hessians = np.empty((shape[0], m * n, m * n))
         hessians[...] = self.consensus
         _diagonal_blocks(hessians, m, n)[...] = blocks
@@ -288,15 +289,15 @@ class LiftedObjective:
         empty, for an instance out of class. See ThresholdStack._edges."""
         return 0.0, float(self._stack._edges[0])
 
-    def strong_convexity_threshold(self, scan_cap: float = DEFAULT_SCAN_CAP) -> tuple[float, float]:
+    def strong_convexity_threshold(self) -> tuple[float, float]:
         """(lo, hi), the confirmed bracket of alpha_A, the right end of
         certified_interval: the sign of the smallest Hessian eigenvalue is
         positive at lo, which is alpha_A as reported, and not at hi (see
-        ThresholdStack.brackets). An edge at or past `scan_cap` gives
-        (inf, inf). Raises NotInClassError for an instance out of class, or
-        when the sign does not confirm the edge.
+        ThresholdStack.brackets); (inf, inf) where every stepsize certifies.
+        Raises NotInClassError for an instance out of class, or when the
+        sign does not confirm the edge.
         """
-        lo, hi = self._stack.brackets(scan_cap)
+        lo, hi = self._stack.brackets()
         lo, hi = lo.item(), hi.item()
         if math.isnan(lo):
             raise NotInClassError(

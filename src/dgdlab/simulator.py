@@ -313,6 +313,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _zeros_kept(states: np.ndarray, cons: np.ndarray) -> bool:
+    """Whether each consensus cell out of range is a 0 that the rescue keeps: one of a
+    state whose peak |entry| is 0 or at least 1, which its binary unit does not scale up."""
+    low = squares_out_of_range(cons)
+    peaks = abs(states[low]).max(axis=(1, 2))
+    return not cons[low].any() and not ((0 < peaks) & (peaks < 1)).any()
+
+
 def _same_instance(
     objective: LiftedObjective, ensemble: QuadraticEnsemble, mixing: MixingMatrix
 ) -> bool:
@@ -447,13 +455,14 @@ def run_batch(
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
             died = None
-            # some R(t) over the limit or nan, or some squares of R(t) or
-            # consensus out of the float range (see `squares_out_of_range`); a
+            # some R(t) over the limit or nan, or squares of R(t) or consensus out of
+            # the float range (`squares_out_of_range`) but for zeros the rescue keeps; a
             # non-finite state makes R(t) inf or nan, so R(t) alone catches it
             if not (
                 SQUARES_FLOOR <= r.min()
                 and r.max() <= limit
-                and (cons is None or SQUARES_FLOOR <= cons.min() and cons.max() < math.inf)
+                and (cons is None or SQUARES_FLOOR <= cons.min() and cons.max() < math.inf
+                     or _zeros_kept(chunk, cons))
             ):
                 # an R(t) or consensus of a finite state whose squares left the
                 # float range is taken again in a binary unit, exactly, before

@@ -168,8 +168,7 @@ def test_04_modulus_scaling_monotonicity():
             if ens.aggregate_mu() <= 0.02:
                 continue
             obj = lifted.LiftedObjective(ens, mix)
-            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=3.0)
-            top = 3.0 if math.isinf(alpha_a) else alpha_a
+            top = min(obj.strong_convexity_threshold()[0], 3.0)
             alpha = float(rng.uniform(0.15, 0.95)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -198,8 +197,7 @@ def test_05_certification_bounds_aggregate_curvature():
             if ens.aggregate_mu() <= 0.02:
                 continue
             obj = lifted.LiftedObjective(ens, mix)
-            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=3.0)
-            top = 3.0 if math.isinf(alpha_a) else alpha_a
+            top = min(obj.strong_convexity_threshold()[0], 3.0)
             alpha = float(rng.uniform(0.1, 1.0)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -229,7 +227,7 @@ def test_06_minimizer_curve_lipschitz_bound():
             assert np.linalg.norm(ens.linear_terms, axis=1).max() > 0
             built += 1
             obj = lifted.LiftedObjective(ens, mix)
-            assert math.isinf(obj.strong_convexity_threshold(scan_cap=top)[0])
+            assert obj.strong_convexity_threshold()[0] >= top
             mu_top = obj.certify(top).modulus
             grid = np.linspace(top / 10, top, 10)
             points = obj._minimizers(grid)

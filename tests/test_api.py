@@ -38,6 +38,8 @@ REMOVED = {
     "_unit": bounds,  # binary_unit(L)
     # a threshold is its confirmed bracket: strong_convexity_threshold returns (lo, hi)
     "ThresholdResult": lifted,
+    # alpha_A is the confirmed Schur edge in any units: no absolute cap truncates it
+    "DEFAULT_SCAN_CAP": config,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -60,7 +62,7 @@ REMOVED_METHODS = {
     "to_spec": simulator.StepsizeSchedule,  # ExperimentConfig.canonical()["schedule"]
     "anchors": lifted.ThresholdStack,  # the Schur edge needs no anchor
     "intervals": lifted.ThresholdStack,  # LiftedObjective.certified_interval, (0, alpha_A)
-    "thresholds": lifted.ThresholdStack,  # brackets(scan_cap): per-row (lo, hi) arrays
+    "thresholds": lifted.ThresholdStack,  # brackets(): per-row (lo, hi) arrays
     "is_boundary": lifted.ConvexityCertificate,  # the verdict no longer reads lambda_min
     "lifted_scale": simulator.TrajectoryRecord,  # one stepsize axis: a step descends G_alpha
     "state_ts": simulator.TrajectoryRecord,  # states[t] is the state at step t
@@ -75,6 +77,7 @@ REMOVED_FIELDS = {
     "record_every": simulator.TrajectoryRecord,  # a record keeps every state or none
     "x_star": simulator.TrajectoryRecord,  # R(t) is against ensemble.aggregate_minimizer()
     "threshold_method": bounds.BoundReport,  # alpha_A's method is always "schur"
+    "scan_cap": config.ExperimentConfig,  # the config key `threshold` is gone with it
 }
 REMOVED_OPTIONS = {
     simulator.nonexpansiveness_check: ("tolerance", "segment_samples"),
@@ -87,7 +90,12 @@ REMOVED_OPTIONS = {
     # the verdicts read the caller's LiftedObjective, which holds both
     simulator.boundedness_verdicts: ("agent_scale", "ensemble", "mixing"),
     simulator.boundedness_oracle: ("agent_scale",),
+    # a finite edge is confirmed or refused, never capped to inf
+    lifted.ThresholdStack.brackets: ("scan_cap",),
+    lifted.LiftedObjective.strong_convexity_threshold: ("scan_cap",),
 }
+# config keys a config no longer takes: each exits 2 as an unknown key
+REMOVED_CONFIG_KEYS = ("agent_scale", "threshold")
 
 
 def test_every_exported_name_resolves():
@@ -173,6 +181,18 @@ def test_removed_names_and_options_stay_removed():
     for function, options in REMOVED_OPTIONS.items():
         parameters = inspect.signature(function).parameters
         assert not set(options) & set(parameters), function.__name__
-    # alpha_A comes from the caller's bracket, which carries the config's scan cap
+    # alpha_A comes from the caller's confirmed bracket
     bracket = inspect.signature(bounds.build_report).parameters["bracket"]
     assert bracket.default is inspect.Parameter.empty
+    for key in REMOVED_CONFIG_KEYS:
+        assert key not in config._CONFIG_KEYS, key
+
+
+def test_lifted_reads_nothing_from_config():
+    # the engine takes no config default: a threshold is its confirmed Schur edge
+    src = Path(dgdlab.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dgdlab.lifted; print(sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert "'dgdlab.lifted'" in done.stdout and "'dgdlab.config'" not in done.stdout

@@ -16,6 +16,15 @@ W_QUARTER = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 W_SKEWED = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]]
 W_UNIFORM = [[1 / 3] * 3] * 3
 README_ENSEMBLE = {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}
+# every A_k positive definite: every stepsize certifies, and alpha_A is inf
+POSITIVE_DEFINITE_ENSEMBLE = {
+    "type": "explicit",
+    "costs": [
+        {"A": [[2.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]},
+        {"A": [[1.0, 0.3], [0.3, 0.5]], "b": [0.5, -1.0]},
+        {"A": [[3.0, 1.0], [1.0, 2.0]], "b": [0.0, 2.0]},
+    ],
+}
 PLANE_COST = {"A": [[2.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}  # a cost on R^2
 BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,6 +251,15 @@ class TestConfigParsing:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: unknown configuration keys ['agent_scale']")
 
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha", "sweep-epsilon"])
+    def test_removed_threshold_key_exits_2(self, command, random_config, tmp_path, capsys):
+        # no scan cap truncates alpha_A: it is the confirmed Schur edge, in any units
+        data = dict(json.loads(Path(random_config).read_text()), threshold={"scan_cap": 1000})
+        assert cli.main([command, "--config", _write_config(tmp_path, data, "old.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: unknown configuration keys ['threshold']")
+
     def test_removed_agent_scale_flag_is_refused(self, random_config, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["simulate", "--config", random_config, "--agent-scale"])
@@ -264,12 +282,6 @@ class TestConfigParsing:
         ensemble = parse_config({"ensemble": dict(README_ENSEMBLE, m=3.0, epsilon=1)})
         assert ensemble.canonical()["ensemble"] == README_ENSEMBLE
         assert type(ensemble.ensemble_spec["m"]) is int
-
-    def test_threshold_scan_cap_round_trips(self):
-        data = {"threshold": {"scan_cap": 50}}
-        cfg = parse_config(data)
-        assert cfg.scan_cap == 50.0
-        assert cfg.canonical()["threshold"] == {"scan_cap": 50.0}
 
     def test_seed_override(self):
         data = {"ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5}}
@@ -372,16 +384,23 @@ class TestBoundsCommand:
             "ensemble": {"type": "epsilon_example", "L": 1e-300, "mu": 1e-320, "epsilon": 5e-301},
             "mixing": {"type": "explicit", "W": W_QUARTER},
         }
-        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 0
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert captured.err == ""
+        instance = costs.epsilon_example(1e-300, 1e-320, 5e-301)
+        mixing = config.mixing_from_spec(data["mixing"])
+        report = bounds.build_report(instance, mixing, bracket=(math.inf, math.inf)).to_dict()
+        big_l, mu = instance.smoothness_constant(), instance.aggregate_mu()
         s = 4.0**498
-        closed = bounds.spectral_gap_bound(report["mu"] * s, report["L"] * s, report["beta"]) * s
+        closed = bounds.spectral_gap_bound(mu * s, big_l * s, mixing.spectral.beta) * s
         assert report["alpha_S"] == closed == pytest.approx(7.5e279, rel=1e-3)
         # b = 0 puts x* and x0 = 0 together, with D = 0: the radius is 0
         assert report["radius_R"] == 0.0
         assert report["alpha_L"] == pytest.approx(1.25e300)
+        # the Schur edge, 2.25e300, is the closed form 3 (2L - epsilon) / (4 L
+        # epsilon), but at mu / L = 1e-20 the sign of H's smallest eigenvalue
+        # does not confirm it, and the command exits 3
+        assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "does not confirm the Schur edge 2.25e+300" in captured.err
 
     def test_bad_config_exits_2(self, tmp_path):
         path = _write_config(tmp_path, {"ensemble": {"type": "nope"}})
@@ -531,6 +550,50 @@ class TestSimulateCommand:
             expected = math.dist(record.state_at(t), target)
             assert float(rows[t]["dist_lifted_min"]) == pytest.approx(expected, rel=1e-15)
 
+    def test_lifted_distance_and_oracle_read_one_objective(self, tmp_path, monkeypatch, capsys):
+        # the minimizers and the oracle's Hessians come from one threshold stack
+        stacks = []
+        init = lifted.ThresholdStack.__init__
+
+        def counted(self, *args):
+            stacks.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(lifted.ThresholdStack, "__init__", counted)
+        config = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.3},
+            "horizon": 50,
+            "track_lifted": True,
+        }
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, config)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert len(stacks) == 1
+        cfg = parse_config(config)
+        oracle = simulator.boundedness_oracle(cfg.ensemble, cfg.mixing, 0.3)
+        assert summary["oracle"]["spectral_radius"] == oracle.spectral_radius
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha"])
+    def test_hessian_past_the_float_range_exits_3(self, command, tmp_path, capsys):
+        # three identical agents with a 2e300 curvature: rounding places the
+        # Schur edge at about 2.7e31 (identical agents have none), and t A_k
+        # overflows there, so the threshold and the minimizer basis refuse it
+        cost = {"A": [[2e300, 0.5], [0.5, 1.0]], "b": [1.0, -1.0]}
+        data = {
+            "ensemble": _explicit(cost),
+            "mixing": {"type": "metropolis", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+            "schedule": {"type": "constant", "alpha": 1e-301},
+            "track_lifted": True,
+            "horizon": 20,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--config", _write_config(tmp_path, data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: certification failed: a Hessian block")
+
     def test_stepsize_overflowing_the_oracle_exits_2(self, tmp_path, capsys):
         # alpha and the curvature are each legal; their product is not a float
         costs = [{"A": [[2e300, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}] * 3
@@ -649,25 +712,27 @@ class TestSweepAlphaCommand:
         assert verdicts == {"bounded", "diverged"}
 
     @pytest.mark.parametrize(
-        "sweep_base, scan_cap, base",
-        [("main", None, "alpha_main"), ("alpha_A", None, "alpha_A"), ("alpha_A", 1.0, "alpha_L")],
-        ids=["main", "alpha_A", "alpha_A-capped"],
+        "sweep_base, ensemble, base",
+        [
+            ("main", README_ENSEMBLE, "alpha_main"),
+            ("alpha_A", README_ENSEMBLE, "alpha_A"),
+            ("alpha_A", POSITIVE_DEFINITE_ENSEMBLE, "alpha_L"),
+        ],
+        ids=["main", "alpha_A", "alpha_A-inf"],
     )
     def test_base_and_bounds_are_the_bounds_commands(
-        self, sweep_base, scan_cap, base, tmp_path, capsys
+        self, sweep_base, ensemble, base, tmp_path, capsys
     ):
         # README's instance: alpha_L 0.31 < alpha_A 2.53, so the two bases
-        # differ; a scan_cap below alpha_A caps it to inf, and the alpha_A
-        # base falls back to alpha_L
+        # differ; where every A_k is positive definite every stepsize
+        # certifies, alpha_A is inf, and the alpha_A base falls back to alpha_L
         data = {
-            "ensemble": README_ENSEMBLE,
+            "ensemble": ensemble,
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "sweep_base": sweep_base,
             "alpha_multiples": [0.5],
             "horizon": 5,
         }
-        if scan_cap is not None:
-            data["threshold"] = {"scan_cap": scan_cap}
         path = _write_config(tmp_path, data)
         out = tmp_path / "out"
         for command in ("bounds", "sweep-alpha"):
@@ -675,10 +740,51 @@ class TestSweepAlphaCommand:
         capsys.readouterr()
         report = json.loads((out / "bounds.json").read_text())
         summary = json.loads((out / "sweep_alpha_summary.json").read_text())
-        assert (report["alpha_A"] == "inf") == (scan_cap is not None)
+        assert (report["alpha_A"] == "inf") == (base == "alpha_L")
         assert summary["base_alpha"] == report[base]
         assert summary["alpha_A"] == report["alpha_A"]
         assert summary["alpha_L"] == report["alpha_L"]
+
+    @pytest.mark.parametrize("j", [-150, -7, 7, 150])
+    def test_units_scale_alpha_a_and_keep_every_verdict(self, j, tmp_path, capsys):
+        # README's instance with every A_k and b_k times 4^j, exact in binary:
+        # alpha_A and the sweep's base scale by 4^-j exactly, and each run
+        # takes the same states, so its verdict, divergence step, max_R and
+        # oracle radius are the same
+        readme = costs.random_ensemble(3, 2, 1.0, seed=5)
+
+        def outputs(scale):
+            instance = [
+                {"A": (scale * a).tolist(), "b": (scale * b).tolist()}
+                for a, b in zip(readme.curvatures, readme.linear_terms)
+            ]
+            data = {
+                "ensemble": {"type": "explicit", "costs": instance},
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "horizon": 200,
+            }
+            path = _write_config(tmp_path, data, f"scale_{scale!r}.json")
+            results = []
+            for command in ("bounds", "sweep-alpha"):
+                assert cli.main([command, "--config", path]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                results.append(json.loads(captured.out))
+            return results
+
+        def runs(summary):
+            return {
+                mult: (run["verdict"], run["divergence_step"], run["max_R"],
+                       run["oracle"]["spectral_radius"])
+                for mult, run in summary["runs"].items()
+            }
+
+        (report, summary), (scaled_report, scaled_summary) = outputs(1.0), outputs(4.0**j)
+        assert scaled_report["alpha_A"] == report["alpha_A"] * 4.0**-j
+        assert scaled_summary["base_alpha"] == summary["base_alpha"] * 4.0**-j
+        assert scaled_summary["base_alpha"] == scaled_report["alpha_A"]
+        assert runs(scaled_summary) == runs(summary)
+        assert {verdict for verdict, *_ in runs(summary).values()} == {"diverged"}
 
     @pytest.mark.parametrize("multiple", [1.7e308, 5e-324])
     def test_multiple_overflowing_the_stepsize_exits_2(self, multiple, tmp_path, capsys):
@@ -758,15 +864,27 @@ class TestSweepEpsilonCommand:
             "L": 1e-300,
             "mu": 1e-320,
         }
-        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
-        captured = capsys.readouterr()
-        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
-        assert captured.err == "" and len(rows) == 3
-        beta = config.mixing_from_spec(data["mixing"]).spectral.beta
+        summary = config.mixing_from_spec(data["mixing"]).spectral
         s = 4.0**498
-        closed = bounds.spectral_gap_bound(1e-320 * s, 1e-300 * s, beta) * s
+        closed = bounds.spectral_gap_bound(1e-320 * s, 1e-300 * s, summary.beta) * s
         assert closed == pytest.approx(7.5e279, rel=1e-3)
-        assert all(row[2] and row[3] == repr(closed) for row in rows)
+        for eps in data["epsilons"]:
+            big_l, mu = costs.epsilon_family_constants(1e-300, 1e-320, eps)
+            _, alpha_l, _, alpha_s = bounds.stepsize_bounds(
+                summary.lambda_min, summary.beta, big_l, mu
+            )
+            assert alpha_l and alpha_s == closed, eps
+        # the edge at epsilon = 5e-301, 2.25e300, is not confirmed at mu / L
+        # = 1e-20 (see TestBoundsCommand): the sweep exits 3 and writes no row
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "does not confirm the Schur edge 2.25e+300" in captured.err
+        # at epsilon = 0 every agent is positive definite and every stepsize certifies
+        data["epsilons"] = [0.0]
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:2] == ["0.0", "inf"] and row[3] == repr(closed)
 
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
@@ -796,14 +914,6 @@ class TestSweepEpsilonCommand:
             ("default", {"mixing": {"type": "explicit", "W": W_QUARTER}}),
             ("bench", {"mixing": {"type": "explicit", "W": W_QUARTER}, "epsilons": BENCH_EPSILONS}),
             (
-                "cap",
-                {
-                    "mixing": {"type": "explicit", "W": W_QUARTER},
-                    "epsilons": BENCH_EPSILONS,
-                    "threshold": {"scan_cap": 0.5},
-                },
-            ),
-            (
                 "uniform",
                 {"mixing": {"type": "explicit", "W": W_UNIFORM}, "epsilons": BENCH_EPSILONS},
             ),
@@ -812,7 +922,7 @@ class TestSweepEpsilonCommand:
     def test_output_is_byte_identical_to_golden(self, golden, config, tmp_path, capsys):
         # Each row of the golden files is its epsilon's one-row threshold
         # (TestThresholdStack checks that the stack reproduces those). They
-        # cover the blank row at 2L, capped rows and a W without alpha_S. Rows
+        # cover the blank row at 2L and a W without alpha_S. Rows
         # above epsilon = L = 10 carry each instance's own alpha_L and alpha_S.
         expected = (GOLDEN / f"sweep_epsilon_{golden}.csv").read_bytes()
         path = _write_config(tmp_path, config)
@@ -826,12 +936,11 @@ class TestSweepEpsilonCommand:
     def test_alpha_a_brackets_hold_the_closed_form(self, k, tmp_path, capsys):
         # On README's W the planted family's first coordinate reduces to a 2x2
         # problem, whose edge is exactly 3 (2L - epsilon) / (4 L epsilon). In
-        # the units 4^k (L, mu), with the absolute scan cap scaled by 4^-k so
-        # no row is capped (the edge at epsilon = 1e-7 L is 1.5e6 4^-k), each
-        # CSV alpha_A is the lower end of a confirmed bracket that holds the
-        # closed form, from epsilon << L up to near 2L.
+        # the units 4^k (L, mu), where the edge at epsilon = 1e-7 L is 1.5e6
+        # 4^-k, each CSV alpha_A is the lower end of a confirmed bracket that
+        # holds the closed form, from epsilon << L up to near 2L.
         scale = 4.0**k
-        big_l, mu, cap = 10.0 * scale, scale, 1e7 / scale
+        big_l, mu = 10.0 * scale, scale
         ratios = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 1.5, 1.9)
         epsilons = [r * big_l for r in ratios]
         data = {
@@ -839,13 +948,12 @@ class TestSweepEpsilonCommand:
             "epsilons": epsilons,
             "L": big_l,
             "mu": mu,
-            "threshold": {"scan_cap": cap},
         }
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         family = costs.epsilon_family(big_l, mu, epsilons)
         stack = lifted.ThresholdStack(family, config.mixing_from_spec(data["mixing"]))
-        ends = [end.tolist() for end in stack.brackets(cap)]
+        ends = [end.tolist() for end in stack.brackets()]
         for eps, row, lo, hi in zip(epsilons, rows, *ends, strict=True):
             closed = 3.0 * (2.0 * big_l - eps) / (4.0 * big_l * eps)
             assert float(row[0]) == eps and float(row[1]) == lo, eps
@@ -855,11 +963,7 @@ class TestSweepEpsilonCommand:
         # a known limit: at epsilon = 1e-8 L (L = 10, mu = 1) the edge, about
         # 1.5e7, lies so far out that the sign of H's smallest eigenvalue a
         # relative 1e-9 on each side does not confirm it, and the row exits 3
-        data = {
-            "mixing": {"type": "explicit", "W": W_QUARTER},
-            "epsilons": [1e-7],
-            "threshold": {"scan_cap": 1e8},
-        }
+        data = {"mixing": {"type": "explicit", "W": W_QUARTER}, "epsilons": [1e-7]}
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1

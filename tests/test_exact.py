@@ -11,7 +11,9 @@ alpha. `exact_pd` scales it to integers and decides it by Sylvester's
 criterion (every leading principal minor is positive), each minor from
 Bareiss's fraction-free elimination. The referee checks the brackets that
 certification returns: H is positive definite at the lower end and not at
-the upper end.
+the upper end. It also decides the oracle: the iteration matrix I - H has
+spectral radius below 1 exactly where H and 2I - H are both positive
+definite.
 """
 
 import math
@@ -20,10 +22,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgdlab import costs, lifted, topology
+from dgdlab import bounds, costs, lifted, simulator, topology
 from dgdlab.errors import NotInClassError
 
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
+TRIANGLE_ADJACENCY = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 RING8_ADJACENCY = [[1 if abs(i - j) in (1, 7) else 0 for j in range(8)] for i in range(8)]
 
 
@@ -97,7 +100,8 @@ def test_exact_hessian_is_the_engines_in_exact_arithmetic(mix_quarter):
 
 def _assert_bracket_is_exact(objective):
     """The bracket of `objective`, with H(lo) positive definite and H(hi) not,
-    both decided exactly; None where it is out of class or capped."""
+    both decided exactly; None where it is out of class or every stepsize
+    certifies."""
     try:
         lo, hi = objective.strong_convexity_threshold()
     except NotInClassError:
@@ -127,3 +131,53 @@ def test_ring8_bracket_is_exactly_right():
     objective = lifted.LiftedObjective(costs.random_ensemble(8, 2, 1.0, seed=3), mixing)
     assert objective.ensemble.m * objective.ensemble.n == 16
     assert _assert_bracket_is_exact(objective) is not None
+
+
+def exact_contraction_margin(objective: lifted.LiftedObjective, alpha: float):
+    """2m I - m H(alpha/m), exactly: positive definite iff H < 2I."""
+    h = exact_hessian(objective, alpha)
+    twice = 2 * objective.ensemble.m
+    return [[twice * (i == j) - entry for j, entry in enumerate(row)] for i, row in enumerate(h)]
+
+
+def test_oracle_verdicts_are_exactly_right():
+    # README's W, the in-class seeds 0-19, at alpha = c m / L: rho(I - H) < 1
+    # iff H and 2I - H are positive definite, decided exactly, and the oracle's
+    # eigensolve agrees wherever rho is not within 1e-9 of 1
+    mixing = topology.validate_mixing(np.array(README_W))
+    multiples = (0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0)
+    decided = 0
+    for seed in range(20):
+        ensemble = costs.random_ensemble(3, 2, 1.0, seed=seed)
+        if np.linalg.eigvalsh(ensemble.aggregate_a)[0] <= 0:
+            continue
+        objective = lifted.LiftedObjective(ensemble, mixing)
+        alphas = [c * ensemble.m / ensemble.smoothness_constant() for c in multiples]
+        for alpha, verdict in zip(alphas, simulator.boundedness_verdicts(objective, alphas)):
+            if abs(verdict.spectral_radius - 1.0) <= 1e-9:
+                continue
+            exact = exact_pd(exact_hessian(objective, alpha)) and exact_pd(
+                exact_contraction_margin(objective, alpha)
+            )
+            assert exact == verdict.bounded, (seed, alpha, verdict)
+            decided += 1
+    assert decided == 16 * len(multiples)
+
+
+@pytest.mark.parametrize(
+    "mixing",
+    [
+        topology.validate_mixing(np.array(README_W)),
+        topology.metropolis_weights(np.array(TRIANGLE_ADJACENCY)),
+    ],
+    ids=["readme", "triangle"],
+)
+def test_nonexpansiveness_precondition_is_exactly_right(mixing):
+    # nonexpansiveness_check's precondition alpha <= m (1 + lambda_min(W)) / L,
+    # a relative 1e-9 inside: there H < 2I, decided exactly, on README seeds 0-39
+    for seed in range(40):
+        ensemble = costs.random_ensemble(3, 2, 1.0, seed=seed)
+        floor = bounds.lambda_min_bound(mixing.spectral.lambda_min, ensemble.smoothness_constant())
+        alpha = (1.0 - 1e-9) * ensemble.m * floor
+        objective = lifted.LiftedObjective(ensemble, mixing)
+        assert exact_pd(exact_contraction_margin(objective, alpha)), (seed, alpha)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ def _certified_random_objective(seed, mix, epsilon=1.0):
     return _objective(ens, mix)
 
 
-def _bisection_threshold(obj, resolution, scan_cap):
-    """Right edge of the certified interval by bisection over certify alone."""
+def _bisection_threshold(obj, resolution, top):
+    """Right edge of the certified interval by bisection over certify alone,
+    searched up to `top`: inf where `top` itself certifies."""
     lo = 1e-2
     assert obj.certify(lo).is_strongly_convex
-    if obj.certify(scan_cap).is_strongly_convex:
+    if obj.certify(top).is_strongly_convex:
         return math.inf
-    hi = scan_cap
+    hi = top
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if obj.certify(mid).is_strongly_convex:
@@ -127,10 +129,10 @@ class TestCertify:
 
 
 class TestThreshold:
-    def test_single_agent_convex_hits_cap(self, mix_single):
+    def test_single_agent_convex_certifies_every_stepsize(self, mix_single):
         ens = costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)))
         obj = _objective(ens, mix_single)
-        assert obj.strong_convexity_threshold(scan_cap=50.0) == (math.inf, math.inf)
+        assert obj.strong_convexity_threshold() == (math.inf, math.inf)
 
     def test_pencil_matches_bisection(self, mix_quarter):
         hits = 0
@@ -139,10 +141,10 @@ class TestThreshold:
             if obj is None:
                 continue
             hits += 1
-            lo, hi = obj.strong_convexity_threshold(scan_cap=100.0)
-            ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
+            lo, hi = obj.strong_convexity_threshold()
+            ref = _bisection_threshold(obj, resolution=1e-9, top=100.0)
             if math.isinf(ref):
-                assert (lo, hi) == (math.inf, math.inf)
+                assert lo >= 100.0
                 continue
             assert abs(lo - ref) <= 1e-8
             assert 0 < hi - lo <= 1e-6
@@ -159,8 +161,8 @@ class TestThreshold:
         ring = topology.metropolis_weights(adjacency)
         obj = _objective(costs.random_ensemble(m, 6, 1.0, seed=0), ring)
         assert obj.ensemble.m * obj.ensemble.n == 300
-        lo, hi = obj.strong_convexity_threshold(scan_cap=100.0)
-        ref = _bisection_threshold(obj, resolution=1e-9, scan_cap=100.0)
+        lo, hi = obj.strong_convexity_threshold()
+        ref = _bisection_threshold(obj, resolution=1e-9, top=100.0)
         assert math.isfinite(ref)
         assert abs(lo - ref) <= 1e-8
         assert obj.certify(lo).is_strongly_convex
@@ -217,11 +219,12 @@ class TestThreshold:
 BENCH_EPSILONS = [k / 5 for k in range(1, 101)]  # 0.2, ..., 20.0 = 2L: the benchmark's family
 
 
-def _one_row(objective, scan_cap):
+def _one_row(objective):
     """The one-row threshold of `objective` as the bracket ends a stack row
-    gives: (nan, nan) where it is not in class, (inf, inf) where capped."""
+    gives: (nan, nan) where it is not in class, (inf, inf) where every
+    stepsize certifies."""
     try:
-        lo, hi = objective.strong_convexity_threshold(scan_cap)
+        lo, hi = objective.strong_convexity_threshold()
     except NotInClassError:
         return math.nan, math.nan
     assert type(lo) is type(hi) is float
@@ -240,23 +243,21 @@ class TestThresholdStack:
         with pytest.raises(ValueError, match="3 agents but mixing matrix has 2"):
             lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, [1.0]), halves)
 
-    @pytest.mark.parametrize("scan_cap", [1e3, 0.5])
-    def test_family_rows_equal_one_row_thresholds(self, mix_quarter, scan_cap):
-        stack = lifted.ThresholdStack(
-            costs.epsilon_family(10.0, 1.0, BENCH_EPSILONS), mix_quarter
-        )
-        lo, hi = stack.brackets(scan_cap)
-        assert lo.shape == hi.shape == (len(BENCH_EPSILONS),)
-        for eps, a, b in zip(BENCH_EPSILONS, lo.tolist(), hi.tolist(), strict=True):
+    def test_family_rows_equal_one_row_thresholds(self, mix_quarter):
+        epsilons = [0.0, *BENCH_EPSILONS]
+        stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, epsilons), mix_quarter)
+        lo, hi = stack.brackets()
+        assert lo.shape == hi.shape == (len(epsilons),)
+        for eps, a, b in zip(epsilons, lo.tolist(), hi.tolist(), strict=True):
             objective = _objective(costs.epsilon_example(10.0, 1.0, eps), mix_quarter)
-            assert _bits(a, b) == _bits(_one_row(objective, scan_cap)), eps
+            assert _bits(a, b) == _bits(_one_row(objective)), eps
             if math.isfinite(a):
                 assert b > objective.certified_interval[1] > a, eps
-        # the family covers a blank row at 2L and, under the low cap, capped rows
+        # the family covers a row at epsilon = 0, where every stepsize
+        # certifies, a blank row at 2L, and confirmed edges in between
+        assert lo[0] == hi[0] == math.inf
         assert math.isnan(lo[-1]) and math.isnan(hi[-1])
-        assert not np.isnan(lo[:-1]).any() and not np.isnan(hi[:-1]).any()
-        assert np.isinf(lo[:-1]).any() == (scan_cap == 0.5)
-        assert (np.isinf(lo) == np.isinf(hi)).all()
+        assert np.isfinite(lo[1:-1]).all() and np.isfinite(hi[1:-1]).all()
 
     @pytest.mark.parametrize("block", [3, 8])
     def test_rows_do_not_depend_on_their_block(self, mix_quarter, block):
@@ -274,11 +275,11 @@ class TestThresholdStack:
         # README-class instances: dense blocks, some aggregates not strongly convex
         ensembles = [costs.random_ensemble(3, 2, 1.0, seed=seed) for seed in range(40)]
         stack = lifted.ThresholdStack(np.stack([e.curvatures for e in ensembles]), mix_quarter)
-        lo, hi = stack.brackets(scan_cap=5.0)
+        lo, hi = stack.brackets()
         assert 0 < np.isnan(lo).sum() < len(ensembles)
         for e, (ensemble, a, b) in enumerate(zip(ensembles, lo.tolist(), hi.tolist(), strict=True)):
             objective = _objective(ensemble, mix_quarter)
-            assert _bits(a, b) == _bits(_one_row(objective, 5.0)), e
+            assert _bits(a, b) == _bits(_one_row(objective)), e
             edge_lo, edge = objective.certified_interval
             assert edge_lo == 0.0 and (edge == 0.0) == math.isnan(a), e
             if math.isfinite(a):
@@ -304,6 +305,24 @@ class TestThresholdStack:
         lo, hi = stack.brackets()
         assert lo.shape == hi.shape == (0,)
 
+    def test_hessian_past_the_float_range_is_not_in_class(self):
+        # identical agents with a 2e300 curvature have no edge, but rounding in
+        # the Metropolis triangle's eigenbasis places one near 2.7e31, where
+        # t A_k overflows: the Hessian's blocks refuse it before an eigensolve
+        # reads them
+        triangle = topology.metropolis_weights(np.ones((3, 3)) - np.eye(3))
+        a = np.array([[2e300, 0.5], [0.5, 1.0]])
+        ens = costs.QuadraticEnsemble(np.array([a] * 3), np.zeros((3, 2)))
+        objective = _objective(ens, triangle)
+        assert 1e30 < objective.certified_interval[1] < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for query in (objective.strong_convexity_threshold, lambda: objective.hessian(1e10),
+                          lambda: objective.minimizer(1.0)):
+                with pytest.raises(NotInClassError, match="a Hessian block t A_k"):
+                    query()
+            assert np.isfinite(objective.hessian(1.0)).all()
+
     def test_unconfirmed_edge_is_not_in_class(self, mix_quarter):
         # curvatures near 1e12 with mu = 1e-12: rounding in W's eigenbasis moves
         # the edge further than the Hessian's smallest eigenvalue can confirm
@@ -323,8 +342,7 @@ class TestScalingMonotonicity:
             seed += 1
             if obj is None:
                 continue
-            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=10.0)
-            top = 10.0 if math.isinf(alpha_a) else alpha_a
+            top = min(obj.strong_convexity_threshold()[0], 10.0)
             alpha = float(rng.uniform(0.2, 1.0)) * top
             cert = obj.certify(alpha)
             if not cert.is_strongly_convex:
@@ -347,8 +365,7 @@ class TestCertificationImpliesAggregate:
             seed += 1
             if obj is None:
                 continue
-            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=10.0)
-            top = 10.0 if math.isinf(alpha_a) else alpha_a
+            top = min(obj.strong_convexity_threshold()[0], 10.0)
             for frac in (0.3, 0.9):
                 alpha = frac * top
                 cert = obj.certify(alpha)
@@ -379,8 +396,7 @@ class TestMinimizer:
             obj = _certified_random_objective(seed, mix_quarter)
             if obj is None:
                 continue
-            alpha_a, _ = obj.strong_convexity_threshold(scan_cap=5.0)
-            alpha = 0.5 * (5.0 if math.isinf(alpha_a) else alpha_a)
+            alpha = 0.5 * min(obj.strong_convexity_threshold()[0], 5.0)
             x = obj.minimizer(alpha)
             # grad G_alpha(x), from the stacks alone rather than from the Hessian
             ens = obj.ensemble

@@ -104,7 +104,6 @@ config = st.fixed_dictionaries(
         "epsilons": st.lists(legal(0.0, 30.0, HUGE), max_size=4),
         "L": legal(1.0, 20.0, HUGE),
         "mu": legal(0.01, 1.0, TINY),
-        "threshold": st.fixed_dictionaries({}, optional={"scan_cap": legal(1e-3, 1e3, HUGE)}),
     },
 )
 
@@ -224,7 +223,7 @@ def test_certification_agrees_with_the_pencil_and_the_spectrum(draw):
     ensemble, mixing = draw
     assume(np.linalg.eigvalsh(ensemble.aggregate_a)[0] > 0)
     objective = lifted.LiftedObjective(ensemble, mixing)
-    alpha_a = objective.strong_convexity_threshold(scan_cap=math.inf)[0]
+    alpha_a = objective.strong_convexity_threshold()[0]
     edge = pencil_edge(ensemble.curvatures, mixing.w)
     if math.isinf(edge):
         assert math.isinf(alpha_a)
@@ -281,16 +280,22 @@ UNITS = 4.0 ** np.arange(-60, 61)  # s = 4^k, k in [-60, 60]
 
 
 def test_schur_edges_scale_with_the_units():
-    """_edges of s A is _edges of A over s on README seeds 0-199. The edge is
-    checked without `scan_cap`, which is absolute: the cap is the part of the
-    thresholds that does not yet scale with the units."""
+    """_edges of s A is _edges of A over s on README seeds 0-199, and so are
+    the confirmed brackets (lo, hi), bit for bit: NaN out of class, inf
+    where every stepsize certifies, and each finite edge confirmed in any
+    units."""
     mixing = topology.validate_mixing(np.array(README_W))
     curvatures = np.stack([costs.random_ensemble(3, 2, 1.0, seed=s).curvatures for s in range(200)])
-    edges = lifted.ThresholdStack(curvatures, mixing)._edges
+    stack = lifted.ThresholdStack(curvatures, mixing)
+    edges = stack._edges
     assert np.isinf(edges).any() and (edges == 0).any() and np.isfinite(edges[edges > 0]).any()
-    scaled = (UNITS[:, None, None, None, None] * curvatures).reshape(-1, 3, 2, 2)
-    scaled_edges = lifted.ThresholdStack(scaled, mixing)._edges.reshape(len(UNITS), -1)
-    assert np.array_equal(scaled_edges, edges / UNITS[:, None])
+    scaled = lifted.ThresholdStack(
+        (UNITS[:, None, None, None, None] * curvatures).reshape(-1, 3, 2, 2), mixing
+    )
+    assert np.array_equal(scaled._edges.reshape(len(UNITS), -1), edges / UNITS[:, None])
+    for end, scaled_end in zip(stack.brackets(), scaled.brackets(), strict=True):
+        scaled_end = scaled_end.reshape(len(UNITS), -1)
+        assert np.array_equal(scaled_end, end / UNITS[:, None], equal_nan=True)
 
 
 # three identical agents: the aggregate's mean can round mu above L (0.1 I_2 does)

@@ -548,6 +548,57 @@ class TestRunBatch:
         np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
         assert "inf" not in _csv_text(rec)
 
+    @pytest.mark.parametrize(
+        "identical, x0",
+        [(False, np.zeros(6)), (True, np.zeros(6)), (True, np.tile([0.0, 2.0], 3))],
+        ids=["readme-from-0", "identical-from-0", "identical-from-consensus"],
+    )
+    def test_exact_zero_consensus_is_kept_as_the_rescue_keeps_it(
+        self, identical, x0, mix_quarter, monkeypatch
+    ):
+        # a consensus cell of exactly 0 sends its chunk to the rescue only
+        # where the state's peak lies in (0, 1): README seed 5 from x0 = 0, and
+        # three identical agents from a consensual x0 whose every state peaks
+        # above 1, never call it; identical agents from 0 call it only for the
+        # few zeros of their first chunk. Every record is that of a chunk test
+        # that rescues every zero.
+        if identical:
+            a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+            ens = costs.QuadraticEnsemble(np.array([a] * 3), np.array([b] * 3))
+        else:
+            ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        kwargs = dict(x0=x0, horizon=1000, record_every=1)
+        peaks = []
+        unit = simulator.binary_unit
+        monkeypatch.setattr(simulator, "binary_unit", lambda p: peaks.append(p) or unit(p))
+        (rec,) = simulator.run_batch(ens, mix_quarter, [StepsizeSchedule.constant(0.3)], **kwargs)
+        zeros = np.flatnonzero(rec.consensus_err == 0)
+        assert zeros.size and zeros[0] == 0
+        if x0.any() or not identical:
+            assert peaks == []
+        else:  # the rescued states all lie in the first chunk
+            assert 0 < len(peaks) <= simulator._CHUNK
+            assert zeros[-1] >= simulator._CHUNK
+        monkeypatch.setattr(simulator, "_zeros_kept", lambda states, cons: False)
+        (rescued,) = simulator.run_batch(
+            ens, mix_quarter, [StepsizeSchedule.constant(0.3)], **kwargs
+        )
+        _assert_same_record(rec, rescued)
+        assert np.array_equal(rec.consensus_err, rescued.consensus_err)
+
+    def test_zero_consensus_of_a_state_below_unit_peak_is_rescued(self, mix_quarter):
+        # one coordinate at 2^-100 on every agent and one at +-2^-600: the
+        # squares of the deviations underflow, so consensus reads exactly 0,
+        # but taken in the unit 2^-100 it is sqrt(2) 2^-600. A peak far
+        # above the squares' floor does not make such a zero exact.
+        ens = costs.QuadraticEnsemble(np.array([np.eye(2)] * 3), np.zeros((3, 2)))
+        tiny, small = 2.0**-600, 2.0**-100
+        x0 = np.array([small, tiny, small, -tiny, small, 0.0])
+        (rec,) = simulator.run_batch(
+            ens, mix_quarter, [StepsizeSchedule.constant(0.3)], x0=x0, horizon=3
+        )
+        assert rec.consensus_err[0] == pytest.approx(math.sqrt(2) * tiny, rel=1e-15)
+
     def test_finite_threshold_beyond_the_squares_overflow(self, mix_quarter):
         # README seed 5 at alpha = 2.0 (rho 2.08) passes R = 1.3e154, where
         # the squares overflow, hundreds of steps before R reaches 1e300; the
