@@ -99,8 +99,8 @@ class ThresholdStack:
     C = (I - W) kron I_n shared by every row. `_edges` gives every row's
     alpha_A from one product into W's eigenbasis (`MixingMatrix.eigenbasis`,
     which validation took) and two batched eigensolves; `brackets` confirms
-    the finite edges with two more, one per bracket end. Every row's
-    numbers are bit for bit those of the same instance alone: a
+    the finite edges with two more of the whole stack, one per bracket end.
+    Every row's numbers are bit for bit those of the same instance alone: a
     LiftedObjective is the one-row case.
 
     The stack holds the (E, m, n, n) curvature sets and the one (nm, nm) C,
@@ -171,26 +171,32 @@ class ThresholdStack:
         """(lo, hi), per row the stepsizes a relative 1e-9 below and above
         alpha_A from `_edges`: both NaN for a row out of class and inf where
         every stepsize certifies. H's smallest eigenvalue confirms every
-        finite edge, positive at lo and not at hi, in one batched eigensolve
-        per end; NotInClassError names the first edge it does not confirm.
+        finite edge, positive at lo and not at hi, in one eigensolve of the
+        whole stack per end; NotInClassError names the first edge it does
+        not confirm.
         """
         edges = self._edges  # 0.0 out of class, else positive
         lo, hi = edges * (1.0 - _CONFIRM_GAP), edges * (1.0 + _CONFIRM_GAP)
         lo[edges == 0] = hi[edges == 0] = math.nan
-        rows = np.flatnonzero(np.isfinite(lo))  # in class with a finite edge
-        if rows.size:
-            confirmed = self._certified(rows, lo) & ~self._certified(rows, hi)
-            if not confirmed.all():
+        finite = np.isfinite(lo)  # in class with a finite edge
+        if finite.any():
+            # a row without a finite edge is probed at alpha = 0, where H = C
+            # is finite, and its verdict is not read
+            refused = ~(sym_eigen(self._hessians(np.where(finite, lo, 0.0)))[:, 0] > 0)
+            refused |= sym_eigen(self._hessians(np.where(finite, hi, 0.0)))[:, 0] > 0
+            refused &= finite
+            if refused.any():
                 raise NotInClassError(
                     f"lambda_min(H) does not confirm the Schur edge "
-                    f"{float(edges[rows[confirmed.argmin()]])!r} to a relative {_CONFIRM_GAP:g}"
+                    f"{float(edges[refused.argmax()])!r} to a relative {_CONFIRM_GAP:g}"
                 )
         return lo, hi
 
-    def _hessians(self, alphas, rows: np.ndarray | None = None) -> np.ndarray:
-        """H(t) = C + t B_e at t = alphas[j]/m, one (nm, nm) matrix per
-        stepsize: of row e = rows[j], or without `rows` of the stack's rows
-        broadcast against the stepsizes (its only row for every stepsize).
+    def _hessians(self, alphas) -> np.ndarray:
+        """H(t) = C + t B_e at t = alpha/m, one (nm, nm) matrix for each entry
+        of the stack's rows broadcast against the stepsizes: a one-row stack
+        at every stepsize, each row at its own stepsize, or every row at one
+        stepsize. No stepsizes give no matrices.
 
         H is a copy of C whose diagonal (n, n) blocks are t A_k + C_kk: each
         entry is t B_e + C's bit for bit (a zero of C is +0.0, as t 0.0 + C's
@@ -201,14 +207,13 @@ class ThresholdStack:
         where a diagonal block leaves the float range, before H is built.
         """
         t = np.asarray(alphas, dtype=float) / self.m
-        _, m, n, _ = self._sets.shape
-        shape = (len(self._sets) if rows is None and t.size == 1 else t.size, m, n, n)
+        size, m, n, _ = self._sets.shape
+        # the rows broadcast against the stepsizes: the rows' count at one
+        # stepsize, else the stepsizes' (`operand[...]` refuses other pairs)
+        shape = (size if t.size == 1 else t.size, m, n, n)
         blocks, operand = np.empty(shape), np.empty(shape)
         blocks[...] = t[:, None, None, None]
-        if rows is None:
-            operand[...] = self._sets
-        else:  # mode "raise" would buffer `out` whole; every row index is valid
-            np.take(self._sets, rows, axis=0, out=operand, mode="clip")
+        operand[...] = self._sets
         with np.errstate(over="ignore", invalid="ignore"):
             blocks *= operand
             operand[...] = self._consensus_blocks
@@ -227,13 +232,6 @@ class ThresholdStack:
         constant-stepsize DGD, whose iteration matrix is I - H(alpha/m)."""
         eigs = sym_eigen(self._hessians(alphas))
         return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
-
-    def _certified(self, rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Whether H(alphas[e]/m) of each row e in `rows` has a positive
-        smallest eigenvalue, in one eigensolve; `alphas` has one stepsize per
-        row of the stack, and is copied only where `rows` leaves some out."""
-        part = rows if rows.size < len(self._sets) else None
-        return sym_eigen(self._hessians(alphas if part is None else alphas[part], part))[:, 0] > 0
 
 
 class LiftedObjective:

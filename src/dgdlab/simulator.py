@@ -235,8 +235,10 @@ _CHUNK = 64
 def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """R = sum_k ||x_k - x*|| over the trailing (m, n) axes.
 
-    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit,
-    without its per-call overhead.
+    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, in
+    one chunk-sized temporary where norm keeps a second: with norm, the
+    tracemalloc peak of perfbench's sweep-alpha-mixed pass rises by 11%, from
+    0.159 to 0.176 MB (numpy 2.4). The two take about the same time.
     """
     dev = states - x_star
     np.multiply(dev, dev, out=dev)
@@ -247,18 +249,11 @@ def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
 
 def _consensus(states: np.ndarray) -> np.ndarray:
     """Frobenius distance of the agent blocks (axis -2) to their mean."""
-    m, n = states.shape[-2:]
-    if n == 1:
-        # the agent axis is contiguous, and numpy's reduce sums it pairwise
-        # from 8 agents on
-        mean = np.add.reduce(states, axis=-2, keepdims=True)
-    else:
-        # numpy's reduce sums a strided axis left to right, in n-element
-        # inner loops; m - 1 slice adds give the same bits in fewer, longer ones
-        mean = states[..., :1, :].copy()
-        for k in range(1, m):
-            mean += states[..., k : k + 1, :]
-    mean /= m  # the mean, bit for bit
+    # numpy's reduce sums the agent axis left to right where it is strided
+    # (n > 1), and pairwise from 8 agents on where it is contiguous (n = 1):
+    # the per-step formula's bits, in one call for any shape
+    mean = np.add.reduce(states, axis=-2, keepdims=True)
+    mean /= states.shape[-2]  # the mean, bit for bit
     dev = states - mean
     np.multiply(dev, dev, out=dev)
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))

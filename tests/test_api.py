@@ -71,6 +71,8 @@ REMOVED_METHODS = {
     "to_json": bounds.BoundReport,  # json.dumps(report.to_dict(), indent=2)
     # validation eigendecomposes W once: MixingMatrix.eigenbasis
     "_eigenbasis": topology.MixingMatrix,
+    # brackets() confirms every row of the stack in one eigensolve per bracket end
+    "_certified": lifted.ThresholdStack,
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {
@@ -93,6 +95,8 @@ REMOVED_OPTIONS = {
     # a finite edge is confirmed or refused, never capped to inf
     lifted.ThresholdStack.brackets: ("scan_cap",),
     lifted.LiftedObjective.strong_convexity_threshold: ("scan_cap",),
+    # a Hessian per entry of the stack's rows broadcast against the stepsizes
+    lifted.ThresholdStack._hessians: ("rows",),
 }
 # config keys a config no longer takes: each exits 2 as an unknown key
 REMOVED_CONFIG_KEYS = ("agent_scale", "threshold")

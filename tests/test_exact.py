@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgdlab import bounds, costs, lifted, simulator, topology
+from dgdlab import bounds, cli, costs, lifted, simulator, topology
 from dgdlab.errors import NotInClassError
 
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
@@ -131,6 +131,28 @@ def test_ring8_bracket_is_exactly_right():
     objective = lifted.LiftedObjective(costs.random_ensemble(8, 2, 1.0, seed=3), mixing)
     assert objective.ensemble.m * objective.ensemble.n == 16
     assert _assert_bracket_is_exact(objective) is not None
+
+
+def test_family_brackets_are_exactly_right():
+    # the benchmark's planted family, epsilon = k/5 up to 2L at L = 10, mu = 1
+    # on README's W, in sweep-epsilon's blocks: every finite bracket holds
+    # exactly, and the row at epsilon = 2L is blank
+    mixing = topology.validate_mixing(np.array(README_W))
+    epsilons = [k / 5 for k in range(1, 101)]
+    finite = 0
+    for start in range(0, len(epsilons), cli._EPSILON_BLOCK):
+        block = epsilons[start : start + cli._EPSILON_BLOCK]
+        stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, block), mixing)
+        lo, hi = stack.brackets()
+        for epsilon, a, b in zip(block, lo.tolist(), hi.tolist(), strict=True):
+            if epsilon == 20.0:
+                assert math.isnan(a) and math.isnan(b)
+                continue
+            objective = lifted.LiftedObjective(costs.epsilon_example(10.0, 1.0, epsilon), mixing)
+            assert exact_pd(exact_hessian(objective, a)), epsilon
+            assert not exact_pd(exact_hessian(objective, b)), epsilon
+            finite += 1
+    assert finite == 99
 
 
 def exact_contraction_margin(objective: lifted.LiftedObjective, alpha: float):

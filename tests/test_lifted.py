@@ -168,16 +168,17 @@ class TestThreshold:
         assert obj.certify(lo).is_strongly_convex
         assert not obj.certify(hi).is_strongly_convex
 
-    def test_finite_threshold_costs_few_certify_calls(self, mix_quarter, monkeypatch):
-        # the sign test runs batched over the stack's rows: one call per bracket end
+    def test_finite_threshold_costs_few_certify_calls(self, mix_quarter, mix_single, monkeypatch):
+        # the sign test runs batched over the stack's rows: one Hessian
+        # eigensolve per bracket end, and none where the edge is inf
         calls = []
-        certified = lifted.ThresholdStack._certified
+        hessians = lifted.ThresholdStack._hessians
 
-        def counted(self, rows, alphas):
+        def counted(self, alphas):
             calls.append(alphas)
-            return certified(self, rows, alphas)
+            return hessians(self, alphas)
 
-        monkeypatch.setattr(lifted.ThresholdStack, "_certified", counted)
+        monkeypatch.setattr(lifted.ThresholdStack, "_hessians", counted)
         finite = 0
         for seed in range(12):
             obj = _certified_random_objective(seed, mix_quarter)
@@ -189,6 +190,10 @@ class TestThreshold:
                 finite += 1
                 assert len(calls) == 2
         assert finite >= 3
+        calls.clear()
+        obj = _objective(costs.QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2))), mix_single)
+        assert obj.strong_convexity_threshold() == (math.inf, math.inf)
+        assert calls == []
 
     def test_bisection_bracket_is_tight(self, mix_quarter):
         obj = _objective(costs.epsilon_example(10.0, 1.0, 5.0), mix_quarter)
@@ -299,6 +304,17 @@ class TestThresholdStack:
             blocks = lifted.LiftedObjective(ensemble, mix_quarter).block_curvature
             iteration = np.kron(mix_quarter.w, np.eye(2)) - (alpha / 3) * blocks
             assert rho == pytest.approx(max(abs(np.linalg.eigvalsh(iteration))), rel=1e-12)
+
+    def test_spectral_radii_broadcast_rows_against_stepsizes(self, mix_quarter):
+        # a one-row stack at no stepsize gives no radius, and a stack at one
+        # stepsize gives each row's lone radius, bit for bit
+        ensembles = [costs.random_ensemble(3, 2, 1.0, seed=seed) for seed in range(3)]
+        rows = [lifted.ThresholdStack(e.curvatures[None], mix_quarter) for e in ensembles]
+        assert rows[0].spectral_radii([]).shape == (0,)
+        stack = lifted.ThresholdStack(np.stack([e.curvatures for e in ensembles]), mix_quarter)
+        rhos = stack.spectral_radii([0.7])
+        assert rhos.shape == (3,)
+        assert rhos.tolist() == [row.spectral_radii([0.7]).item() for row in rows]
 
     def test_empty_stack(self, mix_quarter):
         stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, []), mix_quarter)

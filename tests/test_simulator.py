@@ -695,7 +695,7 @@ class TestRunBatch:
                 # every state, up to the crossing or the horizon
                 assert np.array_equal(rec.states, np.array(states))
 
-    @pytest.mark.parametrize("m, n", [(3, 2), (12, 1), (9, 9)])
+    @pytest.mark.parametrize("m, n", [(3, 2), (12, 1), (9, 9), (50, 6), (8, 2)])
     def test_metrics_equal_the_per_step_formulas(self, m, n):
         # R(t) and consensus are taken once per chunk of states; on every state
         # they are bit for bit the per-step formulas: the agent mean by numpy's
