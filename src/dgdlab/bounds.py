@@ -1,8 +1,8 @@
 """Stepsize bounds and the trajectory radius constant.
 
 All bound formulas take plain scalars so each can be checked against known
-values in isolation; `stepsize_bounds` says which of them an instance has,
-and `build_report` adds alpha_A, the radius and a sweep's base stepsize.
+values in isolation; `stepsize_bounds` says which of them an instance (or an
+array of them) has, and `build_report` adds alpha_A, the radius and a sweep's base stepsize.
 
 alpha_A is on the engine's alpha/m axis. alpha_gd, alpha_L, alpha_S and the
 radius's alpha0 are per-agent stepsizes a, as in the paper's update
@@ -33,7 +33,7 @@ def classical_gd_bound(mu: float, smooth: float) -> float:
 def lambda_min_bound(lambda_min: float, smooth: float) -> float:
     """Stepsize bound (1 + lambda_min(W)) / L tied to the mixing spectrum floor,
     a per-agent stepsize: m times it on the engine's alpha/m axis."""
-    if smooth <= 0:
+    if np.any(smooth <= 0):
         raise ValueError("smoothness constant must be positive")
     if not (-1.0 < lambda_min <= 1.0):
         raise ValueError("lambda_min must lie in (-1, 1]")
@@ -110,25 +110,30 @@ def trajectory_radius(
     return max(term_center, term_spread, term_drive)
 
 
-def stepsize_bounds(lambda_min: float, beta: float, smooth: float, mu: float) -> tuple:
+def stepsize_bounds(lambda_min: float, beta: float, smooth, mu) -> tuple:
     """(alpha_gd, alpha_L, eta, alpha_S), the last three evaluated in L's `binary_unit`.
 
     A bound that is not a finite positive float, its true value past the
     float range, is absent: NaN for alpha_gd and eta, None for alpha_S. All
     three are absent unless 0 < mu <= L, with mu still positive in the unit
-    (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well.
+    (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well. Arrays
+    of L and mu give arrays of the floats scalar calls return, alpha_S NaN where absent.
     """
-    alpha_l = lambda_min_bound(lambda_min, smooth)
-    unit = binary_unit(smooth)
-    smooth, mu = smooth / unit, mu / unit
-    if not 0 < mu <= smooth:
-        return math.nan, alpha_l, math.nan, None
-    gap = spectral_gap_bound(mu, smooth, beta) / unit if 0 < beta < 1 else math.nan
-    alpha_gd, eta, alpha_s = (
-        v if 0 < v < math.inf else math.nan
-        for v in (classical_gd_bound(mu, smooth) / unit, harmonic_rate(mu, smooth) * unit, gap)
-    )
-    return alpha_gd, alpha_l, eta, None if math.isnan(alpha_s) else alpha_s
+    with np.errstate(all="ignore"):  # Python floats round alike, with no warning
+        alpha_l = lambda_min_bound(lambda_min, smooth)
+        unit = np.ldexp(1.0, np.frexp(smooth)[1] - 1)  # `binary_unit`, elementwise
+        smooth, mu = smooth / unit, mu / unit
+        present = (0 < mu) & (mu <= smooth)
+        # `harmonic_rate`, `spectral_gap_bound` and `classical_gd_bound`, unchecked
+        eta = mu * smooth / (mu + smooth)
+        gap = eta * (1.0 - beta) / (smooth * (eta + smooth)) if 0 < beta < 1 else math.nan
+        alpha_gd, eta, alpha_s = (
+            np.where(present & (0 < v) & (v < math.inf), v, math.nan)
+            for v in (2.0 / (mu + smooth) / unit, eta * unit, gap / unit)
+        )
+    if alpha_gd.ndim:
+        return alpha_gd, alpha_l, eta, alpha_s
+    return float(alpha_gd), float(alpha_l), float(eta), float(alpha_s) if alpha_s > 0 else None
 
 
 @dataclass(frozen=True)

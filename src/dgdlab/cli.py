@@ -186,28 +186,17 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=1)  # rows that share an instance's (L, mu) run together
-def _bound_cells(lambda_min: float, beta: float, big_l: float, mu: float) -> str:
-    """A sweep-epsilon row's alpha_L and alpha_S cells, as `build_report` gives them."""
-    from . import bounds
-
-    _, alpha_l, _, alpha_s = bounds.stepsize_bounds(lambda_min, beta, big_l, mu)
-    return f",{alpha_l!r},{'' if alpha_s is None else repr(alpha_s)}\n"
-
-
-# Epsilons certified per ThresholdStack: one product into W's eigenbasis and
-# four batched eigensolves (the aggregate curvatures, the Schur complements and
-# the two bracket ends) serve a whole block. A block's peak memory is its
-# bracket-end eigensolve, where each row holds its curvatures, its Hessian and
-# the symmetry check's copy of it, about 0.7 KB, so the block, not the epsilon
-# count, sets the command's peak. 20 rows is the largest block whose sweep of
-# 100 epsilons stays under 27.2 KB of tracemalloc peak: 26.97 KB, and 27.67 KB
-# at 21 (numpy 2.4).
+# Epsilons certified per ThresholdStack: one product into W's eigenbasis and four
+# batched eigensolves (the aggregate curvatures, the Schur complements and the two
+# bracket ends) serve a whole block. Its bracket-end eigensolve holds each row's
+# curvatures and Hessian, about 0.54 KB a row, so the block, not the epsilon count,
+# sets the eigensolves' peak. In blocks of 19 to 24 a warm pass of perfbench's 100
+# epsilons peaks at 19.5-19.8 KB of tracemalloc, and at 22.3 KB in blocks of 25.
 _EPSILON_BLOCK = 20
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
-    from . import lifted
+    from . import bounds, lifted
 
     _require(cfg, "mixing")
     if cfg.mixing.m != EPSILON_EXAMPLE_AGENTS:
@@ -218,24 +207,26 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig, out: str | None) -> int:
     lam, beta = cfg.mixing.spectral.lambda_min, cfg.mixing.spectral.beta
     big_l, mu = cfg.family_L, cfg.family_mu
 
-    # alpha_A per epsilon, the lower bracket end: NaN where nothing certifies
-    # and inf where everything does. No row is written until every block has
-    # certified, so a failing block leaves no output. For peak memory, a
-    # block's curvatures, stack and brackets die with its statement, and each
-    # row reads its alpha_A (not from a list of floats, which would lift the
-    # writing above the eigensolves' peak), L and mu as it is written.
+    # alpha_A per epsilon, the lower bracket end: NaN where nothing certifies and
+    # inf where everything does. No row is written until every block certified,
+    # so a failing block writes nothing. For peak memory, a block's curvatures,
+    # stack and brackets die with its statement, and rows read arrays, not lists.
     alpha_a = np.full(len(cfg.epsilons), math.nan)
     for start in range(0, len(cfg.epsilons), _EPSILON_BLOCK):
         rows = slice(start, start + _EPSILON_BLOCK)
         alpha_a[rows] = lifted.ThresholdStack(
             epsilon_family(big_l, mu, cfg.epsilons[rows]), cfg.mixing
         ).brackets()[0]
+    # each row's alpha_L and alpha_S, as `build_report` gives its instance's
+    _, alpha_l, _, alpha_s = bounds.stepsize_bounds(
+        lam, beta, *epsilon_family_constants(big_l, mu, cfg.epsilons)
+    )
     with _open_csv(out, "sweep_epsilon.csv") as handle:
         handle.write(SWEEP_EPSILON_CSV_HEADER + "\n")
         handle.writelines(
-            f"{eps!r},{'' if math.isnan(a) else render_float(float(a))}"
-            f"{_bound_cells(lam, beta, *epsilon_family_constants(big_l, mu, eps))}"
-            for eps, a in zip(cfg.epsilons, alpha_a)
+            f"{eps!r},{'' if math.isnan(a) else render_float(float(a))},{float(al)!r},"
+            f"{'' if math.isnan(s) else repr(float(s))}\n"
+            for eps, a, al, s in zip(cfg.epsilons, alpha_a, alpha_l, alpha_s)
         )
     return EXIT_OK
 

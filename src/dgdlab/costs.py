@@ -214,12 +214,13 @@ def epsilon_family(big_l: float, mu: float, epsilons) -> np.ndarray:
     return out
 
 
-def epsilon_family_constants(big_l: float, mu: float, epsilon: float) -> tuple[float, float]:
-    """The L and aggregate mu of `epsilon_family`'s row for `epsilon`, bit for
-    bit as its ensemble computes them at all but tiny scales: its largest
-    |entry|, max(L, epsilon), and the lesser agent sum, 2L - epsilon or 3 mu,
-    over 3 (a row whose 2L overflows has curvatures its ensemble refuses)."""
-    return max(big_l, epsilon), min(2.0 * big_l - epsilon, 3.0 * mu) / EPSILON_EXAMPLE_AGENTS
+def epsilon_family_constants(big_l: float, mu: float, epsilon):
+    """L and aggregate mu of the `epsilon_family` row of each epsilon (a float or
+    an array), bit for bit as its ensemble computes them at all but tiny scales:
+    max(L, epsilon), and the lesser agent sum, 2L - epsilon or 3 mu, over 3 (a
+    row whose 2L overflows has curvatures its ensemble refuses)."""
+    lesser = np.minimum(2.0 * big_l - np.asarray(epsilon, dtype=float), 3.0 * mu)
+    return np.maximum(big_l, epsilon), lesser / EPSILON_EXAMPLE_AGENTS
 
 
 def epsilon_example(big_l: float, mu: float, epsilon: float) -> QuadraticEnsemble:

@@ -31,7 +31,9 @@ ThresholdStack computes the edges of a stack of instances sharing one
 mixing matrix, each step one batched product or eigensolve for all of them;
 a LiftedObjective is its one-row case. Its `_hessians` is the one builder
 of H(t): certification, the minimizer basis and `spectral_radii`, the
-simulator's oracle, whose iteration matrix is I - H(alpha/m), read it.
+simulator's oracle, whose iteration matrix is I - H(alpha/m), read it. Each
+matrix solved here is built finite and exactly symmetric, so it goes to LAPACK
+through `numerics._eigensolve`, without `sym_eigen`'s check.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .costs import QuadraticEnsemble
 from .errors import NotInClassError, NotStronglyConvexError
 # solve_spd is unused here, but perfbench/test_spans.py looks it up in this module
-from .numerics import min_eigenvalue, solve_spd, sym_eigen  # noqa: F401
+from .numerics import _eigensolve, min_eigenvalue, solve_spd  # noqa: F401
 from .topology import MixingMatrix
 
 # A threshold confirms a finite edge by H's smallest eigenvalue: positive this
@@ -137,7 +139,7 @@ class ThresholdStack:
         # an overflow is caught where it would reach an eigensolve
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mean = self._sets.sum(axis=1) / m  # B~_11, bit for bit each ensemble's mean
-            values, vectors = sym_eigen(_finite(mean, "the aggregate curvature"), vectors=True)
+            values, vectors = _eigensolve(_finite(mean, "the aggregate curvature"), vectors=True)
             del mean
             rows = np.flatnonzero(values[:, 0] > 0)
             if not rows.size:
@@ -163,7 +165,7 @@ class ThresholdStack:
             top -= b22
             del b22
             top = _finite(_symmetric_part(top), "the Schur complement")
-            top = sym_eigen(top).max(axis=-1, initial=0.0)
+            top = _eigensolve(top).max(axis=-1, initial=0.0)
             edges[rows] = np.where(top > 0, m / top, math.inf)
         return edges
 
@@ -182,8 +184,8 @@ class ThresholdStack:
         if finite.any():
             # a row without a finite edge is probed at alpha = 0, where H = C
             # is finite, and its verdict is not read
-            refused = ~(sym_eigen(self._hessians(np.where(finite, lo, 0.0)))[:, 0] > 0)
-            refused |= sym_eigen(self._hessians(np.where(finite, hi, 0.0)))[:, 0] > 0
+            refused = ~(_eigensolve(self._hessians(np.where(finite, lo, 0.0)))[:, 0] > 0)
+            refused |= _eigensolve(self._hessians(np.where(finite, hi, 0.0)))[:, 0] > 0
             refused &= finite
             if refused.any():
                 raise NotInClassError(
@@ -230,7 +232,7 @@ class ThresholdStack:
         at each stepsize, of the stack's rows broadcast against the stepsizes
         (see `_hessians`), from one stacked eigensolve: the exact oracle of
         constant-stepsize DGD, whose iteration matrix is I - H(alpha/m)."""
-        eigs = sym_eigen(self._hessians(alphas))
+        eigs = _eigensolve(self._hessians(alphas))
         return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
 
 
@@ -314,12 +316,12 @@ class LiftedObjective:
         basis non-finite."""
         edge = self.certified_interval[1]
         anchor = 0.5 * edge if math.isfinite(edge) else 1.0
-        values, vectors = sym_eigen(self.hessian(anchor), vectors=True)
+        values, vectors = _eigensolve(self.hessian(anchor), vectors=True)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             z = vectors / np.sqrt(values)
             pencil = _symmetric_part(z.T @ (self.block_curvature @ z))
         pencil = _finite(pencil, f"the minimizer basis at alpha = {anchor!r}")
-        nu, vectors = sym_eigen(pencil, vectors=True)
+        nu, vectors = _eigensolve(pencil, vectors=True)
         z = z @ vectors
         d = np.einsum("ij,ij->j", z, self._stack.consensus @ z)
         return z, d, nu, z.T @ self.stacked_linear

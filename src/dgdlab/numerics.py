@@ -8,8 +8,9 @@ needs no SPD solve: the aggregate minimizer is one `numpy.linalg.solve`
 once the aggregate's smallest eigenvalue is positive. `cholesky` and
 `solve_spd` remain public helpers. The wrappers add the package's contract
 on top: a symmetry check first, ascending eigenvalues, a Cholesky pivot
-floor, and the package's own exception types. All arithmetic is 64-bit
-floating point.
+floor, and the package's own exception types. `lifted` alone skips the
+check (`_eigensolve`): it builds every matrix it solves finite and exactly
+symmetric. All arithmetic is 64-bit floating point.
 
 The eigensolver also takes a (..., k, k) stack of matrices, as numpy.linalg
 does: every member is checked, and each one's spectrum is bit for bit the
@@ -44,16 +45,9 @@ def check_symmetric(a: np.ndarray, atol: float | np.ndarray = SYMMETRY_ATOL) -> 
     # eigensolve, and their wrappers doubled its cost on small matrices
     if not np.isfinite(a).all():
         raise NotSymmetricError("matrix contains non-finite entries")
-    # one contiguous copy, worked in place: subtracting the transposed view
-    # directly buffers a second copy, and on a stack these set the peak memory
-    asymmetry = a.swapaxes(-1, -2).copy()
-    asymmetry -= a
-    np.abs(asymmetry, out=asymmetry)
+    asymmetry = abs(a - a.swapaxes(-1, -2))
     if not isinstance(atol, np.ndarray):
-        # the largest entry by argmax: a max() reduction sets up about 1 KB of
-        # buffers, which on a stack adds to the copy at its eigensolve's peak
-        asymmetry = asymmetry.reshape(-1)
-        if asymmetry.size and asymmetry[asymmetry.argmax()] > atol:
+        if asymmetry.max(initial=0.0) > atol:
             raise NotSymmetricError(f"matrix is not symmetric within {atol:g}")
         return a
     atol = np.broadcast_to(atol, a.shape[:-2])
@@ -93,7 +87,11 @@ def sym_eigen(a: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.nda
     EigenConvergenceError
         If LAPACK reports that the eigensolve did not converge.
     """
-    a = check_symmetric(a)
+    return _eigensolve(check_symmetric(a), vectors)
+
+
+def _eigensolve(a: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """`sym_eigen` without its check, for a finite, exactly symmetric float64 `a`."""
     try:
         return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

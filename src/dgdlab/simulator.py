@@ -247,14 +247,19 @@ def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     return norms.sum(axis=-1)
 
 
-def _consensus(states: np.ndarray) -> np.ndarray:
-    """Frobenius distance of the agent blocks (axis -2) to their mean."""
+def _deviations(states: np.ndarray) -> np.ndarray:
+    """The agent blocks (axis -2) minus their mean."""
     # numpy's reduce sums the agent axis left to right where it is strided
     # (n > 1), and pairwise from 8 agents on where it is contiguous (n = 1):
     # the per-step formula's bits, in one call for any shape
     mean = np.add.reduce(states, axis=-2, keepdims=True)
     mean /= states.shape[-2]  # the mean, bit for bit
-    dev = states - mean
+    return states - mean
+
+
+def _consensus(states: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the agent blocks (axis -2) to their mean."""
+    dev = _deviations(states)
     np.multiply(dev, dev, out=dev)
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
 
@@ -309,11 +314,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _zeros_kept(states: np.ndarray, cons: np.ndarray) -> bool:
-    """Whether each consensus cell out of range is a 0 that the rescue keeps: one of a
-    state whose peak |entry| is 0 or at least 1, which its binary unit does not scale up."""
+    """Whether each consensus cell out of range is an exact 0: its deviations are all 0."""
     low = squares_out_of_range(cons)
-    peaks = abs(states[low]).max(axis=(1, 2))
-    return not cons[low].any() and not ((0 < peaks) & (peaks < 1)).any()
+    return not cons[low].any() and not _deviations(states[low]).any()
 
 
 def _same_instance(

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import dgdlab
-from dgdlab import bounds, config, costs, lifted, numerics, simulator, topology
+from dgdlab import bounds, cli, config, costs, lifted, numerics, simulator, topology
 
 # name -> where it lived, and what replaces it
 REMOVED = {
@@ -40,6 +40,8 @@ REMOVED = {
     "ThresholdResult": lifted,
     # alpha_A is the confirmed Schur edge in any units: no absolute cap truncates it
     "DEFAULT_SCAN_CAP": config,
+    # sweep-epsilon's bound cells: one stepsize_bounds call on arrays of L and mu
+    "_bound_cells": cli,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}

@@ -886,6 +886,37 @@ class TestSweepEpsilonCommand:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[:2] == ["0.0", "inf"] and row[3] == repr(closed)
 
+    @pytest.mark.parametrize("w", [W_QUARTER, W_UNIFORM], ids=["quarter", "uniform"])
+    def test_bound_cells_are_the_scalar_bounds_bit_for_bit(self, w, tmp_path, capsys, monkeypatch):
+        # the sweep takes every row's alpha_L and alpha_S from one call on
+        # arrays of L and mu; each cell is the repr of the scalar call on the
+        # row's own L and mu, at the default scale and across the float range.
+        # alpha_A is stubbed out (blank): at L = 10, mu = 1 the epsilons
+        # k/1000 exit 3 on 15 rows just below 2L.
+        monkeypatch.setattr(
+            lifted.ThresholdStack, "brackets",
+            lambda stack: (np.full(len(stack._sets), math.nan),) * 2,
+        )
+        mixing = config.mixing_from_spec({"W": w})
+        lam, beta = mixing.spectral.lambda_min, mixing.spectral.beta
+        scales = [(1e200, 1e199), (1e-300, 1e-320), (1e12, 1e-12), (1e300, 1.0), (2.0, 1.0)]
+        families = [(10.0, 1.0, [k / 1000 for k in range(1, 20001)])] + [
+            (big_l, mu, [big_l * k / 8 for k in range(21)] + [mu, 2 * big_l - 3 * mu])
+            for big_l, mu in scales
+        ]
+        rows = 0
+        for big_l, mu, epsilons in families:
+            data = {"mixing": {"W": w}, "epsilons": epsilons, "L": big_l, "mu": mu}
+            assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            for eps, line in zip(epsilons, lines, strict=True):
+                own = (float(v) for v in costs.epsilon_family_constants(big_l, mu, eps))
+                _, alpha_l, _, alpha_s = bounds.stepsize_bounds(lam, beta, *own)
+                cells = [repr(alpha_l), "" if alpha_s is None else repr(alpha_s)]
+                assert line.split(",")[2:] == cells, (big_l, mu, eps)
+            rows += len(lines)
+        assert rows == 20115
+
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
         path = _write_config(tmp_path, {"mixing": mixing})
@@ -1129,6 +1160,51 @@ def test_bounds_decomposes_each_matrix_once_but_the_aggregate(tmp_path, monkeypa
         ("eigvalsh", "16x16"), ("eigvalsh", "16x16"),  # H at the two bracket ends
         ("eigvalsh", "A_k"), ("eigvalsh", "aggregate"),
     ]
+
+
+def test_lifted_eigensolves_only_finite_exactly_symmetric_matrices(tmp_path, monkeypatch, capsys):
+    # lifted hands the matrices it builds to LAPACK without sym_eigen's
+    # symmetry check, which LAPACK's one-triangle read makes safe only on an
+    # exactly symmetric, finite matrix; every one it builds is, on README
+    # seeds 0-199 (bounds and sweep-alpha), the ring of 8, the benchmark's
+    # family and README seed 5 from the float range's ends to its middle
+    # (also simulated with the minimizer basis)
+    eigensolve, bad, kinds = lifted._eigensolve, [], set()
+
+    def checked(a, vectors=False):
+        kinds.add((a.shape[-1], vectors))
+        if not (np.isfinite(a).all() and np.array_equal(a, a.swapaxes(-1, -2))):
+            bad.append(a.copy())
+        return eigensolve(a, vectors)
+
+    monkeypatch.setattr(lifted, "_eigensolve", checked)
+    mixing = {"type": "explicit", "W": W_QUARTER}
+    readme5 = costs.random_ensemble(3, 2, 1.0, seed=5)
+    runs = [
+        (command, {"ensemble": dict(README_ENSEMBLE, seed=seed), "mixing": mixing})
+        for seed in range(200)
+        for command in ("bounds", "sweep-alpha")
+    ]
+    runs += [TestGoldenOutputs.CASES["bounds_ring8"][:2]]
+    runs += [("sweep-epsilon", {"mixing": mixing, "epsilons": BENCH_EPSILONS})]
+    for k in (-150, -7, 7, 150):
+        costs_k = [
+            {"A": (4.0**k * a).tolist(), "b": (4.0**k * b).tolist()}
+            for a, b in zip(readme5.curvatures, readme5.linear_terms)
+        ]
+        spec = {"ensemble": {"type": "explicit", "costs": costs_k}, "mixing": mixing}
+        track = dict(spec, schedule={"type": "constant", "alpha": 0.5 * 4.0**-k}, track_lifted=True)
+        runs += [("bounds", spec), ("sweep-alpha", spec), ("simulate", track)]
+    codes = [
+        cli.main([command, "--config", _write_config(tmp_path, spec), "--horizon", "50"])
+        for command, spec in runs
+    ]
+    capsys.readouterr()
+    assert bad == []
+    assert set(codes) <= {0, 3} and codes[-12:] == [0] * 12  # every scaled run
+    # the aggregate, the Schur matrix, H (and, with vectors, the basis and
+    # its pencil) of three agents; the ring's Schur matrix and H
+    assert kinds == {(2, True), (4, False), (6, False), (6, True), (14, False), (16, False)}
 
 
 class TestValidateTopologyCommand:

@@ -556,12 +556,11 @@ class TestRunBatch:
     def test_exact_zero_consensus_is_kept_as_the_rescue_keeps_it(
         self, identical, x0, mix_quarter, monkeypatch
     ):
-        # a consensus cell of exactly 0 sends its chunk to the rescue only
-        # where the state's peak lies in (0, 1): README seed 5 from x0 = 0, and
-        # three identical agents from a consensual x0 whose every state peaks
-        # above 1, never call it; identical agents from 0 call it only for the
-        # few zeros of their first chunk. Every record is that of a chunk test
-        # that rescues every zero.
+        # a consensus cell of exactly 0 whose state deviates from the agent
+        # mean by exactly 0 everywhere never sends its chunk to the rescue:
+        # README seed 5 from x0 = 0, three identical agents from x0 = 0 (whose
+        # first states peak below 1) and from a consensual x0 never call it.
+        # Every record is that of a chunk test that rescues every zero.
         if identical:
             a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
             ens = costs.QuadraticEnsemble(np.array([a] * 3), np.array([b] * 3))
@@ -574,10 +573,8 @@ class TestRunBatch:
         (rec,) = simulator.run_batch(ens, mix_quarter, [StepsizeSchedule.constant(0.3)], **kwargs)
         zeros = np.flatnonzero(rec.consensus_err == 0)
         assert zeros.size and zeros[0] == 0
-        if x0.any() or not identical:
-            assert peaks == []
-        else:  # the rescued states all lie in the first chunk
-            assert 0 < len(peaks) <= simulator._CHUNK
+        assert peaks == []
+        if identical and not x0.any():  # zeros past the first chunk too
             assert zeros[-1] >= simulator._CHUNK
         monkeypatch.setattr(simulator, "_zeros_kept", lambda states, cons: False)
         (rescued,) = simulator.run_batch(
@@ -1156,10 +1153,11 @@ class TestNonexpansiveness:
         # the minimizers come from one pencil basis: no eigensolve or SPD
         # solve per stepsize, in the run or in the check
         eigensolves, solves = [], []
-        sym_eigen, solve_spd = numerics.sym_eigen, numerics.solve_spd
-        for module in (numerics, lifted, costs, simulator):
+        eigensolve, solve_spd = numerics._eigensolve, numerics.solve_spd
+        # every eigensolve, through sym_eigen's check or not, is one _eigensolve call
+        for module in (numerics, lifted):
             monkeypatch.setattr(
-                module, "sym_eigen", lambda *a, **k: eigensolves.append(1) or sym_eigen(*a, **k)
+                module, "_eigensolve", lambda *a, **k: eigensolves.append(1) or eigensolve(*a, **k)
             )
         for module in (numerics, lifted, costs):
             monkeypatch.setattr(
