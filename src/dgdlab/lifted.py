@@ -20,19 +20,20 @@ where that eigenvalue is not positive and empty out of class. `certify`,
 also confirms a finite edge by the sign of H's smallest eigenvalue just
 below and just above it.
 
-The pencil (B, C + t0 B) at t0 = half the edge diagonalises every H(t), so
-each minimizer y(alpha) = -t H(t)^(-1) b costs one product, no solve. In
-that basis y(alpha) = sum_i z_i g_i(t) with each coordinate g_i monotone in
-t, which also bounds how far y moves between two stepsizes in closed form:
+The eigenpairs -D^(-1/2) S D^(-1/2) = U diag(mu) U^T of that Schur matrix
+give every minimizer y(alpha) = -t H(t)^(-1) b in closed form, with no solve:
+y(alpha) = 1 kron x* + sum_i z_i g_i(t), x* the aggregate minimizer and
+g_i(t) = -t r_i / (1 - t mu_i), monotone below its pole 1/mu_i, past the
+certified interval. So y moves between two stepsizes by at most
 sum_i ||z_i|| |g_i(t') - g_i(t)|, a bound that telescopes along a monotone
 schedule.
 
 ThresholdStack computes the edges of a stack of instances sharing one
 mixing matrix, each step one batched product or eigensolve for all of them;
-a LiftedObjective is its one-row case. Its `_hessians` is the one builder
-of H(t): certification, the minimizer basis and `spectral_radii`, the
-simulator's oracle, whose iteration matrix is I - H(alpha/m), read it. Each
-matrix solved here is built finite and exactly symmetric, so it goes to LAPACK
+a LiftedObjective is its one-row case. Its `_schur` builds the Schur
+matrices, for the edges and the minimizer basis, and its `_hessians` H(t),
+for certification and `spectral_radii`, the simulator's oracle. Each matrix
+solved here is built finite and exactly symmetric, so it goes to LAPACK
 through `numerics._eigensolve`, without `sym_eigen`'s check.
 """
 
@@ -129,45 +130,50 @@ class ThresholdStack:
 
     @cached_property
     def _edges(self) -> np.ndarray:
-        """(E,): each row's alpha_A (see the module docstring), inf where every
-        stepsize certifies and 0.0 out of class. K below is B~_11^(-1/2) B~_12
-        D^(-1/2) up to an orthogonal factor, so -D^(-1/2) S D^(-1/2) = K^T K -
-        D^(-1/2) B~_22 D^(-1/2). Raises NotInClassError where a step overflows.
+        """(E,): each row's alpha_A (see the module docstring) from the largest
+        eigenvalue of its Schur matrix (`_schur`), inf where every stepsize
+        certifies and 0.0 out of class. Raises NotInClassError where a step overflows.
         """
-        m, n = self.m, self._sets.shape[-1]
         edges = np.zeros(len(self._sets))
         # an overflow is caught where it would reach an eigensolve
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mean = self._sets.sum(axis=1) / m  # B~_11, bit for bit each ensemble's mean
+            mean = self._sets.sum(axis=1) / self.m  # B~_11, bit for bit each ensemble's mean
             values, vectors = _eigensolve(_finite(mean, "the aggregate curvature"), vectors=True)
             del mean
             rows = np.flatnonzero(values[:, 0] > 0)
             if not rows.size:
                 return edges
-            sets = self._sets
-            if rows.size < len(sets):
-                sets, values, vectors = sets[rows], values[rows], vectors[rows]
-            # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
-            # the scaled basis for j >= 2 (outer products by matmul, which buffers
-            # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
-            q = self._mixing.eigenbasis
-            size, rest = rows.size, (m - 1) * n
-            pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
-            blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
-            k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
-            b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
-            # each array is released once read, so the Schur eigensolve holds little else
-            del pairs, blocks, sets
-            k = (vectors / np.sqrt(values)[:, None, :]).swapaxes(-1, -2) @ k
+            sets, factor = self._sets, vectors / np.sqrt(values)[:, None, :]
             del values, vectors
-            top = k.swapaxes(-1, -2) @ k
-            del k
-            top -= b22
-            del b22
-            top = _finite(_symmetric_part(top), "the Schur complement")
-            top = _eigensolve(top).max(axis=-1, initial=0.0)
-            edges[rows] = np.where(top > 0, m / top, math.inf)
+            if rows.size < len(sets):  # leave out the rows out of class, whose factor is NaN
+                sets, factor = sets[rows], factor[rows]
+            top = _eigensolve(self._schur(sets, factor)[0]).max(axis=-1, initial=0.0)
+            edges[rows] = np.where(top > 0, self.m / top, math.inf)
         return edges
+
+    def _schur(self, sets: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, K) of each row of `sets`, in-class curvature sets whose means are
+        B~_11 = V diag(lambda) V^T, with `factor` = V diag(lambda)^(-1/2):
+        K = factor^T B~_12 D^(-1/2) and the Schur matrix -D^(-1/2) S D^(-1/2) =
+        M = K^T K - D^(-1/2) B~_22 D^(-1/2), exactly symmetric. Raises
+        NotInClassError where M overflows."""
+        size, m, n, _ = sets.shape
+        rest = (m - 1) * n
+        # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
+        # the scaled basis for j >= 2 (outer products by matmul, which buffers
+        # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
+        q = self._mixing.eigenbasis
+        pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
+        blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
+        k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
+        b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
+        # each array is released once read, so the Schur eigensolve holds little else
+        del pairs, blocks
+        k = factor.swapaxes(-1, -2) @ k
+        top = k.swapaxes(-1, -2) @ k
+        top -= b22
+        del b22
+        return _finite(_symmetric_part(top), "the Schur complement"), k
 
     def brackets(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), per row the stepsizes a relative 1e-9 below and above
@@ -253,14 +259,6 @@ class LiftedObjective:
         """This objective as the one row of a threshold stack."""
         return ThresholdStack(self.ensemble.curvatures[None], self.mixing)
 
-    @property
-    def block_curvature(self) -> np.ndarray:
-        """blockdiag(A_1, ..., A_m) as a dense (nm, nm) array, built on each read."""
-        m, n = self.ensemble.m, self.ensemble.n
-        out = np.zeros((m * n, m * n))
-        _diagonal_blocks(out, m, n)[...] = self.ensemble.curvatures
-        return out
-
     @cached_property
     def stacked_linear(self) -> np.ndarray:
         """(b_1, ..., b_m) stacked to length nm."""
@@ -308,30 +306,30 @@ class LiftedObjective:
 
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Z, d, nu, Z^T b) with Z^T (C + t0 B) Z = I, Z^T B Z = diag(nu), at
-        t0 = alpha_A / (2m), where C + t0 B is positive definite (t0 = 1/m
-        where alpha_A = inf). d = diag(Z^T C Z) directly, not 1 - t0 nu, which
-        cancels on the consensus null space of C, where nu = 1/t0. Raises
-        NotInClassError where rounding at the curvatures' scale leaves the
-        basis non-finite."""
-        edge = self.certified_interval[1]
-        anchor = 0.5 * edge if math.isfinite(edge) else 1.0
-        values, vectors = _eigensolve(self.hessian(anchor), vectors=True)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            z = vectors / np.sqrt(values)
-            pencil = _symmetric_part(z.T @ (self.block_curvature @ z))
-        pencil = _finite(pencil, f"the minimizer basis at alpha = {anchor!r}")
-        nu, vectors = _eigensolve(pencil, vectors=True)
-        z = z @ vectors
-        d = np.einsum("ij,ij->j", z, self._stack.consensus @ z)
-        return z, d, nu, z.T @ self.stacked_linear
+        """(1 kron x*, Z, mu, U^T r) from the eigenpairs U diag(mu) U^T of the
+        edge's Schur matrix (`ThresholdStack._schur`): with c = q^T b in W's
+        scaled eigenbasis q and X = B~_11^(-1) B~_12 D^(-1/2), r = c_rest - X^T c_1
+        and Z = (q_rest kron I_n - 1 kron (q_11 X)) U. Raises NotInClassError
+        where rounding leaves the basis non-finite."""
+        m, n = self.ensemble.m, self.ensemble.n
+        q, rest = self.mixing.eigenbasis, (m - 1) * n
+        values, vectors = _eigensolve(self.ensemble.aggregate_a, vectors=True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            factor = vectors / np.sqrt(values)
+            schur, k = self._stack._schur(self.ensemble.curvatures[None], factor[None])
+            mu, u = _eigensolve(schur[0], vectors=True)
+            x = factor @ k[0]
+            c = q.T @ self.ensemble.linear_terms
+            ur = _finite(u.T @ (c[1:].reshape(rest) - c[0] @ x), "the minimizer basis")
+            # (q_rest kron I_n) U, without forming the Kronecker product
+            z = (q[:, 1:] @ u.reshape(m - 1, n * rest)).reshape(m, n, rest) - (q[0, 0] * x) @ u
+        z = _finite(z.reshape(m * n, rest), "the minimizer basis")
+        return np.tile(self.ensemble.aggregate_minimizer(), m), z, mu, ur
 
-    def _coordinates(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, G): the basis and, one row per stepsize, the coordinates
-        g_i(t) = -t (Z^T b)_i / (d_i + t nu_i) with t = alpha/m, so that
-        y(alpha) = Z g(alpha/m), as H(t)^(-1) = Z diag(1 / (d + t nu)) Z^T.
-        Raises NotStronglyConvexError naming the first alpha outside
-        certified_interval."""
+    def _coordinates(self, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(1 kron x*, Z, G), with y(alpha) = 1 kron x* + Z g(alpha/m) (see `_basis`)
+        and one row g_i(t) = -t (U^T r)_i / (1 - t mu_i) of G per stepsize. Raises
+        NotStronglyConvexError naming the first alpha outside certified_interval."""
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         if not np.all((alphas > 0) & (alphas < math.inf)):
             raise ValueError("alpha must be finite and positive")
@@ -343,17 +341,17 @@ class LiftedObjective:
                 f"(certified interval ({lo:g}, {hi:g}))"
             )
         if not alphas.size:  # no basis exists where no stepsize certifies
-            return np.empty((self.ensemble.m * self.ensemble.n, 0)), np.empty((0, 0))
-        z, d, nu, zb = self._basis
+            return 0.0, np.empty((self.ensemble.m * self.ensemble.n, 0)), np.empty((0, 0))
+        consensus, z, mu, ur = self._basis
         t = alphas[:, None] / self.ensemble.m
-        return z, -t * zb / (d + t * nu)
+        with np.errstate(over="ignore"):  # t mu_i = -inf for mu_i < 0 gives g_i = 0
+            return consensus, z, -t * ur / (1.0 - t * mu)
 
     def _minimizers(self, alphas) -> np.ndarray:
-        """Minimizers y(alpha) of G_alpha, one (nm,) row per stepsize; see
-        `_coordinates`."""
-        z, g = self._coordinates(alphas)
+        """Minimizers y(alpha) of G_alpha, one (nm,) row per stepsize; see `_coordinates`."""
+        consensus, z, g = self._coordinates(alphas)
         # a stack of (1, nm) products: each row rounds as in a lone run's batch of one
-        return (g[:, None, :] @ z.T)[:, 0]
+        return consensus + (g[:, None, :] @ z.T)[:, 0]
 
     def minimizer(self, alpha: float) -> np.ndarray:
         """Unique minimizer of G_alpha at one stepsize; see `_minimizers`."""
@@ -363,10 +361,10 @@ class LiftedObjective:
         """sum_i ||z_i|| |g_i(t_(k+1)) - g_i(t_k)|, a bound on ||y(alpha_(k+1)) -
         y(alpha_k)||, for each pair of consecutive stepsizes; see `_coordinates`.
 
-        Each g_i is monotone on the certified interval (its derivative
-        -(Z^T b)_i d_i / (d_i + t nu_i)^2 keeps one sign), so along a monotone
-        run of stepsizes the bounds telescope: they sum to the same bound
-        between the first stepsize and the last.
+        Each g_i is monotone below its pole 1/mu_i, past the certified interval
+        (its derivative -(U^T r)_i / (1 - t mu_i)^2 keeps one sign), so along a
+        monotone run of stepsizes the bounds telescope: they sum to the same
+        bound between the first stepsize and the last.
         """
-        z, g = self._coordinates(alphas)
+        _, z, g = self._coordinates(alphas)
         return abs(np.diff(g, axis=0)) @ np.linalg.norm(z, axis=0)

@@ -590,12 +590,13 @@ class NonexpansivenessReport:
     minimizer of G_alpha(t); non-positive (up to `tolerance`) whenever the
     stepsize stays inside the certified region. drift_measured[t] is the
     minimizer shift ||y(t+1) - y(t)|| and drift_bound[t] its closed-form
-    bound sum_i ||z_i|| |g_i(alpha(t+1)) - g_i(alpha(t))| in the pencil
-    basis y = sum_i z_i g_i (see `LiftedObjective._shift_bounds`); both are 0
-    where the stepsize does not change. For a non-increasing schedule the
-    bounds telescope: drift_bound sums to the same bound between alpha(0)
-    and the last stepsize, so where no core margin is positive the distance
-    to the moving minimizer grows by at most that much over the whole run.
+    bound sum_i ||z_i|| |g_i(alpha(t+1)) - g_i(alpha(t))| in the Schur basis
+    y = 1 kron x* + sum_i z_i g_i, g_i = -t r_i / (1 - t mu_i) (see
+    `LiftedObjective._shift_bounds`); both are 0 where the stepsize does not
+    change. For a non-increasing schedule the bounds telescope: drift_bound
+    sums to the same bound between alpha(0) and the last stepsize, so where
+    no core margin is positive the distance to the moving minimizer grows by
+    at most that much over the whole run.
     """
 
     distances: np.ndarray

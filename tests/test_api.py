@@ -49,7 +49,7 @@ REMOVED_METHODS = {
     "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
     "aggregate_value": costs.QuadraticEnsemble,
     "aggregate_gradient": costs.QuadraticEnsemble,  # aggregate_a @ x + the mean b_k
-    "separable_value": lifted.LiftedObjective,  # F(x) from block_curvature and stacked_linear
+    "separable_value": lifted.LiftedObjective,  # F(x) from the curvatures and stacked_linear
     # an ensemble is its two stacks: QuadraticEnsemble(curvatures, linear_terms)
     "costs": costs.QuadraticEnsemble,  # rows of curvatures and linear_terms
     "from_stacks": costs.QuadraticEnsemble,  # the constructor itself
@@ -75,6 +75,8 @@ REMOVED_METHODS = {
     "_eigenbasis": topology.MixingMatrix,
     # brackets() confirms every row of the stack in one eigensolve per bracket end
     "_certified": lifted.ThresholdStack,
+    # the minimizers come from the Schur eigenpairs; blockdiag(A_k) is built by no one
+    "block_curvature": lifted.LiftedObjective,
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgdlab import bounds, cli, config, costs, lifted, simulator
+from dgdlab import bounds, cli, config, costs, lifted, numerics, simulator
 from dgdlab.config import parse_config
 from dgdlab.errors import ConfigError
 
@@ -574,25 +574,46 @@ class TestSimulateCommand:
         oracle = simulator.boundedness_oracle(cfg.ensemble, cfg.mixing, 0.3)
         assert summary["oracle"]["spectral_radius"] == oracle.spectral_radius
 
-    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep-alpha"])
+    # three identical agents with a 2e300 curvature: rounding places the Schur
+    # edge at about 2.7e31 (identical agents have none), where t A_k overflows
+    OVERFLOW_CONFIG = {
+        "ensemble": _explicit({"A": [[2e300, 0.5], [0.5, 1.0]], "b": [1.0, -1.0]}),
+        "mixing": {"type": "metropolis", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+        "schedule": {"type": "constant", "alpha": 1e-301},
+        "track_lifted": True,
+        "horizon": 20,
+    }
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
     def test_hessian_past_the_float_range_exits_3(self, command, tmp_path, capsys):
-        # three identical agents with a 2e300 curvature: rounding places the
-        # Schur edge at about 2.7e31 (identical agents have none), and t A_k
-        # overflows there, so the threshold and the minimizer basis refuse it
-        cost = {"A": [[2e300, 0.5], [0.5, 1.0]], "b": [1.0, -1.0]}
-        data = {
-            "ensemble": _explicit(cost),
-            "mixing": {"type": "metropolis", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
-            "schedule": {"type": "constant", "alpha": 1e-301},
-            "track_lifted": True,
-            "horizon": 20,
-        }
+        # the threshold's bracket needs H at the edge, which refuses it
+        path = _write_config(tmp_path, self.OVERFLOW_CONFIG)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main([command, "--config", _write_config(tmp_path, data)]) == 3
+            assert cli.main([command, "--config", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: certification failed: a Hessian block")
+
+    def test_identical_agents_past_the_float_range_simulate_to_consensus(self, tmp_path, capsys):
+        # the minimizers need no Hessian at the edge: every one is 1 kron x*,
+        # as for any identical agents, and so is each distance the run tracks
+        out = tmp_path / "sim"
+        path = _write_config(tmp_path, self.OVERFLOW_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfg = parse_config(self.OVERFLOW_CONFIG)
+        consensus = np.tile(cfg.ensemble.aggregate_minimizer(), 3)
+        objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
+        assert np.array_equal(objective.minimizer(1e-301), consensus)
+        states = simulator.run(
+            cfg.ensemble, cfg.mixing, cfg.schedule, horizon=20, record_every=1
+        ).states
+        with open(out / "trajectory.csv", newline="") as handle:
+            cells = [float(row["dist_lifted_min"]) for row in csv.DictReader(handle)]
+        assert cells == numerics.norm(states - consensus, axis=1).tolist()
 
     def test_stepsize_overflowing_the_oracle_exits_2(self, tmp_path, capsys):
         # alpha and the curvature are each legal; their product is not a float
@@ -1202,9 +1223,10 @@ def test_lifted_eigensolves_only_finite_exactly_symmetric_matrices(tmp_path, mon
     capsys.readouterr()
     assert bad == []
     assert set(codes) <= {0, 3} and codes[-12:] == [0] * 12  # every scaled run
-    # the aggregate, the Schur matrix, H (and, with vectors, the basis and
-    # its pencil) of three agents; the ring's Schur matrix and H
-    assert kinds == {(2, True), (4, False), (6, False), (6, True), (14, False), (16, False)}
+    # the aggregate, the Schur matrix (with vectors too, for the minimizer
+    # basis) and H of three agents; the ring's Schur matrix and H: no
+    # nm-sized matrix is solved with vectors
+    assert kinds == {(2, True), (4, False), (4, True), (6, False), (14, False), (16, False)}
 
 
 class TestValidateTopologyCommand:

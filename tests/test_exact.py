@@ -13,18 +13,23 @@ Bareiss's fraction-free elimination. The referee checks the brackets that
 certification returns: H is positive definite at the lower end and not at
 the upper end. It also decides the oracle: the iteration matrix I - H has
 spectral radius below 1 exactly where H and 2I - H are both positive
-definite.
+definite. And it solves H(t) y = -t b in Fractions for the minimizers of
+G_alpha, which the engine takes from the Schur eigenpairs instead.
 """
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgdlab import bounds, cli, costs, lifted, simulator, topology
+from dgdlab.config import StepsizeSchedule
 from dgdlab.errors import NotInClassError
 
+GOLDEN = Path(__file__).parent / "golden"
 README_W = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 TRIANGLE_ADJACENCY = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 RING8_ADJACENCY = [[1 if abs(i - j) in (1, 7) else 0 for j in range(8)] for i in range(8)]
@@ -203,3 +208,68 @@ def test_nonexpansiveness_precondition_is_exactly_right(mixing):
         alpha = (1.0 - 1e-9) * ensemble.m * floor
         objective = lifted.LiftedObjective(ensemble, mixing)
         assert exact_pd(exact_contraction_margin(objective, alpha)), (seed, alpha)
+
+
+def exact_minimizer(objective: lifted.LiftedObjective, alpha: float) -> list[Fraction]:
+    """The minimizer y(alpha) of G_alpha, exactly: m H(alpha/m) y = -alpha b
+    solved by Gaussian elimination in Fractions. Its pivots are positive
+    wherever alpha is certified, so it needs no pivoting."""
+    h = exact_hessian(objective, alpha)
+    step = Fraction(alpha)
+    rows = [
+        row + [-step * Fraction(entry)]
+        for row, entry in zip(h, objective.stacked_linear.tolist(), strict=True)
+    ]
+    size = len(rows)
+    for k in range(size):
+        for i in range(k + 1, size):
+            factor = rows[i][k] / rows[k][k]
+            for j in range(k, size + 1):
+                rows[i][j] -= factor * rows[k][j]
+    y = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        y[i] = (rows[i][size] - sum(rows[i][j] * y[j] for j in range(i + 1, size))) / rows[i][i]
+    return y
+
+
+def exact_distance(x, y) -> Fraction:
+    """||x - y|| for floats x and Fractions y, to within 2^-200."""
+    squares = sum((Fraction(a) - b) ** 2 for a, b in zip(x, y, strict=True))
+    bits = 200
+    return Fraction(math.isqrt(squares.numerator * 4**bits // squares.denominator), 2**bits)
+
+
+def test_minimizers_are_exactly_right():
+    # README's W and seeds 0-39, at 0.1, 0.5 and 0.9 of every finite edge: the
+    # Schur basis gives y(alpha) to a relative 5e-14 of the exact solve (an
+    # eigenbasis of the pencil (B, H(t0)) at t0 = half the edge reaches 9.2e-14)
+    mixing = topology.validate_mixing(np.array(README_W))
+    checked = 0
+    for seed in range(40):
+        objective = lifted.LiftedObjective(costs.random_ensemble(3, 2, 1.0, seed=seed), mixing)
+        edge = objective.certified_interval[1]
+        if not 0 < edge < math.inf:
+            continue
+        for alpha in (0.1 * edge, 0.5 * edge, 0.9 * edge):
+            exact = exact_minimizer(objective, alpha)
+            error = exact_distance(objective.minimizer(alpha).tolist(), exact)
+            size = exact_distance([0.0] * len(exact), exact)
+            assert error <= Fraction(5e-14) * size, (seed, alpha, float(error / size))
+            checked += 1
+    assert checked == 81
+
+
+def test_golden_lifted_distance_is_exactly_right():
+    # the golden trajectory's dist_lifted_min on README's seed 5 at alpha = 0.5:
+    # every cell within 1e-16 of the exact distance from the run's state to y(0.5)
+    mixing = topology.validate_mixing(np.array(README_W))
+    ensemble = costs.random_ensemble(3, 2, 1.0, seed=5)
+    exact = exact_minimizer(lifted.LiftedObjective(ensemble, mixing), 0.5)
+    states = simulator.run(
+        ensemble, mixing, StepsizeSchedule.constant(0.5), horizon=400, record_every=1
+    ).states
+    with open(GOLDEN / "simulate_readme5_trajectory.csv", newline="") as handle:
+        cells = [float(row["dist_lifted_min"]) for row in csv.DictReader(handle)]
+    assert len(cells) == len(states) == 401
+    for t, (cell, state) in enumerate(zip(cells, states.tolist())):
+        assert abs(Fraction(cell) - exact_distance(state, exact)) <= Fraction(1e-16), t

@@ -301,7 +301,9 @@ class TestThresholdStack:
         for ensemble, alpha, rho in zip(ensembles, alphas, rhos.tolist()):
             row = lifted.ThresholdStack(ensemble.curvatures[None], mix_quarter)
             assert row.spectral_radii([alpha]).tolist() == [rho]
-            blocks = lifted.LiftedObjective(ensemble, mix_quarter).block_curvature
+            blocks = np.zeros((6, 6))
+            for k, a in enumerate(ensemble.curvatures):
+                blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = a
             iteration = np.kron(mix_quarter.w, np.eye(2)) - (alpha / 3) * blocks
             assert rho == pytest.approx(max(abs(np.linalg.eigvalsh(iteration))), rel=1e-12)
 
@@ -325,19 +327,23 @@ class TestThresholdStack:
         # identical agents with a 2e300 curvature have no edge, but rounding in
         # the Metropolis triangle's eigenbasis places one near 2.7e31, where
         # t A_k overflows: the Hessian's blocks refuse it before an eigensolve
-        # reads them
+        # reads them. The minimizers need no Hessian: every one is 1 kron x*,
+        # as for any identical agents, up to half that edge and past it
         triangle = topology.metropolis_weights(np.ones((3, 3)) - np.eye(3))
         a = np.array([[2e300, 0.5], [0.5, 1.0]])
         ens = costs.QuadraticEnsemble(np.array([a] * 3), np.zeros((3, 2)))
         objective = _objective(ens, triangle)
-        assert 1e30 < objective.certified_interval[1] < math.inf
+        edge = objective.certified_interval[1]
+        assert 1e30 < edge < math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for query in (objective.strong_convexity_threshold, lambda: objective.hessian(1e10),
-                          lambda: objective.minimizer(1.0)):
+            for query in (objective.strong_convexity_threshold, lambda: objective.hessian(1e10)):
                 with pytest.raises(NotInClassError, match="a Hessian block t A_k"):
                     query()
             assert np.isfinite(objective.hessian(1.0)).all()
+            consensus = np.tile(ens.aggregate_minimizer(), 3)
+            for alpha in (1.0, 1e10, 0.5 * edge, 0.9 * edge):
+                assert np.array_equal(objective.minimizer(alpha), consensus), alpha
 
     def test_unconfirmed_edge_is_not_in_class(self, mix_quarter):
         # curvatures near 1e12 with mu = 1e-12: rounding in W's eigenbasis moves
@@ -429,7 +435,7 @@ class TestMinimizer:
 
     def test_closed_form_matches_spd_solve(self, mix_quarter):
         # README-class instances, up to 0.98 of the edge where H(t) is
-        # nearly singular: the pencil basis against one SPD solve per alpha
+        # nearly singular: the Schur basis against one SPD solve per alpha
         checked = 0
         for seed in range(120):
             obj = _certified_random_objective(seed, mix_quarter, epsilon=1.0)
@@ -505,6 +511,8 @@ def test_non_finite_stepsize_raises_value_error(mix_quarter, alpha):
             call(alpha)
     with pytest.raises(ValueError, match="finite and positive"):
         simulator.boundedness_oracle(ens, mix_quarter, alpha)
+    with pytest.raises(ValueError, match="finite and positive"):  # in a batch too
+        simulator.boundedness_verdicts(obj, [0.5, alpha])
 
 
 def test_near_symmetric_costs_at_large_scale(mix_quarter):

@@ -230,16 +230,19 @@ class TestRun:
         assert np.all(np.diff(rec.dist_lifted_min) <= 1e-9)
 
     def test_lifted_distance_blank_when_uncertified(self, mix_quarter):
+        # past the edge, and at alpha_A itself: the certified interval is open
         ens = _skewed_random(5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
         alpha_a, _ = obj.strong_convexity_threshold()
-        rec = simulator.run(
-            ens, mix_quarter, StepsizeSchedule.constant(1.5 * alpha_a),
-            horizon=10, lifted_distance=obj, divergence_threshold=1e30,
-        )
-        assert np.all(np.isnan(rec.dist_lifted_min))
-        for line in _csv_text(rec).splitlines()[1:]:
-            assert line.endswith(",")
+        for alpha in (1.5 * alpha_a, obj.certified_interval[1]):
+            rec = simulator.run(
+                ens, mix_quarter, StepsizeSchedule.constant(alpha),
+                horizon=10, lifted_distance=obj, divergence_threshold=1e30,
+            )
+            assert rec.dist_lifted_min.size == 11
+            assert np.all(np.isnan(rec.dist_lifted_min))
+            for line in _csv_text(rec).splitlines()[1:]:
+                assert line.endswith(",")
 
     def test_lifted_distance_blank_at_huge_stepsize(self, mix_quarter):
         # README's seed-5 instance at 1e155: certify must refuse the stepsize,
@@ -1104,14 +1107,14 @@ class TestNonexpansiveness:
         rec = simulator.run(ens, mix_quarter, schedule, x0=np.ones(6), horizon=120, record_every=1)
         report = simulator.nonexpansiveness_check(rec, obj)
         alphas, targets = rec.alpha, obj._minimizers(rec.alpha)
-        z, d, nu, zb = obj._basis
+        _, z, mu, ur = obj._basis
         measured, bound = np.zeros((2, len(alphas) - 1))
         for i in range(len(alphas) - 1):
             measured[i] = np.linalg.norm(targets[i] - targets[i + 1])
             t_a, t_b = alphas[i] / 3, alphas[i + 1] / 3
-            for j in range(6):
-                g_a = -t_a * zb[j] / (d[j] + t_a * nu[j])
-                g_b = -t_b * zb[j] / (d[j] + t_b * nu[j])
+            for j in range(len(mu)):
+                g_a = -t_a * ur[j] / (1 - t_a * mu[j])
+                g_b = -t_b * ur[j] / (1 - t_b * mu[j])
                 bound[i] += np.linalg.norm(z[:, j]) * abs(g_b - g_a)
         assert np.count_nonzero(bound) == len(bound)
         np.testing.assert_allclose(report.drift_bound, bound, rtol=1e-13, atol=0)
@@ -1141,16 +1144,16 @@ class TestNonexpansiveness:
             assert report.ok, seed
             assert np.all(report.drift_measured <= report.drift_bound), seed
             assert np.all(np.diff(report.distances) <= report.drift_bound + 1e-9), seed
-            z, d, nu, zb = obj._basis
+            _, z, mu, ur = obj._basis
             t = rec.alpha[[0, -1], None] / 3
-            g = -t * zb / (d + t * nu)
+            g = -t * ur / (1 - t * mu)
             whole = np.linalg.norm(z, axis=0) @ abs(g[1] - g[0])
             assert report.drift_bound.sum() == pytest.approx(whole, rel=1e-12, abs=0), seed
             checked += 1
         assert checked >= 15
 
     def test_minimizer_cost_does_not_grow_with_horizon(self, mix_quarter, monkeypatch):
-        # the minimizers come from one pencil basis: no eigensolve or SPD
+        # the minimizers come from one Schur basis: no eigensolve or SPD
         # solve per stepsize, in the run or in the check
         eigensolves, solves = [], []
         eigensolve, solve_spd = numerics._eigensolve, numerics.solve_spd
