@@ -23,7 +23,7 @@ below and just above it.
 The eigenpairs -D^(-1/2) S D^(-1/2) = U diag(mu) U^T of that Schur matrix
 give every minimizer y(alpha) = -t H(t)^(-1) b in closed form, with no solve:
 y(alpha) = 1 kron x* + sum_i z_i g_i(t), x* the aggregate minimizer and
-g_i(t) = -t r_i / (1 - t mu_i), monotone below its pole 1/mu_i, past the
+g_i(t) = -r_i / (1/t - mu_i), monotone below its pole 1/mu_i, past the
 certified interval. So y moves between two stepsizes by at most
 sum_i ||z_i|| |g_i(t') - g_i(t)|, a bound that telescopes along a monotone
 schedule.
@@ -77,16 +77,6 @@ def _diagonal_blocks(matrices: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.einsum("...kakb->...kab", matrices.reshape(*matrices.shape[:-2], m, n, m, n))
 
 
-def _symmetric_part(a: np.ndarray) -> np.ndarray:
-    """(A^T + A) / 2, exactly symmetric; stacks broadcast."""
-    # from a contiguous copy of A^T: adding A^T into A in place makes numpy
-    # buffer copies of the overlapping operand
-    out = a.swapaxes(-1, -2).copy()
-    out += a
-    out *= 0.5
-    return out
-
-
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
     """`a`, or NotInClassError naming `what` where it overflowed: no edge to place."""
     if not np.isfinite(a).all():
@@ -135,45 +125,49 @@ class ThresholdStack:
         certifies and 0.0 out of class. Raises NotInClassError where a step overflows.
         """
         edges = np.zeros(len(self._sets))
+        rows, schur = self._schur()[:2]
+        if rows.size:
+            top = _eigensolve(schur).max(axis=-1, initial=0.0)
+            edges[rows] = np.divide(self.m, top, out=np.full_like(top, math.inf), where=top > 0)
+        return edges
+
+    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, M, K, factor): the rows in class, whose B~_11 = V diag(lambda) V^T
+        is positive definite, and for each of them K = factor^T B~_12 D^(-1/2) with
+        factor = V diag(lambda)^(-1/2) and the Schur matrix -D^(-1/2) S D^(-1/2) =
+        M = K^T K - D^(-1/2) B~_22 D^(-1/2), exactly symmetric. Raises
+        NotInClassError where B~_11 or M overflows."""
         # an overflow is caught where it would reach an eigensolve
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mean = self._sets.sum(axis=1) / self.m  # B~_11, bit for bit each ensemble's mean
             values, vectors = _eigensolve(_finite(mean, "the aggregate curvature"), vectors=True)
             del mean
             rows = np.flatnonzero(values[:, 0] > 0)
-            if not rows.size:
-                return edges
-            sets, factor = self._sets, vectors / np.sqrt(values)[:, None, :]
+            factor = vectors[rows] / np.sqrt(values[rows])[:, None, :]
             del values, vectors
-            if rows.size < len(sets):  # leave out the rows out of class, whose factor is NaN
-                sets, factor = sets[rows], factor[rows]
-            top = _eigensolve(self._schur(sets, factor)[0]).max(axis=-1, initial=0.0)
-            edges[rows] = np.where(top > 0, self.m / top, math.inf)
-        return edges
-
-    def _schur(self, sets: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, K) of each row of `sets`, in-class curvature sets whose means are
-        B~_11 = V diag(lambda) V^T, with `factor` = V diag(lambda)^(-1/2):
-        K = factor^T B~_12 D^(-1/2) and the Schur matrix -D^(-1/2) S D^(-1/2) =
-        M = K^T K - D^(-1/2) B~_22 D^(-1/2), exactly symmetric. Raises
-        NotInClassError where M overflows."""
-        size, m, n, _ = sets.shape
-        rest = (m - 1) * n
-        # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
-        # the scaled basis for j >= 2 (outer products by matmul, which buffers
-        # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
-        q = self._mixing.eigenbasis
-        pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
-        blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
-        k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
-        b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
-        # each array is released once read, so the Schur eigensolve holds little else
-        del pairs, blocks
-        k = factor.swapaxes(-1, -2) @ k
-        top = k.swapaxes(-1, -2) @ k
-        top -= b22
-        del b22
-        return _finite(_symmetric_part(top), "the Schur complement"), k
+            sets = self._sets if rows.size == len(self._sets) else self._sets[rows]
+            size, m, n, _ = sets.shape
+            rest = (m - 1) * n
+            # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
+            # the scaled basis for j >= 2 (outer products by matmul, which buffers
+            # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
+            q = self._mixing.eigenbasis
+            pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
+            blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
+            k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
+            b22 = blocks[:, 1:].transpose(0, 1, 3, 2, 4).reshape(size, rest, rest)
+            # each array is released once read, so the Schur eigensolve holds little else
+            del pairs, blocks
+            k = factor.swapaxes(-1, -2) @ k
+            top = k.swapaxes(-1, -2) @ k
+            top -= b22
+            del b22
+            # (M^T + M) / 2, exactly symmetric, from a contiguous copy of M^T:
+            # adding M^T into M in place makes numpy buffer the overlapping operand
+            schur = top.swapaxes(-1, -2).copy()
+            schur += top
+            schur *= 0.5
+            return rows, _finite(schur, "the Schur complement"), k, factor
 
     def brackets(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), per row the stepsizes a relative 1e-9 below and above
@@ -313,12 +307,10 @@ class LiftedObjective:
         where rounding leaves the basis non-finite."""
         m, n = self.ensemble.m, self.ensemble.n
         q, rest = self.mixing.eigenbasis, (m - 1) * n
-        values, vectors = _eigensolve(self.ensemble.aggregate_a, vectors=True)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            factor = vectors / np.sqrt(values)
-            schur, k = self._stack._schur(self.ensemble.curvatures[None], factor[None])
-            mu, u = _eigensolve(schur[0], vectors=True)
-            x = factor @ k[0]
+        _, schur, k, factor = self._stack._schur()
+        mu, u = _eigensolve(schur[0], vectors=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = factor[0] @ k[0]
             c = q.T @ self.ensemble.linear_terms
             ur = _finite(u.T @ (c[1:].reshape(rest) - c[0] @ x), "the minimizer basis")
             # (q_rest kron I_n) U, without forming the Kronecker product
@@ -328,8 +320,10 @@ class LiftedObjective:
 
     def _coordinates(self, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(1 kron x*, Z, G), with y(alpha) = 1 kron x* + Z g(alpha/m) (see `_basis`)
-        and one row g_i(t) = -t (U^T r)_i / (1 - t mu_i) of G per stepsize. Raises
-        NotStronglyConvexError naming the first alpha outside certified_interval."""
+        and one row g_i(t) = -(U^T r)_i / (1/t - mu_i) of G per stepsize. Raises
+        NotStronglyConvexError naming the first alpha outside certified_interval,
+        and NotInClassError where H(t) leaves the float range, as `hessian` does,
+        or 1/t - mu_i rounds to 0 or below, within rounding of the edge."""
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         if not np.all((alphas > 0) & (alphas < math.inf)):
             raise ValueError("alpha must be finite and positive")
@@ -343,9 +337,15 @@ class LiftedObjective:
         if not alphas.size:  # no basis exists where no stepsize certifies
             return 0.0, np.empty((self.ensemble.m * self.ensemble.n, 0)), np.empty((0, 0))
         consensus, z, mu, ur = self._basis
-        t = alphas[:, None] / self.ensemble.m
-        with np.errstate(over="ignore"):  # t mu_i = -inf for mu_i < 0 gives g_i = 0
-            return consensus, z, -t * ur / (1.0 - t * mu)
+        m = self.ensemble.m
+        with np.errstate(over="ignore"):
+            # H's blocks at the largest stepsize, as `hessian` rounds them: adding
+            # C_kk, in [0, 1], to a finite t A_k leaves it finite
+            _finite(alphas.max() / m * self.ensemble.curvatures, "a Hessian block t A_k + C_kk")
+            poles = (m / alphas)[:, None] - mu  # 1/t = inf at a subnormal alpha gives g_i = 0
+        if not (poles > 0).all():
+            raise NotInClassError(f"alpha={max(alphas.tolist())!r} is within rounding of the edge")
+        return consensus, z, -ur / poles
 
     def _minimizers(self, alphas) -> np.ndarray:
         """Minimizers y(alpha) of G_alpha, one (nm,) row per stepsize; see `_coordinates`."""

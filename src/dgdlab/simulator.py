@@ -351,7 +351,7 @@ def run_batch(
     `lifted_distance`, the run's own LiftedObjective (another instance's
     raises ValueError), also records ||x(t) - y(t)||, y(t) the minimizer of
     the lifted objective G_alpha(t) whose gradient step the row takes,
-    wherever that stepsize is certified.
+    wherever that stepsize is certified, and raises where it refuses y(t).
 
     R(t) is always kept. The consensus history (`consensus`) is kept by
     default; the states x(t) are kept only when asked for, with
@@ -591,7 +591,7 @@ class NonexpansivenessReport:
     stepsize stays inside the certified region. drift_measured[t] is the
     minimizer shift ||y(t+1) - y(t)|| and drift_bound[t] its closed-form
     bound sum_i ||z_i|| |g_i(alpha(t+1)) - g_i(alpha(t))| in the Schur basis
-    y = 1 kron x* + sum_i z_i g_i, g_i = -t r_i / (1 - t mu_i) (see
+    y = 1 kron x* + sum_i z_i g_i, g_i = -r_i / (1/t - mu_i) (see
     `LiftedObjective._shift_bounds`); both are 0 where the stepsize does not
     change. For a non-increasing schedule the bounds telescope: drift_bound
     sums to the same bound between alpha(0) and the last stepsize, so where

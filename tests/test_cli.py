@@ -596,7 +596,8 @@ class TestSimulateCommand:
         assert captured.err.startswith("error: certification failed: a Hessian block")
 
     def test_identical_agents_past_the_float_range_simulate_to_consensus(self, tmp_path, capsys):
-        # the minimizers need no Hessian at the edge: every one is 1 kron x*,
+        # the minimizers need no Hessian at the edge, only at the run's
+        # stepsize, where H(t) is a float matrix: the minimizer is 1 kron x*,
         # as for any identical agents, and so is each distance the run tracks
         out = tmp_path / "sim"
         path = _write_config(tmp_path, self.OVERFLOW_CONFIG)
@@ -614,6 +615,27 @@ class TestSimulateCommand:
         with open(out / "trajectory.csv", newline="") as handle:
             cells = [float(row["dist_lifted_min"]) for row in csv.DictReader(handle)]
         assert cells == numerics.norm(states - consensus, axis=1).tolist()
+
+    def test_lifted_distance_within_rounding_of_the_edge_exits_3(self, tmp_path, capsys):
+        # one float below README seed 5's edge, 1/t - mu_i rounds to 0 or below:
+        # the minimizer there is refused, and so is the run that tracks it
+        data = {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_QUARTER}}
+        cfg = parse_config(data)
+        edge = lifted.LiftedObjective(cfg.ensemble, cfg.mixing).certified_interval[1]
+        data.update(
+            schedule={"type": "constant", "alpha": float(np.nextafter(edge, 0.0))},
+            horizon=20,
+            track_lifted=True,
+        )
+        path = _write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["simulate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "is within rounding of the edge" in captured.err
+        data["track_lifted"] = False
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, data)]) == 0
 
     def test_stepsize_overflowing_the_oracle_exits_2(self, tmp_path, capsys):
         # alpha and the curvature are each legal; their product is not a float

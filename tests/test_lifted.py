@@ -327,23 +327,27 @@ class TestThresholdStack:
         # identical agents with a 2e300 curvature have no edge, but rounding in
         # the Metropolis triangle's eigenbasis places one near 2.7e31, where
         # t A_k overflows: the Hessian's blocks refuse it before an eigensolve
-        # reads them. The minimizers need no Hessian: every one is 1 kron x*,
-        # as for any identical agents, up to half that edge and past it
+        # reads them, and a minimizer refuses every stepsize whose H(t) they
+        # refuse. Below those, the minimizer is 1 kron x*, as for any
+        # identical agents: exactly at 1e-301, and to an ulp at 1
         triangle = topology.metropolis_weights(np.ones((3, 3)) - np.eye(3))
         a = np.array([[2e300, 0.5], [0.5, 1.0]])
-        ens = costs.QuadraticEnsemble(np.array([a] * 3), np.zeros((3, 2)))
+        ens = costs.QuadraticEnsemble(np.array([a] * 3), np.array([[1.0, -1.0]] * 3))
         objective = _objective(ens, triangle)
         edge = objective.certified_interval[1]
         assert 1e30 < edge < math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for query in (objective.strong_convexity_threshold, lambda: objective.hessian(1e10)):
+            queries = [objective.strong_convexity_threshold, lambda: objective.hessian(1e10)]
+            queries += [lambda alpha=alpha: objective.minimizer(alpha)
+                        for alpha in (1e10, 0.5 * edge, 0.9 * edge)]
+            for query in queries:
                 with pytest.raises(NotInClassError, match="a Hessian block t A_k"):
                     query()
             assert np.isfinite(objective.hessian(1.0)).all()
             consensus = np.tile(ens.aggregate_minimizer(), 3)
-            for alpha in (1.0, 1e10, 0.5 * edge, 0.9 * edge):
-                assert np.array_equal(objective.minimizer(alpha), consensus), alpha
+            assert np.array_equal(objective.minimizer(1e-301), consensus)
+            np.testing.assert_array_max_ulp(objective.minimizer(1.0), consensus, maxulp=1)
 
     def test_unconfirmed_edge_is_not_in_class(self, mix_quarter):
         # curvatures near 1e12 with mu = 1e-12: rounding in W's eigenbasis moves
@@ -459,6 +463,42 @@ class TestMinimizer:
             obj._minimizers([0.1, 2 * hi, 3 * hi])
         with pytest.raises(NotStronglyConvexError, match=f"alpha={hi:g} "):
             obj._minimizers([1e-12, hi, 2 * hi])
+
+    def test_minimizer_stays_finite_at_huge_stepsizes(self, mix_quarter):
+        # every stepsize certifies here; as alpha grows the minimizer tends to
+        # the agents' own minimizers -A_k^(-1) b_k, 1/t - mu_i to -mu_i, and
+        # no factor of t overflows on the way
+        a = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.3], [0.3, 0.5]], [[3.0, 1.0], [1.0, 2.0]]])
+        b = 100.0 * np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
+        obj = _objective(costs.QuadraticEnsemble(a, b), mix_quarter)
+        assert obj.certified_interval[1] == math.inf
+        own = -np.linalg.solve(a, b[:, :, None])[:, :, 0].reshape(-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for y in obj._minimizers([1e300, 1e307, 1e308]):
+                assert np.linalg.norm(y - own) <= 1e-14 * np.linalg.norm(own)
+
+    def test_minimizer_refuses_within_rounding_of_the_edge(self, mix_quarter):
+        # one float below the edge, 1/t - mu_i can round to 0 or below, as mu
+        # comes from another eigensolve than the edge: there the minimizer
+        # refuses, and elsewhere every g_i keeps the sign of -(U^T r)_i
+        outcomes = set()
+        for seed in range(40):
+            obj = _objective(costs.random_ensemble(3, 2, 1.0, seed=seed), mix_quarter)
+            hi = obj.certified_interval[1]
+            if not 0 < hi < math.inf:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    _, _, g = obj._coordinates([np.nextafter(hi, 0.0)])
+                except NotInClassError as exc:
+                    assert "within rounding of the edge" in str(exc), seed
+                    outcomes.add("refused")
+                    continue
+            assert np.isfinite(g).all() and np.all(g * obj._basis[3] <= 0), seed
+            outcomes.add("resolved")
+        assert outcomes == {"refused", "resolved"}
 
 
 class TestCertifiedInterval:
