@@ -8,12 +8,18 @@ which is exactly one gradient-descent step on the lifted objective
 G_alpha. The paper's per-agent update x_i <- sum_j w_ij x_j - a grad f_i(x_i)
 is this step with alpha = m a.
 
-The engine folds each row's scale s = alpha/m into its curvature
-blocks before it steps: s A_k and s b_k, once per call for a constant
-schedule and once per step for a varying one. A step is then four numpy
-calls on the whole (B, m, n) batch, x <- W x - (s A) x - s b, with no
-temporary array. It rounds differently from the literal s (A x + b), so
-states and R(t) move at rounding level against that form.
+The engine folds each row's scale s = alpha/m into a step operator
+before it steps, once per call for a constant schedule and once per step
+for a varying one, and a step on the whole batch makes no temporary array.
+Up to nm = 128 (`_DENSE_NM`, with its measured table) the operator is the
+row's dense iteration matrix M = (W (x) I_n) - s blockdiag(A_k), and a step
+is two numpy calls, x <- M x - s b. Above it, where the dense O(m^2 n^2)
+work loses, the operator keeps W and s A_k apart, and a step is four,
+x <- W x - (s A) x - s b. Both round differently from the literal
+W x - s (A x + b), so states and R(t) move at rounding level against it:
+the dense form rounds w_kk - s a_kk before its products and sums the
+mixing and local terms in one dot product per entry, and the structured
+form rounds s A_k and s b_k before its products.
 
 For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
@@ -57,44 +63,98 @@ _CSV_COLUMNS = ("alpha", "r", "consensus_err", "dist_lifted_min")
 _CSV_BLOCK = 256
 
 
-def _fold(
-    scale: np.ndarray,
-    a_stack: np.ndarray,
-    b_stack: np.ndarray,
-    sa: np.ndarray | None = None,
-    sb: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's stepsize scale folded into its curvature blocks: (s A_k, s b_k).
+# nm up to which a step multiplies each row's state by its dense iteration
+# matrix (`_StepOperator`). The dense step does O(m^2 n^2) work in two numpy
+# calls, the structured one O(m^2 n + m n^2) in four. The choice reads nm
+# alone, so a row's bits never depend on the batch it runs in. Microseconds
+# per step of B rows, structured / dense, at n = 2: numpy 2.4.6,
+# OPENBLAS_NUM_THREADS=1, one core of a 2-core Xeon with a 2 MiB L2.
+#
+#     nm      6        16       32       64        96         128        192        300
+#     B = 1   3.0/1.3  3.3/1.4  3.7/1.5  4.3/1.9   5.1/2.7    5.9/3.6    8.1/4.7    12.9/12.2
+#     B = 8   4.3/1.9  5.9/2.1  8.3/2.9  14.3/5.9  22.7/12.1  25.7/19.3  47.9/72.0  78.8/217.1
+#
+# Once a batch's operators, B nm^2 floats, outgrow the L2, the dense step is
+# bound by memory: 8 rows at nm = 128 hold 1 MiB, at 192 2.25 MiB. One row's
+# operator still fits at nm = 300, so from nm = 129 to 300 a run of one row
+# steps structured where dense would be faster, 1.7 times slower at 192.
+_DENSE_NM = 128
 
-    `scale` has shape (B,); the blocks have shapes (B, m, n, n) and (B, m, n)
-    and are written into `sa` and `sb` when those are given.
+
+class _StepOperator:
+    """Every row's DGD step at its scale s = alpha/m, in one of two forms.
+
+    Dense, where nm <= _DENSE_NM: M = kron(W, I_n) - s blkdiag(A_k) as
+    (B, nm, nm) and c = s b as (B, nm, 1), and a step on (B, nm, 1) columns
+    is out = M x - c: one matmul and one subtraction. Each entry of M x is
+    one dot product that sums the mixing and the local terms together, and
+    M's diagonal blocks round w_kk I - s A_k before any product.
+
+    Structured, above it: s A_k as (B, m, n, n) and c = s b as (B, m, n),
+    and a step on (B, m, n) states is out = W x - (s A) x - c: four numpy
+    calls, with W x and the local products summed apart.
+
+    Both round differently from the literal W x - s (A x + b), which scales
+    the gradient after its products. `fold` folds new scales in place: the
+    dense form rewrites only M's diagonal blocks, through a view, since the
+    off-diagonal blocks w_ij I do not depend on s.
     """
-    return (
-        np.multiply(scale[:, None, None, None], a_stack, out=sa),
-        np.multiply(scale[:, None, None], b_stack, out=sb),
-    )
 
+    def __init__(self, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
+        size, (m, n) = len(scale), b_stack.shape
+        self.dense = m * n <= _DENSE_NM
+        self._w, self._a, self._b = w, a_stack, b_stack[..., None]
+        if self.dense:
+            self.op = np.empty((size, m * n, m * n))
+            self.op.reshape(size, m, n, m, n)[:] = w[:, None, :, None] * np.eye(n)[:, None, :]
+            self.c = np.empty((size, m * n, 1))
+        else:
+            self.op, self.c = np.empty((size, m, n, n)), np.empty((size, m, n))
+            self._prod_col = np.empty((size, m, n, 1))  # the local products (s A_k) x_k
+        self._views()
+        if self.dense:
+            self._w_blocks = self._blocks[0].copy()  # w_kk I_n, before any fold
+        self.fold(scale)
 
-def _dgd_step(
-    w: np.ndarray,
-    sa: np.ndarray,
-    sb: np.ndarray,
-    x: np.ndarray,
-    x_col: np.ndarray,
-    out: np.ndarray,
-    prod_col: np.ndarray,
-    prod: np.ndarray,
-) -> None:
-    """One DGD step on every row of a (B, m, n) state: out = W x - (s A) x - s b.
+    def _views(self) -> None:
+        """The (B, m, n, n) blocks and (B, m, n, 1) offsets that `fold` writes."""
+        size, (m, n, _) = len(self.op), self._b.shape
+        if self.dense:
+            self._blocks = np.einsum("bkikj->bkij", self.op.reshape(size, m, n, m, n))
+        else:
+            self._blocks = self.op
+            self._prod_col = self._prod_col[:size]
+            self._prod = self._prod_col[..., 0]
+        self._offsets = self.c.reshape(size, m, n, 1)
 
-    `sa` and `sb` are the blocks `_fold` returns. `x_col` is `x` viewed as
-    (B, m, n, 1) columns; `prod_col` (B, m, n, 1) is scratch and `prod` its
-    (B, m, n) view. A caller that steps many times builds the scratch once.
-    """
-    np.matmul(w, x, out=out)
-    np.matmul(sa, x_col, out=prod_col)
-    out -= prod
-    out -= sb
+    def fold(self, scale: np.ndarray) -> None:
+        """Fold each row's scale, shaped (B, 1, 1, 1), into its operator and offset."""
+        np.multiply(scale, self._a, out=self._blocks)
+        np.multiply(scale, self._b, out=self._offsets)
+        if self.dense:
+            np.subtract(self._w_blocks, self._blocks, out=self._blocks)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the operators of the rows the boolean mask `rows` selects."""
+        self.op, self.c = self.op[rows], self.c[rows]
+        self._views()
+
+    def columns(self, states: np.ndarray) -> np.ndarray:
+        """Contiguous (..., B, m, n) states as the shape a step takes: (..., B, nm, 1)
+        columns for the dense form, the states themselves for the structured one."""
+        if not self.dense:
+            return states
+        return states.reshape(*states.shape[:-2], states.shape[-2] * states.shape[-1], 1)
+
+    def step(self, x: np.ndarray, out: np.ndarray) -> None:
+        """One DGD step of every row, from `x` into `out`, both as `columns` shapes them."""
+        if self.dense:
+            np.matmul(self.op, x, out=out)
+        else:
+            np.matmul(self._w, x, out=out)
+            np.matmul(self.op, x[..., None], out=self._prod_col)
+            out -= self._prod
+        out -= self.c
 
 
 def step(
@@ -103,7 +163,9 @@ def step(
     mixing: MixingMatrix,
     alpha: float,
 ) -> np.ndarray:
-    """One synchronous DGD step on the stacked state: state - grad G_alpha(state)."""
+    """One synchronous DGD step on the stacked state: state - grad G_alpha(state).
+
+    It takes the step `run_batch` takes, bit for bit: the same operator."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be finite and positive")
     if ensemble.m != mixing.m:
@@ -114,10 +176,12 @@ def step(
         raise ValueError(f"state has shape {state.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
-    scale = np.array([alpha / m])
-    sa, sb = _fold(scale, ensemble.curvatures, ensemble.linear_terms)
-    x, out, prod_col = state.reshape(1, m, n), np.empty((1, m, n)), np.empty((1, m, n, 1))
-    _dgd_step(mixing.w, sa, sb, x, x[..., None], out, prod_col, prod_col[..., 0])
+    operator = _StepOperator(
+        mixing.w, ensemble.curvatures, ensemble.linear_terms, np.full((1, 1, 1, 1), alpha / m)
+    )
+    x = operator.columns(np.ascontiguousarray(state).reshape(1, m, n))
+    out = np.empty_like(x)
+    operator.step(x, out)
     return out.reshape(-1)
 
 
@@ -198,8 +262,13 @@ class TrajectoryRecord:
                     pairs = zip(blank.tolist(), block.tolist())
                     cells.append(["" if b else repr(v) for b, v in pairs])
                     specs.append("%s")
-            row = lead + ",".join(specs) + "\r\n"
-            handle.write(row * (end - start) % tuple(chain.from_iterable(zip(*cells))))
+            # the column lists go before the text is formatted, and the
+            # cells' floats before it is written, so no two are held at once
+            values = tuple(chain.from_iterable(zip(*cells)))
+            del cells
+            text = (lead + ",".join(specs) + "\r\n") * (end - start) % values
+            del values
+            handle.write(text)
 
     def to_csv(self, target) -> None:
         """Write the metric columns as CSV; diverged runs truncate at divergence_step.
@@ -235,16 +304,24 @@ _CHUNK = 64
 def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """R = sum_k ||x_k - x*|| over the trailing (m, n) axes.
 
-    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, in
-    one chunk-sized temporary where norm keeps a second: with norm, the
-    tracemalloc peak of perfbench's sweep-alpha-mixed pass rises by 11%, from
-    0.159 to 0.176 MB (numpy 2.4). The two take about the same time.
+    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, taken
+    in two halves of the leading axis: every reduction runs over trailing
+    axes, so the halves change no bit. numpy 2.4 buffers a broadcast
+    subtraction in a second temporary of its size, so one whole pass holds
+    two chunk-sized temporaries where the halves hold one. One whole pass
+    set the tracemalloc peak of perfbench's sweep-alpha-mixed pass; the
+    halves take it from 0.160 to 0.153 MB.
     """
-    dev = states - x_star
-    np.multiply(dev, dev, out=dev)
-    norms = np.add.reduce(dev, axis=-1)
-    np.sqrt(norms, out=norms)
-    return norms.sum(axis=-1)
+    sums = np.empty(states.shape[:-2])
+    half = (len(states) + 1) // 2
+    for part in (slice(None, half), slice(half, None)):
+        dev = states[part] - x_star
+        np.multiply(dev, dev, out=dev)
+        norms = np.add.reduce(dev, axis=-1)
+        np.sqrt(norms, out=norms)
+        np.add.reduce(norms, axis=-1, out=sums[part])
+        del dev, norms  # before the next half's temporaries
+    return sums
 
 
 def _deviations(states: np.ndarray) -> np.ndarray:
@@ -413,42 +490,39 @@ def run_batch(
     # One chunk of states, reused by every chunk as a (steps, live rows, m, n)
     # view of its first elements.
     chunk_buf = np.empty(_CHUNK * size * m * n)
-    prod_buf = np.empty((size, m, n, 1))  # the local products (s A_k) x_k of one step
     rows = np.arange(size)  # schedule index of each live row
     live_alpha = alpha0  # each live row's stepsize, read when no schedule varies
     t = 0  # the time of the chunk's first state
     # A row that diverges inside a chunk is stepped to the chunk's end; those
     # states may overflow, and they are never recorded.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Each row's scale is folded into its curvature blocks once per call;
-        # a varying schedule re-folds them into the same arrays at every step.
-        # The folded blocks of a row that stops leave with it.
-        last_scale = alpha0 / m
-        sa, sb = _fold(last_scale, a_stack, b_stack)
+        # Each row's scale is folded into its step operator once per call; a
+        # varying schedule re-folds it in place at every step. The operator
+        # of a row that stops leaves with it.
+        last_scale = (alpha0 / m)[:, None, None, None]
+        operator = _StepOperator(w, a_stack, b_stack, last_scale)
         while rows.size and t <= horizon:  # runs at least once
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
-            prod_col = prod_buf[:live]
-            prod = prod_col[..., 0]
+            states = operator.columns(chunk)  # the chunk as the step takes it
             if varying:
                 # the chunk's stepsizes in one flat list, with no list per step
                 values = [schedules[i].value(s) for s in range(t, t + steps) for i in rows]
                 alpha = np.array(values, dtype=float).reshape(steps, live)
-                scale = alpha / m
+                scale = (alpha / m)[..., None, None, None]  # as `fold` takes it
             else:
                 alpha = live_alpha  # broadcast over the chunk's steps
             if t == 0:
                 chunk[0] = x0.reshape(m, n)
             else:
                 if varying:
-                    _fold(last_scale, a_stack, b_stack, sa, sb)
-                _dgd_step(w, sa, sb, last, last[..., None], chunk[0], prod_col, prod)
+                    operator.fold(last_scale)
+                operator.step(last, states[0])
             for j in range(1, steps):
                 if varying:
-                    _fold(scale[j - 1], a_stack, b_stack, sa, sb)
-                x = chunk[j - 1]
-                _dgd_step(w, sa, sb, x, x[..., None], chunk[j], prod_col, prod)
+                    operator.fold(scale[j - 1])
+                operator.step(states[j - 1], states[j])
 
             r = _distance_sums(chunk, x_star)
             cons = None if cons_hist is None else _consensus(chunk)
@@ -474,6 +548,10 @@ def run_batch(
                 r[~finite] = math.inf
                 if cons is not None:
                     js, qs = np.nonzero(squares_out_of_range(cons) & finite)
+                    # a state whose deviations are all exactly 0 keeps its
+                    # 0: divided by its unit, its agent mean can round off
+                    moved = _deviations(chunk[js, qs]).any(axis=(1, 2))
+                    js, qs = js[moved], qs[moved]
                     if js.size:
                         # the state's unit, not the deviation's: the agent
                         # mean itself can overflow
@@ -512,13 +590,13 @@ def run_batch(
                 dist[js, qs] = norm(chunk[js, qs].reshape(js.size, m * n) - points, axis=1)
                 dist_hist.write(ids, t, dist, reach)
 
-            last = chunk[-1]
+            last = states[-1]
             if varying:
                 last_scale = scale[-1]
             if died is not None:
                 survive = ~died
                 rows, last, live_alpha = rows[survive], last[survive], live_alpha[survive]
-                sa, sb = sa[survive], sb[survive]
+                operator.keep(survive)
                 if varying:
                     last_scale = last_scale[survive]
             t += steps

@@ -29,6 +29,26 @@ def _safe_alpha(ens, mix, frac=0.5):
     return frac * min(alpha_a, floor), obj
 
 
+# one instance on each side of the step's nm crossover (`simulator._DENSE_NM`)
+_SIDES = ["dense", "structured"]
+
+
+def _instance(side, mix_quarter):
+    """README's skewed seed 5 on the quarter mixing (nm = 6), stepped with the
+    dense iteration matrix, or a (50, 6) Metropolis ring (nm = 300), stepped
+    structured; and a stepsize whose `_mixed_schedules` multiples 0.5 and 0.99
+    stay bounded and 4 and 6 diverge: min(alpha_A, floor), or the ring's
+    alpha_A, as every multiple of its floor stays bounded."""
+    if side == "dense":
+        ens, mix = _skewed_random(5), mix_quarter
+        base, _ = _safe_alpha(ens, mix, frac=1.0)
+    else:
+        ens, mix = costs.random_ensemble(50, 6, 2.0, seed=2), _ring(50)
+        base = lifted.LiftedObjective(ens, mix).strong_convexity_threshold()[0]
+    assert (ens.m * ens.n <= simulator._DENSE_NM) == (side == "dense")
+    return ens, mix, base
+
+
 class TestSchedule:
     def test_constant(self):
         s = StepsizeSchedule.constant(0.05)
@@ -113,6 +133,20 @@ class TestStep:
             per_agent = np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2)) + ens.linear_terms
             descended = x - ((alpha / ens.m) * per_agent.reshape(-1) + consensus @ x)
             assert np.max(np.abs(stepped - descended)) <= 1e-12
+
+    @pytest.mark.parametrize("side", _SIDES)
+    def test_is_the_first_step_of_run_batch(self, side, mix_quarter):
+        # step builds the operator run_batch builds, so each row's state at
+        # t = 1 is its step bit for bit, on either side of the crossover
+        ens, mix, base = _instance(side, mix_quarter)
+        x0 = np.linspace(-10.0, 10.0, ens.m * ens.n)
+        alphas = [0.5 * base, 0.99 * base, 4.0 * base]
+        batch = simulator.run_batch(
+            ens, mix, [StepsizeSchedule.constant(a) for a in alphas], x0=x0, horizon=1,
+            record_every=1,
+        )
+        for alpha, rec in zip(alphas, batch):
+            assert np.array_equal(simulator.step(x0, ens, mix, alpha), rec.states[1])
 
     def test_input_validation(self, mix_quarter):
         ens = costs.random_ensemble(3, 2, 0.5, seed=4)
@@ -342,9 +376,27 @@ def _assert_same_record(batched, single):
 
 
 def _folded_update(ens, mix, scale, blocks):
-    """One DGD step with the stepsize folded into the curvature blocks first."""
+    """The structured step: W x and the local products (scale A_k) x_k apart,
+    with the stepsize folded into A_k and b_k first, in the engine's product shapes."""
     sa, sb = scale * ens.curvatures, scale * ens.linear_terms
     return mix.w @ blocks - (sa @ blocks[:, :, None])[:, :, 0] - sb
+
+
+def _dense_update(ens, mix, scale, blocks):
+    """The dense step: one matmul by M = kron(W, I_n) - scale blkdiag(A_k),
+    whose diagonal blocks round w_kk I - scale A_k first, then minus scale b,
+    in the engine's (1, nm, nm) @ (1, nm, 1) product shape."""
+    m, n = blocks.shape
+    op = np.kron(mix.w, np.eye(n))
+    for k in range(m):
+        op[k * n : (k + 1) * n, k * n : (k + 1) * n] -= scale * ens.curvatures[k]
+    x = blocks.reshape(1, m * n, 1)
+    return np.matmul(op[None], x)[0].reshape(m, n) - scale * ens.linear_terms
+
+
+def _engine_update(ens):
+    """The reference update of the step representation the engine takes for `ens`."""
+    return _dense_update if ens.m * ens.n <= simulator._DENSE_NM else _folded_update
 
 
 def _literal_update(ens, mix, scale, blocks):
@@ -364,23 +416,45 @@ def _rescaled_norms(dev):
     return norms
 
 
+def _consensus_formula(blocks):
+    """The per-step consensus: the agent mean by numpy's reduce over the agent
+    axis, then the flattened sum of squares."""
+    dev = blocks - np.add.reduce(blocks, axis=0) / blocks.shape[0]
+    return float(np.sqrt(np.add.reduce((dev * dev).reshape(-1))))
+
+
+def _rescaled_consensus(blocks):
+    """`_consensus_formula`, taken in the largest power of 2 not above the
+    state's largest entry where its squares overflow."""
+    with np.errstate(over="ignore"):
+        value = _consensus_formula(blocks)
+    if math.isinf(value):
+        unit = 2.0 ** math.floor(math.log2(abs(blocks).max()))
+        value = unit * _consensus_formula(blocks / unit)
+    return value
+
+
 def _per_run_loop(
     ens, mix, schedule, x0, horizon, threshold, states=None,
-    update=_folded_update, rescale=False,
+    update=None, rescale=False, consensus=None,
 ):
-    """R(t) and divergence step from one state stepped alone by `update`.
+    """R(t) and divergence step from one state stepped alone by `update`,
+    by default the reference of the representation the engine takes (`_engine_update`).
 
-    Every visited state is appended to `states` when a list is given. With
-    `rescale`, each agent's distance is `_rescaled_norms`'s, otherwise its
-    squares may overflow.
+    Every visited state is appended to `states` when a list is given, and its
+    `_rescaled_consensus` to `consensus`. With `rescale`, each agent's
+    distance is `_rescaled_norms`'s, otherwise its squares may overflow.
     """
     m, n = ens.m, ens.n
+    update = update or _engine_update(ens)
     x_star = ens.aggregate_minimizer()
     blocks = x0.reshape(m, n).copy()
     rs = []
     for t in range(horizon + 1):
         if states is not None:
             states.append(blocks.reshape(-1))
+        if consensus is not None:
+            consensus.append(_rescaled_consensus(blocks))
         finite = bool(np.all(np.isfinite(blocks)))
         with np.errstate(over="ignore"):  # the reference's own overflow, not the engine's
             if not finite:
@@ -433,33 +507,32 @@ def _csv_reference(record):
 
 
 class TestRunBatch:
-    def test_matches_the_per_run_loop_bit_for_bit(self, mix_quarter):
-        ens = _skewed_random(5)
-        safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
-        schedules = _mixed_schedules(safe)
-        x0 = np.linspace(-10.0, 10.0, 6)
-        batch = simulator.run_batch(ens, mix_quarter, schedules, x0=x0, horizon=1500)
+    @pytest.mark.parametrize("side", _SIDES)
+    def test_matches_the_per_run_loop_bit_for_bit(self, side, mix_quarter):
+        ens, mix, base = _instance(side, mix_quarter)
+        schedules = _mixed_schedules(base)
+        x0 = np.linspace(-10.0, 10.0, ens.m * ens.n)
+        batch = simulator.run_batch(ens, mix, schedules, x0=x0, horizon=1500)
         assert {rec.verdict for rec in batch} == {"bounded", "diverged"}
+        assert sum(rec.verdict == "diverged" for rec in batch) >= 3
         for schedule, batched in zip(schedules, batch):
-            r, step = _per_run_loop(ens, mix_quarter, schedule, x0, 1500, 1e12)
+            r, step = _per_run_loop(ens, mix, schedule, x0, 1500, 1e12)
             assert np.array_equal(batched.r, r)
             assert batched.divergence_step == step
 
-    def test_agrees_with_the_literal_update_rule(self, mix_quarter):
-        # folding the stepsize into A_k and b_k rounds differently from
-        # scaling the gradient, so R(t) agrees to rounding, and the verdicts
-        # and divergence steps exactly
-        ens = _skewed_random(5)
-        safe, _ = _safe_alpha(ens, mix_quarter, frac=1.0)
-        x0 = np.linspace(-10.0, 10.0, 6)
-        # the second batch is the per-agent stepsize 0.5 safe, m times it on this axis
-        per_agent = [StepsizeSchedule.constant(3 * 0.5 * safe)]
-        for batch_schedules in (_mixed_schedules(safe), per_agent):
-            batch = simulator.run_batch(ens, mix_quarter, batch_schedules, x0=x0, horizon=1500)
+    @pytest.mark.parametrize("side", _SIDES)
+    def test_agrees_with_the_literal_update_rule(self, side, mix_quarter):
+        # either step representation rounds differently from scaling the
+        # gradient, so R(t) agrees to rounding, and the verdicts and
+        # divergence steps exactly
+        ens, mix, base = _instance(side, mix_quarter)
+        x0 = np.linspace(-10.0, 10.0, ens.m * ens.n)
+        # the second batch is the per-agent stepsize 0.5 base, m times it on this axis
+        per_agent = [StepsizeSchedule.constant(ens.m * 0.5 * base)]
+        for batch_schedules in (_mixed_schedules(base), per_agent):
+            batch = simulator.run_batch(ens, mix, batch_schedules, x0=x0, horizon=1500)
             for schedule, batched in zip(batch_schedules, batch):
-                r, step = _per_run_loop(
-                    ens, mix_quarter, schedule, x0, 1500, 1e12, update=_literal_update
-                )
+                r, step = _per_run_loop(ens, mix, schedule, x0, 1500, 1e12, update=_literal_update)
                 assert batched.verdict == ("bounded" if step is None else "diverged")
                 assert batched.divergence_step == step
                 np.testing.assert_allclose(batched.r, r, rtol=1e-12, atol=0)
@@ -535,21 +608,33 @@ class TestRunBatch:
         assert rec.r[0] == 1.4142135623730951e308 > rec.r[-1]
         assert np.all(np.isfinite(rec.r)) and "inf" not in _csv_text(rec)
 
-    def test_overflowing_consensus_squares_are_rescaled(self):
+    @pytest.mark.parametrize("dense", [True, False], ids=_SIDES)
+    def test_overflowing_consensus_squares_are_rescaled(self, dense, monkeypatch):
         # two agents at +-1e200 mix to their mean 0 and contract by 0.05 per
         # step: R(t) = 2e200 * 0.05^t and consensus sqrt(2) * 1e200 * 0.05^t,
-        # whose squares overflow for the first steps
+        # whose squares overflow for the first steps. Both are taken again in
+        # the state's binary unit there, as the per-step reference takes them.
+        if not dense:
+            monkeypatch.setattr(simulator, "_DENSE_NM", 0)  # nm = 2 stepped structured
         ens = costs.QuadraticEnsemble(np.ones((2, 1, 1)), np.zeros((2, 1)))
         mix = topology.validate_mixing(np.full((2, 2), 0.5))
+        schedule, x0 = StepsizeSchedule.constant(0.1), np.array([1e200, -1e200])
         (rec,) = simulator.run_batch(
-            ens, mix, [StepsizeSchedule.constant(0.1)], x0=np.array([1e200, -1e200]),
-            horizon=200, divergence_threshold=math.inf,
+            ens, mix, [schedule], x0=x0, horizon=200, divergence_threshold=math.inf
         )
-        decay = 0.05 ** np.arange(201)
         assert rec.verdict == "bounded"
-        np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
-        np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
+        cons = []
+        r, _ = _per_run_loop(ens, mix, schedule, x0, 200, math.inf, rescale=True, consensus=cons)
+        assert np.array_equal(rec.r, r) and np.array_equal(rec.consensus_err, cons)
         assert "inf" not in _csv_text(rec)
+        if not dense:
+            # The structured step keeps the mean at exactly 0 here, as W x
+            # is 1e200/2 - 1e200/2. The dense step's fused dot products
+            # round 0.45 x_1 - 0.5 x_2 and 0.5 x_1 - 0.45 x_2 apart, which
+            # leaves a mean of about 3e183 in the mode that contracts by 0.95.
+            decay = 0.05 ** np.arange(201)
+            np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
+            np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "identical, x0",
@@ -585,6 +670,20 @@ class TestRunBatch:
         )
         _assert_same_record(rec, rescued)
         assert np.array_equal(rec.consensus_err, rescued.consensus_err)
+
+    def test_subnormal_consensus_keeps_its_exact_zero(self):
+        # three agents at the largest subnormal, 2^-1022 - 2^-1074, stay
+        # consensual: every deviation from the agent mean is exactly 0, and
+        # so is every consensus cell. Divided by the state's unit, the mean
+        # rounds, and a rescue of these cells read 5e-324.
+        ens = costs.QuadraticEnsemble(np.ones((3, 1, 1)), np.zeros((3, 1)))
+        mix = topology.validate_mixing(np.full((3, 3), 1 / 3))
+        (rec,) = simulator.run_batch(
+            ens, mix, [StepsizeSchedule.constant(0.5)], x0=np.full(3, 2.225073858507201e-308),
+            horizon=3, record_every=1,
+        )
+        assert not simulator._deviations(rec.states.reshape(4, 3, 1)).any()
+        assert rec.consensus_err.tolist() == [0.0] * 4
 
     def test_zero_consensus_of_a_state_below_unit_peak_is_rescued(self, mix_quarter):
         # one coordinate at 2^-100 on every agent and one at +-2^-600: the
@@ -670,27 +769,28 @@ class TestRunBatch:
         assert not np.any(np.isnan(blown.dist_lifted_min[:-1]))
         assert np.isnan(blown.dist_lifted_min[-1])
 
-    def test_chunk_boundaries_match_the_per_run_loop(self, mix_quarter):
+    @pytest.mark.parametrize("side", _SIDES)
+    def test_chunk_boundaries_match_the_per_run_loop(self, side, mix_quarter):
         chunk = simulator._CHUNK
-        ens = _skewed_random(5)
-        safe, obj = _safe_alpha(ens, mix_quarter)
+        ens, mix, _ = _instance(side, mix_quarter)
+        safe, obj = _safe_alpha(ens, mix)
         steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold()[0])
         calm = [StepsizeSchedule.constant(safe), StepsizeSchedule.polynomial(a=2.0 * safe, p=0.5)]
-        x0 = np.linspace(-1.0, 1.0, 6)
-        growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, 3 * chunk, math.inf)
+        x0 = np.linspace(-1.0, 1.0, ens.m * ens.n)
+        growth, _ = _per_run_loop(ens, mix, steep, x0, 3 * chunk, math.inf)
         cases = [(calm, chunk - 1, 1e12, None), (calm, chunk, 1e12, None)]
         for crossing in (chunk - 1, chunk, chunk + 1):
             threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
             cases.append(([steep] + calm, 3 * chunk, threshold, crossing))
         for schedules, horizon, threshold, crossing in cases:
             batch = simulator.run_batch(
-                ens, mix_quarter, schedules, x0=x0, horizon=horizon,
+                ens, mix, schedules, x0=x0, horizon=horizon,
                 divergence_threshold=threshold, record_every=1,
             )
             assert batch[0].divergence_step == crossing
             for schedule, rec in zip(schedules, batch):
                 states = []
-                r, stop = _per_run_loop(ens, mix_quarter, schedule, x0, horizon, threshold, states)
+                r, stop = _per_run_loop(ens, mix, schedule, x0, horizon, threshold, states)
                 assert np.array_equal(rec.r, r) and rec.divergence_step == stop
                 # every state, up to the crossing or the horizon
                 assert np.array_equal(rec.states, np.array(states))
@@ -982,26 +1082,28 @@ class TestRecordMemory:
         assert np.array_equal(untracked[0].alpha, np.full(301, 0.3))
         assert tracked[0].alpha.strides == tracked[0].dist_lifted_min.strides == (8,)
 
-    def test_crossing_state_ends_the_state_history(self, mix_quarter):
+    @pytest.mark.parametrize("side", _SIDES)
+    def test_crossing_state_ends_the_state_history(self, side, mix_quarter):
         # a crossing at 65, one step into the second chunk: the diverged row
         # keeps every state up to and including the crossing one, in a buffer
         # trimmed to those cells, and none after it
-        ens = _skewed_random(5)
-        safe, obj = _safe_alpha(ens, mix_quarter)
+        ens, mix, _ = _instance(side, mix_quarter)
+        nm = ens.m * ens.n
+        safe, obj = _safe_alpha(ens, mix)
         steep = StepsizeSchedule.constant(1.5 * obj.strong_convexity_threshold()[0])
-        x0, horizon, crossing = np.linspace(-1.0, 1.0, 6), 200, 65
-        growth, _ = _per_run_loop(ens, mix_quarter, steep, x0, horizon, math.inf)
+        x0, horizon, crossing = np.linspace(-1.0, 1.0, nm), 200, 65
+        growth, _ = _per_run_loop(ens, mix, steep, x0, horizon, math.inf)
         threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
         batch = simulator.run_batch(
-            ens, mix_quarter, [steep, StepsizeSchedule.constant(safe)], x0=x0,
+            ens, mix, [steep, StepsizeSchedule.constant(safe)], x0=x0,
             horizon=horizon, divergence_threshold=threshold, record_every=1,
         )
         diverged, bounded = batch
         assert diverged.divergence_step == crossing and bounded.verdict == "bounded"
-        assert diverged.states.base.shape == (crossing + 1, 6)
-        assert bounded.states.shape == (horizon + 1, 6)
+        assert diverged.states.base.shape == (crossing + 1, nm)
+        assert bounded.states.shape == (horizon + 1, nm)
         states = []
-        _per_run_loop(ens, mix_quarter, steep, x0, horizon, threshold, states)
+        _per_run_loop(ens, mix, steep, x0, horizon, threshold, states)
         assert np.array_equal(diverged.states, np.array(states))
         assert np.array_equal(diverged.states[-1], states[crossing])
         assert np.array_equal(diverged.state_at(crossing), states[crossing])
