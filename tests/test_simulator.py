@@ -627,14 +627,17 @@ class TestRunBatch:
         r, _ = _per_run_loop(ens, mix, schedule, x0, 200, math.inf, rescale=True, consensus=cons)
         assert np.array_equal(rec.r, r) and np.array_equal(rec.consensus_err, cons)
         assert "inf" not in _csv_text(rec)
-        if not dense:
-            # The structured step keeps the mean at exactly 0 here, as W x
-            # is 1e200/2 - 1e200/2. The dense step's fused dot products
-            # round 0.45 x_1 - 0.5 x_2 and 0.5 x_1 - 0.45 x_2 apart, which
-            # leaves a mean of about 3e183 in the mode that contracts by 0.95.
-            decay = 0.05 ** np.arange(201)
-            np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
-            np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
+        # The structured step keeps the mean at exactly 0 here, as W x is
+        # 1e200/2 - 1e200/2. The dense step's fused dot products round
+        # 0.45 x_1 - 0.5 x_2 and 0.5 x_1 - 0.45 x_2 apart, which leaves a
+        # mean of about 3e183 in the mode that contracts by 0.95: rounding
+        # relative to the state, 1e-15 of R(0), not to R(t).
+        decay = 0.05 ** np.arange(201)
+        atol = 1e-15 * 2e200 if dense else 0.0
+        np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13, atol=atol)
+        np.testing.assert_allclose(
+            rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13, atol=atol
+        )
 
     @pytest.mark.parametrize(
         "identical, x0",
