@@ -11,15 +11,18 @@ is this step with alpha = m a.
 The engine folds each row's scale s = alpha/m into a step operator
 before it steps, once per call for a constant schedule and once per step
 for a varying one, and a step on the whole batch makes no temporary array.
-Up to nm = 128 (`_DENSE_NM`, with its measured table) the operator is the
+Up to nm = 8 (`_DENSE_NM`, with its measured table) the operator is the
 row's dense iteration matrix M = (W (x) I_n) - s blockdiag(A_k), and a step
 is two numpy calls, x <- M x - s b. Above it, where the dense O(m^2 n^2)
 work loses, the operator keeps W and s A_k apart, and a step is four,
 x <- W x - (s A) x - s b. Both round differently from the literal
 W x - s (A x + b), so states and R(t) move at rounding level against it:
 the dense form rounds w_kk - s a_kk before its products and sums the
-mixing and local terms in one dot product per entry, and the structured
-form rounds s A_k and s b_k before its products.
+mixing and local terms of an entry in one pass, and the structured form
+rounds s A_k and s b_k before its products. The dense products run in
+numpy's own loop, not BLAS, which on numpy's x86-64 builds rounds each
+product before its add, so two agents in mirror image stay so, as they do
+in the structured form.
 
 For quadratic costs and constant alpha the iteration is affine,
 x(t+1) = M_alpha x(t) - c, with the symmetric matrix
@@ -64,97 +67,178 @@ _CSV_BLOCK = 256
 
 
 # nm up to which a step multiplies each row's state by its dense iteration
-# matrix (`_StepOperator`). The dense step does O(m^2 n^2) work in two numpy
-# calls, the structured one O(m^2 n + m n^2) in four. The choice reads nm
-# alone, so a row's bits never depend on the batch it runs in. Microseconds
-# per step of B rows, structured / dense, at n = 2: numpy 2.4.6,
-# OPENBLAS_NUM_THREADS=1, one core of a 2-core Xeon with a 2 MiB L2.
+# matrix (`_DenseStep`); above it the step keeps W and s A_k apart
+# (`_StructuredStep`). The dense step does O(m^2 n^2) work in two numpy
+# calls, in numpy's own loop; the structured one O(m^2 n + m n^2) in four,
+# through BLAS. The choice reads nm alone, so a row's bits never depend on
+# the batch it runs in. Microseconds per step of B rows through `advance`,
+# structured / dense, the better of two runs: numpy 2.4.6,
+# OPENBLAS_NUM_THREADS=1, one core of a 2-core Xeon with a 2 MiB L2. At n = 2:
 #
-#     nm      6        16       32       64        96         128        192        300
-#     B = 1   3.0/1.3  3.3/1.4  3.7/1.5  4.3/1.9   5.1/2.7    5.9/3.6    8.1/4.7    12.9/12.2
-#     B = 8   4.3/1.9  5.9/2.1  8.3/2.9  14.3/5.9  22.7/12.1  25.7/19.3  47.9/72.0  78.8/217.1
+#     nm       6          8          10         16          32           64
+#     B = 1    3.6/1.7    3.7/1.8    3.8/1.8    4.0/1.9     4.3/2.3      5.0/4.2
+#     B = 8    5.1/2.1    5.3/2.2    5.6/2.4    6.6/3.4     9.3/6.6      23.8/21.0
+#     B = 16   6.2/2.4    6.8/2.7    7.6/3.1    9.3/4.8     14.7/11.3    26.2/38.9
+#     B = 64   12.7/4.0   15.4/5.5   19.0/6.8   26.2/13.3   48.7/41.4    99.5/167.6
+#     B = 256  42.6/12.1  50.5/16.3  62.4/22.5  101.8/51.2  196.2/180.3  399/743
 #
-# Once a batch's operators, B nm^2 floats, outgrow the L2, the dense step is
-# bound by memory: 8 rows at nm = 128 hold 1 MiB, at 192 2.25 MiB. One row's
-# operator still fits at nm = 300, so from nm = 129 to 300 a run of one row
-# steps structured where dense would be faster, 1.7 times slower at 192.
-_DENSE_NM = 128
+#     nm       96         128        192        300
+#     B = 1    6.1/7.5    6.9/11.7   9.0/24.4   12.9/65.6
+#     B = 8    22.9/48.6  28.3/88.4  48.5/200   80.4/518
+#     B = 16   41.9/95.2  54.8/170   92.8/383   153/1015
+#     B = 64   152/385    212/701    347/1601   609/4015
+#     B = 256  618/1582   831/2909   1468/6306  2482/16102
+#
+# At n = 2 the dense step wins up to nm = 32 at every B. At other n it loses
+# sooner, and nm = 8 is the largest size measured at which it wins at every
+# n and B; at nm = 12 with n = 12 it lost at B = 256 (27.8/29.4). B = 64 and
+# B = 256:
+#
+#     nm    n = 1                n = nm/2             n = nm
+#     8     9.2/5.5, 26.4/16.3   11.9/5.7, 35.9/16.0  8.5/5.3, 21.6/15.5
+#     10    10.2/6.8, 30.2/21.7  12.3/6.7, 37.8/21.8  9.6/6.8, 27.9/22.6
+#     16    14.3/15.2, 41.3/55.4 13.0/13.5, 40.5/49.8 11.0/14.4, 32.3/53.3
+#
+# At B = 1024, nm = 8 and n = 2 it is 211/73. Up to nm = 8 a row's dense
+# operator, 2 nm^2 floats with its buffer's gaps, is at most a quarter of
+# the row's 64-step chunk of states, so it never sets a batch's memory.
+_DENSE_NM = 8
 
 
 class _StepOperator:
-    """Every row's DGD step at its scale s = alpha/m, in one of two forms.
+    """Every live row's DGD step at its scale s = alpha/m.
 
-    Dense, where nm <= _DENSE_NM: M = kron(W, I_n) - s blkdiag(A_k) as
-    (B, nm, nm) and c = s b as (B, nm, 1), and a step on (B, nm, 1) columns
-    is out = M x - c: one matmul and one subtraction. Each entry of M x is
-    one dot product that sums the mixing and the local terms together, and
-    M's diagonal blocks round w_kk I - s A_k before any product.
+    A subclass holds the operators of the live rows and says how to fold
+    scales into them (`_fold`) and how to step with them (`_step`), on
+    states shaped as its `_columns` shapes them. The operators are folded
+    at the scales the operator was built or last kept with; a varying
+    schedule folds its own at each step.
+    """
 
-    Structured, above it: s A_k as (B, m, n, n) and c = s b as (B, m, n),
-    and a step on (B, m, n) states is out = W x - (s A) x - c: four numpy
-    calls, with W x and the local products summed apart.
+    def __init__(self, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
+        self._a, self._b, self._scale = a_stack, b_stack, scale
 
-    Both round differently from the literal W x - s (A x + b), which scales
-    the gradient after its products. `fold` folds new scales in place: the
-    dense form rewrites only M's diagonal blocks, through a view, since the
-    off-diagonal blocks w_ij I do not depend on s.
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the rows the boolean mask `rows` selects, and their scales."""
+        self._scale = self._scale[rows]
+        self._bind(len(self._scale))
+        self._fold(self._scale)
+
+    def advance(self, first, first_scale, states, scales) -> None:
+        """Step a chunk of (steps, B, m, n) `states` in place.
+
+        Each state is stepped from the one before it at that state's own
+        scale: states[0] from `first`, (B, m, n), at `first_scale`, and
+        states[j] from states[j - 1] at scales[j - 1]; the scales are
+        shaped (..., B, 1, 1, 1). None for both scales steps at the folded
+        ones, and None for `first` leaves states[0] as it is.
+        """
+        x = self._columns(states)
+        if first is not None:
+            if first_scale is not None:
+                self._fold(first_scale)
+            self._step(self._columns(first), x[0])
+        if scales is None:
+            for before, after in zip(x[:-1], x[1:]):
+                self._step(before, after)
+        else:
+            for before, after, scale in zip(x[:-1], x[1:], scales):
+                self._fold(scale)
+                self._step(before, after)
+
+
+class _DenseStep(_StepOperator):
+    """The step as one matmul by each row's iteration matrix, for nm <= _DENSE_NM.
+
+    M = kron(W, I_n) - s blkdiag(A_k), (nm, nm) per row, and c = s b: a step
+    on (nm, 1) columns is out = M x - c, one matmul and one subtraction.
+    M's diagonal blocks round w_kk I - s A_k before any product, and the
+    mixing and local terms of an entry sum in one pass. M sits in every
+    other column of its buffer, a stride BLAS does not take, so numpy
+    multiplies in its own loop, which does not dispatch on the CPU or the
+    BLAS kernel: each entry of M x is its products, each rounded, summed
+    left to right from 0 (numpy's x86-64 builds fuse no multiply-add). A
+    fused dot product, as BLAS kernels take it, rounds M_ij x_j in one entry
+    and not in its mirror image, so two agents at +-u, whose mean the
+    structured step keeps at exactly 0, would leak about 1e-17 of u into
+    their mean at each step. Folding rewrites only M's diagonal blocks,
+    through a view, as the off-diagonal blocks w_ij I do not depend on s.
     """
 
     def __init__(self, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
-        size, (m, n) = len(scale), b_stack.shape
-        self.dense = m * n <= _DENSE_NM
-        self._w, self._a, self._b = w, a_stack, b_stack[..., None]
-        if self.dense:
-            self.op = np.empty((size, m * n, m * n))
-            self.op.reshape(size, m, n, m, n)[:] = w[:, None, :, None] * np.eye(n)[:, None, :]
-            self.c = np.empty((size, m * n, 1))
-        else:
-            self.op, self.c = np.empty((size, m, n, n)), np.empty((size, m, n))
-            self._prod_col = np.empty((size, m, n, 1))  # the local products (s A_k) x_k
-        self._views()
-        if self.dense:
-            self._w_blocks = self._blocks[0].copy()  # w_kk I_n, before any fold
-        self.fold(scale)
+        super().__init__(a_stack, b_stack[..., None], scale)
+        size, (m, n), nm = len(scale), b_stack.shape, b_stack.size
+        buffer = np.empty((size, nm, nm, 2))
+        self._ops = buffer[..., 0]  # every other column
+        blocks = buffer.reshape(size, m, n, m, n, 2)[..., 0]  # the same, per agent pair
+        blocks[:] = w[:, None, :, None] * np.eye(n)[:, None, :]
+        self._blocks = np.einsum("bkikj->bkij", blocks)  # the diagonal blocks, a view
+        self._w_blocks = self._blocks[0].copy()  # w_kk I_n, before any fold
+        self._c = np.empty((size, nm, 1))
+        self._offsets = self._c.reshape(size, m, n, 1)
+        self._bind(size)
+        self._fold(scale)
 
-    def _views(self) -> None:
-        """The (B, m, n, n) blocks and (B, m, n, 1) offsets that `fold` writes."""
-        size, (m, n, _) = len(self.op), self._b.shape
-        if self.dense:
-            self._blocks = np.einsum("bkikj->bkij", self.op.reshape(size, m, n, m, n))
-        else:
-            self._blocks = self.op
-            self._prod_col = self._prod_col[:size]
-            self._prod = self._prod_col[..., 0]
-        self._offsets = self.c.reshape(size, m, n, 1)
+    def _bind(self, size: int) -> None:
+        """Step and fold the first `size` operators."""
+        self._op, self._off = self._ops[:size], self._c[:size]
+        self._live_blocks, self._live_offsets = self._blocks[:size], self._offsets[:size]
 
-    def fold(self, scale: np.ndarray) -> None:
-        """Fold each row's scale, shaped (B, 1, 1, 1), into its operator and offset."""
-        np.multiply(scale, self._a, out=self._blocks)
-        np.multiply(scale, self._b, out=self._offsets)
-        if self.dense:
-            np.subtract(self._w_blocks, self._blocks, out=self._blocks)
+    def _fold(self, scale: np.ndarray) -> None:
+        blocks = self._live_blocks
+        np.multiply(scale, self._a, out=blocks)
+        np.subtract(self._w_blocks, blocks, out=blocks)
+        np.multiply(scale, self._b, out=self._live_offsets)
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the operators of the rows the boolean mask `rows` selects."""
-        self.op, self.c = self.op[rows], self.c[rows]
-        self._views()
-
-    def columns(self, states: np.ndarray) -> np.ndarray:
-        """Contiguous (..., B, m, n) states as the shape a step takes: (..., B, nm, 1)
-        columns for the dense form, the states themselves for the structured one."""
-        if not self.dense:
-            return states
+    @staticmethod
+    def _columns(states: np.ndarray) -> np.ndarray:
         return states.reshape(*states.shape[:-2], states.shape[-2] * states.shape[-1], 1)
 
-    def step(self, x: np.ndarray, out: np.ndarray) -> None:
-        """One DGD step of every row, from `x` into `out`, both as `columns` shapes them."""
-        if self.dense:
-            np.matmul(self.op, x, out=out)
-        else:
-            np.matmul(self._w, x, out=out)
-            np.matmul(self.op, x[..., None], out=self._prod_col)
-            out -= self._prod
-        out -= self.c
+    def _step(self, x: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(self._op, x, out=out)
+        out -= self._off
+
+
+class _StructuredStep(_StepOperator):
+    """The step as W x - (s A) x - s b, for nm > _DENSE_NM: four numpy calls.
+
+    s A_k is (B, m, n, n) and c = s b is (B, m, n); W x and the local
+    products sum apart, and s A_k and s b_k are rounded before their
+    products.
+    """
+
+    def __init__(self, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
+        super().__init__(a_stack, b_stack, scale)
+        size, (m, n) = len(scale), b_stack.shape
+        self._w = w
+        self._sa, self._sb = np.empty((size, m, n, n)), np.empty((size, m, n))
+        self._prod_col = np.empty((size, m, n, 1))  # the local products (s A_k) x_k
+        self._bind(size)
+        self._fold(scale)
+
+    def _bind(self, size: int) -> None:
+        """Step and fold the first `size` operators."""
+        self._op, self._off, self._prod = self._sa[:size], self._sb[:size], self._prod_col[:size]
+
+    def _fold(self, scale: np.ndarray) -> None:
+        np.multiply(scale, self._a, out=self._op)
+        np.multiply(scale[..., 0], self._b, out=self._off)
+
+    @staticmethod
+    def _columns(states: np.ndarray) -> np.ndarray:
+        return states
+
+    def _step(self, x: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(self._w, x, out=out)
+        np.matmul(self._op, x[..., None], out=self._prod)
+        out -= self._prod[..., 0]
+        out -= self._off
+
+
+def _step_operator(w, a_stack, b_stack, scale) -> _StepOperator:
+    """The step of nm = m n's form (`_DENSE_NM`) for rows at `scale`, (B, 1, 1, 1)."""
+    form = _DenseStep if b_stack.size <= _DENSE_NM else _StructuredStep
+    return form(w, a_stack, b_stack, scale)
 
 
 def step(
@@ -176,12 +260,11 @@ def step(
         raise ValueError(f"state has shape {state.shape}, expected ({m * n},)")
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
-    operator = _StepOperator(
+    operator = _step_operator(
         mixing.w, ensemble.curvatures, ensemble.linear_terms, np.full((1, 1, 1, 1), alpha / m)
     )
-    x = operator.columns(np.ascontiguousarray(state).reshape(1, m, n))
-    out = np.empty_like(x)
-    operator.step(x, out)
+    out = np.empty((1, 1, m, n))
+    operator.advance(state.reshape(1, m, n), None, out, None)
     return out.reshape(-1)
 
 
@@ -304,24 +387,14 @@ _CHUNK = 64
 def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """R = sum_k ||x_k - x*|| over the trailing (m, n) axes.
 
-    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, taken
-    in two halves of the leading axis: every reduction runs over trailing
-    axes, so the halves change no bit. numpy 2.4 buffers a broadcast
-    subtraction in a second temporary of its size, so one whole pass holds
-    two chunk-sized temporaries where the halves hold one. One whole pass
-    set the tracemalloc peak of perfbench's sweep-alpha-mixed pass; the
-    halves take it from 0.160 to 0.153 MB.
+    np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, in
+    one deviation array where norm keeps a second.
     """
-    sums = np.empty(states.shape[:-2])
-    half = (len(states) + 1) // 2
-    for part in (slice(None, half), slice(half, None)):
-        dev = states[part] - x_star
-        np.multiply(dev, dev, out=dev)
-        norms = np.add.reduce(dev, axis=-1)
-        np.sqrt(norms, out=norms)
-        np.add.reduce(norms, axis=-1, out=sums[part])
-        del dev, norms  # before the next half's temporaries
-    return sums
+    dev = states - x_star
+    np.multiply(dev, dev, out=dev)
+    norms = np.add.reduce(dev, axis=-1)
+    np.sqrt(norms, out=norms)
+    return np.add.reduce(norms, axis=-1)
 
 
 def _deviations(states: np.ndarray) -> np.ndarray:
@@ -339,6 +412,33 @@ def _consensus(states: np.ndarray) -> np.ndarray:
     dev = _deviations(states)
     np.multiply(dev, dev, out=dev)
     return np.sqrt(np.add.reduce(dev, axis=(-2, -1)))
+
+
+# Floats of a chunk's states that R(t) and consensus take at once
+# (`_in_parts`): an 8-row chunk of nm = 6 goes in two parts, a lone row's
+# in one.
+_METRIC_CELLS = 2048
+
+
+def _in_parts(metric, states: np.ndarray, *args) -> np.ndarray:
+    """metric(states, *args), one float per (step, row) of (steps, B, m, n)
+    states, taken over as few equal runs of steps as keep each run within
+    _METRIC_CELLS floats.
+
+    Each metric reduces over trailing axes only, so the runs change no bit.
+    numpy 2.4 buffers a subtraction that broadcasts, such as states - x_star
+    or states minus their agent mean, in a temporary of the result's size,
+    `out=` or not, so a metric holds two temporaries of its input's size;
+    the runs bound them whatever the batch size.
+    """
+    parts = -(-states.size // _METRIC_CELLS)
+    if parts == 1:
+        return metric(states, *args)
+    run = -(-len(states) // parts)
+    values = np.empty(states.shape[:-2])
+    for start in range(0, len(states), run):
+        values[start : start + run] = metric(states[start : start + run], *args)
+    return values
 
 
 class _RowHistories:
@@ -493,39 +593,31 @@ def run_batch(
     rows = np.arange(size)  # schedule index of each live row
     live_alpha = alpha0  # each live row's stepsize, read when no schedule varies
     t = 0  # the time of the chunk's first state
+    last = last_scale = None  # the state, and varying scale, the next chunk steps from
     # A row that diverges inside a chunk is stepped to the chunk's end; those
     # states may overflow, and they are never recorded.
     with np.errstate(over="ignore", invalid="ignore"):
         # Each row's scale is folded into its step operator once per call; a
-        # varying schedule re-folds it in place at every step. The operator
-        # of a row that stops leaves with it.
-        last_scale = (alpha0 / m)[:, None, None, None]
-        operator = _StepOperator(w, a_stack, b_stack, last_scale)
+        # varying schedule re-folds it in place at every step. A row that
+        # stops leaves the operator.
+        operator = _step_operator(w, a_stack, b_stack, (alpha0 / m)[:, None, None, None])
         while rows.size and t <= horizon:  # runs at least once
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
             chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
-            states = operator.columns(chunk)  # the chunk as the step takes it
             if varying:
                 # the chunk's stepsizes in one flat list, with no list per step
                 values = [schedules[i].value(s) for s in range(t, t + steps) for i in rows]
                 alpha = np.array(values, dtype=float).reshape(steps, live)
-                scale = (alpha / m)[..., None, None, None]  # as `fold` takes it
+                scale = (alpha / m)[..., None, None, None]  # as the operator folds it
             else:
-                alpha = live_alpha  # broadcast over the chunk's steps
+                alpha, scale = live_alpha, None  # alpha broadcasts over the chunk's steps
             if t == 0:
                 chunk[0] = x0.reshape(m, n)
-            else:
-                if varying:
-                    operator.fold(last_scale)
-                operator.step(last, states[0])
-            for j in range(1, steps):
-                if varying:
-                    operator.fold(scale[j - 1])
-                operator.step(states[j - 1], states[j])
+            operator.advance(last, last_scale, chunk, scale)
 
-            r = _distance_sums(chunk, x_star)
-            cons = None if cons_hist is None else _consensus(chunk)
+            r = _in_parts(_distance_sums, chunk, x_star)
+            cons = None if cons_hist is None else _in_parts(_consensus, chunk)
             died = None
             # some R(t) over the limit or nan, or squares of R(t) or consensus out of
             # the float range (`squares_out_of_range`) but for zeros the rescue keeps; a
@@ -590,7 +682,7 @@ def run_batch(
                 dist[js, qs] = norm(chunk[js, qs].reshape(js.size, m * n) - points, axis=1)
                 dist_hist.write(ids, t, dist, reach)
 
-            last = states[-1]
+            last = chunk[-1]
             if varying:
                 last_scale = scale[-1]
             if died is not None:

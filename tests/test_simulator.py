@@ -383,15 +383,17 @@ def _folded_update(ens, mix, scale, blocks):
 
 
 def _dense_update(ens, mix, scale, blocks):
-    """The dense step: one matmul by M = kron(W, I_n) - scale blkdiag(A_k),
-    whose diagonal blocks round w_kk I - scale A_k first, then minus scale b,
-    in the engine's (1, nm, nm) @ (1, nm, 1) product shape."""
+    """The dense step: M = kron(W, I_n) - scale blkdiag(A_k), whose diagonal
+    blocks round w_kk I - scale A_k first, times x as its products, each
+    rounded, summed left to right from 0, then minus scale b."""
     m, n = blocks.shape
     op = np.kron(mix.w, np.eye(n))
     for k in range(m):
         op[k * n : (k + 1) * n, k * n : (k + 1) * n] -= scale * ens.curvatures[k]
-    x = blocks.reshape(1, m * n, 1)
-    return np.matmul(op[None], x)[0].reshape(m, n) - scale * ens.linear_terms
+    x, total = blocks.reshape(-1), np.zeros(m * n)
+    for j in range(m * n):
+        total += op[:, j] * x[j]
+    return total.reshape(m, n) - scale * ens.linear_terms
 
 
 def _engine_update(ens):
@@ -627,17 +629,9 @@ class TestRunBatch:
         r, _ = _per_run_loop(ens, mix, schedule, x0, 200, math.inf, rescale=True, consensus=cons)
         assert np.array_equal(rec.r, r) and np.array_equal(rec.consensus_err, cons)
         assert "inf" not in _csv_text(rec)
-        # The structured step keeps the mean at exactly 0 here, as W x is
-        # 1e200/2 - 1e200/2. The dense step's fused dot products round
-        # 0.45 x_1 - 0.5 x_2 and 0.5 x_1 - 0.45 x_2 apart, which leaves a
-        # mean of about 3e183 in the mode that contracts by 0.95: rounding
-        # relative to the state, 1e-15 of R(0), not to R(t).
         decay = 0.05 ** np.arange(201)
-        atol = 1e-15 * 2e200 if dense else 0.0
-        np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13, atol=atol)
-        np.testing.assert_allclose(
-            rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13, atol=atol
-        )
+        np.testing.assert_allclose(rec.r, 2e200 * decay, rtol=1e-13)
+        np.testing.assert_allclose(rec.consensus_err, math.sqrt(2) * 1e200 * decay, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "identical, x0",
