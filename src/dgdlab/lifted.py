@@ -238,7 +238,8 @@ class ThresholdStack:
 
 class LiftedObjective:
     """G_alpha assembled from an ensemble and a mixing matrix. Its gradient
-    at x is hessian(alpha) @ x + (alpha/m) stacked_linear."""
+    at x is hessian(alpha) @ x + (alpha/m) b, b = (b_1, ..., b_m) the
+    ensemble's linear_terms stacked to length nm."""
 
     def __init__(self, ensemble: QuadraticEnsemble, mixing: MixingMatrix):
         if ensemble.m != mixing.m:
@@ -252,11 +253,6 @@ class LiftedObjective:
     def _stack(self) -> ThresholdStack:
         """This objective as the one row of a threshold stack."""
         return ThresholdStack(self.ensemble.curvatures[None], self.mixing)
-
-    @cached_property
-    def stacked_linear(self) -> np.ndarray:
-        """(b_1, ..., b_m) stacked to length nm."""
-        return self.ensemble.linear_terms.reshape(-1)
 
     def hessian(self, alpha: float) -> np.ndarray:
         """(alpha/m) blockdiag(A_k) + (I - W) kron I_n."""

@@ -163,30 +163,27 @@ def norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """np.linalg.norm(x, axis=axis), bit for bit wherever its squares stay in
     range; `axis` is None or one axis of an `x` of two or more dimensions.
 
-    A norm whose squares overflow or underflow (`squares_out_of_range`),
-    though its entries are finite and not all zero, is taken again after
-    dividing by the `binary_unit` of its largest |entry|, which is exact,
-    and scaled back: the largest square then lies in [1, 4). A norm past the
-    float range stays inf, and none of this warns.
+    A norm whose squares overflow or underflow (`squares_out_of_range`)
+    is taken again after dividing by the `binary_unit` of its largest
+    |entry|, which is exact, and scaled back: the largest square then lies
+    in [1, 4). A norm of zeros stays 0, one past the float range or of
+    non-finite entries stays inf or nan, as their unit is 0.5, and none of
+    this warns.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=axis)
         if axis is None:
             if squares_out_of_range(norms):
-                peak = float(abs(x).max(initial=0.0))
-                if 0 < peak < math.inf:
-                    unit = binary_unit(peak)
-                    norms = np.linalg.norm(x / unit) * unit
+                unit = binary_unit(float(abs(x).max(initial=0.0)))
+                norms = np.linalg.norm(x / unit) * unit
             return norms
         redo = squares_out_of_range(norms)
         if redo.any():
             rows = np.moveaxis(x, axis, -1)[redo]
-            peaks = abs(rows).max(axis=-1, initial=0.0)
-            scalable = (peaks > 0) & (peaks < math.inf)
-            redo[redo] = scalable
-            units = np.array([binary_unit(p) for p in peaks[scalable].tolist()])
-            norms[redo] = np.linalg.norm(rows[scalable] / units[:, None], axis=-1) * units
+            peaks = abs(rows).max(axis=-1, initial=0.0).tolist()
+            units = np.array([binary_unit(p) for p in peaks])
+            norms[redo] = np.linalg.norm(rows / units[:, None], axis=-1) * units
     return norms
 
 

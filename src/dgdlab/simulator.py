@@ -8,9 +8,15 @@ which is exactly one gradient-descent step on the lifted objective
 G_alpha. The paper's per-agent update x_i <- sum_j w_ij x_j - a grad f_i(x_i)
 is this step with alpha = m a.
 
-The engine folds each row's scale s = alpha/m into a step operator
-before it steps, once per call for a constant schedule and once per step
-for a varying one, and a step on the whole batch makes no temporary array.
+The engine steps a batch of rows in chunks of up to _CHUNK steps. A
+chunk holds one more state per row than it records: slot 0 is its first
+state, each later slot is stepped from the one before, and the last slot
+is the next chunk's slot 0. It folds each row's scale s = alpha/m into a
+step operator built for exactly the rows it steps, once per operator for
+a constant schedule and once per step for a varying one; when rows stop,
+the rows left get an operator of their own. A step on the whole batch
+makes no temporary array.
+
 Up to nm = 8 (`_DENSE_NM`, with its measured table) the operator is the
 row's dense iteration matrix M = (W (x) I_n) - s blockdiag(A_k), and a step
 is two numpy calls, x <- M x - s b. Above it, where the dense O(m^2 n^2)
@@ -106,38 +112,26 @@ _DENSE_NM = 8
 
 
 class _StepOperator:
-    """Every live row's DGD step at its scale s = alpha/m.
+    """The DGD step of a fixed set of rows, each at its scale s = alpha/m.
 
-    A subclass holds the operators of the live rows and says how to fold
-    scales into them (`_fold`) and how to step with them (`_step`), on
-    states shaped as its `_columns` shapes them. The operators are folded
-    at the scales the operator was built or last kept with; a varying
-    schedule folds its own at each step.
+    A subclass is built for exactly the rows it steps, holds their
+    operators folded at the scales it was built with, and says how to fold
+    other scales into them (`_fold`) and how to step with them (`_step`), on
+    states shaped as its `_columns` shapes them. A row that stops is not
+    dropped from an operator: the rows left get one of their own.
     """
 
-    def __init__(self, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
-        self._a, self._b, self._scale = a_stack, b_stack, scale
+    def __init__(self, a_stack: np.ndarray, b_stack: np.ndarray):
+        self._a, self._b = a_stack, b_stack
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the rows the boolean mask `rows` selects, and their scales."""
-        self._scale = self._scale[rows]
-        self._bind(len(self._scale))
-        self._fold(self._scale)
+    def advance(self, states: np.ndarray, scales: np.ndarray | None) -> None:
+        """Step a chunk of (steps + 1, B, m, n) `states` in place.
 
-    def advance(self, first, first_scale, states, scales) -> None:
-        """Step a chunk of (steps, B, m, n) `states` in place.
-
-        Each state is stepped from the one before it at that state's own
-        scale: states[0] from `first`, (B, m, n), at `first_scale`, and
-        states[j] from states[j - 1] at scales[j - 1]; the scales are
-        shaped (..., B, 1, 1, 1). None for both scales steps at the folded
-        ones, and None for `first` leaves states[0] as it is.
+        states[0] is the chunk's first state, and each states[j + 1] is
+        stepped from states[j] at scales[j], shaped (steps, B, 1, 1, 1), or
+        at the folded scales where `scales` is None.
         """
         x = self._columns(states)
-        if first is not None:
-            if first_scale is not None:
-                self._fold(first_scale)
-            self._step(self._columns(first), x[0])
         if scales is None:
             for before, after in zip(x[:-1], x[1:]):
                 self._step(before, after)
@@ -166,29 +160,22 @@ class _DenseStep(_StepOperator):
     """
 
     def __init__(self, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
-        super().__init__(a_stack, b_stack[..., None], scale)
+        super().__init__(a_stack, b_stack[..., None])
         size, (m, n), nm = len(scale), b_stack.shape, b_stack.size
         buffer = np.empty((size, nm, nm, 2))
-        self._ops = buffer[..., 0]  # every other column
+        self._op = buffer[..., 0]  # every other column
         blocks = buffer.reshape(size, m, n, m, n, 2)[..., 0]  # the same, per agent pair
         blocks[:] = w[:, None, :, None] * np.eye(n)[:, None, :]
         self._blocks = np.einsum("bkikj->bkij", blocks)  # the diagonal blocks, a view
         self._w_blocks = self._blocks[0].copy()  # w_kk I_n, before any fold
-        self._c = np.empty((size, nm, 1))
-        self._offsets = self._c.reshape(size, m, n, 1)
-        self._bind(size)
+        self._off = np.empty((size, nm, 1))
+        self._offsets = self._off.reshape(size, m, n, 1)
         self._fold(scale)
 
-    def _bind(self, size: int) -> None:
-        """Step and fold the first `size` operators."""
-        self._op, self._off = self._ops[:size], self._c[:size]
-        self._live_blocks, self._live_offsets = self._blocks[:size], self._offsets[:size]
-
     def _fold(self, scale: np.ndarray) -> None:
-        blocks = self._live_blocks
-        np.multiply(scale, self._a, out=blocks)
-        np.subtract(self._w_blocks, blocks, out=blocks)
-        np.multiply(scale, self._b, out=self._live_offsets)
+        np.multiply(scale, self._a, out=self._blocks)
+        np.subtract(self._w_blocks, self._blocks, out=self._blocks)
+        np.multiply(scale, self._b, out=self._offsets)
 
     @staticmethod
     def _columns(states: np.ndarray) -> np.ndarray:
@@ -208,17 +195,12 @@ class _StructuredStep(_StepOperator):
     """
 
     def __init__(self, w: np.ndarray, a_stack: np.ndarray, b_stack: np.ndarray, scale: np.ndarray):
-        super().__init__(a_stack, b_stack, scale)
+        super().__init__(a_stack, b_stack)
         size, (m, n) = len(scale), b_stack.shape
         self._w = w
-        self._sa, self._sb = np.empty((size, m, n, n)), np.empty((size, m, n))
-        self._prod_col = np.empty((size, m, n, 1))  # the local products (s A_k) x_k
-        self._bind(size)
+        self._op, self._off = np.empty((size, m, n, n)), np.empty((size, m, n))
+        self._prod = np.empty((size, m, n, 1))  # the local products (s A_k) x_k
         self._fold(scale)
-
-    def _bind(self, size: int) -> None:
-        """Step and fold the first `size` operators."""
-        self._op, self._off, self._prod = self._sa[:size], self._sb[:size], self._prod_col[:size]
 
     def _fold(self, scale: np.ndarray) -> None:
         np.multiply(scale, self._a, out=self._op)
@@ -235,10 +217,10 @@ class _StructuredStep(_StepOperator):
         out -= self._off
 
 
-def _step_operator(w, a_stack, b_stack, scale) -> _StepOperator:
-    """The step of nm = m n's form (`_DENSE_NM`) for rows at `scale`, (B, 1, 1, 1)."""
+def _step_operator(w, a_stack, b_stack, scale: np.ndarray) -> _StepOperator:
+    """The step of nm = m n's form (`_DENSE_NM`) for rows at the (B,) `scale`."""
     form = _DenseStep if b_stack.size <= _DENSE_NM else _StructuredStep
-    return form(w, a_stack, b_stack, scale)
+    return form(w, a_stack, b_stack, scale[:, None, None, None])
 
 
 def step(
@@ -261,11 +243,12 @@ def step(
     if not np.all(np.isfinite(state)):
         raise ValueError("state contains non-finite entries")
     operator = _step_operator(
-        mixing.w, ensemble.curvatures, ensemble.linear_terms, np.full((1, 1, 1, 1), alpha / m)
+        mixing.w, ensemble.curvatures, ensemble.linear_terms, np.array([alpha / m])
     )
-    out = np.empty((1, 1, m, n))
-    operator.advance(state.reshape(1, m, n), None, out, None)
-    return out.reshape(-1)
+    states = np.empty((2, 1, m, n))  # a chunk of one step
+    states[0, 0] = state.reshape(m, n)
+    operator.advance(states, None)
+    return states[1].reshape(-1)
 
 
 @dataclass(eq=False, slots=True)
@@ -587,34 +570,35 @@ def run_batch(
     # finite (a non-finite entry makes R(t) inf or nan) and no row stops.
     # `limit` keeps an infinite threshold from letting an infinite R(t) pass.
     limit = min(divergence_threshold, sys.float_info.max)
-    # One chunk of states, reused by every chunk as a (steps, live rows, m, n)
-    # view of its first elements.
-    chunk_buf = np.empty(_CHUNK * size * m * n)
+    # One chunk of states, reused by every chunk as a (steps + 1, live rows,
+    # m, n) view of its first elements: slot 0 is the chunk's first state,
+    # x0 in the first chunk, and the last slot the next chunk's slot 0.
+    chunk_buf = np.empty((_CHUNK + 1) * size * m * n)
+    chunk_buf[: size * m * n].reshape(size, m * n)[:] = x0
     rows = np.arange(size)  # schedule index of each live row
     live_alpha = alpha0  # each live row's stepsize, read when no schedule varies
     t = 0  # the time of the chunk's first state
-    last = last_scale = None  # the state, and varying scale, the next chunk steps from
     # A row that diverges inside a chunk is stepped to the chunk's end; those
-    # states may overflow, and they are never recorded.
+    # states may overflow, and they are never recorded. Nor is the state
+    # past the horizon that the last chunk steps to.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Each row's scale is folded into its step operator once per call; a
-        # varying schedule re-folds it in place at every step. A row that
-        # stops leaves the operator.
-        operator = _step_operator(w, a_stack, b_stack, (alpha0 / m)[:, None, None, None])
+        # Each row's scale is folded into its step operator once per
+        # operator; a varying schedule re-folds it in place at every step.
+        # When rows stop, the rows left get an operator of their own.
+        operator = _step_operator(w, a_stack, b_stack, alpha0 / m)
         while rows.size and t <= horizon:  # runs at least once
             steps = min(_CHUNK, horizon + 1 - t)
             live = rows.size
-            chunk = chunk_buf[: steps * live * m * n].reshape(steps, live, m, n)
+            states = chunk_buf[: (steps + 1) * live * m * n].reshape(steps + 1, live, m, n)
             if varying:
                 # the chunk's stepsizes in one flat list, with no list per step
                 values = [schedules[i].value(s) for s in range(t, t + steps) for i in rows]
                 alpha = np.array(values, dtype=float).reshape(steps, live)
-                scale = (alpha / m)[..., None, None, None]  # as the operator folds it
+                operator.advance(states, (alpha / m)[..., None, None, None])
             else:
-                alpha, scale = live_alpha, None  # alpha broadcasts over the chunk's steps
-            if t == 0:
-                chunk[0] = x0.reshape(m, n)
-            operator.advance(last, last_scale, chunk, scale)
+                alpha = live_alpha  # broadcasts over the chunk's steps
+                operator.advance(states, None)
+            chunk = states[:steps]  # x(t), ..., x(t + steps - 1)
 
             r = _in_parts(_distance_sums, chunk, x_star)
             cons = None if cons_hist is None else _in_parts(_consensus, chunk)
@@ -682,15 +666,13 @@ def run_batch(
                 dist[js, qs] = norm(chunk[js, qs].reshape(js.size, m * n) - points, axis=1)
                 dist_hist.write(ids, t, dist, reach)
 
-            last = chunk[-1]
-            if varying:
-                last_scale = scale[-1]
+            ahead = states[-1]  # x(t + steps), the next chunk's slot 0
             if died is not None:
                 survive = ~died
-                rows, last, live_alpha = rows[survive], last[survive], live_alpha[survive]
-                operator.keep(survive)
-                if varying:
-                    last_scale = last_scale[survive]
+                rows, live_alpha, ahead = rows[survive], live_alpha[survive], ahead[survive]
+                if rows.size:
+                    operator = _step_operator(w, a_stack, b_stack, live_alpha / m)
+            chunk_buf[: ahead.size] = ahead.reshape(-1)
             t += steps
 
     records = []

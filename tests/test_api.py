@@ -49,12 +49,12 @@ REMOVED_METHODS = {
     "segment_gradient_bound": lifted.LiftedObjective,  # the closed-form shift bound
     "aggregate_value": costs.QuadraticEnsemble,
     "aggregate_gradient": costs.QuadraticEnsemble,  # aggregate_a @ x + the mean b_k
-    "separable_value": lifted.LiftedObjective,  # F(x) from the curvatures and stacked_linear
+    "separable_value": lifted.LiftedObjective,  # F(x) from the curvatures and linear_terms
     # an ensemble is its two stacks: QuadraticEnsemble(curvatures, linear_terms)
     "costs": costs.QuadraticEnsemble,  # rows of curvatures and linear_terms
     "from_stacks": costs.QuadraticEnsemble,  # the constructor itself
     "aggregate_b": costs.QuadraticEnsemble,  # linear_terms.mean(axis=0)
-    # grad G_alpha(x) = hessian(alpha) @ x + (alpha/m) stacked_linear
+    # grad G_alpha(x) = hessian(alpha) @ x + (alpha/m) linear_terms.reshape(-1)
     "value": lifted.LiftedObjective,
     "gradient": lifted.LiftedObjective,
     "separable_gradient": lifted.LiftedObjective,
@@ -77,6 +77,7 @@ REMOVED_METHODS = {
     "_certified": lifted.ThresholdStack,
     # the minimizers come from the Schur eigenpairs; blockdiag(A_k) is built by no one
     "block_curvature": lifted.LiftedObjective,
+    "stacked_linear": lifted.LiftedObjective,  # ensemble.linear_terms.reshape(-1)
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {

@@ -218,7 +218,7 @@ def exact_minimizer(objective: lifted.LiftedObjective, alpha: float) -> list[Fra
     step = Fraction(alpha)
     rows = [
         row + [-step * Fraction(entry)]
-        for row, entry in zip(h, objective.stacked_linear.tolist(), strict=True)
+        for row, entry in zip(h, objective.ensemble.linear_terms.reshape(-1).tolist(), strict=True)
     ]
     size = len(rows)
     for k in range(size):

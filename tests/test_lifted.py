@@ -62,7 +62,7 @@ class TestHessian:
         ens = costs.random_ensemble(3, 2, 0.5, seed=8)
         obj = _objective(ens, mix_quarter)
         h = obj.hessian(0.3)
-        lin = (0.3 / ens.m) * obj.stacked_linear
+        lin = (0.3 / ens.m) * ens.linear_terms.reshape(-1)
         x = rng.normal(size=6)
         per_agent = np.einsum("kij,kj->ki", ens.curvatures, x.reshape(3, 2)) + ens.linear_terms
         consensus = np.kron(np.eye(3) - mix_quarter.w, np.eye(2))
@@ -448,8 +448,9 @@ class TestMinimizer:
             alpha_a, _ = obj.strong_convexity_threshold()
             top = 0.98 * (alpha_a if math.isfinite(alpha_a) else 10.0)
             alphas = np.geomspace(1e-4, top, 12)
+            b = obj.ensemble.linear_terms.reshape(-1)
             for alpha, y in zip(alphas, obj._minimizers(alphas)):
-                ref = solve_spd(obj.hessian(alpha), -(alpha / obj.ensemble.m) * obj.stacked_linear)
+                ref = solve_spd(obj.hessian(alpha), -(alpha / obj.ensemble.m) * b)
                 assert np.linalg.norm(y - ref) <= 1e-9 * np.linalg.norm(ref), (seed, alpha)
             checked += 1
         assert checked >= 80

@@ -339,5 +339,6 @@ class TestNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = numerics.norm(x, axis=1)
-            assert numerics.norm(x[0]) == math.inf
+            assert numerics.norm(x[0]) == numerics.norm(x[1]) == math.inf
+            assert math.isnan(numerics.norm(x[2]))
         assert got[0] == got[1] == math.inf and math.isnan(got[2])
