@@ -92,7 +92,7 @@ def trajectory_radius(
     if not alpha0 > 0:  # nan too, which would drop out of the max below
         raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
     smooth, mu = _smoothness_and_mu(ensemble)
-    unit = binary_unit(smooth)
+    unit = float(binary_unit(smooth))
     smooth, mu, scaled_alpha0 = smooth / unit, mu / unit, alpha0 * unit
     eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
@@ -116,12 +116,13 @@ def stepsize_bounds(lambda_min: float, beta: float, smooth, mu) -> tuple:
     A bound that is not a finite positive float, its true value past the
     float range, is absent: NaN for alpha_gd and eta, None for alpha_S. All
     three are absent unless 0 < mu <= L, with mu still positive in the unit
-    (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well. Arrays
-    of L and mu give arrays of the floats scalar calls return, alpha_S NaN where absent.
+    (above about 2^-1074 L), and alpha_S unless 0 < beta < 1 as well. Arrays of L
+    and mu give arrays of the floats scalar calls return, each in its own L's unit
+    (`binary_unit` is elementwise), alpha_S NaN where absent.
     """
     with np.errstate(all="ignore"):  # Python floats round alike, with no warning
         alpha_l = lambda_min_bound(lambda_min, smooth)
-        unit = np.ldexp(1.0, np.frexp(smooth)[1] - 1)  # `binary_unit`, elementwise
+        unit = binary_unit(smooth)
         smooth, mu = smooth / unit, mu / unit
         present = (0 < mu) & (mu <= smooth)
         # `harmonic_rate`, `spectral_gap_bound` and `classical_gd_bound`, unchecked

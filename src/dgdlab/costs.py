@@ -153,7 +153,7 @@ class QuadraticEnsemble:
             gradients = self._curvatures @ self.aggregate_minimizer() + self._linear
             # in the largest entry's binary unit, exact, so no square overflows;
             # one dot per row, as np.linalg.norm(axis=1) rounds each differently
-            unit = binary_unit(float(abs(gradients).max()))
+            unit = float(binary_unit(abs(gradients).max()))
             gradients /= unit
             self._grad_bound = max(math.sqrt(g @ g) for g in gradients) * unit
         return self._grad_bound

@@ -16,6 +16,9 @@ The eigensolver also takes a (..., k, k) stack of matrices, as numpy.linalg
 does: every member is checked, and each one's spectrum is bit for bit the
 one a call on that matrix alone returns. A family of problems that differ
 only in their data is solved in one call instead of one call per member.
+
+Past the float range the package has one scale rule, `binary_unit`
+(elementwise on arrays); `norm` and every rescaled evaluation use it.
 """
 
 from __future__ import annotations
@@ -138,11 +141,11 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def binary_unit(peak: float) -> float:
-    """The largest power of 2 not above |peak|, or 0.5 for 0 or a non-finite peak:
-    the package's one rescaling unit. Dividing by it is exact, so a value taken
+def binary_unit(peak: float | np.ndarray) -> np.float64 | np.ndarray:
+    """The largest power of 2 not above |peak|, elementwise, or 0.5 for 0 or a non-finite
+    peak: the package's one rescaling unit. Dividing by it is exact, so a value taken
     in it and scaled back has the direct computation's bits wherever those are finite."""
-    return math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return np.ldexp(1.0, np.frexp(peak)[1] - 1)
 
 
 # Below 2^-511 a norm's squares sum below 2^-1022 and have lost bits. At or
@@ -175,14 +178,13 @@ def norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
         norms = np.linalg.norm(x, axis=axis)
         if axis is None:
             if squares_out_of_range(norms):
-                unit = binary_unit(float(abs(x).max(initial=0.0)))
+                unit = binary_unit(abs(x).max(initial=0.0))
                 norms = np.linalg.norm(x / unit) * unit
             return norms
         redo = squares_out_of_range(norms)
         if redo.any():
             rows = np.moveaxis(x, axis, -1)[redo]
-            peaks = abs(rows).max(axis=-1, initial=0.0).tolist()
-            units = np.array([binary_unit(p) for p in peaks])
+            units = binary_unit(abs(rows).max(axis=-1, initial=0.0))
             norms[redo] = np.linalg.norm(rows / units[:, None], axis=-1) * units
     return norms
 

@@ -624,17 +624,13 @@ def run_batch(
                 r[~finite] = math.inf
                 if cons is not None:
                     js, qs = np.nonzero(squares_out_of_range(cons) & finite)
-                    # a state whose deviations are all exactly 0 keeps its
-                    # 0: divided by its unit, its agent mean can round off
-                    moved = _deviations(chunk[js, qs]).any(axis=(1, 2))
-                    js, qs = js[moved], qs[moved]
-                    if js.size:
-                        # the state's unit, not the deviation's: the agent
-                        # mean itself can overflow
-                        rescued = chunk[js, qs]
-                        peaks = abs(rescued).max(axis=(1, 2)).tolist()
-                        units = np.array([binary_unit(p) for p in peaks])
-                        cons[js, qs] = _consensus(rescued / units[:, None, None]) * units
+                    dev = _deviations(chunk[js, qs])
+                    # where the agent mean overflowed, deviations in the state's unit
+                    over = ~np.isfinite(dev).all(axis=(1, 2))
+                    peaked = chunk[js[over], qs[over]]
+                    units = binary_unit(abs(peaked).max(axis=(1, 2)))[:, None, None]
+                    dev[over] = _deviations(peaked / units) * units
+                    cons[js, qs] = norm(dev.reshape(js.size, m * n), axis=1)
                     cons[~finite] = math.inf
                 dies = ~finite | (r > divergence_threshold)
                 if dies.any():

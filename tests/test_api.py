@@ -34,7 +34,7 @@ REMOVED = {
     # one rescaling rule near the float range: numerics.binary_unit and numerics.norm
     "_row_norms": simulator,  # norm(rows, axis=1)
     "_overflowed_distance_sums": simulator,  # norm(states - x_star, axis=-1).sum(axis=-1)
-    "_overflowed_consensus": simulator,  # _consensus(states / unit) * unit
+    "_overflowed_consensus": simulator,  # norm(_deviations(states), axis=1) on flat rows
     "_unit": bounds,  # binary_unit(L)
     # a threshold is its confirmed bracket: strong_convexity_threshold returns (lo, hi)
     "ThresholdResult": lifted,

@@ -293,6 +293,14 @@ class TestBinaryUnit:
     def test_largest_power_of_two_not_above_the_peak(self, peak, unit):
         assert numerics.binary_unit(peak) == unit
 
+    def test_elementwise_on_an_array(self):
+        peaks = [
+            0.0, -0.0, 5e-324, 2.0**-1022, 1.0, 3.0, -7.5, 1e308, math.inf, -math.inf, math.nan
+        ]
+        units = numerics.binary_unit(np.array(peaks).reshape(1, 11, 1))
+        assert units.shape == (1, 11, 1)
+        assert units.ravel().tolist() == [numerics.binary_unit(p) for p in peaks]
+
 
 class TestNorm:
     @pytest.mark.parametrize("axis", [None, 0, 1, -1])

@@ -652,19 +652,20 @@ class TestRunBatch:
         else:
             ens = costs.random_ensemble(3, 2, 1.0, seed=5)
         kwargs = dict(x0=x0, horizon=1000, record_every=1)
-        peaks = []
-        unit = simulator.binary_unit
-        monkeypatch.setattr(simulator, "binary_unit", lambda p: peaks.append(p) or unit(p))
+        rescues = []  # the rescue takes every metric it redoes with `norm`
+        norm = simulator.norm
+        monkeypatch.setattr(simulator, "norm", lambda x, axis: rescues.append(x) or norm(x, axis))
         (rec,) = simulator.run_batch(ens, mix_quarter, [StepsizeSchedule.constant(0.3)], **kwargs)
         zeros = np.flatnonzero(rec.consensus_err == 0)
         assert zeros.size and zeros[0] == 0
-        assert peaks == []
+        assert rescues == []
         if identical and not x0.any():  # zeros past the first chunk too
             assert zeros[-1] >= simulator._CHUNK
         monkeypatch.setattr(simulator, "_zeros_kept", lambda states, cons: False)
         (rescued,) = simulator.run_batch(
             ens, mix_quarter, [StepsizeSchedule.constant(0.3)], **kwargs
         )
+        assert rescues
         _assert_same_record(rec, rescued)
         assert np.array_equal(rec.consensus_err, rescued.consensus_err)
 
@@ -672,7 +673,7 @@ class TestRunBatch:
         # three agents at the largest subnormal, 2^-1022 - 2^-1074, stay
         # consensual: every deviation from the agent mean is exactly 0, and
         # so is every consensus cell. Divided by the state's unit, the mean
-        # rounds, and a rescue of these cells read 5e-324.
+        # rounds: a rescue of these cells in that unit read 5e-324.
         ens = costs.QuadraticEnsemble(np.ones((3, 1, 1)), np.zeros((3, 1)))
         mix = topology.validate_mixing(np.full((3, 3), 1 / 3))
         (rec,) = simulator.run_batch(
@@ -682,18 +683,38 @@ class TestRunBatch:
         assert not simulator._deviations(rec.states.reshape(4, 3, 1)).any()
         assert rec.consensus_err.tolist() == [0.0] * 4
 
-    def test_zero_consensus_of_a_state_below_unit_peak_is_rescued(self, mix_quarter):
-        # one coordinate at 2^-100 on every agent and one at +-2^-600: the
+    @pytest.mark.parametrize("peak", [2.0**-100, 1.0, 1e300], ids=["2^-100", "1", "1e300"])
+    def test_zero_consensus_of_a_state_below_unit_peak_is_rescued(self, peak, mix_quarter):
+        # one coordinate at `peak` on every agent and one at +-1e-200: the
         # squares of the deviations underflow, so consensus reads exactly 0,
-        # but taken in the unit 2^-100 it is sqrt(2) 2^-600. A peak far
-        # above the squares' floor does not make such a zero exact.
+        # but it is the norm of those deviations, sqrt(2) 1e-200, whatever
+        # the state's peak. A peak far above the squares' floor does not
+        # make such a zero exact.
         ens = costs.QuadraticEnsemble(np.array([np.eye(2)] * 3), np.zeros((3, 2)))
-        tiny, small = 2.0**-600, 2.0**-100
-        x0 = np.array([small, tiny, small, -tiny, small, 0.0])
+        x0 = np.array([peak, 1e-200, peak, -1e-200, peak, 0.0])
         (rec,) = simulator.run_batch(
             ens, mix_quarter, [StepsizeSchedule.constant(0.3)], x0=x0, horizon=3
         )
-        assert rec.consensus_err[0] == pytest.approx(math.sqrt(2) * tiny, rel=1e-15)
+        blocks = x0.reshape(3, 2)
+        assert rec.consensus_err[0] == numerics.norm(blocks - blocks.mean(axis=0))
+        assert rec.consensus_err[0] == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+
+    def test_consensus_of_an_overflowing_agent_mean(self):
+        # two agents at 1.7e308 and 1.0e308: their sum, and so the agent mean,
+        # overflows, so the deviations are taken in the state's unit 2^1023
+        ens = costs.QuadraticEnsemble(np.ones((2, 1, 1)), np.zeros((2, 1)))
+        mix = topology.validate_mixing(np.array([[0.75, 0.25], [0.25, 0.75]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (rec,) = simulator.run_batch(
+                ens, mix, [StepsizeSchedule.constant(0.1)], x0=np.array([1.7e308, 1.0e308]),
+                horizon=3, divergence_threshold=math.inf,
+            )
+        assert rec.verdict == "bounded"
+        assert rec.consensus_err.tolist() == [
+            4.949747468305832e307, 2.2273863607376232e307,
+            1.0023238623319301e307, 4.510457380493692e306,
+        ]
 
     def test_finite_threshold_beyond_the_squares_overflow(self, mix_quarter):
         # README seed 5 at alpha = 2.0 (rho 2.08) passes R = 1.3e154, where
