@@ -49,12 +49,11 @@ def harmonic_rate(mu: float, smooth: float) -> float:
 
 def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
     """Stepsize bound eta * (1 - beta) / (L * (eta + L)) from the spectral gap,
-    a per-agent stepsize (Yuan, Ling & Yin): m times it on the alpha/m axis."""
-    if not (0 < mu <= smooth):
-        raise ValueError("requires 0 < mu <= L")
+    a per-agent stepsize (Yuan, Ling & Yin): m times it on the alpha/m axis.
+    `harmonic_rate` checks mu, before beta is checked."""
+    eta = harmonic_rate(mu, smooth)
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
-    eta = harmonic_rate(mu, smooth)
     return eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 

@@ -30,11 +30,13 @@ schedule.
 
 ThresholdStack computes the edges of a stack of instances sharing one
 mixing matrix, each step one batched product or eigensolve for all of them;
-a LiftedObjective is its one-row case. Its `_schur` builds the Schur
-matrices, for the edges and the minimizer basis, and its `_hessians` H(t),
-for certification and `spectral_radii`, the simulator's oracle. Each matrix
-solved here is built finite and exactly symmetric, so it goes to LAPACK
-through `numerics._eigensolve`, without `sym_eigen`'s check.
+a LiftedObjective is the stack of one row, with that row's minimizers. A
+stack holds only its inputs, the curvature sets and W. Its `_schur` builds
+the Schur matrices, for the edges and the minimizer basis, and its
+`_hessians` H(t), C written in, for certification and `spectral_radii`, the
+simulator's oracle. Each matrix solved here is built finite and exactly
+symmetric, so it goes to LAPACK through `numerics._eigensolve`, without
+`sym_eigen`'s check.
 """
 
 from __future__ import annotations
@@ -94,29 +96,21 @@ class ThresholdStack:
     which validation took) and two batched eigensolves; `brackets` confirms
     the finite edges with two more of the whole stack, one per bracket end.
     Every row's numbers are bit for bit those of the same instance alone: a
-    LiftedObjective is the one-row case.
+    LiftedObjective is the one-row stack.
 
-    The stack holds the (E, m, n, n) curvature sets and the one (nm, nm) C,
-    never a dense B_e: `_hessians` writes each H's diagonal blocks into a
-    copy of C when it is asked for, so a row costs its (nm, nm) Hessian
-    only while an eigensolve reads it.
+    The stack holds only its inputs, the (E, m, n, n) curvature sets and
+    `mixing`: never a dense B_e or C. `_hessians` writes C and each H's
+    diagonal blocks into a zeroed matrix when it is asked for, so a row
+    costs its (nm, nm) Hessian only while an eigensolve reads it.
     """
 
     def __init__(self, curvatures: np.ndarray, mixing: MixingMatrix):
         """`curvatures` is an (E, m, n, n) stack: row e holds A_1, ..., A_m of instance e."""
-        _, m, n, _ = curvatures.shape
+        m = curvatures.shape[1]
         if m != mixing.m:
             raise ValueError(f"curvature sets have {m} agents but mixing matrix has {mixing.m}")
         self.m = m
-        self._sets, self._mixing = curvatures, mixing
-        # (I - W) kron I_n without np.kron's overhead: (I - W)_kl on the
-        # diagonal of block (k, l), and +0.0 everywhere else, never the -0.0
-        # of -w_kl * 0.0, so that H's off-diagonal blocks can be copies of C's
-        self.consensus = np.zeros((m * n, m * n))
-        np.einsum("kala->kla", self.consensus.reshape(m, n, m, n))[...] = (
-            np.eye(m) - mixing.w
-        )[:, :, None]
-        self._consensus_blocks = _diagonal_blocks(self.consensus, m, n).copy()  # the C_kk
+        self._sets, self.mixing = curvatures, mixing
 
     @cached_property
     def _edges(self) -> np.ndarray:
@@ -126,9 +120,8 @@ class ThresholdStack:
         """
         edges = np.zeros(len(self._sets))
         rows, schur = self._schur()[:2]
-        if rows.size:
-            top = _eigensolve(schur).max(axis=-1, initial=0.0)
-            edges[rows] = np.divide(self.m, top, out=np.full_like(top, math.inf), where=top > 0)
+        top = _eigensolve(schur).max(axis=-1, initial=0.0)
+        edges[rows] = np.divide(self.m, top, out=np.full_like(top, math.inf), where=top > 0)
         return edges
 
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +144,7 @@ class ThresholdStack:
             # B~_12 D^(-1/2) and D^(-1/2) B~_22 D^(-1/2): the products Q_ki Q_kj of
             # the scaled basis for j >= 2 (outer products by matmul, which buffers
             # less than broadcasting) as one (m (m - 1), m) matrix times each row's A_k
-            q = self._mixing.eigenbasis
+            q = self.mixing.eigenbasis
             pairs = (q[:, :, None] @ q[:, None, 1:]).reshape(m, -1).T
             blocks = (pairs @ sets.reshape(size, m, n * n)).reshape(size, m, m - 1, n, n)
             k = blocks[:, 0].transpose(0, 2, 1, 3).reshape(size, n, rest)
@@ -200,16 +193,20 @@ class ThresholdStack:
         at every stepsize, each row at its own stepsize, or every row at one
         stepsize. No stepsizes give no matrices.
 
-        H is a copy of C whose diagonal (n, n) blocks are t A_k + C_kk: each
-        entry is t B_e + C's bit for bit (a zero of C is +0.0, as t 0.0 + C's
-        is), and no dense B_e is built. Every step is an assignment or a sum
+        H is C = (I - W) kron I_n, written as (I - W)_kl on the diagonal of
+        each (k, l) block of a zeroed matrix, with diagonal (n, n) blocks
+        t A_k + C_kk: each entry is t B_e + C's bit for bit (every other
+        entry is +0.0, as t 0.0 + C's is, never the -0.0 of -w_kl * 0.0),
+        and no dense B_e or C is built. Every step is an assignment or a sum
         or product of equal shapes, as numpy buffers a broadcast or strided
         operand of a sum or product whole. One buffer holds the A_k, then
-        the C_kk, and is freed before H is allocated. Raises NotInClassError
-        where a diagonal block leaves the float range, before H is built.
+        the C_kk = (1 - w_kk) I_n, and is freed before H is allocated.
+        Raises NotInClassError where a diagonal block leaves the float
+        range, before H is built.
         """
         t = np.asarray(alphas, dtype=float) / self.m
         size, m, n, _ = self._sets.shape
+        consensus = np.eye(m) - self.mixing.w  # I - W, whose kron I_n is C
         # the rows broadcast against the stepsizes: the rows' count at one
         # stepsize, else the stepsizes' (`operand[...]` refuses other pairs)
         shape = (size if t.size == 1 else t.size, m, n, n)
@@ -218,12 +215,13 @@ class ThresholdStack:
         operand[...] = self._sets
         with np.errstate(over="ignore", invalid="ignore"):
             blocks *= operand
-            operand[...] = self._consensus_blocks
+            operand[...] = 0.0
+            np.einsum("...kaa->...ka", operand)[...] = consensus.diagonal()[:, None]
             blocks += operand
         del operand
         _finite(blocks, "a Hessian block t A_k + C_kk")
-        hessians = np.empty((shape[0], m * n, m * n))
-        hessians[...] = self.consensus
+        hessians = np.zeros((shape[0], m * n, m * n))
+        np.einsum("...kala->...kla", hessians.reshape(-1, m, n, m, n))[...] = consensus[:, :, None]
         _diagonal_blocks(hessians, m, n)[...] = blocks
         return hessians
 
@@ -236,29 +234,21 @@ class ThresholdStack:
         return np.maximum(abs(1.0 - eigs[:, 0]), abs(1.0 - eigs[:, -1]))
 
 
-class LiftedObjective:
-    """G_alpha assembled from an ensemble and a mixing matrix. Its gradient
-    at x is hessian(alpha) @ x + (alpha/m) b, b = (b_1, ..., b_m) the
-    ensemble's linear_terms stacked to length nm."""
+class LiftedObjective(ThresholdStack):
+    """G_alpha assembled from an ensemble and a mixing matrix: the one-row
+    stack of the ensemble's curvatures. Its gradient at x is
+    hessian(alpha) @ x + (alpha/m) b, b = (b_1, ..., b_m) the ensemble's
+    linear_terms stacked to length nm."""
 
     def __init__(self, ensemble: QuadraticEnsemble, mixing: MixingMatrix):
-        if ensemble.m != mixing.m:
-            raise ValueError(
-                f"ensemble has {ensemble.m} agents but mixing matrix has {mixing.m}"
-            )
+        super().__init__(ensemble.curvatures[None], mixing)
         self.ensemble = ensemble
-        self.mixing = mixing
-
-    @cached_property
-    def _stack(self) -> ThresholdStack:
-        """This objective as the one row of a threshold stack."""
-        return ThresholdStack(self.ensemble.curvatures[None], self.mixing)
 
     def hessian(self, alpha: float) -> np.ndarray:
         """(alpha/m) blockdiag(A_k) + (I - W) kron I_n."""
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be finite and positive")
-        return self._stack._hessians([alpha])[0]
+        return self._hessians([alpha])[0]
 
     def certify(self, alpha: float) -> ConvexityCertificate:
         """Strong-convexity certificate: in class and below alpha_A, with the
@@ -267,7 +257,7 @@ class LiftedObjective:
         return ConvexityCertificate(
             alpha=alpha,
             min_hessian_eig=lam,
-            is_strongly_convex=bool(alpha < self._stack._edges[0]),
+            is_strongly_convex=bool(alpha < self._edges[0]),
             modulus=lam if lam > 0 else 0.0,
         )
 
@@ -275,7 +265,7 @@ class LiftedObjective:
     def certified_interval(self) -> tuple[float, float]:
         """(0, alpha_A), open: certify(alpha) holds exactly inside; (0.0, 0.0),
         empty, for an instance out of class. See ThresholdStack._edges."""
-        return 0.0, float(self._stack._edges[0])
+        return 0.0, float(self._edges[0])
 
     def strong_convexity_threshold(self) -> tuple[float, float]:
         """(lo, hi), the confirmed bracket of alpha_A, the right end of
@@ -285,7 +275,7 @@ class LiftedObjective:
         Raises NotInClassError for an instance out of class, or when the
         sign does not confirm the edge.
         """
-        lo, hi = self._stack.brackets()
+        lo, hi = self.brackets()
         lo, hi = lo.item(), hi.item()
         if math.isnan(lo):
             raise NotInClassError(
@@ -303,7 +293,7 @@ class LiftedObjective:
         where rounding leaves the basis non-finite."""
         m, n = self.ensemble.m, self.ensemble.n
         q, rest = self.mixing.eigenbasis, (m - 1) * n
-        _, schur, k, factor = self._stack._schur()
+        _, schur, k, factor = self._schur()
         mu, u = _eigensolve(schur[0], vectors=True)
         with np.errstate(over="ignore", invalid="ignore"):
             x = factor[0] @ k[0]
@@ -324,7 +314,7 @@ class LiftedObjective:
         if not np.all((alphas > 0) & (alphas < math.inf)):
             raise ValueError("alpha must be finite and positive")
         lo, hi = self.certified_interval
-        outside = (alphas <= lo) | (alphas >= hi)
+        outside = alphas >= hi
         if outside.any():
             raise NotStronglyConvexError(
                 f"alpha={alphas[outside.argmax()]:g} is not certified strongly convex "

@@ -714,12 +714,12 @@ class OracleVerdict:
 def boundedness_verdicts(objective: LiftedObjective, alphas) -> list[OracleVerdict]:
     """`boundedness_oracle` at each constant stepsize in `alphas`, from one
     stacked eigensolve of the objective's lifted Hessians H(alpha/m), as
-    M_alpha = I - H(alpha/m) (`ThresholdStack.spectral_radii` of its stack,
-    the one its certification reads); each verdict is bit for bit that of a
+    M_alpha = I - H(alpha/m) (`ThresholdStack.spectral_radii`, of the
+    one-row stack the objective is); each verdict is bit for bit that of a
     lone call."""
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be finite and positive")
-    rhos = objective._stack.spectral_radii(alphas).tolist()
+    rhos = objective.spectral_radii(alphas).tolist()
     return [OracleVerdict(spectral_radius=rho, bounded=rho <= 1.0 + 1e-12) for rho in rhos]
 
 

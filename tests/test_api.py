@@ -78,6 +78,7 @@ REMOVED_METHODS = {
     # the minimizers come from the Schur eigenpairs; blockdiag(A_k) is built by no one
     "block_curvature": lifted.LiftedObjective,
     "stacked_linear": lifted.LiftedObjective,  # ensemble.linear_terms.reshape(-1)
+    "_stack": lifted.LiftedObjective,  # a LiftedObjective is the one-row ThresholdStack
 }
 # dataclass field -> its class
 REMOVED_FIELDS = {

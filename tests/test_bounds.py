@@ -64,6 +64,10 @@ class TestSpectralGapBound:
         with pytest.raises(ValueError):
             bounds.spectral_gap_bound(1.0, 10.0, 1.0)
 
+    def test_invalid_mu_is_named_before_an_invalid_beta(self):
+        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
+            bounds.spectral_gap_bound(0.0, 10.0, 1.0)
+
 
 class TestOrdering:
     def test_gap_bound_below_floor_bound_in_proven_region(self):
@@ -114,6 +118,16 @@ class TestTrajectoryRadius:
         x0 = np.tile(x_star + v, 3)
         alpha0 = 0.5 * bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
         assert bounds.trajectory_radius(ens, mix_quarter, x0, alpha0) == pytest.approx(1.0)
+
+    def test_center_term_is_the_distance_to_x_star(self, mix_quarter):
+        # A_k = I_2 and b_k = (1, 0) put x* at (-1, 0) with every gradient 0
+        # there (D = 0), so from x0 = 1 kron (2, 0) the radius is the centre
+        # term ||xbar - x*|| = 3 exactly (||xbar + x*|| would give 1)
+        ens = costs.QuadraticEnsemble(np.tile(np.eye(2), (3, 1, 1)), np.tile([1.0, 0.0], (3, 1)))
+        assert ens.aggregate_minimizer().tolist() == [-1.0, 0.0] and ens.grad_bound_D() == 0.0
+        alpha0 = 0.5 * bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        x0 = np.tile([2.0, 0.0], 3)
+        assert bounds.trajectory_radius(ens, mix_quarter, x0, alpha0) == 3.0
 
     def test_matches_independent_term_evaluation(self, mix_quarter):
         ens = self._instance()

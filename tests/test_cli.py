@@ -653,6 +653,46 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "overflows" in err
 
+    def test_stepsize_that_underflows_is_blank_in_the_lifted_distance(self, tmp_path, capsys):
+        # a = 5e-324 is the smallest subnormal: alpha(0) = 5e-324 is certified,
+        # and alpha(t) = 5e-324 / (t + 1) rounds to 0.0 from t = 1, which no
+        # minimizer takes, so those rows leave dist_lifted_min blank
+        data = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "polynomial", "a": 5e-324, "w": 1, "p": 1},
+            "horizon": 3,
+            "track_lifted": True,
+        }
+        out = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["simulate", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "trajectory.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["t"] for row in rows] == ["0", "1", "2", "3"]
+        assert rows[0]["alpha"] == "5e-324" and float(rows[0]["dist_lifted_min"]) > 0
+        assert [(row["alpha"], row["dist_lifted_min"]) for row in rows[1:]] == [("0.0", "")] * 3
+
+    def test_polynomial_schedule_has_no_oracle(self, tmp_path, capsys):
+        # the oracle is the constant-stepsize one: a polynomial schedule's
+        # summary has none, and its alpha cells are a / (t + w) ** p
+        data = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "polynomial", "a": 0.3, "w": 1, "p": 0.5},
+            "horizon": 50,
+        }
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "oracle" not in json.loads((out / "summary.json").read_text())
+        with open(out / "trajectory.csv", newline="") as handle:
+            cells = [row["alpha"] for row in csv.DictReader(handle)]
+        assert cells[:2] == ["0.3", "0.21213203435596423"]
+        assert [float(cell) for cell in cells] == [0.3 / (t + 1) ** 0.5 for t in range(51)]
+
     def test_horizon_override(self, random_config, capsys):
         assert cli.main(["simulate", "--config", random_config, "--horizon", "37"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -1249,6 +1289,48 @@ def test_lifted_eigensolves_only_finite_exactly_symmetric_matrices(tmp_path, mon
     # basis) and H of three agents; the ring's Schur matrix and H: no
     # nm-sized matrix is solved with vectors
     assert kinds == {(2, True), (4, False), (4, True), (6, False), (14, False), (16, False)}
+
+
+# row sums within 1e-10 of 1 and column sums 1.00000008e-10 off it
+W_COLUMN_SUMS = [
+    [0.5, 0.250000000099, 0.25], [0.250000000098, 0.5, 0.25], [0.25, 0.250000000001, 0.5],
+]
+
+
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        ("bounds", {"mixing": {"type": "explicit", "W": W_QUARTER}},
+         "error: config is missing required sections: ['ensemble']"),
+        ("sweep-alpha", {"mixing": {"type": "explicit", "W": W_QUARTER}},
+         "error: config is missing required sections: ['ensemble']"),
+        ("simulate", {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_QUARTER}},
+         "error: config is missing required sections: ['schedule']"),
+        ("sweep-epsilon", {"L": 10, "mu": 1},
+         "error: config is missing required sections: ['mixing']"),
+        ("bounds", '{"ensemble": ', "is not valid JSON"),
+        ("bounds", {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_QUARTER},
+                    "divergence_threshold": 10**399},
+         "error: divergence_threshold must be a number, got 1000"),
+        ("bounds", {"ensemble": {"type": "explicit", "costs": 5},
+                    "mixing": {"type": "explicit", "W": W_QUARTER}},
+         "error: ensemble.costs must be a list, got 5"),
+        ("validate-topology", {"type": "explicit", "W": W_COLUMN_SUMS},
+         "error [col_sum]: column sums deviate from 1 by 1e-10"),
+        ("bounds", {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_COLUMN_SUMS}},
+         "error: mixing spec invalid [col_sum]: column sums deviate from 1 by 1e-10"),
+    ],
+    ids=["bounds-no-ensemble", "sweep-alpha-no-ensemble", "simulate-no-schedule",
+         "sweep-epsilon-no-mixing", "not-json", "400-digit-threshold", "costs-not-a-list",
+         "validate-topology-col-sum", "bounds-col-sum"],
+)
+def test_malformed_config_exits_2_with_one_line(command, data, line, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert line in captured.err
 
 
 class TestValidateTopologyCommand:

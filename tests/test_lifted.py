@@ -318,6 +318,58 @@ class TestThresholdStack:
         assert rhos.shape == (3,)
         assert rhos.tolist() == [row.spectral_radii([0.7]).item() for row in rows]
 
+    def test_lifted_objective_is_the_one_row_stack(self, mix_quarter):
+        ensemble = costs.random_ensemble(3, 2, 1.0, seed=5)
+        objective = _objective(ensemble, mix_quarter)
+        row = lifted.ThresholdStack(ensemble.curvatures[None], mix_quarter)
+        assert isinstance(objective, lifted.ThresholdStack) and objective.mixing is mix_quarter
+        assert _bits(*objective.brackets()) == _bits(*row.brackets())
+        assert _bits(objective.spectral_radii([0.3, 1.2])) == _bits(row.spectral_radii([0.3, 1.2]))
+        # the objective's own queries, which the benchmark's tracer wraps
+        assert {"certify", "strong_convexity_threshold", "minimizer"} <= set(vars(lifted.LiftedObjective))
+
+    def test_holds_only_its_inputs(self, mix_quarter):
+        # README's instance: after every query a stack answers, neither object
+        # keeps an (nm, nm) array such as (I - W) kron I_n
+        ensemble = costs.random_ensemble(3, 2, 1.0, seed=5)
+        nm = ensemble.m * ensemble.n
+
+        def held(certifier):
+            sizes = {k: v.size for k, v in vars(certifier).items() if isinstance(v, np.ndarray)}
+            assert all(size < nm * nm for size in sizes.values()), sizes
+
+        stack = lifted.ThresholdStack(ensemble.curvatures[None], mix_quarter)
+        stack.brackets()
+        stack.spectral_radii([0.3, 1.2])
+        held(stack)
+        objective = _objective(ensemble, mix_quarter)
+        objective.strong_convexity_threshold()
+        objective.brackets()
+        objective.spectral_radii([0.3, 1.2])
+        held(objective)
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["readme", "ring4"])
+    def test_hessians_are_c_plus_t_b_bit_for_bit(self, mix_quarter, ring):
+        # H(t) against C + t B built independently: C = np.kron(I - W, I_n)
+        # + 0.0 (np.kron's -w_kl * 0.0 is -0.0) and B = blockdiag(A_k), each
+        # row at its own stepsize; zeros must carry C + t B's sign too
+        m, n = (4, 3) if ring else (3, 2)
+        step = np.roll(np.eye(m, dtype=int), 1, axis=1)  # a 4-ring's W has zero weights
+        mixing = topology.metropolis_weights(step + step.T) if ring else mix_quarter
+        ensembles = [costs.random_ensemble(m, n, 1.0, seed=seed) for seed in (5, 6)]
+        alphas = [0.3, 1.7]
+        hessians = lifted.ThresholdStack(
+            np.stack([e.curvatures for e in ensembles]), mixing
+        )._hessians(alphas)
+        consensus = np.kron(np.eye(m) - mixing.w, np.eye(n)) + 0.0
+        for ensemble, alpha, h in zip(ensembles, alphas, hessians, strict=True):
+            blocks = np.zeros((m * n, m * n))
+            for k, a in enumerate(ensemble.curvatures):
+                blocks[k * n : (k + 1) * n, k * n : (k + 1) * n] = a
+            expected = consensus + alpha / m * blocks
+            assert np.array_equal(h, expected)
+            assert np.array_equal(np.signbit(h), np.signbit(expected))
+
     def test_empty_stack(self, mix_quarter):
         stack = lifted.ThresholdStack(costs.epsilon_family(10.0, 1.0, []), mix_quarter)
         lo, hi = stack.brackets()

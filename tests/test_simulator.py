@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dgdlab import bounds, config, costs, lifted, numerics, simulator, topology
+from dgdlab.errors import ParameterError
 from dgdlab.simulator import StepsizeSchedule
 
 
@@ -74,6 +75,13 @@ class TestSchedule:
     def test_polynomial_validation(self, kwargs):
         with pytest.raises(ValueError):
             StepsizeSchedule.polynomial(**kwargs)
+
+    @pytest.mark.parametrize("name", ["a", "w", "p"])
+    def test_polynomial_refuses_an_infinite_parameter_by_name(self, name):
+        kwargs = {"a": 1.0, "w": 1.0, "p": 1.0, name: math.inf}
+        with pytest.raises(ParameterError, match="finite") as excinfo:
+            StepsizeSchedule.polynomial(**kwargs)
+        assert excinfo.value.parameter == name
 
     def test_constant_validation(self):
         with pytest.raises(ValueError):
@@ -1157,7 +1165,7 @@ class TestBoundednessOracle:
         ens = costs.random_ensemble(3, 2, 1.0, seed=9)
         hom = costs.QuadraticEnsemble(ens.curvatures, np.zeros((3, 2)))
         rng = np.random.default_rng(3)
-        m = np.eye(6) - lifted.LiftedObjective(hom, mix_quarter)._stack._hessians([0.4])[0]
+        m = np.eye(6) - lifted.LiftedObjective(hom, mix_quarter)._hessians([0.4])[0]
         for _ in range(10):
             x = rng.normal(size=6)
             np.testing.assert_allclose(
