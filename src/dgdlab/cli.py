@@ -178,11 +178,14 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, out: str | None) -> int:
         "runs": summaries,
     }
     _emit_json(payload, out, "sweep_alpha_summary.json")
+    # the summary is out: it goes before the rows, so the memory that the
+    # writer's shared templates take is its, not more on top of the peak
+    del payload, summaries, verdicts
     if out is not None:
         with _open_csv(out, "sweep_alpha.csv") as handle:
             handle.write(SWEEP_ALPHA_CSV_HEADER + "\r\n")
-            for mult, record in zip(multiples, records):
-                record.write_rows(handle, ("r",), lead=f"{mult!r},")
+            leads = [f"{mult!r}," for mult in multiples]
+            simulator.write_rows(handle, zip(leads, records), ("r",))
     return EXIT_OK
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -66,10 +66,28 @@ _NONEXPANSION_TOLERANCE = 1e-9
 TRAJECTORY_CSV_HEADER = ["t", "alpha", "R", "consensus_err", "dist_lifted_min"]
 # the record's arrays behind the header's columns after t
 _CSV_COLUMNS = ("alpha", "r", "consensus_err", "dist_lifted_min")
-# Rows per write of `TrajectoryRecord.write_rows`: one %-format per block
-# leaves little but float repr per row, and a bounded block keeps the
-# block's strings out of the peak memory.
-_CSV_BLOCK = 256
+# Rows per block of `write_rows`. A block's t column, separators and row
+# ends are rendered once per call into a %-template, which every record of
+# the call that reaches the block shares, so a record's block is one % of
+# its floats and little but float repr is left per row. A bounded block
+# keeps the block's floats, as Python objects, and its text out of the peak
+# memory; the templates a call shares cover the rows once, whatever the
+# block. tracemalloc peak of the writing phase of a sweep-alpha pass (README
+# W, m = 3, n = 2, the 8 multiples 0.5-6.0 of alpha_main, horizon 1500: six
+# runs of 1501 rows and two short ones), in KB, for ensemble seeds 5, 21,
+# 22 and 11, against the phase before it (145.8, 145.1, 144.6 and 155.0):
+#
+#     rows    256     192     160     128
+#     KB      151.6   144.9   143.9   146.1   (seed 5)
+#             150.5   143.9   142.6   144.6   (seed 21)
+#             149.8   143.1   142.4   144.6   (seed 22)
+#             159.1   151.0   150.2   151.0   (seed 11)
+#
+# A text of a few KB stays pending in the file's 8 KiB write chunk until
+# the next write, which is why the peak is not monotone in the block. The
+# writing phase took 5.97 ms at 160 rows and 5.83 ms at 256 (seed 5, the
+# median of 7 rounds of the best of 30).
+_CSV_BLOCK = 160
 
 
 # nm up to which a step multiplies each row's state by its dense iteration
@@ -302,20 +320,60 @@ class TrajectoryRecord:
             "alpha0": float(self.alpha[0]),
         }
 
-    def write_rows(self, handle, columns: tuple[str, ...] = _CSV_COLUMNS, lead: str = "") -> None:
-        """Write one CSV row, `lead` then t then the named columns, per step
-        before the cutoff: a diverged run stops before its divergence step.
+    def to_csv(self, target) -> None:
+        """Write the metric columns as CSV; diverged runs truncate at divergence_step.
 
-        `columns` names float arrays of the record; a value prints as its
-        repr, and NaN as an empty cell. Rows end in CRLF and go out
-        _CSV_BLOCK at a time, each block one %-format and one write.
+        `target` is a path or an open text file. The rows are `write_rows`'
+        for this record alone, with no lead, so each block's template is
+        rendered for it and dropped after its block. Numeric columns never
+        contain non-finite values; the lifted-distance column is empty
+        where it was not tracked.
         """
-        stop = self.r.size if self.divergence_step is None else self.divergence_step
-        arrays = [getattr(self, name) for name in columns]
+        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+        handle = open(target, "w", newline="") if own else target
+        try:
+            handle.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
+            write_rows(handle, [("", self)])
+        finally:
+            if own:
+                handle.close()
+
+
+def _block_template(start: int, end: int, specs: list[str]) -> str:
+    """The rows of steps start to end - 1 as one %-template: each row is its
+    t, then a comma and the column `specs` joined by commas, then CRLF."""
+    row = "," + ",".join(specs) + "\r\n"
+    return row.join(map(str, range(start, end))) + row
+
+
+def write_rows(handle, rows, columns: tuple[str, ...] = _CSV_COLUMNS) -> None:
+    """Write one CSV row per step before each record's cutoff, for each
+    (lead, record) of `rows` in turn: `lead`, then t, then the named columns.
+
+    A diverged run stops before its divergence step. `columns` names float
+    arrays of the records; a value prints as its repr, and NaN as an empty
+    cell. Rows end in CRLF and go out _CSV_BLOCK at a time, each block one %
+    of its floats into the block's template (`_block_template`) with the
+    lead, its `%` escaped, put in front of each row, and one write.
+
+    A template is keyed by the block's range and its columns' specs (`%r`
+    for floats, empty for a blank column, `%s` for a block with blank cells
+    among its floats). It is rendered the first time a record needs it and
+    kept for the records after it only where one of them reaches that
+    block: sweep-alpha's runs share one per block, a lone record keeps
+    none, and none outlives the call.
+    """
+    rows = list(rows)
+    stops = [rec.r.size if rec.divergence_step is None else rec.divergence_step for _, rec in rows]
+    # how far the records after each one write
+    reach = list(accumulate(reversed(stops[1:] + [0]), max))[::-1]
+    templates: dict[tuple, str] = {}
+    for (lead, record), stop, further in zip(rows, stops, reach):
+        arrays = [getattr(record, name) for name in columns]
         lead = lead.replace("%", "%%")
         for start in range(0, stop, _CSV_BLOCK):
             end = min(start + _CSV_BLOCK, stop)
-            cells, specs = [range(start, end)], ["%d"]  # t is the row index
+            cells, specs = [], []
             for values in arrays:
                 block = values[start:end]
                 blank = np.isnan(block)
@@ -328,29 +386,19 @@ class TrajectoryRecord:
                     pairs = zip(blank.tolist(), block.tolist())
                     cells.append(["" if b else repr(v) for b, v in pairs])
                     specs.append("%s")
+            key = (start, end, *specs)
+            template = templates.get(key) or _block_template(start, end, specs)
+            if start < further:
+                templates[key] = template
+            if lead:  # after each row end but the block's last
+                template = lead + template.replace("\n", "\n" + lead, end - start - 1)
             # the column lists go before the text is formatted, and the
             # cells' floats before it is written, so no two are held at once
-            values = tuple(chain.from_iterable(zip(*cells)))
+            values = tuple(cells[0] if len(cells) == 1 else chain.from_iterable(zip(*cells)))
             del cells
-            text = (lead + ",".join(specs) + "\r\n") * (end - start) % values
-            del values
+            text = template % values
+            del values, template
             handle.write(text)
-
-    def to_csv(self, target) -> None:
-        """Write the metric columns as CSV; diverged runs truncate at divergence_step.
-
-        `target` is a path or an open text file. Numeric columns never
-        contain non-finite values; the lifted-distance column is empty
-        where it was not tracked.
-        """
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        handle = open(target, "w", newline="") if own else target
-        try:
-            handle.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
-            self.write_rows(handle)
-        finally:
-            if own:
-                handle.close()
 
 
 def run(
@@ -367,17 +415,47 @@ def run(
 _CHUNK = 64
 
 
+# Entries from which numpy's add.reduce sums an axis pairwise, in blocks of
+# 8; below it, it adds them left to right from 0 (numpy 2.4's pairwise_sum).
+_PAIRWISE_FROM = 8
+
+
+def _last_axis_sums(values: np.ndarray) -> np.ndarray:
+    """np.add.reduce(values, axis=-1) bit for bit where no first entry is -0.0.
+
+    Below _PAIRWISE_FROM entries it adds the slices values[..., k] in turn,
+    left to right as the reduce does, which starts from 0 where the slices
+    start from the first entry; from there on it is the reduce, which sums
+    pairwise.
+    """
+    size = values.shape[-1]
+    if size >= _PAIRWISE_FROM:
+        return np.add.reduce(values, axis=-1)
+    sums = values[..., 0].copy()
+    for k in range(1, size):
+        sums += values[..., k]
+    return sums
+
+
 def _distance_sums(states: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """R = sum_k ||x_k - x*|| over the trailing (m, n) axes.
 
     np.linalg.norm(states - x_star, axis=-1).sum(axis=-1) bit for bit, in
-    one deviation array where norm keeps a second.
+    one deviation array where norm keeps a second. The squares over n and
+    then the norms over m are summed by `_last_axis_sums`: slice by slice
+    where that axis has fewer than _PAIRWISE_FROM = 8 entries, because
+    numpy's reduce adds fewer than 8 left to right, as the slices do, and
+    by the reduce from 8 on, where numpy sums in pairs that slices would
+    not reproduce. Neither a square nor a root of a sum of squares is -0.0,
+    so both ways give the formula's bits. The slices take one numpy call
+    per entry where the reduce takes one per sum: on a 64-step chunk of 8
+    rows at (m, n) = (3, 2), 17 against 46 microseconds, the median of 2000.
     """
     dev = states - x_star
     np.multiply(dev, dev, out=dev)
-    norms = np.add.reduce(dev, axis=-1)
+    norms = _last_axis_sums(dev)
     np.sqrt(norms, out=norms)
-    return np.add.reduce(norms, axis=-1)
+    return _last_axis_sums(norms)
 
 
 def _deviations(states: np.ndarray) -> np.ndarray:

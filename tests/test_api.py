@@ -60,6 +60,8 @@ REMOVED_METHODS = {
     "separable_gradient": lifted.LiftedObjective,
     "max_r": simulator.TrajectoryRecord,  # summary_dict()["max_R"]
     "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
+    # one block writer for every record of a call: simulator.write_rows(handle, pairs)
+    "write_rows": simulator.TrajectoryRecord,
     "from_spec": simulator.StepsizeSchedule,  # config reads schedule specs
     "to_spec": simulator.StepsizeSchedule,  # ExperimentConfig.canonical()["schedule"]
     "anchors": lifted.ThresholdStack,  # the Schur edge needs no anchor

@@ -732,14 +732,19 @@ class TestSweepAlphaCommand:
         assert summary["runs"]["1.01"]["oracle"]["bounded"] is False
         assert summary["runs"]["1.02"]["oracle"]["bounded"] is False
 
-    def test_matches_one_run_per_multiple(self, tmp_path, capsys):
-        # the batched sweep reports exactly what one run per multiple would
+    @pytest.mark.parametrize(
+        "horizon",
+        sorted({1, 255, 256, 257, 600, 1500, *(simulator._CSV_BLOCK + k for k in (-2, -1, 0))}),
+    )
+    def test_matches_one_run_per_multiple(self, horizon, tmp_path, capsys):
+        # the batched sweep reports exactly what one run per multiple would,
+        # and its rows are one f-string each, on either side of a block edge
         data = {
             "ensemble": {"type": "random", "m": 3, "n": 2, "epsilon": 1.0, "seed": 5},
             "mixing": {"type": "explicit", "W": W_QUARTER},
             "sweep_base": "main",
             "alpha_multiples": [0.5, 0.9, 1.1, 4.0, 6.0],
-            "horizon": 600,
+            "horizon": horizon,
             "x0": [0.5, -1.0, 0.25, 2.0, -0.75, 1.0],
         }
         path = _write_config(tmp_path, data)
@@ -761,14 +766,14 @@ class TestSweepAlphaCommand:
             del entry["oracle"]
             assert entry == json.loads(json.dumps(record.summary_dict())), mult
             verdicts.add(record.verdict)
-            # a diverged run stops before its crossing step; 601 rows are not whole blocks
+            # a diverged run stops before its crossing step
             cutoff = record.divergence_step
             expected += "".join(
                 f"{mult!r},{t},{r!r}\r\n"
                 for t, r in zip(record.t[:cutoff].tolist(), record.r[:cutoff].tolist())
             )
         assert text == expected
-        assert verdicts == {"bounded", "diverged"}
+        assert verdicts == ({"bounded"} if horizon == 1 else {"bounded", "diverged"})
 
     def test_outputs_do_not_depend_on_record_every(self, tmp_path, capsys):
         # record_every keeps only the library's state history, which no CLI

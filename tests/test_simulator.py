@@ -504,16 +504,21 @@ def _ring(m):
     return topology.metropolis_weights(adjacency)
 
 
-def _csv_reference(record):
-    """to_csv's bytes, one row per f-string: the format the block writer must keep."""
-    cutoff = record.divergence_step
-    text = "t,alpha,R,consensus_err,dist_lifted_min\r\n"
-    for t, alpha, r, cons, dist in zip(
-        record.t[:cutoff].tolist(), record.alpha[:cutoff].tolist(), record.r[:cutoff].tolist(),
-        record.consensus_err[:cutoff].tolist(), record.dist_lifted_min[:cutoff].tolist(),
-    ):
-        text += f"{t},{alpha!r},{r!r},{cons!r},{'' if math.isnan(dist) else repr(dist)}\r\n"
+def _rows_reference(pairs, columns=("alpha", "r", "consensus_err", "dist_lifted_min")):
+    """`write_rows`' bytes for its (lead, record) pairs, one f-string per row:
+    the format the block writer must keep."""
+    text = ""
+    for lead, record in pairs:
+        cutoff = record.divergence_step
+        cells = [getattr(record, name)[:cutoff].tolist() for name in columns]
+        for t, *row in zip(record.t[:cutoff].tolist(), *cells):
+            text += f"{lead}{t}," + ",".join("" if math.isnan(v) else repr(v) for v in row) + "\r\n"
     return text
+
+
+def _csv_reference(record):
+    """to_csv's bytes: the header, then the record's rows with no lead."""
+    return "t,alpha,R,consensus_err,dist_lifted_min\r\n" + _rows_reference([("", record)])
 
 
 class TestRunBatch:
@@ -821,6 +826,39 @@ class TestRunBatch:
                 # every state, up to the crossing or the horizon
                 assert np.array_equal(rec.states, np.array(states))
 
+    @pytest.mark.parametrize("side", _SIDES)
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (7, 8, 9) for n in (7, 8, 9)])
+    def test_distance_sums_match_the_per_run_loop_on_both_sides_of_pairwise(
+        self, m, n, side, monkeypatch
+    ):
+        # R(t) sums the squares over n and the norms over m slice by slice
+        # below 8 entries and by numpy's pairwise reduce from 8 on
+        # (`simulator._PAIRWISE_FROM`): each side of both switches, on each
+        # step form, in a batch of 8 rows and of 1, with a row that crosses
+        # the threshold inside the first chunk
+        assert simulator._PAIRWISE_FROM == 8
+        monkeypatch.setattr(simulator, "_DENSE_NM", m * n if side == "dense" else 0)
+        ens, mix = costs.random_ensemble(m, n, 2.0, seed=2), _ring(m)
+        base = m * bounds.lambda_min_bound(mix.spectral.lambda_min, ens.smoothness_constant())
+        steep = StepsizeSchedule.constant(40.0 * base)
+        x0 = np.linspace(3.0, -3.0, m * n)
+        horizon = simulator._CHUNK + 6
+        crossing = simulator._CHUNK // 2
+        growth, _ = _per_run_loop(ens, mix, steep, x0, horizon, math.inf)
+        threshold = float(np.max(growth[:crossing]))  # R(t) first exceeds it at `crossing`
+        schedules = [steep] + [StepsizeSchedule.constant(k * base) for k in (0.1, 0.5, 0.9)] + [
+            StepsizeSchedule.polynomial(a=k * base, p=0.5) for k in (0.2, 0.6, 1.0, 2.0)
+        ]
+        loops = [_per_run_loop(ens, mix, s, x0, horizon, threshold) for s in schedules]
+        assert loops[0][1] == crossing
+        for size in (8, 1):
+            batch = simulator.run_batch(
+                ens, mix, schedules[:size], x0=x0, horizon=horizon,
+                divergence_threshold=threshold, consensus=False,
+            )
+            for rec, (r, stop) in zip(batch, loops):
+                assert np.array_equal(rec.r, r) and rec.divergence_step == stop
+
     @pytest.mark.parametrize("m, n", [(3, 2), (12, 1), (9, 9), (50, 6), (8, 2)])
     def test_metrics_equal_the_per_step_formulas(self, m, n):
         # R(t) and consensus are taken once per chunk of states; on every state
@@ -852,28 +890,61 @@ class TestRunBatch:
             assert np.array_equal(rec.r, r)
             assert np.array_equal(rec.consensus_err, cons)
 
-    def test_csv_rows_keep_the_per_row_format(self, mix_quarter):
-        # the block writer's bytes against one f-string per row: CRLF endings,
-        # 601 and 451 rows (not whole blocks), blank distance cells next to
-        # filled ones in one block, all-blank cells, and a diverged run cut
-        # off at its divergence step
+    @pytest.mark.parametrize(
+        "horizon", sorted({1, 255, 256, 257, 1500, *(simulator._CSV_BLOCK + k for k in (-2, -1, 0))})
+    )
+    def test_csv_rows_keep_the_per_row_format(self, horizon, mix_quarter):
+        # to_csv's bytes against one f-string per row, on either side of a
+        # block edge (horizon _CSV_BLOCK - 1 writes exactly one block): CRLF
+        # endings, blank distance cells next to filled ones in one block,
+        # all-blank cells, and a run diverged at step 36 cut off there
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
         uncertified_first = StepsizeSchedule.polynomial(a=4.0, p=0.5)  # alpha_A is 2.53
-        assert math.isnan(simulator.run(
-            ens, mix_quarter, uncertified_first, horizon=1, lifted_distance=obj,
-        ).dist_lifted_min[0])
         records = simulator.run_batch(
             ens, mix_quarter,
             [uncertified_first, StepsizeSchedule.constant(0.3), StepsizeSchedule.constant(2.0)],
-            x0=np.linspace(-1.0, 1.0, 6), horizon=600, lifted_distance=obj,
+            x0=np.linspace(-1.0, 1.0, 6), horizon=horizon, lifted_distance=obj,
         )
-        records.append(simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=450))
-        assert [rec.verdict for rec in records] == ["bounded", "bounded", "diverged", "bounded"]
+        records.append(simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=horizon))
         dist = records[0].dist_lifted_min
-        assert np.isnan(dist[0]) and np.isfinite(dist[-1])
+        assert np.isnan(dist[0]) and (horizon < 2 or np.isfinite(dist[-1]))
+        assert records[2].divergence_step == (36 if horizon >= 36 else None)
         for rec in records:
             assert _csv_text(rec) == _csv_reference(rec)
+
+    def test_one_call_writes_many_records_in_the_per_row_format(self, mix_quarter):
+        # one write_rows call over (lead, record) pairs, as sweep-alpha makes
+        # it, against one f-string per row: runs cut off exactly at a block
+        # edge and inside a block, blocks whose distance cells are blank, all
+        # or some, at the same steps as full ones (so their templates differ),
+        # and leads that hold `%`
+        block = simulator._CSV_BLOCK
+        ens = costs.random_ensemble(3, 2, 1.0, seed=5)
+        obj = lifted.LiftedObjective(ens, mix_quarter)
+        steep = StepsizeSchedule.constant(1.5)  # R(t) grows at every step from t = 3
+        growth = simulator.run(
+            ens, mix_quarter, steep, horizon=3 * block, divergence_threshold=math.inf
+        ).r
+        records = []
+        for crossing in (block, block + 7, 2 * block):
+            (rec,) = simulator.run_batch(
+                ens, mix_quarter, [steep], horizon=3 * block,
+                divergence_threshold=float(growth[crossing - 1]), lifted_distance=obj,
+            )
+            assert rec.divergence_step == crossing
+            records.append(rec)
+        records += simulator.run_batch(
+            ens, mix_quarter,
+            [StepsizeSchedule.polynomial(a=4.0, p=0.5), StepsizeSchedule.constant(0.3)],
+            horizon=2 * block + 10, lifted_distance=obj,
+        )
+        records.append(simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=block))
+        pairs = list(zip(["", "0.5,", "100%,", "%d%%,", "%", "a,%s,"], records))
+        for columns in (("r",), simulator._CSV_COLUMNS):  # sweep-alpha's and to_csv's
+            buf = io.StringIO()
+            simulator.write_rows(buf, pairs, columns)
+            assert buf.getvalue() == _rows_reference(pairs, columns)
 
     def test_batch_of_one_is_run(self, mix_quarter):
         ens = _skewed_random(5)
