@@ -826,6 +826,20 @@ class TestRunBatch:
                 # every state, up to the crossing or the horizon
                 assert np.array_equal(rec.states, np.array(states))
 
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_last_axis_sums_are_numpys_reduce(self, size):
+        # the slices reproduce numpy's own summation order for a short axis,
+        # which numpy does not document: if a numpy release changes it, this
+        # names the cause before any R(t) or golden bit moves
+        values = np.random.default_rng(size).standard_normal((64, 8, 3, size))
+        assert np.array_equal(
+            simulator._last_axis_sums(values), np.add.reduce(values, axis=-1)
+        ), (
+            f"numpy {np.__version__} sums {size} entries in another order than "
+            f"simulator._last_axis_sums assumes below _PAIRWISE_FROM = "
+            f"{simulator._PAIRWISE_FROM}"
+        )
+
     @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("m, n", [(m, n) for m in (7, 8, 9) for n in (7, 8, 9)])
     def test_distance_sums_match_the_per_run_loop_on_both_sides_of_pairwise(
@@ -891,13 +905,15 @@ class TestRunBatch:
             assert np.array_equal(rec.consensus_err, cons)
 
     @pytest.mark.parametrize(
-        "horizon", sorted({1, 255, 256, 257, 1500, *(simulator._CSV_BLOCK + k for k in (-2, -1, 0))})
+        "horizon",
+        sorted({1, 255, 256, 257, 450, 600, 1500, *(simulator._CSV_BLOCK + k for k in (-2, -1, 0))}),
     )
     def test_csv_rows_keep_the_per_row_format(self, horizon, mix_quarter):
         # to_csv's bytes against one f-string per row, on either side of a
         # block edge (horizon _CSV_BLOCK - 1 writes exactly one block): CRLF
         # endings, blank distance cells next to filled ones in one block,
-        # all-blank cells, and a run diverged at step 36 cut off there
+        # all-blank cells, bounded runs that write every row, and a run
+        # diverged at step 36 cut off there
         ens = costs.random_ensemble(3, 2, 1.0, seed=5)
         obj = lifted.LiftedObjective(ens, mix_quarter)
         uncertified_first = StepsizeSchedule.polynomial(a=4.0, p=0.5)  # alpha_A is 2.53
@@ -909,7 +925,14 @@ class TestRunBatch:
         records.append(simulator.run(ens, mix_quarter, StepsizeSchedule.constant(0.3), horizon=horizon))
         dist = records[0].dist_lifted_min
         assert np.isnan(dist[0]) and (horizon < 2 or np.isfinite(dist[-1]))
-        assert records[2].divergence_step == (36 if horizon >= 36 else None)
+        crossed = horizon >= 36
+        assert [rec.verdict for rec in records] == [
+            "bounded", "bounded", "diverged" if crossed else "bounded", "bounded"
+        ]
+        stop = 36 if crossed else None
+        assert [rec.divergence_step for rec in records] == [None, None, stop, None]
+        rows = horizon + 1
+        assert [rec.t.size for rec in records] == [rows, rows, 37 if crossed else rows, rows]
         for rec in records:
             assert _csv_text(rec) == _csv_reference(rec)
 
