@@ -303,6 +303,11 @@ def parse_config(
         raise ConfigError("divergence_threshold must be positive")
     if any(mult <= 0 for mult in cfg.alpha_multiples):
         raise ConfigError("alpha multiples must all be positive")
+    # sweep-alpha's summary keys each run by its multiple
+    ordered = sorted(cfg.alpha_multiples)
+    repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+    if repeated:
+        raise ConfigError(f"alpha multiples must be distinct, got {repeated} more than once")
     if any(eps < 0 for eps in cfg.epsilons):
         raise ConfigError("epsilon values must be nonnegative")
     if cfg.sweep_base not in ("alpha_A", "main"):

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,6 +44,28 @@ def _write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _scaled_readme(scale):
+    """README's seed-5 config with every A_k and b_k times `scale`, as an explicit ensemble."""
+    readme = costs.random_ensemble(3, 2, 1.0, seed=5)
+    instance = [
+        {"A": (scale * a).tolist(), "b": (scale * b).tolist()}
+        for a, b in zip(readme.curvatures, readme.linear_terms)
+    ]
+    return {
+        "ensemble": {"type": "explicit", "costs": instance},
+        "mixing": {"type": "explicit", "W": W_QUARTER},
+    }
+
+
+def _unconfirmed_edge(err):
+    """The Schur edge, as printed, that a one-line certification failure names."""
+    line = re.fullmatch(
+        r"error: .* does not confirm the Schur edge (\S+) to a relative 1e-09\n", err
+    )
+    assert line, err
+    return line.group(1)
 
 
 @pytest.fixture
@@ -192,6 +219,7 @@ class TestConfigParsing:
             (("schedule",), {"type": "polynomial", "a": 0.3, "w": 0.5}, "schedule.w:"),
             (("schedule",), {"type": "polynomial", "a": 0.3, "p": 2.0}, "schedule.p:"),
             (("schedule", "alpha"), 0, "schedule.alpha:"),
+            (("record_every",), 10, "record_every"),  # a run keeps every state or none
         ],
     )
     def test_mistyped_or_unknown_nested_values_exit_2_naming_their_path(
@@ -288,6 +316,16 @@ class TestConfigParsing:
         cfg = parse_config(data, seed_override=9)
         assert cfg.ensemble_spec["seed"] == 9
 
+    def test_absent_record_every_runs_without_states(self, random_config):
+        # a config's record_every is what run takes, so a library pipeline
+        # can pass it on: absent, it is None (no states)
+        cfg = config.load_config(random_config)
+        record = simulator.run(
+            cfg.ensemble, cfg.mixing, simulator.StepsizeSchedule.constant(0.3), horizon=50,
+            record_every=cfg.record_every,
+        )
+        assert cfg.record_every is None and record.states.shape == (0, 6)
+
 
 class TestBoundsCommand:
     def test_planted_instance_values(self, planted_config, capsys):
@@ -353,19 +391,13 @@ class TestBoundsCommand:
     def test_readme_instance_at_any_scale(self, k, tmp_path, capsys):
         # README's instance with every A_k and b_k times 4^k, exact in binary:
         # x* is the same, so alpha_S scales by 4^-k and the radius not at all
-        # (at 4^256, mu L overflowed and alpha_S was NaN, which the radius refused)
-        readme = costs.random_ensemble(3, 2, 1.0, seed=5)
-
+        # (at 4^256, mu L overflowed and alpha_S was NaN, which the radius
+        # refused); the bounds are evaluated in L's binary unit, so no product
+        # overflows, and a sweep runs too
         def report(scale):
-            instance = [
-                {"A": (scale * a).tolist(), "b": (scale * b).tolist()}
-                for a, b in zip(readme.curvatures, readme.linear_terms)
-            ]
-            data = {
-                "ensemble": {"type": "explicit", "costs": instance},
-                "mixing": {"type": "explicit", "W": W_QUARTER},
-            }
-            path = _write_config(tmp_path, data, f"scale_{scale!r}.json")
+            path = _write_config(tmp_path, _scaled_readme(scale), f"scale_{scale!r}.json")
+            assert cli.main(["sweep-alpha", "--config", path, "--horizon", "50"]) == 0
+            assert capsys.readouterr().err == ""
             assert cli.main(["bounds", "--config", path]) == 0
             captured = capsys.readouterr()
             assert captured.err == ""
@@ -396,11 +428,14 @@ class TestBoundsCommand:
         assert report["alpha_L"] == pytest.approx(1.25e300)
         # the Schur edge, 2.25e300, is the closed form 3 (2L - epsilon) / (4 L
         # epsilon), but at mu / L = 1e-20 the sign of H's smallest eigenvalue
-        # does not confirm it, and the command exits 3
+        # does not confirm it, and the command exits 3 naming the edge it
+        # computed (whose last bit the OpenBLAS kernel decides)
         assert cli.main(["bounds", "--config", _write_config(tmp_path, data)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert "does not confirm the Schur edge 2.25e+300" in captured.err
+        edge = _unconfirmed_edge(captured.err)
+        assert edge == repr(float(lifted.LiftedObjective(instance, mixing)._edges[0]))
+        assert float(edge) == pytest.approx(2.25e300, rel=1e-15)
 
     def test_bad_config_exits_2(self, tmp_path):
         path = _write_config(tmp_path, {"ensemble": {"type": "nope"}})
@@ -438,6 +473,25 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["radius_R"] == 3.04138126514911e200
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_curvatures_near_1e_13_run_clean(self, command, tmp_path, capsys):
+        # A_k = 1e-13 I_2: the aggregate's positive smallest eigenvalue
+        # decides that x* exists, in any units
+        agents = [
+            {"A": [[1e-13, 0.0], [0.0, 1e-13]], "b": b}
+            for b in ([1.0, -2.0], [0.5, 3.0], [-1.0, 0.25])
+        ]
+        data = {
+            "ensemble": {"type": "explicit", "costs": agents},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "schedule": {"type": "constant", "alpha": 0.5},
+            "horizon": 50,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--config", _write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
     def test_gradient_bound_at_the_float_range(self, command, tmp_path, capsys):
@@ -604,7 +658,7 @@ class TestSimulateCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().err == ""
         cfg = parse_config(self.OVERFLOW_CONFIG)
         consensus = np.tile(cfg.ensemble.aggregate_minimizer(), 3)
         objective = lifted.LiftedObjective(cfg.ensemble, cfg.mixing)
@@ -677,21 +731,42 @@ class TestSimulateCommand:
 
     def test_polynomial_schedule_has_no_oracle(self, tmp_path, capsys):
         # the oracle is the constant-stepsize one: a polynomial schedule's
-        # summary has none, and its alpha cells are a / (t + w) ** p
+        # summary has none, with or without the lifted distance, and its
+        # alpha cells are a / (t + w) ** p
+        for track_lifted in (False, True):
+            data = {
+                "ensemble": README_ENSEMBLE,
+                "mixing": {"type": "explicit", "W": W_QUARTER},
+                "schedule": {"type": "polynomial", "a": 0.3, "w": 1, "p": 0.5},
+                "horizon": 50,
+                "track_lifted": track_lifted,
+            }
+            out = tmp_path / f"sim_{track_lifted}"
+            path = _write_config(tmp_path, data)
+            assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert "oracle" not in json.loads((out / "summary.json").read_text())
+            with open(out / "trajectory.csv", newline="") as handle:
+                cells = [row["alpha"] for row in csv.DictReader(handle)]
+            assert cells[:2] == ["0.3", "0.21213203435596423"], track_lifted
+            assert [float(cell) for cell in cells] == [0.3 / (t + 1) ** 0.5 for t in range(51)]
+
+    def test_consensus_of_deviations_whose_squares_underflow(self, tmp_path, capsys):
+        # deviations of +-1e-200 from agents at 1: their squares underflow,
+        # and the consensus rescue takes them in their own binary unit, so
+        # consensus_err(0) is sqrt(2) 1e-200, not 0
         data = {
-            "ensemble": README_ENSEMBLE,
+            "ensemble": _explicit({"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}),
             "mixing": {"type": "explicit", "W": W_QUARTER},
-            "schedule": {"type": "polynomial", "a": 0.3, "w": 1, "p": 0.5},
-            "horizon": 50,
+            "schedule": {"type": "constant", "alpha": 0.1},
+            "horizon": 3,
+            "x0": [1.0, 1e-200, 1.0, -1e-200, 1.0, 0.0],
         }
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        assert "oracle" not in json.loads((out / "summary.json").read_text())
-        with open(out / "trajectory.csv", newline="") as handle:
-            cells = [row["alpha"] for row in csv.DictReader(handle)]
-        assert cells[:2] == ["0.3", "0.21213203435596423"]
-        assert [float(cell) for cell in cells] == [0.3 / (t + 1) ** 0.5 for t in range(51)]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[1] == "0,0.1,3.0,1.414213562373095e-200,"
 
     def test_horizon_override(self, random_config, capsys):
         assert cli.main(["simulate", "--config", random_config, "--horizon", "37"]) == 0
@@ -836,21 +911,12 @@ class TestSweepAlphaCommand:
     @pytest.mark.parametrize("j", [-150, -7, 7, 150])
     def test_units_scale_alpha_a_and_keep_every_verdict(self, j, tmp_path, capsys):
         # README's instance with every A_k and b_k times 4^j, exact in binary:
-        # alpha_A and the sweep's base scale by 4^-j exactly, and each run
-        # takes the same states, so its verdict, divergence step, max_R and
-        # oracle radius are the same
-        readme = costs.random_ensemble(3, 2, 1.0, seed=5)
-
+        # alpha_A and the sweep's base scale by 4^-j exactly (at j = -7, with
+        # bounds_readme5.json's alpha_A, 41420.51381689812, a number, not
+        # "inf"), and each run takes the same states, so its verdict,
+        # divergence step, max_R and oracle radius are the same
         def outputs(scale):
-            instance = [
-                {"A": (scale * a).tolist(), "b": (scale * b).tolist()}
-                for a, b in zip(readme.curvatures, readme.linear_terms)
-            ]
-            data = {
-                "ensemble": {"type": "explicit", "costs": instance},
-                "mixing": {"type": "explicit", "W": W_QUARTER},
-                "horizon": 200,
-            }
+            data = dict(_scaled_readme(scale), horizon=200)
             path = _write_config(tmp_path, data, f"scale_{scale!r}.json")
             results = []
             for command in ("bounds", "sweep-alpha"):
@@ -889,6 +955,48 @@ class TestSweepAlphaCommand:
         assert cli.main(["sweep-alpha", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "stepsize" in err
+
+    def test_repeated_multiple_exits_2(self, tmp_path, capsys):
+        # the summary keys each run by its multiple: a repeated one would
+        # leave one run there and both in the CSV
+        data = {
+            "ensemble": README_ENSEMBLE,
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "alpha_multiples": [0.5, 2.0, 0.5],
+        }
+        out = tmp_path / "out"
+        argv = ["sweep-alpha", "--config", _write_config(tmp_path, data), "--horizon", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: alpha multiples must be distinct, got [0.5] more than once\n"
+
+    def test_structured_ring_of_80_agents_matches_its_oracle(self, tmp_path, capsys):
+        # an 80-agent Metropolis ring with n = 2 (nm = 160) is stepped
+        # structured, past the dense step's crossover at nm = 8: each run's
+        # verdict is its oracle's, at multiples of alpha_main far from the
+        # edge; 1000x and 150x diverge in different chunks, so the rows left
+        # get a structured operator of their own twice
+        m = 80
+        ring = [[int((i - j) % m in (1, m - 1)) for j in range(m)] for i in range(m)]
+        data = {
+            "ensemble": {"type": "random", "m": m, "n": 2, "epsilon": 2.0, "seed": 2},
+            "mixing": {"type": "metropolis", "adjacency": ring},
+            "sweep_base": "main",
+            "alpha_multiples": [0.5, 4.0, 150.0, 1000.0],
+            "horizon": 200,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["sweep-alpha", "--config", _write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs = json.loads(captured.out)["runs"]
+        verdicts = {mult: (run["verdict"], run["oracle"]["bounded"]) for mult, run in runs.items()}
+        assert verdicts == {
+            "0.5": ("bounded", True), "4.0": ("bounded", True),
+            "150.0": ("diverged", False), "1000.0": ("diverged", False),
+        }
 
     def test_nonpositive_multiple_rejected(self, tmp_path):
         path = _write_config(
@@ -967,7 +1075,13 @@ class TestSweepEpsilonCommand:
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert "does not confirm the Schur edge 2.25e+300" in captured.err
+        stack = lifted.ThresholdStack(
+            costs.epsilon_family(1e-300, 1e-320, data["epsilons"]),
+            config.mixing_from_spec(data["mixing"]),
+        )
+        edge = _unconfirmed_edge(captured.err)
+        assert edge == repr(float(stack._edges[1]))  # the row of epsilon = 5e-301
+        assert float(edge) == pytest.approx(2.25e300, rel=1e-15)
         # at epsilon = 0 every agent is positive definite and every stepsize certifies
         data["epsilons"] = [0.0]
         assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
@@ -1004,6 +1118,21 @@ class TestSweepEpsilonCommand:
                 assert line.split(",")[2:] == cells, (big_l, mu, eps)
             rows += len(lines)
         assert rows == 20115
+
+    def test_planted_family_at_1e200_writes_no_nan(self, tmp_path, capsys):
+        # at L = 1e200, mu = 1e199 every cell is a number, none nan
+        data = {
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "L": 1e200,
+            "mu": 1e199,
+            "epsilons": [0.0, 1e199, 1e200],
+        }
+        assert cli.main(["sweep-epsilon", "--config", _write_config(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert len(rows) == 3
+        assert not any(math.isnan(float(cell)) for row in rows for cell in row)
 
     def test_mixing_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         mixing = {"type": "explicit", "W": [[0.5, 0.5], [0.5, 0.5]]}
@@ -1105,8 +1234,9 @@ class TestSweepEpsilonCommand:
             tmp_path, {"mixing": {"type": "explicit", "W": W_QUARTER}, "L": 1e12, "mu": 1e-12}
         )
         assert cli.main(["sweep-epsilon", "--config", path]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "does not confirm the Schur edge" in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "does not confirm the Schur edge" in captured.err
 
     def test_unconfirmed_edge_is_named(self, tmp_path, capsys):
         # at epsilon 5.5 the Schur edge lies within 6e-6 of the planted 1.5/5.5,
@@ -1267,7 +1397,6 @@ def test_lifted_eigensolves_only_finite_exactly_symmetric_matrices(tmp_path, mon
 
     monkeypatch.setattr(lifted, "_eigensolve", checked)
     mixing = {"type": "explicit", "W": W_QUARTER}
-    readme5 = costs.random_ensemble(3, 2, 1.0, seed=5)
     runs = [
         (command, {"ensemble": dict(README_ENSEMBLE, seed=seed), "mixing": mixing})
         for seed in range(200)
@@ -1276,11 +1405,7 @@ def test_lifted_eigensolves_only_finite_exactly_symmetric_matrices(tmp_path, mon
     runs += [TestGoldenOutputs.CASES["bounds_ring8"][:2]]
     runs += [("sweep-epsilon", {"mixing": mixing, "epsilons": BENCH_EPSILONS})]
     for k in (-150, -7, 7, 150):
-        costs_k = [
-            {"A": (4.0**k * a).tolist(), "b": (4.0**k * b).tolist()}
-            for a, b in zip(readme5.curvatures, readme5.linear_terms)
-        ]
-        spec = {"ensemble": {"type": "explicit", "costs": costs_k}, "mixing": mixing}
+        spec = _scaled_readme(4.0**k)
         track = dict(spec, schedule={"type": "constant", "alpha": 0.5 * 4.0**-k}, track_lifted=True)
         runs += [("bounds", spec), ("sweep-alpha", spec), ("simulate", track)]
     codes = [
@@ -1532,9 +1657,6 @@ def test_unwritable_output_file_exits_4(planted_config, tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     path = _write_config(tmp_path, {"type": "explicit", "W": W_QUARTER}, name="w.json")
     proc = subprocess.run(
         [sys.executable, "-m", "dgdlab", "validate-topology", "--config", path],
@@ -1542,6 +1664,82 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lambda_min"] == pytest.approx(0.25, abs=1e-10)
+
+
+class TestUnderAnAddressSpaceCap:
+    """A run holds the cells its rows reach, not its horizon: each command runs
+    in a child process whose address space is capped, as `ulimit -v` caps it,
+    with single-threaded BLAS as the benchmark pins it. The cap limits that
+    child only; the child imports the dgdlab this process imported."""
+
+    README = {"ensemble": README_ENSEMBLE, "mixing": {"type": "explicit", "W": W_QUARTER}}
+
+    @staticmethod
+    def run(args, kib):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (kib * 1024, kib * 1024))
+
+        package = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        )
+        return subprocess.run(
+            [sys.executable, *args], env=env, preexec_fn=cap, capture_output=True, text=True
+        )
+
+    def test_sweep_epsilon_of_20000_rows_in_500_mb(self, tmp_path):
+        # sweep-epsilon certifies its epsilons a block at a time and keeps one
+        # float per epsilon between blocks, so the block, not the epsilon
+        # count, sets its memory: the benchmark's 100 epsilons repeated 200 times
+        data = {"mixing": self.README["mixing"], "epsilons": BENCH_EPSILONS * 200}
+        out = tmp_path / "out"
+        argv = ["-m", "dgdlab", "sweep-epsilon", "--config", _write_config(tmp_path, data)]
+        proc = self.run([*argv, "--out", str(out)], 500_000)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len((out / "sweep_epsilon.csv").read_text().splitlines()) == 20001
+
+    def test_sweep_alpha_at_the_longest_horizon_in_2_gb(self, tmp_path):
+        # README's default sweep diverges at every multiple within 120 steps,
+        # so the longest legal horizon runs to completion (a tracemalloc peak
+        # of about 1.2 MB)
+        out = tmp_path / "out"
+        argv = ["-m", "dgdlab", "sweep-alpha", "--config", _write_config(tmp_path, self.README)]
+        proc = self.run([*argv, "--horizon", "1000000000", "--out", str(out)], 2_000_000)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (out / "sweep_alpha.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "multiples, horizon",
+        [([0.5, 0.95, 0.99, 1.01, 1.02], 30_000_000), ([1.02], 60_000_000)],
+        ids=["five-at-3e7", "one-at-6e7"],
+    )
+    def test_sweep_alpha_keeps_r_alone_in_500_mb(self, multiples, horizon, tmp_path):
+        # a sweep keeps R(t) alone, 8 bytes per step reached and stepsize, and
+        # README's instance diverges at each of these multiples of alpha_A
+        # within 120 steps (1.02 at step 27): whole-horizon histories took
+        # about 1.2 GB at five stepsizes and 3e7 steps, and 480 MB of R alone
+        # at one stepsize and 6e7 steps
+        data = dict(self.README, sweep_base="alpha_A", alpha_multiples=multiples)
+        argv = ["-m", "dgdlab", "sweep-alpha", "--config", _write_config(tmp_path, data)]
+        proc = self.run([*argv, "--horizon", str(horizon)], 500_000)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_every_state_of_a_diverging_run_in_500_mb(self):
+        # record_every=1 keeps the states a run reaches, as it keeps every
+        # metric: README's instance at alpha = 4.0 diverges at step 19, where
+        # a state history allocated for the whole horizon took 4.47 GiB
+        script = (
+            "import numpy as np\n"
+            "from dgdlab import StepsizeSchedule, random_ensemble, run, validate_mixing\n"
+            f"mixing = validate_mixing(np.array({W_QUARTER}))\n"
+            "rec = run(random_ensemble(3, 2, 1.0, seed=5), mixing, StepsizeSchedule.constant(4.0),\n"
+            "          horizon=10**8, record_every=1)\n"
+            "print(rec.divergence_step, rec.states.shape)\n"
+        )
+        proc = self.run(["-c", script], 500_000)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "19 (20, 6)\n")
 
 
 def test_help_epilog_quotes_each_csv_header():
