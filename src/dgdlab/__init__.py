@@ -14,8 +14,7 @@ from importlib import import_module
 # the public names, each under the module that defines it
 _EXPORTS = {
     "bounds": (
-        "BoundReport", "build_report", "classical_gd_bound", "harmonic_rate",
-        "lambda_min_bound", "spectral_gap_bound", "trajectory_radius",
+        "BoundReport", "build_report", "lambda_min_bound", "trajectory_radius",
     ),
     "config": ("StepsizeSchedule", "ensemble_from_spec", "mixing_from_spec"),
     "costs": ("QuadraticEnsemble", "epsilon_example", "random_ensemble"),

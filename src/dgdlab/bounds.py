@@ -1,8 +1,9 @@
 """Stepsize bounds and the trajectory radius constant.
 
-All bound formulas take plain scalars so each can be checked against known
-values in isolation; `stepsize_bounds` says which of them an instance (or an
-array of them) has, and `build_report` adds alpha_A, the radius and a sweep's base stepsize.
+`stepsize_bounds` is the one evaluator of the comparison bounds alpha_gd, eta
+and alpha_S: it takes them in L's `binary_unit`, on scalars or on arrays of L
+and mu, and says which of them an instance has; `lambda_min_bound` gives
+alpha_L alone. `build_report` adds alpha_A, the radius and a sweep's base stepsize.
 
 alpha_A is on the engine's alpha/m axis. alpha_gd, alpha_L, alpha_S and the
 radius's alpha0 are per-agent stepsizes a, as in the paper's update
@@ -23,13 +24,6 @@ from .numerics import binary_unit, norm, render_float
 from .topology import MixingMatrix
 
 
-def classical_gd_bound(mu: float, smooth: float) -> float:
-    """Single-agent gradient-descent stability bound 2 / (mu + L), a per-agent stepsize."""
-    if not (0 < mu <= smooth):
-        raise ValueError("requires 0 < mu <= L")
-    return 2.0 / (mu + smooth)
-
-
 def lambda_min_bound(lambda_min: float, smooth: float) -> float:
     """Stepsize bound (1 + lambda_min(W)) / L tied to the mixing spectrum floor,
     a per-agent stepsize: m times it on the engine's alpha/m axis."""
@@ -40,21 +34,14 @@ def lambda_min_bound(lambda_min: float, smooth: float) -> float:
     return (1.0 + lambda_min) / smooth
 
 
-def harmonic_rate(mu: float, smooth: float) -> float:
-    """eta = mu * L / (mu + L)."""
-    if not (0 < mu <= smooth):
-        raise ValueError("requires 0 < mu <= L")
-    return mu * smooth / (mu + smooth)
-
-
-def spectral_gap_bound(mu: float, smooth: float, beta: float) -> float:
-    """Stepsize bound eta * (1 - beta) / (L * (eta + L)) from the spectral gap,
-    a per-agent stepsize (Yuan, Ling & Yin): m times it on the alpha/m axis.
-    `harmonic_rate` checks mu, before beta is checked."""
-    eta = harmonic_rate(mu, smooth)
-    if not (0 < beta < 1):
-        raise ValueError("beta must lie in (0, 1)")
-    return eta * (1.0 - beta) / (smooth * (eta + smooth))
+def _in_unit(smooth, mu, beta: float) -> tuple:
+    """(unit, L, mu, eta, gap): L's `binary_unit`, then L and mu divided by it,
+    eta = mu L / (mu + L) and the spectral-gap bound eta (1 - beta) / (L (eta + L))
+    of Yuan, Ling & Yin, both in that unit. Unchecked, and elementwise on arrays."""
+    unit = binary_unit(smooth)
+    smooth, mu = smooth / unit, mu / unit
+    eta = mu * smooth / (mu + smooth)
+    return unit, smooth, mu, eta, eta * (1.0 - beta) / (smooth * (eta + smooth))
 
 
 def _smoothness_and_mu(ensemble: QuadraticEnsemble) -> tuple[float, float]:
@@ -78,11 +65,12 @@ def trajectory_radius(
              sqrt(m) * D * alpha0 / (eta*(1-beta)/L - (eta+L)*alpha0) ).
 
     eta comes from the aggregate strong-convexity constant mu, clamped to L, and
-    every term is evaluated in L's `binary_unit`, its norms by `numerics.norm`.
-    Raises RadiusUndefinedError when alpha0 is at or above the spectral-gap
-    bound: the third denominator is nonpositive, or alpha0 reaches
-    `spectral_gap_bound`'s own expression (at that bound the denominator
-    rounds to either sign of one ulp).
+    every term is evaluated in L's `binary_unit` (`_in_unit` takes L, mu, eta
+    and the gap bound in it), its norms by `numerics.norm`. Raises ValueError
+    unless 0 < mu <= L in that unit, and RadiusUndefinedError when alpha0 is
+    at or above the spectral-gap bound: the third denominator is nonpositive,
+    or alpha0 reaches the gap bound (at that bound the denominator rounds to
+    either sign of one ulp).
     """
     x0 = np.asarray(x0, dtype=float)
     m, n = ensemble.m, ensemble.n
@@ -90,13 +78,14 @@ def trajectory_radius(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({m * n},)")
     if not alpha0 > 0:  # nan too, which would drop out of the max below
         raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
-    smooth, mu = _smoothness_and_mu(ensemble)
-    unit = float(binary_unit(smooth))
-    smooth, mu, scaled_alpha0 = smooth / unit, mu / unit, alpha0 * unit
-    eta = harmonic_rate(mu, smooth)
     beta = mixing.spectral.beta
+    with np.errstate(all="ignore"):  # a mu refused below can divide 0 by 0
+        unit, smooth, mu, eta, gap = map(float, _in_unit(*_smoothness_and_mu(ensemble), beta))
+    if not (0 < mu <= smooth):
+        raise ValueError("requires 0 < mu <= L")
+    scaled_alpha0 = alpha0 * unit
     denom = eta * (1.0 - beta) / smooth - (eta + smooth) * scaled_alpha0
-    if denom <= 0 or scaled_alpha0 >= eta * (1.0 - beta) / (smooth * (eta + smooth)):
+    if denom <= 0 or scaled_alpha0 >= gap:
         raise RadiusUndefinedError(
             f"radius undefined at alpha0={alpha0:g}: stepsize is not below the spectral-gap bound"
         )
@@ -121,12 +110,9 @@ def stepsize_bounds(lambda_min: float, beta: float, smooth, mu) -> tuple:
     """
     with np.errstate(all="ignore"):  # Python floats round alike, with no warning
         alpha_l = lambda_min_bound(lambda_min, smooth)
-        unit = binary_unit(smooth)
-        smooth, mu = smooth / unit, mu / unit
+        unit, smooth, mu, eta, gap = _in_unit(smooth, mu, beta)
         present = (0 < mu) & (mu <= smooth)
-        # `harmonic_rate`, `spectral_gap_bound` and `classical_gd_bound`, unchecked
-        eta = mu * smooth / (mu + smooth)
-        gap = eta * (1.0 - beta) / (smooth * (eta + smooth)) if 0 < beta < 1 else math.nan
+        gap = gap if 0 < beta < 1 else math.nan
         alpha_gd, eta, alpha_s = (
             np.where(present & (0 < v) & (v < math.inf), v, math.nan)
             for v in (2.0 / (mu + smooth) / unit, eta * unit, gap / unit)
@@ -182,7 +168,7 @@ def build_report(
     the bracket's width hi - lo (a relative 1e-9 on each side of the edge),
     null where alpha_A is inf. The radius uses x0 = 0 and alpha0 =
     half the spectral-gap bound; it is omitted (None) when the gap bound
-    itself is absent.
+    itself is absent or its half rounds to 0.
     """
     summary = mixing.spectral
     alpha_gd, alpha_l, eta, alpha_s = stepsize_bounds(
@@ -190,12 +176,11 @@ def build_report(
     )
 
     radius = None
-    if alpha_s is not None:
+    alpha0 = 0.5 * (alpha_s or 0.0)  # 0 where alpha_S is absent or the smallest subnormal
+    if alpha0 > 0:
         # a term past the float range makes the radius inf, with no numpy warning
         with suppress(RadiusUndefinedError), np.errstate(over="ignore", invalid="ignore"):
-            radius = trajectory_radius(
-                ensemble, mixing, np.zeros(ensemble.m * ensemble.n), 0.5 * alpha_s
-            )
+            radius = trajectory_radius(ensemble, mixing, np.zeros(ensemble.m * ensemble.n), alpha0)
 
     lo, hi = bracket
     return BoundReport(

@@ -323,20 +323,14 @@ class TrajectoryRecord:
     def to_csv(self, target) -> None:
         """Write the metric columns as CSV; diverged runs truncate at divergence_step.
 
-        `target` is a path or an open text file. The rows are `write_rows`'
-        for this record alone, with no lead, so each block's template is
-        rendered for it and dropped after its block. Numeric columns never
-        contain non-finite values; the lifted-distance column is empty
-        where it was not tracked.
+        `target` is a path. The rows are `write_rows`' for this record
+        alone, with no lead, so each block's template is rendered for it and
+        dropped after its block. Numeric columns never contain non-finite
+        values; the lifted-distance column is empty where it was not tracked.
         """
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        handle = open(target, "w", newline="") if own else target
-        try:
+        with open(target, "w", newline="") as handle:
             handle.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
             write_rows(handle, [("", self)])
-        finally:
-            if own:
-                handle.close()
 
 
 def _block_template(start: int, end: int, specs: list[str]) -> str:

@@ -61,7 +61,9 @@ def _aggregate_sc_seeds(count, epsilon=RECIPE_EPSILON, start=0, mu_floor=0.05):
 
 def test_01_bound_formulas_match_reference_values():
     with criterion("01 bound-formulas"):
-        assert bounds.spectral_gap_bound(1.0, 10.0, 0.1) == pytest.approx(0.0075, abs=1e-4)
+        # alpha_S at mu = 1, L = 10 and beta = 0.1 (lambda_min does not enter it)
+        alpha_s = bounds.stepsize_bounds(0.25, 0.1, 10.0, 1.0)[3]
+        assert alpha_s == pytest.approx(0.0075, abs=1e-4)
         assert bounds.lambda_min_bound(0.25, 7.2615) == pytest.approx(0.1721, abs=1e-3)
         summary = _mix(W_QUARTER).spectral
         assert summary.lambda_min == pytest.approx(0.25, abs=1e-10)
@@ -335,11 +337,12 @@ def test_10_trajectory_envelope_radius():
         for index, seed in enumerate(_aggregate_sc_seeds(20)):
             ens = costs.random_ensemble(3, 2, RECIPE_EPSILON, seed=seed)
             mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
-            gap_bound = bounds.spectral_gap_bound(mu, smooth, mix.spectral.beta)
+            _, _, eta, gap_bound = bounds.stepsize_bounds(
+                mix.spectral.lambda_min, mix.spectral.beta, smooth, mu
+            )
             alpha0 = 0.5 * gap_bound
             x0 = np.zeros(6) if index % 2 == 0 else rng.normal(size=6)
             radius = bounds.trajectory_radius(ens, mix, x0, alpha0)
-            eta = bounds.harmonic_rate(mu, smooth)
             x_star = ens.aggregate_minimizer()
             # alpha0 is a per-agent stepsize: the engine's m alpha0
             rec = simulator.run(

@@ -20,7 +20,7 @@ REMOVED = {
     "MinimizerCurve": lifted,
     "CurvePoint": lifted,
     "CurveSegment": lifted,
-    "ordering_check": bounds,  # spectral_gap_bound(...) < lambda_min_bound(...)
+    "ordering_check": bounds,  # alpha_S < alpha_L, both from stepsize_bounds(...)
     "combined_bound": bounds,  # min(alpha_L, alpha_A)
     "iteration_matrix": simulator,  # I - H(alpha/m) from ThresholdStack._hessians
     "_iteration_matrices": simulator,
@@ -42,6 +42,10 @@ REMOVED = {
     "DEFAULT_SCAN_CAP": config,
     # sweep-epsilon's bound cells: one stepsize_bounds call on arrays of L and mu
     "_bound_cells": cli,
+    # alpha_gd, eta and alpha_S: stepsize_bounds(lambda_min, beta, L, mu), in L's binary unit
+    "classical_gd_bound": bounds,
+    "harmonic_rate": bounds,
+    "spectral_gap_bound": bounds,
 }
 # name -> the module it left: the JSON spec readers now live in `config`
 MOVED_TO_CONFIG = {"ensemble_from_spec": costs, "mixing_from_spec": topology}
@@ -59,7 +63,8 @@ REMOVED_METHODS = {
     "gradient": lifted.LiftedObjective,
     "separable_gradient": lifted.LiftedObjective,
     "max_r": simulator.TrajectoryRecord,  # summary_dict()["max_R"]
-    "to_csv_string": simulator.TrajectoryRecord,  # to_csv(io.StringIO())
+    # to_csv(path); into an open handle, the header then write_rows(handle, [("", record)])
+    "to_csv_string": simulator.TrajectoryRecord,
     # one block writer for every record of a call: simulator.write_rows(handle, pairs)
     "write_rows": simulator.TrajectoryRecord,
     "from_spec": simulator.StepsizeSchedule,  # config reads schedule specs

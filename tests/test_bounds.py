@@ -9,17 +9,16 @@ from dgdlab.errors import RadiusUndefinedError
 from dgdlab.lifted import LiftedObjective
 
 
+def _gap_bound(ens, beta=0.25):
+    """alpha_S of `ens` at spectral-gap parameter beta (lambda_min does not enter it)."""
+    return bounds.stepsize_bounds(0.25, beta, ens.smoothness_constant(), ens.aggregate_mu())[3]
+
+
 class TestClassicalBound:
     def test_known_values(self):
-        assert bounds.classical_gd_bound(1.0, 10.0) == pytest.approx(2.0 / 11.0)
-        assert bounds.classical_gd_bound(1.0, 1.0) == pytest.approx(1.0)
-        assert bounds.classical_gd_bound(0.5, 2.0) == pytest.approx(0.8)
-
-    def test_rejects_mu_above_smoothness(self):
-        with pytest.raises(ValueError):
-            bounds.classical_gd_bound(2.0, 1.0)
-        with pytest.raises(ValueError):
-            bounds.classical_gd_bound(-1.0, 1.0)
+        for mu, smooth, expected in [(1.0, 10.0, 2.0 / 11.0), (1.0, 1.0, 1.0), (0.5, 2.0, 0.8)]:
+            alpha_gd = bounds.stepsize_bounds(0.25, 0.5, smooth, mu)[0]
+            assert alpha_gd == pytest.approx(expected)
 
 
 class TestLambdaMinBound:
@@ -42,31 +41,15 @@ class TestLambdaMinBound:
 
 class TestSpectralGapBound:
     def test_reference_value(self):
-        assert bounds.spectral_gap_bound(1.0, 10.0, 0.1) == pytest.approx(0.0075)
+        assert bounds.stepsize_bounds(0.25, 0.1, 10.0, 1.0)[3] == pytest.approx(0.0075)
 
     def test_vanishing_gap(self):
-        assert bounds.spectral_gap_bound(1.0, 10.0, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-12)
+        alpha_s = bounds.stepsize_bounds(0.25, 1.0 - 1e-12, 10.0, 1.0)[3]
+        assert alpha_s == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_case(self):
         # eta = 0.5, so 0.5 * 0.5 / (1 * 1.5)
-        assert bounds.spectral_gap_bound(1.0, 1.0, 0.5) == pytest.approx(1.0 / 6.0)
-
-    @pytest.mark.parametrize("mu", [0.0, -1.0, 11.0])
-    def test_rejects_mu_outside_0_to_l(self, mu):
-        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
-            bounds.spectral_gap_bound(mu, 10.0, 0.1)
-        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
-            bounds.harmonic_rate(mu, 10.0)
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            bounds.spectral_gap_bound(1.0, 10.0, 0.0)
-        with pytest.raises(ValueError):
-            bounds.spectral_gap_bound(1.0, 10.0, 1.0)
-
-    def test_invalid_mu_is_named_before_an_invalid_beta(self):
-        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
-            bounds.spectral_gap_bound(0.0, 10.0, 1.0)
+        assert bounds.stepsize_bounds(0.25, 0.5, 1.0, 1.0)[3] == pytest.approx(1.0 / 6.0)
 
 
 class TestOrdering:
@@ -79,8 +62,7 @@ class TestOrdering:
             smooth = mu * float(rng.uniform(1.0, 50.0))
             beta = float(rng.uniform(0.001, 0.999))
             lam = float(rng.uniform(-0.999, min(beta, 0.999)))
-            gap = bounds.spectral_gap_bound(mu, smooth, beta)
-            floor = bounds.lambda_min_bound(lam, smooth)
+            _, floor, _, gap = bounds.stepsize_bounds(lam, beta, smooth, mu)
             if lam >= -(1.0 + beta) / 2.0:
                 assert gap < floor, (mu, smooth, beta, lam, gap, floor)
             elif not gap < floor:
@@ -93,8 +75,7 @@ class TestOrdering:
     def test_classical_vs_floor_comparison_logged(self):
         crossings = 0
         for lam in np.linspace(-0.9, 1.0, 20):
-            classical = bounds.classical_gd_bound(1.0, 10.0)
-            floor = bounds.lambda_min_bound(float(lam), 10.0)
+            classical, floor, _, _ = bounds.stepsize_bounds(float(lam), 0.5, 10.0, 1.0)
             if classical < floor:
                 crossings += 1
         print(f"classical bound below floor bound on {crossings} of 20 grid points")
@@ -108,7 +89,7 @@ class TestTrajectoryRadius:
         ens = costs.epsilon_example(10.0, 1.0, 0.0)  # grad-heterogeneity D = 0
         x_star = ens.aggregate_minimizer()
         x0 = np.tile(x_star, 3)
-        alpha0 = 0.5 * bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        alpha0 = 0.5 * _gap_bound(ens)
         assert bounds.trajectory_radius(ens, mix_quarter, x0, alpha0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_offset_at_consensus(self, mix_quarter):
@@ -116,7 +97,7 @@ class TestTrajectoryRadius:
         x_star = ens.aggregate_minimizer()
         v = np.array([1.0, 0.0])
         x0 = np.tile(x_star + v, 3)
-        alpha0 = 0.5 * bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        alpha0 = 0.5 * _gap_bound(ens)
         assert bounds.trajectory_radius(ens, mix_quarter, x0, alpha0) == pytest.approx(1.0)
 
     def test_center_term_is_the_distance_to_x_star(self, mix_quarter):
@@ -125,7 +106,7 @@ class TestTrajectoryRadius:
         # term ||xbar - x*|| = 3 exactly (||xbar + x*|| would give 1)
         ens = costs.QuadraticEnsemble(np.tile(np.eye(2), (3, 1, 1)), np.tile([1.0, 0.0], (3, 1)))
         assert ens.aggregate_minimizer().tolist() == [-1.0, 0.0] and ens.grad_bound_D() == 0.0
-        alpha0 = 0.5 * bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        alpha0 = 0.5 * _gap_bound(ens)
         x0 = np.tile([2.0, 0.0], 3)
         assert bounds.trajectory_radius(ens, mix_quarter, x0, alpha0) == 3.0
 
@@ -133,8 +114,7 @@ class TestTrajectoryRadius:
         ens = self._instance()
         mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
         beta = mix_quarter.spectral.beta
-        gap_bound = bounds.spectral_gap_bound(mu, smooth, beta)
-        alpha0 = 0.5 * gap_bound
+        alpha0 = 0.5 * _gap_bound(ens, beta)
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=6)
 
@@ -153,7 +133,7 @@ class TestTrajectoryRadius:
 
     def test_undefined_at_gap_bound(self, mix_quarter):
         ens = self._instance()
-        gb = bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        gb = _gap_bound(ens)
         with pytest.raises(RadiusUndefinedError):
             bounds.trajectory_radius(ens, mix_quarter, np.zeros(6), gb)
         with pytest.raises(RadiusUndefinedError):
@@ -173,9 +153,17 @@ class TestTrajectoryRadius:
         with pytest.raises(ValueError, match="alpha0 must be positive"):
             bounds.trajectory_radius(ens, mix_quarter, np.ones(6), alpha0)
 
+    @pytest.mark.parametrize("low", [0.0, -1.0], ids=["zero", "minus-L"])
+    def test_rejects_an_ensemble_whose_aggregate_mu_is_not_positive(self, mix_quarter, low):
+        # A_k = diag(1, low): the aggregate's mu is 0, or -L, where mu + L is 0
+        ens = costs.QuadraticEnsemble(np.tile(np.diag([1.0, low]), (3, 1, 1)), np.zeros((3, 2)))
+        assert ens.aggregate_mu() == low
+        with pytest.raises(ValueError, match="requires 0 < mu <= L"):
+            bounds.trajectory_radius(ens, mix_quarter, np.zeros(6), 1e-3)
+
     def test_third_term_grows_toward_gap_bound(self, mix_quarter):
         ens = self._instance(seed=11)
-        gb = bounds.spectral_gap_bound(ens.aggregate_mu(), ens.smoothness_constant(), 0.25)
+        gb = _gap_bound(ens)
         rng = np.random.default_rng(4)
         x0 = 0.01 * rng.normal(size=6)
         values = [
@@ -187,11 +175,11 @@ class TestTrajectoryRadius:
 
 class TestStepsizeBounds:
     def test_each_bound_is_its_formulas(self):
+        # 2 / (mu + L), (1 + lambda_min) / L, eta = mu L / (mu + L) and
+        # eta (1 - beta) / (L (eta + L)) at mu = 1, L = 10, lambda_min 0.25, beta 0.5
+        eta = 1.0 * 10.0 / (1.0 + 10.0)
         assert bounds.stepsize_bounds(0.25, 0.5, 10.0, 1.0) == (
-            bounds.classical_gd_bound(1.0, 10.0),
-            bounds.lambda_min_bound(0.25, 10.0),
-            bounds.harmonic_rate(1.0, 10.0),
-            bounds.spectral_gap_bound(1.0, 10.0, 0.5),
+            2.0 / (1.0 + 10.0), (1.0 + 0.25) / 10.0, eta, eta * (1.0 - 0.5) / (10.0 * (eta + 10.0))
         )
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, 11.0])
@@ -204,7 +192,7 @@ class TestStepsizeBounds:
     def test_beta_outside_0_to_1_leaves_no_gap_bound(self, beta):
         alpha_gd, _, eta, alpha_s = bounds.stepsize_bounds(0.25, beta, 10.0, 1.0)
         assert alpha_s is None
-        assert (alpha_gd, eta) == (bounds.classical_gd_bound(1.0, 10.0), bounds.harmonic_rate(1.0, 10.0))
+        assert (alpha_gd, eta) == (2.0 / (1.0 + 10.0), 1.0 * 10.0 / (1.0 + 10.0))
 
 
 class TestBoundReport:
@@ -242,4 +230,12 @@ class TestBoundReport:
         ens = costs.epsilon_example(1e12, 5e-324, 10.0)
         report = bounds.build_report(ens, mix_quarter, bracket=(1.0, 1.0 + 2e-9))
         assert report.alpha_S is None
+        assert report.radius_R is None
+
+    def test_gap_bound_whose_half_underflows_leaves_no_radius(self, mix_quarter):
+        # L = 1, mu = 5e-324: alpha_S is the smallest subnormal, present, but
+        # its half rounds to 0, which is no alpha0 to take the radius at
+        ens = costs.epsilon_example(1.0, 5e-324, 0.0)
+        report = bounds.build_report(ens, mix_quarter, bracket=(math.inf, math.inf))
+        assert report.alpha_S == 5e-324 and 0.5 * report.alpha_S == 0.0
         assert report.radius_R is None

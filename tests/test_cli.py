@@ -419,9 +419,10 @@ class TestBoundsCommand:
         instance = costs.epsilon_example(1e-300, 1e-320, 5e-301)
         mixing = config.mixing_from_spec(data["mixing"])
         report = bounds.build_report(instance, mixing, bracket=(math.inf, math.inf)).to_dict()
-        big_l, mu = instance.smoothness_constant(), instance.aggregate_mu()
-        s = 4.0**498
-        closed = bounds.spectral_gap_bound(mu * s, big_l * s, mixing.spectral.beta) * s
+        s, beta = 4.0**498, mixing.spectral.beta
+        big_l, mu = instance.smoothness_constant() * s, instance.aggregate_mu() * s
+        eta = mu * big_l / (mu + big_l)
+        closed = eta * (1.0 - beta) / (big_l * (eta + big_l)) * s
         assert report["alpha_S"] == closed == pytest.approx(7.5e279, rel=1e-3)
         # b = 0 puts x* and x0 = 0 together, with D = 0: the radius is 0
         assert report["radius_R"] == 0.0
@@ -511,6 +512,25 @@ class TestBoundsCommand:
         assert captured.err == ""
         if command == "bounds":
             assert json.loads(captured.out)["radius_R"] == 1.1547005383792515e308
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep-alpha"])
+    def test_gap_bound_of_one_subnormal_leaves_no_radius(self, command, tmp_path, capsys):
+        # L = 1, mu = 5e-324: alpha_S is the smallest subnormal, and half of
+        # it rounds to 0, so no radius is taken and radius_R is null
+        data = {
+            "ensemble": {"type": "epsilon_example", "L": 1.0, "mu": 5e-324, "epsilon": 0.0},
+            "mixing": {"type": "explicit", "W": W_QUARTER},
+            "horizon": 50,
+        }
+        path = _write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert '"radius_R": null' in captured.out
+            assert json.loads(captured.out)["alpha_S"] == 5e-324
 
     def test_writes_output_file(self, planted_config, tmp_path, capsys):
         out = tmp_path / "results"
@@ -1061,8 +1081,10 @@ class TestSweepEpsilonCommand:
             "mu": 1e-320,
         }
         summary = config.mixing_from_spec(data["mixing"]).spectral
-        s = 4.0**498
-        closed = bounds.spectral_gap_bound(1e-320 * s, 1e-300 * s, summary.beta) * s
+        s, beta = 4.0**498, summary.beta
+        scaled_l, scaled_mu = 1e-300 * s, 1e-320 * s
+        eta = scaled_mu * scaled_l / (scaled_mu + scaled_l)
+        closed = eta * (1.0 - beta) / (scaled_l * (eta + scaled_l)) * s
         assert closed == pytest.approx(7.5e279, rel=1e-3)
         for eps in data["epsilons"]:
             big_l, mu = costs.epsilon_family_constants(1e-300, 1e-320, eps)

@@ -12,8 +12,10 @@ from dgdlab.simulator import StepsizeSchedule
 
 
 def _csv_text(record):
+    """The text to_csv writes to its path: the header, then the record's rows with no lead."""
     buf = io.StringIO()
-    record.to_csv(buf)
+    buf.write(",".join(simulator.TRAJECTORY_CSV_HEADER) + "\r\n")
+    simulator.write_rows(buf, [("", record)])
     return buf.getvalue()
 
 
@@ -908,7 +910,7 @@ class TestRunBatch:
         "horizon",
         sorted({1, 255, 256, 257, 450, 600, 1500, *(simulator._CSV_BLOCK + k for k in (-2, -1, 0))}),
     )
-    def test_csv_rows_keep_the_per_row_format(self, horizon, mix_quarter):
+    def test_csv_rows_keep_the_per_row_format(self, horizon, mix_quarter, tmp_path):
         # to_csv's bytes against one f-string per row, on either side of a
         # block edge (horizon _CSV_BLOCK - 1 writes exactly one block): CRLF
         # endings, blank distance cells next to filled ones in one block,
@@ -933,8 +935,10 @@ class TestRunBatch:
         assert [rec.divergence_step for rec in records] == [None, None, stop, None]
         rows = horizon + 1
         assert [rec.t.size for rec in records] == [rows, rows, 37 if crossed else rows, rows]
-        for rec in records:
+        for index, rec in enumerate(records):
             assert _csv_text(rec) == _csv_reference(rec)
+            rec.to_csv(tmp_path / f"{index}.csv")
+            assert (tmp_path / f"{index}.csv").read_bytes() == _csv_reference(rec).encode()
 
     def test_one_call_writes_many_records_in_the_per_row_format(self, mix_quarter):
         # one write_rows call over (lead, record) pairs, as sweep-alpha makes
@@ -1507,12 +1511,12 @@ class TestTrajectoryEnvelope:
     def test_mean_and_spread_stay_inside_radius(self, mix_quarter, factor):
         ens = _skewed_random(10)
         mu, smooth = ens.aggregate_mu(), ens.smoothness_constant()
-        gap_bound = bounds.spectral_gap_bound(mu, smooth, mix_quarter.spectral.beta)
+        summary = mix_quarter.spectral
+        _, _, eta, gap_bound = bounds.stepsize_bounds(summary.lambda_min, summary.beta, smooth, mu)
         alpha0 = 0.5 * gap_bound
         rng = np.random.default_rng(11)
         x0 = rng.normal(size=6)
         radius = bounds.trajectory_radius(ens, mix_quarter, x0, alpha0)
-        eta = bounds.harmonic_rate(mu, smooth)
         x_star = ens.aggregate_minimizer()
         rec = simulator.run(
             ens, mix_quarter, StepsizeSchedule.constant(factor * alpha0),
