@@ -153,9 +153,12 @@ class TestTrajectoryRadius:
         with pytest.raises(ValueError, match="alpha0 must be positive"):
             bounds.trajectory_radius(ens, mix_quarter, np.ones(6), alpha0)
 
-    @pytest.mark.parametrize("low", [0.0, -1.0], ids=["zero", "minus-L"])
+    @pytest.mark.parametrize(
+        "low", [0.0, -1.0, -0.25], ids=["zero", "minus-L", "minus-quarter-L"]
+    )
     def test_rejects_an_ensemble_whose_aggregate_mu_is_not_positive(self, mix_quarter, low):
-        # A_k = diag(1, low): the aggregate's mu is 0, or -L, where mu + L is 0
+        # A_k = diag(1, low): the aggregate's mu is 0, or -L, where mu + L is 0,
+        # or -L/4, where eta and the gap bound come out finite and negative
         ens = costs.QuadraticEnsemble(np.tile(np.diag([1.0, low]), (3, 1, 1)), np.zeros((3, 2)))
         assert ens.aggregate_mu() == low
         with pytest.raises(ValueError, match="requires 0 < mu <= L"):
@@ -180,6 +183,24 @@ class TestStepsizeBounds:
         eta = 1.0 * 10.0 / (1.0 + 10.0)
         assert bounds.stepsize_bounds(0.25, 0.5, 10.0, 1.0) == (
             2.0 / (1.0 + 10.0), (1.0 + 0.25) / 10.0, eta, eta * (1.0 - 0.5) / (10.0 * (eta + 10.0))
+        )
+
+    @pytest.mark.parametrize(
+        ("smooth", "mu", "scale"),
+        [(1e200, 1e199, 2.0**-600), (1e-300, 1e-320, 2.0**996)],
+        ids=["L-1e200", "L-1e-300"],
+    )
+    def test_extreme_scales_match_the_rescaled_closed_forms(self, smooth, mu, scale):
+        # L and mu times a power of two that brings both to normal floats, the
+        # closed forms there, then rescaled: at these (L, mu) the formulas taken
+        # in plain floats give inf or nan (L = 1e200), 0 or a division by 0 (L = 1e-300)
+        big_l, small_mu = smooth * scale, mu * scale
+        eta = small_mu * big_l / (small_mu + big_l)
+        assert bounds.stepsize_bounds(0.25, 0.25, smooth, mu) == (
+            2.0 / (small_mu + big_l) * scale,
+            (1.0 + 0.25) / smooth,
+            eta / scale,
+            eta * (1.0 - 0.25) / (big_l * (eta + big_l)) * scale,
         )
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, 11.0])
